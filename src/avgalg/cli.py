@@ -275,8 +275,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (T.TermSyntaxError, FA.EvalError, FA.ChainError, FD.NotLieError,
-            FD.NotAveragingError, RingError, ShapeError, ValueError,
-            json.JSONDecodeError, OSError) as exc:
+            FD.NotAveragingError, FD.InternalInvariantError, RingError, ShapeError,
+            ValueError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

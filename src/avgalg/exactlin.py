@@ -5,6 +5,11 @@ integers mod n.  Ring elements are plain Python values (``Fraction`` for the
 rationals, canonical ``int`` in ``[0, n)`` for residues); the ring object
 carries the operations, so every function here takes or infers a ring.
 
+Canonical ring elements are falsy exactly when they are zero (``bool(x)``
+is ``x != 0`` for ``int`` and ``Fraction``).  The kernels here and in
+``findim`` rely on this: they test ``if x``/``if not x`` and skip zero terms
+instead of multiplying by them.
+
 All matrix/subspace values are immutable after construction and all
 operations are pure functions, so everything in this module is safe to share
 across threads.
@@ -51,17 +56,11 @@ class Rationals:
 
     name: str = "Q"
     is_field: bool = True
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def of(self, v) -> Fraction:
-        return Fraction(v)
+        return v if type(v) is Fraction else Fraction(v)
 
     def add(self, a, b):
         return a + b
@@ -81,6 +80,8 @@ class Rationals:
         return 1 / Fraction(a)
 
     def parse(self, text: str) -> Fraction:
+        if not isinstance(text, str):
+            raise RingError(f"rational literal must be a string, got {text!r}")
         try:
             return Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -109,13 +110,8 @@ class ZMod:
         object.__setattr__(self, "name", f"Zmod:{self.n}")
         object.__setattr__(self, "is_field", _is_prime(self.n))
 
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1 % self.n
+    zero = 0
+    one = 1  # n >= 2, so 1 is already reduced
 
     def of(self, v) -> int:
         if isinstance(v, Fraction):
@@ -145,6 +141,8 @@ class ZMod:
         return pow(a, -1, self.n)
 
     def parse(self, text: str) -> int:
+        if not isinstance(text, str):
+            raise RingError(f"residue literal must be a string, got {text!r}")
         try:
             return int(text.strip(), 10) % self.n
         except ValueError as exc:
@@ -199,12 +197,13 @@ def vec_dot(ring: Ring, u, v):
         raise ShapeError("vector length mismatch")
     acc = ring.zero
     for a, b in zip(u, v):
-        acc = ring.add(acc, ring.mul(a, b))
+        if a and b:
+            acc = ring.add(acc, ring.mul(a, b))
     return acc
 
 
 def vec_is_zero(ring: Ring, v) -> bool:
-    return all(a == ring.zero for a in v)
+    return not any(v)
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +316,17 @@ def rref(m: Matrix):
     for c in range(m.cols):
         if r == m.rows:
             break
-        pr = next((i for i in range(r, m.rows) if rows[i][c] != R.zero), None)
+        pr = next((i for i in range(r, m.rows) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = R.inv(rows[r][c])
-        rows[r] = [R.mul(inv, x) for x in rows[r]]
+        rows[r] = [R.mul(inv, x) if x else x for x in rows[r]]
         for i in range(m.rows):
-            if i != r and rows[i][c] != R.zero:
-                f = rows[i][c]
-                rows[i] = [R.sub(x, R.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [R.sub(x, R.mul(f, y)) if y else x
+                           for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
     reduced = Matrix(R, m.rows, m.cols, tuple(tuple(row) for row in rows))
@@ -380,11 +380,11 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise ShapeError("vector length mismatch")
         for b in self.basis:
-            lead = next(j for j, x in enumerate(b) if x != R.zero)
-            if v[lead] != R.zero:
-                f = v[lead]
-                v = [R.sub(x, R.mul(f, y)) for x, y in zip(v, b)]
-        return all(x == R.zero for x in v)
+            lead = next(j for j, x in enumerate(b) if x)
+            f = v[lead]
+            if f:
+                v = [R.sub(x, R.mul(f, y)) if y else x for x, y in zip(v, b)]
+        return not any(v)
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
@@ -621,7 +621,7 @@ def _hnf(rows):
         rows = rest
         col += 1
     # reduce entries above each pivot
-    for i in range(len(out) - 1, -1, -1):
+    for i in range(len(out)):
         pc = next(j for j, x in enumerate(out[i]) if x != 0)
         for k in range(i):
             q = out[k][pc] // out[i][pc]

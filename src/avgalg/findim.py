@@ -114,16 +114,16 @@ class StructureAlgebra:
             raise ShapeError("vector length mismatch")
         out = [R.zero] * self.dim
         for i, ai in enumerate(a):
-            if ai == R.zero:
+            if not ai:
                 continue
+            row = self.mul[i]
             for j, bj in enumerate(b):
-                if bj == R.zero:
+                if not bj:
                     continue
                 c = R.mul(ai, bj)
-                cell = self.mul[i][j]
-                for k in range(self.dim):
-                    if cell[k] != R.zero:
-                        out[k] = R.add(out[k], R.mul(c, cell[k]))
+                for k, ck in enumerate(row[j]):
+                    if ck:
+                        out[k] = R.add(out[k], R.mul(c, ck))
         return tuple(out)
 
     def power_vec(self, a, n: int) -> tuple:
@@ -279,14 +279,14 @@ def op_poly_apply(A: StructureAlgebra, coeffs, F: Matrix):
     """P(F) for P with zero constant term, coefficients ascending."""
     R = A.ring
     coeffs = [R.of(c) for c in coeffs]
-    if coeffs and coeffs[0] != R.zero:
+    if coeffs and coeffs[0]:
         raise ValueError("polynomial must have zero constant term")
     avg = is_averaging(A, F)
     cert = Certificate("operand is averaging", avg.ok, avg.witness)
     acc = Matrix.zero(R, A.dim, A.dim)
     power = Matrix.identity(R, A.dim)
     for c in coeffs:
-        if c != R.zero:
+        if c:
             acc = acc.add(power.scale(c))
         power = power.mul(F)
     return acc, cert
@@ -318,16 +318,16 @@ class BracketTable:
             raise ShapeError("vector length mismatch")
         out = [R.zero] * self.dim
         for i, xi in enumerate(x):
-            if xi == R.zero:
+            if not xi:
                 continue
+            row = self.table[i]
             for j, yj in enumerate(y):
-                if yj == R.zero:
+                if not yj:
                     continue
                 c = R.mul(xi, yj)
-                cell = self.table[i][j]
-                for k in range(self.dim):
-                    if cell[k] != R.zero:
-                        out[k] = R.add(out[k], R.mul(c, cell[k]))
+                for k, ck in enumerate(row[j]):
+                    if ck:
+                        out[k] = R.add(out[k], R.mul(c, ck))
         return tuple(out)
 
 
@@ -421,8 +421,12 @@ def gamma_subalgebra(A: StructureAlgebra, L: BracketTable) -> Subspace:
                 for m in range(A.dim):
                     acc = R.zero
                     for s in range(A.dim):
-                        acc = R.add(acc, R.mul(A.mul[m][i][s], L.table[s][j][k]))
-                        acc = R.sub(acc, R.mul(L.table[i][j][s], A.mul[m][s][k]))
+                        a, b = A.mul[m][i][s], L.table[s][j][k]
+                        if a and b:
+                            acc = R.add(acc, R.mul(a, b))
+                        a, b = L.table[i][j][s], A.mul[m][s][k]
+                        if a and b:
+                            acc = R.sub(acc, R.mul(a, b))
                     row.append(acc)
                 rows.append(tuple(row))
     return nullspace(Matrix(R, len(rows), A.dim, tuple(rows)))
@@ -619,9 +623,9 @@ def nilpotency_check(A: StructureAlgebra, F: Matrix):
                                     A.mul_vec(A.basis_vec(j), cols[i])))
     ann_rows = []
     for g in brackets:
-        # condition a*g = 0, linear in a
-        for k in range(A.dim):
-            ann_rows.append(tuple(A.mul_vec(A.basis_vec(m), g)[k] for m in range(A.dim)))
+        # condition a*g = 0, linear in a: row k holds coordinate k of e_m*g
+        prods = [A.mul_vec(A.basis_vec(m), g) for m in range(A.dim)]
+        ann_rows.extend(zip(*prods))
     if isinstance(R, ZMod) and not R.is_field:
         if ann_rows:
             ann = submodule_kernel(R, Matrix(R, len(ann_rows), A.dim, tuple(ann_rows)))
@@ -723,7 +727,7 @@ def ad_eigen(A: StructureAlgebra, F: Matrix, a) -> tuple:
         structural = {R.zero: nullspace(ad)}
     else:
         k = _proportionality(R, fa, A.unit)
-        if k is None or k == R.zero:
+        if not k:
             structural = {R.zero: nullspace(ad)}
         else:
             structural = {R.zero: nullspace(ad), R.neg(k): ker}
@@ -742,7 +746,7 @@ def ad_eigen(A: StructureAlgebra, F: Matrix, a) -> tuple:
 
 def _proportionality(R: Ring, v, w):
     """k with v = k*w, or None."""
-    idx = next((i for i, x in enumerate(w) if x != R.zero), None)
+    idx = next((i for i, x in enumerate(w) if x), None)
     if idx is None:
         return None
     k = R.mul(v[idx], R.inv(w[idx]))

@@ -125,3 +125,28 @@ def test_chain_json_matches_library(capsys):
     from avgalg.freeavg import chain_witness
     stages = chain_witness(2, 3)
     assert doc["stages"] == [[g.render() for g in st] for st in stages]
+
+
+def test_numeric_json_scalar_exits_two(tmp_path, capsys):
+    doc = json.loads((ROOT / "corpus" / "qi.json").read_text())
+    doc["unit"] = [1, 0]
+    bad = tmp_path / "numeric_unit.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["lie-analyze", str(bad), "corpus/im.json"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "must be a string" in err
+
+
+def test_internal_invariant_error_exits_two(monkeypatch, capsys):
+    import avgalg.findim as FD
+
+    def broken(A, F):
+        raise FD.InternalInvariantError("kernel paths disagree")
+
+    monkeypatch.setattr(FD, "kernel_equals_brackets", broken)
+    code = main(["lie-analyze", "corpus/qi.json", "corpus/im.json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: kernel paths disagree\n"
+    assert captured.out == ""

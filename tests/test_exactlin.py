@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,20 @@ class TestRings:
         assert ZMod(7).of(Fraction(1, 2)) == 4
         with pytest.raises(RingError):
             ZMod(6).of(Fraction(1, 2))
+
+    def test_scalars_are_constants(self):
+        assert QQ.zero is QQ.zero
+        assert QQ.one is QQ.one
+        assert ZMod(6).one == 1
+        assert ZMod(2).one == 1
+        x = Fraction(3, 4)
+        assert QQ.of(x) is x
+
+    @pytest.mark.parametrize("ring", [QQ, ZMod(6)], ids=["Q", "Zmod:6"])
+    @pytest.mark.parametrize("value", [1, 0.5, None, ["1"]])
+    def test_parse_accepts_strings_only(self, ring, value):
+        with pytest.raises(RingError):
+            ring.parse(value)
 
     def test_ring_names_roundtrip(self):
         assert ring_from_name("Q") is QQ
@@ -232,6 +247,37 @@ class TestSubmodules:
         assert a == Submodule.span(z6, 1, [(1,)])
         assert a.contains_vector((5,))
 
+    def test_span_canonical_z4_reproducer(self):
+        # one set of 16 elements; the bases used to differ in the first row
+        z4 = ZMod(4)
+        a = Submodule.span(z4, 3, [(3, 3, 3), (1, 2, 0), (3, 1, 3)])
+        b = Submodule.span(z4, 3, [(3, 1, 3), (2, 1, 1), (0, 2, 0)])
+        assert a.basis == ((1, 0, 0), (0, 1, 1), (0, 0, 2))
+        assert b.basis == a.basis
+
+    def test_span_canonical_brute_force(self):
+        # the canonical basis is a function of the element set alone
+        rng = random.Random(0xA11)
+        for n in (4, 6, 8, 9, 12):
+            ring = ZMod(n)
+            for d in (1, 2, 3):
+                seen = {}
+                for _ in range(40):
+                    gens = [tuple(rng.randrange(n) for _ in range(d))
+                            for _ in range(rng.randint(1, 3))]
+                    elements = _brute_span(n, d, gens)
+                    # regenerate the same set from a sample of its elements
+                    pool = sorted(elements)
+                    other = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+                    if _brute_span(n, d, other) == elements:
+                        cases = (gens, other)
+                    else:
+                        cases = (gens,)
+                    for g in cases:
+                        basis = Submodule.span(ring, d, g).basis
+                        assert seen.setdefault(elements, basis) == basis, (n, g)
+                        assert _brute_span(n, d, basis) == elements
+
     def test_kernel_of_doubling_mod6(self):
         z6 = ZMod(6)
         ker = submodule_kernel(z6, Matrix.from_rows(z6, [[2]]))
@@ -251,3 +297,20 @@ class TestSubmodules:
     def test_column_space(self):
         cs = column_space(mat([[1, 2], [2, 4]]))
         assert cs == Subspace.span(QQ, 2, [(1, 2)])
+
+
+def _brute_span(n, d, gens):
+    """All Z/n-combinations of gens, by closure under adding a generator."""
+    zero = (0,) * d
+    found = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for g in gens:
+                w = tuple((x + y) % n for x, y in zip(v, g))
+                if w not in found:
+                    found.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return frozenset(found)

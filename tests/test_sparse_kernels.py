@@ -1,0 +1,121 @@
+"""The zero-skipping kernels agree with dense references that skip nothing.
+
+Entries are drawn mostly zero, like the structure constants and operator
+matrices of the shipped algebras, so the skipped branches are exercised.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from avgalg.exactlin import QQ, Matrix, ZMod, rref, vec_dot
+from avgalg.findim import BracketTable, StructureAlgebra
+
+RINGS = [QQ, ZMod(2), ZMod(5), ZMod(6), ZMod(12)]
+FIELDS = [QQ, ZMod(2), ZMod(5), ZMod(7)]
+SPARSE = st.sampled_from([0, 0, 0, 0, 1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+def _values(ring, count):
+    raw = st.lists(SPARSE, min_size=count, max_size=count)
+    if ring == QQ:
+        return raw.map(lambda xs: tuple(QQ.of(x) for x in xs))
+    # Z/n takes integer literals only; 1/2 may not be a unit mod n
+    return raw.map(lambda xs: tuple(ring.of(int(x)) for x in xs))
+
+
+@st.composite
+def ring_and_table(draw):
+    ring = draw(st.sampled_from(RINGS))
+    d = draw(st.integers(1, 4))
+    flat = draw(_values(ring, d * d * d))
+    table = tuple(tuple(flat[(i * d + j) * d:(i * d + j + 1) * d] for j in range(d))
+                  for i in range(d))
+    return ring, d, table, draw(_values(ring, d)), draw(_values(ring, d))
+
+
+@st.composite
+def ring_and_matrix(draw, rings=RINGS):
+    ring = draw(st.sampled_from(rings))
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 4))
+    flat = draw(_values(ring, rows * cols))
+    entries = tuple(flat[r * cols:(r + 1) * cols] for r in range(rows))
+    return ring, Matrix(ring, rows, cols, entries), draw(_values(ring, cols))
+
+
+def dense_bilinear(ring, d, table, x, y):
+    out = [ring.zero] * d
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                term = ring.mul(ring.mul(x[i], y[j]), table[i][j][k])
+                out[k] = ring.add(out[k], term)
+    return tuple(out)
+
+
+def dense_dot(ring, u, v):
+    acc = ring.zero
+    for a, b in zip(u, v):
+        acc = ring.add(acc, ring.mul(a, b))
+    return acc
+
+
+def dense_rref(m):
+    R = m.ring
+    rows = [list(r) for r in m.entries]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pr = None
+        for i in range(r, m.rows):
+            if rows[i][c] != R.zero:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = R.inv(rows[r][c])
+        rows[r] = [R.mul(inv, x) for x in rows[r]]
+        for i in range(m.rows):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [R.sub(x, R.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+@given(ring_and_table())
+@settings(max_examples=150, deadline=None)
+def test_mul_vec_matches_dense(case):
+    ring, d, table, x, y = case
+    A = StructureAlgebra(ring, d, (ring.one,) + (ring.zero,) * (d - 1), table)
+    assert A.mul_vec(x, y) == dense_bilinear(ring, d, table, x, y)
+
+
+@given(ring_and_table())
+@settings(max_examples=150, deadline=None)
+def test_bracket_vec_matches_dense(case):
+    ring, d, table, x, y = case
+    L = BracketTable(ring, d, table)
+    assert L.bracket_vec(x, y) == dense_bilinear(ring, d, table, x, y)
+
+
+@given(ring_and_matrix())
+@settings(max_examples=150, deadline=None)
+def test_vec_dot_and_apply_match_dense(case):
+    ring, m, v = case
+    assert vec_dot(ring, m.entries[0], v) == dense_dot(ring, m.entries[0], v)
+    assert m.apply(v) == tuple(dense_dot(ring, row, v) for row in m.entries)
+
+
+@given(ring_and_matrix(FIELDS))
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_dense(case):
+    _, m, _ = case
+    red, pivots = rref(m)
+    assert (red.entries, pivots) == dense_rref(m)
