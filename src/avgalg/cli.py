@@ -279,6 +279,10 @@ def main(argv=None) -> int:
             ValueError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # the parser, evaluator and printer recurse once per nesting level
+        print("error: expression nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -472,6 +472,20 @@ def column_space(m: Matrix) -> Subspace:
     return Subspace.span(m.ring, m.rows, [m.col(j) for j in range(m.cols)])
 
 
+def invert(m: Matrix) -> Matrix:
+    """Inverse of a square matrix over a field; ShapeError when singular."""
+    if m.rows != m.cols:
+        raise ShapeError("only square matrices invert")
+    n = m.rows
+    identity = Matrix.identity(m.ring, n).entries
+    aug = Matrix(m.ring, n, 2 * n,
+                 tuple(row + identity[i] for i, row in enumerate(m.entries)))
+    red, pivots = rref(aug)
+    if tuple(pivots) != tuple(range(n)):
+        raise ShapeError("matrix is singular")
+    return Matrix(m.ring, n, n, tuple(row[n:] for row in red.entries))
+
+
 # ---------------------------------------------------------------------------
 # characteristic polynomial and rational roots
 
@@ -574,6 +588,145 @@ def rational_roots(coeffs) -> tuple:
                     out.append(c + cand * out[-1])
                 coeffs = list(reversed(out))
     return tuple(sorted(roots))
+
+
+# ---------------------------------------------------------------------------
+# univariate polynomials over a field
+#
+# Ascending coefficient tuples without trailing zeros: the zero polynomial is
+# () and deg f is len(f) - 1.  Over Z/p they give the distinct-degree
+# factorisation and the roots that findim's domain decision needs.
+
+def poly_trim(f) -> tuple:
+    f = list(f)
+    while f and not f[-1]:
+        f.pop()
+    return tuple(f)
+
+
+def poly_sub(ring: Ring, f, g) -> tuple:
+    n = max(len(f), len(g))
+    f = tuple(f) + (ring.zero,) * (n - len(f))
+    g = tuple(g) + (ring.zero,) * (n - len(g))
+    return poly_trim(ring.sub(a, b) for a, b in zip(f, g))
+
+
+def poly_mul(ring: Ring, f, g) -> tuple:
+    if not f or not g:
+        return ()
+    out = [ring.zero] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                if b:
+                    out[i + j] = ring.add(out[i + j], ring.mul(a, b))
+    return poly_trim(out)
+
+
+def poly_divmod(ring: Ring, f, g) -> tuple:
+    """(quotient, remainder) of f by a nonzero g."""
+    g = poly_trim(g)
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(poly_trim(f))
+    q = [ring.zero] * max(len(r) - len(g) + 1, 0)
+    inv = ring.inv(g[-1])
+    while len(r) >= len(g):
+        c = ring.mul(r[-1], inv)
+        shift = len(r) - len(g)
+        q[shift] = c
+        for i, b in enumerate(g):
+            if b:
+                r[shift + i] = ring.sub(r[shift + i], ring.mul(c, b))
+        while r and not r[-1]:
+            r.pop()
+    return tuple(q), tuple(r)
+
+
+def poly_gcd(ring: Ring, f, g) -> tuple:
+    """Monic greatest common divisor; () when f and g are both zero."""
+    f, g = poly_trim(f), poly_trim(g)
+    while g:
+        f, g = g, poly_divmod(ring, f, g)[1]
+    if not f:
+        return ()
+    inv = ring.inv(f[-1])
+    return tuple(ring.mul(inv, c) for c in f)
+
+
+def poly_derivative(ring: Ring, f) -> tuple:
+    return poly_trim(ring.mul(ring.of(i), c) for i, c in enumerate(f) if i)
+
+
+def poly_powmod(ring: Ring, f, e: int, m) -> tuple:
+    """f^e mod m by square-and-multiply."""
+    result = poly_divmod(ring, (ring.one,), m)[1]
+    base = poly_divmod(ring, f, m)[1]
+    while e:
+        if e & 1:
+            result = poly_divmod(ring, poly_mul(ring, result, base), m)[1]
+        e >>= 1
+        if e:
+            base = poly_divmod(ring, poly_mul(ring, base, base), m)[1]
+    return result
+
+
+def _prime_field(ring: Ring) -> int:
+    if not isinstance(ring, ZMod) or not ring.is_field:
+        raise NotAFieldError(f"needs Z/p scalars, got {ring.name}")
+    return ring.n
+
+
+def distinct_degree_factors(ring: ZMod, f) -> tuple:
+    """Distinct-degree factorisation of a monic squarefree f over Z/p.
+
+    Returns ``((k, g_k), ...)``, ascending in k, where g_k is the product of
+    the irreducible factors of f of degree k and is not 1; the g_k multiply
+    to f.  The degree-k factors are those of gcd(f, t^(p^k) - t) once the
+    lower degrees are divided out.
+    """
+    p = _prime_field(ring)
+    t = (ring.zero, ring.one)
+    out = []
+    rest = poly_trim(f)
+    h = t  # t^(p^k) mod rest
+    k = 0
+    while len(rest) - 1 >= 2 * (k + 1):
+        k += 1
+        h = poly_powmod(ring, h, p, rest)
+        g = poly_gcd(ring, rest, poly_sub(ring, h, t))
+        if len(g) > 1:
+            out.append((k, g))
+            rest = poly_divmod(ring, rest, g)[0]
+            h = poly_divmod(ring, h, rest)[1]
+    if len(rest) > 1:
+        out.append((len(rest) - 1, rest))
+    return tuple(out)
+
+
+def poly_root_mod_p(ring: ZMod, f):
+    """A root in Z/p of a nonzero f, or None when it has none.
+
+    g = gcd(f, t^p - t) is the product of the distinct linear factors of f;
+    g is split by gcd(g, (t + s)^((p-1)/2) - 1) for s = 0, 1, ... until one
+    factor is linear (Cantor-Zassenhaus with deterministic shifts).  Some
+    shift separates any two roots, so the search ends.
+    """
+    p = _prime_field(ring)
+    t = (ring.zero, ring.one)
+    g = poly_gcd(ring, f, poly_sub(ring, poly_powmod(ring, t, p, f), t))
+    while len(g) > 2:
+        for s in range(p):
+            if not poly_eval(ring, g, ring.neg(s)):
+                return ring.neg(s)
+            h = poly_powmod(ring, (s, ring.one), (p - 1) // 2, g)
+            split = poly_gcd(ring, g, poly_sub(ring, h, (ring.one,)))
+            if 1 < len(split) < len(g):
+                g = split
+                break
+        else:
+            raise RuntimeError("no shift splits the linear factors")
+    return ring.neg(g[0]) if len(g) == 2 else None
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ arguments, so holding on a basis is holding everywhere.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional, Union
 
 from .exactlin import (
@@ -34,13 +34,19 @@ from .exactlin import (
     ZMod,
     char_poly,
     column_space,
+    distinct_degree_factors,
+    invert,
     nullspace,
+    poly_derivative,
+    poly_gcd,
+    poly_root_mod_p,
     rational_roots,
     ring_from_name,
     solve_linear,
     submodule_kernel,
     subspace_contains,
     vec_add,
+    vec_dot,
     vec_is_zero,
     vec_scale,
     vec_sub,
@@ -57,7 +63,18 @@ class NotLieError(ValueError):
 
 
 class NotADomainError(ValueError):
-    pass
+    """The algebra has zero divisors: ``witness`` times ``partner`` is 0 and
+    both are nonzero (both None for the zero ring)."""
+
+    def __init__(self, message, witness=None, partner=None):
+        super().__init__(message)
+        self.witness = witness
+        self.partner = partner
+
+
+class DomainUndecidedError(ValueError):
+    """check_domain found neither a zero divisor nor a proof that the algebra
+    is a field, so an analysis that needs a domain refuses it."""
 
 
 class NotAnAveragingIdealError(ValueError):
@@ -127,9 +144,14 @@ class StructureAlgebra:
         return tuple(out)
 
     def power_vec(self, a, n: int) -> tuple:
-        out = tuple(self.unit)
-        for _ in range(n):
-            out = self.mul_vec(out, a)
+        """a^n by square-and-multiply."""
+        out, base = tuple(self.unit), tuple(a)
+        while n:
+            if n & 1:
+                out = self.mul_vec(out, base)
+            n >>= 1
+            if n:
+                base = self.mul_vec(base, base)
         return out
 
 
@@ -502,7 +524,7 @@ def induced_by_averaging(A: StructureAlgebra, L: BracketTable) -> InduceResult:
         x = ()
     else:
         basis_mtx = Matrix.from_cols(R, eps + delta)
-        inv = _invert(basis_mtx)
+        inv = invert(basis_mtx)
         stacked_rows = []
         stacked_rhs = []
         for dj in delta:
@@ -533,20 +555,6 @@ def induced_by_averaging(A: StructureAlgebra, L: BracketTable) -> InduceResult:
     if raw_bracket(A, op).table != L.table:
         return InduceDiagnostic(t, op, "candidate does not reproduce the bracket")
     return Induced(t, op)
-
-
-def _invert(m: Matrix) -> Matrix:
-    from .exactlin import rref as _rref
-    if m.rows != m.cols:
-        raise ShapeError("only square matrices invert")
-    n = m.rows
-    aug = Matrix(m.ring, n, 2 * n,
-                 tuple(row + Matrix.identity(m.ring, n).entries[i]
-                       for i, row in enumerate(m.entries)))
-    red, pivots = _rref(aug)
-    if tuple(pivots) != tuple(range(n)):
-        raise ShapeError("matrix is singular")
-    return Matrix(m.ring, n, n, tuple(row[n:] for row in red.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -661,32 +669,172 @@ def nilpotency_check(A: StructureAlgebra, F: Matrix):
         k += 1
 
 
-def check_domain(A: StructureAlgebra, trials: int = 50, seed: int = 0x5eed):
-    """Necessary zero-divisor check: multiplication by every basis element
-    and by a sample of random nonzero elements must be injective.
+@dataclass(frozen=True)
+class DomainCertificate:
+    """Why check_domain accepted.
 
-    Conclusive for the shipped field-extension examples; in general a
-    passing check does not prove the absence of zero divisors.
+    Over Q, A = Q[a] for the primitive element ``element``, whose
+    characteristic polynomial ``poly`` is irreducible by ``reason``:
+    "degree sieve" (its factor degrees mod ``primes`` admit no proper
+    factor) or "no rational root" (degree at most 3); "dimension 1" needs
+    neither.  Over Z/p the reason is "frobenius".
     """
-    if not A.ring.is_field:
-        raise NotAFieldError("domain check needs field scalars")
+
+    reason: str
+    element: Optional[tuple] = None
+    poly: Optional[tuple] = None
+    primes: tuple = ()
+
+
+# primes whose factor-degree patterns the sieve intersects
+_SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
+def _mult_matrix(A: StructureAlgebra, a) -> Matrix:
+    return Matrix.from_cols(A.ring, [A.mul_vec(a, A.basis_vec(i)) for i in range(A.dim)])
+
+
+def _zero_divisor(A: StructureAlgebra, w, why: str) -> NotADomainError:
+    """The refutation naming w as a zero divisor, with a nonzero partner
+    from the kernel of multiplication by w."""
     R = A.ring
 
-    def mult_matrix(a):
-        return Matrix.from_cols(R, [A.mul_vec(a, A.basis_vec(i)) for i in range(A.dim)])
+    def show(v):
+        return "(" + ", ".join(R.render(x) for x in v) + ")"
 
-    for i in range(A.dim):
-        if not nullspace(mult_matrix(A.basis_vec(i))).is_zero():
-            raise NotADomainError(f"basis element {i} is a zero divisor")
-    rng = random.Random(seed)
-    done = 0
-    while done < trials:
-        a = tuple(R.of(rng.randint(-5, 5)) for _ in range(A.dim))
-        if vec_is_zero(R, a):
+    ker = nullspace(_mult_matrix(A, w))
+    if vec_is_zero(R, w) or ker.is_zero():
+        raise InternalInvariantError(f"{show(w)} ({why}) is not a zero divisor")
+    z = ker.basis[0]
+    return NotADomainError(f"{show(w)} is a zero divisor ({why}): "
+                           f"its product with {show(z)} is 0", w, z)
+
+
+def check_domain(A: StructureAlgebra) -> DomainCertificate:
+    """Decide exactly whether A is a domain, that is, a field.
+
+    A must be a commutative associative unital algebra (``verify_algebra``)
+    over Q or Z/p.  Three outcomes: a ``DomainCertificate`` when A is a
+    field; ``NotADomainError`` naming a nonzero zero divisor and its
+    partner; ``DomainUndecidedError`` when neither is found.  The last
+    happens over Q only, when the characteristic polynomial of the
+    primitive element has degree above 3, no rational root, and no sieve
+    prime proves it irreducible: Q[t]/(t^4 + 1), a field, and
+    Q[t]/((t^2 - 2)(t^2 - 3)), which is not, both end there.
+
+    Over Q: the radical of the trace form (a, b) -> Tr(L_ab) is the
+    nilradical; when it is zero, A = Q[t]/(chi_a) for an element a whose
+    characteristic polynomial chi_a is squarefree, and A is a field exactly
+    when chi_a is irreducible.  Over Z/p: A is a field exactly when the
+    Frobenius map x -> x^p is injective and fixes only the line of 1.
+    """
+    R = A.ring
+    if not R.is_field:
+        raise NotAFieldError("domain check needs field scalars")
+    if A.dim == 0:
+        raise NotADomainError("the zero ring is not a domain")
+    if R == QQ:
+        return _check_domain_q(A)
+    return _check_domain_zp(A)
+
+
+def _check_domain_q(A: StructureAlgebra) -> DomainCertificate:
+    R, d = A.ring, A.dim
+    traces = [sum((A.mul[s][k][k] for k in range(d)), R.zero) for s in range(d)]
+    gram = Matrix(R, d, d, tuple(tuple(vec_dot(R, A.mul[i][j], traces) for j in range(d))
+                                 for i in range(d)))
+    radical = nullspace(gram)
+    if not radical.is_zero():
+        raise _zero_divisor(A, radical.basis[0], "nilpotent")
+    if d == 1:
+        return DomainCertificate("dimension 1")
+    a, chi = _primitive_element(A)
+    primes, sums = _degree_sieve(chi)
+    if sums == 1 | 1 << d:
+        return DomainCertificate("degree sieve", a, chi, primes)
+    # a rational root r of chi makes a - r a zero divisor; none exists unless
+    # every prime the sieve used sees a linear factor
+    if sums & 2:
+        roots = rational_roots(chi)
+        if roots:
+            raise _zero_divisor(A, vec_sub(R, a, vec_scale(R, roots[0], A.unit)),
+                                f"the primitive element minus its eigenvalue {roots[0]}")
+    if d <= 3:
+        return DomainCertificate("no rational root", a, chi)
+    raise DomainUndecidedError(
+        "cannot decide whether the algebra is a domain: the characteristic "
+        f"polynomial {[R.render(x) for x in chi]} of its primitive element has no "
+        "rational root and no sieve prime proves it irreducible")
+
+
+def _primitive_element(A: StructureAlgebra):
+    """(a, chi_a) with chi_a squarefree, so 1, a, ..., a^(d-1) is a basis of
+    the reduced algebra A.  Basis vectors are tried first, then sum c^i e_i
+    for c = 1, 2, ...; each of the d(d-1)/2 pairs of embeddings of A agrees
+    on at most d - 1 of the latter, which bounds the search.  A candidate
+    with chi_a(0) = 0 is singular and refutes the domain on the way."""
+    R, d = A.ring, A.dim
+    candidates = itertools.chain(
+        (A.basis_vec(i) for i in range(d)),
+        (tuple(R.of(c ** i) for i in range(d)) for c in range(1, d * (d - 1) ** 2 // 2 + 2)))
+    for a in candidates:
+        if _proportionality(R, a, A.unit) is not None:
+            continue  # a scalar generates only Q
+        chi = char_poly(_mult_matrix(A, a))
+        if not chi[0]:
+            raise _zero_divisor(A, a, "singular")
+        if len(poly_gcd(R, chi, poly_derivative(R, chi))) == 1:
+            return a, chi
+    raise InternalInvariantError("a reduced algebra has no primitive element")
+
+
+def _degree_sieve(chi):
+    """(primes, sums): intersect, over the primes p at which chi stays
+    squarefree, the subset sums of its factor degrees mod p, as a bit mask.
+
+    The degree of every factor of chi over Q is in the intersection, so
+    {0, deg chi} proves chi irreducible (Musser 1978).  Stops once it does.
+    """
+    d = len(chi) - 1
+    den = lcm(*(c.denominator for c in chi))
+    sums = (1 << d + 1) - 1
+    used = []
+    for p in _SIEVE_PRIMES:
+        if den % p == 0:
             continue
-        if not nullspace(mult_matrix(a)).is_zero():
-            raise NotADomainError(f"element {a} is a zero divisor")
-        done += 1
+        Fp = ZMod(p)
+        f = tuple(Fp.of(c) for c in chi)
+        if len(poly_gcd(Fp, f, poly_derivative(Fp, f))) != 1:
+            continue  # p divides the discriminant
+        mask = 1
+        for k, g in distinct_degree_factors(Fp, f):
+            for _ in range((len(g) - 1) // k):
+                mask |= mask << k
+        sums &= mask
+        used.append(p)
+        if sums == 1 | 1 << d:
+            break
+    return tuple(used), sums
+
+
+def _check_domain_zp(A: StructureAlgebra) -> DomainCertificate:
+    # x -> x^p is linear; it is injective exactly when A is reduced, and then
+    # its fixed space is F_p^r for A = F_(p^k1) x ... x F_(p^kr)
+    R, d = A.ring, A.dim
+    frob = Matrix.from_cols(R, [A.power_vec(A.basis_vec(i), R.n) for i in range(d)])
+    kernel = nullspace(frob)
+    if not kernel.is_zero():
+        raise _zero_divisor(A, kernel.basis[0], "nilpotent")
+    fixed = nullspace(frob.sub(Matrix.identity(R, d)))
+    b = next((v for v in fixed.basis if _proportionality(R, v, A.unit) is None), None)
+    if b is None:
+        return DomainCertificate("frobenius")
+    # b^p = b puts every eigenvalue c of b in F_p, and b - c is nonzero and
+    # singular because b is not a scalar
+    c = poly_root_mod_p(R, char_poly(_mult_matrix(A, b)))
+    raise _zero_divisor(A, vec_sub(R, b, vec_scale(R, c, A.unit)),
+                        f"a Frobenius-fixed element minus its eigenvalue {c}")
 
 
 def nilpotent_radical_domain(A: StructureAlgebra, F: Matrix) -> Subspace:
@@ -834,7 +982,7 @@ def quotient_by_averaging_ideal(A: StructureAlgebra, F: Matrix, ideal: Subspace)
     p = ideal.dim
     q = len(comp)
     basis_mtx = Matrix.from_cols(R, list(ideal.basis) + comp)
-    inv = _invert(basis_mtx)
+    inv = invert(basis_mtx)
 
     def project(v):
         return inv.apply(v)[p:]

@@ -150,3 +150,23 @@ def test_internal_invariant_error_exits_two(monkeypatch, capsys):
     assert code == 2
     assert captured.err == "error: kernel paths disagree\n"
     assert captured.out == ""
+
+
+DEEP = {
+    "power_2000": ["eval", "--mode", "plain", "v1^2000"],
+    "claim_power_999": ["decide", "--hypothesis", "averaging", "--claim", "v1^999 = v1^999"],
+    "nested_f_600": ["eval", "--mode", "plain", "f(" * 600 + "v1" + ")" * 600],
+    "nested_parens_2000": ["eval", "--mode", "plain", "(" * 2000 + "v1" + ")" * 2000],
+}
+
+
+@pytest.mark.parametrize("argv", DEEP.values(), ids=DEEP.keys())
+def test_deep_nesting_exits_two(argv, capsys):
+    # exit 1 is the negative-verdict code, so running out of stack must not
+    # escape as an uncaught RecursionError
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: expression nested too deeply\n"
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

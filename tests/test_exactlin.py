@@ -14,11 +14,21 @@ from avgalg.exactlin import (
     Solution,
     Submodule,
     Subspace,
+    ShapeError,
     ZMod,
     char_poly,
     column_space,
+    distinct_degree_factors,
+    invert,
     nullspace,
+    poly_derivative,
+    poly_divmod,
     poly_eval,
+    poly_gcd,
+    poly_mul,
+    poly_root_mod_p,
+    poly_sub,
+    poly_trim,
     rational_roots,
     ring_from_name,
     rref,
@@ -238,6 +248,94 @@ class TestRationalRoots:
                 assert poly_eval(QQ, p, k) == 0
                 shifted = m.sub(Matrix.identity(QQ, 3).scale(k))
                 assert not nullspace(shifted).is_zero()
+
+
+class TestInvert:
+    def test_inverse_times_matrix_is_identity(self):
+        m = mat([[2, 1, 0], [0, 1, 3], [1, 0, 1]])
+        assert invert(m).mul(m) == Matrix.identity(QQ, 3)
+        z7 = ZMod(7)
+        m7 = mat([[3, 5], [1, 2]], z7)
+        assert m7.mul(invert(m7)) == Matrix.identity(z7, 2)
+
+    def test_singular_rejected(self):
+        with pytest.raises(ShapeError):
+            invert(mat([[1, 2], [2, 4]]))
+
+
+SMALL_PRIMES = [2, 3, 5, 7, 11]
+
+
+@st.composite
+def poly_mod_p(draw, max_deg=7):
+    """(ring, monic f) over Z/p."""
+    F = ZMod(draw(st.sampled_from(SMALL_PRIMES)))
+    deg = draw(st.integers(1, max_deg))
+    low = draw(st.lists(st.integers(0, F.n - 1), min_size=deg, max_size=deg))
+    return F, tuple(low) + (F.one,)
+
+
+class TestPolynomials:
+    @settings(max_examples=60, deadline=None)
+    @given(poly_mod_p(), poly_mod_p())
+    def test_divmod_identity(self, ff, gg):
+        F, f = ff
+        g = tuple(F.of(c) for c in gg[1])
+        q, r = poly_divmod(F, f, g)
+        assert len(r) < len(g)
+        assert poly_sub(F, f, poly_mul(F, q, g)) == r
+
+    def test_gcd_over_q(self):
+        # (t - 1)^2 (t + 2) and its derivative 3(t - 1)(t + 1) share t - 1
+        f = tuple(QQ.of(c) for c in (2, -3, 0, 1))
+        assert poly_gcd(QQ, f, poly_derivative(QQ, f)) == (-1, 1)
+        assert poly_trim((1, 0, 0)) == (1,) and poly_trim((0, 0)) == ()
+
+    def test_distinct_degree_factors_known(self):
+        F3 = ZMod(3)
+        # t^4 + 1 = (t^2 + t + 2)(t^2 + 2t + 2) mod 3
+        assert distinct_degree_factors(F3, (1, 0, 0, 0, 1)) == ((2, (1, 0, 0, 0, 1)),)
+        # t^3 - t = t (t - 1)(t + 1), times the irreducible t^2 + 1
+        f = poly_mul(F3, (0, 2, 0, 1), (1, 0, 1))
+        assert distinct_degree_factors(F3, f) == ((1, (0, 2, 0, 1)), (2, (1, 0, 1)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(poly_mod_p())
+    def test_distinct_degree_pattern_matches_brute_force(self, ff):
+        F, f = ff
+        if len(poly_gcd(F, f, poly_derivative(F, f))) != 1:
+            return  # squarefree input only
+        ddf = distinct_degree_factors(F, f)
+        product = (F.one,)
+        for k, g in ddf:
+            assert (len(g) - 1) % k == 0
+            product = poly_mul(F, product, g)
+        assert product == f
+        assert sum(len(g) - 1 for _, g in ddf) == len(f) - 1
+        linear = dict(ddf).get(1, (F.one,))
+        roots = [c for c in range(F.n) if not poly_eval(F, f, c)]
+        assert len(linear) - 1 == len(roots)
+
+    @settings(max_examples=100, deadline=None)
+    @given(poly_mod_p())
+    def test_root_mod_p_matches_brute_force(self, ff):
+        F, f = ff
+        root = poly_root_mod_p(F, f)
+        if any(not poly_eval(F, f, c) for c in range(F.n)):
+            assert root is not None and not poly_eval(F, f, root)
+        else:
+            assert root is None
+
+    def test_root_mod_large_prime(self):
+        F = ZMod(1_000_003)
+        # (t - 123456)(t - 7)(t^2 + 1); -1 is not a square mod 1000003
+        f = poly_mul(F, poly_mul(F, (F.neg(123456), 1), (F.neg(7), 1)), (1, 0, 1))
+        assert poly_root_mod_p(F, f) in (7, 123456)
+        assert poly_root_mod_p(F, (1, 0, 1)) is None
+
+    def test_ddf_needs_prime_field(self):
+        with pytest.raises(NotAFieldError):
+            distinct_degree_factors(ZMod(6), (1, 0, 1))
 
 
 class TestSubmodules:

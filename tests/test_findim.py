@@ -2,11 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from avgalg.exactlin import Matrix, QQ, Submodule, Subspace, ZMod, nullspace
+from avgalg.exactlin import Matrix, QQ, Submodule, Subspace, ZMod, nullspace, poly_mul
 from avgalg.findim import (
     BracketTable,
     Certificate,
+    DomainCertificate,
+    DomainUndecidedError,
     Induced,
     InduceNoSolution,
     InternalInvariantError,
@@ -61,6 +65,7 @@ from support import (
     rand_dim2_algebra,
     rand_element,
     rand_fraction,
+    rand_monic,
     unitary_pair,
 )
 
@@ -413,9 +418,85 @@ class TestDomainAndRadical:
         A, _ = primary_from_poly([-2, 0, 1])
         check_domain(A)
 
+    @staticmethod
+    def assert_refuted(A):
+        """check_domain names a nonzero zero divisor w with a nonzero partner."""
+        with pytest.raises(NotADomainError) as info:
+            check_domain(A)
+        w, z = info.value.witness, info.value.partner
+        assert any(w) and any(z)
+        assert not nullspace(mult_operator(A, w)).is_zero()
+        assert not any(A.mul_vec(w, z))
+        return w
+
     def test_componentwise_fails_domain_check(self):
+        self.assert_refuted(q3())
+
+    def test_dual_numbers_fail_domain_check(self):
+        # t is nilpotent in Q[t]/(t^2)
+        assert self.assert_refuted(primary_from_poly([0, 0, 1])[0]) == (0, 1)
+
+    def test_product_of_quadratic_fields_never_passes(self):
+        # Q[t]/((t^2 - 2)(t^2 - 3)): every prime sees a factor of degree 2,
+        # so no certificate exists, and neither does a rational eigenvalue
+        A, F = primary_from_poly([6, 0, -5, 0, 1])
+        with pytest.raises((NotADomainError, DomainUndecidedError)):
+            check_domain(A)
+        with pytest.raises((NotADomainError, DomainUndecidedError)):
+            nilpotent_radical_domain(A, F)
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    @pytest.mark.parametrize("c", [2, 3, 5, -2, -3, -5])
+    def test_eisenstein_fields_pass(self, d, c):
+        A, _ = primary_from_poly([c] + [0] * (d - 1) + [1])
+        cert = check_domain(A)
+        assert cert.reason == "degree sieve" and cert.primes
+
+    def test_cyclotomic_octic_is_undecided(self):
+        # t^4 + 1 is irreducible but splits into factors of degree at most 2
+        # modulo every prime, so the degree sieve cannot prove it
+        A, _ = primary_from_poly([1, 0, 0, 0, 1])
+        with pytest.raises(DomainUndecidedError):
+            check_domain(A)
+
+    def test_small_degrees_pass(self):
+        for A in (qi(), primary_from_poly([-2, 0, 0, 1])[0]):
+            assert check_domain(A).reason in ("degree sieve", "no rational root")
+        line, _ = primary_from_poly([-7, 1])
+        assert check_domain(line) == DomainCertificate("dimension 1")
+
+    def test_zero_ring_is_not_a_domain(self):
         with pytest.raises(NotADomainError):
-            check_domain(q3())
+            check_domain(StructureAlgebra.make(QQ, (), []))
+
+    def test_gaussian_integers_mod_p(self):
+        # t^2 + 1 is irreducible mod 3 and factors as (t - 2)(t + 2) mod 5
+        def gaussian(p):
+            R = ZMod(p)
+            return StructureAlgebra.make(R, (1, 0), [[[1, 0], [0, 1]], [[0, 1], [p - 1, 0]]])
+
+        assert check_domain(gaussian(3)) == DomainCertificate("frobenius")
+        self.assert_refuted(gaussian(5))
+
+    def test_nilpotent_mod_p(self):
+        R = ZMod(7)
+        A = StructureAlgebra.make(R, (1, 0), [[[1, 0], [0, 1]], [[0, 1], [0, 0]]])
+        assert self.assert_refuted(A) == (0, 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 3), st.integers(1, 3))
+    def test_products_of_polynomials_never_pass(self, seed, dg, dh):
+        rng = random.Random(seed)
+        g, h = rand_monic(rng, dg), rand_monic(rng, dh)
+        A, _ = primary_from_poly(poly_mul(QQ, g, h))
+        with pytest.raises((NotADomainError, DomainUndecidedError)):
+            check_domain(A)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_product_algebras_never_pass(self, seed):
+        rng = random.Random(seed)
+        self.assert_refuted(product_algebra(rand_algebra(rng, 3), rand_algebra(rng, 3)))
 
     def test_radical_is_kernel_when_nonzero(self):
         A = qi()
