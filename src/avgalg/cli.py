@@ -93,26 +93,29 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     A = _load_algebra(args.algebra)
     F = FD.operator_from_json(A.ring, _load_json(args.operator))
-    avg = FD.is_averaging(A, F)
+    try:
+        op, witness = FD.averaging_operator(A, F), None
+    except FD.NotAveragingError as exc:
+        op, witness = None, exc.witness
     unitary = FD.is_unitary(A, F)
-    reynolds = FD.is_reynolds_averaging(A, F) if avg else None
+    reynolds = None if op is None else FD.is_reynolds_averaging(A, op)
     doc = {
         "scalar": A.ring.name,
         "dim": A.dim,
-        "averaging": avg.ok,
-        "averaging_witness": list(avg.witness) if avg.witness else None,
+        "averaging": op is not None,
+        "averaging_witness": list(witness) if witness else None,
         "unitary": unitary,
         "reynolds": None if reynolds is None else reynolds.ok,
     }
     lines = [f"algebra: ok (dim {A.dim} over {A.ring.name})",
-             f"averaging: {'yes' if avg.ok else 'no'}"]
-    if avg.witness:
-        lines.append(f"  witness basis pair: {avg.witness}")
+             f"averaging: {'yes' if op is not None else 'no'}"]
+    if witness:
+        lines.append(f"  witness basis pair: {witness}")
     lines.append(f"unitary: {'yes' if unitary else 'no'}")
     lines.append("reynolds: n/a" if reynolds is None
                  else f"reynolds: {'yes' if reynolds.ok else 'no'}")
     _emit(doc, args.json, "\n".join(lines))
-    return 0 if avg.ok else 1
+    return 0 if op is not None else 1
 
 
 def cmd_lie_induce(args) -> int:
@@ -148,12 +151,13 @@ def cmd_lie_induce(args) -> int:
 def cmd_lie_analyze(args) -> int:
     A = _load_algebra(args.algebra)
     F = FD.operator_from_json(A.ring, _load_json(args.operator))
-    avg = FD.is_averaging(A, F)
-    if not avg:
-        _emit({"averaging": False, "witness": list(avg.witness)}, args.json,
-              f"NOT AVERAGING: fails at basis pair {avg.witness}")
+    try:
+        op = FD.averaging_operator(A, F)
+    except FD.NotAveragingError as exc:
+        _emit({"averaging": False, "witness": list(exc.witness)}, args.json,
+              f"NOT AVERAGING: fails at basis pair {exc.witness}")
         return 1
-    an = FD.lie_analysis(A, F)
+    an = FD.lie_analysis(A, op)
     R = A.ring
 
     def series_doc(s):

@@ -33,7 +33,6 @@ from .exactlin import (
     Subspace,
     ZMod,
     char_poly,
-    column_space,
     distinct_degree_factors,
     invert,
     nullspace,
@@ -44,7 +43,6 @@ from .exactlin import (
     ring_from_name,
     solve_linear,
     submodule_kernel,
-    subspace_contains,
     vec_add,
     vec_dot,
     vec_is_zero,
@@ -55,7 +53,11 @@ from .exactlin import (
 
 
 class NotAveragingError(ValueError):
-    pass
+    """The operator fails F(x*F(y)) = F(x)*F(y) at basis pair ``witness``."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class NotLieError(ValueError):
@@ -229,11 +231,9 @@ def is_unitary(A: StructureAlgebra, F: Matrix) -> bool:
     return F.apply(A.unit) == tuple(A.unit)
 
 
-def is_reynolds_averaging(A: StructureAlgebra, F: Matrix) -> Check:
+def is_reynolds_averaging(A: StructureAlgebra, F: Operator) -> Check:
     """F(F(x)F(y)) = F(x)F(y) for an averaging F, on basis pairs."""
-    avg = is_averaging(A, F)
-    if not avg:
-        raise NotAveragingError(f"operator is not averaging, witness pair {avg.witness}")
+    F = averaging_operator(A, F).matrix
     cols = [F.col(j) for j in range(A.dim)]
     for i in range(A.dim):
         for j in range(A.dim):
@@ -381,6 +381,19 @@ def require_lie(A: StructureAlgebra, L: BracketTable):
         raise NotLieError(f"not a Lie bracket: {chk.witness}")
 
 
+def _bracket_table(A: StructureAlgebra, cols) -> BracketTable:
+    """[e_i, e_j] = e_i*F(e_j) - e_j*F(e_i) with cols[j] = F(e_j).  The formula
+    is alternating for every F, so only i < j is computed."""
+    R, d = A.ring, A.dim
+    table = [[zero_vec(R, d)] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            g = vec_sub(R, A.mul_vec(A.basis_vec(i), cols[j]),
+                        A.mul_vec(A.basis_vec(j), cols[i]))
+            table[i][j], table[j][i] = g, tuple(R.neg(x) for x in g)
+    return BracketTable(R, d, tuple(tuple(row) for row in table))
+
+
 def raw_bracket(A: StructureAlgebra, F: Matrix) -> BracketTable:
     """[x,y] = x*F(y) - y*F(x) for an arbitrary endomorphism F.
 
@@ -388,36 +401,62 @@ def raw_bracket(A: StructureAlgebra, F: Matrix) -> BracketTable:
     or this raises.
     """
     _require_operator(A, F)
-    cols = [F.col(j) for j in range(A.dim)]
-    table = []
-    for i in range(A.dim):
-        row = []
-        for j in range(A.dim):
-            row.append(vec_sub(A.ring,
-                               A.mul_vec(A.basis_vec(i), cols[j]),
-                               A.mul_vec(A.basis_vec(j), cols[i])))
-        table.append(tuple(row))
-    L = BracketTable(A.ring, A.dim, tuple(table))
+    L = _bracket_table(A, [F.col(j) for j in range(A.dim)])
     require_lie(A, L)
     return L
 
 
-def induced_bracket(A: StructureAlgebra, F: Matrix) -> BracketTable:
-    """The bracket of an averaging operator; refuses non-averaging input."""
+@dataclass(frozen=True)
+class AveragingOperator:
+    """An operator checked to be averaging on ``algebra``, with its induced
+    Lie bracket; built only by ``averaging_operator``.  The analyses take an
+    ``Operator``: this value, or a bare matrix they check through the builder."""
+
+    algebra: StructureAlgebra
+    matrix: Matrix
+    bracket: BracketTable
+
+
+Operator = Union[Matrix, AveragingOperator]
+
+
+def averaging_operator(A: StructureAlgebra, F: Operator) -> AveragingOperator:
+    """Check F once and carry the result.
+
+    Raises ``NotAveragingError`` (with the failing basis pair as
+    ``witness``) when F is not averaging.  An ``AveragingOperator`` for A is
+    returned as it is; one checked on another algebra is a ``ShapeError``.
+    """
+    if isinstance(F, AveragingOperator):
+        if F.algebra != A:
+            raise ShapeError("operator was checked on a different algebra")
+        return F
     avg = is_averaging(A, F)
     if not avg:
         raise NotAveragingError(
             f"operator is not averaging (witness pair {avg.witness}); "
-            "use raw_bracket for arbitrary endomorphisms")
-    return raw_bracket(A, F)
+            "use raw_bracket for arbitrary endomorphisms", avg.witness)
+    L = _bracket_table(A, [F.col(j) for j in range(A.dim)])
+    # the bracket of an averaging operator is a Lie bracket (the paper's
+    # starting theorem); checked once here as a cross-check
+    lie = check_lie(A, L)
+    if not lie:
+        raise InternalInvariantError(
+            f"the bracket of an averaging operator fails the Lie axioms: {lie.witness}")
+    return AveragingOperator(A, F, L)
+
+
+def induced_bracket(A: StructureAlgebra, F: Operator) -> BracketTable:
+    """The bracket of an averaging operator; refuses non-averaging input."""
+    return averaging_operator(A, F).bracket
 
 
 # ---------------------------------------------------------------------------
 # endomorphism- and averaging-induced brackets
 
 def endo_induced_check(A: StructureAlgebra, L: BracketTable) -> Check:
-    """[x,y] = x[1,y] + y[x,1] on basis pairs; both sides bilinear."""
-    require_lie(A, L)
+    """[x,y] = x[1,y] + y[x,1] on basis pairs (both sides bilinear); L must
+    pass ``check_lie``."""
     for i in range(A.dim):
         ei = A.basis_vec(i)
         for j in range(A.dim):
@@ -431,8 +470,8 @@ def endo_induced_check(A: StructureAlgebra, L: BracketTable) -> Check:
 
 
 def gamma_subalgebra(A: StructureAlgebra, L: BracketTable) -> Subspace:
-    """{a : [a*x, y] = a*[x, y]}, the linear conditions solved exactly."""
-    require_lie(A, L)
+    """{a : [a*x, y] = a*[x, y]}, the linear conditions solved exactly; L must
+    pass ``check_lie``."""
     R = A.ring
     rows = []
     for i in range(A.dim):
@@ -552,7 +591,9 @@ def induced_by_averaging(A: StructureAlgebra, L: BracketTable) -> InduceResult:
     avg = is_averaging(A, op)
     if not avg:
         return InduceDiagnostic(t, op, f"candidate not averaging at pair {avg.witness}")
-    if raw_bracket(A, op).table != L.table:
+    # L passed check_lie on entry, so equal tables make the candidate's
+    # bracket a Lie bracket without a second check
+    if _bracket_table(A, cols).table != L.table:
         return InduceDiagnostic(t, op, "candidate does not reproduce the bracket")
     return Induced(t, op)
 
@@ -569,36 +610,31 @@ class SeriesResult:
         return self.stages[min(k, len(self.stages) - 1)]
 
 
-def _bracket_span(A: StructureAlgebra, L: BracketTable, u: Subspace, v: Subspace) -> Subspace:
-    vecs = [L.bracket_vec(x, y) for x in u.basis for y in v.basis]
-    return Subspace.span(A.ring, A.dim, vecs)
-
-
-def derived_series(A: StructureAlgebra, L: BracketTable) -> SeriesResult:
-    require_lie(A, L)
-    stages = [Subspace.full(A.ring, A.dim)]
-    while True:
-        nxt = _bracket_span(A, L, stages[-1], stages[-1])
-        if nxt == stages[-1]:
-            break
-        stages.append(nxt)
-        if nxt.is_zero():
-            break
-    return SeriesResult(tuple(stages), stages[-1].is_zero())
-
-
-def lower_central_series(A: StructureAlgebra, L: BracketTable) -> SeriesResult:
-    require_lie(A, L)
+def _series(A: StructureAlgebra, L: BracketTable, lower: bool) -> SeriesResult:
+    """Stage 0 is A; stage k+1 spans the brackets of stage k with itself, or
+    with A when ``lower``.  Stops at a repeated or a zero stage."""
     full = Subspace.full(A.ring, A.dim)
     stages = [full]
     while True:
-        nxt = _bracket_span(A, L, stages[-1], full)
+        other = full if lower else stages[-1]
+        nxt = Subspace.span(A.ring, A.dim,
+                            [L.bracket_vec(x, y) for x in stages[-1].basis for y in other.basis])
         if nxt == stages[-1]:
             break
         stages.append(nxt)
         if nxt.is_zero():
             break
     return SeriesResult(tuple(stages), stages[-1].is_zero())
+
+
+def derived_series(A: StructureAlgebra, L: BracketTable) -> SeriesResult:
+    """L^(k+1) = [L^(k), L^(k)] over a field; L must pass ``check_lie``."""
+    return _series(A, L, lower=False)
+
+
+def lower_central_series(A: StructureAlgebra, L: BracketTable) -> SeriesResult:
+    """L_(k+1) = [L_k, A] over a field; L must pass ``check_lie``."""
+    return _series(A, L, lower=True)
 
 
 @dataclass(frozen=True)
@@ -611,7 +647,18 @@ class NotNilpotent:
     stable: object  # the stabilized image power (Subspace or Submodule)
 
 
-def nilpotency_check(A: StructureAlgebra, F: Matrix):
+def _span(R: Ring, dim: int, vectors):
+    """Subspace over a field, canonical Submodule over composite Z/n; either
+    way, equal values are equal spans."""
+    return (Subspace if R.is_field else Submodule).span(R, dim, vectors)
+
+
+def _kernel(M: Matrix):
+    """ker M as a Subspace over a field, a canonical Submodule over composite Z/n."""
+    return nullspace(M) if M.ring.is_field else submodule_kernel(M.ring, M)
+
+
+def nilpotency_check(A: StructureAlgebra, F: Operator):
     """Iterate powers of the operator image against the bracket annihilator.
 
     The image of an averaging operator is closed under multiplication, so
@@ -619,50 +666,22 @@ def nilpotency_check(A: StructureAlgebra, F: Matrix):
     {a : a*[x,y] = 0 for all x, y} or the stabilized power if none is.
     Works over fields via subspaces and over Z/n via canonical submodules.
     """
-    avg = is_averaging(A, F)
-    if not avg:
-        raise NotAveragingError(f"operator is not averaging, witness pair {avg.witness}")
-    R = A.ring
-    brackets = []
-    cols = [F.col(j) for j in range(A.dim)]
-    for i in range(A.dim):
-        for j in range(i + 1, A.dim):
-            brackets.append(vec_sub(R, A.mul_vec(A.basis_vec(i), cols[j]),
-                                    A.mul_vec(A.basis_vec(j), cols[i])))
+    op = averaging_operator(A, F)
+    R, d = A.ring, A.dim
     ann_rows = []
-    for g in brackets:
-        # condition a*g = 0, linear in a: row k holds coordinate k of e_m*g
-        prods = [A.mul_vec(A.basis_vec(m), g) for m in range(A.dim)]
-        ann_rows.extend(zip(*prods))
-    if isinstance(R, ZMod) and not R.is_field:
-        if ann_rows:
-            ann = submodule_kernel(R, Matrix(R, len(ann_rows), A.dim, tuple(ann_rows)))
-        else:
-            ann = Submodule.span(R, A.dim, [A.basis_vec(i) for i in range(A.dim)])
-        power = Submodule.span(R, A.dim, cols)
-        image = power
-        k = 1
-        while True:
-            if all(ann.contains_vector(g) for g in power.basis):
-                return Nilpotent(k)
-            nxt = Submodule.span(R, A.dim,
-                                 [A.mul_vec(u, v) for u in power.basis for v in image.basis])
-            if nxt == power:
-                return NotNilpotent(power)
-            power = nxt
-            k += 1
-    if not R.is_field:
-        raise NotAFieldError("nilpotency check needs a field or Z/n scalars")
-    ann = nullspace(Matrix(R, len(ann_rows), A.dim, tuple(ann_rows))) \
-        if ann_rows else Subspace.full(R, A.dim)
-    image = column_space(F)
+    for i in range(d):
+        for j in range(i + 1, d):
+            # condition a*g = 0, linear in a: row k holds coordinate k of e_m*g
+            g = op.bracket.table[i][j]
+            ann_rows.extend(zip(*[A.mul_vec(A.basis_vec(m), g) for m in range(d)]))
+    ann = _kernel(Matrix(R, len(ann_rows), d, tuple(ann_rows)))
+    image = _span(R, d, [op.matrix.col(j) for j in range(d)])
     power = image
     k = 1
     while True:
-        if subspace_contains(ann, power):
+        if all(ann.contains_vector(g) for g in power.basis):
             return Nilpotent(k)
-        nxt = Subspace.span(R, A.dim,
-                            [A.mul_vec(u, v) for u in power.basis for v in image.basis])
+        nxt = _span(R, d, [A.mul_vec(u, v) for u in power.basis for v in image.basis])
         if nxt == power:
             return NotNilpotent(power)
         power = nxt
@@ -837,19 +856,16 @@ def _check_domain_zp(A: StructureAlgebra) -> DomainCertificate:
                         f"a Frobenius-fixed element minus its eigenvalue {c}")
 
 
-def nilpotent_radical_domain(A: StructureAlgebra, F: Matrix) -> Subspace:
+def nilpotent_radical_domain(A: StructureAlgebra, F: Operator) -> Subspace:
     """Over a domain: the whole space when ker F = 0, else ker F."""
     check_domain(A)
-    avg = is_averaging(A, F)
-    if not avg:
-        raise NotAveragingError(f"operator is not averaging, witness pair {avg.witness}")
-    ker = nullspace(F)
+    ker = nullspace(averaging_operator(A, F).matrix)
     if ker.is_zero():
         return Subspace.full(A.ring, A.dim)
     return ker
 
 
-def ad_eigen(A: StructureAlgebra, F: Matrix, a) -> tuple:
+def ad_eigen(A: StructureAlgebra, F: Operator, a) -> tuple:
     """Eigenvalues with eigenspaces of x -> a*F(x) - x*F(a), over a domain.
 
     Two independent paths must agree: the structural case split on ker F and
@@ -859,26 +875,19 @@ def ad_eigen(A: StructureAlgebra, F: Matrix, a) -> tuple:
     if A.ring != QQ:
         raise NotAFieldError("eigen analysis is implemented over Q")
     check_domain(A)
-    avg = is_averaging(A, F)
-    if not avg:
-        raise NotAveragingError(f"operator is not averaging, witness pair {avg.witness}")
+    op = averaging_operator(A, F)
+    F = op.matrix
     R = A.ring
     a = tuple(R.of(x) for x in a)
     fa = F.apply(a)
-    ad = Matrix.from_cols(R, [
-        vec_sub(R, A.mul_vec(a, F.col(i)), A.mul_vec(A.basis_vec(i), fa))
-        for i in range(A.dim)])
+    ad = Matrix.from_cols(R, [op.bracket.bracket_vec(a, A.basis_vec(i)) for i in range(A.dim)])
     # structural path: over a domain the only possible eigenvalues are 0 and,
     # when ker F is nonzero and F(a) is a nonzero scalar k, the value -k
     ker = nullspace(F)
-    if vec_is_zero(R, a) or ker.is_zero():
-        structural = {R.zero: nullspace(ad)}
-    else:
-        k = _proportionality(R, fa, A.unit)
-        if not k:
-            structural = {R.zero: nullspace(ad)}
-        else:
-            structural = {R.zero: nullspace(ad), R.neg(k): ker}
+    structural = {R.zero: nullspace(ad)}
+    k = None if vec_is_zero(R, a) or ker.is_zero() else _proportionality(R, fa, A.unit)
+    if k:
+        structural[R.neg(k)] = ker
     # direct path
     roots = set(rational_roots(char_poly(ad)))
     direct = {}
@@ -910,28 +919,16 @@ class KernelBracketResult:
     brackets: object
 
 
-def kernel_equals_brackets(A: StructureAlgebra, F: Matrix) -> KernelBracketResult:
+def kernel_equals_brackets(A: StructureAlgebra, F: Operator) -> KernelBracketResult:
     """Compare ker F with the span of all basis brackets, exactly.
 
     Over a field both sides are subspaces; over Z/n both sides are canonical
     submodules, so equality is equality of canonical forms.
     """
-    avg = is_averaging(A, F)
-    if not avg:
-        raise NotAveragingError(f"operator is not averaging, witness pair {avg.witness}")
-    R = A.ring
-    cols = [F.col(j) for j in range(A.dim)]
-    brackets = [vec_sub(R, A.mul_vec(A.basis_vec(i), cols[j]),
-                        A.mul_vec(A.basis_vec(j), cols[i]))
-                for i in range(A.dim) for j in range(i + 1, A.dim)]
-    if isinstance(R, ZMod) and not R.is_field:
-        ker = submodule_kernel(R, F)
-        spn = Submodule.span(R, A.dim, brackets)
-        return KernelBracketResult(ker == spn, ker, spn)
-    if not R.is_field:
-        raise NotAFieldError("kernel comparison needs a field or Z/n scalars")
-    ker = nullspace(F)
-    spn = Subspace.span(R, A.dim, brackets)
+    op = averaging_operator(A, F)
+    ker = _kernel(op.matrix)
+    spn = _span(A.ring, A.dim, [op.bracket.table[i][j]
+                                for i in range(A.dim) for j in range(i + 1, A.dim)])
     return KernelBracketResult(ker == spn, ker, spn)
 
 
@@ -946,15 +943,16 @@ class LieAnalysis:
     kernel_comparison: KernelBracketResult
 
 
-def lie_analysis(A: StructureAlgebra, F: Matrix) -> LieAnalysis:
+def lie_analysis(A: StructureAlgebra, F: Operator) -> LieAnalysis:
     """Bracket, series, nilpotency, and kernel comparison in one pass."""
-    L = induced_bracket(A, F)
+    op = averaging_operator(A, F)
+    L = op.bracket
     if A.ring.is_field:
         ds = derived_series(A, L)
         lc = lower_central_series(A, L)
     else:
         ds = lc = None
-    return LieAnalysis(L, ds, lc, nilpotency_check(A, F), kernel_equals_brackets(A, F))
+    return LieAnalysis(L, ds, lc, nilpotency_check(A, op), kernel_equals_brackets(A, op))
 
 
 # ---------------------------------------------------------------------------

@@ -30,20 +30,8 @@ from . import terms as T
 X_ONE = ()
 
 
-def xmono_mul(a, b):
-    d = dict(a)
-    for i, e in b:
-        d[i] = d.get(i, 0) + e
-    return tuple(sorted((i, e) for i, e in d.items() if e))
-
-
 def xmono_deg(m) -> int:
     return sum(e for _, e in m)
-
-
-def xmono_divides(a, b) -> bool:
-    db = dict(b)
-    return all(db.get(i, 0) >= e for i, e in a)
 
 
 def xmono_render(m) -> str:

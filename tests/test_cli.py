@@ -152,6 +152,21 @@ def test_internal_invariant_error_exits_two(monkeypatch, capsys):
     assert captured.out == ""
 
 
+def test_lie_analyze_refuses_non_averaging(capsys):
+    # conjugation on Q(i) fails the averaging identity at (e0, e1); the
+    # witness comes from the single check in findim.averaging_operator
+    code = main(["lie-analyze", "corpus/qi.json", "corpus/conj.json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "NOT AVERAGING: fails at basis pair (0, 1)\n"
+    assert captured.err == ""
+    code = main(["lie-analyze", "--json", "corpus/qi.json", "corpus/conj.json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out) == {"averaging": False, "witness": [0, 1]}
+    assert captured.err == ""
+
+
 DEEP = {
     "power_2000": ["eval", "--mode", "plain", "v1^2000"],
     "claim_power_999": ["decide", "--hypothesis", "averaging", "--claim", "v1^999 = v1^999"],

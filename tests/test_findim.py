@@ -1,3 +1,4 @@
+import pathlib
 import random
 from fractions import Fraction
 
@@ -5,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avgalg.exactlin import Matrix, QQ, Submodule, Subspace, ZMod, nullspace, poly_mul
+import avgalg.findim as FD
+from avgalg.cli import main
+from avgalg.exactlin import Matrix, QQ, ShapeError, Submodule, Subspace, ZMod, nullspace, poly_mul
 from avgalg.findim import (
+    AveragingOperator,
     BracketTable,
     Certificate,
     DomainCertificate,
@@ -26,6 +30,7 @@ from avgalg.findim import (
     ad_eigen,
     algebra_from_json,
     algebra_to_json,
+    averaging_operator,
     bracket_from_json,
     bracket_to_json,
     check_domain,
@@ -79,6 +84,11 @@ def qi():
 def imaginary_part(A):
     # sends 1 to 0 and i to 1
     return Matrix.from_cols(QQ, [(0, 0), (1, 0)])
+
+
+def conjugation():
+    # a + bi to a - bi: an algebra map on Q(i), not averaging
+    return Matrix.from_cols(QQ, [(1, 0), (0, -1)])
 
 
 def q3():
@@ -671,3 +681,63 @@ class TestLieAnalysis:
         assert an.derived is None and an.lower_central is None
         assert an.nilpotency == Nilpotent(1)
         assert not an.kernel_comparison.equal
+
+
+class TestAveragingOperator:
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """Calls of findim.is_averaging and findim.check_lie since the last reset."""
+        counts = {"is_averaging": 0, "check_lie": 0}
+        for name in counts:
+            def counted(*args, _name=name, _original=getattr(FD, name)):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(FD, name, counted)
+        return counts
+
+    def test_carries_matrix_and_bracket(self):
+        A, F = qi(), imaginary_part(qi())
+        op = averaging_operator(A, F)
+        assert isinstance(op, AveragingOperator)
+        assert op.algebra == A and op.matrix == F
+        assert op.bracket == raw_bracket(A, F)
+        assert averaging_operator(A, op) is op
+
+    def test_witness_on_failure(self):
+        with pytest.raises(NotAveragingError) as exc:
+            averaging_operator(qi(), conjugation())
+        assert exc.value.witness == (0, 1)
+        assert "raw_bracket" in str(exc.value)
+
+    def test_lie_analysis_checks_once(self, checks):
+        A = qi()
+        lie_analysis(A, imaginary_part(A))
+        assert checks == {"is_averaging": 1, "check_lie": 1}
+
+    def test_induced_by_averaging_checks_bracket_once(self, checks):
+        L = BracketTable.make(QQ, [[[0, 0], [0, 1]], [[0, -1], [0, 0]]])
+        assert isinstance(induced_by_averaging(qi(), L), Induced)
+        assert checks["check_lie"] == 1
+
+    def test_cli_lie_analyze_checks_once(self, checks, monkeypatch, capsys):
+        monkeypatch.chdir(pathlib.Path(__file__).resolve().parent.parent)
+        assert main(["lie-analyze", "corpus/qi.json", "corpus/im.json"]) == 0
+        assert capsys.readouterr().out.startswith("averaging: yes")
+        assert checks["is_averaging"] == 1
+
+    def test_checked_operator_is_not_rechecked(self, checks):
+        A = qi()
+        op = averaging_operator(A, imaginary_part(A))
+        checks.update(is_averaging=0, check_lie=0)
+        assert isinstance(nilpotency_check(A, op), NotNilpotent)
+        assert kernel_equals_brackets(A, op).equal
+        assert checks == {"is_averaging": 0, "check_lie": 0}
+
+    def test_operator_of_another_algebra_is_refused(self):
+        op = averaging_operator(qi(), imaginary_part(qi()))
+        split = StructureAlgebra.make(QQ, (1, 0), [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
+        with pytest.raises(ShapeError):
+            averaging_operator(split, op)
+        with pytest.raises(ShapeError):
+            kernel_equals_brackets(split, op)
