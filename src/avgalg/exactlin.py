@@ -35,14 +35,35 @@ class ShapeError(ValueError):
     """Incompatible matrix/vector dimensions."""
 
 
+# Miller-Rabin with the prime bases up to 41 decides primality exactly below
+# this bound (Sorenson & Webster, Math. Comp. 86, 2017; arXiv 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Exact primality for n below _MR_LIMIT; larger n raise RingError."""
+    if n >= _MR_LIMIT:
+        raise RingError(f"modulus {n} is too large: primality is decided "
+                        f"exactly only below {_MR_LIMIT}")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -158,14 +179,13 @@ Ring = Union[Rationals, ZMod]
 
 
 def ring_from_name(name: str) -> Ring:
-    """Inverse of ``ring.name``: "Q" or "Zmod:<n>"."""
+    """Inverse of ``ring.name``: "Q", or "Zmod:<n>" with n in ASCII decimal
+    digits; anything else, a non-string included, is a RingError."""
     if name == "Q":
         return QQ
-    if name.startswith("Zmod:"):
-        try:
-            return ZMod(int(name[5:], 10))
-        except ValueError:
-            pass
+    digits = name[5:] if isinstance(name, str) and name.startswith("Zmod:") else ""
+    if digits.isascii() and digits.isdigit():
+        return ZMod(int(digits))
     raise RingError(f"unknown scalar ring {name!r}")
 
 
@@ -737,43 +757,47 @@ def poly_root_mod_p(ring: ZMod, f):
 # computable through the integer Hermite normal form of the generators
 # stacked over n·I.  That suffices for equality and membership questions.
 
-def _hnf(rows):
-    """Integer row Hermite normal form (row-style, pivots positive,
-    entries above a pivot reduced into [0, pivot)).  Returns a list of
-    nonzero rows."""
-    rows = [list(r) for r in rows if any(x != 0 for x in r)]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    out = []
+def _hnf_full(rows, split: int):
+    """Euclidean row elimination on the first ``split`` columns, the one
+    integer echelon loop: the pivot rows in column order, then every other
+    row, now zero in those columns.  Trailing columns (a transform carried
+    along) are updated in step, and no row is dropped."""
+    rows = [list(r) for r in rows]
+    ncols_total = len(rows[0]) if rows else 0
+    done_rows = []
     col = 0
-    while rows and col < ncols:
+    while col < split and rows:
         sel = [r for r in rows if r[col] != 0]
         if not sel:
             col += 1
             continue
-        # euclidean elimination on this column
         while True:
             sel.sort(key=lambda r: abs(r[col]))
             pivot_row = sel[0]
-            done = True
+            reduced = True
             for r in sel[1:]:
                 q = r[col] // pivot_row[col]
-                for j in range(ncols):
+                for j in range(ncols_total):
                     r[j] -= q * pivot_row[j]
                 if r[col] != 0:
-                    done = False
+                    reduced = False
             sel = [pivot_row] + [r for r in sel[1:] if r[col] != 0]
-            if done or len(sel) == 1:
+            if reduced or len(sel) == 1:
                 break
         if pivot_row[col] < 0:
-            for j in range(ncols):
+            for j in range(ncols_total):
                 pivot_row[j] = -pivot_row[j]
-        out.append(pivot_row)
-        rest = [r for r in rows if r is not pivot_row and any(x != 0 for x in r)]
-        rows = rest
+        done_rows.append(pivot_row)
+        rows = [r for r in rows if r is not pivot_row]
         col += 1
-    # reduce entries above each pivot
+    return done_rows + rows
+
+
+def _hnf(rows):
+    """Integer row Hermite normal form as a list of nonzero rows: the
+    elimination over every column, pivots positive, then the entries above
+    each pivot reduced into [0, pivot)."""
+    out = [r for r in _hnf_full(rows, len(rows[0]) if rows else 0) if any(r)]
     for i in range(len(out)):
         pc = next(j for j, x in enumerate(out[i]) if x != 0)
         for k in range(i):
@@ -861,38 +885,3 @@ def _int_kernel(rows):
         if all(x == 0 for x in row[:p]):
             out.append(row[p:])
     return out
-
-
-def _hnf_full(rows, split: int):
-    """HNF elimination restricted to the first ``split`` columns, keeping the
-    trailing transform columns in sync.  Zero rows (in the split part) are
-    preserved, not dropped."""
-    rows = [list(r) for r in rows]
-    ncols_total = len(rows[0]) if rows else 0
-    done_rows = []
-    col = 0
-    while col < split and rows:
-        sel = [r for r in rows if r[col] != 0]
-        if not sel:
-            col += 1
-            continue
-        while True:
-            sel.sort(key=lambda r: abs(r[col]))
-            pivot_row = sel[0]
-            reduced = True
-            for r in sel[1:]:
-                q = r[col] // pivot_row[col]
-                for j in range(ncols_total):
-                    r[j] -= q * pivot_row[j]
-                if r[col] != 0:
-                    reduced = False
-            sel = [pivot_row] + [r for r in sel[1:] if r[col] != 0]
-            if reduced or len(sel) == 1:
-                break
-        if pivot_row[col] < 0:
-            for j in range(ncols_total):
-                pivot_row[j] = -pivot_row[j]
-        done_rows.append(pivot_row)
-        rows = [r for r in rows if r is not pivot_row]
-        col += 1
-    return done_rows + rows

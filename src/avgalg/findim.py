@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 from typing import Optional, Union
 
@@ -101,6 +102,31 @@ class Check:
 # ---------------------------------------------------------------------------
 # structure algebras
 
+def _bilinear(R: Ring, table, terms, y) -> tuple:
+    """sum x_i y_j table[i][j] over the pairs (i, x_i) in ``terms``, skipping
+    zero terms: the one product kernel behind mul_vec, bracket_vec and the
+    row products.  x_i = None stands for 1, so e_i * y reads row i only."""
+    if len(y) != len(table):
+        raise ShapeError("vector length mismatch")
+    out = [R.zero] * len(table)
+    for i, xi in terms:
+        row = table[i]
+        for j, yj in enumerate(y):
+            if yj:
+                c = yj if xi is None else R.mul(xi, yj)
+                for k, ck in enumerate(row[j]):
+                    if ck:
+                        out[k] = R.add(out[k], R.mul(c, ck))
+    return tuple(out)
+
+
+def _terms(x, dim: int) -> list:
+    """The nonzero coordinates (i, x_i) of a vector x of length dim."""
+    if len(x) != dim:
+        raise ShapeError("vector length mismatch")
+    return [(i, xi) for i, xi in enumerate(x) if xi]
+
+
 @dataclass(frozen=True)
 class StructureAlgebra:
     """Commutative unital algebra by structure constants.
@@ -128,22 +154,11 @@ class StructureAlgebra:
         return tuple(self.ring.one if j == i else self.ring.zero for j in range(self.dim))
 
     def mul_vec(self, a, b) -> tuple:
-        R = self.ring
-        if len(a) != self.dim or len(b) != self.dim:
-            raise ShapeError("vector length mismatch")
-        out = [R.zero] * self.dim
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            row = self.mul[i]
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                c = R.mul(ai, bj)
-                for k, ck in enumerate(row[j]):
-                    if ck:
-                        out[k] = R.add(out[k], R.mul(c, ck))
-        return tuple(out)
+        return _bilinear(self.ring, self.mul, _terms(a, self.dim), b)
+
+    def row_mul(self, i: int, v) -> tuple:
+        """e_i * v without building e_i."""
+        return _bilinear(self.ring, self.mul, ((i, None),), v)
 
     def power_vec(self, a, n: int) -> tuple:
         """a^n by square-and-multiply."""
@@ -170,31 +185,17 @@ class AlgebraReport:
 
 
 def verify_algebra(A: StructureAlgebra) -> AlgebraReport:
-    """Exact commutativity, associativity, and unit checks on all triples."""
-    commutative = associative = unital = True
-    failure = None
-    for i in range(A.dim):
-        for j in range(A.dim):
-            if A.mul[i][j] != A.mul[j][i]:
-                commutative, failure = False, ("commutativity", (i, j))
-                break
-        if not commutative:
-            break
-    for i in range(A.dim):
-        if A.mul_vec(A.unit, A.basis_vec(i)) != A.basis_vec(i):
-            unital = False
-            if failure is None:
-                failure = ("unit", (i,))
-            break
-    for i, j, k in itertools.product(range(A.dim), repeat=3):
-        left = A.mul_vec(A.mul[i][j], A.basis_vec(k))
-        right = A.mul_vec(A.basis_vec(i), A.mul[j][k])
-        if left != right:
-            associative = False
-            if failure is None:
-                failure = ("associativity", (i, j, k))
-            break
-    return AlgebraReport(commutative, associative, unital, failure)
+    """Exact commutativity, associativity, and unit checks on all triples;
+    ``failure`` names the first failing law in that order of priority."""
+    d = range(A.dim)
+    comm = next(((i, j) for i in d for j in d if A.mul[i][j] != A.mul[j][i]), None)
+    unit = next(((i,) for i in d if A.mul_vec(A.unit, A.basis_vec(i)) != A.basis_vec(i)), None)
+    # (e_i e_j) e_k against e_i (e_j e_k), which reads row i only
+    assoc = next(((i, j, k) for i, j, k in itertools.product(d, repeat=3)
+                  if A.mul_vec(A.mul[i][j], A.basis_vec(k)) != A.row_mul(i, A.mul[j][k])), None)
+    failure = next(((law, w) for law, w in (("commutativity", comm), ("unit", unit),
+                                            ("associativity", assoc)) if w), None)
+    return AlgebraReport(comm is None, assoc is None, unit is None, failure)
 
 
 def require_verified(A: StructureAlgebra):
@@ -219,7 +220,7 @@ def is_averaging(A: StructureAlgebra, F: Matrix) -> Check:
     cols = [F.col(j) for j in range(A.dim)]
     for i in range(A.dim):
         for j in range(A.dim):
-            lhs = F.apply(A.mul_vec(A.basis_vec(i), cols[j]))
+            lhs = F.apply(A.row_mul(i, cols[j]))
             rhs = A.mul_vec(cols[i], cols[j])
             if lhs != rhs:
                 return Check(False, (i, j))
@@ -273,23 +274,13 @@ def op_compose(A: StructureAlgebra, F: Matrix, G: Matrix):
 def op_add(A: StructureAlgebra, F: Matrix, G: Matrix):
     """F+G; averaging under the cross compatibility identity."""
     avg_f, avg_g = is_averaging(A, F), is_averaging(A, G)
-    compat_witness = None
-    fc = [F.col(j) for j in range(A.dim)]
-    gc = [G.col(j) for j in range(A.dim)]
-    for i in range(A.dim):
-        for j in range(A.dim):
-            e_i = A.basis_vec(i)
-            lhs = vec_add(A.ring,
-                          F.apply(A.mul_vec(e_i, gc[j])),
-                          G.apply(A.mul_vec(e_i, fc[j])))
-            rhs = vec_add(A.ring,
-                          A.mul_vec(fc[i], gc[j]),
-                          A.mul_vec(gc[i], fc[j]))
-            if lhs != rhs:
-                compat_witness = (i, j)
-                break
-        if compat_witness:
-            break
+    R, d = A.ring, range(A.dim)
+    fc = [F.col(j) for j in d]
+    gc = [G.col(j) for j in d]
+    compat_witness = next((
+        (i, j) for i in d for j in d
+        if vec_add(R, F.apply(A.row_mul(i, gc[j])), G.apply(A.row_mul(i, fc[j])))
+        != vec_add(R, A.mul_vec(fc[i], gc[j]), A.mul_vec(gc[i], fc[j]))), None)
     holds = avg_f.ok and avg_g.ok and compat_witness is None
     cert = Certificate(
         "operands are averaging and satisfy the cross compatibility identity",
@@ -335,22 +326,11 @@ class BracketTable:
         return BracketTable(ring, dim, tab)
 
     def bracket_vec(self, x, y) -> tuple:
-        R = self.ring
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ShapeError("vector length mismatch")
-        out = [R.zero] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.table[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = R.mul(xi, yj)
-                for k, ck in enumerate(row[j]):
-                    if ck:
-                        out[k] = R.add(out[k], R.mul(c, ck))
-        return tuple(out)
+        return _bilinear(self.ring, self.table, _terms(x, self.dim), y)
+
+    def row_bracket(self, i: int, v) -> tuple:
+        """[e_i, v] without building e_i."""
+        return _bilinear(self.ring, self.table, ((i, None),), v)
 
 
 def check_lie(A: StructureAlgebra, L: BracketTable) -> Check:
@@ -388,8 +368,7 @@ def _bracket_table(A: StructureAlgebra, cols) -> BracketTable:
     table = [[zero_vec(R, d)] * d for _ in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
-            g = vec_sub(R, A.mul_vec(A.basis_vec(i), cols[j]),
-                        A.mul_vec(A.basis_vec(j), cols[i]))
+            g = vec_sub(R, A.row_mul(i, cols[j]), A.row_mul(j, cols[i]))
             table[i][j], table[j][i] = g, tuple(R.neg(x) for x in g)
     return BracketTable(R, d, tuple(tuple(row) for row in table))
 
@@ -408,13 +387,28 @@ def raw_bracket(A: StructureAlgebra, F: Matrix) -> BracketTable:
 
 @dataclass(frozen=True)
 class AveragingOperator:
-    """An operator checked to be averaging on ``algebra``, with its induced
-    Lie bracket; built only by ``averaging_operator``.  The analyses take an
-    ``Operator``: this value, or a bare matrix they check through the builder."""
+    """An operator checked to be averaging on ``algebra``; built only by
+    ``averaging_operator``.  The analyses take an ``Operator``: this value,
+    or a bare matrix they check through ``averaging_operator``.
+
+    The induced Lie bracket ``bracket`` is built on first use, together with
+    its one ``check_lie`` cross-check of the paper's starting theorem (the
+    bracket of an averaging operator is a Lie bracket); failure raises
+    ``InternalInvariantError``.  Callers that never read it pay for neither.
+    """
 
     algebra: StructureAlgebra
     matrix: Matrix
-    bracket: BracketTable
+
+    @cached_property
+    def bracket(self) -> BracketTable:
+        A = self.algebra
+        L = _bracket_table(A, [self.matrix.col(j) for j in range(A.dim)])
+        lie = check_lie(A, L)
+        if not lie:
+            raise InternalInvariantError(
+                f"the bracket of an averaging operator fails the Lie axioms: {lie.witness}")
+        return L
 
 
 Operator = Union[Matrix, AveragingOperator]
@@ -436,14 +430,7 @@ def averaging_operator(A: StructureAlgebra, F: Operator) -> AveragingOperator:
         raise NotAveragingError(
             f"operator is not averaging (witness pair {avg.witness}); "
             "use raw_bracket for arbitrary endomorphisms", avg.witness)
-    L = _bracket_table(A, [F.col(j) for j in range(A.dim)])
-    # the bracket of an averaging operator is a Lie bracket (the paper's
-    # starting theorem); checked once here as a cross-check
-    lie = check_lie(A, L)
-    if not lie:
-        raise InternalInvariantError(
-            f"the bracket of an averaging operator fails the Lie axioms: {lie.witness}")
-    return AveragingOperator(A, F, L)
+    return AveragingOperator(A, F)
 
 
 def induced_bracket(A: StructureAlgebra, F: Operator) -> BracketTable:
@@ -457,13 +444,11 @@ def induced_bracket(A: StructureAlgebra, F: Operator) -> BracketTable:
 def endo_induced_check(A: StructureAlgebra, L: BracketTable) -> Check:
     """[x,y] = x[1,y] + y[x,1] on basis pairs (both sides bilinear); L must
     pass ``check_lie``."""
+    one_e = [L.bracket_vec(A.unit, A.basis_vec(j)) for j in range(A.dim)]  # [1, e_j]
     for i in range(A.dim):
-        ei = A.basis_vec(i)
+        e_one = L.row_bracket(i, A.unit)  # [e_i, 1]
         for j in range(A.dim):
-            ej = A.basis_vec(j)
-            rhs = vec_add(A.ring,
-                          A.mul_vec(ei, L.bracket_vec(A.unit, ej)),
-                          A.mul_vec(ej, L.bracket_vec(ei, A.unit)))
+            rhs = vec_add(A.ring, A.row_mul(i, one_e[j]), A.row_mul(j, e_one))
             if L.table[i][j] != rhs:
                 return Check(False, (i, j))
     return Check(True)
@@ -586,7 +571,7 @@ def induced_by_averaging(A: StructureAlgebra, L: BracketTable) -> InduceResult:
     for xi, ei in zip(x, eps):
         t = vec_add(R, t, vec_scale(R, xi, ei))
     cols = [vec_add(R, L.bracket_vec(A.unit, A.basis_vec(i)),
-                    A.mul_vec(A.basis_vec(i), t)) for i in range(n)]
+                    A.row_mul(i, t)) for i in range(n)]
     op = Matrix.from_cols(R, cols)
     avg = is_averaging(A, op)
     if not avg:
@@ -673,7 +658,7 @@ def nilpotency_check(A: StructureAlgebra, F: Operator):
         for j in range(i + 1, d):
             # condition a*g = 0, linear in a: row k holds coordinate k of e_m*g
             g = op.bracket.table[i][j]
-            ann_rows.extend(zip(*[A.mul_vec(A.basis_vec(m), g) for m in range(d)]))
+            ann_rows.extend(zip(*[A.row_mul(m, g) for m in range(d)]))
     ann = _kernel(Matrix(R, len(ann_rows), d, tuple(ann_rows)))
     image = _span(R, d, [op.matrix.col(j) for j in range(d)])
     power = image
@@ -1047,12 +1032,23 @@ def algebra_to_json(A: StructureAlgebra) -> dict:
     }
 
 
+def _parse_array(ring: Ring, v, depth: int) -> list:
+    """Scalar literals in JSON arrays nested ``depth`` deep.  Anything else
+    where an array belongs, a string in particular, is refused instead of
+    being read one character at a time."""
+    if not isinstance(v, list):
+        raise ValueError(f"expected a JSON array, got {v!r}")
+    if depth == 1:
+        return [ring.parse(s) for s in v]
+    return [_parse_array(ring, x, depth - 1) for x in v]
+
+
 def algebra_from_json(doc: dict) -> StructureAlgebra:
     try:
         ring = ring_from_name(doc["scalar"])
         dim = int(doc["dim"])
-        unit = [ring.parse(s) for s in doc["unit"]]
-        mul = [[[ring.parse(s) for s in cell] for cell in row] for row in doc["mul"]]
+        unit = _parse_array(ring, doc["unit"], 1)
+        mul = _parse_array(ring, doc["mul"], 3)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed algebra document: {exc}") from None
     if len(unit) != dim:
@@ -1068,7 +1064,7 @@ def operator_to_json(F: Matrix) -> dict:
 
 def operator_from_json(ring: Ring, doc: dict) -> Matrix:
     try:
-        rows = [[ring.parse(s) for s in row] for row in doc["matrix"]]
+        rows = _parse_array(ring, doc["matrix"], 2)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed operator document: {exc}") from None
     return Matrix.from_rows(ring, rows)
@@ -1081,7 +1077,7 @@ def bracket_to_json(L: BracketTable) -> dict:
 
 def bracket_from_json(ring: Ring, doc: dict) -> BracketTable:
     try:
-        table = [[[ring.parse(s) for s in cell] for cell in row] for row in doc["table"]]
+        table = _parse_array(ring, doc["table"], 3)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed bracket document: {exc}") from None
     return BracketTable.make(ring, table)

@@ -598,7 +598,7 @@ def check_algebra_hom(theta: Matrix, A, B):
     cols = [theta.col(j) for j in range(A.dim)]
     for i in range(A.dim):
         for j in range(A.dim):
-            lhs = theta.apply(A.mul_vec(A.basis_vec(i), A.basis_vec(j)))
+            lhs = theta.apply(A.mul[i][j])
             rhs = B.mul_vec(cols[i], cols[j])
             if lhs != tuple(rhs):
                 raise NotAHomomorphismError(f"product not preserved at ({i}, {j})")

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -136,6 +137,70 @@ def test_numeric_json_scalar_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and "must be a string" in err
+
+
+def _qi_doc(**changes):
+    doc = json.loads((ROOT / "corpus" / "qi.json").read_text())
+    doc.update(changes)
+    return doc
+
+
+QI_MUL = _qi_doc()["mul"]
+
+
+@pytest.mark.parametrize("doc", [
+    _qi_doc(scalar=5), _qi_doc(scalar=None), _qi_doc(scalar=["Q"]),
+    _qi_doc(unit="10"),
+    _qi_doc(mul=[["10", QI_MUL[0][1]], QI_MUL[1]]),
+    _qi_doc(mul="0110"),
+    _qi_doc(scalar="Zmod:1_3", unit=["1", "0"]),
+    _qi_doc(scalar="Zmod:3317044064679887385961981"),
+], ids=["scalar_int", "scalar_null", "scalar_list", "unit_string", "mul_cell_string",
+        "mul_string", "modulus_underscore", "modulus_above_bound"])
+def test_malformed_wire_format_exits_two(doc, tmp_path, capsys):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code = main(["verify", str(path), "corpus/im.json"])
+    err = capsys.readouterr().err
+    assert (code, err.startswith("error:"), "Traceback" in err) == (2, True, False)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("doc,kind", [
+    ({"matrix": ["01", "00"]}, "operator"), ({"matrix": "0100"}, "operator"),
+    ({"table": [["00", "00"], ["00", "00"]]}, "bracket"),
+])
+def test_string_vectors_in_operator_and_bracket_exit_two(doc, kind, tmp_path, capsys):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    command = "verify" if kind == "operator" else "lie-induce"
+    code = main([command, "corpus/qi.json", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error:") and "JSON array" in err
+
+
+def test_large_prime_modulus_verifies_quickly(tmp_path, capsys):
+    # 10^18 + 3 is prime; Z/p[t]/(t^2) with multiplication by t is averaging
+    p = 10 ** 18 + 3
+    doc = {"scalar": f"Zmod:{p}", "dim": 2, "unit": ["1", "0"],
+           "mul": [[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]]}
+    alg, op = tmp_path / "alg.json", tmp_path / "op.json"
+    alg.write_text(json.dumps(doc))
+    op.write_text(json.dumps({"matrix": [["0", "0"], ["1", "0"]]}))
+    start = time.perf_counter()
+    code = main(["verify", str(alg), str(op)])
+    out = capsys.readouterr().out
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and f"over Zmod:{p}" in out and "averaging: yes" in out
+
+
+def test_large_prime_scalar_default_is_fast(monkeypatch, capsys):
+    monkeypatch.setenv("AVG_SCALAR_DEFAULT", "Zmod:1000000000000000003")
+    start = time.perf_counter()
+    assert main(["eval", "--mode", "plain", "1000000000000000004*f(v1)"]) == 0
+    assert capsys.readouterr().out.strip() == "y[x1]"  # the coefficient is 1 mod p
+    assert time.perf_counter() - start < 1.0
 
 
 def test_internal_invariant_error_exits_two(monkeypatch, capsys):

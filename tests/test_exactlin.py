@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avgalg.exactlin import (
+    _is_prime,
     Matrix,
     NoSolution,
     NotAFieldError,
@@ -88,6 +91,41 @@ class TestRings:
         assert ring_from_name("Zmod:6") == ZMod(6)
         with pytest.raises(RingError):
             ring_from_name("R")
+
+    @pytest.mark.parametrize("name", [
+        5, None, ["Q"], "Zmod:1_3", "Zmod: 13", "Zmod:+13", "Zmod:13 ", "Zmod:",
+        "Zmod:\u0661\u0663", "Zmod:0", "Zmod:1", "zmod:13"])
+    def test_ring_name_is_q_or_ascii_decimal_modulus(self, name):
+        with pytest.raises(RingError):
+            ring_from_name(name)
+
+
+def _trial_division_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division_below_1e5(self):
+        assert all(_is_prime(n) == _trial_division_prime(n) for n in range(100_000))
+
+    def test_pseudoprimes_are_composite(self):
+        # 561 is a Carmichael number; 3215031751 = 151 * 751 * 28351 is a
+        # strong pseudoprime to the bases 2, 3, 5 and 7
+        assert not _is_prime(561)
+        assert not _is_prime(3215031751)
+        assert not ZMod(3215031751).is_field
+
+    def test_large_prime_modulus_is_fast(self):
+        start = time.perf_counter()
+        assert ZMod(10 ** 18 + 3).is_field
+        assert not ZMod(10 ** 18 + 1).is_field
+        assert time.perf_counter() - start < 1.0
+
+    def test_modulus_above_the_proven_bound_is_refused(self):
+        assert ZMod(3317044064679887385961979).n  # just below the bound
+        for n in (3317044064679887385961981, 10 ** 30):
+            with pytest.raises(RingError, match="too large"):
+                ZMod(n)
 
 
 class TestRref:
@@ -382,6 +420,22 @@ class TestSubmodules:
         assert ker == Submodule.span(z6, 1, [(3,)])
         assert ker.contains_vector((3,))
         assert not ker.contains_vector((2,))
+
+    def test_random_kernels_match_brute_force(self):
+        # submodule_kernel is the one caller of the elimination with a
+        # carried transform; its span must be exactly the solution set
+        rng = random.Random(0x4E7)
+        for n in (4, 6, 8, 9, 12):
+            ring = ZMod(n)
+            for _ in range(12):
+                rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+                m = Matrix.from_rows(ring, [[rng.randrange(n) for _ in range(cols)]
+                                            for _ in range(rows)])
+                ker = submodule_kernel(ring, m)
+                solutions = frozenset(
+                    x for x in itertools.product(range(n), repeat=cols) if not any(m.apply(x)))
+                assert _brute_span(n, cols, ker.basis) == solutions, (n, m.entries)
+                assert ker == Submodule.span(ring, cols, sorted(solutions))
 
     def test_kernel_matches_brute_force(self):
         z6 = ZMod(6)

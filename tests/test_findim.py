@@ -732,7 +732,31 @@ class TestAveragingOperator:
         checks.update(is_averaging=0, check_lie=0)
         assert isinstance(nilpotency_check(A, op), NotNilpotent)
         assert kernel_equals_brackets(A, op).equal
-        assert checks == {"is_averaging": 0, "check_lie": 0}
+        # the bracket is built and checked on its first use, once for both
+        assert checks == {"is_averaging": 0, "check_lie": 1}
+
+    def test_bracket_is_built_on_first_use(self, checks):
+        A = qi()
+        op = averaging_operator(A, imaginary_part(A))
+        assert checks == {"is_averaging": 1, "check_lie": 0}
+        assert op.bracket == raw_bracket(A, imaginary_part(A))
+        checks.update(check_lie=0)
+        assert op.bracket is op.bracket
+        assert checks["check_lie"] == 0
+
+    def test_operator_only_callers_skip_the_bracket(self, checks, monkeypatch, capsys):
+        A = qi()
+        assert is_reynolds_averaging(A, imaginary_part(A)).ok is False
+        assert nilpotent_radical_domain(A, imaginary_part(A)).dim == 1
+        monkeypatch.chdir(pathlib.Path(__file__).resolve().parent.parent)
+        assert main(["verify", "corpus/qi.json", "corpus/im.json"]) == 0
+        assert capsys.readouterr().out.startswith("algebra: ok")
+        assert checks["check_lie"] == 0
+
+    def test_ad_eigen_checks_bracket_once(self, checks):
+        A = qi()
+        ad_eigen(A, imaginary_part(A), (0, 1))
+        assert checks == {"is_averaging": 1, "check_lie": 1}
 
     def test_operator_of_another_algebra_is_refused(self):
         op = averaging_operator(qi(), imaginary_part(qi()))

@@ -105,6 +105,18 @@ def test_bracket_vec_matches_dense(case):
     assert L.bracket_vec(x, y) == dense_bilinear(ring, d, table, x, y)
 
 
+@given(ring_and_table(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_row_product_matches_basis_product(case, data):
+    ring, d, table, _, y = case
+    i = data.draw(st.integers(0, d - 1))
+    A = StructureAlgebra(ring, d, (ring.one,) + (ring.zero,) * (d - 1), table)
+    L = BracketTable(ring, d, table)
+    e_i = A.basis_vec(i)
+    assert A.row_mul(i, y) == A.mul_vec(e_i, y) == dense_bilinear(ring, d, table, e_i, y)
+    assert L.row_bracket(i, y) == L.bracket_vec(e_i, y)
+
+
 @given(ring_and_matrix())
 @settings(max_examples=150, deadline=None)
 def test_vec_dot_and_apply_match_dense(case):
