@@ -344,12 +344,13 @@ def check_lie(A: StructureAlgebra, L: BracketTable) -> Check:
         for j in range(A.dim):
             if L.table[i][j] != tuple(R.neg(x) for x in L.table[j][i]):
                 return Check(False, ("antisymmetry", (i, j)))
+    # the table is antisymmetric here, so [[e_i,e_j],e_k] = -[e_k,[e_i,e_j]]
+    # and the Jacobi sum is zero exactly when this row-product sum is
     for i, j, k in itertools.combinations(range(A.dim), 3):
-        ei, ej, ek = A.basis_vec(i), A.basis_vec(j), A.basis_vec(k)
         total = vec_add(R, vec_add(R,
-                        L.bracket_vec(L.table[i][j], ek),
-                        L.bracket_vec(L.table[j][k], ei)),
-                        L.bracket_vec(L.table[k][i], ej))
+                        L.row_bracket(k, L.table[i][j]),
+                        L.row_bracket(i, L.table[j][k])),
+                        L.row_bracket(j, L.table[k][i]))
         if not vec_is_zero(R, total):
             return Check(False, ("jacobi", (i, j, k)))
     return Check(True)
@@ -865,7 +866,9 @@ def ad_eigen(A: StructureAlgebra, F: Operator, a) -> tuple:
     R = A.ring
     a = tuple(R.of(x) for x in a)
     fa = F.apply(a)
-    ad = Matrix.from_cols(R, [op.bracket.bracket_vec(a, A.basis_vec(i)) for i in range(A.dim)])
+    # the bracket passed check_lie, so ad_a(e_i) = [a, e_i] = -[e_i, a]
+    ad = Matrix.from_cols(R, [tuple(R.neg(x) for x in op.bracket.row_bracket(i, a))
+                              for i in range(A.dim)])
     # structural path: over a domain the only possible eigenvalues are 0 and,
     # when ker F is nonzero and F(a) is a nonzero scalar k, the value -k
     ker = nullspace(F)
@@ -1046,11 +1049,13 @@ def _parse_array(ring: Ring, v, depth: int) -> list:
 def algebra_from_json(doc: dict) -> StructureAlgebra:
     try:
         ring = ring_from_name(doc["scalar"])
-        dim = int(doc["dim"])
+        dim = doc["dim"]
         unit = _parse_array(ring, doc["unit"], 1)
         mul = _parse_array(ring, doc["mul"], 3)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed algebra document: {exc}") from None
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise ValueError("dim must be a JSON integer")
     if len(unit) != dim:
         raise ValueError("unit vector length does not match dim")
     A = StructureAlgebra.make(ring, unit, mul)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import cmp_to_key
 
 from .exactlin import Matrix, QQ, Ring, ShapeError, Subspace, vec_add, vec_scale
 
@@ -48,33 +47,29 @@ def _xmono_key(m):
 # ---------------------------------------------------------------------------
 # generators and monomials of the free algebra
 #
-# generator encoding: ("x", index) or ("y", XMono); all x-generators sort
-# before all y-generators, x by index, y by their index monomials
+# every generator is its own sort key: ("x", index) or ("y", _xmono_key(u), u)
+# for y[u], so plain tuple comparison puts all x-generators before all
+# y-generators, x by index and y by their index monomials
 
 def x_gen(i: int):
     return ("x", i)
 
 
 def y_gen(m=X_ONE):
-    return ("y", tuple(m))
+    m = tuple(m)
+    return ("y", _xmono_key(m), m)
 
 
 Y_ONE_GEN = y_gen()  # the distinguished generator y[1]
 
 
-def _gen_key(g):
-    if g[0] == "x":
-        return (0, (g[1],))
-    return (1, _xmono_key(g[1]))
-
-
 def gen_render(g) -> str:
     if g[0] == "x":
         return f"x{g[1]}"
-    return f"y[{xmono_render(g[1])}]"
+    return f"y[{xmono_render(g[2])}]"
 
 
-# monomial: ((gen, exponent), ...) sorted by _gen_key, no zero exponents
+# monomial: ((gen, exponent), ...) sorted by generator, no zero exponents
 
 M_ONE = ()
 
@@ -83,14 +78,14 @@ def mono(*pairs):
     d = {}
     for g, e in pairs:
         d[g] = d.get(g, 0) + e
-    return tuple(sorted(((g, e) for g, e in d.items() if e), key=lambda p: _gen_key(p[0])))
+    return tuple(sorted((g, e) for g, e in d.items() if e))
 
 
 def mono_mul(a, b):
     d = dict(a)
     for g, e in b:
         d[g] = d.get(g, 0) + e
-    return mono(*d.items())
+    return tuple(sorted(d.items()))
 
 
 def mono_deg(m) -> int:
@@ -104,7 +99,7 @@ def mono_divides(a, b) -> bool:
 
 def mono_x_part(m):
     """The x-part as an x-monomial (an element of the monic x-monomials)."""
-    return tuple(sorted((g[1], e) for g, e in m if g[0] == "x"))
+    return tuple((g[1], e) for g, e in m if g[0] == "x")
 
 
 def mono_y_part(m):
@@ -117,30 +112,25 @@ def mono_render(m) -> str:
     return "*".join(gen_render(g) if e == 1 else f"{gen_render(g)}^{e}" for g, e in m)
 
 
-def _mono_cmp(a, b) -> int:
-    # graded-lex: higher degree first, then the monomial with the larger
-    # exponent on the earliest generator where they differ
-    da, db = mono_deg(a), mono_deg(b)
-    if da != db:
-        return -1 if da > db else 1
-    ia = ib = 0
-    while ia < len(a) or ib < len(b):
-        ga = a[ia][0] if ia < len(a) else None
-        gb = b[ib][0] if ib < len(b) else None
-        if ga == gb:
-            ea, eb = a[ia][1], b[ib][1]
-            if ea != eb:
-                return -1 if ea > eb else 1
-            ia += 1
-            ib += 1
-        elif gb is None or (ga is not None and _gen_key(ga) < _gen_key(gb)):
-            return -1  # a has the earlier generator: a is lex-greater
-        else:
-            return 1
-    return 0
+def _glex_key(term):
+    # graded-lex descending: higher degree first, then the larger exponent on
+    # the earliest generator where two monomials differ
+    m = term[0]
+    return (-mono_deg(m), tuple((g, -e) for g, e in m))
 
 
-_MONO_SORT_KEY = cmp_to_key(_mono_cmp)
+def _combine(R: Ring, pairs) -> dict:
+    """Sum the coefficients of equal keys, dropping the keys that sum to zero.
+
+    The one accumulation loop behind FreePoly and FAElement arithmetic.
+    """
+    d = {}
+    for k, c in pairs:
+        if k in d:
+            c = R.add(d.pop(k), c)
+        if c:
+            d[k] = c
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +149,12 @@ class FreePoly:
 
     @staticmethod
     def from_dict(ring: Ring, d) -> "FreePoly":
-        items = [(m, c) for m, c in d.items() if c != ring.zero]
-        items.sort(key=lambda t: _MONO_SORT_KEY(t[0]))
-        return FreePoly(ring, tuple(items))
+        """The polynomial of a {monomial: coefficient} dict with no zeros."""
+        return FreePoly(ring, tuple(sorted(d.items(), key=_glex_key)))
+
+    @staticmethod
+    def _sum(ring: Ring, pairs) -> "FreePoly":
+        return FreePoly.from_dict(ring, _combine(ring, pairs))
 
     @staticmethod
     def zero(ring: Ring = QQ) -> "FreePoly":
@@ -173,14 +166,11 @@ class FreePoly:
 
     @staticmethod
     def constant(c, ring: Ring = QQ) -> "FreePoly":
-        c = ring.of(c)
-        if c == ring.zero:
-            return FreePoly.zero(ring)
-        return FreePoly(ring, ((M_ONE, c),))
+        return FreePoly.monomial(M_ONE, c, ring)
 
     @staticmethod
     def gen(g, ring: Ring = QQ) -> "FreePoly":
-        return FreePoly(ring, ((mono((g, 1)), ring.one),))
+        return FreePoly.monomial(((g, 1),), ring.one, ring)
 
     @staticmethod
     def x_var(i: int, ring: Ring = QQ) -> "FreePoly":
@@ -193,26 +183,13 @@ class FreePoly:
     @staticmethod
     def monomial(m, c, ring: Ring = QQ) -> "FreePoly":
         c = ring.of(c)
-        if c == ring.zero:
-            return FreePoly.zero(ring)
-        return FreePoly(ring, ((m, c),))
+        return FreePoly(ring, ((m, c),) if c else ())
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _dict(self):
-        return dict(self.terms)
-
     def add(self, other: "FreePoly") -> "FreePoly":
-        R = self._same_ring(other)
-        d = self._dict()
-        for m, c in other.terms:
-            s = R.add(d.get(m, R.zero), c)
-            if s == R.zero:
-                d.pop(m, None)
-            else:
-                d[m] = s
-        return FreePoly.from_dict(R, d)
+        return FreePoly._sum(self._same_ring(other), self.terms + other.terms)
 
     def neg(self) -> "FreePoly":
         R = self.ring
@@ -224,20 +201,12 @@ class FreePoly:
     def scale(self, c) -> "FreePoly":
         R = self.ring
         c = R.of(c)
-        return FreePoly.from_dict(R, {m: R.mul(c, k) for m, k in self.terms})
+        return FreePoly._sum(R, ((m, R.mul(c, k)) for m, k in self.terms))
 
     def mul(self, other: "FreePoly") -> "FreePoly":
         R = self._same_ring(other)
-        d = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = mono_mul(m1, m2)
-                s = R.add(d.get(m, R.zero), R.mul(c1, c2))
-                if s == R.zero:
-                    d.pop(m, None)
-                else:
-                    d[m] = s
-        return FreePoly.from_dict(R, d)
+        return FreePoly._sum(R, ((mono_mul(m1, m2), R.mul(c1, c2))
+                                 for m1, c1 in self.terms for m2, c2 in other.terms))
 
     def _same_ring(self, other: "FreePoly") -> Ring:
         if self.ring != other.ring:
@@ -269,32 +238,20 @@ class FreePoly:
 # ---------------------------------------------------------------------------
 # the averaging operator and the two quotient normal forms
 
+def _f_image(m):
+    """y[u]*v for the monomial m with x-part u and y-part v."""
+    return mono((y_gen(mono_x_part(m)), 1), *mono_y_part(m))
+
+
 def f_free(p: FreePoly) -> FreePoly:
     """Split each monomial into x-part u and y-part v; map it to y[u]*v."""
-    R = p.ring
-    d = {}
-    for m, c in p.terms:
-        image = mono_mul(mono((y_gen(mono_x_part(m)), 1)), mono_y_part(m))
-        s = R.add(d.get(image, R.zero), c)
-        if s == R.zero:
-            d.pop(image, None)
-        else:
-            d[image] = s
-    return FreePoly.from_dict(R, d)
+    return FreePoly._sum(p.ring, ((_f_image(m), c) for m, c in p.terms))
 
 
 def reduce_unitary(p: FreePoly) -> FreePoly:
     """Substitute y[1] by 1 in every monomial."""
-    R = p.ring
-    d = {}
-    for m, c in p.terms:
-        stripped = tuple((g, e) for g, e in m if g != Y_ONE_GEN)
-        s = R.add(d.get(stripped, R.zero), c)
-        if s == R.zero:
-            d.pop(stripped, None)
-        else:
-            d[stripped] = s
-    return FreePoly.from_dict(R, d)
+    return FreePoly._sum(p.ring, ((tuple((g, e) for g, e in m if g != Y_ONE_GEN), c)
+                                  for m, c in p.terms))
 
 
 def _reynolds_reduce_mono(m):
@@ -312,16 +269,7 @@ def reduce_reynolds(p: FreePoly) -> FreePoly:
     Per monomial, with a the exponent of y[1] and b the total degree of the
     other y-generators, decrement a while a >= 1 and a + b >= 3.
     """
-    R = p.ring
-    d = {}
-    for m, c in p.terms:
-        nm = _reynolds_reduce_mono(m)
-        s = R.add(d.get(nm, R.zero), c)
-        if s == R.zero:
-            d.pop(nm, None)
-        else:
-            d[nm] = s
-    return FreePoly.from_dict(R, d)
+    return FreePoly._sum(p.ring, ((_reynolds_reduce_mono(m), c) for m, c in p.terms))
 
 
 class Mode(Enum):
@@ -410,12 +358,10 @@ def bracket_decompose(w: FreePoly) -> list:
     R = w.ring
     groups = {}
     for m, c in w.terms:
-        image = mono_mul(mono((y_gen(mono_x_part(m)), 1)), mono_y_part(m))
-        groups.setdefault(image, []).append((m, c))
+        # w.terms is canonical, so every group is in canonical order too
+        groups.setdefault(_f_image(m), []).append((m, c))
     pairs = []
     for members in groups.values():
-        # canonical order inside the group keeps witnesses reproducible
-        members = sorted(members, key=lambda t: _MONO_SORT_KEY(t[0]))
         last_m, _ = members[-1]
         for m, c in members[:-1]:
             pairs.append(_difference_bracket(R, c, m, last_m))
@@ -435,7 +381,7 @@ def _difference_bracket(R: Ring, r, wa, wb):
     if da.get(shared, 0) < 1:
         raise NotInKernelError("monomials do not share an operator image")
     da[shared] -= 1
-    q_mono = mono_mul(mono(*((x_gen(i), e) for i, e in ub)), mono(*da.items()))
+    q_mono = mono(*((x_gen(i), e) for i, e in ub), *da.items())
     p_mono = mono(*((x_gen(i), e) for i, e in ua))
     return (FreePoly.monomial(p_mono, r, R), FreePoly.monomial(q_mono, R.one, R))
 
@@ -494,8 +440,12 @@ class FAElement:
 
     @staticmethod
     def from_dict(ring: Ring, dim: int, d) -> "FAElement":
-        items = [(k, c) for k, c in sorted(d.items()) if c != ring.zero]
-        return FAElement(ring, dim, tuple(items))
+        """The element of a {(i, sym): coefficient} dict with no zeros."""
+        return FAElement(ring, dim, tuple(sorted(d.items())))
+
+    @staticmethod
+    def _sum(ring: Ring, dim: int, pairs) -> "FAElement":
+        return FAElement.from_dict(ring, dim, _combine(ring, pairs))
 
     @staticmethod
     def basis(ring: Ring, dim: int, i: int, sym=()) -> "FAElement":
@@ -507,15 +457,7 @@ class FAElement:
         return not self.terms
 
     def add(self, other: "FAElement") -> "FAElement":
-        R = self.ring
-        d = dict(self.terms)
-        for k, c in other.terms:
-            s = R.add(d.get(k, R.zero), c)
-            if s == R.zero:
-                d.pop(k, None)
-            else:
-                d[k] = s
-        return FAElement.from_dict(R, self.dim, d)
+        return FAElement._sum(self.ring, self.dim, self.terms + other.terms)
 
     def neg(self) -> "FAElement":
         R = self.ring
@@ -527,7 +469,7 @@ class FAElement:
     def scale(self, c) -> "FAElement":
         R = self.ring
         c = R.of(c)
-        return FAElement.from_dict(R, self.dim, {k: R.mul(c, v) for k, v in self.terms})
+        return FAElement._sum(R, self.dim, ((k, R.mul(c, v)) for k, v in self.terms))
 
 
 def _alg_check(a: FAElement, A):
@@ -536,8 +478,7 @@ def _alg_check(a: FAElement, A):
 
 
 def fa_one(A) -> "FAElement":
-    d = {(k, ()): c for k, c in enumerate(A.unit) if c != A.ring.zero}
-    return FAElement.from_dict(A.ring, A.dim, d)
+    return FAElement._sum(A.ring, A.dim, (((k, ()), c) for k, c in enumerate(A.unit)))
 
 
 def fa_mul(a: FAElement, b: FAElement, A) -> FAElement:
@@ -545,41 +486,21 @@ def fa_mul(a: FAElement, b: FAElement, A) -> FAElement:
     _alg_check(a, A)
     _alg_check(b, A)
     R = A.ring
-    d = {}
+    pairs = []
     for (i, s), c1 in a.terms:
         for (j, t), c2 in b.terms:
-            sym = tuple(sorted(s + t))
-            c = R.mul(c1, c2)
-            for k in range(A.dim):
-                coeff = R.mul(c, A.mul[i][j][k])
-                if coeff == R.zero:
-                    continue
-                key = (k, sym)
-                v = R.add(d.get(key, R.zero), coeff)
-                if v == R.zero:
-                    d.pop(key, None)
-                else:
-                    d[key] = v
-    return FAElement.from_dict(R, A.dim, d)
+            sym, c = tuple(sorted(s + t)), R.mul(c1, c2)
+            pairs += (((k, sym), R.mul(c, x)) for k, x in enumerate(A.mul[i][j]) if x)
+    return FAElement._sum(R, A.dim, pairs)
 
 
 def fa_f(a: FAElement, A) -> FAElement:
     """Move each left factor into the symmetric monomial; left slot becomes 1."""
     _alg_check(a, A)
     R = A.ring
-    d = {}
-    for (i, s), c in a.terms:
-        sym = tuple(sorted(s + (i,)))
-        for k, u in enumerate(A.unit):
-            if u == R.zero:
-                continue
-            key = (k, sym)
-            v = R.add(d.get(key, R.zero), R.mul(u, c))
-            if v == R.zero:
-                d.pop(key, None)
-            else:
-                d[key] = v
-    return FAElement.from_dict(R, A.dim, d)
+    return FAElement._sum(R, A.dim, (((k, tuple(sorted(s + (i,)))), R.mul(u, c))
+                                     for (i, s), c in a.terms
+                                     for k, u in enumerate(A.unit) if u))
 
 
 class NotAHomomorphismError(ValueError):
@@ -610,32 +531,16 @@ def fa_induced_hom(theta: Matrix, a: FAElement, A, B) -> FAElement:
     _alg_check(a, A)
     R = A.ring
     cols = [theta.col(j) for j in range(A.dim)]
-    d = {}
+    pairs = []
     for (i, s), c in a.terms:
         # expand theta(e_i) (x) theta(e_{s1}) . theta(e_{s2}) ... multilinearly
-        partial = {(k, ()): R.mul(c, cols[i][k])
-                   for k in range(B.dim) if cols[i][k] != R.zero}
+        partial = _combine(R, (((k, ()), R.mul(c, x)) for k, x in enumerate(cols[i])))
         for slot in s:
-            nxt = {}
-            for (k, sym), coeff in partial.items():
-                for b_idx in range(B.dim):
-                    w = cols[slot][b_idx]
-                    if w == R.zero:
-                        continue
-                    key = (k, tuple(sorted(sym + (b_idx,))))
-                    v = R.add(nxt.get(key, R.zero), R.mul(coeff, w))
-                    if v == R.zero:
-                        nxt.pop(key, None)
-                    else:
-                        nxt[key] = v
-            partial = nxt
-        for key, v in partial.items():
-            s2 = R.add(d.get(key, R.zero), v)
-            if s2 == R.zero:
-                d.pop(key, None)
-            else:
-                d[key] = s2
-    return FAElement.from_dict(R, B.dim, d)
+            partial = _combine(R, (((k, tuple(sorted(sym + (b,)))), R.mul(coeff, w))
+                                   for (k, sym), coeff in partial.items()
+                                   for b, w in enumerate(cols[slot]) if w))
+        pairs += partial.items()
+    return FAElement._sum(R, B.dim, pairs)
 
 
 def fa_universal_lift(phi: Matrix, g: Matrix, a: FAElement, A, B) -> tuple:

@@ -48,6 +48,41 @@ def rand_free_poly(rng, x_count=3, max_terms=3, max_deg=2, y_factors=1):
 
 
 # ---------------------------------------------------------------------------
+# reference order: the generator key and graded-lex comparator freeavg used
+# before generators became their own sort keys
+
+def ref_gen_key(g):
+    """x-generators by index, then y[u] by degree of u and x1-heavy first."""
+    if g[0] == "x":
+        return (0, (g[1],))
+    u = g[-1]
+    return (1, (sum(e for _, e in u), tuple((i, -e) for i, e in u)))
+
+
+def ref_mono_cmp(a, b) -> int:
+    """Graded-lex: higher degree first, then the larger exponent on the
+    earliest generator where the monomials differ; -1 when a comes first."""
+    da, db = sum(e for _, e in a), sum(e for _, e in b)
+    if da != db:
+        return -1 if da > db else 1
+    ia = ib = 0
+    while ia < len(a) or ib < len(b):
+        ga = a[ia][0] if ia < len(a) else None
+        gb = b[ib][0] if ib < len(b) else None
+        if ga == gb:
+            ea, eb = a[ia][1], b[ib][1]
+            if ea != eb:
+                return -1 if ea > eb else 1
+            ia += 1
+            ib += 1
+        elif gb is None or (ga is not None and ref_gen_key(ga) < ref_gen_key(gb)):
+            return -1
+        else:
+            return 1
+    return 0
+
+
+# ---------------------------------------------------------------------------
 # finite-dimensional algebras
 
 def dim2_algebra(alpha, beta):

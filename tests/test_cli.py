@@ -155,8 +155,10 @@ QI_MUL = _qi_doc()["mul"]
     _qi_doc(mul="0110"),
     _qi_doc(scalar="Zmod:1_3", unit=["1", "0"]),
     _qi_doc(scalar="Zmod:3317044064679887385961981"),
+    _qi_doc(dim=2.7), _qi_doc(dim="2"), _qi_doc(dim=True),
 ], ids=["scalar_int", "scalar_null", "scalar_list", "unit_string", "mul_cell_string",
-        "mul_string", "modulus_underscore", "modulus_above_bound"])
+        "mul_string", "modulus_underscore", "modulus_above_bound",
+        "dim_float", "dim_string", "dim_bool"])
 def test_malformed_wire_format_exits_two(doc, tmp_path, capsys):
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(doc))

@@ -1,3 +1,4 @@
+import itertools
 import pathlib
 import random
 from fractions import Fraction
@@ -270,6 +271,38 @@ class TestBrackets:
             A = rand_algebra(rng)
             L = induced_bracket(A, rand_averaging(rng, A))
             assert check_lie(A, L).ok
+
+    def test_jacobi_witness_matches_right_factor_reference(self):
+        def reference(A, L):
+            # [[e_i,e_j],e_k] + cyclic, with e_k built as the right factor
+            e = A.basis_vec
+            for i, j, k in itertools.combinations(range(A.dim), 3):
+                total = map(sum, zip(L.bracket_vec(L.table[i][j], e(k)),
+                                     L.bracket_vec(L.table[j][k], e(i)),
+                                     L.bracket_vec(L.table[k][i], e(j))))
+                if any(total):
+                    return ("jacobi", (i, j, k))
+            return None
+
+        rng = random.Random(89)
+        seen = set()
+        for _ in range(80):
+            A = rand_algebra(rng)
+            L = induced_bracket(A, rand_averaging(rng, A))
+            tables = [L]
+            if A.dim > 1:
+                # one antisymmetric change to a Lie bracket can break Jacobi
+                table = [[list(cell) for cell in row] for row in L.table]
+                a, b = rng.sample(range(A.dim), 2)
+                k = rng.randrange(A.dim)
+                table[a][b][k] += 1
+                table[b][a][k] -= 1
+                tables.append(BracketTable.make(QQ, table))
+            for T in tables:
+                got = check_lie(A, T)
+                assert (got.ok, got.witness) == (reference(A, T) is None, reference(A, T))
+                seen.add(got.witness)
+        assert None in seen and len(seen) >= 3
 
     def test_check_lie_rejects_non_antisymmetric(self):
         A = qi()

@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
 from avgalg.exactlin import QQ, ZMod
 from avgalg import terms as T
+from avgalg.findim import StructureAlgebra
 from avgalg.freeavg import (
     ChainError,
+    FAElement,
     FreePoly,
     Mode,
     NotInKernelError,
@@ -16,6 +19,7 @@ from avgalg.freeavg import (
     eval_term,
     f_free,
     f_mode,
+    fa_mul,
     generic_assignment,
     monomial_ideal_contains,
     mul_mode,
@@ -26,6 +30,8 @@ from support import (
     kernel_sample,
     rand_free_monomial,
     rand_free_poly,
+    ref_gen_key,
+    ref_mono_cmp,
     reynolds_step_at,
 )
 
@@ -64,6 +70,44 @@ def test_f_is_linear():
 def test_display_order_is_graded():
     p = FreePoly.one().add(X2).add(X1.mul(X2)).add(X1.mul(X1))
     assert p.render() == "x1^2 + x1*x2 + x2 + 1"
+
+
+def test_term_order_matches_reference_comparator():
+    rng = random.Random(1212)
+    ref = cmp_to_key(ref_mono_cmp)
+    pool, equal_degree_y, mixed = set(), 0, 0
+    for _ in range(150):
+        p = kernel_sample(rng) if rng.randint(0, 1) else rand_free_poly(rng, y_factors=2)
+        monos = [m for m, _ in p.terms]
+        assert monos == sorted(monos, key=ref)
+        for m in monos:
+            assert [g for g, _ in m] == sorted((g for g, _ in m), key=ref_gen_key)
+            ys = [g for g, _ in m if g[0] == "y"]
+            equal_degree_y += len(ys) > len({ref_gen_key(g)[1][0] for g in ys})
+            mixed += 0 < len(ys) < len(m)
+        gens = {g for m in monos for g, _ in m}
+        assert sorted(gens) == sorted(gens, key=ref_gen_key)
+        pool.update(monos)
+    # every pair of sampled monomials, not only neighbours inside one polynomial
+    ordered = FreePoly.from_dict(QQ, dict.fromkeys(pool, QQ.one)).terms
+    assert [m for m, _ in ordered] == sorted(pool, key=ref)
+    assert equal_degree_y and mixed
+
+
+def test_zmod_sums_to_modulus_are_dropped():
+    R = ZMod(6)
+    x1, x2 = FreePoly.x_var(1, R), FreePoly.x_var(2, R)
+    two, four = FreePoly.constant(2, R), FreePoly.constant(4, R)
+    assert x1.scale(2).add(x2).add(x1.scale(4)) == x2
+    # (x1 + 2)(x1 + 4) = x1^2 + 6*x1 + 8 = x1^2 + 2 over Z/6
+    prod = x1.add(two).mul(x1.add(four))
+    assert prod == x1.mul(x1).add(two)
+    assert len(prod.terms) == 2
+    # Z/6[w]/(w^2): (2 + 4w)(1 + w) = 2 + 6w + 4w^2 = 2
+    A = StructureAlgebra.make(R, (1, 0), [[[1, 0], [0, 1]], [[0, 1], [0, 0]]])
+    e0, e1 = FAElement.basis(R, 2, 0), FAElement.basis(R, 2, 1)
+    a = e0.scale(2).add(e1.scale(4))
+    assert fa_mul(a, e0.add(e1), A) == e0.scale(2)
 
 
 def test_averaging_identity_every_mode():
