@@ -10,12 +10,12 @@ counterexample, since the free object satisfies the hypotheses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Union
 
 from . import terms as T
+from ._record import Record
 from .exactlin import QQ, Ring
-from .freeavg import FreePoly, Mode, eval_term, generic_assignment
+from .freeavg import Mode, eval_term, generic_assignment
 from .terms import Equation, IdentitySet
 
 
@@ -26,14 +26,15 @@ MODE_OF = {
 }
 
 
-@dataclass(frozen=True)
-class Holds:
-    pass
+class Holds(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Fails:
-    witness: FreePoly  # nonzero normal form of lhs - rhs at the generic point
+class Fails(Record):
+    """``witness``: the nonzero normal form of lhs - rhs at the generic
+    point, a ``FreePoly``."""
+
+    __slots__ = ("witness",)
 
 
 Verdict = Union[Holds, Fails]

@@ -17,10 +17,11 @@ across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Union
+
+from ._record import Record, set_field
 
 
 class RingError(ValueError):
@@ -67,16 +68,15 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Rationals:
+class Rationals(Record):
     """The field Q; elements are ``fractions.Fraction`` values.
 
     ``Fraction`` already stores lowest terms with positive denominator, which
     is exactly the canonical form required here.
     """
 
-    name: str = "Q"
-    is_field: bool = True
+    __slots__ = ("name", "is_field")
+    _defaults = ("Q", True)
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -112,24 +112,22 @@ class Rationals:
         return str(a)
 
 
-@dataclass(frozen=True)
-class ZMod:
+class ZMod(Record):
     """The ring Z/nZ; elements are ints in ``[0, n)``.
 
     A field exactly when n is prime; field-only operations check
     ``is_field`` and raise ``NotAFieldError`` otherwise instead of silently
-    producing wrong answers.
+    producing wrong answers.  ``name`` and ``is_field`` are computed from n.
     """
 
-    n: int
-    name: str = field(init=False)
-    is_field: bool = field(init=False)
+    __slots__ = ("n", "name", "is_field")
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise RingError(f"modulus must be >= 2, got {self.n}")
-        object.__setattr__(self, "name", f"Zmod:{self.n}")
-        object.__setattr__(self, "is_field", _is_prime(self.n))
+    def __init__(self, n: int):
+        if n < 2:
+            raise RingError(f"modulus must be >= 2, got {n}")
+        set_field(self, "n", n)
+        set_field(self, "name", f"Zmod:{n}")
+        set_field(self, "is_field", _is_prime(n))
 
     zero = 0
     one = 1  # n >= 2, so 1 is already reduced
@@ -229,21 +227,21 @@ def vec_is_zero(ring: Ring, v) -> bool:
 # ---------------------------------------------------------------------------
 # matrices
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Record):
     """Immutable row-major matrix over an explicit ring."""
 
-    ring: Ring
-    rows: int
-    cols: int
-    entries: tuple
+    __slots__ = ("ring", "rows", "cols", "entries")
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
+    def __init__(self, ring: Ring, rows: int, cols: int, entries: tuple):
+        if len(entries) != rows:
             raise ShapeError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.cols:
+        for row in entries:
+            if len(row) != cols:
                 raise ShapeError("column count mismatch")
+        set_field(self, "ring", ring)
+        set_field(self, "rows", rows)
+        set_field(self, "cols", cols)
+        set_field(self, "entries", entries)
 
     @staticmethod
     def from_rows(ring: Ring, rows) -> "Matrix":
@@ -353,17 +351,20 @@ def rref(m: Matrix):
     return reduced, tuple(pivots)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """Subspace of ring^n, canonicalized by its reduced echelon basis.
 
     Canonical form makes equality structural: two Subspace values are equal
-    exactly when they describe the same subspace.
+    exactly when they describe the same subspace.  ``basis`` is a tuple of
+    coordinate tuples, reduced echelon, with no zero rows.
     """
 
-    ring: Ring
-    ambient_dim: int
-    basis: tuple  # tuple of coordinate tuples, reduced echelon, no zero rows
+    __slots__ = ("ring", "ambient_dim", "basis")
+
+    def __init__(self, ring: Ring, ambient_dim: int, basis: tuple):
+        set_field(self, "ring", ring)
+        set_field(self, "ambient_dim", ambient_dim)
+        set_field(self, "basis", basis)
 
     @staticmethod
     def span(ring: Ring, ambient_dim: int, vectors) -> "Subspace":
@@ -441,15 +442,12 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     return Subspace.span(R, u.ambient_dim, vectors)
 
 
-@dataclass(frozen=True)
-class NoSolution:
-    pass
+class NoSolution(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Solution:
-    particular: tuple
-    nullspace: Subspace
+class Solution(Record):
+    __slots__ = ("particular", "nullspace")  # tuple, Subspace
 
 
 def solve_linear(a: Matrix, b) -> Union[NoSolution, Solution]:
@@ -808,16 +806,19 @@ def _hnf(rows):
     return out
 
 
-@dataclass(frozen=True)
-class Submodule:
+class Submodule(Record):
     """Finitely generated submodule of (Z/n)^d in canonical (Howell) form.
 
-    Equality of canonical forms is equality of submodules.
+    Equality of canonical forms is equality of submodules.  ``basis`` holds
+    the canonical generator rows, entries in [0, n).
     """
 
-    ring: ZMod
-    ambient_dim: int
-    basis: tuple  # canonical generator rows, entries in [0, n)
+    __slots__ = ("ring", "ambient_dim", "basis")
+
+    def __init__(self, ring: ZMod, ambient_dim: int, basis: tuple):
+        set_field(self, "ring", ring)
+        set_field(self, "ambient_dim", ambient_dim)
+        set_field(self, "basis", basis)
 
     @staticmethod
     def span(ring: ZMod, ambient_dim: int, vectors) -> "Submodule":

@@ -16,11 +16,10 @@ arguments, so holding on a basis is holding everywhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
 from math import lcm
-from typing import Optional, Union
+from typing import Union
 
+from ._record import Record, set_field
 from .exactlin import (
     Matrix,
     NoSolution,
@@ -88,12 +87,12 @@ class InternalInvariantError(RuntimeError):
     """A cross-check between two independent computation paths failed."""
 
 
-@dataclass(frozen=True)
-class Check:
-    """Outcome of an exact identity check; witness locates the first failure."""
+class Check(Record):
+    """Outcome of an exact identity check; witness (a tuple, or None when
+    ``ok``) locates the first failure."""
 
-    ok: bool
-    witness: Optional[tuple] = None
+    __slots__ = ("ok", "witness")
+    _defaults = (None,)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -127,18 +126,20 @@ def _terms(x, dim: int) -> list:
     return [(i, xi) for i, xi in enumerate(x) if xi]
 
 
-@dataclass(frozen=True)
-class StructureAlgebra:
+class StructureAlgebra(Record):
     """Commutative unital algebra by structure constants.
 
     ``mul[i][j]`` is the coordinate vector of e_i * e_j; ``unit`` the
     coordinates of the identity element.
     """
 
-    ring: Ring
-    dim: int
-    unit: tuple
-    mul: tuple
+    __slots__ = ("ring", "dim", "unit", "mul")
+
+    def __init__(self, ring: Ring, dim: int, unit: tuple, mul: tuple):
+        set_field(self, "ring", ring)
+        set_field(self, "dim", dim)
+        set_field(self, "unit", unit)
+        set_field(self, "mul", mul)
 
     @staticmethod
     def make(ring: Ring, unit, mul) -> "StructureAlgebra":
@@ -172,12 +173,12 @@ class StructureAlgebra:
         return out
 
 
-@dataclass(frozen=True)
-class AlgebraReport:
-    commutative: bool
-    associative: bool
-    unital: bool
-    failure: Optional[tuple] = None  # (law, indices) of the first failure
+class AlgebraReport(Record):
+    """Which laws hold; ``failure`` is (law, indices) of the first failure,
+    or None."""
+
+    __slots__ = ("commutative", "associative", "unital", "failure")
+    _defaults = (None,)
 
     @property
     def ok(self) -> bool:
@@ -244,13 +245,11 @@ def is_reynolds_averaging(A: StructureAlgebra, F: Operator) -> Check:
     return Check(True)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Which closure hypothesis was checked for an operator combination."""
 
-    hypothesis: str
-    holds: bool
-    witness: Optional[tuple] = None
+    __slots__ = ("hypothesis", "holds", "witness")
+    _defaults = (None,)
 
 
 def op_scale(A: StructureAlgebra, r, F: Matrix):
@@ -308,13 +307,15 @@ def op_poly_apply(A: StructureAlgebra, coeffs, F: Matrix):
 # ---------------------------------------------------------------------------
 # brackets
 
-@dataclass(frozen=True)
-class BracketTable:
+class BracketTable(Record):
     """Bracket structure constants: table[i][j] = coordinates of [e_i, e_j]."""
 
-    ring: Ring
-    dim: int
-    table: tuple
+    __slots__ = ("ring", "dim", "table")
+
+    def __init__(self, ring: Ring, dim: int, table: tuple):
+        set_field(self, "ring", ring)
+        set_field(self, "dim", dim)
+        set_field(self, "table", table)
 
     @staticmethod
     def make(ring: Ring, table) -> "BracketTable":
@@ -386,8 +387,7 @@ def raw_bracket(A: StructureAlgebra, F: Matrix) -> BracketTable:
     return L
 
 
-@dataclass(frozen=True)
-class AveragingOperator:
+class AveragingOperator(Record):
     """An operator checked to be averaging on ``algebra``; built only by
     ``averaging_operator``.  The analyses take an ``Operator``: this value,
     or a bare matrix they check through ``averaging_operator``.
@@ -396,19 +396,25 @@ class AveragingOperator:
     its one ``check_lie`` cross-check of the paper's starting theorem (the
     bracket of an averaging operator is a Lie bracket); failure raises
     ``InternalInvariantError``.  Callers that never read it pay for neither.
+    The built bracket is kept in the private slot ``_bracket``, outside
+    equality, hash and repr.
     """
 
-    algebra: StructureAlgebra
-    matrix: Matrix
+    __slots__ = ("algebra", "matrix", "_bracket")
 
-    @cached_property
+    @property
     def bracket(self) -> BracketTable:
+        try:
+            return self._bracket
+        except AttributeError:
+            pass
         A = self.algebra
         L = _bracket_table(A, [self.matrix.col(j) for j in range(A.dim)])
         lie = check_lie(A, L)
         if not lie:
             raise InternalInvariantError(
                 f"the bracket of an averaging operator fails the Lie axioms: {lie.witness}")
+        set_field(self, "_bracket", L)
         return L
 
 
@@ -479,30 +485,23 @@ def gamma_subalgebra(A: StructureAlgebra, L: BracketTable) -> Subspace:
     return nullspace(Matrix(R, len(rows), A.dim, tuple(rows)))
 
 
-@dataclass(frozen=True)
-class NotEndoInduced:
-    witness: tuple
+class NotEndoInduced(Record):
+    __slots__ = ("witness",)
 
 
-@dataclass(frozen=True)
-class InduceNoSolution:
-    pass
+class InduceNoSolution(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Induced:
-    t: tuple
-    operator: Matrix
+class Induced(Record):
+    __slots__ = ("t", "operator")  # tuple, Matrix
 
 
-@dataclass(frozen=True)
-class InduceDiagnostic:
+class InduceDiagnostic(Record):
     """The linear system had a solution but the candidate operator failed
     re-verification; kept distinct so the gap stays visible."""
 
-    t: tuple
-    operator: Matrix
-    reason: str
+    __slots__ = ("t", "operator", "reason")  # tuple, Matrix, str
 
 
 InduceResult = Union[NotEndoInduced, InduceNoSolution, Induced, InduceDiagnostic]
@@ -587,10 +586,11 @@ def induced_by_averaging(A: StructureAlgebra, L: BracketTable) -> InduceResult:
 # ---------------------------------------------------------------------------
 # series, nilpotency, radical
 
-@dataclass(frozen=True)
-class SeriesResult:
-    stages: tuple  # Subspace chain, stage 0 first, truncated at stabilization
-    reaches_zero: bool
+class SeriesResult(Record):
+    """``stages`` is the Subspace chain, stage 0 first, truncated at
+    stabilization."""
+
+    __slots__ = ("stages", "reaches_zero")
 
     def stage(self, k: int) -> Subspace:
         return self.stages[min(k, len(self.stages) - 1)]
@@ -623,14 +623,12 @@ def lower_central_series(A: StructureAlgebra, L: BracketTable) -> SeriesResult:
     return _series(A, L, lower=True)
 
 
-@dataclass(frozen=True)
-class Nilpotent:
-    k: int  # least k with image^k inside the bracket annihilator
+class Nilpotent(Record):
+    __slots__ = ("k",)  # least k with image^k inside the bracket annihilator
 
 
-@dataclass(frozen=True)
-class NotNilpotent:
-    stable: object  # the stabilized image power (Subspace or Submodule)
+class NotNilpotent(Record):
+    __slots__ = ("stable",)  # the stabilized image power (Subspace or Submodule)
 
 
 def _span(R: Ring, dim: int, vectors):
@@ -674,8 +672,7 @@ def nilpotency_check(A: StructureAlgebra, F: Operator):
         k += 1
 
 
-@dataclass(frozen=True)
-class DomainCertificate:
+class DomainCertificate(Record):
     """Why check_domain accepted.
 
     Over Q, A = Q[a] for the primitive element ``element``, whose
@@ -685,10 +682,8 @@ class DomainCertificate:
     neither.  Over Z/p the reason is "frobenius".
     """
 
-    reason: str
-    element: Optional[tuple] = None
-    poly: Optional[tuple] = None
-    primes: tuple = ()
+    __slots__ = ("reason", "element", "poly", "primes")
+    _defaults = (None, None, ())
 
 
 # primes whose factor-degree patterns the sieve intersects
@@ -697,7 +692,9 @@ _SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
 
 
 def _mult_matrix(A: StructureAlgebra, a) -> Matrix:
-    return Matrix.from_cols(A.ring, [A.mul_vec(a, A.basis_vec(i)) for i in range(A.dim)])
+    """The matrix of x -> a*x.  Column i is a*e_i = e_i*a, which reads row i
+    only: StructureAlgebra is commutative by contract."""
+    return Matrix.from_cols(A.ring, [A.row_mul(i, a) for i in range(A.dim)])
 
 
 def _zero_divisor(A: StructureAlgebra, w, why: str) -> NotADomainError:
@@ -900,11 +897,10 @@ def _proportionality(R: Ring, v, w):
     return None
 
 
-@dataclass(frozen=True)
-class KernelBracketResult:
-    equal: bool
-    kernel: object  # Subspace or Submodule
-    brackets: object
+class KernelBracketResult(Record):
+    """``kernel`` and ``brackets`` are both Subspaces or both Submodules."""
+
+    __slots__ = ("equal", "kernel", "brackets")
 
 
 def kernel_equals_brackets(A: StructureAlgebra, F: Operator) -> KernelBracketResult:
@@ -920,15 +916,13 @@ def kernel_equals_brackets(A: StructureAlgebra, F: Operator) -> KernelBracketRes
     return KernelBracketResult(ker == spn, ker, spn)
 
 
-@dataclass(frozen=True)
-class LieAnalysis:
-    """Structure report for the bracket of one averaging operator."""
+class LieAnalysis(Record):
+    """Structure report for the bracket of one averaging operator: a
+    BracketTable, two SeriesResults (None over non-field scalars), a
+    Nilpotent or NotNilpotent, and a KernelBracketResult."""
 
-    bracket: BracketTable
-    derived: Optional[SeriesResult]        # None over non-field scalars
-    lower_central: Optional[SeriesResult]  # None over non-field scalars
-    nilpotency: Union[Nilpotent, NotNilpotent]
-    kernel_comparison: KernelBracketResult
+    __slots__ = ("bracket", "derived", "lower_central", "nilpotency",
+                 "kernel_comparison")
 
 
 def lie_analysis(A: StructureAlgebra, F: Operator) -> LieAnalysis:
@@ -947,7 +941,10 @@ def lie_analysis(A: StructureAlgebra, F: Operator) -> LieAnalysis:
 # quotients and primary algebras
 
 def quotient_by_averaging_ideal(A: StructureAlgebra, F: Matrix, ideal: Subspace):
-    """Quotient algebra and induced operator by an F-invariant ideal."""
+    """Quotient algebra and induced operator by an F-invariant ideal.
+
+    The ideal test multiplies each generator u by every e_i as e_i*u, which
+    equals u*e_i because StructureAlgebra is commutative by contract."""
     if not A.ring.is_field:
         raise NotAFieldError("quotients are implemented over field scalars")
     _require_operator(A, F)
@@ -956,8 +953,7 @@ def quotient_by_averaging_ideal(A: StructureAlgebra, F: Matrix, ideal: Subspace)
     R = A.ring
     for u in ideal.basis:
         for i in range(A.dim):
-            prod = A.mul_vec(u, A.basis_vec(i))
-            if not ideal.contains_vector(prod):
+            if not ideal.contains_vector(A.row_mul(i, u)):
                 raise NotAnAveragingIdealError(
                     f"not an ideal: generator times basis element {i} escapes")
         if not ideal.contains_vector(F.apply(u)):

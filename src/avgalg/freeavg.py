@@ -16,12 +16,11 @@ into a concrete averaging algebra.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 
-from .exactlin import Matrix, QQ, Ring, ShapeError, Subspace, vec_add, vec_scale
-
 from . import terms as T
+from ._record import Record, set_field
+from .exactlin import Matrix, QQ, Ring, ShapeError, Subspace, vec_add, vec_scale
 
 # ---------------------------------------------------------------------------
 # x-monomials: ((var_index, exponent), ...) sorted by index, no zero exponents
@@ -136,16 +135,18 @@ def _combine(R: Ring, pairs) -> dict:
 # ---------------------------------------------------------------------------
 # polynomials
 
-@dataclass(frozen=True)
-class FreePoly:
+class FreePoly(Record):
     """Sparse polynomial over the x/y generators; immutable and canonical.
 
     ``terms`` holds (monomial, coefficient) pairs sorted graded-lex
     descending with no zero coefficients, so equality is structural.
     """
 
-    ring: Ring
-    terms: tuple
+    __slots__ = ("ring", "terms")
+
+    def __init__(self, ring: Ring, terms: tuple):
+        set_field(self, "ring", ring)
+        set_field(self, "terms", terms)
 
     @staticmethod
     def from_dict(ring: Ring, d) -> "FreePoly":
@@ -432,11 +433,15 @@ def chain_witness(x_count: int, n: int, ring: Ring = QQ) -> list:
 # elements: sums of coefficient * (basis index i, symmetric monomial s),
 # standing for e_i tensor (e_{s1} . e_{s2} ... ), s a sorted index multiset
 
-@dataclass(frozen=True)
-class FAElement:
-    ring: Ring
-    dim: int
-    terms: tuple  # (((i, sym), coeff), ...) sorted, no zero coefficients
+class FAElement(Record):
+    """``terms`` is (((i, sym), coeff), ...) sorted, no zero coefficients."""
+
+    __slots__ = ("ring", "dim", "terms")
+
+    def __init__(self, ring: Ring, dim: int, terms: tuple):
+        set_field(self, "ring", ring)
+        set_field(self, "dim", dim)
+        set_field(self, "terms", terms)
 
     @staticmethod
     def from_dict(ring: Ring, dim: int, d) -> "FAElement":

@@ -18,65 +18,75 @@ literals become ScalarMul coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from ._record import Record, set_field
 
-class Term:
-    """Base class; concrete nodes are the frozen dataclasses below."""
+
+class Term(Record):
+    """Base class of the term nodes below, immutable records compared
+    structurally."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    index: int  # >= 1; prints as v<index>
+    __slots__ = ("index",)  # >= 1; prints as v<index>
+
+    def __init__(self, index: int):
+        set_field(self, "index", index)
 
 
-@dataclass(frozen=True)
 class One(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Zero(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Add(Term):
-    left: Term
-    right: Term
+class _Binary(Term):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Sub(Term):
-    left: Term
-    right: Term
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mul(Term):
-    left: Term
-    right: Term
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class Mul(_Binary):
+    __slots__ = ()
+
+
 class ScalarMul(Term):
-    coeff: Fraction
-    arg: Term
+    __slots__ = ("coeff", "arg")
+
+    def __init__(self, coeff: Fraction, arg: Term):
+        set_field(self, "coeff", coeff)
+        set_field(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class F(Term):
-    arg: Term
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Term):
+        set_field(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Equation:
-    lhs: Term
-    rhs: Term
+class Equation(Record):
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Term, rhs: Term):
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
 
 class IdentitySet(Enum):

@@ -1,10 +1,14 @@
+import importlib
 import json
 import pathlib
+import pkgutil
 import time
 
 import pytest
 
+import avgalg
 from avgalg.cli import main
+from avgalg.findim import InternalInvariantError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MANIFEST = json.loads((ROOT / "corpus" / "manifest.json").read_text())
@@ -54,6 +58,21 @@ def test_corpus_json_variant_parses(case, capsys):
         assert len(doc["stages"]) == doc["n"]
     elif command == "primary":
         assert set(doc) == {"algebra", "operator"}
+
+
+def test_main_catches_every_avgalg_error():
+    # main catches (ValueError, OSError, InternalInvariantError); that stays
+    # complete while every other error class in avgalg is a ValueError
+    errors = set()
+    for info in pkgutil.iter_modules(avgalg.__path__):
+        mod = importlib.import_module(f"avgalg.{info.name}")
+        errors.update(obj for obj in vars(mod).values()
+                      if isinstance(obj, type) and issubclass(obj, Exception)
+                      and obj.__module__.startswith("avgalg."))
+    assert len(errors) >= 10
+    for exc in errors:
+        assert issubclass(exc, (ValueError, InternalInvariantError)), exc
+    assert issubclass(json.JSONDecodeError, ValueError)
 
 
 def test_parse_error_exits_two(capsys):
