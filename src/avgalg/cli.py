@@ -284,8 +284,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the parser, evaluator and printer recurse once per nesting level
-        print("error: expression nested too deeply", file=sys.stderr)
+        # json.load recurses once per nesting level of a JSON input file
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 

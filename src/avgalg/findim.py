@@ -41,6 +41,7 @@ from .exactlin import (
     poly_root_mod_p,
     rational_roots,
     ring_from_name,
+    rref,
     solve_linear,
     submodule_kernel,
     vec_add,
@@ -508,18 +509,13 @@ InduceResult = Union[NotEndoInduced, InduceNoSolution, Induced, InduceDiagnostic
 
 
 def _complete_basis(ring: Ring, vectors, dim: int):
-    """Greedily append standard basis vectors until the span is everything."""
-    chosen = []
-    current = Subspace.span(ring, dim, vectors)
-    for i in range(dim):
-        if current.dim == dim:
-            break
-        e = tuple(ring.one if j == i else ring.zero for j in range(dim))
-        grown = Subspace.span(ring, dim, list(vectors) + chosen + [e])
-        if grown.dim > current.dim:
-            chosen.append(e)
-            current = grown
-    return chosen
+    """Greedily append standard basis vectors until the span is everything:
+    the pivots of rref([vectors..., e_0, ..., e_{dim-1}]) in the e-part, as a
+    pivot is exactly a column outside the span of the columns before it."""
+    k = len(vectors)
+    ident = Matrix.identity(ring, dim).entries
+    _, pivots = rref(Matrix.from_cols(ring, list(vectors) + list(ident)))
+    return [ident[c - k] for c in pivots if c >= k]
 
 
 def induced_by_averaging(A: StructureAlgebra, L: BracketTable) -> InduceResult:

@@ -308,30 +308,44 @@ def generic_assignment(t: T.Term, ring: Ring = QQ):
 
 def eval_term(t: T.Term, mode: Mode, assignment, ring: Ring = QQ) -> FreePoly:
     """Evaluate t in the free object of the mode; result is in normal form."""
-    if isinstance(t, T.Var):
-        key = f"v{t.index}"
-        if key not in assignment:
-            raise EvalError(f"unassigned variable {key}")
-        return assignment[key]
-    if isinstance(t, T.One):
-        return FreePoly.one(ring)
-    if isinstance(t, T.Zero):
-        return FreePoly.zero(ring)
-    if isinstance(t, T.Add):
-        return eval_term(t.left, mode, assignment, ring).add(
-            eval_term(t.right, mode, assignment, ring))
-    if isinstance(t, T.Sub):
-        return eval_term(t.left, mode, assignment, ring).sub(
-            eval_term(t.right, mode, assignment, ring))
-    if isinstance(t, T.Mul):
-        return mul_mode(mode,
-                        eval_term(t.left, mode, assignment, ring),
-                        eval_term(t.right, mode, assignment, ring))
-    if isinstance(t, T.ScalarMul):
-        return eval_term(t.arg, mode, assignment, ring).scale(ring.of(t.coeff))
-    if isinstance(t, T.F):
-        return f_mode(mode, eval_term(t.arg, mode, assignment, ring))
-    raise EvalError(f"not a term node: {t!r}")
+    # post-order over an explicit stack: a node's children are pushed above a
+    # marker that combines their values, the class of a binary node, "f" for
+    # F, or (coeff,) for ScalarMul
+    values = []
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        tp = type(node)
+        if tp is T.Var:
+            key = f"v{node.index}"
+            if key not in assignment:
+                raise EvalError(f"unassigned variable {key}")
+            values.append(assignment[key])
+        elif tp is T.F:
+            todo += ("f", node.arg)
+        elif tp is str:
+            values[-1] = f_mode(mode, values[-1])
+        elif tp is type:
+            right = values.pop()
+            if node is T.Mul:
+                values[-1] = mul_mode(mode, values[-1], right)
+            elif node is T.Add:
+                values[-1] = values[-1].add(right)
+            else:
+                values[-1] = values[-1].sub(right)
+        elif tp is T.Mul or tp is T.Add or tp is T.Sub:
+            todo += (tp, node.right, node.left)
+        elif tp is T.ScalarMul:
+            todo += ((node.coeff,), node.arg)
+        elif tp is tuple:
+            values[-1] = values[-1].scale(ring.of(node[0]))
+        elif tp is T.One:
+            values.append(FreePoly.one(ring))
+        elif tp is T.Zero:
+            values.append(FreePoly.zero(ring))
+        else:
+            raise EvalError(f"not a term node: {node!r}")
+    return values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +547,11 @@ def check_algebra_hom(theta: Matrix, A, B):
 def fa_induced_hom(theta: Matrix, a: FAElement, A, B) -> FAElement:
     """Apply theta to the left factor and to every symmetric slot."""
     check_algebra_hom(theta, A, B)
+    return _induced_hom(theta, a, A, B)
+
+
+def _induced_hom(theta: Matrix, a: FAElement, A, B) -> FAElement:
+    # fa_induced_hom for a theta already checked by check_algebra_hom
     _alg_check(a, A)
     R = A.ring
     cols = [theta.col(j) for j in range(A.dim)]
@@ -589,7 +608,7 @@ def fa_truncated_injectivity(theta: Matrix, A, B, d: int = 2) -> bool:
     R = A.ring
     rows = []
     for key in src:
-        img = fa_induced_hom(theta, FAElement.basis(R, A.dim, key[0], key[1]), A, B)
+        img = _induced_hom(theta, FAElement.basis(R, A.dim, key[0], key[1]), A, B)
         row = [R.zero] * len(dst)
         for k, c in img.terms:
             row[dst[k]] = c

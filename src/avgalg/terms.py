@@ -3,21 +3,31 @@
 Concrete syntax (EBNF):
 
     equation := term "=" term
-    term     := ["-"] product (("+"|"-") ["-"] product)*
+    term     := ["-"] product (("+" | "-") ["-"] product)*
     product  := factor ("*" factor)*
-    factor   := atom ["^" natural]
-    atom     := rational | "1" | "0" | variable | "f" "(" term ")" | "(" term ")"
-    variable := "v" digits
-    rational := ["-"] digits ["/" digits]
+    factor   := atom ["^" digits]
+    atom     := number | variable | "f" "(" term ")" | "(" term ")" | "-" factor
+    variable := "v" digits                  (no space after "v"; index >= 1)
+    number   := ["-"] digits ["/" digits]   (no space after the "-")
+    digits   := ("0" | "1" | ... | "9")+    (ASCII only)
 
-"+", "-", "*" are left associative, "^" binds tighter than "*" and is sugar
-for repeated multiplication, unary minus is sugar for 0 - t, and there is no
-implicit multiplication.  Bare "1" and "0" are the constants; other numeric
-literals become ScalarMul coefficients.
+Whitespace may stand between any two tokens.  "+", "-", "*" are left
+associative, "^" binds tighter than "*" and is sugar for repeated
+multiplication, and there is no implicit multiplication.  A "-" glued to
+digits is a negative number where an operand starts, and the binary minus
+after an operand: "v1 -2" is v1 - 2.  The optional "-" before a product
+(one not glued to digits) is 0 - product.  The atom-level "-" is
+0 - factor, so each one admits one more "^": "v1*-v1^2^3" is
+v1*(0 - v1^2)^3.  An unsigned number without "/" whose value is 1 or 0
+("1", "01", "00") is the constant One or Zero; every other number is a
+ScalarMul coefficient of the rest of its product to the right:
+"v1*2*v2*v3" is v1*(2*(v2*v3)).
 """
 
 from __future__ import annotations
 
+import itertools
+import re
 from enum import Enum
 from fractions import Fraction
 
@@ -104,206 +114,171 @@ class TermSyntaxError(ValueError):
         super().__init__(f"syntax error at byte {self.offset}: {message}")
 
 
-class _RatLit:
-    """Parser-internal marker for a numeric literal inside a product."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Fraction):
-        self.value = value
+# one token: a numeric literal with the "-" glued to it, a variable, or any
+# other single character; the whitespace before it is skipped
+_TOKEN = re.compile(r"\s*(-?[0-9]+|v[0-9]*|\S)")
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _error(text: str, k: int, message: str, end: bool = False) -> TermSyntaxError:
+    # at the start (or end) of token k, or at the end of text past the last one
+    m = next(itertools.islice(_TOKEN.finditer(text), k, None), None)
+    return TermSyntaxError(message, text, len(text) if m is None
+                           else m.end(1) if end else m.start(1))
 
-    def error(self, message: str):
-        raise TermSyntaxError(message, self.text, self.pos)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+def _int(text: str, k: int, digits: str, unsigned: str = "") -> int:
+    """The digits of token k; with an ``unsigned`` message, a token that does
+    not start with an ASCII digit is that syntax error."""
+    if unsigned and not "0" <= digits[:1] <= "9":
+        raise _error(text, k, unsigned)
+    try:
+        return int(digits)
+    except ValueError:  # beyond sys.get_int_max_str_digits() on Python 3.11+
+        raise _error(text, k, "too many digits") from None
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def at_digit_after_minus(self) -> bool:
-        # true when the "-" at the cursor starts a signed numeric literal
-        nxt = self.pos + 1
-        return nxt < len(self.text) and self.text[nxt].isdigit()
+def _parse(text: str, equation: bool):
+    """The term (or equation) of text, read in one pass over its tokens.
 
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def digits(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected digits")
-        return int(self.text[start:self.pos], 10)
-
-    def term(self) -> Term:
-        node = self.signed_product()
-        while True:
-            self.skip_ws()
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                node = Add(node, self.signed_product())
-            elif ch == "-":
-                self.pos += 1
-                node = Sub(node, self.signed_product())
+    Every "(" and "f(" pushes the state of the enclosing term onto ``stack``
+    instead of recursing.  That state: ``total``, the sum so far, joined to
+    the next product by ``op``; ``neg``, a leading "-" on the product;
+    ``scaled``, its (plain factors, literal) pairs so far, and ``run``, its
+    plain factors after the last literal; ``minus``, the atom-level "-"
+    signs pending on the current factor.
+    """
+    toks = _TOKEN.findall(text)
+    toks.append("")  # end of input
+    i = 0
+    stack = []
+    lhs = None
+    closer = ""  # "(" or "f" inside a group
+    total = op = run = None
+    neg = False
+    scaled = []
+    minus = 0
+    start = True  # at the first atom of a signed product
+    while True:
+        tok = toks[i]
+        i += 1
+        if tok == "-":
+            if start:
+                neg = True
+                start = False
             else:
-                return node
-
-    def signed_product(self) -> Term:
-        self.skip_ws()
-        if self.peek() == "-" and not self.at_digit_after_minus():
-            self.pos += 1
-            return Sub(Zero(), self.product())
-        return self.product()
-
-    def product(self) -> Term:
-        items = [self.factor()]
-        while True:
-            self.skip_ws()
-            if self.peek() == "*":
-                self.pos += 1
-                items.append(self.factor())
+                minus += 1
+            continue
+        start = False
+        if tok == "(" or tok == "f":
+            if tok == "f":
+                if toks[i] != "(":
+                    raise _error(text, i, "expected '('")
+                i += 1
+            stack.append((closer, total, op, neg, scaled, run, minus))
+            closer, total, op, neg, scaled, run, minus = tok, None, None, False, [], None, 0
+            start = True
+            continue
+        if tok[:1] == "v":
+            if tok == "v":
+                raise _error(text, i - 1, "expected digits", end=True)
+            index = _int(text, i - 1, tok[1:])
+            if index < 1:
+                raise _error(text, i - 1, "variable index must be positive", end=True)
+            value = Var(index)
+        elif "0" <= tok[-1:] <= "9":
+            num = _int(text, i - 1, tok)
+            if toks[i] == "/":
+                den = _int(text, i + 1, toks[i + 1], "expected denominator digits")
+                if not den:
+                    raise _error(text, i + 1, "zero denominator")
+                value = Fraction(num, den)
+                i += 2
+            # unsigned "1" and "0" are the constants, also spelled "01" or
+            # "00"; "1/1" and "0/1" stay literals so that unit and zero
+            # ScalarMul coefficients have a spelling
+            elif num == 1 and tok[0] != "-":
+                value = One()
+            elif num == 0 and tok[0] != "-":
+                value = Zero()
             else:
-                break
-        return self.build_product(items)
-
-    def build_product(self, items) -> Term:
-        # a numeric literal multiplies everything to its right, so the
-        # leftmost literal splits the chain; plain factors fold left to right
-        for i, item in enumerate(items):
-            if isinstance(item, _RatLit):
-                if len(items) == i + 1:
-                    scaled: Term = ScalarMul(item.value, One())
-                else:
-                    scaled = ScalarMul(item.value, self.build_product(items[i + 1:]))
-                if i == 0:
-                    return scaled
-                left = items[0]
-                for t in items[1:i]:
-                    left = Mul(left, t)
-                return Mul(left, scaled)
-        node = items[0]
-        for t in items[1:]:
-            node = Mul(node, t)
-        return node
-
-    def factor(self):
-        base = self.atom()
-        self.skip_ws()
-        if self.peek() == "^":
-            self.pos += 1
-            self.skip_ws()
-            n = self.digits()
-            if isinstance(base, _RatLit):
-                return _RatLit(base.value ** n)
-            if n == 0:
-                return One()
-            node = base
-            for _ in range(n - 1):
-                node = Mul(node, base)
-            return node
-        return base
-
-    def atom(self):
-        self.skip_ws()
-        ch = self.peek()
-        if ch == "":
-            self.error("unexpected end of input")
-        if ch == "(":
-            self.pos += 1
-            node = self.term()
-            self.expect(")")
-            return node
-        if ch == "f":
-            self.pos += 1
-            self.expect("(")
-            node = self.term()
-            self.expect(")")
-            return F(node)
-        if ch == "v":
-            self.pos += 1
-            idx = self.digits()
-            if idx < 1:
-                self.error("variable index must be positive")
-            return Var(idx)
-        if ch == "-" and self.at_digit_after_minus():
-            self.pos += 1
-            return self.rational(negative=True)
-        if ch == "-":
-            self.pos += 1
-            inner = self.factor()
-            if isinstance(inner, _RatLit):
-                return _RatLit(-inner.value)
-            return Sub(Zero(), inner)
-        if ch.isdigit():
-            return self.rational(negative=False)
-        self.error(f"unexpected character {ch!r}")
-
-    def rational(self, negative: bool):
-        num = self.digits()
-        den = 1
-        had_slash = False
-        save = self.pos
-        self.skip_ws()
-        if self.peek() == "/":
-            self.pos += 1
-            self.skip_ws()
-            den_pos = self.pos
-            if not self.peek().isdigit():
-                self.error("expected denominator digits")
-            den = self.digits()
-            if den == 0:
-                self.pos = den_pos
-                self.error("zero denominator")
-            had_slash = True
+                value = Fraction(num)
+        elif tok:
+            raise _error(text, i - 1, f"unexpected character {tok!r}")
         else:
-            self.pos = save
-        # bare "1" and "0" are the constants; "1/1" and "0/1" stay literals
-        # so that unit and zero ScalarMul coefficients have a spelling
-        if not had_slash and not negative:
-            if num == 1:
-                return One()
-            if num == 0:
-                return Zero()
-        value = Fraction(num, den)
-        if negative:
-            value = -value
-        return _RatLit(value)
+            raise _error(text, i - 1, "unexpected end of input")
+
+        # value is a complete atom (a Fraction for a literal); fold it into
+        # the factor, the product and the sum, closing groups as they end
+        while True:
+            # atom := "-" factor, so each pending "-" admits one more "^n"
+            while True:
+                if toks[i] == "^":
+                    n = _int(text, i + 1, toks[i + 1], "expected digits")
+                    i += 2
+                    if type(value) is Fraction:
+                        value **= n
+                    elif n == 0:
+                        value = One()
+                    else:
+                        base = value
+                        for _ in range(n - 1):
+                            value = Mul(value, base)
+                if not minus:
+                    break
+                minus -= 1
+                value = -value if type(value) is Fraction else Sub(Zero(), value)
+            if type(value) is Fraction:
+                scaled.append((run, value))
+                run = None
+            else:
+                run = value if run is None else Mul(run, value)
+            tok = toks[i]
+            if tok == "*":
+                i += 1
+                break
+            # the product is complete: a*2*b*c is Mul(a, ScalarMul(2, Mul(b, c)))
+            node = One() if run is None else run
+            for left, c in reversed(scaled):
+                node = ScalarMul(c, node)
+                if left is not None:
+                    node = Mul(left, node)
+            if neg:
+                node = Sub(Zero(), node)
+            scaled, run, neg = [], None, False
+            total = node if op is None else op(total, node)
+            if tok == "+" or tok[:1] == "-":
+                op = Add if tok == "+" else Sub
+                if len(tok) > 1:
+                    toks[i] = tok[1:]  # after an operand "-2" is "-" then "2"
+                else:
+                    i += 1
+                start = True
+                break
+            if closer:
+                if tok != ")":
+                    raise _error(text, i, "expected ')'")
+                i += 1
+                value = total if closer == "(" else F(total)
+                closer, total, op, neg, scaled, run, minus = stack.pop()
+                continue
+            if equation and lhs is None:
+                if tok != "=":
+                    raise _error(text, i, "expected '='")
+                lhs, total, op = total, None, None
+                i += 1
+                start = True
+                break
+            if tok:
+                raise _error(text, i, "trailing input")
+            return total if lhs is None else Equation(lhs, total)
 
 
 def parse_term(text: str) -> Term:
-    p = _Parser(text)
-    node = p.term()
-    p.skip_ws()
-    if p.pos != len(text):
-        p.error("trailing input")
-    return node
+    return _parse(text, False)
 
 
 def parse_equation(text: str) -> Equation:
-    p = _Parser(text)
-    lhs = p.term()
-    p.skip_ws()
-    if p.peek() != "=":
-        p.error("expected '='")
-    p.pos += 1
-    rhs = p.term()
-    p.skip_ws()
-    if p.pos != len(text):
-        p.error("trailing input")
-    return Equation(lhs, rhs)
+    return _parse(text, True)
 
 
 def variables_of(t: Term) -> tuple:
@@ -330,39 +305,47 @@ def _lit(r: Fraction) -> str:
     return s
 
 
+# the separator of each binary node, bare and before a parenthesized right
+# operand, and the operand types it parenthesizes on the left and the right
+_BINARY_FORMS = {
+    Add: (" + ", " + (", (), (Add, Sub)),
+    Sub: (" - ", " - (", (), (Add, Sub)),
+    Mul: ("*", "*(", (Add, Sub, ScalarMul), (Add, Sub, Mul, ScalarMul)),
+}
+
+
 def render(t: Term) -> str:
     """Concrete syntax for t; parse(render(t)) is structurally t."""
-    if isinstance(t, Var):
-        return f"v{t.index}"
-    if isinstance(t, One):
-        return "1"
-    if isinstance(t, Zero):
-        return "0"
-    if isinstance(t, F):
-        return f"f({render(t.arg)})"
-    if isinstance(t, Add):
-        right = render(t.right)
-        if isinstance(t.right, (Add, Sub)):
-            right = f"({right})"
-        return f"{render(t.left)} + {right}"
-    if isinstance(t, Sub):
-        right = render(t.right)
-        if isinstance(t.right, (Add, Sub)):
-            right = f"({right})"
-        return f"{render(t.left)} - {right}"
-    if isinstance(t, Mul):
-        left = render(t.left)
-        if isinstance(t.left, (Add, Sub, ScalarMul)):
-            left = f"({left})"
-        right = render(t.right)
-        if isinstance(t.right, (Add, Sub, Mul, ScalarMul)):
-            right = f"({right})"
-        return f"{left}*{right}"
-    if isinstance(t, ScalarMul):
-        if isinstance(t.arg, One):
-            return _lit(t.coeff)
-        arg = render(t.arg)
-        if isinstance(t.arg, (Add, Sub)):
-            arg = f"({arg})"
-        return f"{_lit(t.coeff)}*{arg}"
-    raise TypeError(f"not a Term: {t!r}")
+    # pre-order over an explicit stack of nodes and literal strings, each
+    # node's pieces pushed right to left so that they pop in output order
+    out = []
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        tp = type(node)
+        if tp is str:
+            out.append(node)
+        elif tp is Var:
+            out.append(f"v{node.index}")
+        elif tp in _BINARY_FORMS:
+            sep, sep_paren, paren_left, paren_right = _BINARY_FORMS[tp]
+            left, right = node.left, node.right
+            todo += (")", right, sep_paren) if type(right) in paren_right else (right, sep)
+            todo += (")", left, "(") if type(left) in paren_left else (left,)
+        elif tp is F:
+            todo += (")", node.arg, "f(")
+        elif tp is ScalarMul:
+            arg, lit = node.arg, _lit(node.coeff)
+            if type(arg) is One:
+                out.append(lit)
+            elif type(arg) in (Add, Sub):
+                todo += (")", arg, lit + "*(")
+            else:
+                todo += (arg, lit + "*")
+        elif tp is One:
+            out.append("1")
+        elif tp is Zero:
+            out.append("0")
+        else:
+            raise TypeError(f"not a Term: {node!r}")
+    return "".join(out)

@@ -1,7 +1,10 @@
 import importlib
 import json
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 import time
 
 import pytest
@@ -254,20 +257,66 @@ def test_lie_analyze_refuses_non_averaging(capsys):
 
 
 DEEP = {
-    "power_2000": ["eval", "--mode", "plain", "v1^2000"],
-    "claim_power_999": ["decide", "--hypothesis", "averaging", "--claim", "v1^999 = v1^999"],
-    "nested_f_600": ["eval", "--mode", "plain", "f(" * 600 + "v1" + ")" * 600],
-    "nested_parens_2000": ["eval", "--mode", "plain", "(" * 2000 + "v1" + ")" * 2000],
+    "power_2000": (["eval", "--mode", "plain", "v1^2000"], 0, "x1^2000\n"),
+    "claim_power_999": (["decide", "--hypothesis", "averaging", "--claim", "v1^999 = v1^999"],
+                        0, "HOLDS  " + "*".join(["v1"] * 999) + " = "
+                        + "*".join(["v1"] * 999) + "\n"),
+    "nested_f_600": (["eval", "--mode", "plain", "f(" * 600 + "v1" + ")" * 600],
+                     0, "y[1]^599*y[x1]\n"),
+    "nested_parens_2000": (["eval", "--mode", "plain", "(" * 2000 + "v1" + ")" * 2000],
+                           0, "x1\n"),
 }
 
 
-@pytest.mark.parametrize("argv", DEEP.values(), ids=DEEP.keys())
-def test_deep_nesting_exits_two(argv, capsys):
-    # exit 1 is the negative-verdict code, so running out of stack must not
-    # escape as an uncaught RecursionError
-    code = main(argv)
+@pytest.mark.parametrize("argv, code, out", DEEP.values(), ids=DEEP.keys())
+def test_deep_nesting_computes_answers(argv, code, out, capsys):
+    # parsing, evaluation and rendering keep their own stacks, so nesting
+    # depth is not bounded by the interpreter's recursion limit
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err == ""
+
+
+def test_term_path_does_not_recurse():
+    # 5,000 levels under a recursion limit of 150: a function on the term
+    # path that recursed once per level would fail here
+    deep = 5000
+    cases = [
+        ("f(" * deep + "v1" + ")" * deep, f"y[1]^{deep - 1}*y[x1]"),
+        ("(" * deep + "v1" + ")" * deep, "x1"),
+        (f"v1^{deep}", f"x1^{deep}"),
+        ("-" * deep + "v1", "x1"),
+        ("*".join(["2"] * deep), str(2 ** deep)),
+    ]
+    code = f"""
+import contextlib, io, json, sys
+from avgalg import terms
+from avgalg.cli import main
+sys.setrecursionlimit(150)
+for term, normal in {cases!r}:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["eval", "--json", "--mode", "plain", "--", term]) == 0
+    doc = json.loads(out.getvalue())
+    assert doc["normal_form"] == normal, doc["normal_form"][:80]
+    assert terms.render(terms.parse_term(doc["input"])) == doc["input"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["decide", "--hypothesis", "averaging",
+                 "--claim", {cases[0][0]!r} + " = " + {cases[0][0]!r}]) == 0
+"""
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stderr == ""
+
+
+def test_deeply_nested_json_exits_two(tmp_path, capsys):
+    # json.load recurses per nesting level; the CLI reports it as bad input
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code = main(["verify", str(path), "corpus/conj.json"])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err == "error: expression nested too deeply\n"
-    assert "Traceback" not in captured.err
+    assert captured.err == "error: input nested too deeply\n"
     assert captured.out == ""

@@ -610,6 +610,29 @@ class TestKernelBrackets:
         assert res.equal and res.kernel.is_zero() and res.brackets.is_zero()
 
 
+def _greedy_completion(R, vectors, dim):
+    # the definition: add e_i whenever it grows the span, one span at a time
+    chosen = []
+    for i in range(dim):
+        e = tuple(R.one if j == i else R.zero for j in range(dim))
+        before = Subspace.span(R, dim, list(vectors) + chosen).dim
+        if Subspace.span(R, dim, list(vectors) + chosen + [e]).dim > before:
+            chosen.append(e)
+    return chosen
+
+
+@pytest.mark.parametrize("ring", [QQ, ZMod(5), ZMod(2)], ids=lambda R: R.name)
+def test_complete_basis_is_the_greedy_completion(ring):
+    rng = random.Random(11)
+    for _ in range(150):
+        dim = rng.randint(1, 5)
+        vectors = [tuple(ring.of(rng.randint(-2, 2)) for _ in range(dim))
+                   for _ in range(rng.randint(0, dim))]
+        got = FD._complete_basis(ring, vectors, dim)
+        assert got == _greedy_completion(ring, vectors, dim)
+        assert Subspace.span(ring, dim, vectors + got).dim == dim
+
+
 class TestQuotient:
     def test_idempotent_generated_ideal(self):
         # A = Q[y]/(y^2 - y), F = multiplication by y, ideal (y)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import avgalg.freeavg as FA
 from avgalg.exactlin import Matrix, QQ
 from avgalg.freeavg import (
     FAElement,
@@ -161,3 +162,17 @@ def test_truncated_injectivity_fails_for_collapse():
     proj = Matrix.from_rows(QQ, [[1, 0]])
     check_algebra_hom(proj, A, B)
     assert not fa_truncated_injectivity(proj, A, B, d=2)
+
+
+def test_truncated_injectivity_checks_the_homomorphism_once(monkeypatch):
+    calls = []
+    original = FA.check_algebra_hom
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(FA, "check_algebra_hom", counted)
+    A = qi()
+    assert fa_truncated_injectivity(Matrix.identity(QQ, 2), A, A, d=2)
+    assert len(calls) == 1

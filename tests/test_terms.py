@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,35 @@ class TestParse:
         eq = parse_equation("f(v1) = v1")
         assert eq == Equation(F(Var(1)), Var(1))
 
+    def test_leading_zeros_spell_the_constants(self):
+        assert parse_term("01") == One()
+        assert parse_term("00") == Zero()
+        assert parse_term("001") == One()
+        assert parse_term("-01") == ScalarMul(Fraction(-1), One())
+
+    def test_glued_minus_is_a_literal_only_where_an_operand_starts(self):
+        two = ScalarMul(Fraction(2), One())
+        assert parse_term("-2") == ScalarMul(Fraction(-2), One())
+        assert parse_term("v1 -2") == Sub(Var(1), two)
+        assert parse_term("v1 - -2") == Sub(Var(1), ScalarMul(Fraction(-2), One()))
+        assert parse_term("- 2") == Sub(Zero(), two)
+        assert parse_term("v1*- 2") == Mul(Var(1), ScalarMul(Fraction(-2), One()))
+
+    def test_each_atom_minus_admits_one_more_power(self):
+        square = Mul(Var(1), Var(1))
+        neg = Sub(Zero(), square)
+        assert parse_term("v1*-v1^2^3") == Mul(Var(1), Mul(Mul(neg, neg), neg))
+        with pytest.raises(TermSyntaxError, match="trailing input") as info:
+            parse_term("-v1^2^3")
+        assert info.value.offset == 5
+
+    def test_literal_scales_the_rest_of_its_product(self):
+        assert parse_term("v1*2*v2*v3") == Mul(
+            Var(1), ScalarMul(Fraction(2), Mul(Var(2), Var(3))))
+        assert parse_term("2*3") == ScalarMul(Fraction(2), ScalarMul(Fraction(3), One()))
+        assert parse_term("v1*2*v2*3/4*v3") == Mul(Var(1), ScalarMul(
+            Fraction(2), Mul(Var(2), ScalarMul(Fraction(3, 4), Var(3)))))
+
     def test_identity_set_tags(self):
         assert IdentitySet("unitary") is IdentitySet.UNITARY_AVERAGING
 
@@ -94,6 +124,31 @@ class TestErrors:
     def test_juxtaposition_rejected(self):
         with pytest.raises(TermSyntaxError):
             parse_term("v1(v2)")
+
+    @pytest.mark.parametrize("text, offset, message", [
+        ("v\u00b2", 1, "expected digits"),
+        ("v\u0661", 1, "expected digits"),
+        ("\u00b2", 0, "unexpected character"),
+        ("v1^\u00b2", 3, "expected digits"),
+        ("1/\u0661", 2, "expected denominator digits"),
+    ])
+    def test_only_ascii_digits(self, text, offset, message):
+        with pytest.raises(TermSyntaxError, match=message) as info:
+            parse_term(text)
+        assert info.value.offset == len(text[:offset].encode("utf-8"))
+
+    @pytest.mark.parametrize("prefix", ["v1 + ", "v1 + v", "v1^", "v1 -"])
+    def test_5000_digit_run(self, prefix):
+        text = prefix + "7" * 5000
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and limit < 5000:
+            # past the interpreter's int conversion limit: a syntax error at
+            # the number, not a bare ValueError
+            with pytest.raises(TermSyntaxError, match="too many digits") as info:
+                parse_term(text)
+            assert info.value.offset == len(prefix.rstrip("v-"))
+        elif prefix != "v1^":  # a 10**4999-fold product is out of reach
+            assert variables_of(parse_term(text))[0] == "v1"
 
 
 class TestVariables:
@@ -145,7 +200,7 @@ class TestProperties:
     def test_roundtrip(self, t):
         assert parse_term(render(t)) == t
 
-    @given(st.text(alphabet="vf0123456789+-*/^()= .x", max_size=30))
+    @given(st.text(alphabet="vf0123456789+-*/^()= .x\u00b2\u0661\u3000", max_size=30))
     @settings(max_examples=300, deadline=None)
     def test_parser_total(self, text):
         try:
