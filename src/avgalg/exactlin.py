@@ -1,9 +1,11 @@
 """Exact scalar rings and exact linear algebra.
 
 Two coefficient rings are supported: arbitrary-precision rationals and
-integers mod n.  Ring elements are plain Python values (``Fraction`` for the
-rationals, canonical ``int`` in ``[0, n)`` for residues); the ring object
-carries the operations, so every function here takes or infers a ring.
+integers mod n.  Ring elements are plain Python values in one canonical form
+per ring: a rational is an ``int`` when it is integral and a ``Fraction``
+(denominator above 1) otherwise, a residue is an ``int`` in ``[0, n)``.  The
+ring object carries the operations and returns canonical values, so every
+function here takes or infers a ring.
 
 Canonical ring elements are falsy exactly when they are zero (``bool(x)``
 is ``x != 0`` for ``int`` and ``Fraction``).  The kernels here and in
@@ -68,29 +70,59 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class Rationals(Record):
-    """The field Q; elements are ``fractions.Fraction`` values.
+# Python 3.11+ refuses str() of an int past sys.get_int_max_str_digits()
+# decimal digits, and that limit is at least 640 when it is on; numbers are
+# converted in chunks of _CHUNK_DIGITS digits, below any limit
+_CHUNK_DIGITS = 600
+_CHUNK = 10 ** _CHUNK_DIGITS
 
-    ``Fraction`` already stores lowest terms with positive denominator, which
-    is exactly the canonical form required here.
+
+def _decimal_str(n: int) -> str:
+    """``str(n)`` for an int of any size, whatever the interpreter's
+    integer string conversion limit."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while n >= _CHUNK:
+        n, r = divmod(n, _CHUNK)
+        chunks.append(f"{r:0{_CHUNK_DIGITS}d}")
+    return sign + str(n) + "".join(reversed(chunks))
+
+
+class Rationals(Record):
+    """The field Q; an element is an ``int`` when it is integral and a
+    ``fractions.Fraction`` (lowest terms, positive denominator) otherwise.
+
+    Every method returns that canonical form, so integral scalars, the bulk
+    of the paper's examples, take Python's int arithmetic and never build a
+    ``Fraction``.  ``int`` and ``Fraction`` compare and hash equal, so this
+    choice does not show in equality, hashing or rendering.  ``/`` on two
+    ints gives a float, so no method divides ring values with it.
     """
 
     __slots__ = ("name", "is_field")
     _defaults = ("Q", True)
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def of(self, v) -> Fraction:
-        return v if type(v) is Fraction else Fraction(v)
+    def of(self, v) -> int | Fraction:
+        if type(v) is int:
+            return v
+        v = v if type(v) is Fraction else Fraction(v)
+        return v.numerator if v.denominator == 1 else v
 
     def add(self, a, b):
-        return a + b
+        c = a + b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def sub(self, a, b):
-        return a - b
+        c = a - b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def neg(self, a):
         return -a
@@ -98,18 +130,21 @@ class Rationals(Record):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        c = Fraction(1, a)
+        return c.numerator if c.denominator == 1 else c
 
-    def parse(self, text: str) -> Fraction:
+    def parse(self, text: str) -> int | Fraction:
         if not isinstance(text, str):
             raise RingError(f"rational literal must be a string, got {text!r}")
         try:
-            return Fraction(text.strip())
+            return self.of(Fraction(text.strip()))
         except (ValueError, ZeroDivisionError) as exc:
             raise RingError(f"bad rational literal {text!r}: {exc}") from None
 
     def render(self, a) -> str:
-        return str(a)
+        if a.denominator == 1:
+            return _decimal_str(a.numerator)
+        return f"{_decimal_str(a.numerator)}/{_decimal_str(a.denominator)}"
 
 
 class ZMod(Record):
@@ -572,7 +607,7 @@ def rational_roots(coeffs) -> tuple:
     divisor search on the primitive integer form; each found root is deflated
     out so multiplicities are exact.
     """
-    coeffs = [Fraction(c) for c in coeffs]
+    coeffs = [QQ.of(c) for c in coeffs]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if not coeffs:
@@ -580,7 +615,7 @@ def rational_roots(coeffs) -> tuple:
     roots = []
     # factor out t^m first: each low zero coefficient is one root at 0
     while coeffs[0] == 0:
-        roots.append(Fraction(0))
+        roots.append(QQ.zero)
         coeffs.pop(0)
     if len(coeffs) > 1:
         denom_lcm = 1
@@ -594,8 +629,8 @@ def rational_roots(coeffs) -> tuple:
         candidates = set()
         for p in _divisors(ints[0]):
             for q in _divisors(ints[-1]):
-                candidates.add(Fraction(p, q))
-                candidates.add(Fraction(-p, q))
+                candidates.add(QQ.of(Fraction(p, q)))
+                candidates.add(QQ.of(Fraction(-p, q)))
         for cand in sorted(candidates):
             while len(coeffs) > 1 and poly_eval(QQ, coeffs, cand) == 0:
                 roots.append(cand)
@@ -603,7 +638,7 @@ def rational_roots(coeffs) -> tuple:
                 desc = list(reversed(coeffs))
                 out = [desc[0]]
                 for c in desc[1:-1]:
-                    out.append(c + cand * out[-1])
+                    out.append(QQ.add(c, QQ.mul(cand, out[-1])))
                 coeffs = list(reversed(out))
     return tuple(sorted(roots))
 

@@ -32,13 +32,67 @@ from enum import Enum
 from fractions import Fraction
 
 from ._record import Record, set_field
+from .exactlin import QQ
 
 
 class Term(Record):
     """Base class of the term nodes below, immutable records compared
-    structurally."""
+    structurally.
+
+    Equality and hashing give the ``Record`` results but walk an explicit
+    stack instead of recursing into subterms, so a term of any depth can be
+    compared, hashed and kept in a set or dict.
+    """
 
     __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            for x, y in zip(a._astuple(a), b._astuple(b)):
+                if isinstance(x, Term):
+                    pairs.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __hash__(self):
+        # post-order; a tuple's hash depends only on its items' hashes, so
+        # a node's fields with each subterm replaced by a _Hashed of its hash
+        # give the Record hash
+        hashes = {}
+        todo = [self]
+        while todo:
+            node = todo[-1]
+            fields = node._astuple(node)
+            pending = [x for x in fields if isinstance(x, Term) and id(x) not in hashes]
+            if pending:
+                todo += pending
+                continue
+            todo.pop()
+            hashes[id(node)] = hash(tuple(_Hashed(hashes[id(x)]) if isinstance(x, Term)
+                                          else x for x in fields))
+        return hashes[id(self)]
+
+
+class _Hashed:
+    """A stand-in whose hash is a given hash value; an int would not do, as
+    ``hash`` reduces ints modulo 2**61 - 1."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
 
 
 class Var(Term):
@@ -299,7 +353,7 @@ def variables_of(t: Term) -> tuple:
 
 def _lit(r: Fraction) -> str:
     # "1" and "0" would read back as the constants, so force fraction form
-    s = str(r)
+    s = QQ.render(r)
     if s in ("1", "0"):
         s += "/1"
     return s

@@ -7,7 +7,8 @@ operators are averaging by construction for the families that promise it).
 
 from fractions import Fraction
 
-from avgalg.exactlin import Matrix, QQ
+from avgalg._record import Record
+from avgalg.exactlin import Matrix, QQ, RingError
 from avgalg.freeavg import FreePoly
 from avgalg.findim import StructureAlgebra, primary_from_poly
 
@@ -285,3 +286,74 @@ def reynolds_step_at(p, which):
     lowered = tuple((g, e) for g, e in lowered if e > 0)
     rest = FreePoly(p.ring, tuple(t for i, t in enumerate(terms) if i != idx))
     return rest.add(FreePoly.monomial(lowered, c, p.ring))
+
+
+# ---------------------------------------------------------------------------
+# reference ring: exactlin.Rationals as it was before integral scalars became
+# plain ints, every element a Fraction; differential tests run both
+
+class FractionRationals(Record):
+    """The field Q; elements are ``fractions.Fraction`` values.
+
+    ``Fraction`` already stores lowest terms with positive denominator, which
+    is exactly the canonical form required here.
+    """
+
+    __slots__ = ("name", "is_field")
+    _defaults = ("Q", True)
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def of(self, v) -> Fraction:
+        return v if type(v) is Fraction else Fraction(v)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return 1 / Fraction(a)
+
+    def parse(self, text: str) -> Fraction:
+        if not isinstance(text, str):
+            raise RingError(f"rational literal must be a string, got {text!r}")
+        try:
+            return Fraction(text.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise RingError(f"bad rational literal {text!r}: {exc}") from None
+
+    def render(self, a) -> str:
+        return str(a)
+
+
+FRACTION_QQ = FractionRationals()
+
+
+def scalars_of(x):
+    """The numbers in a value, found through records, tuples and lists;
+    bools are not numbers here."""
+    todo = [x]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, Record):
+            todo.extend(v._astuple(v))
+        elif isinstance(v, (tuple, list)):
+            todo.extend(v)
+        elif type(v) in (int, Fraction, float):
+            yield v
+
+
+def assert_canonical_q(x):
+    """Every number in x is an int or a Fraction with denominator above 1."""
+    for v in scalars_of(x):
+        assert type(v) is int or (type(v) is Fraction and v.denominator != 1), repr(v)

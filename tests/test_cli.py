@@ -1,3 +1,4 @@
+import decimal
 import importlib
 import json
 import os
@@ -320,3 +321,22 @@ def test_deeply_nested_json_exits_two(tmp_path, capsys):
     assert code == 2
     assert captured.err == "error: input nested too deeply\n"
     assert captured.out == ""
+
+
+def test_big_normal_form_prints_whatever_the_digit_limit():
+    # 2^3000 has 904 digits, past the smallest limit Python 3.11+ accepts for
+    # str() of an int (640); Python 3.10 has no limit and ignores the option
+    expected = str(decimal.Context(prec=1000).power(decimal.Decimal(2), 3000))
+    assert len(expected) == 904
+    for flags, read in (([], lambda out: out),
+                        (["--json"], lambda out: json.loads(out)["normal_form"] + "\n")):
+        run = subprocess.run(
+            [sys.executable, "-X", "int_max_str_digits=640", "-m", "avgalg.cli",
+             "eval", *flags, "--mode", "plain", "2^3000"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert run.returncode == 0, run.stderr
+        assert run.stderr == ""
+        assert read(run.stdout) == expected + "\n"
+        if flags:
+            assert json.loads(run.stdout)["input"] == expected

@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 import random
 import time
 from fractions import Fraction
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import avgalg.findim as FD
 from avgalg.exactlin import (
     _is_prime,
     Matrix,
@@ -41,6 +44,9 @@ from avgalg.exactlin import (
     subspace_intersect,
     subspace_sum,
 )
+from support import assert_canonical_q, rand_algebra, rand_averaging
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
 def mat(rows, ring=QQ):
@@ -52,6 +58,35 @@ class TestRings:
         assert QQ.parse("4/6") == Fraction(2, 3)
         assert QQ.render(Fraction(-3, 1)) == "-3"
         assert QQ.render(Fraction(1, 2)) == "1/2"
+
+    def test_integral_rationals_are_ints(self):
+        # the canonical element of Q: an int when integral, else a Fraction
+        for value in (QQ.zero, QQ.one, QQ.of(Fraction(4, 2)), QQ.of(3), QQ.of(True),
+                      QQ.parse(" -6/3 "), QQ.parse("0/5"), QQ.inv(-1), QQ.inv(Fraction(1, 3)),
+                      QQ.add(Fraction(1, 2), Fraction(1, 2)),
+                      QQ.sub(Fraction(1, 2), Fraction(-1, 2)),
+                      QQ.mul(Fraction(2, 3), Fraction(3, 2)), QQ.mul(Fraction(1, 2), 4)):
+            assert type(value) is int, repr(value)
+        for value in (QQ.of(0.5), QQ.parse("4/6"), QQ.inv(2), QQ.add(1, Fraction(1, 2)),
+                      QQ.mul(Fraction(2, 3), 2)):
+            assert type(value) is Fraction and value.denominator != 1, repr(value)
+        assert QQ.of(7) == Fraction(7) and hash(QQ.of(7)) == hash(Fraction(7))
+
+    def test_rational_render_ignores_the_digit_limit(self):
+        # Python 3.11+ refuses str() of ints past a digit limit (4300 by
+        # default); render splits the number into chunks below any limit
+        big = 7 ** 20000 + 1  # 16,902 digits
+        text = QQ.render(-big)
+        assert len(text) == 16903 and text[0] == "-"
+        assert int(text[1:5]) == big // 10 ** 16898
+        # the whole of it, read back in chunks of 1,000 digits
+        back = 0
+        for k in range(1, len(text), 1000):
+            chunk = text[k:k + 1000]
+            back = back * 10 ** len(chunk) + int(chunk)
+        assert back == big
+        assert QQ.render(Fraction(1, big)) == "1/" + text[1:]
+        assert QQ.render(10 ** 600) == "1" + "0" * 600
 
     def test_zmod_canonical(self):
         z6 = ZMod(6)
@@ -466,3 +501,51 @@ def _brute_span(n, d, gens):
                     nxt.append(w)
         frontier = nxt
     return frozenset(found)
+
+
+class TestCanonicalQ:
+    """Every Q scalar that leaves exactlin or findim is an int when it is
+    integral and never a float."""
+
+    def corpus(self, name):
+        return json.loads((CORPUS / name).read_text())
+
+    def test_corpus_documents(self):
+        qi = FD.algebra_from_json(self.corpus("qi.json"))
+        r3 = FD.algebra_from_json(self.corpus("r3.json"))
+        assert_canonical_q([qi, r3])
+        for name in ("im.json", "conj.json"):
+            assert_canonical_q(FD.operator_from_json(QQ, self.corpus(name)))
+        for name in ("qi_bracket_i.json", "bracket3.json"):
+            assert_canonical_q(FD.bracket_from_json(QQ, self.corpus(name)))
+        assert type(qi.unit[0]) is int and type(qi.mul[1][1][0]) is int
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.fractions(-4, 4, max_denominator=3), min_size=3, max_size=3),
+                    min_size=3, max_size=3))
+    def test_linear_algebra_outputs(self, rows):
+        m = mat(rows)
+        assert_canonical_q([m, rref(m), nullspace(m), char_poly(m), column_space(m)])
+        assert_canonical_q(rational_roots(char_poly(m)))
+
+    def test_lie_analysis_and_eigen_keys(self):
+        qi = FD.algebra_from_json(self.corpus("qi.json"))
+        im = FD.operator_from_json(QQ, self.corpus("im.json"))
+        assert_canonical_q(FD.lie_analysis(qi, im))
+        # F(a) = k for a = k*i, and -k is an eigenvalue: integral or not
+        for k in (Fraction(2), Fraction(3, 2), Fraction(-4, 2)):
+            pairs = FD.ad_eigen(qi, im, (0, k))
+            assert QQ.neg(QQ.of(k)) in dict(pairs)
+            assert_canonical_q(pairs)
+        rng = random.Random(5)
+        for _ in range(20):
+            A = rand_algebra(rng)
+            F = rand_averaging(rng, A)
+            assert_canonical_q([A, F, FD.lie_analysis(A, F),
+                                FD.induced_by_averaging(A, FD.induced_bracket(A, F))])
+
+    def test_rational_roots_are_canonical(self):
+        roots = rational_roots([Fraction(-3, 2), Fraction(1, 2), 1])  # (t - 1)(t + 3/2)
+        assert roots == (Fraction(-3, 2), 1)
+        assert_canonical_q(roots)
+        assert type(rational_roots([0, 0, 1])[0]) is int

@@ -125,8 +125,9 @@ def test_every_record_class_declares_slots():
         stack.extend(cls.__subclasses__())
         seen.append(cls)
         assert "__slots__" in vars(cls), cls
-    # the 36 value types, Record, and the bases Term and _Binary
-    assert len(seen) == 39
+    # the 36 value types, Record, and the bases Term and _Binary; records
+    # the test suites define (support.FractionRationals) are not counted
+    assert len([cls for cls in seen if cls.__module__.startswith("avgalg.")]) == 39
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

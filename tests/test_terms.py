@@ -1,3 +1,6 @@
+import os
+import pathlib
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -14,6 +17,7 @@ from avgalg.terms import (
     One,
     ScalarMul,
     Sub,
+    Term,
     TermSyntaxError,
     Var,
     Zero,
@@ -208,3 +212,49 @@ class TestProperties:
         except TermSyntaxError as exc:
             assert isinstance(exc.offset, int)
             assert 0 <= exc.offset <= len(text.encode("utf-8"))
+
+    @given(_terms(), _terms())
+    @settings(max_examples=300, deadline=None)
+    def test_equality_and_hash_are_the_structural_ones(self, s, t):
+        # the recursive definitions that the explicit-stack walks replace
+        def tree(u):
+            return (type(u), tuple(tree(x) if isinstance(x, Term) else x
+                                   for x in u._astuple(u)))
+
+        def fields(u):  # a record hashes as the tuple of its fields
+            return tuple(fields(x) if isinstance(x, Term) else x for x in u._astuple(u))
+
+        assert (s == t) == (tree(s) == tree(t))
+        assert (s != t) == (tree(s) != tree(t))
+        assert hash(s) == hash(fields(s))
+        copy = parse_term(render(s))
+        assert copy is not s and copy == s and hash(copy) == hash(s)
+
+
+def test_deep_terms_compare_and_hash_without_recursion():
+    # 5,000 levels under a recursion limit of 150: an equality or hash that
+    # recursed once per level would fail here
+    code = """
+import sys
+from avgalg.terms import Equation, parse_term
+sys.setrecursionlimit(150)
+deep = 5000
+shapes = [
+    lambda leaf: "f(" * deep + leaf + ")" * deep,
+    lambda leaf: "v1*(" * deep + leaf + ")" * deep,
+    lambda leaf: "-" * deep + leaf,
+    lambda leaf: " + ".join(["v1"] * deep + [leaf]),
+    lambda leaf: "(" + leaf + ")" + "^" + str(deep),
+]
+for shape in shapes:
+    t, same, other = (parse_term(shape(leaf)) for leaf in ("v2", "v2", "v3"))
+    assert t == same and not t != same and hash(t) == hash(same)
+    assert t != other and not t == other
+    assert len({t, same, other}) == 2 and {t: 1}[same] == 1
+    assert hash(Equation(t, other)) == hash(Equation(same, other))
+"""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stderr == ""
