@@ -70,10 +70,10 @@ def cmd_decide(args) -> int:
             lines.append(f"HOLDS  {shown}")
         else:
             any_fails = True
-            results.append({"claim": shown, "verdict": "fails",
-                            "witness": v.witness.render()})
+            witness = v.witness.render()
+            results.append({"claim": shown, "verdict": "fails", "witness": witness})
             lines.append(f"FAILS  {shown}")
-            lines.append(f"  witness: {v.witness.render()}")
+            lines.append(f"  witness: {witness}")
     _emit({"hypothesis": hypothesis.value, "results": results},
           args.json, "\n".join(lines))
     return 1 if any_fails else 0
@@ -83,10 +83,9 @@ def cmd_eval(args) -> int:
     ring = _scalar_default()
     mode = FA.Mode(args.mode)
     term = T.parse_term(args.term)
-    assignment = FA.generic_assignment(term, ring)
-    normal = FA.eval_term(term, mode, assignment, ring)
-    _emit({"mode": mode.value, "input": T.render(term), "normal_form": normal.render()},
-          args.json, normal.render())
+    normal = FA.eval_term(term, mode, ring).render()
+    _emit({"mode": mode.value, "input": T.render(term), "normal_form": normal},
+          args.json, normal)
     return 0
 
 

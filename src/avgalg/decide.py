@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from typing import List, Union
 
-from . import terms as T
 from ._record import Record
 from .exactlin import QQ, Ring
-from .freeavg import Mode, eval_term, generic_assignment
+from .freeavg import Mode, eval_term
 from .terms import Equation, IdentitySet
 
 
@@ -42,10 +41,7 @@ Verdict = Union[Holds, Fails]
 
 def implies_one(hypothesis: IdentitySet, claim: Equation, ring: Ring = QQ) -> Verdict:
     mode = MODE_OF[hypothesis]
-    assignment = generic_assignment(T.Sub(claim.lhs, claim.rhs), ring)
-    lhs = eval_term(claim.lhs, mode, assignment, ring)
-    rhs = eval_term(claim.rhs, mode, assignment, ring)
-    diff = lhs.sub(rhs)
+    diff = eval_term(claim.lhs, mode, ring).sub(eval_term(claim.rhs, mode, ring))
     if diff.is_zero():
         return Holds()
     return Fails(diff)

@@ -28,10 +28,6 @@ from .exactlin import Matrix, QQ, Ring, ShapeError, Subspace, vec_add, vec_scale
 X_ONE = ()
 
 
-def xmono_deg(m) -> int:
-    return sum(e for _, e in m)
-
-
 def xmono_render(m) -> str:
     if not m:
         return "1"
@@ -40,7 +36,7 @@ def xmono_render(m) -> str:
 
 def _xmono_key(m):
     # ascending degree, then x1-heavy monomials first within a degree
-    return (xmono_deg(m), tuple((i, -e) for i, e in m))
+    return (sum(e for _, e in m), tuple((i, -e) for i, e in m))
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +83,6 @@ def mono_mul(a, b):
     return tuple(sorted(d.items()))
 
 
-def mono_deg(m) -> int:
-    return sum(e for _, e in m)
-
-
 def mono_divides(a, b) -> bool:
     db = dict(b)
     return all(db.get(g, 0) >= e for g, e in a)
@@ -115,15 +107,17 @@ def _glex_key(term):
     # graded-lex descending: higher degree first, then the larger exponent on
     # the earliest generator where two monomials differ
     m = term[0]
-    return (-mono_deg(m), tuple((g, -e) for g, e in m))
+    return (-sum(e for _, e in m), tuple((g, -e) for g, e in m))
 
 
-def _combine(R: Ring, pairs) -> dict:
-    """Sum the coefficients of equal keys, dropping the keys that sum to zero.
+def _combine(R: Ring, pairs, d=None) -> dict:
+    """Sum the coefficients of equal keys into d (a new dict by default),
+    dropping the keys that sum to zero.
 
     The one accumulation loop behind FreePoly and FAElement arithmetic.
     """
-    d = {}
+    if d is None:
+        d = {}
     for k, c in pairs:
         if k in d:
             c = R.add(d.pop(k), c)
@@ -133,107 +127,138 @@ def _combine(R: Ring, pairs) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# polynomials
+# sparse sums and polynomials
 
-class FreePoly(Record):
-    """Sparse polynomial over the x/y generators; immutable and canonical.
+class _Sparse(Record):
+    """A sparse sum over ``ring``, the one design of FreePoly and FAElement.
 
-    ``terms`` holds (monomial, coefficient) pairs sorted graded-lex
-    descending with no zero coefficients, so equality is structural.
+    ``coeffs``, the last field, maps each key to its nonzero coefficient.
+    Equality and hash are over the fields and ignore the order of that dict.
+    ``terms`` is the canonical form, the (key, coefficient) pairs sorted by
+    ``_order``, computed on first read and kept in the private slot
+    ``_terms``.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("_terms",)
+    _order = None  # the sort key of terms; None sorts by the keys
 
-    def __init__(self, ring: Ring, terms: tuple):
+    def __hash__(self):
+        return hash(tuple(frozenset(x.items()) if type(x) is dict else x
+                          for x in self._astuple(self)))
+
+    @property
+    def terms(self) -> tuple:
+        try:
+            return self._terms
+        except AttributeError:
+            pass
+        terms = tuple(sorted(self.coeffs.items(), key=self._order))
+        set_field(self, "_terms", terms)
+        return terms
+
+    def _sum(self, pairs, d=None):
+        # the value with every other field of self and the coefficients of
+        # pairs summed into d by _combine
+        return type(self)(*self._astuple(self)[:-1], _combine(self.ring, pairs, d))
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def add(self, other):
+        self._same_ring(other)
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return self._sum(b.items(), a.copy())
+
+    def neg(self):
+        neg = self.ring.neg
+        return self._sum((k, neg(c)) for k, c in self.coeffs.items())
+
+    def sub(self, other):
+        neg = self._same_ring(other).neg
+        return self._sum(((k, neg(c)) for k, c in other.coeffs.items()), self.coeffs.copy())
+
+    def scale(self, c):
+        R = self.ring
+        c = R.of(c)
+        return self._sum((k, R.mul(c, v)) for k, v in self.coeffs.items())
+
+    def _same_ring(self, other) -> Ring:
+        if self.ring != other.ring:
+            raise ShapeError("mixed coefficient rings")
+        return self.ring
+
+
+class FreePoly(_Sparse):
+    """Sparse polynomial over the x/y generators; immutable.
+
+    ``coeffs`` maps each monomial to its coefficient; ``terms`` sorts them
+    graded-lex descending.
+    """
+
+    __slots__ = ("ring", "coeffs")
+    _order = staticmethod(_glex_key)
+    add = _Sparse.add  # bound on the class itself, where a profiler wraps it
+
+    def __init__(self, ring: Ring, coeffs: dict):
         set_field(self, "ring", ring)
-        set_field(self, "terms", terms)
+        set_field(self, "coeffs", coeffs)
 
     @staticmethod
     def from_dict(ring: Ring, d) -> "FreePoly":
         """The polynomial of a {monomial: coefficient} dict with no zeros."""
-        return FreePoly(ring, tuple(sorted(d.items(), key=_glex_key)))
-
-    @staticmethod
-    def _sum(ring: Ring, pairs) -> "FreePoly":
-        return FreePoly.from_dict(ring, _combine(ring, pairs))
+        return FreePoly(ring, d)
 
     @staticmethod
     def zero(ring: Ring = QQ) -> "FreePoly":
-        return FreePoly(ring, ())
+        return FreePoly(ring, {})
 
     @staticmethod
     def one(ring: Ring = QQ) -> "FreePoly":
-        return FreePoly(ring, ((M_ONE, ring.one),))
+        return FreePoly(ring, {M_ONE: ring.one})
 
     @staticmethod
     def constant(c, ring: Ring = QQ) -> "FreePoly":
         return FreePoly.monomial(M_ONE, c, ring)
 
     @staticmethod
-    def gen(g, ring: Ring = QQ) -> "FreePoly":
-        return FreePoly.monomial(((g, 1),), ring.one, ring)
-
-    @staticmethod
     def x_var(i: int, ring: Ring = QQ) -> "FreePoly":
-        return FreePoly.gen(x_gen(i), ring)
+        return FreePoly(ring, {((x_gen(i), 1),): ring.one})
 
     @staticmethod
     def y_of(m=X_ONE, ring: Ring = QQ) -> "FreePoly":
-        return FreePoly.gen(y_gen(m), ring)
+        return FreePoly(ring, {((y_gen(m), 1),): ring.one})
 
     @staticmethod
     def monomial(m, c, ring: Ring = QQ) -> "FreePoly":
         c = ring.of(c)
-        return FreePoly(ring, ((m, c),) if c else ())
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def add(self, other: "FreePoly") -> "FreePoly":
-        return FreePoly._sum(self._same_ring(other), self.terms + other.terms)
-
-    def neg(self) -> "FreePoly":
-        R = self.ring
-        return FreePoly(R, tuple((m, R.neg(c)) for m, c in self.terms))
-
-    def sub(self, other: "FreePoly") -> "FreePoly":
-        return self.add(other.neg())
-
-    def scale(self, c) -> "FreePoly":
-        R = self.ring
-        c = R.of(c)
-        return FreePoly._sum(R, ((m, R.mul(c, k)) for m, k in self.terms))
+        return FreePoly(ring, {m: c} if c else {})
 
     def mul(self, other: "FreePoly") -> "FreePoly":
-        R = self._same_ring(other)
-        return FreePoly._sum(R, ((mono_mul(m1, m2), R.mul(c1, c2))
-                                 for m1, c1 in self.terms for m2, c2 in other.terms))
-
-    def _same_ring(self, other: "FreePoly") -> Ring:
-        if self.ring != other.ring:
-            raise ShapeError("mixed coefficient rings")
-        return self.ring
+        mul, b = self._same_ring(other).mul, other.coeffs.items()
+        return self._sum((mono_mul(m1, m2), mul(c1, c2))
+                         for m1, c1 in self.coeffs.items() for m2, c2 in b)
 
     def render(self) -> str:
-        if not self.terms:
+        if not self.coeffs:
             return "0"
         R = self.ring
+        signed = isinstance(R, type(QQ))
         parts = []
-        for i, (m, c) in enumerate(self.terms):
-            neg = isinstance(self.ring, type(QQ)) and c < 0
+        for m, c in self.terms:
+            neg = signed and c < 0
             mag = R.neg(c) if neg else c
-            body = mono_render(m)
             if m == M_ONE:
                 piece = R.render(mag)
             elif mag == R.one:
-                piece = body
+                piece = mono_render(m)
             else:
-                piece = f"{R.render(mag)}*{body}"
-            if i == 0:
-                parts.append(f"-{piece}" if neg else piece)
-            else:
-                parts.append(f"- {piece}" if neg else f"+ {piece}")
-        return " ".join(parts)
+                piece = f"{R.render(mag)}*{mono_render(m)}"
+            parts.append(f"- {piece}" if neg else f"+ {piece}")
+        # the first term's sign is glued to it, and a "+" there is dropped
+        text = " ".join(parts)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -246,22 +271,20 @@ def _f_image(m):
 
 def f_free(p: FreePoly) -> FreePoly:
     """Split each monomial into x-part u and y-part v; map it to y[u]*v."""
-    return FreePoly._sum(p.ring, ((_f_image(m), c) for m, c in p.terms))
+    return p._sum((_f_image(m), c) for m, c in p.coeffs.items())
 
 
 def reduce_unitary(p: FreePoly) -> FreePoly:
     """Substitute y[1] by 1 in every monomial."""
-    return FreePoly._sum(p.ring, ((tuple((g, e) for g, e in m if g != Y_ONE_GEN), c)
-                                  for m, c in p.terms))
+    return p._sum((tuple((g, e) for g, e in m if g != Y_ONE_GEN), c)
+                  for m, c in p.coeffs.items())
 
 
 def _reynolds_reduce_mono(m):
-    a = dict(m).get(Y_ONE_GEN, 0)
-    b = sum(e for g, e in m if g[0] == "y" and g != Y_ONE_GEN)
-    while a >= 1 and a + b >= 3:
-        a -= 1
+    # a drops to max(0, 2 - b) when a + b >= 3, that is to min(a, max(0, 2 - b))
     rest = tuple((g, e) for g, e in m if g != Y_ONE_GEN)
-    return mono(*rest, (Y_ONE_GEN, a))
+    b = sum(e for g, e in rest if g[0] == "y")
+    return mono(*rest, (Y_ONE_GEN, min(dict(m).get(Y_ONE_GEN, 0), max(0, 2 - b))))
 
 
 def reduce_reynolds(p: FreePoly) -> FreePoly:
@@ -270,7 +293,7 @@ def reduce_reynolds(p: FreePoly) -> FreePoly:
     Per monomial, with a the exponent of y[1] and b the total degree of the
     other y-generators, decrement a while a >= 1 and a + b >= 3.
     """
-    return FreePoly._sum(p.ring, ((_reynolds_reduce_mono(m), c) for m, c in p.terms))
+    return p._sum((_reynolds_reduce_mono(m), c) for m, c in p.coeffs.items())
 
 
 class Mode(Enum):
@@ -301,26 +324,19 @@ class EvalError(ValueError):
     pass
 
 
-def generic_assignment(t: T.Term, ring: Ring = QQ):
-    """v_i maps to x_i for every variable of t, in index order."""
-    return {name: FreePoly.x_var(int(name[1:]), ring) for name in T.variables_of(t)}
-
-
-def eval_term(t: T.Term, mode: Mode, assignment, ring: Ring = QQ) -> FreePoly:
-    """Evaluate t in the free object of the mode; result is in normal form."""
+def eval_term(t: T.Term, mode: Mode, ring: Ring = QQ) -> FreePoly:
+    """Evaluate t at the generic point, v_i sent to x_i, in the free object
+    of the mode; the result is in normal form."""
     # post-order over an explicit stack: a node's children are pushed above a
     # marker that combines their values, the class of a binary node, "f" for
-    # F, or (coeff,) for ScalarMul
+    # F, (coeff,) for ScalarMul, or the exponent for Pow
     values = []
     todo = [t]
     while todo:
         node = todo.pop()
         tp = type(node)
         if tp is T.Var:
-            key = f"v{node.index}"
-            if key not in assignment:
-                raise EvalError(f"unassigned variable {key}")
-            values.append(assignment[key])
+            values.append(FreePoly.x_var(node.index, ring))
         elif tp is T.F:
             todo += ("f", node.arg)
         elif tp is str:
@@ -339,6 +355,17 @@ def eval_term(t: T.Term, mode: Mode, assignment, ring: Ring = QQ) -> FreePoly:
             todo += ((node.coeff,), node.arg)
         elif tp is tuple:
             values[-1] = values[-1].scale(ring.of(node[0]))
+        elif tp is T.Pow:
+            todo += (node.n, node.base)
+        elif tp is int:
+            # left-to-right binary powering; each normal form is a ring
+            # quotient, so reducing every partial product gives the normal form
+            p = acc = values[-1]
+            for bit in bin(node)[3:]:
+                acc = mul_mode(mode, acc, acc)
+                if bit == "1":
+                    acc = mul_mode(mode, acc, p)
+            values[-1] = acc
         elif tp is T.One:
             values.append(FreePoly.one(ring))
         elif tp is T.Zero:
@@ -429,9 +456,8 @@ def chain_witness(x_count: int, n: int, ring: Ring = QQ) -> list:
         raise ChainError("no strictly ascending chain exists without variables")
     if n < 1:
         raise ChainError("chain length must be at least 1")
-    stages = []
-    for i in range(1, n + 1):
-        stages.append(tuple(mono((y_gen(((1, j),)), 1)) for j in range(1, i + 1)))
+    stages = [tuple(mono((y_gen(((1, j),)), 1)) for j in range(1, i + 1))
+              for i in range(1, n + 1)]
     for a, b in zip(stages, stages[1:]):
         if not all(monomial_ideal_contains(b, g) for g in a):
             raise ChainError("chain inclusion failed")
@@ -447,48 +473,27 @@ def chain_witness(x_count: int, n: int, ring: Ring = QQ) -> list:
 # elements: sums of coefficient * (basis index i, symmetric monomial s),
 # standing for e_i tensor (e_{s1} . e_{s2} ... ), s a sorted index multiset
 
-class FAElement(Record):
-    """``terms`` is (((i, sym), coeff), ...) sorted, no zero coefficients."""
+class FAElement(_Sparse):
+    """``coeffs`` maps each key (i, sym) to its coefficient; ``terms`` sorts
+    them by key."""
 
-    __slots__ = ("ring", "dim", "terms")
+    __slots__ = ("ring", "dim", "coeffs")
 
-    def __init__(self, ring: Ring, dim: int, terms: tuple):
+    def __init__(self, ring: Ring, dim: int, coeffs: dict):
         set_field(self, "ring", ring)
         set_field(self, "dim", dim)
-        set_field(self, "terms", terms)
+        set_field(self, "coeffs", coeffs)
 
     @staticmethod
     def from_dict(ring: Ring, dim: int, d) -> "FAElement":
         """The element of a {(i, sym): coefficient} dict with no zeros."""
-        return FAElement(ring, dim, tuple(sorted(d.items())))
-
-    @staticmethod
-    def _sum(ring: Ring, dim: int, pairs) -> "FAElement":
-        return FAElement.from_dict(ring, dim, _combine(ring, pairs))
+        return FAElement(ring, dim, d)
 
     @staticmethod
     def basis(ring: Ring, dim: int, i: int, sym=()) -> "FAElement":
         if not (0 <= i < dim) or any(not 0 <= j < dim for j in sym):
             raise ShapeError("basis index out of range")
-        return FAElement(ring, dim, (((i, tuple(sorted(sym))), ring.one),))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def add(self, other: "FAElement") -> "FAElement":
-        return FAElement._sum(self.ring, self.dim, self.terms + other.terms)
-
-    def neg(self) -> "FAElement":
-        R = self.ring
-        return FAElement(R, self.dim, tuple((k, R.neg(c)) for k, c in self.terms))
-
-    def sub(self, other: "FAElement") -> "FAElement":
-        return self.add(other.neg())
-
-    def scale(self, c) -> "FAElement":
-        R = self.ring
-        c = R.of(c)
-        return FAElement._sum(R, self.dim, ((k, R.mul(c, v)) for k, v in self.terms))
+        return FAElement(ring, dim, {(i, tuple(sorted(sym))): ring.one})
 
 
 def _alg_check(a: FAElement, A):
@@ -497,7 +502,7 @@ def _alg_check(a: FAElement, A):
 
 
 def fa_one(A) -> "FAElement":
-    return FAElement._sum(A.ring, A.dim, (((k, ()), c) for k, c in enumerate(A.unit)))
+    return FAElement(A.ring, A.dim, {(k, ()): c for k, c in enumerate(A.unit) if c})
 
 
 def fa_mul(a: FAElement, b: FAElement, A) -> FAElement:
@@ -506,20 +511,19 @@ def fa_mul(a: FAElement, b: FAElement, A) -> FAElement:
     _alg_check(b, A)
     R = A.ring
     pairs = []
-    for (i, s), c1 in a.terms:
-        for (j, t), c2 in b.terms:
+    for (i, s), c1 in a.coeffs.items():
+        for (j, t), c2 in b.coeffs.items():
             sym, c = tuple(sorted(s + t)), R.mul(c1, c2)
             pairs += (((k, sym), R.mul(c, x)) for k, x in enumerate(A.mul[i][j]) if x)
-    return FAElement._sum(R, A.dim, pairs)
+    return a._sum(pairs)
 
 
 def fa_f(a: FAElement, A) -> FAElement:
     """Move each left factor into the symmetric monomial; left slot becomes 1."""
     _alg_check(a, A)
     R = A.ring
-    return FAElement._sum(R, A.dim, (((k, tuple(sorted(s + (i,)))), R.mul(u, c))
-                                     for (i, s), c in a.terms
-                                     for k, u in enumerate(A.unit) if u))
+    return a._sum(((k, tuple(sorted(s + (i,)))), R.mul(u, c))
+                  for (i, s), c in a.coeffs.items() for k, u in enumerate(A.unit) if u)
 
 
 class NotAHomomorphismError(ValueError):
@@ -536,12 +540,9 @@ def check_algebra_hom(theta: Matrix, A, B):
     if theta.apply(A.unit) != tuple(B.unit):
         raise NotAHomomorphismError("unit is not preserved")
     cols = [theta.col(j) for j in range(A.dim)]
-    for i in range(A.dim):
-        for j in range(A.dim):
-            lhs = theta.apply(A.mul[i][j])
-            rhs = B.mul_vec(cols[i], cols[j])
-            if lhs != tuple(rhs):
-                raise NotAHomomorphismError(f"product not preserved at ({i}, {j})")
+    for i, j in itertools.product(range(A.dim), repeat=2):
+        if theta.apply(A.mul[i][j]) != tuple(B.mul_vec(cols[i], cols[j])):
+            raise NotAHomomorphismError(f"product not preserved at ({i}, {j})")
 
 
 def fa_induced_hom(theta: Matrix, a: FAElement, A, B) -> FAElement:
@@ -556,7 +557,7 @@ def _induced_hom(theta: Matrix, a: FAElement, A, B) -> FAElement:
     R = A.ring
     cols = [theta.col(j) for j in range(A.dim)]
     pairs = []
-    for (i, s), c in a.terms:
+    for (i, s), c in a.coeffs.items():
         # expand theta(e_i) (x) theta(e_{s1}) . theta(e_{s2}) ... multilinearly
         partial = _combine(R, (((k, ()), R.mul(c, x)) for k, x in enumerate(cols[i])))
         for slot in s:
@@ -564,7 +565,7 @@ def _induced_hom(theta: Matrix, a: FAElement, A, B) -> FAElement:
                                    for (k, sym), coeff in partial.items()
                                    for b, w in enumerate(cols[slot]) if w))
         pairs += partial.items()
-    return FAElement._sum(R, B.dim, pairs)
+    return FAElement(R, B.dim, _combine(R, pairs))
 
 
 def fa_universal_lift(phi: Matrix, g: Matrix, a: FAElement, A, B) -> tuple:
@@ -578,7 +579,7 @@ def fa_universal_lift(phi: Matrix, g: Matrix, a: FAElement, A, B) -> tuple:
     _alg_check(a, A)
     R = A.ring
     out = (R.zero,) * B.dim
-    for (i, s), c in a.terms:
+    for (i, s), c in a.coeffs.items():
         acc = phi.col(i)
         for slot in s:
             acc = B.mul_vec(acc, g.apply(phi.col(slot)))
@@ -588,12 +589,9 @@ def fa_universal_lift(phi: Matrix, g: Matrix, a: FAElement, A, B) -> tuple:
 
 def fa_component_basis(dim: int, d: int):
     """Basis keys (i, sym) of the degree-at-most-d component."""
-    keys = []
-    for size in range(d + 1):
-        for sym in itertools.combinations_with_replacement(range(dim), size):
-            for i in range(dim):
-                keys.append((i, sym))
-    return keys
+    return [(i, sym) for size in range(d + 1)
+            for sym in itertools.combinations_with_replacement(range(dim), size)
+            for i in range(dim)]
 
 
 def fa_truncated_injectivity(theta: Matrix, A, B, d: int = 2) -> bool:
@@ -610,7 +608,7 @@ def fa_truncated_injectivity(theta: Matrix, A, B, d: int = 2) -> bool:
     for key in src:
         img = _induced_hom(theta, FAElement.basis(R, A.dim, key[0], key[1]), A, B)
         row = [R.zero] * len(dst)
-        for k, c in img.terms:
+        for k, c in img.coeffs.items():
             row[dst[k]] = c
         rows.append(tuple(row))
     return Subspace.span(R, len(dst), rows).dim == len(src)

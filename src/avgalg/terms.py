@@ -12,15 +12,16 @@ Concrete syntax (EBNF):
     digits   := ("0" | "1" | ... | "9")+    (ASCII only)
 
 Whitespace may stand between any two tokens.  "+", "-", "*" are left
-associative, "^" binds tighter than "*" and is sugar for repeated
-multiplication, and there is no implicit multiplication.  A "-" glued to
-digits is a negative number where an operand starts, and the binary minus
-after an operand: "v1 -2" is v1 - 2.  The optional "-" before a product
-(one not glued to digits) is 0 - product.  The atom-level "-" is
-0 - factor, so each one admits one more "^": "v1*-v1^2^3" is
-v1*(0 - v1^2)^3.  An unsigned number without "/" whose value is 1 or 0
-("1", "01", "00") is the constant One or Zero; every other number is a
-ScalarMul coefficient of the rest of its product to the right:
+associative, "^" binds tighter than "*", and there is no implicit
+multiplication.  "b^n" is the n-fold product of b: a Pow node for n >= 2,
+b itself for n = 1, One for n = 0, and the folded number for a literal b.
+A "-" glued to digits is a negative number where an operand starts, and
+the binary minus after an operand: "v1 -2" is v1 - 2.  The optional "-"
+before a product (one not glued to digits) is 0 - product.  The
+atom-level "-" is 0 - factor, so each one admits one more "^":
+"v1*-v1^2^3" is v1*(0 - v1^2)^3.  An unsigned number without "/" whose
+value is 1 or 0 ("1", "01", "00") is the constant One or Zero; every other
+number is a ScalarMul coefficient of the rest of its product to the right:
 "v1*2*v2*v3" is v1*(2*(v2*v3)).
 """
 
@@ -143,6 +144,18 @@ class F(Term):
 
     def __init__(self, arg: Term):
         set_field(self, "arg", arg)
+
+
+class Pow(Term):
+    """The n-fold product of ``base``, n >= 2; it renders as that product."""
+
+    __slots__ = ("base", "n")
+
+    def __init__(self, base: Term, n: int):
+        if n < 2:
+            raise ValueError(f"a Pow exponent is at least 2, got {n}")
+        set_field(self, "base", base)
+        set_field(self, "n", n)
 
 
 class Equation(Record):
@@ -273,10 +286,8 @@ def _parse(text: str, equation: bool):
                         value **= n
                     elif n == 0:
                         value = One()
-                    else:
-                        base = value
-                        for _ in range(n - 1):
-                            value = Mul(value, base)
+                    elif n > 1:
+                        value = Pow(value, n)
                 if not minus:
                     break
                 minus -= 1
@@ -348,6 +359,8 @@ def variables_of(t: Term) -> tuple:
             stack.append(node.right)
         elif isinstance(node, (ScalarMul, F)):
             stack.append(node.arg)
+        elif isinstance(node, Pow):
+            stack.append(node.base)
     return tuple(f"v{i}" for i in sorted(indices))
 
 
@@ -364,14 +377,20 @@ def _lit(r: Fraction) -> str:
 _BINARY_FORMS = {
     Add: (" + ", " + (", (), (Add, Sub)),
     Sub: (" - ", " - (", (), (Add, Sub)),
-    Mul: ("*", "*(", (Add, Sub, ScalarMul), (Add, Sub, Mul, ScalarMul)),
+    Mul: ("*", "*(", (Add, Sub, ScalarMul), (Add, Sub, Mul, ScalarMul, Pow)),
 }
 
 
 def render(t: Term) -> str:
-    """Concrete syntax for t; parse(render(t)) is structurally t."""
+    """Concrete syntax for t.
+
+    A Pow prints as the left-nested Mul chain of its copies, so for Pow-free
+    t, parse(render(t)) is structurally t, and for every t,
+    render(parse(render(t))) == render(t).
+    """
     # pre-order over an explicit stack of nodes and literal strings, each
-    # node's pieces pushed right to left so that they pop in output order
+    # node's pieces pushed right to left so that they pop in output order; a
+    # Pow's base is rendered once, then its output is taken back and repeated
     out = []
     todo = [t]
     while todo:
@@ -388,6 +407,16 @@ def render(t: Term) -> str:
             todo += (")", left, "(") if type(left) in paren_left else (left,)
         elif tp is F:
             todo += (")", node.arg, "f(")
+        elif tp is Pow:
+            todo += ((len(out), node), node.base)
+        elif tp is tuple:
+            start, node = node
+            base = "".join(out[start:])
+            del out[start:]
+            _, _, paren_left, paren_right = _BINARY_FORMS[Mul]
+            first = f"({base})" if type(node.base) in paren_left else base
+            rest = f"*({base})" if type(node.base) in paren_right else f"*{base}"
+            out.append(first + rest * (node.n - 1))
         elif tp is ScalarMul:
             arg, lit = node.arg, _lit(node.coeff)
             if type(arg) is One:

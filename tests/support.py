@@ -224,6 +224,11 @@ def eval_term_concrete(term, A, F, env):
                          eval_term_concrete(term.arg, A, F, env))
     if isinstance(term, T.F):
         return F.apply(eval_term_concrete(term.arg, A, F, env))
+    if isinstance(term, T.Pow):
+        base = acc = eval_term_concrete(term.base, A, F, env)
+        for _ in range(term.n - 1):
+            acc = A.mul_vec(acc, base)
+        return acc
     raise TypeError(f"not a term node: {term!r}")
 
 
@@ -284,7 +289,7 @@ def reynolds_step_at(p, which):
     m, c = terms[idx]
     lowered = tuple((g, e - 1) if g == y_gen(()) else (g, e) for g, e in m)
     lowered = tuple((g, e) for g, e in lowered if e > 0)
-    rest = FreePoly(p.ring, tuple(t for i, t in enumerate(terms) if i != idx))
+    rest = FreePoly(p.ring, {m: c for i, (m, c) in enumerate(terms) if i != idx})
     return rest.add(FreePoly.monomial(lowered, c, p.ring))
 
 

@@ -340,3 +340,16 @@ def test_big_normal_form_prints_whatever_the_digit_limit():
         assert read(run.stdout) == expected + "\n"
         if flags:
             assert json.loads(run.stdout)["input"] == expected
+
+
+def test_large_power_is_evaluated_by_squaring(capsys):
+    # ~18 squarings instead of a 200,000-node product; the input still
+    # renders as the product it stands for, in linear time
+    start = time.perf_counter()
+    code = main(["eval", "--mode", "plain", "v1^200000"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == "x1^200000\n"
+    assert captured.err == ""
+    assert elapsed < 0.2, elapsed

@@ -3,6 +3,8 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avgalg.exactlin import QQ, ZMod
 from avgalg import terms as T
@@ -15,12 +17,12 @@ from avgalg.freeavg import (
     NotInKernelError,
     bracket_decompose,
     bracket_free,
+    _glex_key,
     chain_witness,
     eval_term,
     f_free,
     f_mode,
     fa_mul,
-    generic_assignment,
     monomial_ideal_contains,
     mul_mode,
     reduce_reynolds,
@@ -270,12 +272,57 @@ def test_chain_rejects_bad_arguments():
 
 def test_eval_term_matches_hand_reduction():
     t = T.parse_term("f(v1*f(v2)) - f(v1)*f(v2)")
-    assignment = generic_assignment(t)
-    assert eval_term(t, Mode.PLAIN, assignment).is_zero()
+    assert eval_term(t, Mode.PLAIN).is_zero()
 
 
 def test_eval_zmod_coefficients():
     ring = ZMod(7)
     t = T.parse_term("3*f(v1) + 4*f(v1)")
-    out = eval_term(t, Mode.PLAIN, generic_assignment(t, ring), ring)
+    out = eval_term(t, Mode.PLAIN, ring)
     assert out.is_zero()
+
+
+def _power_bases(integral):
+    # small terms whose powers stay small; over Z/6 only integral literals
+    coeffs = (st.integers(-3, 3) if integral else
+              st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+    leaves = st.one_of(st.just(T.One()), st.builds(T.Var, st.integers(1, 2)))
+
+    def extend(children):
+        return st.one_of(
+            st.builds(T.Add, children, children),
+            st.builds(T.Sub, children, children),
+            st.builds(T.Mul, children, children),
+            st.builds(T.ScalarMul, coeffs.map(Fraction), children),
+            st.builds(T.F, children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=3)
+
+
+@pytest.mark.parametrize("ring", [QQ, ZMod(6)], ids=["Q", "Z6"])
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_power_equals_its_product_chain(ring, mode, data):
+    # Pow(b, n) by squaring against the left-nested Mul chain the parser
+    # used to build for b^n
+    base = data.draw(_power_bases(ring is not QQ))
+    n = data.draw(st.integers(2, 9))
+    chain = base
+    for _ in range(n - 1):
+        chain = T.Mul(chain, base)
+    assert eval_term(T.Pow(base, n), mode, ring) == eval_term(chain, mode, ring)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_coefficient_order_is_not_part_of_the_value(rng):
+    p = rand_free_poly(rng, y_factors=2).mul(rand_free_poly(rng))
+    items = list(p.coeffs.items())
+    rng.shuffle(items)
+    q = FreePoly.from_dict(QQ, dict(items))
+    assert q == p and hash(q) == hash(p)
+    assert q.terms == p.terms == tuple(sorted(items, key=_glex_key))
+    assert q.terms is q.terms  # sorted once, on first read
+    assert q.render() == p.render()

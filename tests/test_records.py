@@ -31,13 +31,16 @@ def imaginary_part():
     return Matrix.from_cols(QQ, [(0, 0), (1, 0)])
 
 
-# (class, field values): FreePoly and Matrix have hand-written constructors,
-# Check and Certificate the generic one
+X1_COEFFS = {((x_gen(1), 1),): Fraction(2), ((x_gen(2), 1),): Fraction(-1)}
+
+# (class, field values, the tuple the value hashes as): FreePoly and Matrix
+# have hand-written constructors, Check and Certificate the generic one; a
+# FreePoly's coefficient dict hashes as its set of items
 VALUES = [
-    (FreePoly, (QQ, (((((x_gen(1), 1),), Fraction(2)),)))),
-    (Matrix, (QQ, 1, 2, ((Fraction(1), Fraction(0)),))),
-    (Check, (False, (0, 1))),
-    (Certificate, ("operand is averaging", True, None)),
+    (FreePoly, (QQ, X1_COEFFS), (QQ, frozenset(X1_COEFFS.items()))),
+    (Matrix, (QQ, 1, 2, ((Fraction(1), Fraction(0)),)), None),
+    (Check, (False, (0, 1)), None),
+    (Certificate, ("operand is averaging", True, None), None),
 ]
 
 
@@ -48,21 +51,22 @@ def _unchecked(cls, fields):
     return v
 
 
-@pytest.mark.parametrize("cls, fields", VALUES, ids=[cls.__name__ for cls, _ in VALUES])
+@pytest.mark.parametrize("cls, fields, hashed", VALUES,
+                         ids=[cls.__name__ for cls, _, _ in VALUES])
 class TestRecordValue:
-    def test_equal_fields_give_equal_values_and_hashes(self, cls, fields):
+    def test_equal_fields_give_equal_values_and_hashes(self, cls, fields, hashed):
         a, b = cls(*fields), cls(*fields)
         assert a is not b
         assert a == b and not a != b
         assert hash(a) == hash(b)
 
-    def test_hash_is_the_hash_of_the_field_tuple(self, cls, fields):
-        assert hash(cls(*fields)) == hash(fields)
+    def test_hash_is_the_hash_of_the_field_tuple(self, cls, fields, hashed):
+        assert hash(cls(*fields)) == hash(fields if hashed is None else hashed)
 
-    def test_a_changed_field_makes_a_different_value(self, cls, fields):
+    def test_a_changed_field_makes_a_different_value(self, cls, fields, hashed):
         assert cls(*fields) != _unchecked(cls, fields[:-1] + ("other",))
 
-    def test_fields_can_be_neither_assigned_nor_deleted(self, cls, fields):
+    def test_fields_can_be_neither_assigned_nor_deleted(self, cls, fields, hashed):
         v = cls(*fields)
         name = cls._fields[0]
         with pytest.raises(AttributeError):
@@ -73,7 +77,7 @@ class TestRecordValue:
             v.extra = 1
         assert getattr(v, name) is fields[0]
 
-    def test_repr_names_every_field(self, cls, fields):
+    def test_repr_names_every_field(self, cls, fields, hashed):
         body = ", ".join(f"{n}={x!r}" for n, x in zip(cls._fields, fields))
         assert repr(cls(*fields)) == f"{cls.__name__}({body})"
 
@@ -125,9 +129,9 @@ def test_every_record_class_declares_slots():
         stack.extend(cls.__subclasses__())
         seen.append(cls)
         assert "__slots__" in vars(cls), cls
-    # the 36 value types, Record, and the bases Term and _Binary; records
+    # the 37 value types, Record, and the bases Term, _Binary and _Sparse; records
     # the test suites define (support.FractionRationals) are not counted
-    assert len([cls for cls in seen if cls.__module__.startswith("avgalg.")]) == 39
+    assert len([cls for cls in seen if cls.__module__.startswith("avgalg.")]) == 41
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

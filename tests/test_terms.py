@@ -15,6 +15,7 @@ from avgalg.terms import (
     IdentitySet,
     Mul,
     One,
+    Pow,
     ScalarMul,
     Sub,
     Term,
@@ -40,15 +41,21 @@ class TestParse:
     def test_reynolds_family_member_roundtrips(self):
         s = "2*f(v1*f(v1)) - f(f(v1)^2) - f(v1)^2"
         t = parse_term(s)
-        assert parse_term(render(t)) == t
+        # a power renders as the product it stands for
+        assert parse_term(render(t)) == parse_term("2*f(v1*f(v1)) - f(f(v1)*f(v1)) - f(v1)*f(v1)")
+        assert render(parse_term(render(t))) == render(t)
 
     def test_power_sugar(self):
-        assert parse_term("v1^3") == Mul(Mul(Var(1), Var(1)), Var(1))
-        assert parse_term("f(v1)^2") == Mul(F(Var(1)), F(Var(1)))
+        assert parse_term("v1^3") == Pow(Var(1), 3)
+        assert parse_term("f(v1)^2") == Pow(F(Var(1)), 2)
+        assert parse_term("v1^1") == Var(1)
         assert parse_term("v1^0") == One()
+        assert parse_term("2^3*v1") == ScalarMul(Fraction(8), Var(1))
+        with pytest.raises(ValueError):
+            Pow(Var(1), 1)  # "v1^1" and "v1^0" are v1 and One, never a Pow
 
     def test_power_binds_tighter_than_star(self):
-        assert parse_term("v1*v2^2") == Mul(Var(1), Mul(Var(2), Var(2)))
+        assert parse_term("v1*v2^2") == Mul(Var(1), Pow(Var(2), 2))
 
     def test_scalar_literals(self):
         assert parse_term("1/2*v1") == ScalarMul(Fraction(1, 2), Var(1))
@@ -83,9 +90,8 @@ class TestParse:
         assert parse_term("v1*- 2") == Mul(Var(1), ScalarMul(Fraction(-2), One()))
 
     def test_each_atom_minus_admits_one_more_power(self):
-        square = Mul(Var(1), Var(1))
-        neg = Sub(Zero(), square)
-        assert parse_term("v1*-v1^2^3") == Mul(Var(1), Mul(Mul(neg, neg), neg))
+        neg = Sub(Zero(), Pow(Var(1), 2))
+        assert parse_term("v1*-v1^2^3") == Mul(Var(1), Pow(neg, 3))
         with pytest.raises(TermSyntaxError, match="trailing input") as info:
             parse_term("-v1^2^3")
         assert info.value.offset == 5
@@ -151,8 +157,14 @@ class TestErrors:
             with pytest.raises(TermSyntaxError, match="too many digits") as info:
                 parse_term(text)
             assert info.value.offset == len(prefix.rstrip("v-"))
-        elif prefix != "v1^":  # a 10**4999-fold product is out of reach
+        elif prefix == "v1^":
+            assert parse_term(text) == Pow(Var(1), (10 ** 5000 - 1) // 9 * 7)
+        else:
             assert variables_of(parse_term(text))[0] == "v1"
+
+    def test_exponent_is_kept_not_expanded(self):
+        # 4,000 digits: inside the default int conversion limit of Python 3.11+ (4,300)
+        assert parse_term("v1^" + "7" * 4000) == Pow(Var(1), (10 ** 4000 - 1) // 9 * 7)
 
 
 class TestVariables:
@@ -178,7 +190,7 @@ class TestRender:
         assert parse_term(render(t)) == t
 
 
-def _terms():
+def _terms(powers=False):
     leaves = st.one_of(
         st.just(One()),
         st.just(Zero()),
@@ -193,9 +205,21 @@ def _terms():
             st.builds(Mul, children, children),
             st.builds(ScalarMul, coeffs, children),
             st.builds(F, children),
+            *([st.builds(Pow, children, st.integers(2, 3))] if powers else []),
         )
 
-    return st.recursive(leaves, extend, max_leaves=32)
+    return st.recursive(leaves, extend, max_leaves=12 if powers else 32)
+
+
+def _copy(t, expand=True):
+    """A new copy of t; with ``expand``, every Pow in it is written out as the
+    left-nested Mul chain of its copies."""
+    if expand and isinstance(t, Pow):
+        base = out = _copy(t.base)
+        for _ in range(t.n - 1):
+            out = Mul(out, base)
+        return out
+    return type(t)(*(_copy(x, expand) if isinstance(x, Term) else x for x in t._astuple(t)))
 
 
 class TestProperties:
@@ -229,6 +253,17 @@ class TestProperties:
         assert hash(s) == hash(fields(s))
         copy = parse_term(render(s))
         assert copy is not s and copy == s and hash(copy) == hash(s)
+
+    @given(_terms(powers=True), _terms(powers=True))
+    @settings(max_examples=200, deadline=None)
+    def test_powers_render_as_their_products(self, s, t):
+        text = render(s)
+        assert parse_term(text) == _copy(s)
+        assert render(parse_term(text)) == text
+        # Pow joins the explicit-stack equality and hash walks
+        copy = _copy(s, expand=False)
+        assert copy is not s and copy == s and hash(copy) == hash(s)
+        assert (s == t) == (repr(s) == repr(t))
 
 
 def test_deep_terms_compare_and_hash_without_recursion():
