@@ -84,8 +84,10 @@ def cmd_eval(args) -> int:
     mode = FA.Mode(args.mode)
     term = T.parse_term(args.term)
     normal = FA.eval_term(term, mode, ring).render()
-    _emit({"mode": mode.value, "input": T.render(term), "normal_form": normal},
-          args.json, normal)
+    # the input is rendered for the JSON document only: a power renders as
+    # the product it stands for, which can dwarf its normal form
+    doc = args.json and {"mode": mode.value, "input": T.render(term), "normal_form": normal}
+    _emit(doc, args.json, normal)
     return 0
 
 

@@ -307,10 +307,6 @@ class Matrix(Record):
     def col(self, j: int) -> tuple:
         return tuple(self.entries[i][j] for i in range(self.rows))
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.ring, self.cols, self.rows,
-                      tuple(self.col(j) for j in range(self.cols)))
-
     def add(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("matrix shape mismatch")
@@ -346,12 +342,6 @@ class Matrix(Record):
         if len(v) != self.cols:
             raise ShapeError("vector length mismatch")
         return tuple(vec_dot(self.ring, row, v) for row in self.entries)
-
-    def stack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise ShapeError("column count mismatch")
-        return Matrix(self.ring, self.rows + other.rows, self.cols,
-                      self.entries + other.entries)
 
 
 def rref(m: Matrix):
@@ -523,20 +513,6 @@ def nullspace(m: Matrix) -> Subspace:
 
 def column_space(m: Matrix) -> Subspace:
     return Subspace.span(m.ring, m.rows, [m.col(j) for j in range(m.cols)])
-
-
-def invert(m: Matrix) -> Matrix:
-    """Inverse of a square matrix over a field; ShapeError when singular."""
-    if m.rows != m.cols:
-        raise ShapeError("only square matrices invert")
-    n = m.rows
-    identity = Matrix.identity(m.ring, n).entries
-    aug = Matrix(m.ring, n, 2 * n,
-                 tuple(row + identity[i] for i, row in enumerate(m.entries)))
-    red, pivots = rref(aug)
-    if tuple(pivots) != tuple(range(n)):
-        raise ShapeError("matrix is singular")
-    return Matrix(m.ring, n, n, tuple(row[n:] for row in red.entries))
 
 
 # ---------------------------------------------------------------------------

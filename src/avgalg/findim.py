@@ -34,7 +34,6 @@ from .exactlin import (
     ZMod,
     char_poly,
     distinct_degree_factors,
-    invert,
     nullspace,
     poly_derivative,
     poly_gcd,
@@ -463,27 +462,22 @@ def endo_induced_check(A: StructureAlgebra, L: BracketTable) -> Check:
 
 
 def gamma_subalgebra(A: StructureAlgebra, L: BracketTable) -> Subspace:
-    """{a : [a*x, y] = a*[x, y]}, the linear conditions solved exactly; L must
-    pass ``check_lie``."""
-    R = A.ring
+    """Gamma = {a : [a*x, y] = a*[x, y]}, the linear conditions solved exactly;
+    L must pass ``check_lie``.
+
+    Both sides are bilinear in (x, y), so basis pairs decide, and the
+    condition is linear in a = sum a_m e_m.  Column m of block (i, j) is
+    [e_m e_i, e_j] - e_m [e_i, e_j], which antisymmetry turns into
+    -([e_j, e_m e_i] + e_m [e_i, e_j]): two row products.  The sign does not
+    change the kernel, and zero rows are dropped before the one nullspace.
+    """
+    R, d = A.ring, A.dim
     rows = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            # coefficient of a_m in ([a e_i, e_j] - a [e_i, e_j])_k
-            for k in range(A.dim):
-                row = []
-                for m in range(A.dim):
-                    acc = R.zero
-                    for s in range(A.dim):
-                        a, b = A.mul[m][i][s], L.table[s][j][k]
-                        if a and b:
-                            acc = R.add(acc, R.mul(a, b))
-                        a, b = L.table[i][j][s], A.mul[m][s][k]
-                        if a and b:
-                            acc = R.sub(acc, R.mul(a, b))
-                    row.append(acc)
-                rows.append(tuple(row))
-    return nullspace(Matrix(R, len(rows), A.dim, tuple(rows)))
+    for i, j in itertools.product(range(d), repeat=2):
+        g = L.table[i][j]
+        cols = [vec_add(R, L.row_bracket(j, A.mul[m][i]), A.row_mul(m, g)) for m in range(d)]
+        rows.extend(row for row in zip(*cols) if any(row))
+    return nullspace(Matrix(R, len(rows), d, tuple(rows)))
 
 
 class NotEndoInduced(Record):
@@ -508,22 +502,33 @@ class InduceDiagnostic(Record):
 InduceResult = Union[NotEndoInduced, InduceNoSolution, Induced, InduceDiagnostic]
 
 
-def _complete_basis(ring: Ring, vectors, dim: int):
-    """Greedily append standard basis vectors until the span is everything:
-    the pivots of rref([vectors..., e_0, ..., e_{dim-1}]) in the e-part, as a
-    pivot is exactly a column outside the span of the columns before it."""
-    k = len(vectors)
+def _complement(ring: Ring, basis, dim: int):
+    """(delta, project) for independent vectors ``basis``: delta is the greedy
+    completion by standard basis vectors, and project(v) gives the
+    delta-coordinates of v in the basis [basis | delta].
+
+    One rref of [basis | I]: the basis columns take the first pivots, and a
+    pivot in the I-block is a column outside the span of those before it.
+    The reduced I-block is the row transform E, and E [basis | delta] is the
+    identity, so E is the inverse of [basis | delta] and its last rows give
+    the delta-coordinates.
+    """
+    p = len(basis)
     ident = Matrix.identity(ring, dim).entries
-    _, pivots = rref(Matrix.from_cols(ring, list(vectors) + list(ident)))
-    return [ident[c - k] for c in pivots if c >= k]
+    red, pivots = rref(Matrix.from_cols(ring, list(basis) + list(ident)))
+    tail = [row[p:] for row in red.entries[p:]]
+    return ([ident[c - p] for c in pivots[p:]],
+            lambda v: tuple(vec_dot(ring, row, v) for row in tail))
 
 
 def induced_by_averaging(A: StructureAlgebra, L: BracketTable) -> InduceResult:
     """Decide whether L is the bracket of some averaging operator.
 
-    Steps: the endomorphism criterion; the invariance subalgebra and a basis
-    completion; the stacked linear system for the Gamma-coordinates of t;
-    then a full re-verification of the candidate operator L_t.
+    Steps: the endomorphism criterion; the invariance subalgebra Gamma
+    (``gamma_subalgebra``); one rref that completes its basis and inverts
+    the completed basis (``_complement``); the stacked linear system for the
+    Gamma-coordinates of t; then a full re-verification of the candidate
+    operator L_t.
     """
     if not A.ring.is_field:
         raise NotAFieldError("the averaging-induced decision needs field scalars")
@@ -533,36 +538,19 @@ def induced_by_averaging(A: StructureAlgebra, L: BracketTable) -> InduceResult:
         return NotEndoInduced(endo.witness)
     R = A.ring
     n = A.dim
-    gamma = gamma_subalgebra(A, L)
-    eps = list(gamma.basis)
-    p = len(eps)
-    delta = _complete_basis(R, eps, n)
-    q = len(delta)
-    if p + q != n:
-        raise InternalInvariantError("basis completion failed")
-    if q == 0:
-        x = ()
-    else:
-        basis_mtx = Matrix.from_cols(R, eps + delta)
-        inv = invert(basis_mtx)
-        stacked_rows = []
-        stacked_rhs = []
-        for dj in delta:
-            # delta-coordinates of eps_i * delta_j fill the system matrix
-            bcols = []
-            for ei in eps:
-                coords = inv.apply(A.mul_vec(ei, dj))
-                bcols.append(coords[p:])
-            one_dj = inv.apply(L.bracket_vec(A.unit, dj))
-            d_vec = tuple(R.neg(c) for c in one_dj[p:])
-            for k in range(q):
-                stacked_rows.append(tuple(bc[k] for bc in bcols))
-                stacked_rhs.append(d_vec[k])
-        res = solve_linear(Matrix(R, len(stacked_rows), p, tuple(stacked_rows)),
-                           tuple(stacked_rhs))
-        if isinstance(res, NoSolution):
-            return InduceNoSolution()
-        x = res.particular
+    eps = gamma_subalgebra(A, L).basis
+    delta, project = _complement(R, eps, n)
+    rows, rhs = [], []
+    for dj in delta:
+        # delta-coordinates of eps_i * delta_j fill the system matrix, those
+        # of -[1, delta_j] the right-hand side
+        coords = [project(A.mul_vec(ei, dj)) for ei in eps]
+        rows.extend(tuple(c[k] for c in coords) for k in range(len(delta)))
+        rhs.extend(R.neg(c) for c in project(L.bracket_vec(A.unit, dj)))
+    res = solve_linear(Matrix(R, len(rows), len(eps), tuple(rows)), tuple(rhs))
+    if isinstance(res, NoSolution):
+        return InduceNoSolution()
+    x = res.particular
     t = zero_vec(R, n)
     for xi, ei in zip(x, eps):
         t = vec_add(R, t, vec_scale(R, xi, ei))
@@ -956,15 +944,8 @@ def quotient_by_averaging_ideal(A: StructureAlgebra, F: Matrix, ideal: Subspace)
             raise NotAnAveragingIdealError("ideal is not invariant under the operator")
     if ideal.is_full():
         raise ValueError("quotient by the whole algebra is the zero ring, not unital")
-    comp = _complete_basis(R, list(ideal.basis), A.dim)
-    p = ideal.dim
+    comp, project = _complement(R, ideal.basis, A.dim)
     q = len(comp)
-    basis_mtx = Matrix.from_cols(R, list(ideal.basis) + comp)
-    inv = invert(basis_mtx)
-
-    def project(v):
-        return inv.apply(v)[p:]
-
     unit2 = project(A.unit)
     mul2 = tuple(tuple(tuple(project(A.mul_vec(comp[i], comp[j])))
                        for j in range(q)) for i in range(q))

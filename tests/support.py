@@ -8,7 +8,7 @@ operators are averaging by construction for the families that promise it).
 from fractions import Fraction
 
 from avgalg._record import Record
-from avgalg.exactlin import Matrix, QQ, RingError
+from avgalg.exactlin import Matrix, QQ, RingError, nullspace
 from avgalg.freeavg import FreePoly
 from avgalg.findim import StructureAlgebra, primary_from_poly
 
@@ -140,6 +140,44 @@ def rand_algebra(rng, max_dim=4):
     if left.dim + right.dim > max_dim:
         right, _ = primary_from_poly(rand_monic(rng, max_dim - left.dim))
     return product_algebra(left, right)
+
+
+def rand_int_algebra(rng, ring, max_dim=4):
+    """A primary algebra or a product of two, with integer structure
+    constants read over ``ring``; the laws hold over Z, so over every Z/n."""
+    def primary(deg):
+        A, _ = primary_from_poly([rng.randint(-3, 3) for _ in range(deg)] + [1])
+        return StructureAlgebra.make(ring, A.unit, A.mul)
+
+    dim = rng.randint(1, max_dim)
+    if dim == 1 or rng.randint(0, 1):
+        return primary(dim)
+    k = rng.randint(1, dim - 1)
+    return product_algebra(primary(k), primary(dim - k))
+
+
+def ref_gamma_subalgebra(A, L):
+    """gamma_subalgebra as five loops over the structure constants: the
+    reference for the row-product version."""
+    R = A.ring
+    rows = []
+    for i in range(A.dim):
+        for j in range(A.dim):
+            # coefficient of a_m in ([a e_i, e_j] - a [e_i, e_j])_k
+            for k in range(A.dim):
+                row = []
+                for m in range(A.dim):
+                    acc = R.zero
+                    for s in range(A.dim):
+                        a, b = A.mul[m][i][s], L.table[s][j][k]
+                        if a and b:
+                            acc = R.add(acc, R.mul(a, b))
+                        a, b = L.table[i][j][s], A.mul[m][s][k]
+                        if a and b:
+                            acc = R.sub(acc, R.mul(a, b))
+                    row.append(acc)
+                rows.append(tuple(row))
+    return nullspace(Matrix(R, len(rows), A.dim, tuple(rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import time
 import pytest
 
 import avgalg
+from avgalg import terms
 from avgalg.cli import main
 from avgalg.findim import InternalInvariantError
 
@@ -343,8 +344,8 @@ def test_big_normal_form_prints_whatever_the_digit_limit():
 
 
 def test_large_power_is_evaluated_by_squaring(capsys):
-    # ~18 squarings instead of a 200,000-node product; the input still
-    # renders as the product it stands for, in linear time
+    # ~18 squarings instead of a 200,000-node product, and the input, which
+    # renders as that product, is not rendered without --json
     start = time.perf_counter()
     code = main(["eval", "--mode", "plain", "v1^200000"])
     elapsed = time.perf_counter() - start
@@ -353,3 +354,15 @@ def test_large_power_is_evaluated_by_squaring(capsys):
     assert captured.out == "x1^200000\n"
     assert captured.err == ""
     assert elapsed < 0.2, elapsed
+
+
+def test_eval_renders_its_input_for_json_only(capsys, monkeypatch):
+    rendered = []
+    real_render = terms.render
+    monkeypatch.setattr(terms, "render", lambda t: rendered.append(t) or real_render(t))
+    assert main(["eval", "--mode", "plain", "(v1^1000)^10000"]) == 0
+    assert capsys.readouterr().out == "x1^10000000\n"
+    assert rendered == []
+    assert main(["eval", "--json", "--mode", "plain", "v1^3"]) == 0
+    assert json.loads(capsys.readouterr().out)["input"] == "v1*v1*v1"
+    assert len(rendered) == 1

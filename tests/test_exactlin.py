@@ -20,12 +20,10 @@ from avgalg.exactlin import (
     Solution,
     Submodule,
     Subspace,
-    ShapeError,
     ZMod,
     char_poly,
     column_space,
     distinct_degree_factors,
-    invert,
     nullspace,
     poly_derivative,
     poly_divmod,
@@ -321,19 +319,6 @@ class TestRationalRoots:
                 assert poly_eval(QQ, p, k) == 0
                 shifted = m.sub(Matrix.identity(QQ, 3).scale(k))
                 assert not nullspace(shifted).is_zero()
-
-
-class TestInvert:
-    def test_inverse_times_matrix_is_identity(self):
-        m = mat([[2, 1, 0], [0, 1, 3], [1, 0, 1]])
-        assert invert(m).mul(m) == Matrix.identity(QQ, 3)
-        z7 = ZMod(7)
-        m7 = mat([[3, 5], [1, 2]], z7)
-        assert m7.mul(invert(m7)) == Matrix.identity(z7, 2)
-
-    def test_singular_rejected(self):
-        with pytest.raises(ShapeError):
-            invert(mat([[1, 2], [2, 4]]))
 
 
 SMALL_PRIMES = [2, 3, 5, 7, 11]

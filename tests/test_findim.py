@@ -9,7 +9,20 @@ from hypothesis import strategies as st
 
 import avgalg.findim as FD
 from avgalg.cli import main
-from avgalg.exactlin import Matrix, QQ, ShapeError, Submodule, Subspace, ZMod, nullspace, poly_mul
+from avgalg.exactlin import (
+    Matrix,
+    QQ,
+    ShapeError,
+    Submodule,
+    Subspace,
+    ZMod,
+    nullspace,
+    poly_mul,
+    vec_add,
+    vec_scale,
+    vec_sub,
+    zero_vec,
+)
 from avgalg.findim import (
     AveragingOperator,
     BracketTable,
@@ -71,7 +84,9 @@ from support import (
     rand_dim2_algebra,
     rand_element,
     rand_fraction,
+    rand_int_algebra,
     rand_monic,
+    ref_gamma_subalgebra,
     unitary_pair,
 )
 
@@ -317,11 +332,60 @@ class TestBrackets:
         assert not chk.ok and chk.witness[0] == "alternating"
 
 
+def _rand_lie_bracket(rng, A, kind):
+    """A Lie bracket on A: induced by a random averaging operator, by a
+    random endomorphism, or ("neither") [e_a, e_b] = c e_a on two random
+    basis vectors, a Lie bracket that ignores the multiplication."""
+    R, d = A.ring, A.dim
+
+    def rand_rows():
+        # half the entries zero: a sparse endomorphism is Lie more often
+        return [[rng.randint(-2, 2) * rng.randint(0, 1) for _ in range(d)] for _ in range(d)]
+
+    if kind == "averaging":
+        return induced_bracket(A, functional_operator(A, rand_rows()[0]))
+    if kind == "endomorphism":
+        for _ in range(20):
+            try:
+                return raw_bracket(A, Matrix.from_rows(R, rand_rows()))
+            except NotLieError:
+                pass
+        return raw_bracket(A, Matrix.zero(R, d, d))
+    table = [[[0] * d for _ in range(d)] for _ in range(d)]
+    if d > 1:
+        a, b = rng.sample(range(d), 2)
+        c = rng.randint(1, 3)
+        table[a][b][a], table[b][a][a] = c, -c
+    return BracketTable.make(R, table)
+
+
 class TestEndoAndGamma:
     def test_gamma_on_imaginary_part(self):
         A = qi()
         L = induced_bracket(A, imaginary_part(A))
         assert gamma_subalgebra(A, L).basis == ((QQ.of(1), QQ.of(0)),)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from([QQ, ZMod(2), ZMod(3), ZMod(7)]),
+           st.sampled_from(["averaging", "endomorphism", "neither"]),
+           st.randoms(use_true_random=False))
+    def test_gamma_matches_the_dense_reference(self, ring, kind, rng):
+        A = rand_int_algebra(rng, ring)
+        L = _rand_lie_bracket(rng, A, kind)
+        assert check_lie(A, L).ok
+        assert gamma_subalgebra(A, L) == ref_gamma_subalgebra(A, L)
+
+    def test_random_brackets_cover_all_three_kinds(self):
+        rng = random.Random(12)
+        seen = set()
+        for _ in range(60):
+            A = rand_int_algebra(rng, QQ)
+            for kind in ("averaging", "endomorphism", "neither"):
+                L = _rand_lie_bracket(rng, A, kind)
+                res = induced_by_averaging(A, L)
+                seen.add((kind, type(res).__name__))
+        assert {("averaging", "Induced"), ("endomorphism", "InduceNoSolution"),
+                ("neither", "NotEndoInduced")} <= seen
 
     def test_endo_check_passes_for_endo_brackets(self):
         rng = random.Random(99)
@@ -382,6 +446,14 @@ class TestInducedByAveraging:
         assert endo_induced_check(A, L).ok
         res = induced_by_averaging(A, L)
         assert isinstance(res, InduceNoSolution)
+
+    def test_functional_operator_at_dimension_12(self):
+        # Q[y]/(y^12 - 3) with F(x) = x_0 * 1, the functional e_0*
+        A, _ = primary_from_poly([-3] + [0] * 11 + [1])
+        L = induced_bracket(A, functional_operator(A, [1] + [0] * 11))
+        res = induced_by_averaging(A, L)
+        assert isinstance(res, Induced)
+        assert raw_bracket(A, res.operator).table == L.table
 
     def test_random_dim2_always_induced(self):
         rng = random.Random(111)
@@ -628,9 +700,40 @@ def test_complete_basis_is_the_greedy_completion(ring):
         dim = rng.randint(1, 5)
         vectors = [tuple(ring.of(rng.randint(-2, 2)) for _ in range(dim))
                    for _ in range(rng.randint(0, dim))]
-        got = FD._complete_basis(ring, vectors, dim)
-        assert got == _greedy_completion(ring, vectors, dim)
-        assert Subspace.span(ring, dim, vectors + got).dim == dim
+        basis = list(Subspace.span(ring, dim, vectors).basis)
+        got, _ = FD._complement(ring, basis, dim)
+        assert got == _greedy_completion(ring, basis, dim)
+        assert Subspace.span(ring, dim, basis + got).dim == dim
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([QQ, ZMod(5), ZMod(2)]), st.randoms(use_true_random=False))
+def test_complement_projects_onto_the_completion(ring, rng):
+    # an independent basis that is not in echelon form
+    dim = rng.randint(1, 5)
+    basis = []
+    for _ in range(rng.randint(0, 2 * dim)):
+        v = tuple(ring.of(rng.randint(-2, 2)) for _ in range(dim))
+        if Subspace.span(ring, dim, basis + [v]).dim > len(basis):
+            basis.append(v)
+    delta, project = FD._complement(ring, basis, dim)
+    assert len(basis) + len(delta) == dim
+
+    def combine(coords, vectors):
+        out = zero_vec(ring, dim)
+        for c, u in zip(coords, vectors):
+            out = vec_add(ring, out, vec_scale(ring, c, u))
+        return out
+
+    # [basis | delta] applied to coordinates gives v, whose delta part
+    # project reads back
+    coords = [ring.of(rng.randint(-3, 3)) for _ in range(dim)]
+    v = combine(coords, basis + delta)
+    assert project(v) == tuple(coords[len(basis):])
+    # and any v minus its delta part lies in the span of the basis
+    v = tuple(ring.of(rng.randint(-3, 3)) for _ in range(dim))
+    rest = vec_sub(ring, v, combine(project(v), delta))
+    assert Subspace.span(ring, dim, basis).contains_vector(rest)
 
 
 class TestQuotient:
