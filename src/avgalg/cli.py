@@ -19,7 +19,7 @@ from . import decide as D
 from . import findim as FD
 from . import freeavg as FA
 from . import terms as T
-from .exactlin import ring_from_name
+from .exactlin import QQ, ring_from_name
 
 
 def _scalar_default():
@@ -209,7 +209,7 @@ def cmd_chain(args) -> int:
 
 
 def cmd_primary(args) -> int:
-    A, F = FD.primary_from_poly(args.coeff)
+    A, F = FD.primary_from_poly([QQ.parse(c) for c in args.coeff])
     doc = {"algebra": FD.algebra_to_json(A), "operator": FD.operator_to_json(F)}
     lines = [f"dim: {A.dim}", f"scalar: {A.ring.name}", "operator matrix:"]
     lines += ["  " + "  ".join(A.ring.render(x) for x in row) for row in F.entries]

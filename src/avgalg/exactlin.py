@@ -866,34 +866,25 @@ class Submodule(Record):
 def submodule_kernel(ring: ZMod, m: Matrix) -> Submodule:
     """Generators of {x in (Z/n)^cols : m·x = 0 mod n}.
 
-    Computed as the projection of the integer kernel of [m | n·I] to the
-    x-coordinates.
+    The rows of m are first reduced to the r <= cols canonical rows of
+    their span, which has the same solution set because each row set is a
+    Z/n-combination of the other.  The kernel is the projection of the
+    integer kernel of [basis | n·I_r] to the x-coordinates.
     """
-    n = ring.n
-    p, q = m.rows, m.cols
-    if p == 0:
-        return Submodule.span(ring, q,
-                              [[1 if j == i else 0 for j in range(q)] for i in range(q)])
-    ext = [[int(m.entries[i][j]) for j in range(q)] +
-           [n if k == i else 0 for k in range(p)] for i in range(p)]
-    gens = [g[:q] for g in _int_kernel(ext)]
+    n, q = ring.n, m.cols
+    basis = Submodule.span(ring, q, m.entries).basis
+    r = len(basis)
+    ext = [list(b) + [n if k == i else 0 for k in range(r)] for i, b in enumerate(basis)]
+    gens = [g[:q] for g in _int_kernel(ext, q + r)]
     return Submodule.span(ring, q, gens)
 
 
-def _int_kernel(rows):
-    """Basis of the integer nullspace {x : rows·x = 0} of an integer matrix."""
-    if not rows:
-        return []
+def _int_kernel(rows, q: int):
+    """Basis of the integer nullspace {x : rows·x = 0} of an integer matrix
+    with q columns (every x when there are no rows)."""
     p = len(rows)
-    q = len(rows[0])
     # row-reduce the transpose, carrying the transform: U·A^T = H;
     # rows of U mapped to zero rows of H span the kernel of A
-    at = [[rows[i][j] for i in range(p)] for j in range(q)]
-    u = [[1 if i == j else 0 for j in range(q)] for i in range(q)]
-    work = [at[i] + u[i] for i in range(q)]
-    hn = _hnf_full(work, p)
-    out = []
-    for row in hn:
-        if all(x == 0 for x in row[:p]):
-            out.append(row[p:])
-    return out
+    work = [[rows[i][j] for i in range(p)] + [1 if k == j else 0 for k in range(q)]
+            for j in range(q)]
+    return [row[p:] for row in _hnf_full(work, p) if not any(row[:p])]

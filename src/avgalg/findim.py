@@ -189,11 +189,12 @@ def verify_algebra(A: StructureAlgebra) -> AlgebraReport:
     """Exact commutativity, associativity, and unit checks on all triples;
     ``failure`` names the first failing law in that order of priority."""
     d = range(A.dim)
+    e = [A.basis_vec(i) for i in d]
     comm = next(((i, j) for i in d for j in d if A.mul[i][j] != A.mul[j][i]), None)
-    unit = next(((i,) for i in d if A.mul_vec(A.unit, A.basis_vec(i)) != A.basis_vec(i)), None)
+    unit = next(((i,) for i in d if A.mul_vec(A.unit, e[i]) != e[i]), None)
     # (e_i e_j) e_k against e_i (e_j e_k), which reads row i only
     assoc = next(((i, j, k) for i, j, k in itertools.product(d, repeat=3)
-                  if A.mul_vec(A.mul[i][j], A.basis_vec(k)) != A.row_mul(i, A.mul[j][k])), None)
+                  if A.mul_vec(A.mul[i][j], e[k]) != A.row_mul(i, A.mul[j][k])), None)
     failure = next(((law, w) for law, w in (("commutativity", comm), ("unit", unit),
                                             ("associativity", assoc)) if w), None)
     return AlgebraReport(comm is None, assoc is None, unit is None, failure)

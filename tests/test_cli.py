@@ -130,6 +130,14 @@ def test_decide_requires_claims(capsys):
     assert "no claims" in capsys.readouterr().err
 
 
+def test_bad_primary_coefficient_exits_two(capsys):
+    code = main(["primary", "1/0", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: bad rational literal '1/0'")
+    assert "Traceback" not in err
+
+
 def test_scalar_default_env(monkeypatch, capsys):
     monkeypatch.setenv("AVG_SCALAR_DEFAULT", "Zmod:5")
     code = main(["eval", "--mode", "plain", "5*f(v1)"])

@@ -443,19 +443,35 @@ class TestSubmodules:
 
     def test_random_kernels_match_brute_force(self):
         # submodule_kernel is the one caller of the elimination with a
-        # carried transform; its span must be exactly the solution set
+        # carried transform; its span must be exactly the solution set, also
+        # for tall matrices, whose rows it first reduces to their canonical span
         rng = random.Random(0x4E7)
         for n in (4, 6, 8, 9, 12):
             ring = ZMod(n)
+            cases = []
             for _ in range(12):
-                rows, cols = rng.randint(1, 3), rng.randint(1, 3)
-                m = Matrix.from_rows(ring, [[rng.randrange(n) for _ in range(cols)]
-                                            for _ in range(rows)])
+                rows, cols = rng.randint(1, 6), rng.randint(1, 3)
+                cases.append(([[rng.randrange(n) for _ in range(cols)]
+                               for _ in range(rows)], None))
+            cols = rng.randint(1, 3)
+            cases.append(([[0] * cols for _ in range(rng.randint(1, 6))], None))
+            # one row repeated and one the sum of two others: same kernel
+            # as the matrix without them
+            base = [[rng.randrange(n) for _ in range(cols)] for _ in range(3)]
+            extra = [base[0], [(x + y) % n for x, y in zip(base[1], base[2])]]
+            cases.append((base + extra, base))
+            for entries, dedup in cases:
+                m = Matrix.from_rows(ring, entries)
+                cols = m.cols
                 ker = submodule_kernel(ring, m)
                 solutions = frozenset(
                     x for x in itertools.product(range(n), repeat=cols) if not any(m.apply(x)))
                 assert _brute_span(n, cols, ker.basis) == solutions, (n, m.entries)
                 assert ker == Submodule.span(ring, cols, sorted(solutions))
+                if dedup is not None:
+                    assert ker == submodule_kernel(ring, Matrix.from_rows(ring, dedup))
+            full = Submodule.span(ring, 2, [(1, 0), (0, 1)])
+            assert submodule_kernel(ring, Matrix(ring, 0, 2, ())) == full
 
     def test_kernel_matches_brute_force(self):
         z6 = ZMod(6)
