@@ -168,6 +168,8 @@ class ZMod(Record):
     one = 1  # n >= 2, so 1 is already reduced
 
     def of(self, v) -> int:
+        if type(v) is int:  # the common case, ahead of the ABC check below
+            return v % self.n
         if isinstance(v, Fraction):
             if v.denominator == 1:
                 return v.numerator % self.n
@@ -338,10 +340,21 @@ class Matrix(Record):
             tuple(vec_dot(R, row, c) for c in ocols) for row in self.entries))
 
     def apply(self, v) -> tuple:
-        """Matrix times column vector."""
+        """Matrix times column vector, reading only the columns where v is
+        nonzero."""
         if len(v) != self.cols:
             raise ShapeError("vector length mismatch")
-        return tuple(vec_dot(self.ring, row, v) for row in self.entries)
+        R = self.ring
+        terms = [(j, x) for j, x in enumerate(v) if x]
+        out = []
+        for row in self.entries:
+            acc = R.zero
+            for j, x in terms:
+                a = row[j]
+                if a:
+                    acc = R.add(acc, R.mul(a, x))
+            out.append(acc)
+        return tuple(out)
 
 
 def rref(m: Matrix):

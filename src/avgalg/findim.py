@@ -10,7 +10,13 @@ eigenstructure of inner derivations, and kernel-versus-bracket comparisons.
 
 Identity checks quantified over the whole algebra reduce to basis pairs or
 triples: every identity checked here is multilinear in its algebra
-arguments, so holding on a basis is holding everywhere.
+arguments, so holding on a basis is holding everywhere.  Each is decided on
+one basis tuple per orbit of its symmetries, scanned in the order of the
+full product so that the first failure found is the one the full scan
+would report.  The symmetries used are the commutativity of
+``StructureAlgebra`` (a contract that ``verify_algebra`` checks and the
+other functions assume) and the antisymmetry of a bracket that has passed
+``check_lie``.
 """
 
 from __future__ import annotations
@@ -130,7 +136,10 @@ class StructureAlgebra(Record):
     """Commutative unital algebra by structure constants.
 
     ``mul[i][j]`` is the coordinate vector of e_i * e_j; ``unit`` the
-    coordinates of the identity element.
+    coordinates of the identity element.  Commutativity is a contract:
+    ``make`` checks only the shape, ``verify_algebra`` checks the laws, and
+    the identity checks in this module compute a product once per unordered
+    pair of basis vectors, which is exact only when the contract holds.
     """
 
     __slots__ = ("ring", "dim", "unit", "mul")
@@ -187,14 +196,29 @@ class AlgebraReport(Record):
 
 def verify_algebra(A: StructureAlgebra) -> AlgebraReport:
     """Exact commutativity, associativity, and unit checks on all triples;
-    ``failure`` names the first failing law in that order of priority."""
-    d = range(A.dim)
+    ``failure`` names the first failing law in that order of priority.
+
+    On a commutative table (e_a e_b) e_c = e_c (e_a e_b) is one row product
+    P(a, b, c) that depends only on {a, b} and c, and e_i (e_j e_k) is
+    P({j, k}, i), so P is built for a <= b and the triples only compare it.
+    A table that is not commutative gets the scan of every ordered triple,
+    so ``associative`` stays exact there too."""
+    R, d = A.ring, range(A.dim)
     e = [A.basis_vec(i) for i in d]
     comm = next(((i, j) for i in d for j in d if A.mul[i][j] != A.mul[j][i]), None)
-    unit = next(((i,) for i in d if A.mul_vec(A.unit, e[i]) != e[i]), None)
-    # (e_i e_j) e_k against e_i (e_j e_k), which reads row i only
-    assoc = next(((i, j, k) for i, j, k in itertools.product(d, repeat=3)
-                  if A.mul_vec(A.mul[i][j], e[k]) != A.row_mul(i, A.mul[j][k])), None)
+    # u e_i = sum_s u_s (e_s e_i), read off column i of the table
+    unit = next(((i,) for i in d if tuple(
+        vec_dot(R, A.unit, [A.mul[s][i][k] for s in d]) for k in d) != e[i]), None)
+    if comm is None:
+        P = {}
+        for a, b in itertools.combinations_with_replacement(d, 2):
+            P[a, b] = P[b, a] = [A.row_mul(c, A.mul[a][b]) for c in d]
+        assoc = next(((i, j, k) for i, j, k in itertools.product(d, repeat=3)
+                      if P[i, j][k] != P[j, k][i]), None)
+    else:
+        # (e_i e_j) e_k against e_i (e_j e_k), which reads row i only
+        assoc = next(((i, j, k) for i, j, k in itertools.product(d, repeat=3)
+                      if A.mul_vec(A.mul[i][j], e[k]) != A.row_mul(i, A.mul[j][k])), None)
     failure = next(((law, w) for law, w in (("commutativity", comm), ("unit", unit),
                                             ("associativity", assoc)) if w), None)
     return AlgebraReport(comm is None, assoc is None, unit is None, failure)
@@ -217,14 +241,19 @@ def _require_operator(A: StructureAlgebra, F: Matrix):
 # averaging operator checks and calculus
 
 def is_averaging(A: StructureAlgebra, F: Matrix) -> Check:
-    """F(x*F(y)) = F(x)*F(y); both sides bilinear, so basis pairs decide."""
+    """F(x*F(y)) = F(x)*F(y); both sides bilinear, so basis pairs decide.
+    F(e_i)*F(e_j) is symmetric, so it is computed once per unordered pair."""
     _require_operator(A, F)
-    cols = [F.col(j) for j in range(A.dim)]
-    for i in range(A.dim):
-        for j in range(A.dim):
-            lhs = F.apply(A.row_mul(i, cols[j]))
-            rhs = A.mul_vec(cols[i], cols[j])
-            if lhs != rhs:
+    d = A.dim
+    cols = [F.col(j) for j in range(d)]
+    prods = [[None] * d for _ in range(d)]  # F(e_i)*F(e_j) for i <= j
+    for i in range(d):
+        for j in range(d):
+            if j < i:
+                rhs = prods[j][i]
+            else:
+                rhs = prods[i][j] = A.mul_vec(cols[i], cols[j])
+            if F.apply(A.row_mul(i, cols[j])) != rhs:
                 return Check(False, (i, j))
     return Check(True)
 
@@ -235,14 +264,15 @@ def is_unitary(A: StructureAlgebra, F: Matrix) -> bool:
 
 
 def is_reynolds_averaging(A: StructureAlgebra, F: Operator) -> Check:
-    """F(F(x)F(y)) = F(x)F(y) for an averaging F, on basis pairs."""
+    """F(F(x)F(y)) = F(x)F(y) for an averaging F, on basis pairs.  Both
+    sides are symmetric in the pair, and a failure at (i, j) with j < i is
+    met first at (j, i), so only i <= j is checked."""
     F = averaging_operator(A, F).matrix
     cols = [F.col(j) for j in range(A.dim)]
-    for i in range(A.dim):
-        for j in range(A.dim):
-            prod = A.mul_vec(cols[i], cols[j])
-            if F.apply(prod) != prod:
-                return Check(False, (i, j))
+    for i, j in itertools.combinations_with_replacement(range(A.dim), 2):
+        prod = A.mul_vec(cols[i], cols[j])
+        if F.apply(prod) != prod:
+            return Check(False, (i, j))
     return Check(True)
 
 
@@ -343,7 +373,9 @@ def check_lie(A: StructureAlgebra, L: BracketTable) -> Check:
     for i in range(A.dim):
         if not vec_is_zero(R, L.table[i][i]):
             return Check(False, ("alternating", (i,)))
-        for j in range(A.dim):
+        # the relation is symmetric in (i, j) and holds on the zero diagonal,
+        # so the pairs j <= i passed with row j
+        for j in range(i + 1, A.dim):
             if L.table[i][j] != tuple(R.neg(x) for x in L.table[j][i]):
                 return Check(False, ("antisymmetry", (i, j)))
     # the table is antisymmetric here, so [[e_i,e_j],e_k] = -[e_k,[e_i,e_j]]
@@ -451,14 +483,15 @@ def induced_bracket(A: StructureAlgebra, F: Operator) -> BracketTable:
 
 def endo_induced_check(A: StructureAlgebra, L: BracketTable) -> Check:
     """[x,y] = x[1,y] + y[x,1] on basis pairs (both sides bilinear); L must
-    pass ``check_lie``."""
-    one_e = [L.bracket_vec(A.unit, A.basis_vec(j)) for j in range(A.dim)]  # [1, e_j]
-    for i in range(A.dim):
-        e_one = L.row_bracket(i, A.unit)  # [e_i, 1]
-        for j in range(A.dim):
-            rhs = vec_add(A.ring, A.row_mul(i, one_e[j]), A.row_mul(j, e_one))
-            if L.table[i][j] != rhs:
-                return Check(False, (i, j))
+    pass ``check_lie``.  Then both sides are antisymmetric in the pair and
+    vanish on the diagonal, so only i < j is checked, and [1, e_j] is
+    -[e_j, 1]."""
+    R = A.ring
+    e_one = [L.row_bracket(i, A.unit) for i in range(A.dim)]  # [e_i, 1]
+    for i, j in itertools.combinations(range(A.dim), 2):
+        rhs = vec_sub(R, A.row_mul(j, e_one[i]), A.row_mul(i, e_one[j]))
+        if L.table[i][j] != rhs:
+            return Check(False, (i, j))
     return Check(True)
 
 
@@ -583,18 +616,24 @@ class SeriesResult(Record):
 
 def _series(A: StructureAlgebra, L: BracketTable, lower: bool) -> SeriesResult:
     """Stage 0 is A; stage k+1 spans the brackets of stage k with itself, or
-    with A when ``lower``.  Stops at a repeated or a zero stage."""
-    full = Subspace.full(A.ring, A.dim)
-    stages = [full]
-    while True:
-        other = full if lower else stages[-1]
-        nxt = Subspace.span(A.ring, A.dim,
-                            [L.bracket_vec(x, y) for x in stages[-1].basis for y in other.basis])
-        if nxt == stages[-1]:
-            break
+    with A when ``lower``.  Stops at a repeated or a zero stage.
+
+    L is alternating, so stage 1 is spanned by the table cells [e_i, e_j]
+    with i < j, a derived stage by the brackets of basis pairs a < b, and a
+    lower central stage by [e_j, x] = -[x, e_j]."""
+    R, d = A.ring, A.dim
+    stages = [Subspace.full(R, d)]
+    nxt = Subspace.span(R, d, [L.table[i][j] for i, j in itertools.combinations(range(d), 2)])
+    while nxt != stages[-1]:
         stages.append(nxt)
         if nxt.is_zero():
             break
+        basis = nxt.basis
+        if lower:
+            gens = [L.row_bracket(j, x) for x in basis for j in range(d)]
+        else:
+            gens = [L.bracket_vec(x, y) for x, y in itertools.combinations(basis, 2)]
+        nxt = Subspace.span(R, d, gens)
     return SeriesResult(tuple(stages), stages[-1].is_zero())
 
 
@@ -622,6 +661,13 @@ def _span(R: Ring, dim: int, vectors):
     return (Subspace if R.is_field else Submodule).span(R, dim, vectors)
 
 
+def _bracket_span(L: BracketTable):
+    """The span of all brackets: of the cells [e_i, e_j] with i < j, since L
+    is alternating."""
+    d = L.dim
+    return _span(L.ring, d, [L.table[i][j] for i, j in itertools.combinations(range(d), 2)])
+
+
 def _kernel(M: Matrix):
     """ker M as a Subspace over a field, a canonical Submodule over composite Z/n."""
     return nullspace(M) if M.ring.is_field else submodule_kernel(M.ring, M)
@@ -638,11 +684,11 @@ def nilpotency_check(A: StructureAlgebra, F: Operator):
     op = averaging_operator(A, F)
     R, d = A.ring, A.dim
     ann_rows = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            # condition a*g = 0, linear in a: row k holds coordinate k of e_m*g
-            g = op.bracket.table[i][j]
-            ann_rows.extend(zip(*[A.row_mul(m, g) for m in range(d)]))
+    for g in _bracket_span(op.bracket).basis:
+        # condition a*g = 0, linear in a: row k holds coordinate k of e_m*g;
+        # the basis generates the span of the brackets, so it imposes the
+        # same conditions as all of them
+        ann_rows.extend(zip(*[A.row_mul(m, g) for m in range(d)]))
     ann = _kernel(Matrix(R, len(ann_rows), d, tuple(ann_rows)))
     image = _span(R, d, [op.matrix.col(j) for j in range(d)])
     power = image
@@ -896,8 +942,7 @@ def kernel_equals_brackets(A: StructureAlgebra, F: Operator) -> KernelBracketRes
     """
     op = averaging_operator(A, F)
     ker = _kernel(op.matrix)
-    spn = _span(A.ring, A.dim, [op.bracket.table[i][j]
-                                for i in range(A.dim) for j in range(i + 1, A.dim)])
+    spn = _bracket_span(op.bracket)
     return KernelBracketResult(ker == spn, ker, spn)
 
 

@@ -8,9 +8,15 @@ operators are averaging by construction for the families that promise it).
 from fractions import Fraction
 
 from avgalg._record import Record
-from avgalg.exactlin import Matrix, QQ, RingError, nullspace
+import itertools
+
+from avgalg import findim as FD
+from avgalg.exactlin import (
+    Matrix, QQ, RingError, Subspace, nullspace, vec_add, vec_is_zero)
 from avgalg.freeavg import FreePoly
-from avgalg.findim import StructureAlgebra, primary_from_poly
+from avgalg.findim import (
+    AlgebraReport, BracketTable, Check, Nilpotent, NotLieError, NotNilpotent, SeriesResult,
+    StructureAlgebra, averaging_operator, induced_bracket, primary_from_poly, raw_bracket)
 
 
 def rand_fraction(rng, lo=-4, hi=4, max_den=3):
@@ -181,6 +187,112 @@ def ref_gamma_subalgebra(A, L):
 
 
 # ---------------------------------------------------------------------------
+# reference identity checks: findim's checks as full scans over every
+# ordered basis tuple, before they were decided once per symmetry orbit;
+# differential tests compare results and witnesses
+
+def ref_verify_algebra(A):
+    d = range(A.dim)
+    e = [A.basis_vec(i) for i in d]
+    comm = next(((i, j) for i in d for j in d if A.mul[i][j] != A.mul[j][i]), None)
+    unit = next(((i,) for i in d if A.mul_vec(A.unit, e[i]) != e[i]), None)
+    # (e_i e_j) e_k against e_i (e_j e_k), which reads row i only
+    assoc = next(((i, j, k) for i, j, k in itertools.product(d, repeat=3)
+                  if A.mul_vec(A.mul[i][j], e[k]) != A.row_mul(i, A.mul[j][k])), None)
+    failure = next(((law, w) for law, w in (("commutativity", comm), ("unit", unit),
+                                            ("associativity", assoc)) if w), None)
+    return AlgebraReport(comm is None, assoc is None, unit is None, failure)
+
+
+def ref_is_averaging(A, F):
+    cols = [F.col(j) for j in range(A.dim)]
+    for i in range(A.dim):
+        for j in range(A.dim):
+            lhs = F.apply(A.row_mul(i, cols[j]))
+            rhs = A.mul_vec(cols[i], cols[j])
+            if lhs != rhs:
+                return Check(False, (i, j))
+    return Check(True)
+
+
+def ref_is_reynolds_averaging(A, F):
+    F = averaging_operator(A, F).matrix
+    cols = [F.col(j) for j in range(A.dim)]
+    for i in range(A.dim):
+        for j in range(A.dim):
+            prod = A.mul_vec(cols[i], cols[j])
+            if F.apply(prod) != prod:
+                return Check(False, (i, j))
+    return Check(True)
+
+
+def ref_check_lie(A, L):
+    R = A.ring
+    for i in range(A.dim):
+        if not vec_is_zero(R, L.table[i][i]):
+            return Check(False, ("alternating", (i,)))
+        for j in range(A.dim):
+            if L.table[i][j] != tuple(R.neg(x) for x in L.table[j][i]):
+                return Check(False, ("antisymmetry", (i, j)))
+    for i, j, k in itertools.combinations(range(A.dim), 3):
+        total = vec_add(R, vec_add(R,
+                        L.row_bracket(k, L.table[i][j]),
+                        L.row_bracket(i, L.table[j][k])),
+                        L.row_bracket(j, L.table[k][i]))
+        if not vec_is_zero(R, total):
+            return Check(False, ("jacobi", (i, j, k)))
+    return Check(True)
+
+
+def ref_endo_induced_check(A, L):
+    one_e = [L.bracket_vec(A.unit, A.basis_vec(j)) for j in range(A.dim)]  # [1, e_j]
+    for i in range(A.dim):
+        e_one = L.row_bracket(i, A.unit)  # [e_i, 1]
+        for j in range(A.dim):
+            rhs = vec_add(A.ring, A.row_mul(i, one_e[j]), A.row_mul(j, e_one))
+            if L.table[i][j] != rhs:
+                return Check(False, (i, j))
+    return Check(True)
+
+
+def ref_series(A, L, lower):
+    full = Subspace.full(A.ring, A.dim)
+    stages = [full]
+    while True:
+        other = full if lower else stages[-1]
+        nxt = Subspace.span(A.ring, A.dim,
+                            [L.bracket_vec(x, y) for x in stages[-1].basis for y in other.basis])
+        if nxt == stages[-1]:
+            break
+        stages.append(nxt)
+        if nxt.is_zero():
+            break
+    return SeriesResult(tuple(stages), stages[-1].is_zero())
+
+
+def ref_nilpotency_check(A, F):
+    op = averaging_operator(A, F)
+    R, d = A.ring, A.dim
+    ann_rows = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            g = op.bracket.table[i][j]
+            ann_rows.extend(zip(*[A.row_mul(m, g) for m in range(d)]))
+    ann = FD._kernel(Matrix(R, len(ann_rows), d, tuple(ann_rows)))
+    image = FD._span(R, d, [op.matrix.col(j) for j in range(d)])
+    power = image
+    k = 1
+    while True:
+        if all(ann.contains_vector(g) for g in power.basis):
+            return Nilpotent(k)
+        nxt = FD._span(R, d, [A.mul_vec(u, v) for u in power.basis for v in image.basis])
+        if nxt == power:
+            return NotNilpotent(power)
+        power = nxt
+        k += 1
+
+
+# ---------------------------------------------------------------------------
 # averaging operators
 
 def mult_operator(A, a):
@@ -196,6 +308,33 @@ def functional_operator(A, lam):
     lam = tuple(R.of(x) for x in lam)
     return Matrix.from_cols(R, [tuple(R.mul(lam[i], u) for u in A.unit)
                                 for i in range(A.dim)])
+
+
+def rand_lie_bracket(rng, A, kind):
+    """A Lie bracket on A: induced by a random averaging operator, by a
+    random endomorphism, or ("neither") [e_a, e_b] = c e_a on two random
+    basis vectors, a Lie bracket that ignores the multiplication."""
+    R, d = A.ring, A.dim
+
+    def rand_rows():
+        # half the entries zero: a sparse endomorphism is Lie more often
+        return [[rng.randint(-2, 2) * rng.randint(0, 1) for _ in range(d)] for _ in range(d)]
+
+    if kind == "averaging":
+        return induced_bracket(A, functional_operator(A, rand_rows()[0]))
+    if kind == "endomorphism":
+        for _ in range(20):
+            try:
+                return raw_bracket(A, Matrix.from_rows(R, rand_rows()))
+            except NotLieError:
+                pass
+        return raw_bracket(A, Matrix.zero(R, d, d))
+    table = [[[0] * d for _ in range(d)] for _ in range(d)]
+    if d > 1:
+        a, b = rng.sample(range(d), 2)
+        c = rng.randint(1, 3)
+        table[a][b][a], table[b][a][a] = c, -c
+    return BracketTable.make(R, table)
 
 
 def rand_element(rng, A):

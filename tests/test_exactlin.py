@@ -93,6 +93,15 @@ class TestRings:
         assert not z6.is_field
         assert ZMod(7).is_field
 
+    def test_zmod_of_maps_ints_bools_and_fractions(self):
+        # ints take the fast path; bools and Fractions the general one
+        z6 = ZMod(6)
+        for value, want in [(-1, 5), (-13, 5), (6, 0), (13, 1), (10 ** 30 + 1, 5),
+                            (True, 1), (False, 0), (Fraction(-4, 2), 4),
+                            (Fraction(7), 1), (Fraction(1, 5), 5), (Fraction(-7, 5), 1)]:
+            got = z6.of(value)
+            assert got == want and type(got) is int, (value, got)
+
     def test_zmod_inverse(self):
         z7 = ZMod(7)
         assert z7.mul(z7.inv(3), 3) == 1

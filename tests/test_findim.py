@@ -85,6 +85,7 @@ from support import (
     rand_element,
     rand_fraction,
     rand_int_algebra,
+    rand_lie_bracket,
     rand_monic,
     ref_gamma_subalgebra,
     unitary_pair,
@@ -332,33 +333,6 @@ class TestBrackets:
         assert not chk.ok and chk.witness[0] == "alternating"
 
 
-def _rand_lie_bracket(rng, A, kind):
-    """A Lie bracket on A: induced by a random averaging operator, by a
-    random endomorphism, or ("neither") [e_a, e_b] = c e_a on two random
-    basis vectors, a Lie bracket that ignores the multiplication."""
-    R, d = A.ring, A.dim
-
-    def rand_rows():
-        # half the entries zero: a sparse endomorphism is Lie more often
-        return [[rng.randint(-2, 2) * rng.randint(0, 1) for _ in range(d)] for _ in range(d)]
-
-    if kind == "averaging":
-        return induced_bracket(A, functional_operator(A, rand_rows()[0]))
-    if kind == "endomorphism":
-        for _ in range(20):
-            try:
-                return raw_bracket(A, Matrix.from_rows(R, rand_rows()))
-            except NotLieError:
-                pass
-        return raw_bracket(A, Matrix.zero(R, d, d))
-    table = [[[0] * d for _ in range(d)] for _ in range(d)]
-    if d > 1:
-        a, b = rng.sample(range(d), 2)
-        c = rng.randint(1, 3)
-        table[a][b][a], table[b][a][a] = c, -c
-    return BracketTable.make(R, table)
-
-
 class TestEndoAndGamma:
     def test_gamma_on_imaginary_part(self):
         A = qi()
@@ -371,7 +345,7 @@ class TestEndoAndGamma:
            st.randoms(use_true_random=False))
     def test_gamma_matches_the_dense_reference(self, ring, kind, rng):
         A = rand_int_algebra(rng, ring)
-        L = _rand_lie_bracket(rng, A, kind)
+        L = rand_lie_bracket(rng, A, kind)
         assert check_lie(A, L).ok
         assert gamma_subalgebra(A, L) == ref_gamma_subalgebra(A, L)
 
@@ -381,7 +355,7 @@ class TestEndoAndGamma:
         for _ in range(60):
             A = rand_int_algebra(rng, QQ)
             for kind in ("averaging", "endomorphism", "neither"):
-                L = _rand_lie_bracket(rng, A, kind)
+                L = rand_lie_bracket(rng, A, kind)
                 res = induced_by_averaging(A, L)
                 seen.add((kind, type(res).__name__))
         assert {("averaging", "Induced"), ("endomorphism", "InduceNoSolution"),

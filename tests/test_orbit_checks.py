@@ -1,0 +1,296 @@
+"""The identity checks decided once per symmetry orbit agree with full scans.
+
+Each check in ``findim`` visits one basis tuple per orbit of its symmetries;
+``tests/support.py`` keeps the scans over every ordered tuple as references.
+Results and witnesses must be equal on random commutative tables, on tables
+where the identity holds and where it fails, and on non-commutative tables
+for the two checks that take them (``verify_algebra``, ``check_lie``).  The
+work counts are pinned as equalities at the end.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from avgalg.exactlin import QQ, Matrix, Subspace, ZMod
+from avgalg.findim import (
+    BracketTable,
+    NotAveragingError,
+    NotNilpotent,
+    StructureAlgebra,
+    check_lie,
+    derived_series,
+    endo_induced_check,
+    induced_bracket,
+    is_averaging,
+    is_reynolds_averaging,
+    lower_central_series,
+    nilpotency_check,
+    primary_from_poly,
+    verify_algebra,
+)
+from support import (
+    functional_operator,
+    mult_operator,
+    product_algebra,
+    rand_int_algebra,
+    rand_lie_bracket,
+    ref_check_lie,
+    ref_endo_induced_check,
+    ref_is_averaging,
+    ref_is_reynolds_averaging,
+    ref_nilpotency_check,
+    ref_series,
+    ref_verify_algebra,
+)
+
+RINGS = [QQ, ZMod(2), ZMod(6)]
+FIELDS = [QQ, ZMod(2), ZMod(3)]
+
+
+def _scalar(rng, ring):
+    """Mostly zero, like the structure constants of the shipped algebras."""
+    if rng.randint(0, 2):
+        return ring.zero
+    if ring == QQ and rng.randint(0, 3) == 0:
+        return QQ.of(Fraction(rng.randint(-3, 3), 2))
+    return ring.of(rng.randint(-2, 2))
+
+
+def _rand_table(rng, ring, d, commutative):
+    table = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            if commutative and j < i:
+                table[i][j] = table[j][i]
+            else:
+                table[i][j] = tuple(_scalar(rng, ring) for _ in range(d))
+    return tuple(tuple(row) for row in table)
+
+
+def _perturbed(rng, ring, table, commutative):
+    """table with one cell changed in one coordinate (and its mirror cell
+    when ``commutative``), so a check that held can fail late in the scan."""
+    d = len(table)
+    i, j, k = rng.randrange(d), rng.randrange(d), rng.randrange(d)
+    rows = [[list(cell) for cell in row] for row in table]
+    rows[i][j][k] = ring.add(rows[i][j][k], ring.one)
+    if commutative and i != j:
+        rows[j][i][k] = rows[i][j][k]
+    return tuple(tuple(tuple(cell) for cell in row) for row in rows)
+
+
+def _rand_commutative_algebra(rng, ring):
+    """A verified algebra, one with a cell perturbed, or a random symmetric
+    table with e_0 as a true unit (so that the associativity witness is
+    reported) or with a random unit vector."""
+    roll = rng.randint(0, 3)
+    if roll < 2:
+        A = rand_int_algebra(rng, ring)
+        return A if roll == 0 else \
+            StructureAlgebra(ring, A.dim, A.unit, _perturbed(rng, ring, A.mul, True))
+    d = rng.randint(1, 4)
+    e = [tuple(ring.one if k == i else ring.zero for k in range(d)) for i in range(d)]
+    table = [list(row) for row in _rand_table(rng, ring, d, True)]
+    if roll == 2:
+        for j in range(d):
+            table[0][j] = table[j][0] = e[j]
+        return StructureAlgebra(ring, d, e[0], tuple(tuple(row) for row in table))
+    return StructureAlgebra(ring, d, tuple(_scalar(rng, ring) for _ in range(d)),
+                            tuple(tuple(row) for row in table))
+
+
+def _rand_operator(rng, A):
+    """An averaging operator, one with an entry perturbed, or a random one."""
+    R, d = A.ring, A.dim
+    roll = rng.randint(0, 3)
+    if roll == 0:
+        return mult_operator(A, [rng.randint(-2, 2) for _ in range(d)])
+    F = functional_operator(A, [rng.randint(-2, 2) for _ in range(d)])
+    if roll == 1:
+        return F
+    if roll == 2:
+        rows = [list(row) for row in F.entries]
+        i, j = rng.randrange(d), rng.randrange(d)
+        rows[i][j] = R.add(rows[i][j], R.one)
+        return Matrix.from_rows(R, rows)
+    return Matrix.from_rows(R, [[_scalar(rng, R) for _ in range(d)] for _ in range(d)])
+
+
+def _rand_bracket_table(rng, ring, d):
+    """A table that fails the Lie axioms at a random place: any table, one
+    with a zero diagonal, or an antisymmetric one."""
+    table = [[list(_scalar(rng, ring) for _ in range(d)) for _ in range(d)] for _ in range(d)]
+    roll = rng.randint(0, 2)
+    for i in range(d):
+        if roll:
+            table[i][i] = [ring.zero] * d
+        if roll == 2:
+            for j in range(i):
+                table[i][j] = [ring.neg(x) for x in table[j][i]]
+    return BracketTable.make(ring, table)
+
+
+def _outcome(check, *args):
+    """The result, or the refusal with its witness."""
+    try:
+        return check(*args)
+    except NotAveragingError as exc:
+        return ("not averaging", exc.witness)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(RINGS), st.booleans(), st.randoms(use_true_random=False))
+def test_verify_algebra_matches_the_full_scan(ring, commutative, rng):
+    if commutative:
+        A = _rand_commutative_algebra(rng, ring)
+    else:
+        base = rand_int_algebra(rng, ring)
+        table = _perturbed(rng, ring, base.mul, False) if rng.randint(0, 1) else \
+            _rand_table(rng, ring, base.dim, False)
+        A = StructureAlgebra(ring, base.dim, base.unit, table)
+    assert verify_algebra(A) == ref_verify_algebra(A)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RINGS), st.randoms(use_true_random=False))
+def test_is_averaging_matches_the_full_scan(ring, rng):
+    A = _rand_commutative_algebra(rng, ring)
+    F = _rand_operator(rng, A)
+    assert is_averaging(A, F) == ref_is_averaging(A, F)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(RINGS), st.randoms(use_true_random=False))
+def test_is_reynolds_averaging_matches_the_full_scan(ring, rng):
+    A = rand_int_algebra(rng, ring)
+    F = _rand_operator(rng, A)
+    if rng.randint(0, 1):
+        # lam(1) = 1 makes the functional operator Reynolds; every unit of
+        # rand_int_algebra has first coordinate 1
+        lam = [ring.one] + [ring.of(rng.randint(-2, 2)) for _ in range(A.dim - 1)]
+        for u, x in zip(A.unit[1:], lam[1:]):
+            lam[0] = ring.sub(lam[0], ring.mul(u, x))
+        F = functional_operator(A, lam)
+    assert _outcome(is_reynolds_averaging, A, F) == _outcome(ref_is_reynolds_averaging, A, F)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RINGS), st.booleans(), st.randoms(use_true_random=False))
+def test_check_lie_matches_the_full_scan(ring, commutative, rng):
+    A = rand_int_algebra(rng, ring)
+    if rng.randint(0, 1):
+        L = rand_lie_bracket(rng, A, rng.choice(["averaging", "endomorphism", "neither"]))
+    else:
+        L = _rand_bracket_table(rng, ring, A.dim)
+    if not commutative:
+        A = StructureAlgebra(ring, A.dim, A.unit, _rand_table(rng, ring, A.dim, False))
+    assert check_lie(A, L) == ref_check_lie(A, L)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RINGS), st.randoms(use_true_random=False))
+def test_endo_induced_check_matches_the_full_scan(ring, rng):
+    if rng.randint(0, 1):
+        A = rand_int_algebra(rng, ring)
+        L = rand_lie_bracket(rng, A, rng.choice(["averaging", "endomorphism", "neither"]))
+    else:
+        A = _rand_commutative_algebra(rng, ring)
+        L = rand_lie_bracket(rng, A, rng.choice(["endomorphism", "neither"]))
+    assert check_lie(A, L).ok
+    assert endo_induced_check(A, L) == ref_endo_induced_check(A, L)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FIELDS), st.randoms(use_true_random=False))
+def test_series_match_the_full_scan(ring, rng):
+    A = rand_int_algebra(rng, ring, max_dim=5)
+    L = rand_lie_bracket(rng, A, rng.choice(["averaging", "endomorphism", "neither"]))
+    assert derived_series(A, L) == ref_series(A, L, lower=False)
+    assert lower_central_series(A, L) == ref_series(A, L, lower=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(RINGS), st.randoms(use_true_random=False))
+def test_nilpotency_check_matches_the_full_scan(ring, rng):
+    A = rand_int_algebra(rng, ring, max_dim=5)
+    F = _rand_operator(rng, A)
+    assert _outcome(nilpotency_check, A, F) == _outcome(ref_nilpotency_check, A, F)
+
+
+def test_nilpotency_annihilates_the_whole_bracket_span():
+    # Z/2[y]/(y^3) x Z/2[w]/(w^2 + w + 1) with F(y) = y^2, F(1_w) = 1_w and
+    # F = 0 on 1_y, y^2, w: the brackets span <y^2, w>, and the stable image
+    # power <1_w> kills y^2 but not w, so a check that read only the first
+    # basis vector of the span would call F nilpotent
+    R = ZMod(2)
+
+    def primary(coeffs):
+        A, _ = primary_from_poly(coeffs)
+        return StructureAlgebra.make(R, A.unit, A.mul)
+
+    A = product_algebra(primary([0, 0, 0, 1]), primary([1, 1, 1]))
+    F = Matrix.from_cols(R, [(0,) * 5, (0, 0, 1, 0, 0), (0,) * 5, (0, 0, 0, 1, 0), (0,) * 5])
+    L = induced_bracket(A, F)
+    assert Subspace.span(R, 5, [g for row in L.table for g in row]).basis == (
+        (0, 0, 1, 0, 0), (0, 0, 0, 0, 1))
+    got = nilpotency_check(A, F)
+    assert got == ref_nilpotency_check(A, F)
+    assert got == NotNilpotent(Subspace.span(R, 5, [(0, 0, 0, 1, 0)]))
+
+
+# ---------------------------------------------------------------------------
+# work counts
+
+def _cyclic(ring, d):
+    """ring[y]/(y^d - 1) on the basis 1, y, ..., y^(d-1)."""
+    e = [tuple(ring.one if k == i else ring.zero for k in range(d)) for i in range(d)]
+    return StructureAlgebra.make(ring, e[0], [[e[(i + j) % d] for j in range(d)]
+                                              for i in range(d)])
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts the calls of the product methods of both table classes."""
+    counts = {}
+    for cls, names in ((StructureAlgebra, ("row_mul", "mul_vec")),
+                       (BracketTable, ("row_bracket", "bracket_vec"))):
+        for name in names:
+            def counted(*args, _name=name, _method=getattr(cls, name)):
+                counts[_name] += 1
+                return _method(*args)
+
+            counts[name] = 0
+            monkeypatch.setattr(cls, name, counted)
+    return counts
+
+
+def test_verify_algebra_builds_each_triple_product_once(calls):
+    # d^2 (d + 1) / 2 row products at d = 6, against 2 d^3 = 432 for the scan
+    A = _cyclic(ZMod(5), 6)
+    assert verify_algebra(A).ok
+    assert calls == {"row_mul": 126, "mul_vec": 0, "row_bracket": 0, "bracket_vec": 0}
+
+
+def test_is_averaging_multiplies_each_unordered_pair_once(calls):
+    A = _cyclic(ZMod(5), 6)
+    F = mult_operator(A, A.basis_vec(1))
+    calls.update(dict.fromkeys(calls, 0))
+    assert is_averaging(A, F).ok
+    assert calls["mul_vec"] == 21
+
+
+def test_series_compute_no_bracket_for_stage_zero(calls):
+    # lam(x) * 1 on Q[y]/(y^3 - 1) with lam = (1, 1, 0): stage 1 is ker lam,
+    # read off the table; the derived stage 2 brackets its one basis pair,
+    # and the lower central stage 2 brackets both basis vectors with e_0..e_2
+    A = _cyclic(QQ, 3)
+    L = induced_bracket(A, functional_operator(A, (1, 1, 0)))
+    calls.update(dict.fromkeys(calls, 0))
+    assert [s.dim for s in derived_series(A, L).stages] == [3, 2, 0]
+    assert calls == {"row_mul": 0, "mul_vec": 0, "row_bracket": 0, "bracket_vec": 1}
+    calls["bracket_vec"] = 0
+    assert [s.dim for s in lower_central_series(A, L).stages] == [3, 2]
+    assert calls == {"row_mul": 0, "mul_vec": 0, "row_bracket": 6, "bracket_vec": 0}
