@@ -682,9 +682,15 @@ def nilpotency_check(A: StructureAlgebra, F: Operator):
     Works over fields via subspaces and over Z/n via canonical submodules.
     """
     op = averaging_operator(A, F)
+    return _nilpotency(A, op, _bracket_span(op.bracket))
+
+
+def _nilpotency(A: StructureAlgebra, op, brackets):
+    # nilpotency_check of the AveragingOperator op, given the span of its
+    # brackets
     R, d = A.ring, A.dim
     ann_rows = []
-    for g in _bracket_span(op.bracket).basis:
+    for g in brackets.basis:
         # condition a*g = 0, linear in a: row k holds coordinate k of e_m*g;
         # the basis generates the span of the brackets, so it imposes the
         # same conditions as all of them
@@ -956,7 +962,8 @@ class LieAnalysis(Record):
 
 
 def lie_analysis(A: StructureAlgebra, F: Operator) -> LieAnalysis:
-    """Bracket, series, nilpotency, and kernel comparison in one pass."""
+    """Bracket, series, nilpotency, and kernel comparison in one pass; the
+    last two share the kernel comparison's span of the brackets."""
     op = averaging_operator(A, F)
     L = op.bracket
     if A.ring.is_field:
@@ -964,7 +971,8 @@ def lie_analysis(A: StructureAlgebra, F: Operator) -> LieAnalysis:
         lc = lower_central_series(A, L)
     else:
         ds = lc = None
-    return LieAnalysis(L, ds, lc, nilpotency_check(A, op), kernel_equals_brackets(A, op))
+    kc = kernel_equals_brackets(A, op)
+    return LieAnalysis(L, ds, lc, _nilpotency(A, op, kc.brackets), kc)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,13 @@ sends a monomial with x-part u and y-part v to y[u]*v.  The auxiliary
 generators are created lazily, keyed by their x-monomial, so the infinite
 generator family is never materialized.
 
+Each Mode has one map from a monomial m to the normal form of F(m): y[u]*v,
+with y[1] dropped (unitary) or Reynolds-reduced; ``f_mode`` applies it in one
+pass, and a Reynolds product reduces each monomial as it is formed.  The maps
+read the sorted layout of m: x-generators sort first, so u is a prefix; y[u]
+enters the sorted y-part by one ordered insert; and y[1], the least
+y-generator, can only sit right after the x-part.
+
 Also here: the free averaging algebra on a finite-dimensional commutative
 algebra A, carried by pairs (basis index, symmetric monomial over basis
 indices), with its operator, induced homomorphisms, and the universal lift
@@ -16,6 +23,7 @@ into a concrete averaging algebra.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from enum import Enum
 
 from . import terms as T
@@ -86,15 +94,6 @@ def mono_mul(a, b):
 def mono_divides(a, b) -> bool:
     db = dict(b)
     return all(db.get(g, 0) >= e for g, e in a)
-
-
-def mono_x_part(m):
-    """The x-part as an x-monomial (an element of the monic x-monomials)."""
-    return tuple((g[1], e) for g, e in m if g[0] == "x")
-
-
-def mono_y_part(m):
-    return tuple((g, e) for g, e in m if g[0] == "y")
 
 
 def mono_render(m) -> str:
@@ -236,9 +235,7 @@ class FreePoly(_Sparse):
         return FreePoly(ring, {m: c} if c else {})
 
     def mul(self, other: "FreePoly") -> "FreePoly":
-        mul, b = self._same_ring(other).mul, other.coeffs.items()
-        return self._sum((mono_mul(m1, m2), mul(c1, c2))
-                         for m1, c1 in self.coeffs.items() for m2, c2 in b)
+        return self._sum(_products(self, other))
 
     def render(self) -> str:
         if not self.coeffs:
@@ -261,17 +258,51 @@ class FreePoly(_Sparse):
         return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
-# ---------------------------------------------------------------------------
-# the averaging operator and the two quotient normal forms
+def _products(p: FreePoly, q: FreePoly):
+    # (m1*m2, c1*c2) for every pair of terms of p and q, not yet summed
+    mul, b = p._same_ring(q).mul, q.coeffs.items()
+    return ((mono_mul(m1, m2), mul(c1, c2)) for m1, c1 in p.coeffs.items() for m2, c2 in b)
 
-def _f_image(m):
-    """y[u]*v for the monomial m with x-part u and y-part v."""
-    return mono((y_gen(mono_x_part(m)), 1), *mono_y_part(m))
+
+# ---------------------------------------------------------------------------
+# the averaging operator and the two quotient normal forms, as one map per
+# mode on monomials (see the module docstring)
+
+_Y_FIRST = (("y",),)  # a bisect probe: after every x entry, before every y entry
+
+
+def _f_plain(m):
+    """y[u]*v for the monomial m with x-part u and y-part v: one ordered
+    insert of y[u] into the sorted v."""
+    k = bisect_left(m, _Y_FIRST)
+    g = y_gen(tuple((h[1], e) for h, e in m[:k]))
+    j = bisect_left(m, (g,), k)
+    if j < len(m) and m[j][0] == g:
+        return m[k:j] + ((g, m[j][1] + 1),) + m[j + 1:]
+    return m[k:j] + ((g, 1),) + m[j:]
+
+
+def _f_unitary(m):
+    # the plain image is a y-monomial, so a y[1] in it leads it
+    r = _f_plain(m)
+    return r[1:] if r[0][0] == Y_ONE_GEN else r
+
+
+def _reynolds_mono(m):
+    # with a the exponent of y[1] and b the total degree of the other
+    # y-generators, a drops to min(a, max(0, 2 - b))
+    k = bisect_left(m, _Y_FIRST)
+    if k == len(m) or m[k][0] != Y_ONE_GEN:
+        return m
+    keep = 2 - sum(e for _, e in m[k + 1:])
+    if m[k][1] <= keep:
+        return m
+    return m[:k] + (((Y_ONE_GEN, keep),) if keep > 0 else ()) + m[k + 1:]
 
 
 def f_free(p: FreePoly) -> FreePoly:
     """Split each monomial into x-part u and y-part v; map it to y[u]*v."""
-    return p._sum((_f_image(m), c) for m, c in p.coeffs.items())
+    return p._sum((_f_plain(m), c) for m, c in p.coeffs.items())
 
 
 def reduce_unitary(p: FreePoly) -> FreePoly:
@@ -280,20 +311,13 @@ def reduce_unitary(p: FreePoly) -> FreePoly:
                   for m, c in p.coeffs.items())
 
 
-def _reynolds_reduce_mono(m):
-    # a drops to max(0, 2 - b) when a + b >= 3, that is to min(a, max(0, 2 - b))
-    rest = tuple((g, e) for g, e in m if g != Y_ONE_GEN)
-    b = sum(e for g, e in rest if g[0] == "y")
-    return mono(*rest, (Y_ONE_GEN, min(dict(m).get(Y_ONE_GEN, 0), max(0, 2 - b))))
-
-
 def reduce_reynolds(p: FreePoly) -> FreePoly:
     """Canonical form mod the relation y*y'*y[1] = y*y'.
 
     Per monomial, with a the exponent of y[1] and b the total degree of the
     other y-generators, decrement a while a >= 1 and a + b >= 3.
     """
-    return p._sum((_reynolds_reduce_mono(m), c) for m, c in p.coeffs.items())
+    return p._sum((_reynolds_mono(m), c) for m, c in p.coeffs.items())
 
 
 class Mode(Enum):
@@ -302,18 +326,21 @@ class Mode(Enum):
     REYNOLDS = "reynolds"
 
 
+_F_MONO = {Mode.PLAIN: _f_plain, Mode.UNITARY: _f_unitary,
+           Mode.REYNOLDS: lambda m: _reynolds_mono(_f_plain(m))}
+
+
 def f_mode(mode: Mode, p: FreePoly) -> FreePoly:
-    if mode is Mode.PLAIN:
-        return f_free(p)
-    if mode is Mode.UNITARY:
-        return reduce_unitary(f_free(p))
-    return reduce_reynolds(f_free(p))
+    """The operator of the mode's free object, one pass over the monomials."""
+    f = _F_MONO[mode]
+    return p._sum((f(m), c) for m, c in p.coeffs.items())
 
 
 def mul_mode(mode: Mode, p: FreePoly, q: FreePoly) -> FreePoly:
-    # unitary normal forms are y[1]-free, so their product needs no reduction
+    # unitary normal forms are y[1]-free, so their product needs no
+    # reduction; a Reynolds product reduces each monomial as it is formed
     if mode is Mode.REYNOLDS:
-        return reduce_reynolds(p.mul(q))
+        return p._sum((_reynolds_mono(m), c) for m, c in _products(p, q))
     return p.mul(q)
 
 
@@ -401,7 +428,7 @@ def bracket_decompose(w: FreePoly) -> list:
     groups = {}
     for m, c in w.terms:
         # w.terms is canonical, so every group is in canonical order too
-        groups.setdefault(_f_image(m), []).append((m, c))
+        groups.setdefault(_f_plain(m), []).append((m, c))
     pairs = []
     for members in groups.values():
         last_m, _ = members[-1]
@@ -411,21 +438,22 @@ def bracket_decompose(w: FreePoly) -> list:
 
 
 def _difference_bracket(R: Ring, r, wa, wb):
-    # r*(wa - wb) as one bracket, where f(wa) = f(wb) and wa != wb
-    va = mono_y_part(wa)
-    if not va:
+    # r*(wa - wb) as one bracket, where f(wa) = f(wb) and wa != wb: with
+    # wa = ua*va and wb = ub*vb split into x-part and y-part, it is
+    # [ua, ub*(va / y[ub])]
+    ka = bisect_left(wa, _Y_FIRST)
+    if ka == len(wa):
         # wa is a pure x-monomial; swap roles and flip the coefficient
-        r, wa, wb, va = R.neg(r), wb, wa, mono_y_part(wb)
-    ua = mono_x_part(wa)
-    ub = mono_x_part(wb)
-    da = dict(va)
-    shared = y_gen(ub)
-    if da.get(shared, 0) < 1:
+        r, wa, wb = R.neg(r), wb, wa
+        ka = bisect_left(wa, _Y_FIRST)
+    kb = bisect_left(wb, _Y_FIRST)
+    shared = y_gen(tuple((g[1], e) for g, e in wb[:kb]))
+    j = bisect_left(wa, (shared,), ka)
+    if j == len(wa) or wa[j][0] != shared:
         raise NotInKernelError("monomials do not share an operator image")
-    da[shared] -= 1
-    q_mono = mono(*((x_gen(i), e) for i, e in ub), *da.items())
-    p_mono = mono(*((x_gen(i), e) for i, e in ua))
-    return (FreePoly.monomial(p_mono, r, R), FreePoly.monomial(q_mono, R.one, R))
+    e = wa[j][1] - 1
+    q_mono = wb[:kb] + wa[ka:j] + (((shared, e),) if e else ()) + wa[j + 1:]
+    return (FreePoly.monomial(wa[:ka], r, R), FreePoly.monomial(q_mono, R.one, R))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ import itertools
 from avgalg import findim as FD
 from avgalg.exactlin import (
     Matrix, QQ, RingError, Subspace, nullspace, vec_add, vec_is_zero)
-from avgalg.freeavg import FreePoly
+from avgalg import terms as T
+from avgalg.freeavg import FreePoly, Mode, NotInKernelError, Y_ONE_GEN, mono, x_gen, y_gen
 from avgalg.findim import (
     AlgebraReport, BracketTable, Check, Nilpotent, NotLieError, NotNilpotent, SeriesResult,
     StructureAlgebra, averaging_operator, induced_bracket, primary_from_poly, raw_bracket)
@@ -407,6 +408,134 @@ def eval_term_concrete(term, A, F, env):
             acc = A.mul_vec(acc, base)
         return acc
     raise TypeError(f"not a term node: {term!r}")
+
+
+# ---------------------------------------------------------------------------
+# reference free-object operations: freeavg's operator, quotient reductions,
+# products and evaluation as they were before each mode had one map per
+# monomial, every image rebuilt through mono(); differential tests compare
+# coefficients
+
+def ref_mono_x_part(m):
+    """The x-part as an x-monomial (an element of the monic x-monomials)."""
+    return tuple((g[1], e) for g, e in m if g[0] == "x")
+
+
+def ref_mono_y_part(m):
+    return tuple((g, e) for g, e in m if g[0] == "y")
+
+
+def ref_f_image(m):
+    """y[u]*v for the monomial m with x-part u and y-part v."""
+    return mono((y_gen(ref_mono_x_part(m)), 1), *ref_mono_y_part(m))
+
+
+def ref_f_free(p: FreePoly) -> FreePoly:
+    """Split each monomial into x-part u and y-part v; map it to y[u]*v."""
+    return p._sum((ref_f_image(m), c) for m, c in p.coeffs.items())
+
+
+def ref_reduce_unitary(p: FreePoly) -> FreePoly:
+    """Substitute y[1] by 1 in every monomial."""
+    return p._sum((tuple((g, e) for g, e in m if g != Y_ONE_GEN), c)
+                  for m, c in p.coeffs.items())
+
+
+def ref_reynolds_reduce_mono(m):
+    # a drops to max(0, 2 - b) when a + b >= 3, that is to min(a, max(0, 2 - b))
+    rest = tuple((g, e) for g, e in m if g != Y_ONE_GEN)
+    b = sum(e for g, e in rest if g[0] == "y")
+    return mono(*rest, (Y_ONE_GEN, min(dict(m).get(Y_ONE_GEN, 0), max(0, 2 - b))))
+
+
+def ref_reduce_reynolds(p: FreePoly) -> FreePoly:
+    """Canonical form mod the relation y*y'*y[1] = y*y'.
+
+    Per monomial, with a the exponent of y[1] and b the total degree of the
+    other y-generators, decrement a while a >= 1 and a + b >= 3.
+    """
+    return p._sum((ref_reynolds_reduce_mono(m), c) for m, c in p.coeffs.items())
+
+
+def ref_f_mode(mode: Mode, p: FreePoly) -> FreePoly:
+    if mode is Mode.PLAIN:
+        return ref_f_free(p)
+    if mode is Mode.UNITARY:
+        return ref_reduce_unitary(ref_f_free(p))
+    return ref_reduce_reynolds(ref_f_free(p))
+
+
+def ref_mul_mode(mode: Mode, p: FreePoly, q: FreePoly) -> FreePoly:
+    # unitary normal forms are y[1]-free, so their product needs no reduction
+    if mode is Mode.REYNOLDS:
+        return ref_reduce_reynolds(p.mul(q))
+    return p.mul(q)
+
+
+def ref_eval_term(t: T.Term, mode: Mode, ring=QQ) -> FreePoly:
+    """eval_term on ref_f_mode and ref_mul_mode, by recursion."""
+    tp = type(t)
+    if tp is T.Var:
+        return FreePoly.x_var(t.index, ring)
+    if tp is T.One:
+        return FreePoly.one(ring)
+    if tp is T.Zero:
+        return FreePoly.zero(ring)
+    if tp is T.F:
+        return ref_f_mode(mode, ref_eval_term(t.arg, mode, ring))
+    if tp is T.ScalarMul:
+        return ref_eval_term(t.arg, mode, ring).scale(ring.of(t.coeff))
+    if tp is T.Pow:
+        base = ref_eval_term(t.base, mode, ring)
+        acc = base
+        for _ in range(t.n - 1):
+            acc = ref_mul_mode(mode, acc, base)
+        return acc
+    left, right = ref_eval_term(t.left, mode, ring), ref_eval_term(t.right, mode, ring)
+    if tp is T.Mul:
+        return ref_mul_mode(mode, left, right)
+    return left.add(right) if tp is T.Add else left.sub(right)
+
+
+def ref_bracket_decompose(w: FreePoly) -> list:
+    """Write a kernel element as a sum of brackets.
+
+    Returns pairs (p_i, q_i) with w equal to the sum of bracket_free(p_i,
+    q_i).  Monomials are grouped by their operator image; inside a group the
+    coefficients sum to zero, and each difference against the group's last
+    monomial is a single bracket.
+    """
+    if not ref_f_free(w).is_zero():
+        raise NotInKernelError("element is not in the kernel of the operator")
+    R = w.ring
+    groups = {}
+    for m, c in w.terms:
+        # w.terms is canonical, so every group is in canonical order too
+        groups.setdefault(ref_f_image(m), []).append((m, c))
+    pairs = []
+    for members in groups.values():
+        last_m, _ = members[-1]
+        for m, c in members[:-1]:
+            pairs.append(ref_difference_bracket(R, c, m, last_m))
+    return pairs
+
+
+def ref_difference_bracket(R, r, wa, wb):
+    # r*(wa - wb) as one bracket, where f(wa) = f(wb) and wa != wb
+    va = ref_mono_y_part(wa)
+    if not va:
+        # wa is a pure x-monomial; swap roles and flip the coefficient
+        r, wa, wb, va = R.neg(r), wb, wa, ref_mono_y_part(wb)
+    ua = ref_mono_x_part(wa)
+    ub = ref_mono_x_part(wb)
+    da = dict(va)
+    shared = y_gen(ub)
+    if da.get(shared, 0) < 1:
+        raise NotInKernelError("monomials do not share an operator image")
+    da[shared] -= 1
+    q_mono = mono(*((x_gen(i), e) for i, e in ub), *da.items())
+    p_mono = mono(*((x_gen(i), e) for i, e in ua))
+    return (FreePoly.monomial(p_mono, r, R), FreePoly.monomial(q_mono, R.one, R))
 
 
 # ---------------------------------------------------------------------------

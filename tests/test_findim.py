@@ -815,6 +815,20 @@ class TestLieAnalysis:
         assert an.nilpotency == Nilpotent(1)
         assert not an.kernel_comparison.equal
 
+    def test_brackets_spanned_once(self, monkeypatch):
+        # Z/6[y]/(y^6 - 1), where each span is one Submodule.span
+        Z6, d = ZMod(6), 6
+        mul = [[[int(k == (i + j) % d) for k in range(d)] for j in range(d)] for i in range(d)]
+        A = StructureAlgebra.make(Z6, [1] + [0] * (d - 1), mul)
+        F = functional_operator(A, [1, 2, 0, 3, 0, 1])
+        calls = []
+        span = FD._bracket_span
+        monkeypatch.setattr(FD, "_bracket_span", lambda L: calls.append(L) or span(L))
+        an = lie_analysis(A, F)
+        assert len(calls) == 1
+        assert an.nilpotency == nilpotency_check(A, F)
+        assert an.kernel_comparison == kernel_equals_brackets(A, F)
+
 
 class TestAveragingOperator:
     @pytest.fixture
