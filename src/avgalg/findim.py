@@ -496,20 +496,28 @@ def endo_induced_check(A: StructureAlgebra, L: BracketTable) -> Check:
 
 
 def gamma_subalgebra(A: StructureAlgebra, L: BracketTable) -> Subspace:
-    """Gamma = {a : [a*x, y] = a*[x, y]}, the linear conditions solved exactly;
-    L must pass ``check_lie``.
+    """Gamma = {a : [a*x, y] = a*[x, y]}, the linear conditions solved exactly.
 
-    Both sides are bilinear in (x, y), so basis pairs decide, and the
-    condition is linear in a = sum a_m e_m.  Column m of block (i, j) is
-    [e_m e_i, e_j] - e_m [e_i, e_j], which antisymmetry turns into
-    -([e_j, e_m e_i] + e_m [e_i, e_j]): two row products.  The sign does not
-    change the kernel, and zero rows are dropped before the one nullspace.
+    A must pass ``verify_algebra``, and L both ``check_lie`` and
+    ``endo_induced_check``.  Then [x, y] = x*D(y) - y*D(x) with D = [1, .],
+    so [a*x, y] - a*[x, y] = y*(a*D(x) - D(a*x)), and y = 1 shows
+    Gamma = {a : D(a*e_i) = a*D(e_i) for every i}.
     """
+    return _gamma(A, Matrix.from_cols(A.ring, [L.row_bracket(i, A.unit) for i in range(A.dim)]))
+
+
+def _gamma(A: StructureAlgebra, E: Matrix) -> Subspace:
+    # E = [., 1] = -D, so column m of block i is E(e_m e_i) - e_m E(e_i), the
+    # negated condition; e_m e_i = e_i e_m, so E(e_m e_i) is computed once per
+    # unordered pair, and zero rows are dropped before the one nullspace
     R, d = A.ring, A.dim
+    e_prod = {}
+    for m, i in itertools.combinations_with_replacement(range(d), 2):
+        e_prod[m, i] = e_prod[i, m] = E.apply(A.mul[m][i])
     rows = []
-    for i, j in itertools.product(range(d), repeat=2):
-        g = L.table[i][j]
-        cols = [vec_add(R, L.row_bracket(j, A.mul[m][i]), A.row_mul(m, g)) for m in range(d)]
+    for i in range(d):
+        col = E.col(i)
+        cols = [vec_sub(R, e_prod[m, i], A.row_mul(m, col)) for m in range(d)]
         rows.extend(row for row in zip(*cols) if any(row))
     return nullspace(Matrix(R, len(rows), d, tuple(rows)))
 
@@ -558,11 +566,13 @@ def _complement(ring: Ring, basis, dim: int):
 def induced_by_averaging(A: StructureAlgebra, L: BracketTable) -> InduceResult:
     """Decide whether L is the bracket of some averaging operator.
 
-    Steps: the endomorphism criterion; the invariance subalgebra Gamma
-    (``gamma_subalgebra``); one rref that completes its basis and inverts
-    the completed basis (``_complement``); the stacked linear system for the
-    Gamma-coordinates of t; then a full re-verification of the candidate
-    operator L_t.
+    A must pass ``verify_algebra``, as ``cli._load_algebra`` ensures.  Steps:
+    the endomorphism criterion; the columns [e_i, 1] = -D(e_i), built once;
+    from them the invariance subalgebra Gamma, as in ``gamma_subalgebra``;
+    one rref that completes its basis and inverts the completed basis
+    (``_complement``); the stacked linear system for the Gamma-coordinates
+    of t; then a full re-verification of the candidate operator
+    L_t = D + t*(.).
     """
     if not A.ring.is_field:
         raise NotAFieldError("the averaging-induced decision needs field scalars")
@@ -572,15 +582,16 @@ def induced_by_averaging(A: StructureAlgebra, L: BracketTable) -> InduceResult:
         return NotEndoInduced(endo.witness)
     R = A.ring
     n = A.dim
-    eps = gamma_subalgebra(A, L).basis
+    E = Matrix.from_cols(R, [L.row_bracket(i, A.unit) for i in range(n)])  # [., 1] = -D
+    eps = _gamma(A, E).basis
     delta, project = _complement(R, eps, n)
     rows, rhs = [], []
     for dj in delta:
         # delta-coordinates of eps_i * delta_j fill the system matrix, those
-        # of -[1, delta_j] the right-hand side
+        # of -D(delta_j) = [delta_j, 1] the right-hand side
         coords = [project(A.mul_vec(ei, dj)) for ei in eps]
         rows.extend(tuple(c[k] for c in coords) for k in range(len(delta)))
-        rhs.extend(R.neg(c) for c in project(L.bracket_vec(A.unit, dj)))
+        rhs.extend(project(E.apply(dj)))
     res = solve_linear(Matrix(R, len(rows), len(eps), tuple(rows)), tuple(rhs))
     if isinstance(res, NoSolution):
         return InduceNoSolution()
@@ -588,8 +599,7 @@ def induced_by_averaging(A: StructureAlgebra, L: BracketTable) -> InduceResult:
     t = zero_vec(R, n)
     for xi, ei in zip(x, eps):
         t = vec_add(R, t, vec_scale(R, xi, ei))
-    cols = [vec_add(R, L.bracket_vec(A.unit, A.basis_vec(i)),
-                    A.row_mul(i, t)) for i in range(n)]
+    cols = [vec_sub(R, A.row_mul(i, t), E.col(i)) for i in range(n)]
     op = Matrix.from_cols(R, cols)
     avg = is_averaging(A, op)
     if not avg:
@@ -614,16 +624,14 @@ class SeriesResult(Record):
         return self.stages[min(k, len(self.stages) - 1)]
 
 
-def _series(A: StructureAlgebra, L: BracketTable, lower: bool) -> SeriesResult:
-    """Stage 0 is A; stage k+1 spans the brackets of stage k with itself, or
-    with A when ``lower``.  Stops at a repeated or a zero stage.
-
-    L is alternating, so stage 1 is spanned by the table cells [e_i, e_j]
-    with i < j, a derived stage by the brackets of basis pairs a < b, and a
-    lower central stage by [e_j, x] = -[x, e_j]."""
+def _series(A: StructureAlgebra, L: BracketTable, lower: bool, nxt: Subspace) -> SeriesResult:
+    """Stage 0 is A, stage 1 ``nxt`` (the span of all brackets), and stage
+    k+1 spans the brackets of stage k with itself, or with A when ``lower``.
+    Stops at a repeated or a zero stage.  L is alternating, so a derived
+    stage is spanned by the brackets of basis pairs a < b, and a lower
+    central stage by [e_j, x] = -[x, e_j]."""
     R, d = A.ring, A.dim
     stages = [Subspace.full(R, d)]
-    nxt = Subspace.span(R, d, [L.table[i][j] for i, j in itertools.combinations(range(d), 2)])
     while nxt != stages[-1]:
         stages.append(nxt)
         if nxt.is_zero():
@@ -639,12 +647,12 @@ def _series(A: StructureAlgebra, L: BracketTable, lower: bool) -> SeriesResult:
 
 def derived_series(A: StructureAlgebra, L: BracketTable) -> SeriesResult:
     """L^(k+1) = [L^(k), L^(k)] over a field; L must pass ``check_lie``."""
-    return _series(A, L, lower=False)
+    return _series(A, L, False, Subspace.span(A.ring, A.dim, _bracket_cells(L)))
 
 
 def lower_central_series(A: StructureAlgebra, L: BracketTable) -> SeriesResult:
     """L_(k+1) = [L_k, A] over a field; L must pass ``check_lie``."""
-    return _series(A, L, lower=True)
+    return _series(A, L, True, Subspace.span(A.ring, A.dim, _bracket_cells(L)))
 
 
 class Nilpotent(Record):
@@ -661,11 +669,14 @@ def _span(R: Ring, dim: int, vectors):
     return (Subspace if R.is_field else Submodule).span(R, dim, vectors)
 
 
+def _bracket_cells(L: BracketTable) -> list:
+    """The cells [e_i, e_j] with i < j: they span all brackets, since L is
+    alternating."""
+    return [L.table[i][j] for i, j in itertools.combinations(range(L.dim), 2)]
+
+
 def _bracket_span(L: BracketTable):
-    """The span of all brackets: of the cells [e_i, e_j] with i < j, since L
-    is alternating."""
-    d = L.dim
-    return _span(L.ring, d, [L.table[i][j] for i, j in itertools.combinations(range(d), 2)])
+    return _span(L.ring, L.dim, _bracket_cells(L))
 
 
 def _kernel(M: Matrix):
@@ -914,7 +925,8 @@ def ad_eigen(A: StructureAlgebra, F: Operator, a) -> tuple:
     roots = set(rational_roots(char_poly(ad)))
     direct = {}
     for r in roots:
-        space = nullspace(ad.sub(Matrix.identity(R, A.dim).scale(r)))
+        # at r = 0 the matrix is ad itself, whose kernel the structural path holds
+        space = nullspace(ad.sub(Matrix.identity(R, A.dim).scale(r))) if r else structural[R.zero]
         if not space.is_zero():
             direct[r] = space
     if structural != direct:
@@ -962,16 +974,16 @@ class LieAnalysis(Record):
 
 
 def lie_analysis(A: StructureAlgebra, F: Operator) -> LieAnalysis:
-    """Bracket, series, nilpotency, and kernel comparison in one pass; the
-    last two share the kernel comparison's span of the brackets."""
+    """Bracket, series, nilpotency, and kernel comparison in one pass; all
+    four share the kernel comparison's span of the brackets, which over a
+    field is stage 1 of both series."""
     op = averaging_operator(A, F)
     L = op.bracket
+    kc = kernel_equals_brackets(A, op)
     if A.ring.is_field:
-        ds = derived_series(A, L)
-        lc = lower_central_series(A, L)
+        ds, lc = _series(A, L, False, kc.brackets), _series(A, L, True, kc.brackets)
     else:
         ds = lc = None
-    kc = kernel_equals_brackets(A, op)
     return LieAnalysis(L, ds, lc, _nilpotency(A, op, kc.brackets), kc)
 
 

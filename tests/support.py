@@ -164,8 +164,9 @@ def rand_int_algebra(rng, ring, max_dim=4):
 
 
 def ref_gamma_subalgebra(A, L):
-    """gamma_subalgebra as five loops over the structure constants: the
-    reference for the row-product version."""
+    """Gamma = {a : [a*x, y] = a*[x, y]} for any Lie bracket, as five loops
+    over the structure constants: the reference for gamma_subalgebra, which
+    takes the shorter form that holds for endomorphism-induced brackets."""
     R = A.ring
     rows = []
     for i in range(A.dim):

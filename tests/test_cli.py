@@ -266,6 +266,28 @@ def test_lie_analyze_refuses_non_averaging(capsys):
     assert captured.err == ""
 
 
+def test_lie_induce_without_solution_exits_one(tmp_path, capsys):
+    # componentwise Q^3 with the bracket of the endomorphism G: it passes the
+    # endomorphism criterion, but the linear system for t has no solution
+    import avgalg.findim as FD
+    from avgalg.exactlin import QQ, Matrix
+    A = FD.StructureAlgebra.make(QQ, (1, 1, 1), [
+        [[int(i == j == k) for k in range(3)] for j in range(3)] for i in range(3)])
+    G = Matrix.from_rows(QQ, [[-2, 1, -1], [2, 0, 1], [-2, -1, 0]])
+    alg, bracket = tmp_path / "q3.json", tmp_path / "bracket.json"
+    alg.write_text(json.dumps(FD.algebra_to_json(A)))
+    bracket.write_text(json.dumps(FD.bracket_to_json(FD.raw_bracket(A, G))))
+    code = main(["lie-induce", str(alg), str(bracket)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "NOT INDUCED: the linear system for t has no solution\n"
+    assert captured.err == ""
+    code = main(["lie-induce", "--json", str(alg), str(bracket)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out) == {"outcome": "no_solution"}
+
+
 DEEP = {
     "power_2000": (["eval", "--mode", "plain", "v1^2000"], 0, "x1^2000\n"),
     "claim_power_999": (["decide", "--hypothesis", "averaging", "--claim", "v1^999 = v1^999"],

@@ -344,10 +344,28 @@ class TestEndoAndGamma:
            st.sampled_from(["averaging", "endomorphism", "neither"]),
            st.randoms(use_true_random=False))
     def test_gamma_matches_the_dense_reference(self, ring, kind, rng):
+        # gamma_subalgebra is specified for brackets that pass the
+        # endomorphism criterion; the solver must refuse every other bracket
+        # before it reaches Gamma
         A = rand_int_algebra(rng, ring)
         L = rand_lie_bracket(rng, A, kind)
         assert check_lie(A, L).ok
+        if endo_induced_check(A, L).ok:
+            assert gamma_subalgebra(A, L) == ref_gamma_subalgebra(A, L)
+        else:
+            assert isinstance(induced_by_averaging(A, L), NotEndoInduced)
+
+    def test_gamma_makes_one_row_product_per_basis_pair(self, monkeypatch):
+        # Q[y]/(y^6 - 3): block i, column m needs e_m * D(e_i), one row_mul
+        # for each of the 6 * 6 pairs (m, i); D(e_m e_i) is a matrix product
+        A, _ = primary_from_poly([-3, 0, 0, 0, 0, 0, 1])
+        L = induced_bracket(A, functional_operator(A, [1, 2, 0, -1, 0, 3]))
+        calls = []
+        row_mul = StructureAlgebra.row_mul
+        monkeypatch.setattr(StructureAlgebra, "row_mul",
+                            lambda self, i, v: calls.append(i) or row_mul(self, i, v))
         assert gamma_subalgebra(A, L) == ref_gamma_subalgebra(A, L)
+        assert len(calls) == 36
 
     def test_random_brackets_cover_all_three_kinds(self):
         rng = random.Random(12)
@@ -633,6 +651,17 @@ class TestAdEigen:
                     assert QQ.neg(k) in dict(pairs)
                     assert dict(pairs)[QQ.neg(k)] == nullspace(F)
 
+    def test_kernel_of_ad_is_computed_once(self, monkeypatch):
+        # at a = i the roots are 0 and -1: the structural path takes ker ad,
+        # the direct path reuses it at the root 0 and solves ad + I at -1
+        A, a = qi(), (QQ.of(0), QQ.of(1))
+        L = induced_bracket(A, imaginary_part(A))
+        ad = Matrix.from_cols(QQ, [L.bracket_vec(a, A.basis_vec(i)) for i in range(A.dim)])
+        seen = []
+        monkeypatch.setattr(FD, "nullspace", lambda m: seen.append(m) or nullspace(m))
+        ad_eigen(A, imaginary_part(A), a)
+        assert sum(m == ad for m in seen) == 1
+
 
 class TestKernelBrackets:
     def test_zmod6_doubling_differs(self):
@@ -828,6 +857,17 @@ class TestLieAnalysis:
         assert len(calls) == 1
         assert an.nilpotency == nilpotency_check(A, F)
         assert an.kernel_comparison == kernel_equals_brackets(A, F)
+
+    def test_series_take_stage_one_from_the_bracket_span(self):
+        # over a field the span of the brackets is stage 1 of both series, so
+        # lie_analysis spans the cells once for the kernel comparison
+        A = qi()
+        an = lie_analysis(A, imaginary_part(A))
+        assert an.derived.stages[1] is an.kernel_comparison.brackets
+        assert an.lower_central.stages[1] is an.kernel_comparison.brackets
+        L = an.bracket
+        assert (an.derived, an.lower_central) == (derived_series(A, L),
+                                                  lower_central_series(A, L))
 
 
 class TestAveragingOperator:
