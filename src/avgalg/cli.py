@@ -4,8 +4,8 @@ Subcommands map one-to-one onto library operations: decide, eval, verify,
 lie-induce, lie-analyze, chain, primary.  Every subcommand takes --json for
 machine-readable output.  Exit codes: 0 for success or a positive verdict,
 1 for a negative verdict (a failing claim, a non-averaging operator, a
-bracket no averaging operator induces), 2 for malformed input or internal
-errors.
+bracket no averaging operator induces), 2 for malformed input, internal
+errors or running out of memory.
 """
 
 from __future__ import annotations
@@ -287,6 +287,10 @@ def main(argv=None) -> int:
     except RecursionError:
         # json.load recurses once per nesting level of a JSON input file
         print("error: input nested too deeply", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # an input whose normal form outgrows memory; not a verdict
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

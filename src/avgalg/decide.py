@@ -15,7 +15,7 @@ from typing import List, Union
 from ._record import Record
 from .exactlin import QQ, Ring
 from .freeavg import Mode, eval_term
-from .terms import Equation, IdentitySet
+from .terms import Equation, IdentitySet, Sub
 
 
 MODE_OF = {
@@ -40,8 +40,9 @@ Verdict = Union[Holds, Fails]
 
 
 def implies_one(hypothesis: IdentitySet, claim: Equation, ring: Ring = QQ) -> Verdict:
-    mode = MODE_OF[hypothesis]
-    diff = eval_term(claim.lhs, mode, ring).sub(eval_term(claim.rhs, mode, ring))
+    # one evaluation of lhs - rhs, so a subterm the two sides share (one
+    # object after a parse) is evaluated once
+    diff = eval_term(Sub(claim.lhs, claim.rhs), MODE_OF[hypothesis], ring)
     if diff.is_zero():
         return Holds()
     return Fails(diff)

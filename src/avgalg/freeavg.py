@@ -125,6 +125,25 @@ def _combine(R: Ring, pairs, d=None) -> dict:
     return d
 
 
+# arithmetic on coefficient dicts: each returns a new dict and leaves its
+# arguments unchanged, so one dict can feed any number of later operations
+
+def _add(R: Ring, a: dict, b: dict) -> dict:
+    if len(a) < len(b):
+        a, b = b, a
+    return _combine(R, b.items(), a.copy())
+
+
+def _sub(R: Ring, a: dict, b: dict) -> dict:
+    neg = R.neg
+    return _combine(R, ((k, neg(c)) for k, c in b.items()), a.copy())
+
+
+def _scale(R: Ring, c, a: dict) -> dict:
+    mul = R.mul
+    return _combine(R, ((k, mul(c, v)) for k, v in a.items()))
+
+
 # ---------------------------------------------------------------------------
 # sparse sums and polynomials
 
@@ -155,33 +174,28 @@ class _Sparse(Record):
         set_field(self, "_terms", terms)
         return terms
 
-    def _sum(self, pairs, d=None):
-        # the value with every other field of self and the coefficients of
-        # pairs summed into d by _combine
-        return type(self)(*self._astuple(self)[:-1], _combine(self.ring, pairs, d))
+    def _new(self, coeffs: dict):
+        # the value with every other field of self and these coefficients
+        return type(self)(*self._astuple(self)[:-1], coeffs)
+
+    def _sum(self, pairs):
+        return self._new(_combine(self.ring, pairs))
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def add(self, other):
-        self._same_ring(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return self._sum(b.items(), a.copy())
+        return self._new(_add(self._same_ring(other), self.coeffs, other.coeffs))
 
     def neg(self):
-        neg = self.ring.neg
-        return self._sum((k, neg(c)) for k, c in self.coeffs.items())
+        return self._new(_sub(self.ring, {}, self.coeffs))
 
     def sub(self, other):
-        neg = self._same_ring(other).neg
-        return self._sum(((k, neg(c)) for k, c in other.coeffs.items()), self.coeffs.copy())
+        return self._new(_sub(self._same_ring(other), self.coeffs, other.coeffs))
 
     def scale(self, c):
         R = self.ring
-        c = R.of(c)
-        return self._sum((k, R.mul(c, v)) for k, v in self.coeffs.items())
+        return self._new(_scale(R, R.of(c), self.coeffs))
 
     def _same_ring(self, other) -> Ring:
         if self.ring != other.ring:
@@ -235,7 +249,7 @@ class FreePoly(_Sparse):
         return FreePoly(ring, {m: c} if c else {})
 
     def mul(self, other: "FreePoly") -> "FreePoly":
-        return self._sum(_products(self, other))
+        return mul_mode(Mode.PLAIN, self, other)
 
     def render(self) -> str:
         if not self.coeffs:
@@ -256,12 +270,6 @@ class FreePoly(_Sparse):
         # the first term's sign is glued to it, and a "+" there is dropped
         text = " ".join(parts)
         return text[2:] if text[0] == "+" else "-" + text[2:]
-
-
-def _products(p: FreePoly, q: FreePoly):
-    # (m1*m2, c1*c2) for every pair of terms of p and q, not yet summed
-    mul, b = p._same_ring(q).mul, q.coeffs.items()
-    return ((mono_mul(m1, m2), mul(c1, c2)) for m1, c1 in p.coeffs.items() for m2, c2 in b)
 
 
 # ---------------------------------------------------------------------------
@@ -330,18 +338,30 @@ _F_MONO = {Mode.PLAIN: _f_plain, Mode.UNITARY: _f_unitary,
            Mode.REYNOLDS: lambda m: _reynolds_mono(_f_plain(m))}
 
 
+def _image(mode: Mode, R: Ring, a: dict) -> dict:
+    # the operator of the mode's free object on a coefficient dict
+    f = _F_MONO[mode]
+    return _combine(R, ((f(m), c) for m, c in a.items()))
+
+
+def _product(mode: Mode, R: Ring, a: dict, b: dict) -> dict:
+    # unitary normal forms are y[1]-free, so their product needs no
+    # reduction; a Reynolds product reduces each monomial as it is formed
+    mul, b = R.mul, b.items()
+    pairs = ((mono_mul(m1, m2), mul(c1, c2)) for m1, c1 in a.items() for m2, c2 in b)
+    if mode is Mode.REYNOLDS:
+        pairs = ((_reynolds_mono(m), c) for m, c in pairs)
+    return _combine(R, pairs)
+
+
 def f_mode(mode: Mode, p: FreePoly) -> FreePoly:
     """The operator of the mode's free object, one pass over the monomials."""
-    f = _F_MONO[mode]
-    return p._sum((f(m), c) for m, c in p.coeffs.items())
+    return FreePoly(p.ring, _image(mode, p.ring, p.coeffs))
 
 
 def mul_mode(mode: Mode, p: FreePoly, q: FreePoly) -> FreePoly:
-    # unitary normal forms are y[1]-free, so their product needs no
-    # reduction; a Reynolds product reduces each monomial as it is formed
-    if mode is Mode.REYNOLDS:
-        return p._sum((_reynolds_mono(m), c) for m, c in _products(p, q))
-    return p.mul(q)
+    """The product in the mode's free object of two normal forms."""
+    return FreePoly(p.ring, _product(mode, p._same_ring(q), p.coeffs, q.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -353,53 +373,61 @@ class EvalError(ValueError):
 
 def eval_term(t: T.Term, mode: Mode, ring: Ring = QQ) -> FreePoly:
     """Evaluate t at the generic point, v_i sent to x_i, in the free object
-    of the mode; the result is in normal form."""
-    # post-order over an explicit stack: a node's children are pushed above a
-    # marker that combines their values, the class of a binary node, "f" for
-    # F, (coeff,) for ScalarMul, or the exponent for Pow
-    values = []
+    of the mode; the result is in normal form.
+
+    A node object that occurs more than once in t (a parse shares equal
+    subterms) is evaluated once.
+    """
+    # post-order over an explicit stack: a node is pushed again as (node,)
+    # beneath its children, and popping that computes it from their values;
+    # values are coefficient dicts keyed by node id, and t keeps every node
+    # alive, so no id is reused during the call
+    R = ring
+    values = {}
     todo = [t]
     while todo:
         node = todo.pop()
         tp = type(node)
-        if tp is T.Var:
-            values.append(FreePoly.x_var(node.index, ring))
-        elif tp is T.F:
-            todo += ("f", node.arg)
-        elif tp is str:
-            values[-1] = f_mode(mode, values[-1])
-        elif tp is type:
-            right = values.pop()
-            if node is T.Mul:
-                values[-1] = mul_mode(mode, values[-1], right)
-            elif node is T.Add:
-                values[-1] = values[-1].add(right)
+        if tp is tuple:
+            node, = node
+            tp = type(node)
+            if tp is T.F:
+                value = _image(mode, R, values[id(node.arg)])
+            elif tp is T.Mul:
+                value = _product(mode, R, values[id(node.left)], values[id(node.right)])
+            elif tp is T.Add:
+                value = _add(R, values[id(node.left)], values[id(node.right)])
+            elif tp is T.Sub:
+                value = _sub(R, values[id(node.left)], values[id(node.right)])
+            elif tp is T.ScalarMul:
+                value = _scale(R, R.of(node.coeff), values[id(node.arg)])
             else:
-                values[-1] = values[-1].sub(right)
+                # left-to-right binary powering; each normal form is a ring
+                # quotient, so reducing every partial product gives the
+                # normal form
+                p = value = values[id(node.base)]
+                for bit in bin(node.n)[3:]:
+                    value = _product(mode, R, value, value)
+                    if bit == "1":
+                        value = _product(mode, R, value, p)
+            values[id(node)] = value
+        elif id(node) in values:
+            pass
         elif tp is T.Mul or tp is T.Add or tp is T.Sub:
-            todo += (tp, node.right, node.left)
-        elif tp is T.ScalarMul:
-            todo += ((node.coeff,), node.arg)
-        elif tp is tuple:
-            values[-1] = values[-1].scale(ring.of(node[0]))
+            todo += ((node,), node.right, node.left)
+        elif tp is T.F or tp is T.ScalarMul:
+            todo += ((node,), node.arg)
         elif tp is T.Pow:
-            todo += (node.n, node.base)
-        elif tp is int:
-            # left-to-right binary powering; each normal form is a ring
-            # quotient, so reducing every partial product gives the normal form
-            p = acc = values[-1]
-            for bit in bin(node)[3:]:
-                acc = mul_mode(mode, acc, acc)
-                if bit == "1":
-                    acc = mul_mode(mode, acc, p)
-            values[-1] = acc
+            todo += ((node,), node.base)
+        elif tp is T.Var:
+            values[id(node)] = {((x_gen(node.index), 1),): R.one}
         elif tp is T.One:
-            values.append(FreePoly.one(ring))
+            values[id(node)] = {M_ONE: R.one}
         elif tp is T.Zero:
-            values.append(FreePoly.zero(ring))
+            values[id(node)] = {}
         else:
             raise EvalError(f"not a term node: {node!r}")
-    return values[0]
+    return FreePoly(R, values[id(t)])
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,13 @@ atom-level "-" is 0 - factor, so each one admits one more "^":
 value is 1 or 0 ("1", "01", "00") is the constant One or Zero; every other
 number is a ScalarMul coefficient of the rest of its product to the right:
 "v1*2*v2*v3" is v1*(2*(v2*v3)).
+
+A parse shares equal subterms: within one parse_term or parse_equation
+call, two equal subterms are the same node object, so in
+"f(f(v1)*v2) = f(v1)*v2" the right side is the argument of the left side's
+outer f.  Nothing is shared between parses.  Equality, hashing and render
+are structural and do not see the sharing; ``freeavg.eval_term`` uses it to
+evaluate each distinct subterm once.
 """
 
 from __future__ import annotations
@@ -204,6 +211,10 @@ def _int(text: str, k: int, digits: str, unsigned: str = "") -> int:
         raise _error(text, k, "too many digits") from None
 
 
+# the field types a hash-consing key holds by value, not by id
+_SCALARS = frozenset((int, Fraction, type(None)))
+
+
 def _parse(text: str, equation: bool):
     """The term (or equation) of text, read in one pass over its tokens.
 
@@ -213,7 +224,24 @@ def _parse(text: str, equation: bool):
     ``scaled``, its (plain factors, literal) pairs so far, and ``run``, its
     plain factors after the last literal; ``minus``, the atom-level "-"
     signs pending on the current factor.
+
+    Nodes are hash-consed: ``node`` returns the one node of this parse with
+    the given class and fields, and all constants are ``one`` and ``zero``,
+    so equal subterms are one object.
     """
+    # keyed by the class, the id of each child (hash-consed itself, so its
+    # id stands for its structure) and the Var index, ScalarMul coefficient
+    # or Pow exponent; the table keeps every node alive, so no id is reused
+    table = {}
+    one, zero = One(), Zero()
+
+    def node(cls, x, y=None):
+        key = (cls, x if type(x) in _SCALARS else id(x), y if type(y) in _SCALARS else id(y))
+        made = table.get(key)
+        if made is None:
+            made = table[key] = cls(x) if y is None else cls(x, y)
+        return made
+
     toks = _TOKEN.findall(text)
     toks.append("")  # end of input
     i = 0
@@ -251,7 +279,7 @@ def _parse(text: str, equation: bool):
             index = _int(text, i - 1, tok[1:])
             if index < 1:
                 raise _error(text, i - 1, "variable index must be positive", end=True)
-            value = Var(index)
+            value = node(Var, index)
         elif "0" <= tok[-1:] <= "9":
             num = _int(text, i - 1, tok)
             if toks[i] == "/":
@@ -264,9 +292,9 @@ def _parse(text: str, equation: bool):
             # "00"; "1/1" and "0/1" stay literals so that unit and zero
             # ScalarMul coefficients have a spelling
             elif num == 1 and tok[0] != "-":
-                value = One()
+                value = one
             elif num == 0 and tok[0] != "-":
-                value = Zero()
+                value = zero
             else:
                 value = Fraction(num)
         elif tok:
@@ -285,32 +313,32 @@ def _parse(text: str, equation: bool):
                     if type(value) is Fraction:
                         value **= n
                     elif n == 0:
-                        value = One()
+                        value = one
                     elif n > 1:
-                        value = Pow(value, n)
+                        value = node(Pow, value, n)
                 if not minus:
                     break
                 minus -= 1
-                value = -value if type(value) is Fraction else Sub(Zero(), value)
+                value = -value if type(value) is Fraction else node(Sub, zero, value)
             if type(value) is Fraction:
                 scaled.append((run, value))
                 run = None
             else:
-                run = value if run is None else Mul(run, value)
+                run = value if run is None else node(Mul, run, value)
             tok = toks[i]
             if tok == "*":
                 i += 1
                 break
             # the product is complete: a*2*b*c is Mul(a, ScalarMul(2, Mul(b, c)))
-            node = One() if run is None else run
+            prod = one if run is None else run
             for left, c in reversed(scaled):
-                node = ScalarMul(c, node)
+                prod = node(ScalarMul, c, prod)
                 if left is not None:
-                    node = Mul(left, node)
+                    prod = node(Mul, left, prod)
             if neg:
-                node = Sub(Zero(), node)
+                prod = node(Sub, zero, prod)
             scaled, run, neg = [], None, False
-            total = node if op is None else op(total, node)
+            total = prod if op is None else node(op, total, prod)
             if tok == "+" or tok[:1] == "-":
                 op = Add if tok == "+" else Sub
                 if len(tok) > 1:
@@ -323,7 +351,7 @@ def _parse(text: str, equation: bool):
                 if tok != ")":
                     raise _error(text, i, "expected ')'")
                 i += 1
-                value = total if closer == "(" else F(total)
+                value = total if closer == "(" else node(F, total)
                 closer, total, op, neg, scaled, run, minus = stack.pop()
                 continue
             if equation and lhs is None:
@@ -344,24 +372,6 @@ def parse_term(text: str) -> Term:
 
 def parse_equation(text: str) -> Equation:
     return _parse(text, True)
-
-
-def variables_of(t: Term) -> tuple:
-    """Variable names occurring in t, deduplicated, sorted by index."""
-    indices = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            indices.add(node.index)
-        elif isinstance(node, (Add, Sub, Mul)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, (ScalarMul, F)):
-            stack.append(node.arg)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-    return tuple(f"v{i}" for i in sorted(indices))
 
 
 def _lit(r: Fraction) -> str:

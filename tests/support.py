@@ -376,6 +376,24 @@ def unitary_pair(rng):
 # ---------------------------------------------------------------------------
 # concrete term evaluation in a finite-dimensional averaging algebra
 
+def variables_of(t: T.Term) -> tuple:
+    """Variable names occurring in t, deduplicated, sorted by index."""
+    indices = set()
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, T.Var):
+            indices.add(node.index)
+        elif isinstance(node, (T.Add, T.Sub, T.Mul)):
+            stack.append(node.left)
+            stack.append(node.right)
+        elif isinstance(node, (T.ScalarMul, T.F)):
+            stack.append(node.arg)
+        elif isinstance(node, T.Pow):
+            stack.append(node.base)
+    return tuple(f"v{i}" for i in sorted(indices))
+
+
 def eval_term_concrete(term, A, F, env):
     """Evaluate a syntax tree in A with operator F; env maps var index to
     a coordinate vector."""

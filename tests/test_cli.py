@@ -251,6 +251,22 @@ def test_internal_invariant_error_exits_two(monkeypatch, capsys):
     assert captured.out == ""
 
 
+def test_memory_error_exits_two(monkeypatch, capsys):
+    # a subcommand that runs out of memory is an error, not a verdict and
+    # not a traceback
+    import avgalg.cli as cli
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_eval", exhausted)
+    code = main(["eval", "--mode", "plain", "v1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: out of memory\n"
+    assert captured.out == ""
+
+
 def test_lie_analyze_refuses_non_averaging(capsys):
     # conjugation on Q(i) fails the averaging identity at (e0, e1); the
     # witness comes from the single check in findim.averaging_operator

@@ -2,7 +2,7 @@ import random
 
 from avgalg.decide import Fails, Holds, implies, implies_one
 from avgalg.exactlin import ZMod
-from avgalg.terms import IdentitySet, parse_equation, variables_of
+from avgalg.terms import IdentitySet, parse_equation
 from avgalg import terms as T
 from support import (
     eval_term_concrete,
@@ -10,6 +10,7 @@ from support import (
     rand_element,
     rand_algebra,
     unitary_pair,
+    variables_of,
 )
 
 E_A = IdentitySet.AVERAGING

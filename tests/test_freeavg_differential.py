@@ -3,13 +3,21 @@
 Each mode's operator and Reynolds products are one pass over the monomials;
 tests/support.py keeps the earlier operator-then-reduce passes as ``ref_*``.
 Both must give equal coefficients on every input, normal form or not.
+
+A parse shares equal subterms, and ``eval_term`` evaluates each distinct
+node object once; ``implies_one`` must still give the verdict and witness
+of the tree reference ``ref_eval_term`` applied to each side.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avgalg import freeavg
+from avgalg import terms as T
+from avgalg.decide import MODE_OF, Fails, Holds, implies_one
 from avgalg.exactlin import QQ, ZMod
 from avgalg.freeavg import (
     FreePoly,
@@ -27,7 +35,7 @@ from avgalg.freeavg import (
     x_gen,
     y_gen,
 )
-from avgalg.terms import parse_term
+from avgalg.terms import IdentitySet, parse_equation, parse_term
 from support import (
     kernel_sample,
     ref_bracket_decompose,
@@ -100,12 +108,18 @@ CLAIM_SIDES = ("f(({s})*f({t}))", "f(f({s})*f({t}))", "f({s})*f({t})")
 
 
 @st.composite
-def built_terms(draw):
+def built_s_and_t(draw):
     x, leaf = draw(st.permutations(["v1", "v2"]))
     s = x
     for step in draw(st.lists(st.sampled_from(STEPS), min_size=1, max_size=5)):
         s = step.format(x=s, leaf=leaf, k=draw(st.sampled_from([2, 3])))
     t = draw(st.sampled_from(STEPS)).format(x=x, leaf=leaf, k=2)
+    return s, t
+
+
+@st.composite
+def built_terms(draw):
+    s, t = draw(built_s_and_t())
     return parse_term(draw(st.sampled_from(CLAIM_SIDES)).format(s=s, t=t))
 
 
@@ -113,6 +127,116 @@ def built_terms(draw):
 @given(built_terms(), st.sampled_from(MODES))
 def test_eval_term_matches_the_reference_evaluator(t, mode):
     assert eval_term(t, mode).coeffs == ref_eval_term(t, mode).coeffs
+
+
+# ---------------------------------------------------------------------------
+# shared subterms: a recipe is a DAG of steps over v1 and v2, each step on
+# earlier recipes, so one subterm can occur many times; it is written out as
+# text with every operand parenthesized, and built as a tree of fresh nodes
+
+COEFFS = (Fraction(2), Fraction(3), Fraction(-1), Fraction(1, 2))
+
+
+@st.composite
+def recipe_pools(draw, steps=6):
+    pool = [("v", 1), ("v", 2)]
+    for _ in range(draw(st.integers(1, steps))):
+        kind = draw(st.sampled_from(("f", "add", "sub", "mul", "pow", "scale")))
+        a = draw(st.sampled_from(pool))
+        if kind in ("add", "sub", "mul"):
+            pool.append((kind, a, draw(st.sampled_from(pool))))
+        elif kind == "pow":
+            pool.append((kind, a, draw(st.integers(2, 3))))
+        elif kind == "scale":
+            pool.append((kind, draw(st.sampled_from(COEFFS)), a))
+        else:
+            pool.append((kind, a))
+    return pool
+
+
+def recipe_text(r):
+    kind = r[0]
+    if kind == "v":
+        return f"v{r[1]}"
+    if kind == "f":
+        return f"f({recipe_text(r[1])})"
+    if kind == "pow":
+        return f"({recipe_text(r[1])})^{r[2]}"
+    if kind == "scale":
+        return f"{r[1]}*({recipe_text(r[2])})"
+    sep = {"add": " + ", "sub": " - ", "mul": "*"}[kind]
+    return f"({recipe_text(r[1])}){sep}({recipe_text(r[2])})"
+
+
+def recipe_tree(r):
+    """The term of r with a new node at every occurrence: nothing shared."""
+    kind = r[0]
+    if kind == "v":
+        return T.Var(r[1])
+    if kind == "f":
+        return T.F(recipe_tree(r[1]))
+    if kind == "pow":
+        return T.Pow(recipe_tree(r[1]), r[2])
+    if kind == "scale":
+        return T.ScalarMul(r[1], recipe_tree(r[2]))
+    cls = {"add": T.Add, "sub": T.Sub, "mul": T.Mul}[kind]
+    return cls(recipe_tree(r[1]), recipe_tree(r[2]))
+
+
+def node_ids_and_subterms(t):
+    """The distinct node objects of t and its distinct subterms, counted."""
+    ids, subterms, todo = set(), set(), [t]
+    while todo:
+        node = todo.pop()
+        ids.add(id(node))
+        subterms.add(node)
+        todo += [x for x in node._astuple(node) if isinstance(x, T.Term)]
+    return len(ids), len(subterms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(recipe_pools(), st.data())
+def test_a_parse_shares_exactly_its_equal_subterms(pool, data):
+    r = data.draw(st.sampled_from(pool[2:]))
+    t = parse_term(recipe_text(r))
+    assert t == recipe_tree(r)
+    distinct_nodes, distinct_subterms = node_ids_and_subterms(t)
+    assert distinct_nodes == distinct_subterms
+
+
+def expected_verdict(eq, hypothesis, ring):
+    mode = MODE_OF[hypothesis]
+    diff = ref_eval_term(eq.lhs, mode, ring).sub(ref_eval_term(eq.rhs, mode, ring))
+    return Holds() if diff.is_zero() else Fails(diff)
+
+
+HYPOTHESES = list(IdentitySet)
+SHARING_RINGS = [QQ, ZMod(5)]
+
+
+@st.composite
+def built_claims(draw):
+    """The two claim shapes of the decide benchmark on built s and t."""
+    s, t = draw(built_s_and_t())
+    lhs = draw(st.sampled_from(CLAIM_SIDES[:2]))
+    return f"{lhs} = {CLAIM_SIDES[2]}".format(s=s, t=t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(built_claims(), st.sampled_from(HYPOTHESES), st.sampled_from(SHARING_RINGS))
+def test_implies_one_on_benchmark_claims_matches_the_tree_reference(text, hypothesis, ring):
+    eq = parse_equation(text)
+    assert implies_one(hypothesis, eq, ring) == expected_verdict(eq, hypothesis, ring)
+
+
+@settings(max_examples=100, deadline=None)
+@given(recipe_pools(steps=5), st.data(), st.sampled_from(HYPOTHESES),
+       st.sampled_from(SHARING_RINGS))
+def test_implies_one_on_shared_subterms_matches_the_tree_reference(pool, data, hypothesis, ring):
+    lhs, rhs = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+    eq = parse_equation(f"{recipe_text(lhs)} = {recipe_text(rhs)}")
+    assert eq == T.Equation(recipe_tree(lhs), recipe_tree(rhs))
+    assert implies_one(hypothesis, eq, ring) == expected_verdict(eq, hypothesis, ring)
 
 
 def pair_coeffs(pairs):
@@ -183,3 +307,22 @@ def test_eval_term_pass_count(combine_calls, mode):
     # F, then the product, then F: one pass each
     eval_term(parse_term("f(f(v1)*v2)"), mode)
     assert len(combine_calls) == 3
+
+
+# the right side is the argument of the left side's outer f
+SHARED_CLAIM = "f(f(v1^2 + v2)*f(2*v1)) = f(v1^2 + v2)*f(2*v1)"
+
+
+def test_a_parse_shares_the_subterm_of_both_sides():
+    eq = parse_equation(SHARED_CLAIM)
+    assert eq.lhs.arg is eq.rhs
+
+
+@pytest.mark.parametrize("hypothesis", HYPOTHESES, ids=[h.value for h in HYPOTHESES])
+def test_implies_one_evaluates_a_shared_subterm_once(combine_calls, hypothesis):
+    # the right side f(v1^2 + v2)*f(2*v1) takes six passes: the square, the
+    # sum, its f, the scaling by 2, its f and the product; the left side is
+    # f of that same object, one more pass, and lhs - rhs one more: 8 (the
+    # two sides evaluated apart took 7 + 6, and their difference 1: 14)
+    implies_one(hypothesis, parse_equation(SHARED_CLAIM))
+    assert len(combine_calls) == 8

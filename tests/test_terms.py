@@ -25,8 +25,8 @@ from avgalg.terms import (
     parse_equation,
     parse_term,
     render,
-    variables_of,
 )
+from support import variables_of
 
 
 class TestParse:
