@@ -357,6 +357,108 @@ class Matrix(Record):
         return tuple(out)
 
 
+# ---------------------------------------------------------------------------
+# echelon forms: one elimination for every scalar ring
+#
+# Over a field the canonical basis of a span is its reduced row echelon form.
+# Over Z/n with n composite there is no echelon form in that sense, but a
+# finitely generated submodule of (Z/n)^d still has a canonical basis, its
+# Howell form (Howell, Linear Multilinear Algebra 19, 1986), and the same
+# loop computes it on the residues (Storjohann & Mulders, "Fast algorithms
+# for linear algebra modulo N", ESA 1998).  Either way equal spans have
+# equal bases, which settles equality and membership questions.
+
+def _pivot_unit(a: int, n: int) -> int:
+    """A unit u of Z/n with u·a = gcd(a, n) mod n, for 0 < a < n.
+
+    With g = gcd(a, n), the inverse of a/g mod n/g does this mod n; it need
+    not be a unit mod n, but one of its lifts u + k·(n/g), 0 <= k < g, is.
+    """
+    g = gcd(a, n)
+    step = n // g
+    u = pow(a // g, -1, step)
+    while gcd(u, n) != 1:
+        u += step
+    return u
+
+
+def _sub_multiple(R: Ring, row, q, p) -> list:
+    """row - q·p, reading only the nonzero entries of p."""
+    return [R.sub(x, R.mul(q, y)) if y else x for x, y in zip(row, p)]
+
+
+def _hnf_full(R: Ring, rows, split: int):
+    """The one echelon loop, over every scalar ring.
+
+    Column by column over the first ``split`` columns, the rows still to be
+    processed that are nonzero in the column give one pivot row:
+
+    - over a field, the first of them, scaled to pivot 1, and its column is
+      cleared in every other row, above and below;
+    - over Z/n with n composite, Euclidean steps on the representatives in
+      [0, n) leave one of them nonzero in the column; a unit scales that
+      entry to g = gcd(entry, n), the entries above it are reduced into
+      [0, g), and (n/g)·row, zero in the column, goes back among the rows
+      still to be processed.  So at every column the rows still to be
+      processed span all of the span that is zero in the columns before it
+      (the Howell property).
+
+    Returns ``(rows, pivots)``: the pivot rows in column order, then the
+    rows left, zero in the first ``split`` columns; ``pivots`` holds the
+    pivot columns.  Trailing columns (a transform carried along) are updated
+    in step.
+    """
+    n = 0 if R.is_field else R.n
+    todo = [list(r) for r in rows]
+    done, pivots = [], []
+    for c in range(split):
+        if not todo:
+            break
+        sel = [r for r in todo if r[c]]
+        if not sel:
+            continue
+        if n:
+            while len(sel) > 1:
+                sel.sort(key=lambda r: r[c])
+                p = sel[0]
+                for r in sel[1:]:
+                    q = r[c] // p[c]
+                    r[:] = [(x - q * y) % n if y else x for x, y in zip(r, p)]
+                sel = [r for r in sel if r[c]]
+        pr = sel[0]
+        todo = [r for r in todo if r is not pr]
+        if n:
+            u = _pivot_unit(pr[c], n)
+            p = [u * x % n for x in pr]
+            g = p[c]
+            ann = [n // g * x % n for x in p]
+            if any(ann):
+                todo.append(ann)
+        else:
+            inv = R.inv(pr[c])
+            p = [R.mul(inv, x) if x else x for x in pr]
+            g = 1
+            todo = [_sub_multiple(R, r, r[c], p) if r[c] else r for r in todo]
+        for i, r in enumerate(done):
+            if r[c]:
+                done[i] = _sub_multiple(R, r, r[c] if g == 1 else r[c] // g, p)
+        done.append(p)
+        pivots.append(c)
+    return done + todo, tuple(pivots)
+
+
+def _hnf(R: Ring, dim: int, vectors) -> tuple:
+    """The canonical basis of the span of ``vectors`` in R^dim, entries read
+    through ``R.of``: the pivot rows of ``_hnf_full``, that is the reduced
+    row echelon basis over a field and the Howell form over Z/n."""
+    rows = [[R.of(x) for x in v] for v in vectors]
+    for v in rows:
+        if len(v) != dim:
+            raise ShapeError("vector length mismatch")
+    out, pivots = _hnf_full(R, rows, dim)
+    return tuple(tuple(r) for r in out[:len(pivots)])
+
+
 def rref(m: Matrix):
     """Reduced row-echelon form.
 
@@ -366,31 +468,13 @@ def rref(m: Matrix):
     R = m.ring
     if not R.is_field:
         raise NotAFieldError(f"rref needs a field, got {R.name}")
-    rows = [list(r) for r in m.entries]
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        if r == m.rows:
-            break
-        pr = next((i for i in range(r, m.rows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = R.inv(rows[r][c])
-        rows[r] = [R.mul(inv, x) if x else x for x in rows[r]]
-        for i in range(m.rows):
-            f = rows[i][c]
-            if i != r and f:
-                rows[i] = [R.sub(x, R.mul(f, y)) if y else x
-                           for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    reduced = Matrix(R, m.rows, m.cols, tuple(tuple(row) for row in rows))
-    return reduced, tuple(pivots)
+    rows, pivots = _hnf_full(R, m.entries, m.cols)
+    return Matrix(R, m.rows, m.cols, tuple(tuple(r) for r in rows)), pivots
 
 
 class Subspace(Record):
-    """Subspace of ring^n, canonicalized by its reduced echelon basis.
+    """Subspace of ring^n over a field, canonicalized by its reduced echelon
+    basis.
 
     Canonical form makes equality structural: two Subspace values are equal
     exactly when they describe the same subspace.  ``basis`` is a tuple of
@@ -406,14 +490,9 @@ class Subspace(Record):
 
     @staticmethod
     def span(ring: Ring, ambient_dim: int, vectors) -> "Subspace":
-        vectors = [tuple(ring.of(x) for x in v) for v in vectors]
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise ShapeError("vector length mismatch")
-        if not vectors:
-            return Subspace(ring, ambient_dim, ())
-        red, pivots = rref(Matrix(ring, len(vectors), ambient_dim, tuple(vectors)))
-        return Subspace(ring, ambient_dim, red.entries[:len(pivots)])
+        if not ring.is_field:
+            raise NotAFieldError(f"a subspace needs a field, got {ring.name}")
+        return Subspace(ring, ambient_dim, _hnf(ring, ambient_dim, vectors))
 
     @staticmethod
     def full(ring: Ring, n: int) -> "Subspace":
@@ -434,50 +513,23 @@ class Subspace(Record):
         return self.dim == self.ambient_dim
 
     def contains_vector(self, v) -> bool:
+        """Whether v lies in the span, by reducing it with the basis rows in
+        pivot order.  Also the membership test of ``Submodule``: a pivot is 1
+        over a field and divides n over Z/n, and by the Howell property v
+        lies in the span exactly when each leading entry met is a multiple
+        of its pivot."""
         R = self.ring
-        v = list(R.of(x) for x in v)
+        v = [R.of(x) for x in v]
         if len(v) != self.ambient_dim:
             raise ShapeError("vector length mismatch")
         for b in self.basis:
             lead = next(j for j, x in enumerate(b) if x)
-            f = v[lead]
-            if f:
-                v = [R.sub(x, R.mul(f, y)) if y else x for x, y in zip(v, b)]
+            q, r = (v[lead], 0) if b[lead] == 1 else divmod(v[lead], b[lead])
+            if r:
+                return False
+            if q:
+                v = _sub_multiple(R, v, q, b)
         return not any(v)
-
-
-def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
-    if u.ambient_dim != v.ambient_dim:
-        raise ShapeError("ambient dimension mismatch")
-    return Subspace.span(u.ring, u.ambient_dim, u.basis + v.basis)
-
-
-def subspace_contains(u: Subspace, v: Subspace) -> bool:
-    """Whether v is contained in u."""
-    if u.ambient_dim != v.ambient_dim:
-        raise ShapeError("ambient dimension mismatch")
-    return all(u.contains_vector(b) for b in v.basis)
-
-
-def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
-    if u.ambient_dim != v.ambient_dim:
-        raise ShapeError("ambient dimension mismatch")
-    if u.is_zero() or v.is_zero():
-        return Subspace.zero_space(u.ring, u.ambient_dim)
-    R = u.ring
-    # coefficients (c, d) with c·U = d·V give intersection vectors c·U
-    rows = []
-    for i in range(u.ambient_dim):
-        rows.append(tuple(b[i] for b in u.basis) + tuple(R.neg(b[i]) for b in v.basis))
-    ker = nullspace(Matrix(R, u.ambient_dim, u.dim + v.dim, tuple(rows)))
-    vectors = []
-    for w in ker.basis:
-        c = w[:u.dim]
-        vec = zero_vec(R, u.ambient_dim)
-        for coeff, b in zip(c, u.basis):
-            vec = vec_add(R, vec, vec_scale(R, coeff, b))
-        vectors.append(vec)
-    return Subspace.span(R, u.ambient_dim, vectors)
 
 
 class NoSolution(Record):
@@ -522,10 +574,6 @@ def nullspace(m: Matrix) -> Subspace:
             v[pc] = R.neg(red.entries[r][fc])
         vectors.append(tuple(v))
     return Subspace.span(R, m.cols, vectors)
-
-
-def column_space(m: Matrix) -> Subspace:
-    return Subspace.span(m.ring, m.rows, [m.col(j) for j in range(m.cols)])
 
 
 # ---------------------------------------------------------------------------
@@ -774,106 +822,27 @@ def poly_root_mod_p(ring: ZMod, f):
 # ---------------------------------------------------------------------------
 # submodules of (Z/n)^d for composite n
 #
-# Over Z/n with n composite there is no echelon form, but finitely generated
-# submodules of (Z/n)^d still have a canonical matrix form (Howell form),
-# computable through the integer Hermite normal form of the generators
-# stacked over n·I.  That suffices for equality and membership questions.
-
-def _hnf_full(rows, split: int):
-    """Euclidean row elimination on the first ``split`` columns, the one
-    integer echelon loop: the pivot rows in column order, then every other
-    row, now zero in those columns.  Trailing columns (a transform carried
-    along) are updated in step, and no row is dropped."""
-    rows = [list(r) for r in rows]
-    ncols_total = len(rows[0]) if rows else 0
-    done_rows = []
-    col = 0
-    while col < split and rows:
-        sel = [r for r in rows if r[col] != 0]
-        if not sel:
-            col += 1
-            continue
-        while True:
-            sel.sort(key=lambda r: abs(r[col]))
-            pivot_row = sel[0]
-            reduced = True
-            for r in sel[1:]:
-                q = r[col] // pivot_row[col]
-                for j in range(ncols_total):
-                    r[j] -= q * pivot_row[j]
-                if r[col] != 0:
-                    reduced = False
-            sel = [pivot_row] + [r for r in sel[1:] if r[col] != 0]
-            if reduced or len(sel) == 1:
-                break
-        if pivot_row[col] < 0:
-            for j in range(ncols_total):
-                pivot_row[j] = -pivot_row[j]
-        done_rows.append(pivot_row)
-        rows = [r for r in rows if r is not pivot_row]
-        col += 1
-    return done_rows + rows
-
-
-def _hnf(rows):
-    """Integer row Hermite normal form as a list of nonzero rows: the
-    elimination over every column, pivots positive, then the entries above
-    each pivot reduced into [0, pivot)."""
-    out = [r for r in _hnf_full(rows, len(rows[0]) if rows else 0) if any(r)]
-    for i in range(len(out)):
-        pc = next(j for j, x in enumerate(out[i]) if x != 0)
-        for k in range(i):
-            q = out[k][pc] // out[i][pc]
-            if q:
-                for j in range(len(out[i])):
-                    out[k][j] -= q * out[i][j]
-    return out
-
+# Their canonical bases come from the same elimination as subspaces, through
+# ``_hnf``; a kernel runs the transposed system through ``_hnf_full``.
 
 class Submodule(Record):
     """Finitely generated submodule of (Z/n)^d in canonical (Howell) form.
 
     Equality of canonical forms is equality of submodules.  ``basis`` holds
-    the canonical generator rows, entries in [0, n).
+    the Howell form rows, entries in [0, n): their pivot columns increase,
+    each pivot is a proper divisor of n and the entries above it lie in
+    [0, pivot).  Its length is not a dimension, so this is not a Subspace.
     """
 
     __slots__ = ("ring", "ambient_dim", "basis")
 
-    def __init__(self, ring: ZMod, ambient_dim: int, basis: tuple):
-        set_field(self, "ring", ring)
-        set_field(self, "ambient_dim", ambient_dim)
-        set_field(self, "basis", basis)
+    __init__ = Subspace.__init__
+    contains_vector = Subspace.contains_vector
+    is_zero = Subspace.is_zero
 
     @staticmethod
     def span(ring: ZMod, ambient_dim: int, vectors) -> "Submodule":
-        n = ring.n
-        rows = [[int(x) % n for x in v] for v in vectors]
-        for v in rows:
-            if len(v) != ambient_dim:
-                raise ShapeError("vector length mismatch")
-        for i in range(ambient_dim):
-            rows.append([n if j == i else 0 for j in range(ambient_dim)])
-        hnf = _hnf(rows)
-        canon = [tuple(x % n for x in r) for r in hnf]
-        canon = [r for r in canon if any(x != 0 for x in r)]
-        return Submodule(ring, ambient_dim, tuple(canon))
-
-    def contains_vector(self, v) -> bool:
-        n = self.ring.n
-        v = [int(x) % n for x in v]
-        if len(v) != self.ambient_dim:
-            raise ShapeError("vector length mismatch")
-        # pivot entries divide n, so divisibility decides reducibility
-        for b in self.basis:
-            lead = next(j for j, x in enumerate(b) if x != 0)
-            if v[lead] % b[lead] != 0:
-                return False
-            q = v[lead] // b[lead]
-            v = [(x - q * y) % n for x, y in zip(v, b)]
-        return all(x == 0 for x in v)
-
-    def is_zero(self) -> bool:
-        return not self.basis
+        return Submodule(ring, ambient_dim, _hnf(ring, ambient_dim, vectors))
 
 
 def submodule_kernel(ring: ZMod, m: Matrix) -> Submodule:
@@ -881,23 +850,15 @@ def submodule_kernel(ring: ZMod, m: Matrix) -> Submodule:
 
     The rows of m are first reduced to the r <= cols canonical rows of
     their span, which has the same solution set because each row set is a
-    Z/n-combination of the other.  The kernel is the projection of the
-    integer kernel of [basis | n·I_r] to the x-coordinates.
+    Z/n-combination of the other.  Row j of the transposed system is column
+    j of that basis followed by e_j, so a combination x of its rows reads
+    (m·x, x).  ``_hnf_full`` on the first r columns leaves the rows that
+    span every such combination with m·x = 0 (the Howell property), and
+    their trailing parts span the kernel.
     """
-    n, q = ring.n, m.cols
+    q = m.cols
     basis = Submodule.span(ring, q, m.entries).basis
     r = len(basis)
-    ext = [list(b) + [n if k == i else 0 for k in range(r)] for i, b in enumerate(basis)]
-    gens = [g[:q] for g in _int_kernel(ext, q + r)]
-    return Submodule.span(ring, q, gens)
-
-
-def _int_kernel(rows, q: int):
-    """Basis of the integer nullspace {x : rows·x = 0} of an integer matrix
-    with q columns (every x when there are no rows)."""
-    p = len(rows)
-    # row-reduce the transpose, carrying the transform: U·A^T = H;
-    # rows of U mapped to zero rows of H span the kernel of A
-    work = [[rows[i][j] for i in range(p)] + [1 if k == j else 0 for k in range(q)]
-            for j in range(q)]
-    return [row[p:] for row in _hnf_full(work, p) if not any(row[:p])]
+    work = [[b[j] for b in basis] + [1 if k == j else 0 for k in range(q)] for j in range(q)]
+    rows, pivots = _hnf_full(ring, work, r)
+    return Submodule.span(ring, q, [row[r:] for row in rows[len(pivots):]])

@@ -12,7 +12,7 @@ import itertools
 
 from avgalg import findim as FD
 from avgalg.exactlin import (
-    Matrix, QQ, RingError, Subspace, nullspace, vec_add, vec_is_zero)
+    Matrix, QQ, RingError, ShapeError, Submodule, Subspace, nullspace, vec_add, vec_is_zero)
 from avgalg import terms as T
 from avgalg.freeavg import FreePoly, Mode, NotInKernelError, Y_ONE_GEN, mono, x_gen, y_gen
 from avgalg.findim import (
@@ -186,6 +186,104 @@ def ref_gamma_subalgebra(A, L):
                     row.append(acc)
                 rows.append(tuple(row))
     return nullspace(Matrix(R, len(rows), A.dim, tuple(rows)))
+
+
+# ---------------------------------------------------------------------------
+# reference Z/n submodules: the integer Hermite normal form of the generators
+# stacked over n·I, reduced mod n, as exactlin computed them before the Howell
+# form came from its one elimination loop; entries are read with int(x) % n,
+# so callers pass ints
+
+def ref_hnf_full(rows, split: int):
+    """Euclidean row elimination on the first ``split`` columns, the one
+    integer echelon loop: the pivot rows in column order, then every other
+    row, now zero in those columns.  Trailing columns (a transform carried
+    along) are updated in step, and no row is dropped."""
+    rows = [list(r) for r in rows]
+    ncols_total = len(rows[0]) if rows else 0
+    done_rows = []
+    col = 0
+    while col < split and rows:
+        sel = [r for r in rows if r[col] != 0]
+        if not sel:
+            col += 1
+            continue
+        while True:
+            sel.sort(key=lambda r: abs(r[col]))
+            pivot_row = sel[0]
+            reduced = True
+            for r in sel[1:]:
+                q = r[col] // pivot_row[col]
+                for j in range(ncols_total):
+                    r[j] -= q * pivot_row[j]
+                if r[col] != 0:
+                    reduced = False
+            sel = [pivot_row] + [r for r in sel[1:] if r[col] != 0]
+            if reduced or len(sel) == 1:
+                break
+        if pivot_row[col] < 0:
+            for j in range(ncols_total):
+                pivot_row[j] = -pivot_row[j]
+        done_rows.append(pivot_row)
+        rows = [r for r in rows if r is not pivot_row]
+        col += 1
+    return done_rows + rows
+
+
+def ref_hnf(rows):
+    """Integer row Hermite normal form as a list of nonzero rows: the
+    elimination over every column, pivots positive, then the entries above
+    each pivot reduced into [0, pivot)."""
+    out = [r for r in ref_hnf_full(rows, len(rows[0]) if rows else 0) if any(r)]
+    for i in range(len(out)):
+        pc = next(j for j, x in enumerate(out[i]) if x != 0)
+        for k in range(i):
+            q = out[k][pc] // out[i][pc]
+            if q:
+                for j in range(len(out[i])):
+                    out[k][j] -= q * out[i][j]
+    return out
+
+
+def ref_submodule_span(ring, ambient_dim: int, vectors) -> Submodule:
+    n = ring.n
+    rows = [[int(x) % n for x in v] for v in vectors]
+    for v in rows:
+        if len(v) != ambient_dim:
+            raise ShapeError("vector length mismatch")
+    for i in range(ambient_dim):
+        rows.append([n if j == i else 0 for j in range(ambient_dim)])
+    hnf = ref_hnf(rows)
+    canon = [tuple(x % n for x in r) for r in hnf]
+    canon = [r for r in canon if any(x != 0 for x in r)]
+    return Submodule(ring, ambient_dim, tuple(canon))
+
+
+def ref_submodule_kernel(ring, m: Matrix) -> Submodule:
+    """Generators of {x in (Z/n)^cols : m·x = 0 mod n}.
+
+    The rows of m are first reduced to the r <= cols canonical rows of
+    their span, which has the same solution set because each row set is a
+    Z/n-combination of the other.  The kernel is the projection of the
+    integer kernel of [basis | n·I_r] to the x-coordinates.
+    """
+    n, q = ring.n, m.cols
+    basis = ref_submodule_span(ring, q, m.entries).basis
+    r = len(basis)
+    ext = [list(b) + [n if k == i else 0 for k in range(r)] for i, b in enumerate(basis)]
+    gens = [g[:q] for g in ref_int_kernel(ext, q + r)]
+    return ref_submodule_span(ring, q, gens)
+
+
+def ref_int_kernel(rows, q: int):
+    """Basis of the integer nullspace {x : rows·x = 0} of an integer matrix
+    with q columns (every x when there are no rows)."""
+    p = len(rows)
+    # row-reduce the transpose, carrying the transform: U·A^T = H;
+    # rows of U mapped to zero rows of H span the kernel of A
+    work = [[rows[i][j] for i in range(p)] + [1 if k == j else 0 for k in range(q)]
+            for j in range(q)]
+    return [row[p:] for row in ref_hnf_full(work, p) if not any(row[:p])]
 
 
 # ---------------------------------------------------------------------------

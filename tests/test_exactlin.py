@@ -4,6 +4,7 @@ import pathlib
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 import avgalg.findim as FD
 from avgalg.exactlin import (
+    _hnf_full,
     _is_prime,
+    _pivot_unit,
     Matrix,
     NoSolution,
     NotAFieldError,
@@ -22,7 +25,6 @@ from avgalg.exactlin import (
     Subspace,
     ZMod,
     char_poly,
-    column_space,
     distinct_degree_factors,
     nullspace,
     poly_derivative,
@@ -38,11 +40,9 @@ from avgalg.exactlin import (
     rref,
     solve_linear,
     submodule_kernel,
-    subspace_contains,
-    subspace_intersect,
-    subspace_sum,
 )
-from support import assert_canonical_q, rand_algebra, rand_averaging
+from support import (
+    assert_canonical_q, rand_algebra, rand_averaging, ref_submodule_kernel, ref_submodule_span)
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -248,18 +248,13 @@ class TestSubspaces:
 
     def test_sum_with_zero(self):
         u = Subspace.span(QQ, 3, [(1, 0, 2), (0, 1, 1)])
-        assert subspace_sum(u, Subspace.zero_space(QQ, 3)) == u
-
-    def test_intersect_axes(self):
-        e1 = Subspace.span(QQ, 2, [(1, 0)])
-        e2 = Subspace.span(QQ, 2, [(0, 1)])
-        assert subspace_intersect(e1, e2).is_zero()
+        assert Subspace.span(QQ, 3, u.basis + Subspace.zero_space(QQ, 3).basis) == u
 
     def test_containment(self):
         plane = Subspace.span(QQ, 3, [(1, 0, 0), (0, 1, 0)])
         line = Subspace.span(QQ, 3, [(1, 1, 0)])
-        assert subspace_contains(plane, line)
-        assert not subspace_contains(line, plane)
+        assert all(plane.contains_vector(b) for b in line.basis)
+        assert not all(line.contains_vector(b) for b in plane.basis)
 
     @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
                     min_size=0, max_size=3),
@@ -267,13 +262,18 @@ class TestSubspaces:
                     min_size=0, max_size=3))
     @settings(max_examples=80, deadline=None)
     def test_dimension_formula(self, us, vs):
+        # dim(u + v) + dim(u ∩ v) = dim u + dim v, with u ∩ v read off the
+        # kernel of [U | -V]: c·U = d·V for each kernel vector (c, d)
         u = Subspace.span(QQ, 3, us)
         v = Subspace.span(QQ, 3, vs)
-        s = subspace_sum(u, v)
-        i = subspace_intersect(u, v)
-        assert s.dim + i.dim == u.dim + v.dim
-        assert subspace_contains(s, u) and subspace_contains(s, v)
-        assert subspace_contains(u, i) and subspace_contains(v, i)
+        s = Subspace.span(QQ, 3, u.basis + v.basis)
+        ker = nullspace(Matrix.from_cols(QQ, u.basis + tuple(
+            tuple(-x for x in b) for b in v.basis)))
+        meet = [tuple(sum(c * b[i] for c, b in zip(w, u.basis)) for i in range(3))
+                for w in ker.basis]
+        assert s.dim + Subspace.span(QQ, 3, meet).dim == u.dim + v.dim
+        assert all(s.contains_vector(b) for b in u.basis + v.basis)
+        assert all(u.contains_vector(w) and v.contains_vector(w) for w in meet)
 
 
 class TestCharPoly:
@@ -491,9 +491,43 @@ class TestSubmodules:
                 expected = all(v == 0 for v in m.apply((x, y)))
                 assert ker.contains_vector((x, y)) == expected
 
-    def test_column_space(self):
-        cs = column_space(mat([[1, 2], [2, 4]]))
-        assert cs == Subspace.span(QQ, 2, [(1, 2)])
+    def test_entries_are_read_through_the_ring(self):
+        # 1/2 is 5 mod 9, a unit; mod 6 it does not exist
+        z9 = ZMod(9)
+        assert Submodule.span(z9, 1, [(Fraction(1, 2),)]) == Submodule.span(z9, 1, [(1,)])
+        assert Submodule.span(z9, 1, [(3,)]).contains_vector((Fraction(3, 2),))
+        with pytest.raises(RingError):
+            Submodule.span(ZMod(6), 1, [(Fraction(1, 2),)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_span_and_kernel_match_the_integer_hnf(self, data):
+        # the Howell form from the one elimination loop against the integer
+        # Hermite normal form over n·I that it replaced, beyond brute force
+        n = data.draw(st.sampled_from((4, 6, 8, 9, 12, 16, 18, 27, 36)))
+        d = data.draw(st.integers(1, 6))
+        entry = st.integers(0, n - 1) | st.sampled_from([k for k in range(n) if gcd(k, n) > 1])
+        rows = data.draw(st.lists(st.lists(entry, min_size=d, max_size=d), max_size=7))
+        ring = ZMod(n)
+        assert Submodule.span(ring, d, rows) == ref_submodule_span(ring, d, rows)
+        m = Matrix(ring, len(rows), d, tuple(tuple(r) for r in rows))
+        assert submodule_kernel(ring, m) == ref_submodule_kernel(ring, m)
+
+    def test_pivot_is_scaled_by_a_unit_to_the_gcd_below_200(self):
+        # the carried column records the scaling unit; the lift search of
+        # _pivot_unit runs where the inverse of a/g mod n/g is no unit mod n
+        searched = 0
+        for n in range(2, 200):
+            ring = ZMod(n)
+            for a in range(1, n):
+                g = gcd(a, n)
+                rows, pivots = _hnf_full(ring, [[a, 1]], 1)
+                row = rows[0]
+                assert pivots == (0,) and row[0] == g and gcd(row[1], n) == 1, (a, n)
+                if g > 1:
+                    assert row[1] == _pivot_unit(a, n)
+                    searched += gcd(pow(a // g, -1, n // g), n) != 1
+        assert searched > 0
 
 
 def _brute_span(n, d, gens):
@@ -535,7 +569,8 @@ class TestCanonicalQ:
                     min_size=3, max_size=3))
     def test_linear_algebra_outputs(self, rows):
         m = mat(rows)
-        assert_canonical_q([m, rref(m), nullspace(m), char_poly(m), column_space(m)])
+        assert_canonical_q([m, rref(m), nullspace(m), char_poly(m),
+                            Subspace.span(QQ, 3, [m.col(j) for j in range(3)])])
         assert_canonical_q(rational_roots(char_poly(m)))
 
     def test_lie_analysis_and_eigen_keys(self):
