@@ -201,6 +201,8 @@ def verify_algebra(A: StructureAlgebra) -> AlgebraReport:
     On a commutative table (e_a e_b) e_c = e_c (e_a e_b) is one row product
     P(a, b, c) that depends only on {a, b} and c, and e_i (e_j e_k) is
     P({j, k}, i), so P is built for a <= b and the triples only compare it.
+    The associator is then odd under i <-> k and sums to 0 over its three
+    middles, so triples led by their least index decide, first failure too.
     A table that is not commutative gets the scan of every ordered triple,
     so ``associative`` stays exact there too."""
     R, d = A.ring, range(A.dim)
@@ -213,7 +215,7 @@ def verify_algebra(A: StructureAlgebra) -> AlgebraReport:
         P = {}
         for a, b in itertools.combinations_with_replacement(d, 2):
             P[a, b] = P[b, a] = [A.row_mul(c, A.mul[a][b]) for c in d]
-        assoc = next(((i, j, k) for i, j, k in itertools.product(d, repeat=3)
+        assoc = next(((i, j, k) for i in d for j in d[i:] for k in d[i:]
                       if P[i, j][k] != P[j, k][i]), None)
     else:
         # (e_i e_j) e_k against e_i (e_j e_k), which reads row i only
@@ -690,6 +692,7 @@ def nilpotency_check(A: StructureAlgebra, F: Operator):
     The image of an averaging operator is closed under multiplication, so
     the powers descend; the check returns the least power contained in
     {a : a*[x,y] = 0 for all x, y} or the stabilized power if none is.
+    A power is contained when its basis times the brackets' basis is 0.
     Works over fields via subspaces and over Z/n via canonical submodules.
     """
     op = averaging_operator(A, F)
@@ -698,20 +701,14 @@ def nilpotency_check(A: StructureAlgebra, F: Operator):
 
 def _nilpotency(A: StructureAlgebra, op, brackets):
     # nilpotency_check of the AveragingOperator op, given the span of its
-    # brackets
+    # brackets; the product is bilinear and each basis generates its span
+    # as a module, so basis pairs decide the containment
     R, d = A.ring, A.dim
-    ann_rows = []
-    for g in brackets.basis:
-        # condition a*g = 0, linear in a: row k holds coordinate k of e_m*g;
-        # the basis generates the span of the brackets, so it imposes the
-        # same conditions as all of them
-        ann_rows.extend(zip(*[A.row_mul(m, g) for m in range(d)]))
-    ann = _kernel(Matrix(R, len(ann_rows), d, tuple(ann_rows)))
     image = _span(R, d, [op.matrix.col(j) for j in range(d)])
     power = image
     k = 1
     while True:
-        if all(ann.contains_vector(g) for g in power.basis):
+        if all(vec_is_zero(R, A.mul_vec(u, g)) for u in power.basis for g in brackets.basis):
             return Nilpotent(k)
         nxt = _span(R, d, [A.mul_vec(u, v) for u in power.basis for v in image.basis])
         if nxt == power:
