@@ -14,7 +14,9 @@ instead of multiplying by them.
 
 All matrix/subspace values are immutable after construction and all
 operations are pure functions, so everything in this module is safe to share
-across threads.
+across threads.  The one derived state, a ``Matrix``'s column-sparse form,
+is computed from the entries on the first ``apply`` and kept in a private
+slot; filling it is idempotent, so a race at most computes it twice.
 """
 
 from __future__ import annotations
@@ -265,9 +267,11 @@ def vec_is_zero(ring: Ring, v) -> bool:
 # matrices
 
 class Matrix(Record):
-    """Immutable row-major matrix over an explicit ring."""
+    """Immutable row-major matrix over an explicit ring.  ``apply`` reads the
+    nonzero (row, entry) pairs of each column (Gustavson, ACM TOMS 4, 1978),
+    built on first use into the private slot ``_col_terms``."""
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    __slots__ = ("ring", "rows", "cols", "entries", "_col_terms")
 
     def __init__(self, ring: Ring, rows: int, cols: int, entries: tuple):
         if len(entries) != rows:
@@ -340,20 +344,22 @@ class Matrix(Record):
             tuple(vec_dot(R, row, c) for c in ocols) for row in self.entries))
 
     def apply(self, v) -> tuple:
-        """Matrix times column vector, reading only the columns where v is
-        nonzero."""
+        """Matrix times column vector, reading only the nonzero entries of
+        the columns where v is nonzero."""
         if len(v) != self.cols:
             raise ShapeError("vector length mismatch")
+        try:
+            col_terms = self._col_terms
+        except AttributeError:
+            col_terms = tuple(tuple((i, row[j]) for i, row in enumerate(self.entries) if row[j])
+                              for j in range(self.cols))
+            set_field(self, "_col_terms", col_terms)
         R = self.ring
-        terms = [(j, x) for j, x in enumerate(v) if x]
-        out = []
-        for row in self.entries:
-            acc = R.zero
-            for j, x in terms:
-                a = row[j]
-                if a:
-                    acc = R.add(acc, R.mul(a, x))
-            out.append(acc)
+        out = [R.zero] * self.rows
+        for j, x in enumerate(v):
+            if x:
+                for i, a in col_terms[j]:
+                    out[i] = R.add(out[i], R.mul(a, x))
         return tuple(out)
 
 

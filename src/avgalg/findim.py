@@ -95,9 +95,11 @@ class InternalInvariantError(RuntimeError):
 
 class Check(Record):
     """Outcome of an exact identity check; witness (a tuple, or None when
-    ``ok``) locates the first failure."""
+    ``ok``) locates the first failure.  A passing ``is_averaging`` also
+    keeps the products e_i*F(e_j) it formed in the private slot
+    ``_products``, for the operator's bracket."""
 
-    __slots__ = ("ok", "witness")
+    __slots__ = ("ok", "witness", "_products")
     _defaults = (None,)
 
     def __bool__(self) -> bool:
@@ -107,22 +109,29 @@ class Check(Record):
 # ---------------------------------------------------------------------------
 # structure algebras
 
-def _bilinear(R: Ring, table, terms, y) -> tuple:
-    """sum x_i y_j table[i][j] over the pairs (i, x_i) in ``terms``, skipping
-    zero terms: the one product kernel behind mul_vec, bracket_vec and the
-    row products.  x_i = None stands for 1, so e_i * y reads row i only."""
-    if len(y) != len(table):
+def _bilinear(R: Ring, cells, terms, y) -> tuple:
+    """sum x_i y_j table[i][j] over the pairs (i, x_i) in ``terms``, where
+    ``cells`` is the table's sparse form from ``_sparse_cells``: the one
+    product kernel behind mul_vec, bracket_vec and the row products.  It
+    reads only the nonzero y_j and the nonzero (k, c) of each cell.  x_i =
+    None stands for 1, so e_i * y reads row i only."""
+    if len(y) != len(cells):
         raise ShapeError("vector length mismatch")
-    out = [R.zero] * len(table)
+    out = [R.zero] * len(cells)
     for i, xi in terms:
-        row = table[i]
+        row = cells[i]
         for j, yj in enumerate(y):
             if yj:
                 c = yj if xi is None else R.mul(xi, yj)
-                for k, ck in enumerate(row[j]):
-                    if ck:
-                        out[k] = R.add(out[k], R.mul(c, ck))
+                for k, ck in row[j]:
+                    out[k] = R.add(out[k], R.mul(c, ck))
     return tuple(out)
+
+
+def _sparse_cells(table) -> tuple:
+    """Each cell of a structure-constant table as its nonzero (k, c) pairs."""
+    return tuple(tuple(tuple((k, c) for k, c in enumerate(cell) if c) for cell in row)
+                 for row in table)
 
 
 def _terms(x, dim: int) -> list:
@@ -140,15 +149,18 @@ class StructureAlgebra(Record):
     ``make`` checks only the shape, ``verify_algebra`` checks the laws, and
     the identity checks in this module compute a product once per unordered
     pair of basis vectors, which is exact only when the contract holds.
+    The products read the table's sparse form, built once here and kept in
+    the private slot ``_cells``, outside equality, hash and repr.
     """
 
-    __slots__ = ("ring", "dim", "unit", "mul")
+    __slots__ = ("ring", "dim", "unit", "mul", "_cells")
 
     def __init__(self, ring: Ring, dim: int, unit: tuple, mul: tuple):
         set_field(self, "ring", ring)
         set_field(self, "dim", dim)
         set_field(self, "unit", unit)
         set_field(self, "mul", mul)
+        set_field(self, "_cells", _sparse_cells(mul))
 
     @staticmethod
     def make(ring: Ring, unit, mul) -> "StructureAlgebra":
@@ -164,11 +176,11 @@ class StructureAlgebra(Record):
         return tuple(self.ring.one if j == i else self.ring.zero for j in range(self.dim))
 
     def mul_vec(self, a, b) -> tuple:
-        return _bilinear(self.ring, self.mul, _terms(a, self.dim), b)
+        return _bilinear(self.ring, self._cells, _terms(a, self.dim), b)
 
     def row_mul(self, i: int, v) -> tuple:
         """e_i * v without building e_i."""
-        return _bilinear(self.ring, self.mul, ((i, None),), v)
+        return _bilinear(self.ring, self._cells, ((i, None),), v)
 
     def power_vec(self, a, n: int) -> tuple:
         """a^n by square-and-multiply."""
@@ -244,20 +256,25 @@ def _require_operator(A: StructureAlgebra, F: Matrix):
 
 def is_averaging(A: StructureAlgebra, F: Matrix) -> Check:
     """F(x*F(y)) = F(x)*F(y); both sides bilinear, so basis pairs decide.
-    F(e_i)*F(e_j) is symmetric, so it is computed once per unordered pair."""
+    F(e_i)*F(e_j) is symmetric, so it is computed once per unordered pair.
+    A pass carries every e_i*F(e_j) in the Check's ``_products``."""
     _require_operator(A, F)
     d = A.dim
     cols = [F.col(j) for j in range(d)]
     prods = [[None] * d for _ in range(d)]  # F(e_i)*F(e_j) for i <= j
+    lhs = [[None] * d for _ in range(d)]  # e_i*F(e_j)
     for i in range(d):
         for j in range(d):
             if j < i:
                 rhs = prods[j][i]
             else:
                 rhs = prods[i][j] = A.mul_vec(cols[i], cols[j])
-            if F.apply(A.row_mul(i, cols[j])) != rhs:
+            lhs[i][j] = A.row_mul(i, cols[j])
+            if F.apply(lhs[i][j]) != rhs:
                 return Check(False, (i, j))
-    return Check(True)
+    chk = Check(True)
+    set_field(chk, "_products", lhs)
+    return chk
 
 
 def is_unitary(A: StructureAlgebra, F: Matrix) -> bool:
@@ -341,14 +358,16 @@ def op_poly_apply(A: StructureAlgebra, coeffs, F: Matrix):
 # brackets
 
 class BracketTable(Record):
-    """Bracket structure constants: table[i][j] = coordinates of [e_i, e_j]."""
+    """Bracket structure constants: table[i][j] = coordinates of [e_i, e_j],
+    with the sparse form ``_cells`` as in ``StructureAlgebra``."""
 
-    __slots__ = ("ring", "dim", "table")
+    __slots__ = ("ring", "dim", "table", "_cells")
 
     def __init__(self, ring: Ring, dim: int, table: tuple):
         set_field(self, "ring", ring)
         set_field(self, "dim", dim)
         set_field(self, "table", table)
+        set_field(self, "_cells", _sparse_cells(table))
 
     @staticmethod
     def make(ring: Ring, table) -> "BracketTable":
@@ -360,11 +379,11 @@ class BracketTable(Record):
         return BracketTable(ring, dim, tab)
 
     def bracket_vec(self, x, y) -> tuple:
-        return _bilinear(self.ring, self.table, _terms(x, self.dim), y)
+        return _bilinear(self.ring, self._cells, _terms(x, self.dim), y)
 
     def row_bracket(self, i: int, v) -> tuple:
         """[e_i, v] without building e_i."""
-        return _bilinear(self.ring, self.table, ((i, None),), v)
+        return _bilinear(self.ring, self._cells, ((i, None),), v)
 
 
 def check_lie(A: StructureAlgebra, L: BracketTable) -> Check:
@@ -398,14 +417,15 @@ def require_lie(A: StructureAlgebra, L: BracketTable):
         raise NotLieError(f"not a Lie bracket: {chk.witness}")
 
 
-def _bracket_table(A: StructureAlgebra, cols) -> BracketTable:
-    """[e_i, e_j] = e_i*F(e_j) - e_j*F(e_i) with cols[j] = F(e_j).  The formula
-    is alternating for every F, so only i < j is computed."""
+def _bracket_table(A: StructureAlgebra, products) -> BracketTable:
+    """[e_i, e_j] = e_i*F(e_j) - e_j*F(e_i) with products[i][j] = e_i*F(e_j).
+    The formula is alternating for every F, so only i < j is computed, and
+    the diagonal of ``products`` is never read."""
     R, d = A.ring, A.dim
     table = [[zero_vec(R, d)] * d for _ in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
-            g = vec_sub(R, A.row_mul(i, cols[j]), A.row_mul(j, cols[i]))
+            g = vec_sub(R, products[i][j], products[j][i])
             table[i][j], table[j][i] = g, tuple(R.neg(x) for x in g)
     return BracketTable(R, d, tuple(tuple(row) for row in table))
 
@@ -417,7 +437,9 @@ def raw_bracket(A: StructureAlgebra, F: Matrix) -> BracketTable:
     or this raises.
     """
     _require_operator(A, F)
-    L = _bracket_table(A, [F.col(j) for j in range(A.dim)])
+    cols = [F.col(j) for j in range(A.dim)]
+    L = _bracket_table(A, [[A.row_mul(i, c) if i != j else None for j, c in enumerate(cols)]
+                           for i in range(A.dim)])
     require_lie(A, L)
     return L
 
@@ -431,11 +453,13 @@ class AveragingOperator(Record):
     its one ``check_lie`` cross-check of the paper's starting theorem (the
     bracket of an averaging operator is a Lie bracket); failure raises
     ``InternalInvariantError``.  Callers that never read it pay for neither.
-    The built bracket is kept in the private slot ``_bracket``, outside
-    equality, hash and repr.
+    It is the difference of two products e_i*F(e_j) that ``is_averaging``
+    formed and that ride along in the private slot ``_products``, so no
+    product is computed twice.  The built bracket is kept in the private
+    slot ``_bracket``.  Private slots are outside equality, hash and repr.
     """
 
-    __slots__ = ("algebra", "matrix", "_bracket")
+    __slots__ = ("algebra", "matrix", "_products", "_bracket")
 
     @property
     def bracket(self) -> BracketTable:
@@ -444,7 +468,7 @@ class AveragingOperator(Record):
         except AttributeError:
             pass
         A = self.algebra
-        L = _bracket_table(A, [self.matrix.col(j) for j in range(A.dim)])
+        L = _bracket_table(A, self._products)
         lie = check_lie(A, L)
         if not lie:
             raise InternalInvariantError(
@@ -472,7 +496,9 @@ def averaging_operator(A: StructureAlgebra, F: Operator) -> AveragingOperator:
         raise NotAveragingError(
             f"operator is not averaging (witness pair {avg.witness}); "
             "use raw_bracket for arbitrary endomorphisms", avg.witness)
-    return AveragingOperator(A, F)
+    op = AveragingOperator(A, F)
+    set_field(op, "_products", avg._products)
+    return op
 
 
 def induced_bracket(A: StructureAlgebra, F: Operator) -> BracketTable:
@@ -608,7 +634,7 @@ def induced_by_averaging(A: StructureAlgebra, L: BracketTable) -> InduceResult:
         return InduceDiagnostic(t, op, f"candidate not averaging at pair {avg.witness}")
     # L passed check_lie on entry, so equal tables make the candidate's
     # bracket a Lie bracket without a second check
-    if _bracket_table(A, cols).table != L.table:
+    if _bracket_table(A, avg._products).table != L.table:
         return InduceDiagnostic(t, op, "candidate does not reproduce the bracket")
     return Induced(t, op)
 
@@ -704,6 +730,8 @@ def _nilpotency(A: StructureAlgebra, op, brackets):
     # brackets; the product is bilinear and each basis generates its span
     # as a module, so basis pairs decide the containment
     R, d = A.ring, A.dim
+    if brackets.is_zero():
+        return Nilpotent(1)  # every power annihilates the zero span
     image = _span(R, d, [op.matrix.col(j) for j in range(d)])
     power = image
     k = 1

@@ -125,6 +125,20 @@ def _rand_operator(rng, A):
     return Matrix.from_rows(R, [[_scalar(rng, R) for _ in range(d)] for _ in range(d)])
 
 
+def _rand_sum_operator(rng, ring):
+    """F_1 + F_2 on A_1 x A_2, each F_i a multiplication or a functional
+    operator on its factor, so averaging.  Its image is im F_1 x im F_2, so
+    the image powers have generators from both factors, and a power can kill
+    the brackets of one factor but not those of the other."""
+    factors = [rand_int_algebra(rng, ring, max_dim=3) for _ in range(2)]
+    n, m = factors[0].dim, factors[1].dim
+    blocks = [rng.choice([mult_operator, functional_operator])(
+        B, [rng.randint(-2, 2) for _ in range(B.dim)]) for B in factors]
+    cols = [blocks[0].col(j) + (ring.zero,) * m for j in range(n)] + \
+        [(ring.zero,) * n + blocks[1].col(j) for j in range(m)]
+    return product_algebra(*factors), Matrix.from_cols(ring, cols)
+
+
 def _rand_bracket_table(rng, ring, d):
     """A table that fails the Lie axioms at a random place: any table, one
     with a zero diagonal, or an antisymmetric one."""
@@ -234,11 +248,14 @@ def test_series_match_the_full_scan(ring, rng):
     assert lower_central_series(A, L) == ref_series(A, L, lower=True)
 
 
-@settings(max_examples=250, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(st.sampled_from(RINGS + COMPOSITE), st.randoms(use_true_random=False))
 def test_nilpotency_check_matches_the_full_scan(ring, rng):
-    A = rand_int_algebra(rng, ring, max_dim=5)
-    F = _rand_operator(rng, A)
+    if rng.randint(0, 2):
+        A = rand_int_algebra(rng, ring, max_dim=5)
+        F = _rand_operator(rng, A)
+    else:
+        A, F = _rand_sum_operator(rng, ring)
     assert _outcome(nilpotency_check, A, F) == _outcome(ref_nilpotency_check, A, F)
 
 
@@ -320,6 +337,23 @@ def test_is_averaging_multiplies_each_unordered_pair_once(calls):
     assert calls["mul_vec"] == 21
 
 
+def test_bracket_subtracts_the_products_is_averaging_formed(calls):
+    # is_averaging forms e_i * F(e_j) once for each of the 6 * 6 pairs (and
+    # F(e_i) * F(e_j) once per unordered pair, 21); the operator carries
+    # them, and [e_i, e_j] = e_i F(e_j) - e_j F(e_i) subtracts two of them,
+    # so the 15 cells i < j make no row product (2 * 15 = 30 if each cell
+    # formed its own).  check_lie's Jacobi sums make 3 row brackets for each
+    # of the C(6, 3) = 20 triples
+    A = _cyclic(ZMod(5), 6)
+    F = functional_operator(A, (1, 2, 0, 3, 0, 1))
+    op = FD.averaging_operator(A, F)
+    assert calls == {"row_mul": 36, "mul_vec": 21, "row_bracket": 0, "bracket_vec": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    L = op.bracket
+    assert calls == {"row_mul": 0, "mul_vec": 0, "row_bracket": 60, "bracket_vec": 0}
+    assert L == FD.raw_bracket(A, F)
+
+
 def test_series_compute_no_bracket_for_stage_zero(calls):
     # lam(x) * 1 on Q[y]/(y^3 - 1) with lam = (1, 1, 0): stage 1 is ker lam,
     # read off the table; the derived stage 2 brackets its one basis pair,
@@ -368,6 +402,22 @@ def test_lie_analysis_solves_one_kernel_over_z6(kernels):
     assert isinstance(lie_analysis(A, functional_operator(A, (1, 2, 3, 0))).nilpotency,
                       NotNilpotent)
     assert kernels == {"nullspace": 0, "submodule_kernel": 1}
+
+
+def test_lie_analysis_spans_no_image_for_a_zero_bracket(monkeypatch):
+    # multiplication by y^2 on Z/6[y]/(y^5 - 1) has the zero bracket, so the
+    # one span is that of the brackets, for the kernel comparison; every
+    # image power kills the zero span, so the image is never spanned (2
+    # spans if the nilpotency check spanned it)
+    A = _cyclic(ZMod(6), 5)
+    F = mult_operator(A, A.basis_vec(2))
+    spans = []
+    span = FD._span
+    monkeypatch.setattr(FD, "_span", lambda *args: spans.append(args) or span(*args))
+    assert lie_analysis(A, F).nilpotency == Nilpotent(1)
+    assert len(spans) == 1
+    monkeypatch.undo()
+    assert ref_nilpotency_check(A, F) == Nilpotent(1)
 
 
 def test_nilpotency_multiplies_each_power_generator_by_each_bracket_generator(calls):

@@ -2,6 +2,10 @@
 
 Entries are drawn mostly zero, like the structure constants and operator
 matrices of the shipped algebras, so the skipped branches are exercised.
+The sparse forms behind the kernels (the cells of ``StructureAlgebra`` and
+``BracketTable``, the columns of ``Matrix``) are private state: values are
+built through ``make`` and through the bare constructors, and matrices are
+applied before and after their column form is filled.
 """
 
 from fractions import Fraction
@@ -28,18 +32,36 @@ def _values(ring, count):
 @st.composite
 def ring_and_table(draw):
     ring = draw(st.sampled_from(RINGS))
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 6))
     flat = draw(_values(ring, d * d * d))
     table = tuple(tuple(flat[(i * d + j) * d:(i * d + j + 1) * d] for j in range(d))
                   for i in range(d))
     return ring, d, table, draw(_values(ring, d)), draw(_values(ring, d))
 
 
+def _algebra(ring, d, table, made):
+    unit = (ring.one,) + (ring.zero,) * (d - 1)
+    return StructureAlgebra.make(ring, unit, table) if made else \
+        StructureAlgebra(ring, d, unit, table)
+
+
+def _bracket(ring, d, table, made):
+    return BracketTable.make(ring, table) if made else BracketTable(ring, d, table)
+
+
+# the three ways to build a Matrix from its entries
+BUILDERS = {
+    "Matrix": lambda ring, entries: Matrix(ring, len(entries), len(entries[0]), entries),
+    "from_rows": Matrix.from_rows,
+    "from_cols": lambda ring, entries: Matrix.from_cols(ring, list(zip(*entries))),
+}
+
+
 @st.composite
 def ring_and_matrix(draw, rings=RINGS):
     ring = draw(st.sampled_from(rings))
-    rows = draw(st.integers(1, 4))
-    cols = draw(st.integers(1, 4))
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
     flat = draw(_values(ring, rows * cols))
     entries = tuple(flat[r * cols:(r + 1) * cols] for r in range(rows))
     return ring, Matrix(ring, rows, cols, entries), draw(_values(ring, cols))
@@ -89,29 +111,29 @@ def dense_rref(m):
     return tuple(tuple(row) for row in rows), tuple(pivots)
 
 
-@given(ring_and_table())
+@given(ring_and_table(), st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_mul_vec_matches_dense(case):
+def test_mul_vec_matches_dense(case, made):
     ring, d, table, x, y = case
-    A = StructureAlgebra(ring, d, (ring.one,) + (ring.zero,) * (d - 1), table)
+    A = _algebra(ring, d, table, made)
     assert A.mul_vec(x, y) == dense_bilinear(ring, d, table, x, y)
 
 
-@given(ring_and_table())
+@given(ring_and_table(), st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_bracket_vec_matches_dense(case):
+def test_bracket_vec_matches_dense(case, made):
     ring, d, table, x, y = case
-    L = BracketTable(ring, d, table)
+    L = _bracket(ring, d, table, made)
     assert L.bracket_vec(x, y) == dense_bilinear(ring, d, table, x, y)
 
 
-@given(ring_and_table(), st.data())
+@given(ring_and_table(), st.booleans(), st.data())
 @settings(max_examples=150, deadline=None)
-def test_row_product_matches_basis_product(case, data):
+def test_row_product_matches_basis_product(case, made, data):
     ring, d, table, _, y = case
     i = data.draw(st.integers(0, d - 1))
-    A = StructureAlgebra(ring, d, (ring.one,) + (ring.zero,) * (d - 1), table)
-    L = BracketTable(ring, d, table)
+    A = _algebra(ring, d, table, made)
+    L = _bracket(ring, d, table, made)
     e_i = A.basis_vec(i)
     assert A.row_mul(i, y) == A.mul_vec(e_i, y) == dense_bilinear(ring, d, table, e_i, y)
     assert L.row_bracket(i, y) == L.bracket_vec(e_i, y)
@@ -123,6 +145,32 @@ def test_vec_dot_and_apply_match_dense(case):
     ring, m, v = case
     assert vec_dot(ring, m.entries[0], v) == dense_dot(ring, m.entries[0], v)
     assert m.apply(v) == tuple(dense_dot(ring, row, v) for row in m.entries)
+
+
+@given(ring_and_matrix(), st.sampled_from(sorted(BUILDERS)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_apply_before_and_after_the_column_form(case, builder, data):
+    ring, m, v = case
+    m, fresh = (BUILDERS[builder](ring, m.entries) for _ in range(2))
+    w = data.draw(_values(ring, m.cols))
+    # the first apply fills the column form, the others read it
+    for u in (v, w, v):
+        assert m.apply(u) == tuple(dense_dot(ring, row, u) for row in m.entries)
+    # equal to a matrix that was never applied, and to one that was
+    assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+    assert "_col_terms" not in repr(m)
+    assert fresh.apply(w) == m.apply(w)
+    assert m == fresh and hash(m) == hash(fresh)
+
+
+@given(ring_and_table())
+@settings(max_examples=60, deadline=None)
+def test_sparse_cells_stay_outside_equality_hash_and_repr(case):
+    ring, d, table, _, _ = case
+    for build in (_algebra, _bracket):
+        made, bare = build(ring, d, table, True), build(ring, d, table, False)
+        assert made == bare and hash(made) == hash(bare) and repr(made) == repr(bare)
+        assert "_cells" not in repr(made)
 
 
 @given(ring_and_matrix(FIELDS))
