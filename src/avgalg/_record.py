@@ -9,8 +9,8 @@ state outside equality, hash and repr.
 
 The generic ``__init__`` takes the fields positionally, the trailing ones
 defaulting to ``_defaults``.  Types built on hot paths write their own
-``__init__`` that stores each field with ``set_field`` (that is,
-``object.__setattr__``), which is cheaper than the generic loop.
+``__init__``, storing each field with ``set_field`` (``object.__setattr__``)
+or, cheaper, with its slot descriptor's setter ``Cls.field.__set__``.
 """
 
 from operator import attrgetter

@@ -504,10 +504,6 @@ class Subspace(Record):
     def full(ring: Ring, n: int) -> "Subspace":
         return Subspace(ring, n, Matrix.identity(ring, n).entries)
 
-    @staticmethod
-    def zero_space(ring: Ring, n: int) -> "Subspace":
-        return Subspace(ring, n, ())
-
     @property
     def dim(self) -> int:
         return len(self.basis)

@@ -10,9 +10,11 @@ generator family is never materialized.
 Each Mode has one map from a monomial m to the normal form of F(m): y[u]*v,
 with y[1] dropped (unitary) or Reynolds-reduced; ``f_mode`` applies it in one
 pass, and a Reynolds product reduces each monomial as it is formed.  The maps
-read the sorted layout of m: x-generators sort first, so u is a prefix; y[u]
-enters the sorted y-part by one ordered insert; and y[1], the least
-y-generator, can only sit right after the x-part.
+read the sorted layout of m: x-generators sort first, so u is a prefix, read
+once to build y[u]; y[u] enters the sorted y-part by one ordered insert; and
+y[1], the least y-generator, can only sit right after the x-part.  A product
+of monomials is one merge, and the dict arithmetic feeds ``_combine`` through
+C-level iterators, with no Python generator frame per monomial.
 
 Also here: the free averaging algebra on a finite-dimensional commutative
 algebra A, carried by pairs (basis index, symmetric monomial over basis
@@ -42,25 +44,32 @@ def xmono_render(m) -> str:
     return "*".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in m)
 
 
-def _xmono_key(m):
-    # ascending degree, then x1-heavy monomials first within a degree
-    return (sum(e for _, e in m), tuple((i, -e) for i, e in m))
-
-
 # ---------------------------------------------------------------------------
 # generators and monomials of the free algebra
 #
-# every generator is its own sort key: ("x", index) or ("y", _xmono_key(u), u)
-# for y[u], so plain tuple comparison puts all x-generators before all
-# y-generators, x by index and y by their index monomials
+# every generator is its own sort key: ("x", index) or ("y", key, u) for y[u],
+# key the degree of u and then (index, -exponent) per variable, so plain tuple
+# comparison puts all x-generators before all y-generators, x by index and y
+# by ascending degree of u, x1-heavy first within a degree
 
 def x_gen(i: int):
     return ("x", i)
 
 
 def y_gen(m=X_ONE):
-    m = tuple(m)
-    return ("y", _xmono_key(m), m)
+    pairs = [(x_gen(i), e) for i, e in m]
+    return _y_of_prefix(pairs, len(pairs))
+
+
+def _y_of_prefix(m, k):
+    """y[u] for the x-part u = m[:k] of a monomial m, built with its sort key
+    in one pass."""
+    u, key, deg = [], [], 0
+    for (_, i), e in m[:k]:
+        u.append((i, e))
+        key.append((i, -e))
+        deg += e
+    return ("y", (deg, tuple(key)), tuple(u))
 
 
 Y_ONE_GEN = y_gen()  # the distinguished generator y[1]
@@ -85,10 +94,21 @@ def mono(*pairs):
 
 
 def mono_mul(a, b):
-    d = dict(a)
-    for g, e in b:
-        d[g] = d.get(g, 0) + e
-    return tuple(sorted(d.items()))
+    """The product of two monomials: one merge of their sorted pairs."""
+    out = []
+    i, j, la, lb = 0, 0, len(a), len(b)
+    while i < la and j < lb:
+        (g, e), (h, f) = a[i], b[j]
+        if g == h:
+            out.append((g, e + f))
+            i, j = i + 1, j + 1
+        elif g < h:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return (*out, *a[i:], *b[j:])
 
 
 def mono_divides(a, b) -> bool:
@@ -135,13 +155,11 @@ def _add(R: Ring, a: dict, b: dict) -> dict:
 
 
 def _sub(R: Ring, a: dict, b: dict) -> dict:
-    neg = R.neg
-    return _combine(R, ((k, neg(c)) for k, c in b.items()), a.copy())
+    return _combine(R, zip(b, map(R.neg, b.values())), a.copy())
 
 
 def _scale(R: Ring, c, a: dict) -> dict:
-    mul = R.mul
-    return _combine(R, ((k, mul(c, v)) for k, v in a.items()))
+    return _combine(R, zip(a, map(R.mul, itertools.repeat(c), a.values())))
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +237,6 @@ class FreePoly(_Sparse):
         set_field(self, "coeffs", coeffs)
 
     @staticmethod
-    def from_dict(ring: Ring, d) -> "FreePoly":
-        """The polynomial of a {monomial: coefficient} dict with no zeros."""
-        return FreePoly(ring, d)
-
-    @staticmethod
     def zero(ring: Ring = QQ) -> "FreePoly":
         return FreePoly(ring, {})
 
@@ -234,14 +247,6 @@ class FreePoly(_Sparse):
     @staticmethod
     def constant(c, ring: Ring = QQ) -> "FreePoly":
         return FreePoly.monomial(M_ONE, c, ring)
-
-    @staticmethod
-    def x_var(i: int, ring: Ring = QQ) -> "FreePoly":
-        return FreePoly(ring, {((x_gen(i), 1),): ring.one})
-
-    @staticmethod
-    def y_of(m=X_ONE, ring: Ring = QQ) -> "FreePoly":
-        return FreePoly(ring, {((y_gen(m), 1),): ring.one})
 
     @staticmethod
     def monomial(m, c, ring: Ring = QQ) -> "FreePoly":
@@ -283,7 +288,7 @@ def _f_plain(m):
     """y[u]*v for the monomial m with x-part u and y-part v: one ordered
     insert of y[u] into the sorted v."""
     k = bisect_left(m, _Y_FIRST)
-    g = y_gen(tuple((h[1], e) for h, e in m[:k]))
+    g = _y_of_prefix(m, k) if k else Y_ONE_GEN
     j = bisect_left(m, (g,), k)
     if j < len(m) and m[j][0] == g:
         return m[k:j] + ((g, m[j][1] + 1),) + m[j + 1:]
@@ -340,18 +345,17 @@ _F_MONO = {Mode.PLAIN: _f_plain, Mode.UNITARY: _f_unitary,
 
 def _image(mode: Mode, R: Ring, a: dict) -> dict:
     # the operator of the mode's free object on a coefficient dict
-    f = _F_MONO[mode]
-    return _combine(R, ((f(m), c) for m, c in a.items()))
+    return _combine(R, zip(map(_F_MONO[mode], a), a.values()))
 
 
 def _product(mode: Mode, R: Ring, a: dict, b: dict) -> dict:
     # unitary normal forms are y[1]-free, so their product needs no
     # reduction; a Reynolds product reduces each monomial as it is formed
-    mul, b = R.mul, b.items()
-    pairs = ((mono_mul(m1, m2), mul(c1, c2)) for m1, c1 in a.items() for m2, c2 in b)
+    monos = itertools.starmap(mono_mul, itertools.product(a, b))
     if mode is Mode.REYNOLDS:
-        pairs = ((_reynolds_mono(m), c) for m, c in pairs)
-    return _combine(R, pairs)
+        monos = map(_reynolds_mono, monos)
+    coeffs = itertools.starmap(R.mul, itertools.product(a.values(), b.values()))
+    return _combine(R, zip(monos, coeffs))
 
 
 def f_mode(mode: Mode, p: FreePoly) -> FreePoly:
@@ -475,7 +479,7 @@ def _difference_bracket(R: Ring, r, wa, wb):
         r, wa, wb = R.neg(r), wb, wa
         ka = bisect_left(wa, _Y_FIRST)
     kb = bisect_left(wb, _Y_FIRST)
-    shared = y_gen(tuple((g[1], e) for g, e in wb[:kb]))
+    shared = _y_of_prefix(wb, kb)
     j = bisect_left(wa, (shared,), ka)
     if j == len(wa) or wa[j][0] != shared:
         raise NotInKernelError("monomials do not share an operator image")
@@ -541,11 +545,6 @@ class FAElement(_Sparse):
         set_field(self, "coeffs", coeffs)
 
     @staticmethod
-    def from_dict(ring: Ring, dim: int, d) -> "FAElement":
-        """The element of a {(i, sym): coefficient} dict with no zeros."""
-        return FAElement(ring, dim, d)
-
-    @staticmethod
     def basis(ring: Ring, dim: int, i: int, sym=()) -> "FAElement":
         if not (0 <= i < dim) or any(not 0 <= j < dim for j in sym):
             raise ShapeError("basis index out of range")
@@ -555,10 +554,6 @@ class FAElement(_Sparse):
 def _alg_check(a: FAElement, A):
     if a.dim != A.dim or a.ring != A.ring:
         raise ShapeError("element does not live over this algebra")
-
-
-def fa_one(A) -> "FAElement":
-    return FAElement(A.ring, A.dim, {(k, ()): c for k, c in enumerate(A.unit) if c})
 
 
 def fa_mul(a: FAElement, b: FAElement, A) -> FAElement:

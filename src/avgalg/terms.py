@@ -29,7 +29,8 @@ call, two equal subterms are the same node object, so in
 "f(f(v1)*v2) = f(v1)*v2" the right side is the argument of the left side's
 outer f.  Nothing is shared between parses.  Equality, hashing and render
 are structural and do not see the sharing; ``freeavg.eval_term`` uses it to
-evaluate each distinct subterm once.
+evaluate each distinct subterm once.  Nodes store their fields through
+their slot descriptors' setters, cheaper than ``set_field``.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class Var(Term):
     __slots__ = ("index",)  # >= 1; prints as v<index>
 
     def __init__(self, index: int):
-        set_field(self, "index", index)
+        _set_index(self, index)
 
 
 class One(Term):
@@ -122,8 +123,8 @@ class _Binary(Term):
     __slots__ = ("left", "right")
 
     def __init__(self, left: Term, right: Term):
-        set_field(self, "left", left)
-        set_field(self, "right", right)
+        _set_left(self, left)
+        _set_right(self, right)
 
 
 class Add(_Binary):
@@ -142,15 +143,15 @@ class ScalarMul(Term):
     __slots__ = ("coeff", "arg")
 
     def __init__(self, coeff: Fraction, arg: Term):
-        set_field(self, "coeff", coeff)
-        set_field(self, "arg", arg)
+        _set_coeff(self, coeff)
+        _set_scaled_arg(self, arg)
 
 
 class F(Term):
     __slots__ = ("arg",)
 
     def __init__(self, arg: Term):
-        set_field(self, "arg", arg)
+        _set_f_arg(self, arg)
 
 
 class Pow(Term):
@@ -161,8 +162,15 @@ class Pow(Term):
     def __init__(self, base: Term, n: int):
         if n < 2:
             raise ValueError(f"a Pow exponent is at least 2, got {n}")
-        set_field(self, "base", base)
-        set_field(self, "n", n)
+        _set_base(self, base)
+        _set_n(self, n)
+
+
+# the slot setters that the node classes above store their fields through
+_set_index, _set_f_arg = Var.index.__set__, F.arg.__set__
+_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
+_set_coeff, _set_scaled_arg = ScalarMul.coeff.__set__, ScalarMul.arg.__set__
+_set_base, _set_n = Pow.base.__set__, Pow.n.__set__
 
 
 class Equation(Record):
@@ -330,14 +338,15 @@ def _parse(text: str, equation: bool):
                 i += 1
                 break
             # the product is complete: a*2*b*c is Mul(a, ScalarMul(2, Mul(b, c)))
-            prod = one if run is None else run
-            for left, c in reversed(scaled):
-                prod = node(ScalarMul, c, prod)
-                if left is not None:
-                    prod = node(Mul, left, prod)
+            prod, run = (one if run is None else run), None
+            if scaled:
+                for left, c in reversed(scaled):
+                    prod = node(ScalarMul, c, prod)
+                    if left is not None:
+                        prod = node(Mul, left, prod)
+                scaled = []
             if neg:
-                prod = node(Sub, zero, prod)
-            scaled, run, neg = [], None, False
+                prod, neg = node(Sub, zero, prod), False
             total = prod if op is None else node(op, total, prod)
             if tok == "+" or tok[:1] == "-":
                 op = Add if tok == "+" else Sub

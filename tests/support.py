@@ -5,16 +5,18 @@ the builders only produce verified instances (algebra axioms hold, the
 operators are averaging by construction for the families that promise it).
 """
 
+import itertools
+import re
+from bisect import bisect_left
 from fractions import Fraction
 
 from avgalg._record import Record
-import itertools
-
 from avgalg import findim as FD
 from avgalg.exactlin import (
     Matrix, QQ, RingError, ShapeError, Submodule, Subspace, nullspace, vec_add, vec_is_zero)
 from avgalg import terms as T
-from avgalg.freeavg import FreePoly, Mode, NotInKernelError, Y_ONE_GEN, mono, x_gen, y_gen
+from avgalg.freeavg import (
+    FAElement, FreePoly, Mode, NotInKernelError, X_ONE, Y_ONE_GEN, mono, x_gen, y_gen)
 from avgalg.findim import (
     AlgebraReport, BracketTable, Check, Nilpotent, NotLieError, NotNilpotent, SeriesResult,
     StructureAlgebra, averaging_operator, induced_bracket, primary_from_poly, raw_bracket)
@@ -26,6 +28,32 @@ def rand_fraction(rng, lo=-4, hi=4, max_den=3):
 
 # ---------------------------------------------------------------------------
 # free polynomials
+
+def x_var(i: int, ring=QQ) -> FreePoly:
+    """The generator x_i as a polynomial."""
+    return FreePoly(ring, {((x_gen(i), 1),): ring.one})
+
+
+def y_of(m=X_ONE, ring=QQ) -> FreePoly:
+    """The generator y[m] of the x-monomial m as a polynomial."""
+    return FreePoly(ring, {((y_gen(m), 1),): ring.one})
+
+
+def poly_from_dict(ring, d) -> FreePoly:
+    """The polynomial of a {monomial: coefficient} dict with no zeros."""
+    return FreePoly(ring, d)
+
+
+def fa_from_dict(ring, dim: int, d) -> FAElement:
+    """The element of a {(i, sym): coefficient} dict with no zeros."""
+    return FAElement(ring, dim, d)
+
+
+def fa_one(A) -> FAElement:
+    """The unit of the free averaging algebra on A: A's unit with empty
+    symmetric parts."""
+    return FAElement(A.ring, A.dim, {(k, ()): c for k, c in enumerate(A.unit) if c})
+
 
 def rand_xmono(rng, x_count=3, max_deg=2):
     exps = {}
@@ -39,9 +67,9 @@ def rand_free_monomial(rng, x_count=3, max_deg=2, y_factors=1):
     m = FreePoly.one(QQ)
     for i, e in rand_xmono(rng, x_count, max_deg):
         for _ in range(e):
-            m = m.mul(FreePoly.x_var(i))
+            m = m.mul(x_var(i))
     for _ in range(rng.randint(0, y_factors)):
-        m = m.mul(FreePoly.y_of(rand_xmono(rng, x_count, max_deg)))
+        m = m.mul(y_of(rand_xmono(rng, x_count, max_deg)))
     return m
 
 
@@ -474,6 +502,10 @@ def unitary_pair(rng):
 # ---------------------------------------------------------------------------
 # concrete term evaluation in a finite-dimensional averaging algebra
 
+# the step templates of the decide benchmark's claims: each wraps {x}, with
+# {leaf} the other variable and {k} a positive scalar
+DECIDE_STEPS = ("f({x})", "({x})^2", "({x} + {leaf})", "({x})*{leaf}", "{k}*({x})")
+
 def variables_of(t: T.Term) -> tuple:
     """Variable names occurring in t, deduplicated, sorted by index."""
     indices = set()
@@ -530,8 +562,26 @@ def eval_term_concrete(term, A, F, env):
 # ---------------------------------------------------------------------------
 # reference free-object operations: freeavg's operator, quotient reductions,
 # products and evaluation as they were before each mode had one map per
-# monomial, every image rebuilt through mono(); differential tests compare
-# coefficients
+# monomial, every image and product rebuilt through mono() and every sum
+# formed by a plain dict loop, so that none of them runs freeavg's kernels
+# (mono_mul, _combine and the arithmetic on coefficient dicts); differential
+# tests compare coefficients
+
+def ref_y_gen(m=()):
+    """y[m] with its sort key (degree, then (index, -exponent) per
+    variable), as y_gen built it before one pass built both."""
+    m = tuple(m)
+    return ("y", (sum(e for _, e in m), tuple((i, -e) for i, e in m)), m)
+
+
+def ref_sum(ring, pairs) -> FreePoly:
+    """The polynomial of (monomial, coefficient) pairs, the coefficients of
+    equal monomials summed and the zero sums dropped."""
+    d = {}
+    for m, c in pairs:
+        d[m] = ring.add(d.get(m, ring.zero), c)
+    return FreePoly(ring, {m: c for m, c in d.items() if c})
+
 
 def ref_mono_x_part(m):
     """The x-part as an x-monomial (an element of the monic x-monomials)."""
@@ -544,18 +594,18 @@ def ref_mono_y_part(m):
 
 def ref_f_image(m):
     """y[u]*v for the monomial m with x-part u and y-part v."""
-    return mono((y_gen(ref_mono_x_part(m)), 1), *ref_mono_y_part(m))
+    return mono((ref_y_gen(ref_mono_x_part(m)), 1), *ref_mono_y_part(m))
 
 
 def ref_f_free(p: FreePoly) -> FreePoly:
     """Split each monomial into x-part u and y-part v; map it to y[u]*v."""
-    return p._sum((ref_f_image(m), c) for m, c in p.coeffs.items())
+    return ref_sum(p.ring, ((ref_f_image(m), c) for m, c in p.coeffs.items()))
 
 
 def ref_reduce_unitary(p: FreePoly) -> FreePoly:
     """Substitute y[1] by 1 in every monomial."""
-    return p._sum((tuple((g, e) for g, e in m if g != Y_ONE_GEN), c)
-                  for m, c in p.coeffs.items())
+    return ref_sum(p.ring, ((tuple((g, e) for g, e in m if g != Y_ONE_GEN), c)
+                            for m, c in p.coeffs.items()))
 
 
 def ref_reynolds_reduce_mono(m):
@@ -571,7 +621,7 @@ def ref_reduce_reynolds(p: FreePoly) -> FreePoly:
     Per monomial, with a the exponent of y[1] and b the total degree of the
     other y-generators, decrement a while a >= 1 and a + b >= 3.
     """
-    return p._sum((ref_reynolds_reduce_mono(m), c) for m, c in p.coeffs.items())
+    return ref_sum(p.ring, ((ref_reynolds_reduce_mono(m), c) for m, c in p.coeffs.items()))
 
 
 def ref_f_mode(mode: Mode, p: FreePoly) -> FreePoly:
@@ -583,17 +633,19 @@ def ref_f_mode(mode: Mode, p: FreePoly) -> FreePoly:
 
 
 def ref_mul_mode(mode: Mode, p: FreePoly, q: FreePoly) -> FreePoly:
+    # every monomial product is one mono() of the two monomials' pairs;
     # unitary normal forms are y[1]-free, so their product needs no reduction
-    if mode is Mode.REYNOLDS:
-        return ref_reduce_reynolds(p.mul(q))
-    return p.mul(q)
+    R = p.ring
+    prod = ref_sum(R, ((mono(*m1, *m2), R.mul(c1, c2))
+                       for m1, c1 in p.coeffs.items() for m2, c2 in q.coeffs.items()))
+    return ref_reduce_reynolds(prod) if mode is Mode.REYNOLDS else prod
 
 
 def ref_eval_term(t: T.Term, mode: Mode, ring=QQ) -> FreePoly:
     """eval_term on ref_f_mode and ref_mul_mode, by recursion."""
     tp = type(t)
     if tp is T.Var:
-        return FreePoly.x_var(t.index, ring)
+        return x_var(t.index, ring)
     if tp is T.One:
         return FreePoly.one(ring)
     if tp is T.Zero:
@@ -601,7 +653,9 @@ def ref_eval_term(t: T.Term, mode: Mode, ring=QQ) -> FreePoly:
     if tp is T.F:
         return ref_f_mode(mode, ref_eval_term(t.arg, mode, ring))
     if tp is T.ScalarMul:
-        return ref_eval_term(t.arg, mode, ring).scale(ring.of(t.coeff))
+        c = ring.of(t.coeff)
+        arg = ref_eval_term(t.arg, mode, ring)
+        return ref_sum(ring, ((m, ring.mul(c, v)) for m, v in arg.coeffs.items()))
     if tp is T.Pow:
         base = ref_eval_term(t.base, mode, ring)
         acc = base
@@ -611,7 +665,34 @@ def ref_eval_term(t: T.Term, mode: Mode, ring=QQ) -> FreePoly:
     left, right = ref_eval_term(t.left, mode, ring), ref_eval_term(t.right, mode, ring)
     if tp is T.Mul:
         return ref_mul_mode(mode, left, right)
-    return left.add(right) if tp is T.Add else left.sub(right)
+    sign = ring.one if tp is T.Add else ring.neg(ring.one)
+    return ref_sum(ring, itertools.chain(
+        left.coeffs.items(), ((m, ring.mul(sign, v)) for m, v in right.coeffs.items())))
+
+
+# freeavg's monomial product and plain operator image as they were before the
+# product became one merge and y[u] was built in one pass over the x-part,
+# verbatim apart from ref_y_gen standing for y_gen
+
+REF_Y_FIRST = (("y",),)  # a bisect probe: after every x entry, before every y entry
+
+
+def ref_mono_mul(a, b):
+    d = dict(a)
+    for g, e in b:
+        d[g] = d.get(g, 0) + e
+    return tuple(sorted(d.items()))
+
+
+def ref_f_plain(m):
+    """y[u]*v for the monomial m with x-part u and y-part v: one ordered
+    insert of y[u] into the sorted v."""
+    k = bisect_left(m, REF_Y_FIRST)
+    g = ref_y_gen(tuple((h[1], e) for h, e in m[:k]))
+    j = bisect_left(m, (g,), k)
+    if j < len(m) and m[j][0] == g:
+        return m[k:j] + ((g, m[j][1] + 1),) + m[j + 1:]
+    return m[k:j] + ((g, 1),) + m[j:]
 
 
 def ref_bracket_decompose(w: FreePoly) -> list:
@@ -646,7 +727,7 @@ def ref_difference_bracket(R, r, wa, wb):
     ua = ref_mono_x_part(wa)
     ub = ref_mono_x_part(wb)
     da = dict(va)
-    shared = y_gen(ub)
+    shared = ref_y_gen(ub)
     if da.get(shared, 0) < 1:
         raise NotInKernelError("monomials do not share an operator image")
     da[shared] -= 1
@@ -662,7 +743,7 @@ def mono_of_xmono(xm):
     p = FreePoly.one(QQ)
     for i, e in xm:
         for _ in range(e):
-            p = p.mul(FreePoly.x_var(i))
+            p = p.mul(x_var(i))
     return p
 
 
@@ -679,13 +760,13 @@ def kernel_sample(rng, x_count=3):
     for _ in range(rng.randint(0, 2)):
         u = rand_xmono(rng, x_count, 2)
         s = rand_xmono(rng, x_count, 2)
-        v = FreePoly.y_of(rand_xmono(rng, x_count, 1)) if rng.randint(0, 1) \
+        v = y_of(rand_xmono(rng, x_count, 1)) if rng.randint(0, 1) \
             else FreePoly.one(QQ)
         c = Fraction(rng.randint(1, 5))
         # u*y[s]*v and s*y[u]*v share the image y[u]*y[s]*v, so their
         # difference lies in the kernel without being literally a bracket
-        left = mono_of_xmono(u).mul(FreePoly.y_of(s)).mul(v).scale(c)
-        right = mono_of_xmono(s).mul(FreePoly.y_of(u)).mul(v).scale(c)
+        left = mono_of_xmono(u).mul(y_of(s)).mul(v).scale(c)
+        right = mono_of_xmono(s).mul(y_of(u)).mul(v).scale(c)
         w = w.add(left.sub(right))
     return w
 
@@ -785,3 +866,258 @@ def assert_canonical_q(x):
     """Every number in x is an int or a Fraction with denominator above 1."""
     for v in scalars_of(x):
         assert type(v) is int or (type(v) is Fraction and v.denominator != 1), repr(v)
+
+
+# ---------------------------------------------------------------------------
+# reference parser and printer: terms._parse and terms.render as they were
+# before the nodes stored their fields through slot setters and the parser
+# skipped the empty literal walk, verbatim apart from the ref_ names and the
+# node classes read through T; differential tests compare trees, sharing,
+# strings and syntax errors
+
+# one token: a numeric literal with the "-" glued to it, a variable, or any
+# other single character; the whitespace before it is skipped
+REF_TOKEN = re.compile(r"\s*(-?[0-9]+|v[0-9]*|\S)")
+
+
+def ref_error(text: str, k: int, message: str, end: bool = False) -> T.TermSyntaxError:
+    # at the start (or end) of token k, or at the end of text past the last one
+    m = next(itertools.islice(REF_TOKEN.finditer(text), k, None), None)
+    return T.TermSyntaxError(message, text, len(text) if m is None
+                             else m.end(1) if end else m.start(1))
+
+
+def ref_int(text: str, k: int, digits: str, unsigned: str = "") -> int:
+    """The digits of token k; with an ``unsigned`` message, a token that does
+    not start with an ASCII digit is that syntax error."""
+    if unsigned and not "0" <= digits[:1] <= "9":
+        raise ref_error(text, k, unsigned)
+    try:
+        return int(digits)
+    except ValueError:  # beyond sys.get_int_max_str_digits() on Python 3.11+
+        raise ref_error(text, k, "too many digits") from None
+
+
+# the field types a hash-consing key holds by value, not by id
+REF_SCALARS = frozenset((int, Fraction, type(None)))
+
+
+def ref_parse(text: str, equation: bool):
+    """The term (or equation) of text, read in one pass over its tokens.
+
+    Every "(" and "f(" pushes the state of the enclosing term onto ``stack``
+    instead of recursing.  That state: ``total``, the sum so far, joined to
+    the next product by ``op``; ``neg``, a leading "-" on the product;
+    ``scaled``, its (plain factors, literal) pairs so far, and ``run``, its
+    plain factors after the last literal; ``minus``, the atom-level "-"
+    signs pending on the current factor.
+
+    Nodes are hash-consed: ``node`` returns the one node of this parse with
+    the given class and fields, and all constants are ``one`` and ``zero``,
+    so equal subterms are one object.
+    """
+    # keyed by the class, the id of each child (hash-consed itself, so its
+    # id stands for its structure) and the Var index, ScalarMul coefficient
+    # or Pow exponent; the table keeps every node alive, so no id is reused
+    table = {}
+    one, zero = T.One(), T.Zero()
+
+    def node(cls, x, y=None):
+        key = (cls, x if type(x) in REF_SCALARS else id(x), y if type(y) in REF_SCALARS else id(y))
+        made = table.get(key)
+        if made is None:
+            made = table[key] = cls(x) if y is None else cls(x, y)
+        return made
+
+    toks = REF_TOKEN.findall(text)
+    toks.append("")  # end of input
+    i = 0
+    stack = []
+    lhs = None
+    closer = ""  # "(" or "f" inside a group
+    total = op = run = None
+    neg = False
+    scaled = []
+    minus = 0
+    start = True  # at the first atom of a signed product
+    while True:
+        tok = toks[i]
+        i += 1
+        if tok == "-":
+            if start:
+                neg = True
+                start = False
+            else:
+                minus += 1
+            continue
+        start = False
+        if tok == "(" or tok == "f":
+            if tok == "f":
+                if toks[i] != "(":
+                    raise ref_error(text, i, "expected '('")
+                i += 1
+            stack.append((closer, total, op, neg, scaled, run, minus))
+            closer, total, op, neg, scaled, run, minus = tok, None, None, False, [], None, 0
+            start = True
+            continue
+        if tok[:1] == "v":
+            if tok == "v":
+                raise ref_error(text, i - 1, "expected digits", end=True)
+            index = ref_int(text, i - 1, tok[1:])
+            if index < 1:
+                raise ref_error(text, i - 1, "variable index must be positive", end=True)
+            value = node(T.Var, index)
+        elif "0" <= tok[-1:] <= "9":
+            num = ref_int(text, i - 1, tok)
+            if toks[i] == "/":
+                den = ref_int(text, i + 1, toks[i + 1], "expected denominator digits")
+                if not den:
+                    raise ref_error(text, i + 1, "zero denominator")
+                value = Fraction(num, den)
+                i += 2
+            # unsigned "1" and "0" are the constants, also spelled "01" or
+            # "00"; "1/1" and "0/1" stay literals so that unit and zero
+            # ScalarMul coefficients have a spelling
+            elif num == 1 and tok[0] != "-":
+                value = one
+            elif num == 0 and tok[0] != "-":
+                value = zero
+            else:
+                value = Fraction(num)
+        elif tok:
+            raise ref_error(text, i - 1, f"unexpected character {tok!r}")
+        else:
+            raise ref_error(text, i - 1, "unexpected end of input")
+
+        # value is a complete atom (a Fraction for a literal); fold it into
+        # the factor, the product and the sum, closing groups as they end
+        while True:
+            # atom := "-" factor, so each pending "-" admits one more "^n"
+            while True:
+                if toks[i] == "^":
+                    n = ref_int(text, i + 1, toks[i + 1], "expected digits")
+                    i += 2
+                    if type(value) is Fraction:
+                        value **= n
+                    elif n == 0:
+                        value = one
+                    elif n > 1:
+                        value = node(T.Pow, value, n)
+                if not minus:
+                    break
+                minus -= 1
+                value = -value if type(value) is Fraction else node(T.Sub, zero, value)
+            if type(value) is Fraction:
+                scaled.append((run, value))
+                run = None
+            else:
+                run = value if run is None else node(T.Mul, run, value)
+            tok = toks[i]
+            if tok == "*":
+                i += 1
+                break
+            # the product is complete: a*2*b*c is Mul(a, ScalarMul(2, Mul(b, c)))
+            prod = one if run is None else run
+            for left, c in reversed(scaled):
+                prod = node(T.ScalarMul, c, prod)
+                if left is not None:
+                    prod = node(T.Mul, left, prod)
+            if neg:
+                prod = node(T.Sub, zero, prod)
+            scaled, run, neg = [], None, False
+            total = prod if op is None else node(op, total, prod)
+            if tok == "+" or tok[:1] == "-":
+                op = T.Add if tok == "+" else T.Sub
+                if len(tok) > 1:
+                    toks[i] = tok[1:]  # after an operand "-2" is "-" then "2"
+                else:
+                    i += 1
+                start = True
+                break
+            if closer:
+                if tok != ")":
+                    raise ref_error(text, i, "expected ')'")
+                i += 1
+                value = total if closer == "(" else node(T.F, total)
+                closer, total, op, neg, scaled, run, minus = stack.pop()
+                continue
+            if equation and lhs is None:
+                if tok != "=":
+                    raise ref_error(text, i, "expected '='")
+                lhs, total, op = total, None, None
+                i += 1
+                start = True
+                break
+            if tok:
+                raise ref_error(text, i, "trailing input")
+            return total if lhs is None else T.Equation(lhs, total)
+
+
+def ref_lit(r: Fraction) -> str:
+    # "1" and "0" would read back as the constants, so force fraction form
+    s = QQ.render(r)
+    if s in ("1", "0"):
+        s += "/1"
+    return s
+
+
+# the separator of each binary node, bare and before a parenthesized right
+# operand, and the operand types it parenthesizes on the left and the right
+REF_BINARY_FORMS = {
+    T.Add: (" + ", " + (", (), (T.Add, T.Sub)),
+    T.Sub: (" - ", " - (", (), (T.Add, T.Sub)),
+    T.Mul: ("*", "*(", (T.Add, T.Sub, T.ScalarMul), (T.Add, T.Sub, T.Mul, T.ScalarMul, T.Pow)),
+}
+
+
+def ref_render(t: T.Term) -> str:
+    """Concrete syntax for t.
+
+    A Pow prints as the left-nested Mul chain of its copies, so for Pow-free
+    t, parse(render(t)) is structurally t, and for every t,
+    render(parse(render(t))) == render(t).
+    """
+    # pre-order over an explicit stack of nodes and literal strings, each
+    # node's pieces pushed right to left so that they pop in output order; a
+    # Pow's base is rendered once, then its output is taken back and repeated
+    out = []
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        tp = type(node)
+        if tp is str:
+            out.append(node)
+        elif tp is T.Var:
+            out.append(f"v{node.index}")
+        elif tp in REF_BINARY_FORMS:
+            sep, sep_paren, paren_left, paren_right = REF_BINARY_FORMS[tp]
+            left, right = node.left, node.right
+            todo += (")", right, sep_paren) if type(right) in paren_right else (right, sep)
+            todo += (")", left, "(") if type(left) in paren_left else (left,)
+        elif tp is T.F:
+            todo += (")", node.arg, "f(")
+        elif tp is T.Pow:
+            todo += ((len(out), node), node.base)
+        elif tp is tuple:
+            start, node = node
+            base = "".join(out[start:])
+            del out[start:]
+            _, _, paren_left, paren_right = REF_BINARY_FORMS[T.Mul]
+            first = f"({base})" if type(node.base) in paren_left else base
+            rest = f"*({base})" if type(node.base) in paren_right else f"*{base}"
+            out.append(first + rest * (node.n - 1))
+        elif tp is T.ScalarMul:
+            arg, lit = node.arg, ref_lit(node.coeff)
+            if type(arg) is T.One:
+                out.append(lit)
+            elif type(arg) in (T.Add, T.Sub):
+                todo += (")", arg, lit + "*(")
+            else:
+                todo += (arg, lit + "*")
+        elif tp is T.One:
+            out.append("1")
+        elif tp is T.Zero:
+            out.append("0")
+        else:
+            raise TypeError(f"not a Term: {node!r}")
+    return "".join(out)

@@ -52,6 +52,7 @@ from avgalg.findim import (
 )
 from avgalg.terms import IdentitySet, parse_equation
 from support import (
+    fa_from_dict,
     functional_operator,
     kernel_sample,
     mult_operator,
@@ -64,6 +65,7 @@ from support import (
     rand_free_poly,
     reynolds_step_at,
     unitary_pair,
+    y_of,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -120,7 +122,7 @@ def test_criterion_03_reynolds_confluence():
     for _ in range(200):
         m = rand_free_monomial(rng, y_factors=3)
         for _ in range(rng.randint(0, 3)):
-            m = m.mul(FreePoly.y_of())
+            m = m.mul(y_of())
         target = reduce_reynolds(m)
         for _ in range(10):
             cur = m
@@ -262,7 +264,7 @@ def test_criterion_11_free_on_algebra():
     rng = random.Random(20109)
 
     def rand_fa(alg, max_deg=2):
-        out = FAElement.from_dict(QQ, alg.dim, {})
+        out = fa_from_dict(QQ, alg.dim, {})
         for _ in range(rng.randint(1, 3)):
             i = rng.randint(0, alg.dim - 1)
             sym = tuple(sorted(rng.randint(0, alg.dim - 1)

@@ -248,7 +248,7 @@ class TestSubspaces:
 
     def test_sum_with_zero(self):
         u = Subspace.span(QQ, 3, [(1, 0, 2), (0, 1, 1)])
-        assert Subspace.span(QQ, 3, u.basis + Subspace.zero_space(QQ, 3).basis) == u
+        assert Subspace.span(QQ, 3, u.basis + Subspace(QQ, 3, ()).basis) == u
 
     def test_containment(self):
         plane = Subspace.span(QQ, 3, [(1, 0, 0), (0, 1, 0)])

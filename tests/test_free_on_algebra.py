@@ -12,12 +12,11 @@ from avgalg.freeavg import (
     fa_f,
     fa_induced_hom,
     fa_mul,
-    fa_one,
     fa_truncated_injectivity,
     fa_universal_lift,
 )
 from avgalg.findim import StructureAlgebra, is_averaging
-from support import dim2_algebra, mult_operator, rand_fraction
+from support import dim2_algebra, fa_from_dict, fa_one, mult_operator, rand_fraction
 
 
 def sqrt2_algebra():
@@ -34,7 +33,7 @@ def rationals_algebra():
 
 
 def rand_fa(rng, A, max_terms=3, max_deg=2):
-    out = FAElement.from_dict(QQ, A.dim, {})
+    out = fa_from_dict(QQ, A.dim, {})
     for _ in range(rng.randint(1, max_terms)):
         i = rng.randint(0, A.dim - 1)
         sym = tuple(sorted(rng.randint(0, A.dim - 1)

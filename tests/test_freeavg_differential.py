@@ -2,7 +2,11 @@
 
 Each mode's operator and Reynolds products are one pass over the monomials;
 tests/support.py keeps the earlier operator-then-reduce passes as ``ref_*``.
-Both must give equal coefficients on every input, normal form or not.
+Both must give equal coefficients on every input, normal form or not.  The
+references form every monomial product with ``mono`` and every sum with a
+plain dict loop, so they share no kernel with what they check; the merge
+``mono_mul`` and the one-pass ``_f_plain`` are also compared with their
+dict-and-sort and ``y_gen`` predecessors, kept verbatim in support.py.
 
 A parse shares equal subterms, and ``eval_term`` evaluates each distinct
 node object once; ``implies_one`` must still give the verdict and witness
@@ -37,14 +41,19 @@ from avgalg.freeavg import (
 )
 from avgalg.terms import IdentitySet, parse_equation, parse_term
 from support import (
+    DECIDE_STEPS,
     kernel_sample,
     ref_bracket_decompose,
     ref_eval_term,
     ref_f_free,
     ref_f_mode,
+    ref_f_plain,
+    ref_mono_mul,
     ref_mul_mode,
     ref_reduce_reynolds,
     ref_reduce_unitary,
+    ref_sum,
+    ref_y_gen,
 )
 
 MODES = list(Mode)
@@ -101,9 +110,56 @@ def test_mul_mode_matches_the_reference(args):
         assert mul_mode(mode, p, q).coeffs == ref_mul_mode(mode, p, q).coeffs
 
 
-# the step templates and claim shapes of the decide benchmark: a variable
-# wrapped in steps, inner first, with the other variable as the leaf
-STEPS = ("f({x})", "({x})^2", "({x} + {leaf})", "({x})*{leaf}", "{k}*({x})")
+@settings(max_examples=150, deadline=None)
+@given(ring_and_polys(2), st.integers(-3, 3))
+def test_sparse_arithmetic_matches_plain_dict_sums(args, k):
+    R, p, q = args
+    c = R.of(k)
+    items, negated = list(p.coeffs.items()), [(m, R.neg(v)) for m, v in q.coeffs.items()]
+    assert p.add(q).coeffs == ref_sum(R, items + list(q.coeffs.items())).coeffs
+    assert p.sub(q).coeffs == ref_sum(R, items + negated).coeffs
+    assert q.neg().coeffs == ref_sum(R, negated).coeffs
+    assert p.scale(c).coeffs == ref_sum(R, [(m, R.mul(c, v)) for m, v in items]).coeffs
+
+
+@st.composite
+def shared_monomial_pairs(draw):
+    """Two normal monomials over one small pool of generators, y[1] among
+    them, so that they often share generators."""
+    pool = [x_gen(1), x_gen(2), x_gen(3), Y_ONE_GEN]
+    pool += [y_gen(u) for u in draw(st.lists(xmonos, min_size=1, max_size=3))]
+
+    def one():
+        gens = draw(st.lists(st.sampled_from(pool), max_size=5))
+        return mono(*((g, draw(st.integers(1, 3))) for g in gens))
+
+    return one(), one()
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_monomial_pairs())
+def test_mono_mul_matches_the_dict_and_sort_reference(pair):
+    a, b = pair
+    assert freeavg.mono_mul(a, b) == ref_mono_mul(a, b) == mono(*a, *b)
+    assert freeavg.mono_mul(b, a) == ref_mono_mul(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_monomial_pairs())
+def test_f_plain_matches_the_y_gen_reference(pair):
+    for m in pair:
+        assert freeavg._f_plain(m) == ref_f_plain(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(xmonos)
+def test_y_gen_matches_the_reference_key(u):
+    assert y_gen(u) == ref_y_gen(u)
+    assert y_gen() == Y_ONE_GEN == ref_y_gen()
+
+
+# the claim shapes of the decide benchmark on s and t, each a variable
+# wrapped in DECIDE_STEPS, inner first, with the other variable as the leaf
 CLAIM_SIDES = ("f(({s})*f({t}))", "f(f({s})*f({t}))", "f({s})*f({t})")
 
 
@@ -111,9 +167,9 @@ CLAIM_SIDES = ("f(({s})*f({t}))", "f(f({s})*f({t}))", "f({s})*f({t})")
 def built_s_and_t(draw):
     x, leaf = draw(st.permutations(["v1", "v2"]))
     s = x
-    for step in draw(st.lists(st.sampled_from(STEPS), min_size=1, max_size=5)):
+    for step in draw(st.lists(st.sampled_from(DECIDE_STEPS), min_size=1, max_size=5)):
         s = step.format(x=s, leaf=leaf, k=draw(st.sampled_from([2, 3])))
-    t = draw(st.sampled_from(STEPS)).format(x=x, leaf=leaf, k=2)
+    t = draw(st.sampled_from(DECIDE_STEPS)).format(x=x, leaf=leaf, k=2)
     return s, t
 
 

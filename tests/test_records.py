@@ -34,13 +34,19 @@ def imaginary_part():
 X1_COEFFS = {((x_gen(1), 1),): Fraction(2), ((x_gen(2), 1),): Fraction(-1)}
 
 # (class, field values, the tuple the value hashes as): FreePoly and Matrix
-# have hand-written constructors, Check and Certificate the generic one; a
-# FreePoly's coefficient dict hashes as its set of items
+# have hand-written constructors, Check and Certificate the generic one, and
+# the term nodes store their fields through slot setters; a FreePoly's
+# coefficient dict hashes as its set of items
 VALUES = [
     (FreePoly, (QQ, X1_COEFFS), (QQ, frozenset(X1_COEFFS.items()))),
     (Matrix, (QQ, 1, 2, ((Fraction(1), Fraction(0)),)), None),
     (Check, (False, (0, 1)), None),
     (Certificate, ("operand is averaging", True, None), None),
+    (T.Var, (1,), None),
+    (T.Add, (T.Var(1), T.Var(2)), None),
+    (T.ScalarMul, (Fraction(2), T.Var(1)), None),
+    (T.F, (T.Var(1),), None),
+    (T.Pow, (T.Var(1), 2), None),
 ]
 
 
