@@ -33,9 +33,10 @@ def _load_json(path: str) -> dict:
 
 def _load_algebra(path: str) -> FD.StructureAlgebra:
     A = FD.algebra_from_json(_load_json(path))
-    report = FD.verify_algebra(A)
-    if not report.ok:
-        raise ValueError(f"{path}: not a commutative unital algebra: {report.failure}")
+    try:
+        FD.require_verified(A)
+    except FD.NotAnAlgebraError as exc:
+        raise FD.NotAnAlgebraError(f"{path}: {exc}", exc.failure) from None
     return A
 
 

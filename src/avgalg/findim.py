@@ -17,6 +17,12 @@ would report.  The symmetries used are the commutativity of
 ``StructureAlgebra`` (a contract that ``verify_algebra`` checks and the
 other functions assume) and the antisymmetry of a bracket that has passed
 ``check_lie``.
+
+A pass of ``verify_algebra`` is carried in the algebra, and every function
+that relies on the laws refuses an algebra that fails them with
+``NotAnAlgebraError``.  So the paper's starting theorem, that an averaging
+operator induces a Lie bracket, holds by hypothesis: it is tested, not
+re-run on every bracket.
 """
 
 from __future__ import annotations
@@ -56,6 +62,16 @@ from .exactlin import (
     vec_sub,
     zero_vec,
 )
+
+
+class NotAnAlgebraError(ValueError):
+    """The table fails a law of a commutative associative unital algebra;
+    ``failure`` is (law, indices) of the first failure, as in
+    ``AlgebraReport``."""
+
+    def __init__(self, message, failure=None):
+        super().__init__(message)
+        self.failure = failure
 
 
 class NotAveragingError(ValueError):
@@ -150,10 +166,13 @@ class StructureAlgebra(Record):
     the identity checks in this module compute a product once per unordered
     pair of basis vectors, which is exact only when the contract holds.
     The products read the table's sparse form, built once here and kept in
-    the private slot ``_cells``, outside equality, hash and repr.
+    the private slot ``_cells``.  A passing ``verify_algebra``, and nothing
+    else, sets the private slot ``_laws``; the functions that need the laws
+    read it through ``_require_laws``.  Private slots are outside equality,
+    hash and repr.
     """
 
-    __slots__ = ("ring", "dim", "unit", "mul", "_cells")
+    __slots__ = ("ring", "dim", "unit", "mul", "_cells", "_laws")
 
     def __init__(self, ring: Ring, dim: int, unit: tuple, mul: tuple):
         set_field(self, "ring", ring)
@@ -209,6 +228,7 @@ class AlgebraReport(Record):
 def verify_algebra(A: StructureAlgebra) -> AlgebraReport:
     """Exact commutativity, associativity, and unit checks on all triples;
     ``failure`` names the first failing law in that order of priority.
+    Every call scans the table; a pass marks A as satisfying the laws.
 
     On a commutative table (e_a e_b) e_c = e_c (e_a e_b) is one row product
     P(a, b, c) that depends only on {a, b} and c, and e_i (e_j e_k) is
@@ -235,13 +255,24 @@ def verify_algebra(A: StructureAlgebra) -> AlgebraReport:
                       if A.mul_vec(A.mul[i][j], e[k]) != A.row_mul(i, A.mul[j][k])), None)
     failure = next(((law, w) for law, w in (("commutativity", comm), ("unit", unit),
                                             ("associativity", assoc)) if w), None)
+    if failure is None:
+        set_field(A, "_laws", True)
     return AlgebraReport(comm is None, assoc is None, unit is None, failure)
 
 
 def require_verified(A: StructureAlgebra):
+    """Run ``verify_algebra``; raise ``NotAnAlgebraError`` if a law fails."""
     report = verify_algebra(A)
     if not report.ok:
-        raise ValueError(f"not a commutative unital algebra: {report.failure}")
+        raise NotAnAlgebraError(f"not a commutative unital algebra: {report.failure}",
+                                report.failure)
+
+
+def _require_laws(A: StructureAlgebra):
+    """The guard of every function that relies on the laws: free when A
+    carries a pass of ``verify_algebra``, that check once otherwise."""
+    if not getattr(A, "_laws", False):
+        require_verified(A)
 
 
 def _require_operator(A: StructureAlgebra, F: Matrix):
@@ -445,18 +476,20 @@ def raw_bracket(A: StructureAlgebra, F: Matrix) -> BracketTable:
 
 
 class AveragingOperator(Record):
-    """An operator checked to be averaging on ``algebra``; built only by
-    ``averaging_operator``.  The analyses take an ``Operator``: this value,
-    or a bare matrix they check through ``averaging_operator``.
+    """An operator checked to be averaging on ``algebra``, which satisfies
+    the laws; built only by ``averaging_operator``.  The analyses take an
+    ``Operator``: this value, or a bare matrix they check through
+    ``averaging_operator``.
 
-    The induced Lie bracket ``bracket`` is built on first use, together with
-    its one ``check_lie`` cross-check of the paper's starting theorem (the
-    bracket of an averaging operator is a Lie bracket); failure raises
-    ``InternalInvariantError``.  Callers that never read it pay for neither.
-    It is the difference of two products e_i*F(e_j) that ``is_averaging``
-    formed and that ride along in the private slot ``_products``, so no
-    product is computed twice.  The built bracket is kept in the private
-    slot ``_bracket``.  Private slots are outside equality, hash and repr.
+    The induced bracket ``bracket`` is built on first use; callers that
+    never read it do not pay for it.  It is a Lie bracket by the paper's
+    starting theorem, whose hypotheses the algebra and the operator carry,
+    so it is not checked again (``tests/test_bracket_theorem.py`` tests the
+    theorem).  It is the difference of two products e_i*F(e_j) that
+    ``is_averaging`` formed and that ride along in the private slot
+    ``_products``, so no product is computed twice.  The built bracket is
+    kept in the private slot ``_bracket``.  Private slots are outside
+    equality, hash and repr.
     """
 
     __slots__ = ("algebra", "matrix", "_products", "_bracket")
@@ -467,12 +500,7 @@ class AveragingOperator(Record):
             return self._bracket
         except AttributeError:
             pass
-        A = self.algebra
-        L = _bracket_table(A, self._products)
-        lie = check_lie(A, L)
-        if not lie:
-            raise InternalInvariantError(
-                f"the bracket of an averaging operator fails the Lie axioms: {lie.witness}")
+        L = _bracket_table(self.algebra, self._products)
         set_field(self, "_bracket", L)
         return L
 
@@ -483,10 +511,12 @@ Operator = Union[Matrix, AveragingOperator]
 def averaging_operator(A: StructureAlgebra, F: Operator) -> AveragingOperator:
     """Check F once and carry the result.
 
-    Raises ``NotAveragingError`` (with the failing basis pair as
-    ``witness``) when F is not averaging.  An ``AveragingOperator`` for A is
-    returned as it is; one checked on another algebra is a ``ShapeError``.
+    Raises ``NotAnAlgebraError`` when A fails the laws, and
+    ``NotAveragingError`` (with the failing basis pair as ``witness``) when
+    F is not averaging.  An ``AveragingOperator`` for A is returned as it
+    is; one checked on another algebra is a ``ShapeError``.
     """
+    _require_laws(A)
     if isinstance(F, AveragingOperator):
         if F.algebra != A:
             raise ShapeError("operator was checked on a different algebra")
@@ -526,11 +556,13 @@ def endo_induced_check(A: StructureAlgebra, L: BracketTable) -> Check:
 def gamma_subalgebra(A: StructureAlgebra, L: BracketTable) -> Subspace:
     """Gamma = {a : [a*x, y] = a*[x, y]}, the linear conditions solved exactly.
 
-    A must pass ``verify_algebra``, and L both ``check_lie`` and
-    ``endo_induced_check``.  Then [x, y] = x*D(y) - y*D(x) with D = [1, .],
-    so [a*x, y] - a*[x, y] = y*(a*D(x) - D(a*x)), and y = 1 shows
+    A failing ``verify_algebra`` raises ``NotAnAlgebraError``.  L must pass
+    both ``check_lie`` and ``endo_induced_check``.  Then
+    [x, y] = x*D(y) - y*D(x) with D = [1, .], so
+    [a*x, y] - a*[x, y] = y*(a*D(x) - D(a*x)), and y = 1 shows
     Gamma = {a : D(a*e_i) = a*D(e_i) for every i}.
     """
+    _require_laws(A)
     return _gamma(A, Matrix.from_cols(A.ring, [L.row_bracket(i, A.unit) for i in range(A.dim)]))
 
 
@@ -594,7 +626,8 @@ def _complement(ring: Ring, basis, dim: int):
 def induced_by_averaging(A: StructureAlgebra, L: BracketTable) -> InduceResult:
     """Decide whether L is the bracket of some averaging operator.
 
-    A must pass ``verify_algebra``, as ``cli._load_algebra`` ensures.  Steps:
+    A failing ``verify_algebra`` raises ``NotAnAlgebraError``, and an L
+    failing ``check_lie`` raises ``NotLieError``.  Steps:
     the endomorphism criterion; the columns [e_i, 1] = -D(e_i), built once;
     from them the invariance subalgebra Gamma, as in ``gamma_subalgebra``;
     one rref that completes its basis and inverts the completed basis
@@ -602,6 +635,7 @@ def induced_by_averaging(A: StructureAlgebra, L: BracketTable) -> InduceResult:
     of t; then a full re-verification of the candidate operator
     L_t = D + t*(.).
     """
+    _require_laws(A)
     if not A.ring.is_field:
         raise NotAFieldError("the averaging-induced decision needs field scalars")
     require_lie(A, L)
@@ -789,8 +823,8 @@ def _zero_divisor(A: StructureAlgebra, w, why: str) -> NotADomainError:
 def check_domain(A: StructureAlgebra) -> DomainCertificate:
     """Decide exactly whether A is a domain, that is, a field.
 
-    A must be a commutative associative unital algebra (``verify_algebra``)
-    over Q or Z/p.  Three outcomes: a ``DomainCertificate`` when A is a
+    A must pass ``verify_algebra`` (else ``NotAnAlgebraError``) and be over
+    Q or Z/p.  Three outcomes: a ``DomainCertificate`` when A is a
     field; ``NotADomainError`` naming a nonzero zero divisor and its
     partner; ``DomainUndecidedError`` when neither is found.  The last
     happens over Q only, when the characteristic polynomial of the
@@ -804,6 +838,7 @@ def check_domain(A: StructureAlgebra) -> DomainCertificate:
     when chi_a is irreducible.  Over Z/p: A is a field exactly when the
     Frobenius map x -> x^p is injective and fixes only the line of 1.
     """
+    _require_laws(A)
     R = A.ring
     if not R.is_field:
         raise NotAFieldError("domain check needs field scalars")
@@ -936,7 +971,7 @@ def ad_eigen(A: StructureAlgebra, F: Operator, a) -> tuple:
     R = A.ring
     a = tuple(R.of(x) for x in a)
     fa = F.apply(a)
-    # the bracket passed check_lie, so ad_a(e_i) = [a, e_i] = -[e_i, a]
+    # the bracket is alternating, so ad_a(e_i) = [a, e_i] = -[e_i, a]
     ad = Matrix.from_cols(R, [tuple(R.neg(x) for x in op.bracket.row_bracket(i, a))
                               for i in range(A.dim)])
     # structural path: over a domain the only possible eigenvalues are 0 and,
@@ -1018,8 +1053,10 @@ def lie_analysis(A: StructureAlgebra, F: Operator) -> LieAnalysis:
 def quotient_by_averaging_ideal(A: StructureAlgebra, F: Matrix, ideal: Subspace):
     """Quotient algebra and induced operator by an F-invariant ideal.
 
-    The ideal test multiplies each generator u by every e_i as e_i*u, which
-    equals u*e_i because StructureAlgebra is commutative by contract."""
+    A failing ``verify_algebra`` raises ``NotAnAlgebraError``.  The ideal
+    test multiplies each generator u by every e_i as e_i*u, which equals
+    u*e_i because A is commutative."""
+    _require_laws(A)
     if not A.ring.is_field:
         raise NotAFieldError("quotients are implemented over field scalars")
     _require_operator(A, F)

@@ -14,7 +14,8 @@ Concrete syntax (EBNF):
 Whitespace may stand between any two tokens.  "+", "-", "*" are left
 associative, "^" binds tighter than "*", and there is no implicit
 multiplication.  "b^n" is the n-fold product of b: a Pow node for n >= 2,
-b itself for n = 1, One for n = 0, and the folded number for a literal b.
+b itself for n = 1, One for n = 0, and the folded number for a literal b,
+which may have at most ``_MAX_LITERAL_BITS`` bits.
 A "-" glued to digits is a negative number where an operand starts, and
 the binary minus after an operand: "v1 -2" is v1 - 2.  The optional "-"
 before a product (one not glued to digits) is 0 - product.  The
@@ -222,6 +223,12 @@ def _int(text: str, k: int, digits: str, unsigned: str = "") -> int:
 # the field types a hash-consing key holds by value, not by id
 _SCALARS = frozenset((int, Fraction, type(None)))
 
+# the size bound, in bits, of a folded literal power, estimated as the
+# exponent times the bit length of the base: a power of 2^20 bits folds in
+# milliseconds, while folding "2^777777777777" would run for hours and fill
+# memory before any error
+_MAX_LITERAL_BITS = 1 << 20
+
 
 def _parse(text: str, equation: bool):
     """The term (or equation) of text, read in one pass over its tokens.
@@ -319,6 +326,9 @@ def _parse(text: str, equation: bool):
                     n = _int(text, i + 1, toks[i + 1], "expected digits")
                     i += 2
                     if type(value) is Fraction:
+                        big = max(abs(value.numerator), value.denominator)
+                        if n > 1 and big > 1 and n * big.bit_length() > _MAX_LITERAL_BITS:
+                            raise _error(text, i - 1, "literal power too large")
                         value **= n
                     elif n == 0:
                         value = one

@@ -476,6 +476,20 @@ def rand_averaging(rng, A):
     return functional_operator(A, rand_element(rng, A))
 
 
+def rand_sum_operator(rng, ring):
+    """F_1 + F_2 on A_1 x A_2, each F_i a multiplication or a functional
+    operator on its factor, so averaging.  Its image is im F_1 x im F_2, so
+    the image powers have generators from both factors, and a power can kill
+    the brackets of one factor but not those of the other."""
+    factors = [rand_int_algebra(rng, ring, max_dim=3) for _ in range(2)]
+    n, m = factors[0].dim, factors[1].dim
+    blocks = [rng.choice([mult_operator, functional_operator])(
+        B, [rng.randint(-2, 2) for _ in range(B.dim)]) for B in factors]
+    cols = [blocks[0].col(j) + (ring.zero,) * m for j in range(n)] + \
+        [(ring.zero,) * n + blocks[1].col(j) for j in range(m)]
+    return product_algebra(*factors), Matrix.from_cols(ring, cols)
+
+
 def conjugation_hom(alpha, beta):
     """On Q[w]/(w^2 - beta*w - alpha): the algebra map w -> beta - w."""
     return Matrix.from_cols(QQ, [(1, 0), (beta, -1)])
@@ -998,6 +1012,9 @@ def ref_parse(text: str, equation: bool):
                     n = ref_int(text, i + 1, toks[i + 1], "expected digits")
                     i += 2
                     if type(value) is Fraction:
+                        big = max(abs(value.numerator), value.denominator)
+                        if n > 1 and big > 1 and n * big.bit_length() > T._MAX_LITERAL_BITS:
+                            raise ref_error(text, i - 1, "literal power too large")
                         value **= n
                     elif n == 0:
                         value = one

@@ -115,7 +115,7 @@ def test_unverified_algebra_exits_two(tmp_path, capsys):
     code = main(["verify", str(bad), "corpus/im.json"])
     err = capsys.readouterr().err
     assert code == 2
-    assert "unit" in err
+    assert err == f"error: {bad}: not a commutative unital algebra: ('unit', (0,))\n"
 
 
 def test_bad_subcommand_usage_exits_two(capsys):

@@ -35,6 +35,7 @@ from avgalg.findim import (
     KernelBracketResult,
     Nilpotent,
     NotADomainError,
+    NotAnAlgebraError,
     NotAnAveragingIdealError,
     NotAveragingError,
     NotEndoInduced,
@@ -898,11 +899,14 @@ class TestAveragingOperator:
         assert "raw_bracket" in str(exc.value)
 
     def test_lie_analysis_checks_once(self, checks):
+        # the bracket of an averaging operator is Lie by the paper's theorem,
+        # which tests/test_bracket_theorem.py tests, so it is not re-checked
         A = qi()
         lie_analysis(A, imaginary_part(A))
-        assert checks == {"is_averaging": 1, "check_lie": 1}
+        assert checks == {"is_averaging": 1, "check_lie": 0}
 
     def test_induced_by_averaging_checks_bracket_once(self, checks):
+        # the input bracket comes from outside, so it is checked
         L = BracketTable.make(QQ, [[[0, 0], [0, 1]], [[0, -1], [0, 0]]])
         assert isinstance(induced_by_averaging(qi(), L), Induced)
         assert checks["check_lie"] == 1
@@ -919,8 +923,8 @@ class TestAveragingOperator:
         checks.update(is_averaging=0, check_lie=0)
         assert isinstance(nilpotency_check(A, op), NotNilpotent)
         assert kernel_equals_brackets(A, op).equal
-        # the bracket is built and checked on its first use, once for both
-        assert checks == {"is_averaging": 0, "check_lie": 1}
+        # the bracket is built on its first use, once for both, and not checked
+        assert checks == {"is_averaging": 0, "check_lie": 0}
 
     def test_bracket_is_built_on_first_use(self, checks):
         A = qi()
@@ -943,7 +947,7 @@ class TestAveragingOperator:
     def test_ad_eigen_checks_bracket_once(self, checks):
         A = qi()
         ad_eigen(A, imaginary_part(A), (0, 1))
-        assert checks == {"is_averaging": 1, "check_lie": 1}
+        assert checks == {"is_averaging": 1, "check_lie": 0}
 
     def test_operator_of_another_algebra_is_refused(self):
         op = averaging_operator(qi(), imaginary_part(qi()))
@@ -952,3 +956,112 @@ class TestAveragingOperator:
             averaging_operator(split, op)
         with pytest.raises(ShapeError):
             kernel_equals_brackets(split, op)
+
+
+def nonassociative():
+    """e0 = 1, e1^2 = e2, e2^2 = e1, e1 e2 = e1: commutative and unital, but
+    (e1 e1) e2 = e1 while e1 (e1 e2) = e2."""
+    return StructureAlgebra.make(QQ, (1, 0, 0), [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 1, 0], [0, 0, 1], [0, 1, 0]],
+        [[0, 0, 1], [0, 1, 0], [0, 1, 0]],
+    ])
+
+
+ZERO_BRACKET3 = BracketTable.make(QQ, [[[0] * 3] * 3] * 3)
+
+# every function that relies on the laws of a commutative associative unital
+# algebra, applied to the table above and to F(x) = x_0 * 1, which passes
+# is_averaging there
+LAW_DEPENDENT = {
+    "averaging_operator": lambda A, F: averaging_operator(A, F),
+    "lie_analysis": lambda A, F: lie_analysis(A, F),
+    "kernel_equals_brackets": lambda A, F: kernel_equals_brackets(A, F),
+    "nilpotency_check": lambda A, F: nilpotency_check(A, F),
+    "induced_bracket": lambda A, F: induced_bracket(A, F),
+    "ad_eigen": lambda A, F: ad_eigen(A, F, (1, 0, 0)),
+    "is_reynolds_averaging": lambda A, F: is_reynolds_averaging(A, F),
+    "nilpotent_radical_domain": lambda A, F: nilpotent_radical_domain(A, F),
+    "induced_by_averaging": lambda A, F: induced_by_averaging(A, ZERO_BRACKET3),
+    "gamma_subalgebra": lambda A, F: gamma_subalgebra(A, ZERO_BRACKET3),
+    "check_domain": lambda A, F: check_domain(A),
+    "quotient_by_averaging_ideal":
+        lambda A, F: quotient_by_averaging_ideal(A, F, Subspace.span(QQ, 3, [])),
+}
+
+
+class TestLawsAreCarried:
+    @pytest.fixture
+    def verifications(self, monkeypatch):
+        """Calls of findim.verify_algebra since the last reset."""
+        calls = []
+        original = FD.verify_algebra
+
+        def counted(A):
+            calls.append(A)
+            return original(A)
+
+        monkeypatch.setattr(FD, "verify_algebra", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(LAW_DEPENDENT))
+    def test_a_nonassociative_algebra_is_refused(self, name):
+        A = nonassociative()
+        F = functional_operator(A, (1, 0, 0))
+        assert is_averaging(A, F).ok
+        with pytest.raises(NotAnAlgebraError) as exc:
+            LAW_DEPENDENT[name](A, F)
+        assert isinstance(exc.value, ValueError)
+        assert exc.value.failure == ("associativity", (1, 1, 2))
+
+    def test_law_free_checks_accept_any_table(self):
+        A = nonassociative()
+        F = functional_operator(A, (1, 0, 0))
+        assert is_averaging(A, F).ok and is_unitary(A, F)
+        L = raw_bracket(A, F)
+        assert check_lie(A, L).ok and endo_induced_check(A, L).ok
+        # [x, y] = x_0 y - y_0 x spans <e1, e2>, and [<e1, e2>, A] = <e1, e2>
+        assert [s.dim for s in derived_series(A, L).stages] == [3, 2, 0]
+        assert [s.dim for s in lower_central_series(A, L).stages] == [3, 2]
+
+    def test_require_verified_carries_the_failure(self):
+        with pytest.raises(NotAnAlgebraError) as exc:
+            require_verified(nonassociative())
+        assert exc.value.failure == ("associativity", (1, 1, 2))
+        assert str(exc.value) == \
+            "not a commutative unital algebra: ('associativity', (1, 1, 2))"
+
+    def test_an_unverified_algebra_is_verified_once(self, verifications):
+        A = qi()
+        lie_analysis(A, imaginary_part(A))
+        kernel_equals_brackets(A, imaginary_part(A))
+        check_domain(A)
+        assert verifications == [A]
+
+    def test_a_verified_algebra_is_not_verified_again(self, verifications):
+        A = qi()
+        assert verify_algebra(A).ok
+        del verifications[:]
+        lie_analysis(A, imaginary_part(A))
+        gamma_subalgebra(A, induced_bracket(A, imaginary_part(A)))
+        assert verifications == []
+
+    def test_a_failing_algebra_is_refused_every_time(self, verifications):
+        A = nonassociative()
+        for _ in range(2):
+            with pytest.raises(NotAnAlgebraError):
+                check_domain(A)
+        assert verifications == [A, A]
+
+    def test_builders_do_not_carry_the_laws(self, verifications):
+        A = qi()
+        assert verify_algebra(A).ok
+        copies = [StructureAlgebra.make(QQ, A.unit, A.mul),
+                  StructureAlgebra(QQ, A.dim, A.unit, A.mul),
+                  algebra_from_json(algebra_to_json(A))]
+        del verifications[:]
+        for B in copies:
+            # equal to A, but only verify_algebra marks a table as checked
+            assert B == A and hash(B) == hash(A) and repr(B) == repr(A)
+            check_domain(B)
+        assert verifications == copies

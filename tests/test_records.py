@@ -151,15 +151,15 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 
 
 class TestLazyBracket:
-    def test_bracket_is_checked_once_and_outside_equality(self, monkeypatch):
+    def test_bracket_is_built_once_and_outside_equality(self, monkeypatch):
         calls = []
-        original = FD.check_lie
+        original = FD._bracket_table
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(FD, "check_lie", counted)
+        monkeypatch.setattr(FD, "_bracket_table", counted)
         A, F = qi(), imaginary_part()
         op, fresh = averaging_operator(A, F), averaging_operator(A, F)
         first = op.bracket

@@ -162,6 +162,20 @@ class TestErrors:
         else:
             assert variables_of(parse_term(text))[0] == "v1"
 
+    @pytest.mark.parametrize("text, offset", [
+        ("2^777777777777", 2), ("v1*-2/3^9999999", 8), ("v1*- 2^1000^2000", 12)])
+    def test_literal_power_past_the_bound(self, text, offset):
+        # a literal power is folded into one number; one past 2^20 bits is
+        # refused at its exponent before any of it is computed
+        with pytest.raises(TermSyntaxError, match="literal power too large") as info:
+            parse_term(text)
+        assert info.value.offset == offset
+
+    def test_literal_power_within_the_bound(self):
+        assert parse_term("2^524287") == ScalarMul(Fraction(2) ** 524287, One())
+        assert parse_term("-1^777777777777") == ScalarMul(Fraction(-1), One())
+        assert parse_term("1/1^777777777777*v1") == ScalarMul(Fraction(1), Var(1))
+
     def test_exponent_is_kept_not_expanded(self):
         # 4,000 digits: inside the default int conversion limit of Python 3.11+ (4,300)
         assert parse_term("v1^" + "7" * 4000) == Pow(Var(1), (10 ** 4000 - 1) // 9 * 7)

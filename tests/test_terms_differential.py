@@ -27,7 +27,7 @@ QUIRKS = [
     "-v1^2^3", "v1*-v1^2^3", "--v1^2^3^4", "2^3*v1", "v1^0", "v1^1",
     "f(v1)^2 = -3/4*v2 -1", "f(f(v1)*v2) = f(v1)*v2", "(v1 + v2)^2*(v1 + v2)",
     "1/0", "v0", "v", "v1(v2)", "(v1", "f v1", "v1 @ v2", "v1 v2", "v1 + ",
-    "v²", "1/١", "v1^²", "v1 = v2 = v3", "",
+    "v²", "1/١", "v1^²", "v1 = v2 = v3", "", "2^777777777777", "-1^777777777777",
 ]
 
 # pieces of text, glued with or without whitespace: mostly malformed text,
