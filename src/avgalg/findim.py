@@ -14,9 +14,13 @@ arguments, so holding on a basis is holding everywhere.  Each is decided on
 one basis tuple per orbit of its symmetries, scanned in the order of the
 full product so that the first failure found is the one the full scan
 would report.  The symmetries used are the commutativity of
-``StructureAlgebra`` (a contract that ``verify_algebra`` checks and the
-other functions assume) and the antisymmetry of a bracket that has passed
-``check_lie``.
+``StructureAlgebra`` (a contract that ``verify_algebra`` checks, that
+``is_averaging`` tests before it relies on it, and that the other
+functions assume) and the antisymmetry of a bracket that has passed
+``check_lie``.  Tuples whose outcome a law already settles are skipped:
+once the unit law holds for a unit that is a basis vector, the
+associativity triples holding it.  Every check forms the row products
+e_i * v of one vector v for all i in one pass of the product kernel.
 
 A pass of ``verify_algebra`` is carried in the algebra, and every function
 that relies on the laws refuses an algebra that fails them with
@@ -112,8 +116,8 @@ class InternalInvariantError(RuntimeError):
 class Check(Record):
     """Outcome of an exact identity check; witness (a tuple, or None when
     ``ok``) locates the first failure.  A passing ``is_averaging`` also
-    keeps the products e_i*F(e_j) it formed in the private slot
-    ``_products``, for the operator's bracket."""
+    keeps the products it formed in the private slot ``_products``, for the
+    operator's bracket: ``_products[j][i]`` is e_i*F(e_j)."""
 
     __slots__ = ("ok", "witness", "_products")
     _defaults = (None,)
@@ -125,29 +129,40 @@ class Check(Record):
 # ---------------------------------------------------------------------------
 # structure algebras
 
-def _bilinear(R: Ring, cells, terms, y) -> tuple:
-    """sum x_i y_j table[i][j] over the pairs (i, x_i) in ``terms``, where
-    ``cells`` is the table's sparse form from ``_sparse_cells``: the one
-    product kernel behind mul_vec, bracket_vec and the row products.  It
-    reads only the nonzero y_j and the nonzero (k, c) of each cell.  x_i =
-    None stands for 1, so e_i * y reads row i only."""
-    if len(y) != len(cells):
+def _bilinear(R: Ring, cells, groups, y) -> list:
+    """One product per term list in ``groups``: sum x_i y_j table[i][j] over
+    the pairs (i, x_i) of the list, where ``cells`` is the table's sparse
+    form from ``_sparse_cells``.  This is the one product kernel, behind
+    mul_vec, bracket_vec and the row products.  It reads the nonzero y_j
+    once for all groups, and the nonzero (k, c) of each cell.  x_i = None
+    stands for 1, so the group ((i, None),) gives e_i * y from row i only."""
+    d = len(cells)
+    if len(y) != d:
         raise ShapeError("vector length mismatch")
-    out = [R.zero] * len(cells)
-    for i, xi in terms:
-        row = cells[i]
-        for j, yj in enumerate(y):
-            if yj:
-                c = yj if xi is None else R.mul(xi, yj)
+    add, mul, zero = R.add, R.mul, R.zero
+    ys = [(j, yj) for j, yj in enumerate(y) if yj]
+    outs = []
+    for terms in groups:
+        out = [zero] * d
+        for i, xi in terms:
+            row = cells[i]
+            for j, yj in ys:
+                c = yj if xi is None else mul(xi, yj)
                 for k, ck in row[j]:
-                    out[k] = R.add(out[k], R.mul(c, ck))
-    return tuple(out)
+                    out[k] = add(out[k], mul(c, ck))
+        outs.append(tuple(out))
+    return outs
 
 
 def _sparse_cells(table) -> tuple:
     """Each cell of a structure-constant table as its nonzero (k, c) pairs."""
     return tuple(tuple(tuple((k, c) for k, c in enumerate(cell) if c) for cell in row)
                  for row in table)
+
+
+def _each_row(dim: int) -> tuple:
+    """The groups of ``_bilinear`` that give every row product e_i * y."""
+    return tuple(((i, None),) for i in range(dim))
 
 
 def _terms(x, dim: int) -> list:
@@ -164,15 +179,17 @@ class StructureAlgebra(Record):
     coordinates of the identity element.  Commutativity is a contract:
     ``make`` checks only the shape, ``verify_algebra`` checks the laws, and
     the identity checks in this module compute a product once per unordered
-    pair of basis vectors, which is exact only when the contract holds.
-    The products read the table's sparse form, built once here and kept in
-    the private slot ``_cells``.  A passing ``verify_algebra``, and nothing
+    pair of basis vectors, which is exact only when the contract holds
+    (``is_averaging`` tests it first).  The products read the table's
+    sparse form, built once here and kept in the private slot ``_cells``
+    with the row groups ``_rows``, so that ``row_products`` forms every
+    e_i * v in one kernel pass.  A passing ``verify_algebra``, and nothing
     else, sets the private slot ``_laws``; the functions that need the laws
     read it through ``_require_laws``.  Private slots are outside equality,
     hash and repr.
     """
 
-    __slots__ = ("ring", "dim", "unit", "mul", "_cells", "_laws")
+    __slots__ = ("ring", "dim", "unit", "mul", "_cells", "_rows", "_laws")
 
     def __init__(self, ring: Ring, dim: int, unit: tuple, mul: tuple):
         set_field(self, "ring", ring)
@@ -180,6 +197,7 @@ class StructureAlgebra(Record):
         set_field(self, "unit", unit)
         set_field(self, "mul", mul)
         set_field(self, "_cells", _sparse_cells(mul))
+        set_field(self, "_rows", _each_row(dim))
 
     @staticmethod
     def make(ring: Ring, unit, mul) -> "StructureAlgebra":
@@ -195,11 +213,15 @@ class StructureAlgebra(Record):
         return tuple(self.ring.one if j == i else self.ring.zero for j in range(self.dim))
 
     def mul_vec(self, a, b) -> tuple:
-        return _bilinear(self.ring, self._cells, _terms(a, self.dim), b)
+        return _bilinear(self.ring, self._cells, (_terms(a, self.dim),), b)[0]
 
     def row_mul(self, i: int, v) -> tuple:
         """e_i * v without building e_i."""
-        return _bilinear(self.ring, self._cells, ((i, None),), v)
+        return _bilinear(self.ring, self._cells, (((i, None),),), v)[0]
+
+    def row_products(self, v) -> list:
+        """[e_0 * v, ..., e_(d-1) * v] in one pass."""
+        return _bilinear(self.ring, self._cells, self._rows, v)
 
     def power_vec(self, a, n: int) -> tuple:
         """a^n by square-and-multiply."""
@@ -232,22 +254,29 @@ def verify_algebra(A: StructureAlgebra) -> AlgebraReport:
 
     On a commutative table (e_a e_b) e_c = e_c (e_a e_b) is one row product
     P(a, b, c) that depends only on {a, b} and c, and e_i (e_j e_k) is
-    P({j, k}, i), so P is built for a <= b and the triples only compare it.
-    The associator is then odd under i <-> k and sums to 0 over its three
-    middles, so triples led by their least index decide, first failure too.
-    A table that is not commutative gets the scan of every ordered triple,
-    so ``associative`` stays exact there too."""
-    R, d = A.ring, range(A.dim)
+    P({j, k}, i), so P is built for a <= b, all c in one ``row_products``,
+    and the triples only compare it.  The associator is then odd under
+    i <-> k and sums to 0 over its three middles, so triples led by their
+    least index decide, first failure too.  When the unit law holds and the
+    unit is a basis vector e_z, every triple holding z associates, so z
+    leaves the index set of P and of the scan; the first failure is still
+    the full scan's.  A table that is not commutative gets the scan of
+    every ordered triple, so ``associative`` stays exact there too."""
+    d = range(A.dim)
     e = [A.basis_vec(i) for i in d]
     comm = next(((i, j) for i in d for j in d if A.mul[i][j] != A.mul[j][i]), None)
-    # u e_i = sum_s u_s (e_s e_i), read off column i of the table
-    unit = next(((i,) for i in d if tuple(
-        vec_dot(R, A.unit, [A.mul[s][i][k] for s in d]) for k in d) != e[i]), None)
+    # u e_i = e_i u on a commutative table, so one pass gives them all
+    ue = A.row_products(A.unit) if comm is None else [A.mul_vec(A.unit, x) for x in e]
+    unit = next(((i,) for i in d if ue[i] != e[i]), None)
     if comm is None:
+        # with commutativity and the unit law, (e_i e_j) e_k = e_i (e_j e_k)
+        # whenever one of the three is 1
+        z = tuple(A.unit) if unit is None else None
+        idx = [i for i in d if e[i] != z]
         P = {}
-        for a, b in itertools.combinations_with_replacement(d, 2):
-            P[a, b] = P[b, a] = [A.row_mul(c, A.mul[a][b]) for c in d]
-        assoc = next(((i, j, k) for i in d for j in d[i:] for k in d[i:]
+        for a, b in itertools.combinations_with_replacement(idx, 2):
+            P[a, b] = P[b, a] = A.row_products(A.mul[a][b])
+        assoc = next(((i, j, k) for n, i in enumerate(idx) for j in idx[n:] for k in idx[n:]
                       if P[i, j][k] != P[j, k][i]), None)
     else:
         # (e_i e_j) e_k against e_i (e_j e_k), which reads row i only
@@ -287,21 +316,26 @@ def _require_operator(A: StructureAlgebra, F: Matrix):
 
 def is_averaging(A: StructureAlgebra, F: Matrix) -> Check:
     """F(x*F(y)) = F(x)*F(y); both sides bilinear, so basis pairs decide.
-    F(e_i)*F(e_j) is symmetric, so it is computed once per unordered pair.
-    A pass carries every e_i*F(e_j) in the Check's ``_products``."""
+    The products e_i*F(e_j) of one column j are one ``row_products``.  On a
+    commutative table F(e_i)*F(e_j) is symmetric, so it is computed once
+    per unordered pair; the table counts as commutative when A carries a
+    pass of ``verify_algebra`` or every cell equals its mirror.  Any other
+    table gets every ordered pair, so the check is exact on it too.  A pass
+    carries the products e_i*F(e_j) in the Check's ``_products``."""
     _require_operator(A, F)
     d = A.dim
     cols = [F.col(j) for j in range(d)]
-    prods = [[None] * d for _ in range(d)]  # F(e_i)*F(e_j) for i <= j
-    lhs = [[None] * d for _ in range(d)]  # e_i*F(e_j)
+    symmetric = getattr(A, "_laws", False) or all(
+        A.mul[i][j] == A.mul[j][i] for i, j in itertools.combinations(range(d), 2))
+    prods = [[None] * d for _ in range(d)]  # F(e_i)*F(e_j)
+    lhs = [A.row_products(c) for c in cols]  # lhs[j][i] = e_i*F(e_j)
     for i in range(d):
         for j in range(d):
-            if j < i:
+            if symmetric and j < i:
                 rhs = prods[j][i]
             else:
                 rhs = prods[i][j] = A.mul_vec(cols[i], cols[j])
-            lhs[i][j] = A.row_mul(i, cols[j])
-            if F.apply(lhs[i][j]) != rhs:
+            if F.apply(lhs[j][i]) != rhs:
                 return Check(False, (i, j))
     chk = Check(True)
     set_field(chk, "_products", lhs)
@@ -357,9 +391,11 @@ def op_add(A: StructureAlgebra, F: Matrix, G: Matrix):
     R, d = A.ring, range(A.dim)
     fc = [F.col(j) for j in d]
     gc = [G.col(j) for j in d]
+    fr = [A.row_products(c) for c in fc]  # fr[j][i] = e_i*F(e_j)
+    gr = [A.row_products(c) for c in gc]
     compat_witness = next((
         (i, j) for i in d for j in d
-        if vec_add(R, F.apply(A.row_mul(i, gc[j])), G.apply(A.row_mul(i, fc[j])))
+        if vec_add(R, F.apply(gr[j][i]), G.apply(fr[j][i]))
         != vec_add(R, A.mul_vec(fc[i], gc[j]), A.mul_vec(gc[i], fc[j]))), None)
     holds = avg_f.ok and avg_g.ok and compat_witness is None
     cert = Certificate(
@@ -390,15 +426,17 @@ def op_poly_apply(A: StructureAlgebra, coeffs, F: Matrix):
 
 class BracketTable(Record):
     """Bracket structure constants: table[i][j] = coordinates of [e_i, e_j],
-    with the sparse form ``_cells`` as in ``StructureAlgebra``."""
+    with the private slots ``_cells`` and ``_rows`` as in
+    ``StructureAlgebra``."""
 
-    __slots__ = ("ring", "dim", "table", "_cells")
+    __slots__ = ("ring", "dim", "table", "_cells", "_rows")
 
     def __init__(self, ring: Ring, dim: int, table: tuple):
         set_field(self, "ring", ring)
         set_field(self, "dim", dim)
         set_field(self, "table", table)
         set_field(self, "_cells", _sparse_cells(table))
+        set_field(self, "_rows", _each_row(dim))
 
     @staticmethod
     def make(ring: Ring, table) -> "BracketTable":
@@ -410,11 +448,15 @@ class BracketTable(Record):
         return BracketTable(ring, dim, tab)
 
     def bracket_vec(self, x, y) -> tuple:
-        return _bilinear(self.ring, self._cells, _terms(x, self.dim), y)
+        return _bilinear(self.ring, self._cells, (_terms(x, self.dim),), y)[0]
 
     def row_bracket(self, i: int, v) -> tuple:
         """[e_i, v] without building e_i."""
-        return _bilinear(self.ring, self._cells, ((i, None),), v)
+        return _bilinear(self.ring, self._cells, (((i, None),),), v)[0]
+
+    def row_brackets(self, v) -> list:
+        """[[e_0, v], ..., [e_(d-1), v]] in one pass."""
+        return _bilinear(self.ring, self._cells, self._rows, v)
 
 
 def check_lie(A: StructureAlgebra, L: BracketTable) -> Check:
@@ -449,15 +491,19 @@ def require_lie(A: StructureAlgebra, L: BracketTable):
 
 
 def _bracket_table(A: StructureAlgebra, products) -> BracketTable:
-    """[e_i, e_j] = e_i*F(e_j) - e_j*F(e_i) with products[i][j] = e_i*F(e_j).
+    """[e_i, e_j] = e_i*F(e_j) - e_j*F(e_i) with products[j][i] = e_i*F(e_j).
     The formula is alternating for every F, so only i < j is computed, and
-    the diagonal of ``products`` is never read."""
+    the diagonal of ``products`` is never read.  A cell whose two products
+    are equal is the zero vector, found by one comparison; every cell of a
+    multiplication operator's bracket is one."""
     R, d = A.ring, A.dim
-    table = [[zero_vec(R, d)] * d for _ in range(d)]
+    zero = zero_vec(R, d)
+    table = [[zero] * d for _ in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
-            g = vec_sub(R, products[i][j], products[j][i])
-            table[i][j], table[j][i] = g, tuple(R.neg(x) for x in g)
+            if products[j][i] != products[i][j]:
+                g = vec_sub(R, products[j][i], products[i][j])
+                table[i][j], table[j][i] = g, tuple(R.neg(x) for x in g)
     return BracketTable(R, d, tuple(tuple(row) for row in table))
 
 
@@ -468,9 +514,7 @@ def raw_bracket(A: StructureAlgebra, F: Matrix) -> BracketTable:
     or this raises.
     """
     _require_operator(A, F)
-    cols = [F.col(j) for j in range(A.dim)]
-    L = _bracket_table(A, [[A.row_mul(i, c) if i != j else None for j, c in enumerate(cols)]
-                           for i in range(A.dim)])
+    L = _bracket_table(A, [A.row_products(F.col(j)) for j in range(A.dim)])
     require_lie(A, L)
     return L
 
@@ -545,9 +589,10 @@ def endo_induced_check(A: StructureAlgebra, L: BracketTable) -> Check:
     vanish on the diagonal, so only i < j is checked, and [1, e_j] is
     -[e_j, 1]."""
     R = A.ring
-    e_one = [L.row_bracket(i, A.unit) for i in range(A.dim)]  # [e_i, 1]
+    # rows[i][j] = e_j*[e_i, 1]
+    rows = [A.row_products(x) for x in L.row_brackets(A.unit)]
     for i, j in itertools.combinations(range(A.dim), 2):
-        rhs = vec_sub(R, A.row_mul(j, e_one[i]), A.row_mul(i, e_one[j]))
+        rhs = vec_sub(R, rows[i][j], rows[j][i])
         if L.table[i][j] != rhs:
             return Check(False, (i, j))
     return Check(True)
@@ -563,7 +608,7 @@ def gamma_subalgebra(A: StructureAlgebra, L: BracketTable) -> Subspace:
     Gamma = {a : D(a*e_i) = a*D(e_i) for every i}.
     """
     _require_laws(A)
-    return _gamma(A, Matrix.from_cols(A.ring, [L.row_bracket(i, A.unit) for i in range(A.dim)]))
+    return _gamma(A, Matrix.from_cols(A.ring, L.row_brackets(A.unit)))
 
 
 def _gamma(A: StructureAlgebra, E: Matrix) -> Subspace:
@@ -576,8 +621,7 @@ def _gamma(A: StructureAlgebra, E: Matrix) -> Subspace:
         e_prod[m, i] = e_prod[i, m] = E.apply(A.mul[m][i])
     rows = []
     for i in range(d):
-        col = E.col(i)
-        cols = [vec_sub(R, e_prod[m, i], A.row_mul(m, col)) for m in range(d)]
+        cols = [vec_sub(R, e_prod[m, i], p) for m, p in enumerate(A.row_products(E.col(i)))]
         rows.extend(row for row in zip(*cols) if any(row))
     return nullspace(Matrix(R, len(rows), d, tuple(rows)))
 
@@ -644,7 +688,7 @@ def induced_by_averaging(A: StructureAlgebra, L: BracketTable) -> InduceResult:
         return NotEndoInduced(endo.witness)
     R = A.ring
     n = A.dim
-    E = Matrix.from_cols(R, [L.row_bracket(i, A.unit) for i in range(n)])  # [., 1] = -D
+    E = Matrix.from_cols(R, L.row_brackets(A.unit))  # [., 1] = -D
     eps = _gamma(A, E).basis
     delta, project = _complement(R, eps, n)
     rows, rhs = [], []
@@ -661,7 +705,7 @@ def induced_by_averaging(A: StructureAlgebra, L: BracketTable) -> InduceResult:
     t = zero_vec(R, n)
     for xi, ei in zip(x, eps):
         t = vec_add(R, t, vec_scale(R, xi, ei))
-    cols = [vec_sub(R, A.row_mul(i, t), E.col(i)) for i in range(n)]
+    cols = [vec_sub(R, p, E.col(i)) for i, p in enumerate(A.row_products(t))]
     op = Matrix.from_cols(R, cols)
     avg = is_averaging(A, op)
     if not avg:
@@ -700,7 +744,7 @@ def _series(A: StructureAlgebra, L: BracketTable, lower: bool, nxt: Subspace) ->
             break
         basis = nxt.basis
         if lower:
-            gens = [L.row_bracket(j, x) for x in basis for j in range(d)]
+            gens = [g for x in basis for g in L.row_brackets(x)]
         else:
             gens = [L.bracket_vec(x, y) for x, y in itertools.combinations(basis, 2)]
         nxt = Subspace.span(R, d, gens)
@@ -801,7 +845,7 @@ _SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
 def _mult_matrix(A: StructureAlgebra, a) -> Matrix:
     """The matrix of x -> a*x.  Column i is a*e_i = e_i*a, which reads row i
     only: StructureAlgebra is commutative by contract."""
-    return Matrix.from_cols(A.ring, [A.row_mul(i, a) for i in range(A.dim)])
+    return Matrix.from_cols(A.ring, A.row_products(a))
 
 
 def _zero_divisor(A: StructureAlgebra, w, why: str) -> NotADomainError:
@@ -832,11 +876,17 @@ def check_domain(A: StructureAlgebra) -> DomainCertificate:
     prime proves it irreducible: Q[t]/(t^4 + 1), a field, and
     Q[t]/((t^2 - 2)(t^2 - 3)), which is not, both end there.
 
-    Over Q: the radical of the trace form (a, b) -> Tr(L_ab) is the
-    nilradical; when it is zero, A = Q[t]/(chi_a) for an element a whose
-    characteristic polynomial chi_a is squarefree, and A is a field exactly
-    when chi_a is irreducible.  Over Z/p: A is a field exactly when the
-    Frobenius map x -> x^p is injective and fixes only the line of 1.
+    Over Q: A = Q[t]/(chi_a) for an element a whose characteristic
+    polynomial chi_a is squarefree, when A is reduced, and A is a field
+    exactly when chi_a is irreducible.  The first non-scalar basis vector
+    is tried first: a zero constant term refutes, and a squarefree chi_a
+    proves A reduced at once.  Only otherwise is the radical of the trace
+    form (a, b) -> Tr(L_ab), the nilradical, computed: a nonzero radical
+    vector refutes as nilpotent, and a zero radical sends the search on
+    to the next candidates.  So a non-reduced A may be refuted by a
+    singular basis vector rather than a nilpotent one.  Over Z/p: A is a
+    field exactly when the Frobenius map x -> x^p is injective and fixes
+    only the line of 1.
     """
     _require_laws(A)
     R = A.ring
@@ -851,15 +901,22 @@ def check_domain(A: StructureAlgebra) -> DomainCertificate:
 
 def _check_domain_q(A: StructureAlgebra) -> DomainCertificate:
     R, d = A.ring, A.dim
-    traces = [sum((A.mul[s][k][k] for k in range(d)), R.zero) for s in range(d)]
-    gram = Matrix(R, d, d, tuple(tuple(vec_dot(R, A.mul[i][j], traces) for j in range(d))
-                                 for i in range(d)))
-    radical = nullspace(gram)
-    if not radical.is_zero():
-        raise _zero_divisor(A, radical.basis[0], "nilpotent")
-    if d == 1:
-        return DomainCertificate("dimension 1")
-    a, chi = _primitive_element(A)
+    # a squarefree chi_a makes a primitive and A = Q[t]/(chi_a) reduced, so
+    # the trace-form radical is needed only when the first candidate's is not
+    candidates = _candidates(A)
+    a, chi = next(candidates, (None, None))
+    if chi is None or not _squarefree(R, chi):
+        traces = [sum((A.mul[s][k][k] for k in range(d)), R.zero) for s in range(d)]
+        gram = Matrix(R, d, d, tuple(tuple(vec_dot(R, A.mul[i][j], traces) for j in range(d))
+                                     for i in range(d)))
+        radical = nullspace(gram)
+        if not radical.is_zero():
+            raise _zero_divisor(A, radical.basis[0], "nilpotent")
+        if d == 1:
+            return DomainCertificate("dimension 1")
+        a, chi = next(((a, chi) for a, chi in candidates if _squarefree(R, chi)), (None, None))
+        if chi is None:
+            raise InternalInvariantError("a reduced algebra has no primitive element")
     primes, sums = _degree_sieve(chi)
     if sums == 1 | 1 << d:
         return DomainCertificate("degree sieve", a, chi, primes)
@@ -878,12 +935,13 @@ def _check_domain_q(A: StructureAlgebra) -> DomainCertificate:
         "rational root and no sieve prime proves it irreducible")
 
 
-def _primitive_element(A: StructureAlgebra):
-    """(a, chi_a) with chi_a squarefree, so 1, a, ..., a^(d-1) is a basis of
-    the reduced algebra A.  Basis vectors are tried first, then sum c^i e_i
-    for c = 1, 2, ...; each of the d(d-1)/2 pairs of embeddings of A agrees
-    on at most d - 1 of the latter, which bounds the search.  A candidate
-    with chi_a(0) = 0 is singular and refutes the domain on the way."""
+def _candidates(A: StructureAlgebra):
+    """(a, chi_a) for the primitive-element candidates a that are not
+    scalars: basis vectors first, then sum c^i e_i for c = 1, 2, ...  In a
+    reduced A one of them has chi_a squarefree, so 1, a, ..., a^(d-1) is a
+    basis: each of the d(d-1)/2 pairs of embeddings of A agrees on at most
+    d - 1 of the sums, which bounds the search.  A candidate with
+    chi_a(0) = 0 is singular and refutes the domain on the way."""
     R, d = A.ring, A.dim
     candidates = itertools.chain(
         (A.basis_vec(i) for i in range(d)),
@@ -894,9 +952,11 @@ def _primitive_element(A: StructureAlgebra):
         chi = char_poly(_mult_matrix(A, a))
         if not chi[0]:
             raise _zero_divisor(A, a, "singular")
-        if len(poly_gcd(R, chi, poly_derivative(R, chi))) == 1:
-            return a, chi
-    raise InternalInvariantError("a reduced algebra has no primitive element")
+        yield a, chi
+
+
+def _squarefree(R: Ring, f) -> bool:
+    return len(poly_gcd(R, f, poly_derivative(R, f))) == 1
 
 
 def _degree_sieve(chi):
@@ -915,7 +975,7 @@ def _degree_sieve(chi):
             continue
         Fp = ZMod(p)
         f = tuple(Fp.of(c) for c in chi)
-        if len(poly_gcd(Fp, f, poly_derivative(Fp, f))) != 1:
+        if not _squarefree(Fp, f):
             continue  # p divides the discriminant
         mask = 1
         for k, g in distinct_degree_factors(Fp, f):
@@ -972,8 +1032,7 @@ def ad_eigen(A: StructureAlgebra, F: Operator, a) -> tuple:
     a = tuple(R.of(x) for x in a)
     fa = F.apply(a)
     # the bracket is alternating, so ad_a(e_i) = [a, e_i] = -[e_i, a]
-    ad = Matrix.from_cols(R, [tuple(R.neg(x) for x in op.bracket.row_bracket(i, a))
-                              for i in range(A.dim)])
+    ad = Matrix.from_cols(R, [tuple(R.neg(x) for x in g) for g in op.bracket.row_brackets(a)])
     # structural path: over a domain the only possible eigenvalues are 0 and,
     # when ker F is nonzero and F(a) is a nonzero scalar k, the value -k
     ker = nullspace(F)
@@ -1064,8 +1123,8 @@ def quotient_by_averaging_ideal(A: StructureAlgebra, F: Matrix, ideal: Subspace)
         raise ShapeError("ideal does not live in this algebra")
     R = A.ring
     for u in ideal.basis:
-        for i in range(A.dim):
-            if not ideal.contains_vector(A.row_mul(i, u)):
+        for i, p in enumerate(A.row_products(u)):
+            if not ideal.contains_vector(p):
                 raise NotAnAveragingIdealError(
                     f"not an ideal: generator times basis element {i} escapes")
         if not ideal.contains_vector(F.apply(u)):

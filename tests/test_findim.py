@@ -357,16 +357,21 @@ class TestEndoAndGamma:
             assert isinstance(induced_by_averaging(A, L), NotEndoInduced)
 
     def test_gamma_makes_one_row_product_per_basis_pair(self, monkeypatch):
-        # Q[y]/(y^6 - 3): block i, column m needs e_m * D(e_i), one row_mul
-        # for each of the 6 * 6 pairs (m, i); D(e_m e_i) is a matrix product
+        # Q[y]/(y^6 - 3): block i, column m needs e_m * D(e_i), one row
+        # product for each of the 6 * 6 pairs (m, i), all six of block i in
+        # one row_products call, so 6 calls and no row_mul; D(e_m e_i) is a
+        # matrix product
         A, _ = primary_from_poly([-3, 0, 0, 0, 0, 0, 1])
         L = induced_bracket(A, functional_operator(A, [1, 2, 0, -1, 0, 3]))
         calls = []
-        row_mul = StructureAlgebra.row_mul
-        monkeypatch.setattr(StructureAlgebra, "row_mul",
-                            lambda self, i, v: calls.append(i) or row_mul(self, i, v))
+        for name in ("row_mul", "row_products"):
+            def counted(self, *args, _name=name, _method=getattr(StructureAlgebra, name)):
+                calls.append(_name)
+                return _method(self, *args)
+
+            monkeypatch.setattr(StructureAlgebra, name, counted)
         assert gamma_subalgebra(A, L) == ref_gamma_subalgebra(A, L)
-        assert len(calls) == 36
+        assert calls == ["row_products"] * 6
 
     def test_random_brackets_cover_all_three_kinds(self):
         rng = random.Random(12)

@@ -4,8 +4,8 @@ Each check in ``findim`` visits one basis tuple per orbit of its symmetries;
 ``tests/support.py`` keeps the scans over every ordered tuple as references.
 Results and witnesses must be equal on random commutative tables, on tables
 where the identity holds and where it fails, and on non-commutative tables
-for the two checks that take them (``verify_algebra``, ``check_lie``).  The
-work counts are pinned as equalities at the end.
+for the three checks that take them (``verify_algebra``, ``is_averaging``,
+``check_lie``).  The work counts are pinned as equalities at the end.
 """
 
 from fractions import Fraction
@@ -19,6 +19,7 @@ from avgalg.exactlin import QQ, Matrix, Submodule, Subspace, ZMod
 from avgalg.findim import (
     AlgebraReport,
     BracketTable,
+    Check,
     Nilpotent,
     NotAveragingError,
     NotNilpotent,
@@ -77,11 +78,13 @@ def _rand_table(rng, ring, d, commutative):
     return tuple(tuple(row) for row in table)
 
 
-def _perturbed(rng, ring, table, commutative):
-    """table with one cell changed in one coordinate (and its mirror cell
-    when ``commutative``), so a check that held can fail late in the scan."""
+def _perturbed(rng, ring, table, commutative, at=None):
+    """table with one cell, random or the one at (i, j) = ``at``, changed in
+    one coordinate (and its mirror cell when ``commutative``), so a check
+    that held can fail late in the scan."""
     d = len(table)
-    i, j, k = rng.randrange(d), rng.randrange(d), rng.randrange(d)
+    i, j = at or (rng.randrange(d), rng.randrange(d))
+    k = rng.randrange(d)
     rows = [[list(cell) for cell in row] for row in table]
     rows[i][j][k] = ring.add(rows[i][j][k], ring.one)
     if commutative and i != j:
@@ -107,6 +110,41 @@ def _rand_commutative_algebra(rng, ring):
         return StructureAlgebra(ring, d, e[0], tuple(tuple(row) for row in table))
     return StructureAlgebra(ring, d, tuple(_scalar(rng, ring) for _ in range(d)),
                             tuple(tuple(row) for row in table))
+
+
+def _permuted(ring, A, perm):
+    """A with basis vector e_i renamed e_perm[i]."""
+    d = A.dim
+
+    def move(v):
+        out = [ring.zero] * d
+        for i, x in enumerate(v):
+            out[perm[i]] = x
+        return tuple(out)
+
+    mul = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            mul[perm[i]][perm[j]] = move(A.mul[i][j])
+    return StructureAlgebra(ring, d, move(A.unit), tuple(tuple(row) for row in mul))
+
+
+def _unit_at_random_index(rng, ring):
+    """(A, z): a commutative table whose unit is the basis vector e_z, z
+    random.  Either a primary algebra with its basis shuffled, so the laws
+    hold, or a random symmetric table with e_z as a true unit, so that
+    associativity mostly fails."""
+    d = rng.randint(1, 5)
+    if rng.randint(0, 1):
+        P, _ = primary_from_poly([rng.randint(-3, 3) for _ in range(d)] + [1])
+        perm = rng.sample(range(d), d)
+        return _permuted(ring, StructureAlgebra.make(ring, P.unit, P.mul), perm), perm[0]
+    z = rng.randrange(d)
+    e = [tuple(ring.one if k == i else ring.zero for k in range(d)) for i in range(d)]
+    table = [list(row) for row in _rand_table(rng, ring, d, True)]
+    for j in range(d):
+        table[z][j] = table[j][z] = e[j]
+    return StructureAlgebra(ring, d, e[z], tuple(tuple(row) for row in table)), z
 
 
 def _rand_operator(rng, A):
@@ -161,6 +199,23 @@ def test_verify_algebra_matches_the_full_scan(ring, commutative, rng):
     assert verify_algebra(A) == ref_verify_algebra(A)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(RINGS), st.randoms(use_true_random=False))
+def test_verify_algebra_skips_the_unit_exactly(ring, rng):
+    # the unit is e_z; a cell off row and column z bumped can break
+    # associativity only, a cell in row z bumped breaks the unit law (so
+    # the triples holding z must be scanned again), and both can break both
+    A, z = _unit_at_random_index(rng, ring)
+    table, roll = A.mul, rng.randint(0, 3)
+    others = [i for i in range(A.dim) if i != z]
+    if roll & 1 and others:
+        table = _perturbed(rng, ring, table, True, (rng.choice(others), rng.choice(others)))
+    if roll & 2:
+        table = _perturbed(rng, ring, table, True, (z, rng.randrange(A.dim)))
+    A = StructureAlgebra(ring, A.dim, A.unit, table)
+    assert verify_algebra(A) == ref_verify_algebra(A)
+
+
 def test_verify_algebra_reports_an_unsorted_first_failure():
     # e_3 is the unit, e_0 e_2 = e_1 and e_1 e_1 = e_1, all other products of
     # e_0, e_1, e_2 are 0: (e_0 e_2) e_1 = e_1 but e_0 (e_2 e_1) = 0, and every
@@ -183,6 +238,29 @@ def test_is_averaging_matches_the_full_scan(ring, rng):
     A = _rand_commutative_algebra(rng, ring)
     F = _rand_operator(rng, A)
     assert is_averaging(A, F) == ref_is_averaging(A, F)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(RINGS), st.randoms(use_true_random=False))
+def test_is_averaging_matches_the_full_scan_on_non_commutative_tables(ring, rng):
+    # F(e_i) * F(e_j) and F(e_j) * F(e_i) differ on such tables, so no
+    # product may stand in for its mirror
+    d = rng.randint(1, 3)
+    A = StructureAlgebra(ring, d, tuple(_scalar(rng, ring) for _ in range(d)),
+                         _rand_table(rng, ring, d, False))
+    F = Matrix.from_rows(ring, [[_scalar(rng, ring) for _ in range(d)] for _ in range(d)]) \
+        if rng.randint(0, 1) else Matrix.identity(ring, d)
+    assert is_averaging(A, F) == ref_is_averaging(A, F)
+
+
+def test_is_averaging_reads_both_products_of_a_non_commutative_table():
+    # over Z/2, e_0 e_1 = e_0 but e_1 e_0 = e_1, and F = 1 is averaging on
+    # every table; at (1, 0) the left side is e_1 e_0, which the mirror
+    # product e_0 e_1 does not match
+    R = ZMod(2)
+    A = StructureAlgebra.make(R, (1, 0), [[[1, 0], [1, 0]], [[0, 1], [1, 0]]])
+    F = Matrix.identity(R, 2)
+    assert is_averaging(A, F) == ref_is_averaging(A, F) == Check(True)
 
 
 @settings(max_examples=100, deadline=None)
@@ -293,12 +371,20 @@ def _cyclic(ring, d):
                                               for i in range(d)])
 
 
+PRODUCTS = ((StructureAlgebra, ("row_mul", "row_products", "mul_vec")),
+            (BracketTable, ("row_bracket", "row_brackets", "bracket_vec")))
+
+
+def only(**nonzero):
+    """The counts of the ``calls`` fixture: ``nonzero``, every other 0."""
+    return {name: nonzero.get(name, 0) for _, names in PRODUCTS for name in names}
+
+
 @pytest.fixture
 def calls(monkeypatch):
     """Counts the calls of the product methods of both table classes."""
     counts = {}
-    for cls, names in ((StructureAlgebra, ("row_mul", "mul_vec")),
-                       (BracketTable, ("row_bracket", "bracket_vec"))):
+    for cls, names in PRODUCTS:
         for name in names:
             def counted(*args, _name=name, _method=getattr(cls, name)):
                 counts[_name] += 1
@@ -310,10 +396,14 @@ def calls(monkeypatch):
 
 
 def test_verify_algebra_builds_each_triple_product_once(calls):
-    # d^2 (d + 1) / 2 row products at d = 6, against 2 d^3 = 432 for the scan
+    # one row_products gives every e_i * 1 for the unit law; the unit is
+    # e_0, so the associativity index set is the other d - 1 = 5: one
+    # row_products (all d rows of one cell) per pair a <= b of them, 5 * 6 / 2
+    # = 15 calls and 15 * 6 = 90 row products, against d^2 (d + 1) / 2 = 126
+    # with e_0 kept and 2 d^3 = 432 for the scan; 1 + 15 = 16 calls
     A = _cyclic(ZMod(5), 6)
     assert verify_algebra(A).ok
-    assert calls == {"row_mul": 126, "mul_vec": 0, "row_bracket": 0, "bracket_vec": 0}
+    assert calls == only(row_products=16)
 
 
 def test_verify_algebra_scans_on_every_call(calls):
@@ -323,10 +413,11 @@ def test_verify_algebra_scans_on_every_call(calls):
     for _ in range(2):
         calls.update(dict.fromkeys(calls, 0))
         assert verify_algebra(A).ok
-        assert calls == {"row_mul": 126, "mul_vec": 0, "row_bracket": 0, "bracket_vec": 0}
+        assert calls == only(row_products=16)
 
 
 def test_is_averaging_multiplies_each_unordered_pair_once(calls):
+    # A is not verified: its table is found commutative cell by cell
     A = _cyclic(ZMod(5), 6)
     F = mult_operator(A, A.basis_vec(1))
     calls.update(dict.fromkeys(calls, 0))
@@ -335,8 +426,9 @@ def test_is_averaging_multiplies_each_unordered_pair_once(calls):
 
 
 def test_bracket_subtracts_the_products_is_averaging_formed(calls):
-    # is_averaging forms e_i * F(e_j) once for each of the 6 * 6 pairs (and
-    # F(e_i) * F(e_j) once per unordered pair, 21); the operator carries
+    # is_averaging forms e_i * F(e_j) once for each of the 6 * 6 pairs, all
+    # six of column j in one row_products, so 6 calls (and F(e_i) * F(e_j)
+    # once per unordered pair, 21); the operator carries
     # them, and [e_i, e_j] = e_i F(e_j) - e_j F(e_i) subtracts two of them,
     # so the 15 cells i < j make no row product (2 * 15 = 30 if each cell
     # formed its own), and the bracket is not checked against the Lie
@@ -346,25 +438,26 @@ def test_bracket_subtracts_the_products_is_averaging_formed(calls):
     F = functional_operator(A, (1, 2, 0, 3, 0, 1))
     calls.update(dict.fromkeys(calls, 0))
     op = FD.averaging_operator(A, F)
-    assert calls == {"row_mul": 36, "mul_vec": 21, "row_bracket": 0, "bracket_vec": 0}
+    assert calls == only(row_products=6, mul_vec=21)
     calls.update(dict.fromkeys(calls, 0))
     L = op.bracket
-    assert calls == {"row_mul": 0, "mul_vec": 0, "row_bracket": 0, "bracket_vec": 0}
+    assert calls == only()
     assert L == FD.raw_bracket(A, F)
 
 
 def test_series_compute_no_bracket_for_stage_zero(calls):
     # lam(x) * 1 on Q[y]/(y^3 - 1) with lam = (1, 1, 0): stage 1 is ker lam,
     # read off the table; the derived stage 2 brackets its one basis pair,
-    # and the lower central stage 2 brackets both basis vectors with e_0..e_2
+    # and the lower central stage 2 brackets both basis vectors with e_0..e_2,
+    # one row_brackets per basis vector
     A = _cyclic(QQ, 3)
     L = induced_bracket(A, functional_operator(A, (1, 1, 0)))
     calls.update(dict.fromkeys(calls, 0))
     assert [s.dim for s in derived_series(A, L).stages] == [3, 2, 0]
-    assert calls == {"row_mul": 0, "mul_vec": 0, "row_bracket": 0, "bracket_vec": 1}
+    assert calls == only(bracket_vec=1)
     calls["bracket_vec"] = 0
     assert [s.dim for s in lower_central_series(A, L).stages] == [3, 2]
-    assert calls == {"row_mul": 0, "mul_vec": 0, "row_bracket": 6, "bracket_vec": 0}
+    assert calls == only(row_brackets=2)
 
 
 @pytest.fixture
@@ -428,4 +521,4 @@ def test_nilpotency_multiplies_each_power_generator_by_each_bracket_generator(ca
     assert op.bracket.dim == 4  # built and checked before the count starts
     calls.update(dict.fromkeys(calls, 0))
     assert nilpotency_check(A, op) == Nilpotent(1)
-    assert calls == {"row_mul": 0, "mul_vec": 3, "row_bracket": 0, "bracket_vec": 0}
+    assert calls == only(mul_vec=3)
