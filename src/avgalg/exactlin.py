@@ -22,6 +22,7 @@ slot; filling it is idempotent, so a race at most computes it twice.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 from typing import Union
 
@@ -142,6 +143,11 @@ class Rationals(Record):
             return self.of(Fraction(text.strip()))
         except (ValueError, ZeroDivisionError) as exc:
             raise RingError(f"bad rational literal {text!r}: {exc}") from None
+
+    def __rmod__(self, a):
+        # a % QQ is a in canonical form, as a % p is a residue, so the
+        # polynomial routines reduce with one inline % over either ring
+        return self.of(a)
 
     def render(self, a) -> str:
         if a.denominator == 1:
@@ -687,7 +693,17 @@ def rational_roots(coeffs) -> tuple:
 #
 # Ascending coefficient tuples without trailing zeros: the zero polynomial is
 # () and deg f is len(f) - 1.  Over Z/p they give the distinct-degree
-# factorisation and the roots that findim's domain decision needs.
+# factorisation and the roots that findim's domain decision needs.  Over Z/p
+# the coefficients are plain ints in [0, p), and each routine computes on
+# lists of them with Python's own + - * and an inline % p, so no coefficient
+# step calls a ring method.  Over Q the same lines keep exact rational
+# arithmetic: they reduce with % QQ, which puts a rational in canonical form
+# (``Rationals.__rmod__``).
+
+def _modulus(ring: Ring):
+    """m such that x % m is x in ``ring``'s canonical form: n over Z/n, QQ over Q."""
+    return ring.n if isinstance(ring, ZMod) else ring
+
 
 def poly_trim(f) -> tuple:
     f = list(f)
@@ -697,41 +713,54 @@ def poly_trim(f) -> tuple:
 
 
 def poly_sub(ring: Ring, f, g) -> tuple:
-    n = max(len(f), len(g))
-    f = tuple(f) + (ring.zero,) * (n - len(f))
-    g = tuple(g) + (ring.zero,) * (n - len(g))
-    return poly_trim(ring.sub(a, b) for a, b in zip(f, g))
+    m = _modulus(ring)
+    out = [(a - b) % m for a, b in zip_longest(f, g, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def poly_mul(ring: Ring, f, g) -> tuple:
     if not f or not g:
         return ()
-    out = [ring.zero] * (len(f) + len(g) - 1)
+    m = _modulus(ring)
+    out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
-            for j, b in enumerate(g):
+            for k, b in enumerate(g, i):
                 if b:
-                    out[i + j] = ring.add(out[i + j], ring.mul(a, b))
-    return poly_trim(out)
+                    out[k] = (out[k] + a * b) % m
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def poly_divmod(ring: Ring, f, g) -> tuple:
     """(quotient, remainder) of f by a nonzero g."""
-    g = poly_trim(g)
-    if not g:
+    n = len(g) - 1
+    while n >= 0 and not g[n]:
+        n -= 1
+    if n < 0:
         raise ZeroDivisionError("polynomial division by zero")
-    r = list(poly_trim(f))
-    q = [ring.zero] * max(len(r) - len(g) + 1, 0)
-    inv = ring.inv(g[-1])
-    while len(r) >= len(g):
-        c = ring.mul(r[-1], inv)
-        shift = len(r) - len(g)
-        q[shift] = c
-        for i, b in enumerate(g):
-            if b:
-                r[shift + i] = ring.sub(r[shift + i], ring.mul(c, b))
-        while r and not r[-1]:
-            r.pop()
+    r = list(f)
+    while r and not r[-1]:
+        r.pop()
+    if len(r) <= n:
+        return (), tuple(r)
+    m = _modulus(ring)
+    low = g[:n]
+    q = [0] * (len(r) - n)
+    inv = 1 if g[n] == 1 else ring.inv(g[n])
+    for shift in range(len(q) - 1, -1, -1):
+        # c makes r - c t^shift g lose its leading term, which is popped
+        c = r.pop() * inv % m
+        if c:
+            q[shift] = c
+            for k, b in enumerate(low, shift):
+                if b:
+                    r[k] = (r[k] - c * b) % m
+    while r and not r[-1]:
+        r.pop()
     return tuple(q), tuple(r)
 
 
@@ -740,26 +769,26 @@ def poly_gcd(ring: Ring, f, g) -> tuple:
     f, g = poly_trim(f), poly_trim(g)
     while g:
         f, g = g, poly_divmod(ring, f, g)[1]
-    if not f:
-        return ()
-    inv = ring.inv(f[-1])
-    return tuple(ring.mul(inv, c) for c in f)
+    if not f or f[-1] == 1:
+        return f
+    m, inv = _modulus(ring), ring.inv(f[-1])
+    return tuple([inv * c % m for c in f])
 
 
 def poly_derivative(ring: Ring, f) -> tuple:
-    return poly_trim(ring.mul(ring.of(i), c) for i, c in enumerate(f) if i)
+    m = _modulus(ring)
+    return poly_trim([i * c % m for i, c in enumerate(f) if i])
 
 
 def poly_powmod(ring: Ring, f, e: int, m) -> tuple:
-    """f^e mod m by square-and-multiply."""
-    result = poly_divmod(ring, (ring.one,), m)[1]
-    base = poly_divmod(ring, f, m)[1]
-    while e:
-        if e & 1:
+    """f^e mod m by square-and-multiply, from the leading bit of e down."""
+    if not e:
+        return poly_divmod(ring, (1,), m)[1]
+    base = result = poly_divmod(ring, f, m)[1]
+    for bit in bin(e)[3:]:
+        result = poly_divmod(ring, poly_mul(ring, result, result), m)[1]
+        if bit == "1":
             result = poly_divmod(ring, poly_mul(ring, result, base), m)[1]
-        e >>= 1
-        if e:
-            base = poly_divmod(ring, poly_mul(ring, base, base), m)[1]
     return result
 
 
@@ -778,7 +807,7 @@ def distinct_degree_factors(ring: ZMod, f) -> tuple:
     lower degrees are divided out.
     """
     p = _prime_field(ring)
-    t = (ring.zero, ring.one)
+    t = (0, 1)
     out = []
     rest = poly_trim(f)
     h = t  # t^(p^k) mod rest
@@ -805,20 +834,20 @@ def poly_root_mod_p(ring: ZMod, f):
     shift separates any two roots, so the search ends.
     """
     p = _prime_field(ring)
-    t = (ring.zero, ring.one)
+    t = (0, 1)
     g = poly_gcd(ring, f, poly_sub(ring, poly_powmod(ring, t, p, f), t))
     while len(g) > 2:
         for s in range(p):
-            if not poly_eval(ring, g, ring.neg(s)):
-                return ring.neg(s)
-            h = poly_powmod(ring, (s, ring.one), (p - 1) // 2, g)
-            split = poly_gcd(ring, g, poly_sub(ring, h, (ring.one,)))
+            if not poly_eval(ring, g, -s % p):
+                return -s % p
+            h = poly_powmod(ring, (s, 1), (p - 1) // 2, g)
+            split = poly_gcd(ring, g, poly_sub(ring, h, (1,)))
             if 1 < len(split) < len(g):
                 g = split
                 break
         else:
             raise RuntimeError("no shift splits the linear factors")
-    return ring.neg(g[0]) if len(g) == 2 else None
+    return -g[0] % p if len(g) == 2 else None
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,13 @@ would report.  The symmetries used are the commutativity of
 functions assume) and the antisymmetry of a bracket that has passed
 ``check_lie``.  Tuples whose outcome a law already settles are skipped:
 once the unit law holds for a unit that is a basis vector, the
-associativity triples holding it.  Every check forms the row products
-e_i * v of one vector v for all i in one pass of the product kernel.
+associativity triples holding it.  Every check forms its products with
+one vector v in one pass of the product kernel: the row products e_i * v
+for all i, and the pairwise products x * v of the other vectors x the
+scan pairs with v (F(e_i) * F(e_j) in ``is_averaging``, the Jacobi terms
+[e_m, [e_i, e_j]] in ``check_lie``, the brackets of a derived stage, the
+products of an image power).  The products are formed up front and the
+scan keeps its order over them, so the first failure is unchanged.
 
 A pass of ``verify_algebra`` is carried in the algebra, and every function
 that relies on the laws refuses an algebra that fails them with
@@ -223,6 +228,12 @@ class StructureAlgebra(Record):
         """[e_0 * v, ..., e_(d-1) * v] in one pass."""
         return _bilinear(self.ring, self._cells, self._rows, v)
 
+    def products(self, groups, v) -> list:
+        """One product with v per group of ``_bilinear``, in one pass: the
+        group ``_terms(x, dim)`` gives x * v, and the rows ``_rows`` give
+        every e_i * v."""
+        return _bilinear(self.ring, self._cells, groups, v)
+
     def power_vec(self, a, n: int) -> tuple:
         """a^n by square-and-multiply."""
         out, base = tuple(self.unit), tuple(a)
@@ -316,29 +327,32 @@ def _require_operator(A: StructureAlgebra, F: Matrix):
 
 def is_averaging(A: StructureAlgebra, F: Matrix) -> Check:
     """F(x*F(y)) = F(x)*F(y); both sides bilinear, so basis pairs decide.
-    The products e_i*F(e_j) of one column j are one ``row_products``.  On a
-    commutative table F(e_i)*F(e_j) is symmetric, so it is computed once
-    per unordered pair; the table counts as commutative when A carries a
-    pass of ``verify_algebra`` or every cell equals its mirror.  Any other
-    table gets every ordered pair, so the check is exact on it too.  A pass
-    carries the products e_i*F(e_j) in the Check's ``_products``."""
+    One kernel pass per column j forms both sides' products with F(e_j):
+    e_i*F(e_j) for every i, and F(e_i)*F(e_j).  On a commutative table
+    F(e_i)*F(e_j) is symmetric, so the pass of column j forms it for
+    i <= j only, and a pair i > j reads the pass of column i; the table
+    counts as commutative when A carries a pass of ``verify_algebra`` or
+    every cell equals its mirror.  Any other table gets every i in every
+    pass, so the check is exact on it too.  The pairs are scanned in order
+    over the products formed up front, so the witness is the first failure
+    of the full scan.  A pass carries the products e_i*F(e_j) in the
+    Check's ``_products``."""
     _require_operator(A, F)
     d = A.dim
     cols = [F.col(j) for j in range(d)]
     symmetric = getattr(A, "_laws", False) or all(
         A.mul[i][j] == A.mul[j][i] for i, j in itertools.combinations(range(d), 2))
-    prods = [[None] * d for _ in range(d)]  # F(e_i)*F(e_j)
-    lhs = [A.row_products(c) for c in cols]  # lhs[j][i] = e_i*F(e_j)
+    terms = [_terms(c, d) for c in cols]
+    # passes[j][i] = e_i*F(e_j), passes[j][d + i] = F(e_i)*F(e_j)
+    passes = [A.products((*A._rows, *(terms[:j + 1] if symmetric else terms)), c)
+              for j, c in enumerate(cols)]
     for i in range(d):
         for j in range(d):
-            if symmetric and j < i:
-                rhs = prods[j][i]
-            else:
-                rhs = prods[i][j] = A.mul_vec(cols[i], cols[j])
-            if F.apply(lhs[j][i]) != rhs:
+            rhs = passes[i][d + j] if symmetric and j < i else passes[j][d + i]
+            if F.apply(passes[j][i]) != rhs:
                 return Check(False, (i, j))
     chk = Check(True)
-    set_field(chk, "_products", lhs)
+    set_field(chk, "_products", [p[:d] for p in passes])
     return chk
 
 
@@ -350,11 +364,15 @@ def is_unitary(A: StructureAlgebra, F: Matrix) -> bool:
 def is_reynolds_averaging(A: StructureAlgebra, F: Operator) -> Check:
     """F(F(x)F(y)) = F(x)F(y) for an averaging F, on basis pairs.  Both
     sides are symmetric in the pair, and a failure at (i, j) with j < i is
-    met first at (j, i), so only i <= j is checked."""
+    met first at (j, i), so only i <= j is checked.  The products
+    F(e_i)F(e_j), i <= j, of one column j are one kernel pass."""
     F = averaging_operator(A, F).matrix
-    cols = [F.col(j) for j in range(A.dim)]
-    for i, j in itertools.combinations_with_replacement(range(A.dim), 2):
-        prod = A.mul_vec(cols[i], cols[j])
+    d = A.dim
+    cols = [F.col(j) for j in range(d)]
+    terms = [_terms(c, d) for c in cols]
+    prods = [A.products(terms[:j + 1], c) for j, c in enumerate(cols)]
+    for i, j in itertools.combinations_with_replacement(range(d), 2):
+        prod = prods[j][i]
         if F.apply(prod) != prod:
             return Check(False, (i, j))
     return Check(True)
@@ -388,15 +406,20 @@ def op_compose(A: StructureAlgebra, F: Matrix, G: Matrix):
 def op_add(A: StructureAlgebra, F: Matrix, G: Matrix):
     """F+G; averaging under the cross compatibility identity."""
     avg_f, avg_g = is_averaging(A, F), is_averaging(A, G)
-    R, d = A.ring, range(A.dim)
+    R, n = A.ring, A.dim
+    d = range(n)
     fc = [F.col(j) for j in d]
     gc = [G.col(j) for j in d]
-    fr = [A.row_products(c) for c in fc]  # fr[j][i] = e_i*F(e_j)
-    gr = [A.row_products(c) for c in gc]
+    # one pass per column: fp[j] = e_i*F(e_j) for every i, then G(e_i)*F(e_j);
+    # gp[j] = e_i*G(e_j), then F(e_i)*G(e_j)
+    f_rows = (*A._rows, *(_terms(c, n) for c in fc))
+    g_rows = (*A._rows, *(_terms(c, n) for c in gc))
+    fp = [A.products(g_rows, c) for c in fc]
+    gp = [A.products(f_rows, c) for c in gc]
     compat_witness = next((
         (i, j) for i in d for j in d
-        if vec_add(R, F.apply(gr[j][i]), G.apply(fr[j][i]))
-        != vec_add(R, A.mul_vec(fc[i], gc[j]), A.mul_vec(gc[i], fc[j]))), None)
+        if vec_add(R, F.apply(gp[j][i]), G.apply(fp[j][i]))
+        != vec_add(R, gp[j][n + i], fp[j][n + i])), None)
     holds = avg_f.ok and avg_g.ok and compat_witness is None
     cert = Certificate(
         "operands are averaging and satisfy the cross compatibility identity",
@@ -458,9 +481,17 @@ class BracketTable(Record):
         """[[e_0, v], ..., [e_(d-1), v]] in one pass."""
         return _bilinear(self.ring, self._cells, self._rows, v)
 
+    def brackets(self, groups, v) -> list:
+        """One bracket with v per group of ``_bilinear``, in one pass, as
+        ``StructureAlgebra.products``."""
+        return _bilinear(self.ring, self._cells, groups, v)
+
 
 def check_lie(A: StructureAlgebra, L: BracketTable) -> Check:
-    """Alternating plus Jacobi on all basis triples."""
+    """Alternating plus Jacobi on all basis triples.  Once the table is
+    antisymmetric, one ``row_brackets`` per cell [e_i, e_j], i < j, gives
+    every [e_m, [e_i, e_j]], and the triples i < j < k are scanned in order
+    over these C(d, 2) passes, so the witness is the full scan's."""
     if L.dim != A.dim or L.ring != A.ring:
         raise ShapeError("bracket does not match the algebra")
     R = A.ring
@@ -473,12 +504,13 @@ def check_lie(A: StructureAlgebra, L: BracketTable) -> Check:
             if L.table[i][j] != tuple(R.neg(x) for x in L.table[j][i]):
                 return Check(False, ("antisymmetry", (i, j)))
     # the table is antisymmetric here, so [[e_i,e_j],e_k] = -[e_k,[e_i,e_j]]
-    # and the Jacobi sum is zero exactly when this row-product sum is
+    # and the Jacobi sum is zero exactly when the row-product sum
+    # [e_k,[e_i,e_j]] + [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] is, whose last
+    # term is -[e_j,[e_i,e_k]]; rb[i, j][m] = [e_m, [e_i, e_j]]
+    rb = {(i, j): L.row_brackets(L.table[i][j])
+          for i, j in itertools.combinations(range(A.dim), 2)}
     for i, j, k in itertools.combinations(range(A.dim), 3):
-        total = vec_add(R, vec_add(R,
-                        L.row_bracket(k, L.table[i][j]),
-                        L.row_bracket(i, L.table[j][k])),
-                        L.row_bracket(j, L.table[k][i]))
+        total = vec_sub(R, vec_add(R, rb[i, j][k], rb[j, k][i]), rb[i, k][j])
         if not vec_is_zero(R, total):
             return Check(False, ("jacobi", (i, j, k)))
     return Check(True)
@@ -691,11 +723,12 @@ def induced_by_averaging(A: StructureAlgebra, L: BracketTable) -> InduceResult:
     E = Matrix.from_cols(R, L.row_brackets(A.unit))  # [., 1] = -D
     eps = _gamma(A, E).basis
     delta, project = _complement(R, eps, n)
+    eps_terms = [_terms(ei, n) for ei in eps]
     rows, rhs = [], []
     for dj in delta:
         # delta-coordinates of eps_i * delta_j fill the system matrix, those
         # of -D(delta_j) = [delta_j, 1] the right-hand side
-        coords = [project(A.mul_vec(ei, dj)) for ei in eps]
+        coords = [project(p) for p in A.products(eps_terms, dj)]
         rows.extend(tuple(c[k] for c in coords) for k in range(len(delta)))
         rhs.extend(project(E.apply(dj)))
     res = solve_linear(Matrix(R, len(rows), len(eps), tuple(rows)), tuple(rhs))
@@ -735,7 +768,9 @@ def _series(A: StructureAlgebra, L: BracketTable, lower: bool, nxt: Subspace) ->
     k+1 spans the brackets of stage k with itself, or with A when ``lower``.
     Stops at a repeated or a zero stage.  L is alternating, so a derived
     stage is spanned by the brackets of basis pairs a < b, and a lower
-    central stage by [e_j, x] = -[x, e_j]."""
+    central stage by [e_j, x] = -[x, e_j].  Either way one kernel pass per
+    basis vector y of the stage forms its brackets: [e_j, y] for every j,
+    or [x, y] for the basis vectors x before y."""
     R, d = A.ring, A.dim
     stages = [Subspace.full(R, d)]
     while nxt != stages[-1]:
@@ -746,7 +781,8 @@ def _series(A: StructureAlgebra, L: BracketTable, lower: bool, nxt: Subspace) ->
         if lower:
             gens = [g for x in basis for g in L.row_brackets(x)]
         else:
-            gens = [L.bracket_vec(x, y) for x, y in itertools.combinations(basis, 2)]
+            terms = [_terms(x, d) for x in basis]
+            gens = [g for b in range(1, len(basis)) for g in L.brackets(terms[:b], basis[b])]
         nxt = Subspace.span(R, d, gens)
     return SeriesResult(tuple(stages), stages[-1].is_zero())
 
@@ -806,17 +842,22 @@ def nilpotency_check(A: StructureAlgebra, F: Operator):
 def _nilpotency(A: StructureAlgebra, op, brackets):
     # nilpotency_check of the AveragingOperator op, given the span of its
     # brackets; the product is bilinear and each basis generates its span
-    # as a module, so basis pairs decide the containment
+    # as a module, so basis pairs decide the containment.  One kernel pass
+    # per basis vector u of the power forms g*u for the bracket generators
+    # g and v*u for the image generators v (u*v, as A is commutative)
     R, d = A.ring, A.dim
     if brackets.is_zero():
         return Nilpotent(1)  # every power annihilates the zero span
     image = _span(R, d, [op.matrix.col(j) for j in range(d)])
+    groups = [_terms(x, d) for x in (*brackets.basis, *image.basis)]
+    nb = len(brackets.basis)
     power = image
     k = 1
     while True:
-        if all(vec_is_zero(R, A.mul_vec(u, g)) for u in power.basis for g in brackets.basis):
+        passes = [A.products(groups, u) for u in power.basis]
+        if all(vec_is_zero(R, g) for p in passes for g in p[:nb]):
             return Nilpotent(k)
-        nxt = _span(R, d, [A.mul_vec(u, v) for u in power.basis for v in image.basis])
+        nxt = _span(R, d, [v for p in passes for v in p[nb:]])
         if nxt == power:
             return NotNilpotent(power)
         power = nxt
@@ -840,6 +881,8 @@ class DomainCertificate(Record):
 # primes whose factor-degree patterns the sieve intersects
 _SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                  53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+# built once: a ZMod decides the primality of its modulus when it is made
+_SIEVE_FIELDS = tuple(ZMod(p) for p in _SIEVE_PRIMES)
 
 
 def _mult_matrix(A: StructureAlgebra, a) -> Matrix:
@@ -965,16 +1008,20 @@ def _degree_sieve(chi):
 
     The degree of every factor of chi over Q is in the intersection, so
     {0, deg chi} proves chi irreducible (Musser 1978).  Stops once it does.
+    chi is reduced mod p to a tuple of ints once per prime, from the
+    integer polynomial den * chi.
     """
     d = len(chi) - 1
     den = lcm(*(c.denominator for c in chi))
+    scaled = [c.numerator * (den // c.denominator) for c in chi]  # den * chi
     sums = (1 << d + 1) - 1
     used = []
-    for p in _SIEVE_PRIMES:
+    for Fp in _SIEVE_FIELDS:
+        p = Fp.n
         if den % p == 0:
             continue
-        Fp = ZMod(p)
-        f = tuple(Fp.of(c) for c in chi)
+        inv = pow(den, -1, p)
+        f = tuple([c * inv % p for c in scaled])
         if not _squarefree(Fp, f):
             continue  # p divides the discriminant
         mask = 1
@@ -1134,8 +1181,9 @@ def quotient_by_averaging_ideal(A: StructureAlgebra, F: Matrix, ideal: Subspace)
     comp, project = _complement(R, ideal.basis, A.dim)
     q = len(comp)
     unit2 = project(A.unit)
-    mul2 = tuple(tuple(tuple(project(A.mul_vec(comp[i], comp[j])))
-                       for j in range(q)) for i in range(q))
+    comp_terms = [_terms(c, A.dim) for c in comp]
+    prods = [A.products(comp_terms, c) for c in comp]  # prods[j][i] = comp_i comp_j
+    mul2 = tuple(tuple(tuple(project(prods[j][i])) for j in range(q)) for i in range(q))
     A2 = StructureAlgebra.make(R, unit2, mul2)
     F2 = Matrix.from_cols(R, [project(F.apply(comp[j])) for j in range(q)])
     report = verify_algebra(A2)

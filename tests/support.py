@@ -9,11 +9,13 @@ import itertools
 import re
 from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 
 from avgalg._record import Record
 from avgalg import findim as FD
 from avgalg.exactlin import (
-    Matrix, QQ, RingError, ShapeError, Submodule, Subspace, nullspace, vec_add, vec_is_zero)
+    Matrix, QQ, RingError, ShapeError, Submodule, Subspace, ZMod, _prime_field, nullspace,
+    poly_eval, vec_add, vec_is_zero)
 from avgalg import terms as T
 from avgalg.freeavg import (
     FAElement, FreePoly, Mode, NotInKernelError, X_ONE, Y_ONE_GEN, mono, x_gen, y_gen)
@@ -1138,3 +1140,168 @@ def ref_render(t: T.Term) -> str:
         else:
             raise TypeError(f"not a Term: {node!r}")
     return "".join(out)
+
+
+# ---------------------------------------------------------------------------
+# reference polynomials over a field: exactlin's routines as they were when
+# every coefficient step called the ring's add, sub, mul and inv, and
+# findim's degree sieve, which reduced chi through ZMod.of at each prime;
+# differential tests compare them with the plain-int routines
+
+def ref_poly_trim(f) -> tuple:
+    f = list(f)
+    while f and not f[-1]:
+        f.pop()
+    return tuple(f)
+
+
+def ref_poly_sub(ring, f, g) -> tuple:
+    n = max(len(f), len(g))
+    f = tuple(f) + (ring.zero,) * (n - len(f))
+    g = tuple(g) + (ring.zero,) * (n - len(g))
+    return ref_poly_trim(ring.sub(a, b) for a, b in zip(f, g))
+
+
+def ref_poly_mul(ring, f, g) -> tuple:
+    if not f or not g:
+        return ()
+    out = [ring.zero] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                if b:
+                    out[i + j] = ring.add(out[i + j], ring.mul(a, b))
+    return ref_poly_trim(out)
+
+
+def ref_poly_divmod(ring, f, g) -> tuple:
+    """(quotient, remainder) of f by a nonzero g."""
+    g = ref_poly_trim(g)
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(ref_poly_trim(f))
+    q = [ring.zero] * max(len(r) - len(g) + 1, 0)
+    inv = ring.inv(g[-1])
+    while len(r) >= len(g):
+        c = ring.mul(r[-1], inv)
+        shift = len(r) - len(g)
+        q[shift] = c
+        for i, b in enumerate(g):
+            if b:
+                r[shift + i] = ring.sub(r[shift + i], ring.mul(c, b))
+        while r and not r[-1]:
+            r.pop()
+    return tuple(q), tuple(r)
+
+
+def ref_poly_gcd(ring, f, g) -> tuple:
+    """Monic greatest common divisor; () when f and g are both zero."""
+    f, g = ref_poly_trim(f), ref_poly_trim(g)
+    while g:
+        f, g = g, ref_poly_divmod(ring, f, g)[1]
+    if not f:
+        return ()
+    inv = ring.inv(f[-1])
+    return tuple(ring.mul(inv, c) for c in f)
+
+
+def ref_poly_derivative(ring, f) -> tuple:
+    return ref_poly_trim(ring.mul(ring.of(i), c) for i, c in enumerate(f) if i)
+
+
+def ref_poly_powmod(ring, f, e: int, m) -> tuple:
+    """f^e mod m by square-and-multiply."""
+    result = ref_poly_divmod(ring, (ring.one,), m)[1]
+    base = ref_poly_divmod(ring, f, m)[1]
+    while e:
+        if e & 1:
+            result = ref_poly_divmod(ring, ref_poly_mul(ring, result, base), m)[1]
+        e >>= 1
+        if e:
+            base = ref_poly_divmod(ring, ref_poly_mul(ring, base, base), m)[1]
+    return result
+
+
+def ref_distinct_degree_factors(ring, f) -> tuple:
+    """Distinct-degree factorisation of a monic squarefree f over Z/p.
+
+    Returns ``((k, g_k), ...)``, ascending in k, where g_k is the product of
+    the irreducible factors of f of degree k and is not 1; the g_k multiply
+    to f.  The degree-k factors are those of gcd(f, t^(p^k) - t) once the
+    lower degrees are divided out.
+    """
+    p = _prime_field(ring)
+    t = (ring.zero, ring.one)
+    out = []
+    rest = ref_poly_trim(f)
+    h = t  # t^(p^k) mod rest
+    k = 0
+    while len(rest) - 1 >= 2 * (k + 1):
+        k += 1
+        h = ref_poly_powmod(ring, h, p, rest)
+        g = ref_poly_gcd(ring, rest, ref_poly_sub(ring, h, t))
+        if len(g) > 1:
+            out.append((k, g))
+            rest = ref_poly_divmod(ring, rest, g)[0]
+            h = ref_poly_divmod(ring, h, rest)[1]
+    if len(rest) > 1:
+        out.append((len(rest) - 1, rest))
+    return tuple(out)
+
+
+def ref_poly_root_mod_p(ring, f):
+    """A root in Z/p of a nonzero f, or None when it has none.
+
+    g = gcd(f, t^p - t) is the product of the distinct linear factors of f;
+    g is split by gcd(g, (t + s)^((p-1)/2) - 1) for s = 0, 1, ... until one
+    factor is linear (Cantor-Zassenhaus with deterministic shifts).  Some
+    shift separates any two roots, so the search ends.
+    """
+    p = _prime_field(ring)
+    t = (ring.zero, ring.one)
+    g = ref_poly_gcd(ring, f, ref_poly_sub(ring, ref_poly_powmod(ring, t, p, f), t))
+    while len(g) > 2:
+        for s in range(p):
+            if not poly_eval(ring, g, ring.neg(s)):
+                return ring.neg(s)
+            h = ref_poly_powmod(ring, (s, ring.one), (p - 1) // 2, g)
+            split = ref_poly_gcd(ring, g, ref_poly_sub(ring, h, (ring.one,)))
+            if 1 < len(split) < len(g):
+                g = split
+                break
+        else:
+            raise RuntimeError("no shift splits the linear factors")
+    return ring.neg(g[0]) if len(g) == 2 else None
+
+
+def ref_squarefree(R, f) -> bool:
+    return len(ref_poly_gcd(R, f, ref_poly_derivative(R, f))) == 1
+
+
+def ref_degree_sieve(chi):
+    """(primes, sums): intersect, over the primes p at which chi stays
+    squarefree, the subset sums of its factor degrees mod p, as a bit mask.
+
+    The degree of every factor of chi over Q is in the intersection, so
+    {0, deg chi} proves chi irreducible (Musser 1978).  Stops once it does.
+    """
+    d = len(chi) - 1
+    den = lcm(*(c.denominator for c in chi))
+    sums = (1 << d + 1) - 1
+    used = []
+    for p in FD._SIEVE_PRIMES:
+        if den % p == 0:
+            continue
+        Fp = ZMod(p)
+        f = tuple(Fp.of(c) for c in chi)
+        if not ref_squarefree(Fp, f):
+            continue  # p divides the discriminant
+        mask = 1
+        for k, g in ref_distinct_degree_factors(Fp, f):
+            for _ in range((len(g) - 1) // k):
+                mask |= mask << k
+        sums &= mask
+        used.append(p)
+        if sums == 1 | 1 << d:
+            break
+    return tuple(used), sums

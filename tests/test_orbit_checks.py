@@ -371,8 +371,8 @@ def _cyclic(ring, d):
                                               for i in range(d)])
 
 
-PRODUCTS = ((StructureAlgebra, ("row_mul", "row_products", "mul_vec")),
-            (BracketTable, ("row_bracket", "row_brackets", "bracket_vec")))
+PRODUCTS = ((StructureAlgebra, ("row_mul", "row_products", "mul_vec", "products")),
+            (BracketTable, ("row_bracket", "row_brackets", "bracket_vec", "brackets")))
 
 
 def only(**nonzero):
@@ -416,20 +416,28 @@ def test_verify_algebra_scans_on_every_call(calls):
         assert calls == only(row_products=16)
 
 
-def test_is_averaging_multiplies_each_unordered_pair_once(calls):
-    # A is not verified: its table is found commutative cell by cell
+def test_is_averaging_multiplies_each_unordered_pair_once(calls, monkeypatch):
+    # A is not verified: its table is found commutative cell by cell.  One
+    # kernel pass per column j (6 calls) forms e_i * F(e_j) for the 6 rows i
+    # and F(e_i) * F(e_j) for i <= j, so each unordered pair once: 6 * 6 + 21
+    # = 57 products, where every ordered pair would make 6 * 6 + 36 = 72
     A = _cyclic(ZMod(5), 6)
     F = mult_operator(A, A.basis_vec(1))
+    groups = []
+    kernel = FD._bilinear
+    monkeypatch.setattr(FD, "_bilinear", lambda R, cells, gs, y: groups.append(len(gs))
+                        or kernel(R, cells, gs, y))
     calls.update(dict.fromkeys(calls, 0))
     assert is_averaging(A, F).ok
-    assert calls["mul_vec"] == 21
+    assert calls == only(products=6)
+    assert groups == [6 + j + 1 for j in range(6)] and sum(groups) == 57
 
 
 def test_bracket_subtracts_the_products_is_averaging_formed(calls):
-    # is_averaging forms e_i * F(e_j) once for each of the 6 * 6 pairs, all
-    # six of column j in one row_products, so 6 calls (and F(e_i) * F(e_j)
-    # once per unordered pair, 21); the operator carries
-    # them, and [e_i, e_j] = e_i F(e_j) - e_j F(e_i) subtracts two of them,
+    # is_averaging forms e_i * F(e_j) once for each of the 6 * 6 pairs, and
+    # F(e_i) * F(e_j) once per unordered pair, all products with F(e_j) in
+    # one kernel pass, so 6 products calls; the operator carries the
+    # e_i * F(e_j), and [e_i, e_j] = e_i F(e_j) - e_j F(e_i) subtracts two,
     # so the 15 cells i < j make no row product (2 * 15 = 30 if each cell
     # formed its own), and the bracket is not checked against the Lie
     # axioms.  A is verified first, so the counts hold only the operator's
@@ -438,7 +446,7 @@ def test_bracket_subtracts_the_products_is_averaging_formed(calls):
     F = functional_operator(A, (1, 2, 0, 3, 0, 1))
     calls.update(dict.fromkeys(calls, 0))
     op = FD.averaging_operator(A, F)
-    assert calls == only(row_products=6, mul_vec=21)
+    assert calls == only(products=6)
     calls.update(dict.fromkeys(calls, 0))
     L = op.bracket
     assert calls == only()
@@ -447,15 +455,16 @@ def test_bracket_subtracts_the_products_is_averaging_formed(calls):
 
 def test_series_compute_no_bracket_for_stage_zero(calls):
     # lam(x) * 1 on Q[y]/(y^3 - 1) with lam = (1, 1, 0): stage 1 is ker lam,
-    # read off the table; the derived stage 2 brackets its one basis pair,
-    # and the lower central stage 2 brackets both basis vectors with e_0..e_2,
-    # one row_brackets per basis vector
+    # read off the table; the derived stage 2 brackets its one basis pair
+    # x_0 < x_1 in the one pass of x_1 (x_0 has no basis vector before it),
+    # and the lower central stage 2 brackets both basis vectors with
+    # e_0..e_2, one row_brackets per basis vector
     A = _cyclic(QQ, 3)
     L = induced_bracket(A, functional_operator(A, (1, 1, 0)))
     calls.update(dict.fromkeys(calls, 0))
     assert [s.dim for s in derived_series(A, L).stages] == [3, 2, 0]
-    assert calls == only(bracket_vec=1)
-    calls["bracket_vec"] = 0
+    assert calls == only(brackets=1)
+    calls["brackets"] = 0
     assert [s.dim for s in lower_central_series(A, L).stages] == [3, 2]
     assert calls == only(row_brackets=2)
 
@@ -515,10 +524,24 @@ def test_lie_analysis_spans_no_image_for_a_zero_bracket(monkeypatch):
 def test_nilpotency_multiplies_each_power_generator_by_each_bracket_generator(calls):
     # F(x) = 4 x_0 * 1 on Z/8[y]/(y^4 - 1): the image has the one generator
     # 4 * 1, the brackets [1, y^j] = -4 y^j the three generators 4 y^j, and
-    # 4 * 4 = 0 mod 8, so Nilpotent(1) after 1 * 3 products
+    # 4 * 4 = 0 mod 8, so Nilpotent(1) after one kernel pass for the one
+    # power generator, which forms its 3 products with the bracket
+    # generators and its 1 with the image generator
     A = _cyclic(ZMod(8), 4)
     op = FD.averaging_operator(A, functional_operator(A, (4, 0, 0, 0)))
     assert op.bracket.dim == 4  # built and checked before the count starts
     calls.update(dict.fromkeys(calls, 0))
     assert nilpotency_check(A, op) == Nilpotent(1)
-    assert calls == only(mul_vec=3)
+    assert calls == only(products=1)
+
+
+def test_check_lie_makes_one_pass_per_bracket_cell(calls):
+    # the bracket of lam(x) * 1 on Z/5[y]/(y^6 - 1) is a Lie bracket: one
+    # row_brackets per cell [e_i, e_j], i < j, gives every [e_m, [e_i, e_j]],
+    # so C(6, 2) = 15 passes serve the C(6, 3) = 20 Jacobi triples, where
+    # three row_bracket calls per triple would make 60
+    A = _cyclic(ZMod(5), 6)
+    L = induced_bracket(A, functional_operator(A, (1, 2, 0, 3, 0, 1)))
+    calls.update(dict.fromkeys(calls, 0))
+    assert check_lie(A, L).ok
+    assert calls == only(row_brackets=15)
