@@ -5,7 +5,12 @@ integers mod n.  Ring elements are plain Python values in one canonical form
 per ring: a rational is an ``int`` when it is integral and a ``Fraction``
 (denominator above 1) otherwise, a residue is an ``int`` in ``[0, n)``.  The
 ring object carries the operations and returns canonical values, so every
-function here takes or infers a ring.
+function here takes or infers a ring.  The hot loops (``Matrix.apply``, the
+echelon loop, the vector helpers, the polynomial routines and ``findim``'s
+product kernel) call no ring method: they compute with Python's own
+``+ - *`` on the ring values and reduce each updated entry with one inline
+``% m``, where ``m = _modulus(ring)`` is n over Z/n and the ring itself over
+Q (``Rationals.__rmod__`` puts a rational in canonical form).
 
 Canonical ring elements are falsy exactly when they are zero (``bool(x)``
 is ``x != 0`` for ``int`` and ``Fraction``).  The kernels here and in
@@ -145,9 +150,11 @@ class Rationals(Record):
             raise RingError(f"bad rational literal {text!r}: {exc}") from None
 
     def __rmod__(self, a):
-        # a % QQ is a in canonical form, as a % p is a residue, so the
-        # polynomial routines reduce with one inline % over either ring
-        return self.of(a)
+        # a % QQ is a, an int or a Fraction, in canonical form, as a % n is
+        # a residue, so the kernels reduce with one inline % over either ring
+        if type(a) is int:
+            return a
+        return a.numerator if a.denominator == 1 else a
 
     def render(self, a) -> str:
         if a.denominator == 1:
@@ -232,6 +239,13 @@ def ring_from_name(name: str) -> Ring:
     raise RingError(f"unknown scalar ring {name!r}")
 
 
+def _modulus(ring: Ring):
+    """m such that x % m is x in ``ring``'s canonical form: n over Z/n, the
+    ring itself over Q.  ZMod has no subclasses, and a type test is cheaper
+    than isinstance on the rationals, where this runs once per kernel call."""
+    return ring.n if type(ring) is ZMod else ring
+
+
 # ---------------------------------------------------------------------------
 # vectors (plain tuples; ring passed explicitly)
 
@@ -242,26 +256,30 @@ def zero_vec(ring: Ring, n: int) -> tuple:
 def vec_add(ring: Ring, u, v):
     if len(u) != len(v):
         raise ShapeError("vector length mismatch")
-    return tuple(ring.add(a, b) for a, b in zip(u, v))
+    m = _modulus(ring)
+    return tuple([(a + b) % m for a, b in zip(u, v)])
 
 
 def vec_sub(ring: Ring, u, v):
     if len(u) != len(v):
         raise ShapeError("vector length mismatch")
-    return tuple(ring.sub(a, b) for a, b in zip(u, v))
+    m = _modulus(ring)
+    return tuple([(a - b) % m for a, b in zip(u, v)])
 
 
 def vec_scale(ring: Ring, c, v):
-    return tuple(ring.mul(c, a) for a in v)
+    m = _modulus(ring)
+    return tuple([c * a % m for a in v])
 
 
 def vec_dot(ring: Ring, u, v):
     if len(u) != len(v):
         raise ShapeError("vector length mismatch")
+    m = _modulus(ring)
     acc = ring.zero
     for a, b in zip(u, v):
         if a and b:
-            acc = ring.add(acc, ring.mul(a, b))
+            acc = (acc + a * b) % m
     return acc
 
 
@@ -360,12 +378,12 @@ class Matrix(Record):
             col_terms = tuple(tuple((i, row[j]) for i, row in enumerate(self.entries) if row[j])
                               for j in range(self.cols))
             set_field(self, "_col_terms", col_terms)
-        R = self.ring
-        out = [R.zero] * self.rows
+        m = _modulus(self.ring)
+        out = [self.ring.zero] * self.rows
         for j, x in enumerate(v):
             if x:
                 for i, a in col_terms[j]:
-                    out[i] = R.add(out[i], R.mul(a, x))
+                    out[i] = (out[i] + a * x) % m
         return tuple(out)
 
 
@@ -394,9 +412,10 @@ def _pivot_unit(a: int, n: int) -> int:
     return u
 
 
-def _sub_multiple(R: Ring, row, q, p) -> list:
-    """row - q·p, reading only the nonzero entries of p."""
-    return [R.sub(x, R.mul(q, y)) if y else x for x, y in zip(row, p)]
+def _sub_multiple(m, row, q, p) -> list:
+    """row - q·p reduced by m (``_modulus``), reading only the nonzero
+    entries of p."""
+    return [(x - q * y) % m if y else x for x, y in zip(row, p)]
 
 
 def _hnf_full(R: Ring, rows, split: int):
@@ -420,7 +439,7 @@ def _hnf_full(R: Ring, rows, split: int):
     pivot columns.  Trailing columns (a transform carried along) are updated
     in step.
     """
-    n = 0 if R.is_field else R.n
+    n, m = (0 if R.is_field else R.n), _modulus(R)
     todo = [list(r) for r in rows]
     done, pivots = [], []
     for c in range(split):
@@ -448,12 +467,12 @@ def _hnf_full(R: Ring, rows, split: int):
                 todo.append(ann)
         else:
             inv = R.inv(pr[c])
-            p = [R.mul(inv, x) if x else x for x in pr]
+            p = [inv * x % m if x else x for x in pr]
             g = 1
-            todo = [_sub_multiple(R, r, r[c], p) if r[c] else r for r in todo]
+            todo = [_sub_multiple(m, r, r[c], p) if r[c] else r for r in todo]
         for i, r in enumerate(done):
             if r[c]:
-                done[i] = _sub_multiple(R, r, r[c] if g == 1 else r[c] // g, p)
+                done[i] = _sub_multiple(m, r, r[c] if g == 1 else r[c] // g, p)
         done.append(p)
         pivots.append(c)
     return done + todo, tuple(pivots)
@@ -530,13 +549,14 @@ class Subspace(Record):
         v = [R.of(x) for x in v]
         if len(v) != self.ambient_dim:
             raise ShapeError("vector length mismatch")
+        m = _modulus(R)
         for b in self.basis:
             lead = next(j for j, x in enumerate(b) if x)
             q, r = (v[lead], 0) if b[lead] == 1 else divmod(v[lead], b[lead])
             if r:
                 return False
             if q:
-                v = _sub_multiple(R, v, q, b)
+                v = _sub_multiple(m, v, q, b)
         return not any(v)
 
 
@@ -612,8 +632,8 @@ def char_poly(m: Matrix) -> tuple:
         items = [R.one, R.neg(A[k][k])]
         vec = col
         for _ in range(size - 1):
-            items.append(vec_dot(R, tuple(neg_row), tuple(vec)))
-            vec = [vec_dot(R, tuple(row), tuple(vec)) for row in M]
+            items.append(vec_dot(R, neg_row, vec))
+            vec = [vec_dot(R, row, vec) for row in M]
         new = []
         for i in range(size + 1):
             acc = R.zero
@@ -693,17 +713,11 @@ def rational_roots(coeffs) -> tuple:
 #
 # Ascending coefficient tuples without trailing zeros: the zero polynomial is
 # () and deg f is len(f) - 1.  Over Z/p they give the distinct-degree
-# factorisation and the roots that findim's domain decision needs.  Over Z/p
-# the coefficients are plain ints in [0, p), and each routine computes on
-# lists of them with Python's own + - * and an inline % p, so no coefficient
-# step calls a ring method.  Over Q the same lines keep exact rational
-# arithmetic: they reduce with % QQ, which puts a rational in canonical form
-# (``Rationals.__rmod__``).
-
-def _modulus(ring: Ring):
-    """m such that x % m is x in ``ring``'s canonical form: n over Z/n, QQ over Q."""
-    return ring.n if isinstance(ring, ZMod) else ring
-
+# factorisation and the roots that findim's domain decision needs.  Like the
+# linear algebra above, each routine computes on lists of coefficients with
+# Python's own + - * and one inline % m (``_modulus``), so no coefficient
+# step calls a ring method: % p over Z/p, and % QQ over Q, which keeps exact
+# rational arithmetic in canonical form.
 
 def poly_trim(f) -> tuple:
     f = list(f)

@@ -53,6 +53,7 @@ from .exactlin import (
     Submodule,
     Subspace,
     ZMod,
+    _modulus,
     char_poly,
     distinct_degree_factors,
     nullspace,
@@ -140,11 +141,14 @@ def _bilinear(R: Ring, cells, groups, y) -> list:
     form from ``_sparse_cells``.  This is the one product kernel, behind
     mul_vec, bracket_vec and the row products.  It reads the nonzero y_j
     once for all groups, and the nonzero (k, c) of each cell.  x_i = None
-    stands for 1, so the group ((i, None),) gives e_i * y from row i only."""
+    stands for 1, so the group ((i, None),) gives e_i * y from row i only.
+    Each update is reduced at once with one ``% m``: a cell touches only its
+    nonzero k, and x_i y_j is reduced once per (i, j), so the values stay
+    small for a large modulus."""
     d = len(cells)
     if len(y) != d:
         raise ShapeError("vector length mismatch")
-    add, mul, zero = R.add, R.mul, R.zero
+    m, zero = _modulus(R), R.zero
     ys = [(j, yj) for j, yj in enumerate(y) if yj]
     outs = []
     for terms in groups:
@@ -152,9 +156,9 @@ def _bilinear(R: Ring, cells, groups, y) -> list:
         for i, xi in terms:
             row = cells[i]
             for j, yj in ys:
-                c = yj if xi is None else mul(xi, yj)
+                c = yj if xi is None else xi * yj % m
                 for k, ck in row[j]:
-                    out[k] = add(out[k], mul(c, ck))
+                    out[k] = (out[k] + c * ck) % m
         outs.append(tuple(out))
     return outs
 
@@ -450,15 +454,16 @@ def op_poly_apply(A: StructureAlgebra, coeffs, F: Matrix):
 class BracketTable(Record):
     """Bracket structure constants: table[i][j] = coordinates of [e_i, e_j],
     with the private slots ``_cells`` and ``_rows`` as in
-    ``StructureAlgebra``."""
+    ``StructureAlgebra``.  ``_cells`` is the table's sparse form, passed in
+    by a caller that formed it with the table and built here otherwise."""
 
     __slots__ = ("ring", "dim", "table", "_cells", "_rows")
 
-    def __init__(self, ring: Ring, dim: int, table: tuple):
+    def __init__(self, ring: Ring, dim: int, table: tuple, _cells=None):
         set_field(self, "ring", ring)
         set_field(self, "dim", dim)
         set_field(self, "table", table)
-        set_field(self, "_cells", _sparse_cells(table))
+        set_field(self, "_cells", _sparse_cells(table) if _cells is None else _cells)
         set_field(self, "_rows", _each_row(dim))
 
     @staticmethod
@@ -494,14 +499,14 @@ def check_lie(A: StructureAlgebra, L: BracketTable) -> Check:
     over these C(d, 2) passes, so the witness is the full scan's."""
     if L.dim != A.dim or L.ring != A.ring:
         raise ShapeError("bracket does not match the algebra")
-    R = A.ring
+    R, m = A.ring, _modulus(A.ring)
     for i in range(A.dim):
         if not vec_is_zero(R, L.table[i][i]):
             return Check(False, ("alternating", (i,)))
         # the relation is symmetric in (i, j) and holds on the zero diagonal,
         # so the pairs j <= i passed with row j
         for j in range(i + 1, A.dim):
-            if L.table[i][j] != tuple(R.neg(x) for x in L.table[j][i]):
+            if L.table[i][j] != tuple([-x % m for x in L.table[j][i]]):
                 return Check(False, ("antisymmetry", (i, j)))
     # the table is antisymmetric here, so [[e_i,e_j],e_k] = -[e_k,[e_i,e_j]]
     # and the Jacobi sum is zero exactly when the row-product sum
@@ -527,16 +532,22 @@ def _bracket_table(A: StructureAlgebra, products) -> BracketTable:
     The formula is alternating for every F, so only i < j is computed, and
     the diagonal of ``products`` is never read.  A cell whose two products
     are equal is the zero vector, found by one comparison; every cell of a
-    multiplication operator's bracket is one."""
-    R, d = A.ring, A.dim
+    multiplication operator's bracket is one.  The sparse cells of the
+    bracket are read off the nonzeros as they are formed."""
+    R, d, m = A.ring, A.dim, _modulus(A.ring)
     zero = zero_vec(R, d)
     table = [[zero] * d for _ in range(d)]
+    cells = [[()] * d for _ in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
             if products[j][i] != products[i][j]:
-                g = vec_sub(R, products[j][i], products[i][j])
-                table[i][j], table[j][i] = g, tuple(R.neg(x) for x in g)
-    return BracketTable(R, d, tuple(tuple(row) for row in table))
+                g = [(x - y) % m for x, y in zip(products[j][i], products[i][j])]
+                h = [-x % m for x in g]
+                table[i][j], table[j][i] = tuple(g), tuple(h)
+                cells[i][j] = tuple([(k, x) for k, x in enumerate(g) if x])
+                cells[j][i] = tuple([(k, x) for k, x in enumerate(h) if x])
+    return BracketTable(R, d, tuple(tuple(row) for row in table),
+                        tuple(tuple(row) for row in cells))
 
 
 def raw_bracket(A: StructureAlgebra, F: Matrix) -> BracketTable:

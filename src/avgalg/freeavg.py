@@ -590,9 +590,14 @@ def check_algebra_hom(theta: Matrix, A, B):
         raise ShapeError("homomorphism matrix has the wrong shape")
     if theta.apply(A.unit) != tuple(B.unit):
         raise NotAHomomorphismError("unit is not preserved")
+    # the one products pass of column j forms theta(e_i)*theta(e_j) for
+    # every i; the pairs are scanned in order over them, so the error names
+    # the first failing pair
     cols = [theta.col(j) for j in range(A.dim)]
+    terms = [[(k, x) for k, x in enumerate(c) if x] for c in cols]
+    prods = [B.products(terms, c) for c in cols]
     for i, j in itertools.product(range(A.dim), repeat=2):
-        if theta.apply(A.mul[i][j]) != tuple(B.mul_vec(cols[i], cols[j])):
+        if theta.apply(A.mul[i][j]) != prods[j][i]:
             raise NotAHomomorphismError(f"product not preserved at ({i}, {j})")
 
 

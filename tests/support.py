@@ -14,8 +14,8 @@ from math import lcm
 from avgalg._record import Record
 from avgalg import findim as FD
 from avgalg.exactlin import (
-    Matrix, QQ, RingError, ShapeError, Submodule, Subspace, ZMod, _prime_field, nullspace,
-    poly_eval, vec_add, vec_is_zero)
+    Matrix, QQ, RingError, ShapeError, Submodule, Subspace, ZMod, _pivot_unit, _prime_field,
+    nullspace, poly_eval, vec_add, vec_is_zero, zero_vec)
 from avgalg import terms as T
 from avgalg.freeavg import (
     FAElement, FreePoly, Mode, NotInKernelError, X_ONE, Y_ONE_GEN, mono, x_gen, y_gen)
@@ -857,6 +857,10 @@ class FractionRationals(Record):
         except (ValueError, ZeroDivisionError) as exc:
             raise RingError(f"bad rational literal {text!r}: {exc}") from None
 
+    def __rmod__(self, a):
+        # a % FRACTION_QQ is a in this ring's form, as in exactlin.Rationals
+        return Fraction(a)
+
     def render(self, a) -> str:
         return str(a)
 
@@ -1305,3 +1309,126 @@ def ref_degree_sieve(chi):
         if sums == 1 | 1 << d:
             break
     return tuple(used), sums
+
+
+# ---------------------------------------------------------------------------
+# reference kernels: exactlin's vector helpers, Matrix.apply and echelon loop,
+# and findim's product kernel and bracket builder as they were before each
+# reduced its updates with one inline % m, every step a ring method call;
+# verbatim apart from the ref_ names, apply as a function that builds its
+# column form on every call, and the bracket's sparse cells built by the
+# BracketTable constructor from the finished table
+
+def ref_vec_add(ring, u, v):
+    if len(u) != len(v):
+        raise ShapeError("vector length mismatch")
+    return tuple(ring.add(a, b) for a, b in zip(u, v))
+
+
+def ref_vec_sub(ring, u, v):
+    if len(u) != len(v):
+        raise ShapeError("vector length mismatch")
+    return tuple(ring.sub(a, b) for a, b in zip(u, v))
+
+
+def ref_vec_scale(ring, c, v):
+    return tuple(ring.mul(c, a) for a in v)
+
+
+def ref_vec_dot(ring, u, v):
+    if len(u) != len(v):
+        raise ShapeError("vector length mismatch")
+    acc = ring.zero
+    for a, b in zip(u, v):
+        if a and b:
+            acc = ring.add(acc, ring.mul(a, b))
+    return acc
+
+
+def ref_apply(m: Matrix, v) -> tuple:
+    if len(v) != m.cols:
+        raise ShapeError("vector length mismatch")
+    col_terms = tuple(tuple((i, row[j]) for i, row in enumerate(m.entries) if row[j])
+                      for j in range(m.cols))
+    R = m.ring
+    out = [R.zero] * m.rows
+    for j, x in enumerate(v):
+        if x:
+            for i, a in col_terms[j]:
+                out[i] = R.add(out[i], R.mul(a, x))
+    return tuple(out)
+
+
+def ref_sub_multiple(R, row, q, p) -> list:
+    return [R.sub(x, R.mul(q, y)) if y else x for x, y in zip(row, p)]
+
+
+def ref_hnf_loop(R, rows, split: int):
+    n = 0 if R.is_field else R.n
+    todo = [list(r) for r in rows]
+    done, pivots = [], []
+    for c in range(split):
+        if not todo:
+            break
+        sel = [r for r in todo if r[c]]
+        if not sel:
+            continue
+        if n:
+            while len(sel) > 1:
+                sel.sort(key=lambda r: r[c])
+                p = sel[0]
+                for r in sel[1:]:
+                    q = r[c] // p[c]
+                    r[:] = [(x - q * y) % n if y else x for x, y in zip(r, p)]
+                sel = [r for r in sel if r[c]]
+        pr = sel[0]
+        todo = [r for r in todo if r is not pr]
+        if n:
+            u = _pivot_unit(pr[c], n)
+            p = [u * x % n for x in pr]
+            g = p[c]
+            ann = [n // g * x % n for x in p]
+            if any(ann):
+                todo.append(ann)
+        else:
+            inv = R.inv(pr[c])
+            p = [R.mul(inv, x) if x else x for x in pr]
+            g = 1
+            todo = [ref_sub_multiple(R, r, r[c], p) if r[c] else r for r in todo]
+        for i, r in enumerate(done):
+            if r[c]:
+                done[i] = ref_sub_multiple(R, r, r[c] if g == 1 else r[c] // g, p)
+        done.append(p)
+        pivots.append(c)
+    return done + todo, tuple(pivots)
+
+
+def ref_bilinear(R, cells, groups, y) -> list:
+    d = len(cells)
+    if len(y) != d:
+        raise ShapeError("vector length mismatch")
+    add, mul, zero = R.add, R.mul, R.zero
+    ys = [(j, yj) for j, yj in enumerate(y) if yj]
+    outs = []
+    for terms in groups:
+        out = [zero] * d
+        for i, xi in terms:
+            row = cells[i]
+            for j, yj in ys:
+                c = yj if xi is None else mul(xi, yj)
+                for k, ck in row[j]:
+                    out[k] = add(out[k], mul(c, ck))
+        outs.append(tuple(out))
+    return outs
+
+
+def ref_bracket_table(A, products) -> BracketTable:
+    R, d = A.ring, A.dim
+    zero = zero_vec(R, d)
+    table = [[zero] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            if products[j][i] != products[i][j]:
+                g = ref_vec_sub(R, products[j][i], products[i][j])
+                table[i][j], table[j][i] = g, tuple(R.neg(x) for x in g)
+    return BracketTable(R, d, tuple(tuple(row) for row in table))

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import avgalg.findim as FD
 from avgalg.exactlin import QQ, Matrix, Submodule, Subspace, ZMod
+from avgalg.freeavg import NotAHomomorphismError, check_algebra_hom
 from avgalg.findim import (
     AlgebraReport,
     BracketTable,
@@ -545,3 +546,29 @@ def test_check_lie_makes_one_pass_per_bracket_cell(calls):
     calls.update(dict.fromkeys(calls, 0))
     assert check_lie(A, L).ok
     assert calls == only(row_brackets=15)
+
+
+def test_check_algebra_hom_makes_one_pass_per_column(calls):
+    # theta(e_i) * theta(e_j) for every i comes from the one products pass
+    # of column j: d = 6 calls, where one mul_vec per ordered pair made 36.
+    # y -> y^5 is an automorphism of Z/5[y]/(y^6 - 1)
+    A = _cyclic(ZMod(5), 6)
+    theta = Matrix.from_cols(A.ring, [A.basis_vec(5 * i % 6) for i in range(6)])
+    check_algebra_hom(theta, A, A)
+    assert calls == only(products=6)
+
+
+def test_check_algebra_hom_names_the_first_failing_pair(calls):
+    # swapping y and y^2 is linear but not multiplicative; the error names
+    # the first pair of the row-major scan with one mul_vec per pair,
+    # (1, 1): theta(y * y) = y, theta(y) * theta(y) = y^4
+    A = _cyclic(ZMod(5), 6)
+    theta = Matrix.from_cols(A.ring, [A.basis_vec(k) for k in (0, 2, 1, 3, 4, 5)])
+    cols = [theta.col(j) for j in range(6)]
+    first = next((i, j) for i in range(6) for j in range(6)
+                 if theta.apply(A.mul[i][j]) != A.mul_vec(cols[i], cols[j]))
+    assert first == (1, 1)
+    calls.update(dict.fromkeys(calls, 0))
+    with pytest.raises(NotAHomomorphismError, match=r"at \(1, 1\)$"):
+        check_algebra_hom(theta, A, A)
+    assert calls == only(products=6)
