@@ -15,7 +15,11 @@ Q (``Rationals.__rmod__`` puts a rational in canonical form).
 Canonical ring elements are falsy exactly when they are zero (``bool(x)``
 is ``x != 0`` for ``int`` and ``Fraction``).  The kernels here and in
 ``findim`` rely on this: they test ``if x``/``if not x`` and skip zero terms
-instead of multiplying by them.
+instead of multiplying by them.  Values are read through ``ring.of`` once,
+where they enter: ``Matrix.from_rows``/``from_cols``, the public ``span``s
+and, in ``findim``, the ``make`` readers.  A value built by a direct
+constructor holds canonical values, and ``rref``, ``Matrix.apply`` and
+``_hnf`` take them as they are.
 
 All matrix/subspace values are immutable after construction and all
 operations are pure functions, so everything in this module is safe to share
@@ -283,10 +287,6 @@ def vec_dot(ring: Ring, u, v):
     return acc
 
 
-def vec_is_zero(ring: Ring, v) -> bool:
-    return not any(v)
-
-
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -331,24 +331,26 @@ class Matrix(Record):
     def zero(ring: Ring, rows: int, cols: int) -> "Matrix":
         return Matrix(ring, rows, cols, tuple((ring.zero,) * cols for _ in range(rows)))
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
     def col(self, j: int) -> tuple:
         return tuple(self.entries[i][j] for i in range(self.rows))
 
+    def _same_ring(self, other: "Matrix") -> Ring:
+        if self.ring != other.ring:
+            raise ShapeError("mixed coefficient rings")
+        return self.ring
+
     def add(self, other: "Matrix") -> "Matrix":
+        R = self._same_ring(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("matrix shape mismatch")
-        R = self.ring
         return Matrix(R, self.rows, self.cols, tuple(
             tuple(R.add(a, b) for a, b in zip(r1, r2))
             for r1, r2 in zip(self.entries, other.entries)))
 
     def sub(self, other: "Matrix") -> "Matrix":
+        R = self._same_ring(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("matrix shape mismatch")
-        R = self.ring
         return Matrix(R, self.rows, self.cols, tuple(
             tuple(R.sub(a, b) for a, b in zip(r1, r2))
             for r1, r2 in zip(self.entries, other.entries)))
@@ -360,9 +362,9 @@ class Matrix(Record):
             tuple(R.mul(c, a) for a in row) for row in self.entries))
 
     def mul(self, other: "Matrix") -> "Matrix":
+        R = self._same_ring(other)
         if self.cols != other.rows:
             raise ShapeError("matrix product shape mismatch")
-        R = self.ring
         ocols = [other.col(j) for j in range(other.cols)]
         return Matrix(R, self.rows, other.cols, tuple(
             tuple(vec_dot(R, row, c) for c in ocols) for row in self.entries))
@@ -478,14 +480,12 @@ def _hnf_full(R: Ring, rows, split: int):
     return done + todo, tuple(pivots)
 
 
-def _hnf(R: Ring, dim: int, vectors) -> tuple:
-    """The canonical basis of the span of ``vectors`` in R^dim, entries read
-    through ``R.of``: the pivot rows of ``_hnf_full``, that is the reduced
-    row echelon basis over a field and the Howell form over Z/n."""
-    rows = [[R.of(x) for x in v] for v in vectors]
-    for v in rows:
-        if len(v) != dim:
-            raise ShapeError("vector length mismatch")
+def _hnf(R: Ring, dim: int, rows) -> tuple:
+    """The canonical basis of the span of ``rows`` in R^dim, whose entries
+    are canonical: the pivot rows of ``_hnf_full``, that is the reduced row
+    echelon basis over a field and the Howell form over Z/n."""
+    if any(len(v) != dim for v in rows):
+        raise ShapeError("vector length mismatch")
     out, pivots = _hnf_full(R, rows, dim)
     return tuple(tuple(r) for r in out[:len(pivots)])
 
@@ -523,7 +523,8 @@ class Subspace(Record):
     def span(ring: Ring, ambient_dim: int, vectors) -> "Subspace":
         if not ring.is_field:
             raise NotAFieldError(f"a subspace needs a field, got {ring.name}")
-        return Subspace(ring, ambient_dim, _hnf(ring, ambient_dim, vectors))
+        rows = [[ring.of(x) for x in v] for v in vectors]
+        return Subspace(ring, ambient_dim, _hnf(ring, ambient_dim, rows))
 
     @staticmethod
     def full(ring: Ring, n: int) -> "Subspace":
@@ -600,8 +601,8 @@ def nullspace(m: Matrix) -> Subspace:
         v[fc] = R.one
         for r, pc in enumerate(pivots):
             v[pc] = R.neg(red.entries[r][fc])
-        vectors.append(tuple(v))
-    return Subspace.span(R, m.cols, vectors)
+        vectors.append(v)
+    return Subspace(R, m.cols, _hnf(R, m.cols, vectors))
 
 
 # ---------------------------------------------------------------------------
@@ -887,7 +888,8 @@ class Submodule(Record):
 
     @staticmethod
     def span(ring: ZMod, ambient_dim: int, vectors) -> "Submodule":
-        return Submodule(ring, ambient_dim, _hnf(ring, ambient_dim, vectors))
+        rows = [[ring.of(x) for x in v] for v in vectors]
+        return Submodule(ring, ambient_dim, _hnf(ring, ambient_dim, rows))
 
 
 def submodule_kernel(ring: ZMod, m: Matrix) -> Submodule:
@@ -902,8 +904,8 @@ def submodule_kernel(ring: ZMod, m: Matrix) -> Submodule:
     their trailing parts span the kernel.
     """
     q = m.cols
-    basis = Submodule.span(ring, q, m.entries).basis
+    basis = _hnf(ring, q, m.entries)
     r = len(basis)
     work = [[b[j] for b in basis] + [1 if k == j else 0 for k in range(q)] for j in range(q)]
     rows, pivots = _hnf_full(ring, work, r)
-    return Submodule.span(ring, q, [row[r:] for row in rows[len(pivots):]])
+    return Submodule(ring, q, _hnf(ring, q, [row[r:] for row in rows[len(pivots):]]))

@@ -1,10 +1,12 @@
 """Finite-dimensional commutative unital algebras and their averaging operators.
 
-Algebras are given by structure constants over an exact scalar ring.  On top
-of the basic verification and averaging checks, this module carries the
-induced Lie bracket and its structure theory: whether a bracket comes from a
-module endomorphism, whether it comes from an averaging operator (with an
-explicit inducing operator when it does), derived and lower central series,
+Algebras are given by structure constants over an exact scalar ring, and a
+bracket by a second table of the same type (``_Table``) on the same basis:
+[x, y] = x*F(y) - y*F(x) is just another product.  On top of the basic
+verification and averaging checks, this module carries the induced Lie
+bracket and its structure theory: whether a bracket comes from a module
+endomorphism, whether it comes from an averaging operator (with an explicit
+inducing operator when it does), derived and lower central series,
 nilpotency via image powers, the nilpotent radical over a domain, the
 eigenstructure of inner derivations, and kernel-versus-bracket comparisons.
 
@@ -47,12 +49,11 @@ from .exactlin import (
     NotAFieldError,
     QQ,
     Ring,
-    RingError,
     ShapeError,
-    Solution,
     Submodule,
     Subspace,
     ZMod,
+    _hnf,
     _modulus,
     char_poly,
     distinct_degree_factors,
@@ -67,7 +68,6 @@ from .exactlin import (
     submodule_kernel,
     vec_add,
     vec_dot,
-    vec_is_zero,
     vec_scale,
     vec_sub,
     zero_vec,
@@ -139,7 +139,8 @@ def _bilinear(R: Ring, cells, groups, y) -> list:
     """One product per term list in ``groups``: sum x_i y_j table[i][j] over
     the pairs (i, x_i) of the list, where ``cells`` is the table's sparse
     form from ``_sparse_cells``.  This is the one product kernel, behind
-    mul_vec, bracket_vec and the row products.  It reads the nonzero y_j
+    ``_Table.products`` and ``row_products``, for the products of an algebra
+    and the brackets of a bracket table alike.  It reads the nonzero y_j
     once for all groups, and the nonzero (k, c) of each cell.  x_i = None
     stands for 1, so the group ((i, None),) gives e_i * y from row i only.
     Each update is reduced at once with one ``% m``: a cell touches only its
@@ -169,11 +170,6 @@ def _sparse_cells(table) -> tuple:
                  for row in table)
 
 
-def _each_row(dim: int) -> tuple:
-    """The groups of ``_bilinear`` that give every row product e_i * y."""
-    return tuple(((i, None),) for i in range(dim))
-
-
 def _terms(x, dim: int) -> list:
     """The nonzero coordinates (i, x_i) of a vector x of length dim."""
     if len(x) != dim:
@@ -181,7 +177,47 @@ def _terms(x, dim: int) -> list:
     return [(i, xi) for i, xi in enumerate(x) if xi]
 
 
-class StructureAlgebra(Record):
+class _Table(Record):
+    """A bilinear map on ring^dim by its table of structure constants: the
+    products of ``StructureAlgebra`` and the brackets of ``BracketTable``.
+    The table's sparse form is built once, by the constructor unless the
+    caller formed it with the table, and kept in the private slot
+    ``_cells`` with the row groups ``_rows``; the two kernel methods read
+    it.  Private slots are outside equality, hash and repr."""
+
+    __slots__ = ("ring", "dim", "_cells", "_rows")
+
+    def __init__(self, ring: Ring, dim: int, table: tuple, cells=None):
+        set_field(self, "ring", ring)
+        set_field(self, "dim", dim)
+        set_field(self, "_cells", _sparse_cells(table) if cells is None else cells)
+        # the groups of _bilinear that give every row product e_i * v
+        set_field(self, "_rows", tuple(((i, None),) for i in range(dim)))
+
+    @staticmethod
+    def _read(ring: Ring, table, what: str, dim=None) -> tuple:
+        """The reader of ``make``: the table's entries through ``ring.of``,
+        and a ``ShapeError`` unless it is dim x dim x dim (dim defaults to
+        its length)."""
+        tab = tuple(tuple(tuple(ring.of(x) for x in cell) for cell in row) for row in table)
+        dim = len(tab) if dim is None else dim
+        if len(tab) != dim or any(len(row) != dim for row in tab) or any(
+                len(cell) != dim for row in tab for cell in row):
+            raise ShapeError(f"{what} table must be dim x dim x dim")
+        return tab
+
+    def products(self, groups, v) -> list:
+        """One product with v per group of ``_bilinear``, in one pass: the
+        group ``_terms(x, dim)`` gives x * v, and the rows ``_rows`` give
+        every e_i * v."""
+        return _bilinear(self.ring, self._cells, groups, v)
+
+    def row_products(self, v) -> list:
+        """[e_0 * v, ..., e_(d-1) * v] in one pass."""
+        return _bilinear(self.ring, self._cells, self._rows, v)
+
+
+class StructureAlgebra(_Table):
     """Commutative unital algebra by structure constants.
 
     ``mul[i][j]`` is the coordinate vector of e_i * e_j; ``unit`` the
@@ -189,54 +225,30 @@ class StructureAlgebra(Record):
     ``make`` checks only the shape, ``verify_algebra`` checks the laws, and
     the identity checks in this module compute a product once per unordered
     pair of basis vectors, which is exact only when the contract holds
-    (``is_averaging`` tests it first).  The products read the table's
-    sparse form, built once here and kept in the private slot ``_cells``
-    with the row groups ``_rows``, so that ``row_products`` forms every
-    e_i * v in one kernel pass.  A passing ``verify_algebra``, and nothing
-    else, sets the private slot ``_laws``; the functions that need the laws
-    read it through ``_require_laws``.  Private slots are outside equality,
-    hash and repr.
+    (``is_averaging`` tests it first).  A passing ``verify_algebra``, and
+    nothing else, sets the private slot ``_laws``; the functions that need
+    the laws read it through ``_require_laws``.
     """
 
-    __slots__ = ("ring", "dim", "unit", "mul", "_cells", "_rows", "_laws")
+    __slots__ = ("unit", "mul", "_laws")
 
     def __init__(self, ring: Ring, dim: int, unit: tuple, mul: tuple):
-        set_field(self, "ring", ring)
-        set_field(self, "dim", dim)
+        _Table.__init__(self, ring, dim, mul)
         set_field(self, "unit", unit)
         set_field(self, "mul", mul)
-        set_field(self, "_cells", _sparse_cells(mul))
-        set_field(self, "_rows", _each_row(dim))
 
     @staticmethod
     def make(ring: Ring, unit, mul) -> "StructureAlgebra":
         unit = tuple(ring.of(x) for x in unit)
-        dim = len(unit)
-        tab = tuple(tuple(tuple(ring.of(x) for x in cell) for cell in row) for row in mul)
-        if len(tab) != dim or any(len(row) != dim for row in tab) or any(
-                len(cell) != dim for row in tab for cell in row):
-            raise ShapeError("structure constant table must be dim x dim x dim")
-        return StructureAlgebra(ring, dim, unit, tab)
+        tab = _Table._read(ring, mul, "structure constant", len(unit))
+        return StructureAlgebra(ring, len(unit), unit, tab)
 
     def basis_vec(self, i: int) -> tuple:
         return tuple(self.ring.one if j == i else self.ring.zero for j in range(self.dim))
 
+    # on this class, not on _Table: the benchmark's tracer wraps it here
     def mul_vec(self, a, b) -> tuple:
         return _bilinear(self.ring, self._cells, (_terms(a, self.dim),), b)[0]
-
-    def row_mul(self, i: int, v) -> tuple:
-        """e_i * v without building e_i."""
-        return _bilinear(self.ring, self._cells, (((i, None),),), v)[0]
-
-    def row_products(self, v) -> list:
-        """[e_0 * v, ..., e_(d-1) * v] in one pass."""
-        return _bilinear(self.ring, self._cells, self._rows, v)
-
-    def products(self, groups, v) -> list:
-        """One product with v per group of ``_bilinear``, in one pass: the
-        group ``_terms(x, dim)`` gives x * v, and the rows ``_rows`` give
-        every e_i * v."""
-        return _bilinear(self.ring, self._cells, groups, v)
 
     def power_vec(self, a, n: int) -> tuple:
         """a^n by square-and-multiply."""
@@ -296,7 +308,7 @@ def verify_algebra(A: StructureAlgebra) -> AlgebraReport:
     else:
         # (e_i e_j) e_k against e_i (e_j e_k), which reads row i only
         assoc = next(((i, j, k) for i, j, k in itertools.product(d, repeat=3)
-                      if A.mul_vec(A.mul[i][j], e[k]) != A.row_mul(i, A.mul[j][k])), None)
+                      if A.mul_vec(A.mul[i][j], e[k]) != A.mul_vec(e[i], A.mul[j][k])), None)
     failure = next(((law, w) for law, w in (("commutativity", comm), ("unit", unit),
                                             ("associativity", assoc)) if w), None)
     if failure is None:
@@ -451,57 +463,33 @@ def op_poly_apply(A: StructureAlgebra, coeffs, F: Matrix):
 # ---------------------------------------------------------------------------
 # brackets
 
-class BracketTable(Record):
-    """Bracket structure constants: table[i][j] = coordinates of [e_i, e_j],
-    with the private slots ``_cells`` and ``_rows`` as in
-    ``StructureAlgebra``.  ``_cells`` is the table's sparse form, passed in
-    by a caller that formed it with the table and built here otherwise."""
+class BracketTable(_Table):
+    """Bracket structure constants: table[i][j] = coordinates of [e_i, e_j].
+    ``products(groups, v)`` gives the brackets [x, v] and ``row_products(v)``
+    every [e_i, v], as the products of ``StructureAlgebra``."""
 
-    __slots__ = ("ring", "dim", "table", "_cells", "_rows")
+    __slots__ = ("table",)
 
-    def __init__(self, ring: Ring, dim: int, table: tuple, _cells=None):
-        set_field(self, "ring", ring)
-        set_field(self, "dim", dim)
+    def __init__(self, ring: Ring, dim: int, table: tuple, cells=None):
+        _Table.__init__(self, ring, dim, table, cells)
         set_field(self, "table", table)
-        set_field(self, "_cells", _sparse_cells(table) if _cells is None else _cells)
-        set_field(self, "_rows", _each_row(dim))
 
     @staticmethod
     def make(ring: Ring, table) -> "BracketTable":
-        tab = tuple(tuple(tuple(ring.of(x) for x in cell) for cell in row) for row in table)
-        dim = len(tab)
-        if any(len(row) != dim for row in tab) or any(
-                len(cell) != dim for row in tab for cell in row):
-            raise ShapeError("bracket table must be dim x dim x dim")
-        return BracketTable(ring, dim, tab)
-
-    def bracket_vec(self, x, y) -> tuple:
-        return _bilinear(self.ring, self._cells, (_terms(x, self.dim),), y)[0]
-
-    def row_bracket(self, i: int, v) -> tuple:
-        """[e_i, v] without building e_i."""
-        return _bilinear(self.ring, self._cells, (((i, None),),), v)[0]
-
-    def row_brackets(self, v) -> list:
-        """[[e_0, v], ..., [e_(d-1), v]] in one pass."""
-        return _bilinear(self.ring, self._cells, self._rows, v)
-
-    def brackets(self, groups, v) -> list:
-        """One bracket with v per group of ``_bilinear``, in one pass, as
-        ``StructureAlgebra.products``."""
-        return _bilinear(self.ring, self._cells, groups, v)
+        tab = _Table._read(ring, table, "bracket")
+        return BracketTable(ring, len(tab), tab)
 
 
 def check_lie(A: StructureAlgebra, L: BracketTable) -> Check:
     """Alternating plus Jacobi on all basis triples.  Once the table is
-    antisymmetric, one ``row_brackets`` per cell [e_i, e_j], i < j, gives
+    antisymmetric, one ``row_products`` per cell [e_i, e_j], i < j, gives
     every [e_m, [e_i, e_j]], and the triples i < j < k are scanned in order
     over these C(d, 2) passes, so the witness is the full scan's."""
     if L.dim != A.dim or L.ring != A.ring:
         raise ShapeError("bracket does not match the algebra")
     R, m = A.ring, _modulus(A.ring)
     for i in range(A.dim):
-        if not vec_is_zero(R, L.table[i][i]):
+        if any(L.table[i][i]):
             return Check(False, ("alternating", (i,)))
         # the relation is symmetric in (i, j) and holds on the zero diagonal,
         # so the pairs j <= i passed with row j
@@ -512,11 +500,11 @@ def check_lie(A: StructureAlgebra, L: BracketTable) -> Check:
     # and the Jacobi sum is zero exactly when the row-product sum
     # [e_k,[e_i,e_j]] + [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] is, whose last
     # term is -[e_j,[e_i,e_k]]; rb[i, j][m] = [e_m, [e_i, e_j]]
-    rb = {(i, j): L.row_brackets(L.table[i][j])
+    rb = {(i, j): L.row_products(L.table[i][j])
           for i, j in itertools.combinations(range(A.dim), 2)}
     for i, j, k in itertools.combinations(range(A.dim), 3):
         total = vec_sub(R, vec_add(R, rb[i, j][k], rb[j, k][i]), rb[i, k][j])
-        if not vec_is_zero(R, total):
+        if any(total):
             return Check(False, ("jacobi", (i, j, k)))
     return Check(True)
 
@@ -633,7 +621,7 @@ def endo_induced_check(A: StructureAlgebra, L: BracketTable) -> Check:
     -[e_j, 1]."""
     R = A.ring
     # rows[i][j] = e_j*[e_i, 1]
-    rows = [A.row_products(x) for x in L.row_brackets(A.unit)]
+    rows = [A.row_products(x) for x in L.row_products(A.unit)]
     for i, j in itertools.combinations(range(A.dim), 2):
         rhs = vec_sub(R, rows[i][j], rows[j][i])
         if L.table[i][j] != rhs:
@@ -651,7 +639,7 @@ def gamma_subalgebra(A: StructureAlgebra, L: BracketTable) -> Subspace:
     Gamma = {a : D(a*e_i) = a*D(e_i) for every i}.
     """
     _require_laws(A)
-    return _gamma(A, Matrix.from_cols(A.ring, L.row_brackets(A.unit)))
+    return _gamma(A, Matrix.from_cols(A.ring, L.row_products(A.unit)))
 
 
 def _gamma(A: StructureAlgebra, E: Matrix) -> Subspace:
@@ -731,7 +719,7 @@ def induced_by_averaging(A: StructureAlgebra, L: BracketTable) -> InduceResult:
         return NotEndoInduced(endo.witness)
     R = A.ring
     n = A.dim
-    E = Matrix.from_cols(R, L.row_brackets(A.unit))  # [., 1] = -D
+    E = Matrix.from_cols(R, L.row_products(A.unit))  # [., 1] = -D
     eps = _gamma(A, E).basis
     delta, project = _complement(R, eps, n)
     eps_terms = [_terms(ei, n) for ei in eps]
@@ -790,11 +778,11 @@ def _series(A: StructureAlgebra, L: BracketTable, lower: bool, nxt: Subspace) ->
             break
         basis = nxt.basis
         if lower:
-            gens = [g for x in basis for g in L.row_brackets(x)]
+            gens = [g for x in basis for g in L.row_products(x)]
         else:
             terms = [_terms(x, d) for x in basis]
-            gens = [g for b in range(1, len(basis)) for g in L.brackets(terms[:b], basis[b])]
-        nxt = Subspace.span(R, d, gens)
+            gens = [g for b in range(1, len(basis)) for g in L.products(terms[:b], basis[b])]
+        nxt = Subspace(R, d, _hnf(R, d, gens))
     return SeriesResult(tuple(stages), stages[-1].is_zero())
 
 
@@ -817,9 +805,10 @@ class NotNilpotent(Record):
 
 
 def _span(R: Ring, dim: int, vectors):
-    """Subspace over a field, canonical Submodule over composite Z/n; either
-    way, equal values are equal spans."""
-    return (Subspace if R.is_field else Submodule).span(R, dim, vectors)
+    """The span of canonical ``vectors``: a Subspace over a field, a
+    canonical Submodule over composite Z/n; either way, equal values are
+    equal spans."""
+    return (Subspace if R.is_field else Submodule)(R, dim, _hnf(R, dim, vectors))
 
 
 def _bracket_cells(L: BracketTable) -> list:
@@ -866,7 +855,7 @@ def _nilpotency(A: StructureAlgebra, op, brackets):
     k = 1
     while True:
         passes = [A.products(groups, u) for u in power.basis]
-        if all(vec_is_zero(R, g) for p in passes for g in p[:nb]):
+        if all(not any(g) for p in passes for g in p[:nb]):
             return Nilpotent(k)
         nxt = _span(R, d, [v for p in passes for v in p[nb:]])
         if nxt == power:
@@ -911,7 +900,7 @@ def _zero_divisor(A: StructureAlgebra, w, why: str) -> NotADomainError:
         return "(" + ", ".join(R.render(x) for x in v) + ")"
 
     ker = nullspace(_mult_matrix(A, w))
-    if vec_is_zero(R, w) or ker.is_zero():
+    if not any(w) or ker.is_zero():
         raise InternalInvariantError(f"{show(w)} ({why}) is not a zero divisor")
     z = ker.basis[0]
     return NotADomainError(f"{show(w)} is a zero divisor ({why}): "
@@ -1090,12 +1079,12 @@ def ad_eigen(A: StructureAlgebra, F: Operator, a) -> tuple:
     a = tuple(R.of(x) for x in a)
     fa = F.apply(a)
     # the bracket is alternating, so ad_a(e_i) = [a, e_i] = -[e_i, a]
-    ad = Matrix.from_cols(R, [tuple(R.neg(x) for x in g) for g in op.bracket.row_brackets(a)])
+    ad = Matrix.from_cols(R, [tuple(R.neg(x) for x in g) for g in op.bracket.row_products(a)])
     # structural path: over a domain the only possible eigenvalues are 0 and,
     # when ker F is nonzero and F(a) is a nonzero scalar k, the value -k
     ker = nullspace(F)
     structural = {R.zero: nullspace(ad)}
-    k = None if vec_is_zero(R, a) or ker.is_zero() else _proportionality(R, fa, A.unit)
+    k = None if not any(a) or ker.is_zero() else _proportionality(R, fa, A.unit)
     if k:
         structural[R.neg(k)] = ker
     # direct path

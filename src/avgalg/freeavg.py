@@ -31,6 +31,7 @@ from enum import Enum
 from . import terms as T
 from ._record import Record, set_field
 from .exactlin import Matrix, QQ, Ring, ShapeError, Subspace, vec_add, vec_scale
+from .findim import averaging_operator
 
 # ---------------------------------------------------------------------------
 # x-monomials: ((var_index, exponent), ...) sorted by index, no zero exponents
@@ -627,11 +628,13 @@ def _induced_hom(theta: Matrix, a: FAElement, A, B) -> FAElement:
 def fa_universal_lift(phi: Matrix, g: Matrix, a: FAElement, A, B) -> tuple:
     """Evaluate the unique averaging-homomorphism extension of phi.
 
-    phi is an algebra homomorphism A to B and g an averaging operator on B;
-    a left factor maps through phi and every symmetric slot through g(phi(.)),
-    all multiplied out in B.  Returns a coordinate vector in B.
+    phi is an algebra homomorphism A to B and g an averaging operator on B,
+    both checked (``findim.averaging_operator`` for g); a left factor maps
+    through phi and every symmetric slot through g(phi(.)), all multiplied
+    out in B.  Returns a coordinate vector in B.
     """
     check_algebra_hom(phi, A, B)
+    g = averaging_operator(B, g).matrix
     _alg_check(a, A)
     R = A.ring
     out = (R.zero,) * B.dim

@@ -9,13 +9,13 @@ import itertools
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from avgalg._record import Record
 from avgalg import findim as FD
 from avgalg.exactlin import (
     Matrix, QQ, RingError, ShapeError, Submodule, Subspace, ZMod, _pivot_unit, _prime_field,
-    nullspace, poly_eval, vec_add, vec_is_zero, zero_vec)
+    nullspace, poly_eval, vec_add, zero_vec)
 from avgalg import terms as T
 from avgalg.freeavg import (
     FAElement, FreePoly, Mode, NotInKernelError, X_ONE, Y_ONE_GEN, mono, x_gen, y_gen)
@@ -328,7 +328,7 @@ def ref_verify_algebra(A):
     unit = next(((i,) for i in d if A.mul_vec(A.unit, e[i]) != e[i]), None)
     # (e_i e_j) e_k against e_i (e_j e_k), which reads row i only
     assoc = next(((i, j, k) for i, j, k in itertools.product(d, repeat=3)
-                  if A.mul_vec(A.mul[i][j], e[k]) != A.row_mul(i, A.mul[j][k])), None)
+                  if A.mul_vec(A.mul[i][j], e[k]) != A.mul_vec(e[i], A.mul[j][k])), None)
     failure = next(((law, w) for law, w in (("commutativity", comm), ("unit", unit),
                                             ("associativity", assoc)) if w), None)
     return AlgebraReport(comm is None, assoc is None, unit is None, failure)
@@ -338,7 +338,7 @@ def ref_is_averaging(A, F):
     cols = [F.col(j) for j in range(A.dim)]
     for i in range(A.dim):
         for j in range(A.dim):
-            lhs = F.apply(A.row_mul(i, cols[j]))
+            lhs = F.apply(A.mul_vec(A.basis_vec(i), cols[j]))
             rhs = A.mul_vec(cols[i], cols[j])
             if lhs != rhs:
                 return Check(False, (i, j))
@@ -359,27 +359,29 @@ def ref_is_reynolds_averaging(A, F):
 def ref_check_lie(A, L):
     R = A.ring
     for i in range(A.dim):
-        if not vec_is_zero(R, L.table[i][i]):
+        if any(L.table[i][i]):
             return Check(False, ("alternating", (i,)))
         for j in range(A.dim):
             if L.table[i][j] != tuple(R.neg(x) for x in L.table[j][i]):
                 return Check(False, ("antisymmetry", (i, j)))
     for i, j, k in itertools.combinations(range(A.dim), 3):
         total = vec_add(R, vec_add(R,
-                        L.row_bracket(k, L.table[i][j]),
-                        L.row_bracket(i, L.table[j][k])),
-                        L.row_bracket(j, L.table[k][i]))
-        if not vec_is_zero(R, total):
+                        L.products([((k, None),)], L.table[i][j])[0],
+                        L.products([((i, None),)], L.table[j][k])[0]),
+                        L.products([((j, None),)], L.table[k][i])[0])
+        if any(total):
             return Check(False, ("jacobi", (i, j, k)))
     return Check(True)
 
 
 def ref_endo_induced_check(A, L):
-    one_e = [L.bracket_vec(A.unit, A.basis_vec(j)) for j in range(A.dim)]  # [1, e_j]
+    one_e = [L.products([FD._terms(A.unit, A.dim)], A.basis_vec(j))[0]
+             for j in range(A.dim)]  # [1, e_j]
     for i in range(A.dim):
-        e_one = L.row_bracket(i, A.unit)  # [e_i, 1]
+        e_one = L.products([((i, None),)], A.unit)[0]  # [e_i, 1]
         for j in range(A.dim):
-            rhs = vec_add(A.ring, A.row_mul(i, one_e[j]), A.row_mul(j, e_one))
+            rhs = vec_add(A.ring, A.mul_vec(A.basis_vec(i), one_e[j]),
+                          A.mul_vec(A.basis_vec(j), e_one))
             if L.table[i][j] != rhs:
                 return Check(False, (i, j))
     return Check(True)
@@ -391,7 +393,8 @@ def ref_series(A, L, lower):
     while True:
         other = full if lower else stages[-1]
         nxt = Subspace.span(A.ring, A.dim,
-                            [L.bracket_vec(x, y) for x in stages[-1].basis for y in other.basis])
+                            [L.products([FD._terms(x, A.dim)], y)[0]
+                             for x in stages[-1].basis for y in other.basis])
         if nxt == stages[-1]:
             break
         stages.append(nxt)
@@ -407,7 +410,7 @@ def ref_nilpotency_check(A, F):
     for i in range(d):
         for j in range(i + 1, d):
             g = op.bracket.table[i][j]
-            ann_rows.extend(zip(*[A.row_mul(m, g) for m in range(d)]))
+            ann_rows.extend(zip(*[A.mul_vec(A.basis_vec(m), g) for m in range(d)]))
     ann = FD._kernel(Matrix(R, len(ann_rows), d, tuple(ann_rows)))
     image = FD._span(R, d, [op.matrix.col(j) for j in range(d)])
     power = image
@@ -513,6 +516,81 @@ def unitary_pair(rng):
     cols += [(QQ.zero,) * 4, (QQ.zero,) * 4]
     F = Matrix.from_cols(QQ, cols)
     return A, F
+
+
+# ---------------------------------------------------------------------------
+# change of basis: every findim verdict is invariant under x -> P^-1 x, and
+# the transforms below use dense arithmetic through ring.of only, so they
+# share no kernel with the code they check
+
+def rand_gl(rng, ring, d, steps=None):
+    """(P, P^-1) for a random P in GL_d(ring), as Matrices.
+
+    P is a product of elementary operations: add c times one column to
+    another, swap two columns, scale one by a unit (over Z/n, a residue
+    prime to n).  Each is applied to P and, inverted, to the rows of P^-1,
+    so the inverse is exact without an elimination."""
+    P = [[ring.one if i == j else ring.zero for j in range(d)] for i in range(d)]
+    Q = [row[:] for row in P]
+    units = None if ring == QQ else [u for u in range(1, ring.n) if gcd(u, ring.n) == 1]
+    for _ in range(3 * d if steps is None else steps):
+        i, j = rng.sample(range(d), 2) if d > 1 else (0, 0)
+        roll = rng.randrange(3) if d > 1 else 2
+        if roll == 0:
+            # P (I + c e_ij) adds c col i to col j; (I - c e_ij) P^-1 subtracts c row j from row i
+            c = ring.of(rng.choice((-2, -1, 1, 2, 3)))
+            for row in P:
+                row[j] = ring.add(row[j], ring.mul(c, row[i]))
+            Q[i] = [ring.sub(a, ring.mul(c, b)) for a, b in zip(Q[i], Q[j])]
+        elif roll == 1:
+            for row in P:
+                row[i], row[j] = row[j], row[i]
+            Q[i], Q[j] = Q[j], Q[i]
+        else:
+            u = rng.choice(units) if units else \
+                QQ.of(Fraction(rng.choice((-3, -1, 2, 3)), rng.choice((1, 2))))
+            for row in P:
+                row[i] = ring.mul(row[i], u)
+            Q[i] = [ring.mul(ring.inv(u), x) for x in Q[i]]
+    return Matrix.from_rows(ring, P), Matrix.from_rows(ring, Q)
+
+
+def dense_apply(M, v):
+    """M v, one sum per entry read through the ring."""
+    return tuple(M.ring.of(sum(a * b for a, b in zip(row, v))) for row in M.entries)
+
+
+def dense_product(ring, table, x, y):
+    """sum x_i y_j table[i][j], one sum per coordinate read through the ring."""
+    d = len(x)
+    return tuple(ring.of(sum(x[i] * y[j] * table[i][j][k] for i in range(d) for j in range(d)))
+                 for k in range(d))
+
+
+def _carried_table(table, P, Pinv):
+    # cell (a, b) of the table on the basis P e_0, ..., P e_(d-1)
+    cols = [P.col(a) for a in range(P.cols)]
+    return [[dense_apply(Pinv, dense_product(P.ring, table, x, y)) for y in cols] for x in cols]
+
+
+def change_algebra(A, P, Pinv):
+    """A on the basis of the columns of P: unit P^-1 u, table P^-1 m(P., P.)."""
+    return StructureAlgebra.make(A.ring, dense_apply(Pinv, A.unit), _carried_table(A.mul, P, Pinv))
+
+
+def change_bracket(L, P, Pinv):
+    return BracketTable.make(L.ring, _carried_table(L.table, P, Pinv))
+
+
+def change_operator(F, P, Pinv):
+    """P^-1 F P."""
+    cols = [dense_apply(Pinv, dense_apply(F, P.col(j))) for j in range(P.cols)]
+    return Matrix.from_cols(F.ring, cols)
+
+
+def change_span(S, Pinv):
+    """The Subspace or Submodule S carried to the new coordinates, P^-1 S."""
+    return type(S).span(S.ring, S.ambient_dim, [dense_apply(Pinv, v) for v in S.basis])
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from avgalg.exactlin import (
     NotAFieldError,
     QQ,
     RingError,
+    ShapeError,
     Solution,
     Submodule,
     Subspace,
@@ -201,6 +202,19 @@ class TestRref:
         again, _ = rref(red)
         assert again == red
         assert Subspace.span(QQ, 3, m.entries) == Subspace.span(QQ, 3, red.entries)
+
+
+class TestMatrices:
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
+    def test_operands_over_two_rings_are_refused(self, op):
+        # the result used to carry the left operand's ring: I + [[0, 1], [1, 0]]
+        # over Z/5 came back as the Q matrix ((1, 1), (1, 1))
+        left, right = Matrix.identity(QQ, 2), mat([[0, 1], [1, 0]], ZMod(5))
+        with pytest.raises(ShapeError, match="mixed coefficient rings"):
+            getattr(left, op)(right)
+        with pytest.raises(ShapeError, match="mixed coefficient rings"):
+            getattr(right, op)(left)
+        assert getattr(right, op)(mat([[1, 0], [0, 1]], ZMod(5))).ring == ZMod(5)
 
 
 class TestSolve:

@@ -294,9 +294,9 @@ class TestBrackets:
             # [[e_i,e_j],e_k] + cyclic, with e_k built as the right factor
             e = A.basis_vec
             for i, j, k in itertools.combinations(range(A.dim), 3):
-                total = map(sum, zip(L.bracket_vec(L.table[i][j], e(k)),
-                                     L.bracket_vec(L.table[j][k], e(i)),
-                                     L.bracket_vec(L.table[k][i], e(j))))
+                total = map(sum, zip(L.products([FD._terms(L.table[i][j], L.dim)], e(k))[0],
+                                     L.products([FD._terms(L.table[j][k], L.dim)], e(i))[0],
+                                     L.products([FD._terms(L.table[k][i], L.dim)], e(j))[0]))
                 if any(total):
                     return ("jacobi", (i, j, k))
             return None
@@ -359,12 +359,12 @@ class TestEndoAndGamma:
     def test_gamma_makes_one_row_product_per_basis_pair(self, monkeypatch):
         # Q[y]/(y^6 - 3): block i, column m needs e_m * D(e_i), one row
         # product for each of the 6 * 6 pairs (m, i), all six of block i in
-        # one row_products call, so 6 calls and no row_mul; D(e_m e_i) is a
+        # one row_products call, so 6 calls and no mul_vec; D(e_m e_i) is a
         # matrix product
         A, _ = primary_from_poly([-3, 0, 0, 0, 0, 0, 1])
         L = induced_bracket(A, functional_operator(A, [1, 2, 0, -1, 0, 3]))
         calls = []
-        for name in ("row_mul", "row_products"):
+        for name in ("mul_vec", "row_products"):
             def counted(self, *args, _name=name, _method=getattr(StructureAlgebra, name)):
                 calls.append(_name)
                 return _method(self, *args)
@@ -662,7 +662,8 @@ class TestAdEigen:
         # the direct path reuses it at the root 0 and solves ad + I at -1
         A, a = qi(), (QQ.of(0), QQ.of(1))
         L = induced_bracket(A, imaginary_part(A))
-        ad = Matrix.from_cols(QQ, [L.bracket_vec(a, A.basis_vec(i)) for i in range(A.dim)])
+        ad = Matrix.from_cols(QQ, [L.products([FD._terms(a, A.dim)], A.basis_vec(i))[0]
+                                   for i in range(A.dim)])
         seen = []
         monkeypatch.setattr(FD, "nullspace", lambda m: seen.append(m) or nullspace(m))
         ad_eigen(A, imaginary_part(A), a)

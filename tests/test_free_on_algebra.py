@@ -3,7 +3,7 @@ import random
 import pytest
 
 import avgalg.freeavg as FA
-from avgalg.exactlin import Matrix, QQ
+from avgalg.exactlin import Matrix, QQ, ShapeError, ZMod
 from avgalg.freeavg import (
     FAElement,
     NotAHomomorphismError,
@@ -15,7 +15,7 @@ from avgalg.freeavg import (
     fa_truncated_injectivity,
     fa_universal_lift,
 )
-from avgalg.findim import StructureAlgebra, is_averaging
+from avgalg.findim import NotAveragingError, StructureAlgebra, is_averaging
 from support import dim2_algebra, fa_from_dict, fa_one, mult_operator, rand_fraction
 
 
@@ -140,6 +140,26 @@ def test_universal_lift_extends_phi():
     for i in range(2):
         a = FAElement.basis(QQ, 2, i)
         assert fa_universal_lift(phi, g, a, A, A) == phi.col(i)
+
+
+def test_universal_lift_refuses_a_non_averaging_g():
+    # g = [[0, 1], [1, 1]] fails F(x F(y)) = F(x) F(y) at (0, 0); the lift
+    # used to go ahead, and lift(F(a)) != g(lift(a)) for 8 of these 10 a
+    A = sqrt2_algebra()
+    phi, g = Matrix.identity(QQ, 2), Matrix.from_rows(QQ, [[0, 1], [1, 1]])
+    assert is_averaging(A, g).witness == (0, 0)
+    for s in [(), (0,), (1,), (0, 1), (1, 1)]:
+        for i in range(2):
+            with pytest.raises(NotAveragingError):
+                fa_universal_lift(phi, g, FAElement.basis(QQ, 2, i, s), A, A)
+
+
+def test_universal_lift_refuses_a_g_over_another_ring():
+    # g over Z/5 on an algebra over Q: e_0 (x) e_1 used to lift to (1, 0)
+    A = sqrt2_algebra()
+    g = Matrix.from_rows(ZMod(5), [[0, 1], [1, 0]])
+    with pytest.raises(ShapeError):
+        fa_universal_lift(Matrix.identity(QQ, 2), g, FAElement.basis(QQ, 2, 0, (1,)), A, A)
 
 
 def test_component_basis_sizes():

@@ -372,26 +372,29 @@ def _cyclic(ring, d):
                                               for i in range(d)])
 
 
-PRODUCTS = ((StructureAlgebra, ("row_mul", "row_products", "mul_vec", "products")),
-            (BracketTable, ("row_bracket", "row_brackets", "bracket_vec", "brackets")))
+# (class, prefix of its count names, product methods): both tables share
+# products and row_products, so a bracket table's counts are bracket_<name>
+PRODUCTS = ((StructureAlgebra, "", ("row_products", "mul_vec", "products")),
+            (BracketTable, "bracket_", ("row_products", "products")))
 
 
 def only(**nonzero):
     """The counts of the ``calls`` fixture: ``nonzero``, every other 0."""
-    return {name: nonzero.get(name, 0) for _, names in PRODUCTS for name in names}
+    return {prefix + name: nonzero.get(prefix + name, 0)
+            for _, prefix, names in PRODUCTS for name in names}
 
 
 @pytest.fixture
 def calls(monkeypatch):
     """Counts the calls of the product methods of both table classes."""
     counts = {}
-    for cls, names in PRODUCTS:
+    for cls, prefix, names in PRODUCTS:
         for name in names:
-            def counted(*args, _name=name, _method=getattr(cls, name)):
+            def counted(*args, _name=prefix + name, _method=getattr(cls, name)):
                 counts[_name] += 1
                 return _method(*args)
 
-            counts[name] = 0
+            counts[prefix + name] = 0
             monkeypatch.setattr(cls, name, counted)
     return counts
 
@@ -459,15 +462,15 @@ def test_series_compute_no_bracket_for_stage_zero(calls):
     # read off the table; the derived stage 2 brackets its one basis pair
     # x_0 < x_1 in the one pass of x_1 (x_0 has no basis vector before it),
     # and the lower central stage 2 brackets both basis vectors with
-    # e_0..e_2, one row_brackets per basis vector
+    # e_0..e_2, one row_products per basis vector
     A = _cyclic(QQ, 3)
     L = induced_bracket(A, functional_operator(A, (1, 1, 0)))
     calls.update(dict.fromkeys(calls, 0))
     assert [s.dim for s in derived_series(A, L).stages] == [3, 2, 0]
-    assert calls == only(brackets=1)
-    calls["brackets"] = 0
+    assert calls == only(bracket_products=1)
+    calls["bracket_products"] = 0
     assert [s.dim for s in lower_central_series(A, L).stages] == [3, 2]
-    assert calls == only(row_brackets=2)
+    assert calls == only(bracket_row_products=2)
 
 
 @pytest.fixture
@@ -538,14 +541,14 @@ def test_nilpotency_multiplies_each_power_generator_by_each_bracket_generator(ca
 
 def test_check_lie_makes_one_pass_per_bracket_cell(calls):
     # the bracket of lam(x) * 1 on Z/5[y]/(y^6 - 1) is a Lie bracket: one
-    # row_brackets per cell [e_i, e_j], i < j, gives every [e_m, [e_i, e_j]],
+    # row_products per cell [e_i, e_j], i < j, gives every [e_m, [e_i, e_j]],
     # so C(6, 2) = 15 passes serve the C(6, 3) = 20 Jacobi triples, where
-    # three row_bracket calls per triple would make 60
+    # three single-row brackets per triple would make 60
     A = _cyclic(ZMod(5), 6)
     L = induced_bracket(A, functional_operator(A, (1, 2, 0, 3, 0, 1)))
     calls.update(dict.fromkeys(calls, 0))
     assert check_lie(A, L).ok
-    assert calls == only(row_brackets=15)
+    assert calls == only(bracket_row_products=15)
 
 
 def test_check_algebra_hom_makes_one_pass_per_column(calls):

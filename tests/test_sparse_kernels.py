@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avgalg.exactlin import QQ, Matrix, ZMod, rref, vec_dot
-from avgalg.findim import BracketTable, StructureAlgebra
+from avgalg.findim import BracketTable, StructureAlgebra, _terms
 
 RINGS = [QQ, ZMod(2), ZMod(5), ZMod(6), ZMod(12)]
 FIELDS = [QQ, ZMod(2), ZMod(5), ZMod(7)]
@@ -124,7 +124,7 @@ def test_mul_vec_matches_dense(case, made):
 def test_bracket_vec_matches_dense(case, made):
     ring, d, table, x, y = case
     L = _bracket(ring, d, table, made)
-    assert L.bracket_vec(x, y) == dense_bilinear(ring, d, table, x, y)
+    assert L.products([_terms(x, d)], y)[0] == dense_bilinear(ring, d, table, x, y)
 
 
 @given(ring_and_table(), st.booleans(), st.data())
@@ -135,8 +135,8 @@ def test_row_product_matches_basis_product(case, made, data):
     A = _algebra(ring, d, table, made)
     L = _bracket(ring, d, table, made)
     e_i = A.basis_vec(i)
-    assert A.row_mul(i, y) == A.mul_vec(e_i, y) == dense_bilinear(ring, d, table, e_i, y)
-    assert L.row_bracket(i, y) == L.bracket_vec(e_i, y)
+    assert A.row_products(y)[i] == A.mul_vec(e_i, y) == dense_bilinear(ring, d, table, e_i, y)
+    assert L.row_products(y)[i] == L.products([_terms(e_i, d)], y)[0]
 
 
 @given(ring_and_matrix())
