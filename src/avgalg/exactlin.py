@@ -4,13 +4,13 @@ Two coefficient rings are supported: arbitrary-precision rationals and
 integers mod n.  Ring elements are plain Python values in one canonical form
 per ring: a rational is an ``int`` when it is integral and a ``Fraction``
 (denominator above 1) otherwise, a residue is an ``int`` in ``[0, n)``.  The
-ring object carries the operations and returns canonical values, so every
-function here takes or infers a ring.  The hot loops (``Matrix.apply``, the
-echelon loop, the vector helpers, the polynomial routines and ``findim``'s
-product kernel) call no ring method: they compute with Python's own
-``+ - *`` on the ring values and reduce each updated entry with one inline
-``% m``, where ``m = _modulus(ring)`` is n over Z/n and the ring itself over
-Q (``Rationals.__rmod__`` puts a rational in canonical form).
+ring object carries no arithmetic: it reads values (``of``, ``parse``),
+inverts (``inv``), renders and names its zero and one, so every function
+here takes or infers a ring.  Every sum and product, here and in ``findim``
+and ``freeavg``, is Python's own ``+ - *`` on the ring values followed by
+one inline ``% m``, where ``m = _modulus(ring)`` is n over Z/n and the ring
+itself over Q (``Rationals.__rmod__`` is ``of``, which puts a rational in
+canonical form).
 
 Canonical ring elements are falsy exactly when they are zero (``bool(x)``
 is ``x != 0`` for ``int`` and ``Fraction``).  The kernels here and in
@@ -106,11 +106,13 @@ class Rationals(Record):
     """The field Q; an element is an ``int`` when it is integral and a
     ``fractions.Fraction`` (lowest terms, positive denominator) otherwise.
 
-    Every method returns that canonical form, so integral scalars, the bulk
-    of the paper's examples, take Python's int arithmetic and never build a
-    ``Fraction``.  ``int`` and ``Fraction`` compare and hash equal, so this
-    choice does not show in equality, hashing or rendering.  ``/`` on two
-    ints gives a float, so no method divides ring values with it.
+    The ring carries no arithmetic: callers compute with ``+ - *`` and put
+    the result in canonical form with ``% QQ``, which is ``of``.  So
+    integral scalars, the bulk of the paper's examples, take Python's int
+    arithmetic and never build a ``Fraction``.  ``int`` and ``Fraction``
+    compare and hash equal, so this choice does not show in equality,
+    hashing or rendering.  ``/`` on two ints gives a float, so nothing
+    divides ring values with it.
     """
 
     __slots__ = ("name", "is_field")
@@ -124,20 +126,9 @@ class Rationals(Record):
         v = v if type(v) is Fraction else Fraction(v)
         return v.numerator if v.denominator == 1 else v
 
-    def add(self, a, b):
-        c = a + b
-        return c if type(c) is int or c.denominator != 1 else c.numerator
-
-    def sub(self, a, b):
-        c = a - b
-        return c if type(c) is int or c.denominator != 1 else c.numerator
-
-    def mul(self, a, b):
-        c = a * b
-        return c if type(c) is int or c.denominator != 1 else c.numerator
-
-    def neg(self, a):
-        return -a
+    # a % QQ is a in canonical form, as a % n is a residue, so the kernels
+    # reduce with one inline % over either ring
+    __rmod__ = of
 
     def inv(self, a):
         if a == 0:
@@ -152,13 +143,6 @@ class Rationals(Record):
             return self.of(Fraction(text.strip()))
         except (ValueError, ZeroDivisionError) as exc:
             raise RingError(f"bad rational literal {text!r}: {exc}") from None
-
-    def __rmod__(self, a):
-        # a % QQ is a, an int or a Fraction, in canonical form, as a % n is
-        # a residue, so the kernels reduce with one inline % over either ring
-        if type(a) is int:
-            return a
-        return a.numerator if a.denominator == 1 else a
 
     def render(self, a) -> str:
         if a.denominator == 1:
@@ -187,26 +171,12 @@ class ZMod(Record):
     one = 1  # n >= 2, so 1 is already reduced
 
     def of(self, v) -> int:
-        if type(v) is int:  # the common case, ahead of the ABC check below
+        if type(v) is int:
             return v % self.n
-        if isinstance(v, Fraction):
-            if v.denominator == 1:
-                return v.numerator % self.n
-            # p/q maps to p * q^{-1} when q is a unit mod n
-            return self.mul(v.numerator % self.n, self.inv(v.denominator % self.n))
-        return int(v) % self.n
-
-    def add(self, a, b):
-        return (a + b) % self.n
-
-    def sub(self, a, b):
-        return (a - b) % self.n
-
-    def mul(self, a, b):
-        return (a * b) % self.n
-
-    def neg(self, a):
-        return (-a) % self.n
+        # any other number is read exactly, as over Q, and p/q maps to
+        # p * q^{-1} when q is a unit mod n
+        v = v if type(v) is Fraction else Fraction(v)
+        return v.numerator * self.inv(v.denominator) % self.n
 
     def inv(self, a):
         a %= self.n
@@ -343,23 +313,25 @@ class Matrix(Record):
         R = self._same_ring(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("matrix shape mismatch")
+        m = _modulus(R)
         return Matrix(R, self.rows, self.cols, tuple(
-            tuple(R.add(a, b) for a, b in zip(r1, r2))
+            tuple([(a + b) % m for a, b in zip(r1, r2)])
             for r1, r2 in zip(self.entries, other.entries)))
 
     def sub(self, other: "Matrix") -> "Matrix":
         R = self._same_ring(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("matrix shape mismatch")
+        m = _modulus(R)
         return Matrix(R, self.rows, self.cols, tuple(
-            tuple(R.sub(a, b) for a, b in zip(r1, r2))
+            tuple([(a - b) % m for a, b in zip(r1, r2)])
             for r1, r2 in zip(self.entries, other.entries)))
 
     def scale(self, c) -> "Matrix":
-        R = self.ring
+        R, m = self.ring, _modulus(self.ring)
         c = R.of(c)
         return Matrix(R, self.rows, self.cols, tuple(
-            tuple(R.mul(c, a) for a in row) for row in self.entries))
+            tuple([c * a % m for a in row]) for row in self.entries))
 
     def mul(self, other: "Matrix") -> "Matrix":
         R = self._same_ring(other)
@@ -592,7 +564,7 @@ def solve_linear(a: Matrix, b) -> Union[NoSolution, Solution]:
 
 def nullspace(m: Matrix) -> Subspace:
     """Exact basis of {x : m·x = 0} over a field."""
-    R = m.ring
+    R, mod = m.ring, _modulus(m.ring)
     red, pivots = rref(m)
     free = [c for c in range(m.cols) if c not in pivots]
     vectors = []
@@ -600,7 +572,7 @@ def nullspace(m: Matrix) -> Subspace:
         v = [R.zero] * m.cols
         v[fc] = R.one
         for r, pc in enumerate(pivots):
-            v[pc] = R.neg(red.entries[r][fc])
+            v[pc] = -red.entries[r][fc] % mod
         vectors.append(v)
     return Subspace(R, m.cols, _hnf(R, m.cols, vectors))
 
@@ -617,20 +589,20 @@ def char_poly(m: Matrix) -> tuple:
     """
     if m.rows != m.cols:
         raise ShapeError("characteristic polynomial needs a square matrix")
-    R = m.ring
+    R, mod = m.ring, _modulus(m.ring)
     n = m.rows
     if n == 0:
         return (R.one,)
     A = [list(row) for row in m.entries]
     # descending coefficients for leading principal blocks, grown one row/col
     # at a time through lower-triangular Toeplitz transforms
-    poly = [R.one, R.neg(A[0][0])]
+    poly = [R.one, -A[0][0] % mod]
     for size in range(2, n + 1):
         k = size - 1
         M = [row[:k] for row in A[:k]]
-        neg_row = [R.neg(A[k][j]) for j in range(k)]
+        neg_row = [-A[k][j] % mod for j in range(k)]
         col = [A[i][k] for i in range(k)]
-        items = [R.one, R.neg(A[k][k])]
+        items = [R.one, -A[k][k] % mod]
         vec = col
         for _ in range(size - 1):
             items.append(vec_dot(R, neg_row, vec))
@@ -639,7 +611,7 @@ def char_poly(m: Matrix) -> tuple:
         for i in range(size + 1):
             acc = R.zero
             for j in range(0, min(i, size - 1) + 1):
-                acc = R.add(acc, R.mul(items[i - j], poly[j]))
+                acc = (acc + items[i - j] * poly[j]) % mod
             new.append(acc)
         poly = new
     return tuple(reversed(poly))
@@ -647,9 +619,9 @@ def char_poly(m: Matrix) -> tuple:
 
 def poly_eval(ring: Ring, coeffs, x):
     """Evaluate ascending-coefficient polynomial at x (Horner)."""
-    acc = ring.zero
+    m, acc = _modulus(ring), ring.zero
     for c in reversed(coeffs):
-        acc = ring.add(ring.mul(acc, x), c)
+        acc = (acc * x + c) % m
     return acc
 
 
@@ -704,7 +676,7 @@ def rational_roots(coeffs) -> tuple:
                 desc = list(reversed(coeffs))
                 out = [desc[0]]
                 for c in desc[1:-1]:
-                    out.append(QQ.add(c, QQ.mul(cand, out[-1])))
+                    out.append((c + cand * out[-1]) % QQ)
                 coeffs = list(reversed(out))
     return tuple(sorted(roots))
 

@@ -949,7 +949,7 @@ def _check_domain_q(A: StructureAlgebra) -> DomainCertificate:
     candidates = _candidates(A)
     a, chi = next(candidates, (None, None))
     if chi is None or not _squarefree(R, chi):
-        traces = [sum((A.mul[s][k][k] for k in range(d)), R.zero) for s in range(d)]
+        traces = [sum(A.mul[s][k][k] for k in range(d)) % _modulus(R) for s in range(d)]
         gram = Matrix(R, d, d, tuple(tuple(vec_dot(R, A.mul[i][j], traces) for j in range(d))
                                      for i in range(d)))
         radical = nullspace(gram)
@@ -1075,18 +1075,18 @@ def ad_eigen(A: StructureAlgebra, F: Operator, a) -> tuple:
     check_domain(A)
     op = averaging_operator(A, F)
     F = op.matrix
-    R = A.ring
+    R, m = A.ring, _modulus(A.ring)
     a = tuple(R.of(x) for x in a)
     fa = F.apply(a)
     # the bracket is alternating, so ad_a(e_i) = [a, e_i] = -[e_i, a]
-    ad = Matrix.from_cols(R, [tuple(R.neg(x) for x in g) for g in op.bracket.row_products(a)])
+    ad = Matrix.from_cols(R, [[-x % m for x in g] for g in op.bracket.row_products(a)])
     # structural path: over a domain the only possible eigenvalues are 0 and,
     # when ker F is nonzero and F(a) is a nonzero scalar k, the value -k
     ker = nullspace(F)
     structural = {R.zero: nullspace(ad)}
     k = None if not any(a) or ker.is_zero() else _proportionality(R, fa, A.unit)
     if k:
-        structural[R.neg(k)] = ker
+        structural[-k % m] = ker
     # direct path
     roots = set(rational_roots(char_poly(ad)))
     direct = {}
@@ -1106,7 +1106,7 @@ def _proportionality(R: Ring, v, w):
     idx = next((i for i, x in enumerate(w) if x), None)
     if idx is None:
         return None
-    k = R.mul(v[idx], R.inv(w[idx]))
+    k = v[idx] * R.inv(w[idx]) % _modulus(R)
     if tuple(vec_scale(R, k, w)) == tuple(v):
         return k
     return None
@@ -1217,8 +1217,7 @@ def primary_from_poly(coeffs) -> tuple:
         prev = powers[-1]
         shifted = [QQ.zero] + list(prev[:-1])
         lead = prev[-1]
-        powers.append(tuple(QQ.add(s, QQ.mul(lead, r))
-                            for s, r in zip(shifted, reduction)))
+        powers.append(tuple((s + lead * r) % QQ for s, r in zip(shifted, reduction)))
     mul = tuple(tuple(powers[i + j] for j in range(d)) for i in range(d))
     unit = tuple(QQ.one if i == 0 else QQ.zero for i in range(d))
     A = StructureAlgebra.make(QQ, unit, mul)

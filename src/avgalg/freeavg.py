@@ -27,10 +27,11 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from enum import Enum
+from operator import mul, neg
 
 from . import terms as T
 from ._record import Record, set_field
-from .exactlin import Matrix, QQ, Ring, ShapeError, Subspace, vec_add, vec_scale
+from .exactlin import Matrix, QQ, Ring, ShapeError, Subspace, _modulus, vec_add, vec_scale
 from .findim import averaging_operator
 
 # ---------------------------------------------------------------------------
@@ -130,9 +131,10 @@ def _glex_key(term):
     return (-sum(e for _, e in m), tuple((g, -e) for g, e in m))
 
 
-def _combine(R: Ring, pairs, d=None) -> dict:
-    """Sum the coefficients of equal keys into d (a new dict by default),
-    dropping the keys that sum to zero.
+def _combine(m, pairs, d=None) -> dict:
+    """Sum the canonical coefficients of equal keys into d (a new dict by
+    default), each sum reduced with one ``% m`` (``m = _modulus(ring)``, not
+    the ring), and drop the keys that sum to zero.
 
     The one accumulation loop behind FreePoly and FAElement arithmetic.
     """
@@ -140,27 +142,28 @@ def _combine(R: Ring, pairs, d=None) -> dict:
         d = {}
     for k, c in pairs:
         if k in d:
-            c = R.add(d.pop(k), c)
+            c = (d.pop(k) + c) % m
         if c:
             d[k] = c
     return d
 
 
-# arithmetic on coefficient dicts: each returns a new dict and leaves its
-# arguments unchanged, so one dict can feed any number of later operations
+# arithmetic on coefficient dicts, reduced by m: each returns a new dict and
+# leaves its arguments unchanged, so one dict can feed any number of later
+# operations; they map m.__rmod__, the function x -> x % m, over the products
 
-def _add(R: Ring, a: dict, b: dict) -> dict:
+def _add(m, a: dict, b: dict) -> dict:
     if len(a) < len(b):
         a, b = b, a
-    return _combine(R, b.items(), a.copy())
+    return _combine(m, b.items(), a.copy())
 
 
-def _sub(R: Ring, a: dict, b: dict) -> dict:
-    return _combine(R, zip(b, map(R.neg, b.values())), a.copy())
+def _sub(m, a: dict, b: dict) -> dict:
+    return _combine(m, zip(b, map(m.__rmod__, map(neg, b.values()))), a.copy())
 
 
-def _scale(R: Ring, c, a: dict) -> dict:
-    return _combine(R, zip(a, map(R.mul, itertools.repeat(c), a.values())))
+def _scale(m, c, a: dict) -> dict:
+    return _combine(m, zip(a, map(m.__rmod__, map(mul, itertools.repeat(c), a.values()))))
 
 
 # ---------------------------------------------------------------------------
@@ -198,23 +201,22 @@ class _Sparse(Record):
         return type(self)(*self._astuple(self)[:-1], coeffs)
 
     def _sum(self, pairs):
-        return self._new(_combine(self.ring, pairs))
+        return self._new(_combine(_modulus(self.ring), pairs))
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def add(self, other):
-        return self._new(_add(self._same_ring(other), self.coeffs, other.coeffs))
+        return self._new(_add(_modulus(self._same_ring(other)), self.coeffs, other.coeffs))
 
     def neg(self):
-        return self._new(_sub(self.ring, {}, self.coeffs))
+        return self._new(_sub(_modulus(self.ring), {}, self.coeffs))
 
     def sub(self, other):
-        return self._new(_sub(self._same_ring(other), self.coeffs, other.coeffs))
+        return self._new(_sub(_modulus(self._same_ring(other)), self.coeffs, other.coeffs))
 
     def scale(self, c):
-        R = self.ring
-        return self._new(_scale(R, R.of(c), self.coeffs))
+        return self._new(_scale(_modulus(self.ring), self.ring.of(c), self.coeffs))
 
     def _same_ring(self, other) -> Ring:
         if self.ring != other.ring:
@@ -265,7 +267,7 @@ class FreePoly(_Sparse):
         parts = []
         for m, c in self.terms:
             neg = signed and c < 0
-            mag = R.neg(c) if neg else c
+            mag = -c if neg else c  # over Q, -c of a canonical c is canonical
             if m == M_ONE:
                 piece = R.render(mag)
             elif mag == R.one:
@@ -344,29 +346,29 @@ _F_MONO = {Mode.PLAIN: _f_plain, Mode.UNITARY: _f_unitary,
            Mode.REYNOLDS: lambda m: _reynolds_mono(_f_plain(m))}
 
 
-def _image(mode: Mode, R: Ring, a: dict) -> dict:
+def _image(mode: Mode, m, a: dict) -> dict:
     # the operator of the mode's free object on a coefficient dict
-    return _combine(R, zip(map(_F_MONO[mode], a), a.values()))
+    return _combine(m, zip(map(_F_MONO[mode], a), a.values()))
 
 
-def _product(mode: Mode, R: Ring, a: dict, b: dict) -> dict:
+def _product(mode: Mode, m, a: dict, b: dict) -> dict:
     # unitary normal forms are y[1]-free, so their product needs no
     # reduction; a Reynolds product reduces each monomial as it is formed
     monos = itertools.starmap(mono_mul, itertools.product(a, b))
     if mode is Mode.REYNOLDS:
         monos = map(_reynolds_mono, monos)
-    coeffs = itertools.starmap(R.mul, itertools.product(a.values(), b.values()))
-    return _combine(R, zip(monos, coeffs))
+    coeffs = itertools.starmap(mul, itertools.product(a.values(), b.values()))
+    return _combine(m, zip(monos, map(m.__rmod__, coeffs)))
 
 
 def f_mode(mode: Mode, p: FreePoly) -> FreePoly:
     """The operator of the mode's free object, one pass over the monomials."""
-    return FreePoly(p.ring, _image(mode, p.ring, p.coeffs))
+    return FreePoly(p.ring, _image(mode, _modulus(p.ring), p.coeffs))
 
 
 def mul_mode(mode: Mode, p: FreePoly, q: FreePoly) -> FreePoly:
     """The product in the mode's free object of two normal forms."""
-    return FreePoly(p.ring, _product(mode, p._same_ring(q), p.coeffs, q.coeffs))
+    return FreePoly(p.ring, _product(mode, _modulus(p._same_ring(q)), p.coeffs, q.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +389,7 @@ def eval_term(t: T.Term, mode: Mode, ring: Ring = QQ) -> FreePoly:
     # beneath its children, and popping that computes it from their values;
     # values are coefficient dicts keyed by node id, and t keeps every node
     # alive, so no id is reused during the call
-    R = ring
+    R, m = ring, _modulus(ring)
     values = {}
     todo = [t]
     while todo:
@@ -397,24 +399,24 @@ def eval_term(t: T.Term, mode: Mode, ring: Ring = QQ) -> FreePoly:
             node, = node
             tp = type(node)
             if tp is T.F:
-                value = _image(mode, R, values[id(node.arg)])
+                value = _image(mode, m, values[id(node.arg)])
             elif tp is T.Mul:
-                value = _product(mode, R, values[id(node.left)], values[id(node.right)])
+                value = _product(mode, m, values[id(node.left)], values[id(node.right)])
             elif tp is T.Add:
-                value = _add(R, values[id(node.left)], values[id(node.right)])
+                value = _add(m, values[id(node.left)], values[id(node.right)])
             elif tp is T.Sub:
-                value = _sub(R, values[id(node.left)], values[id(node.right)])
+                value = _sub(m, values[id(node.left)], values[id(node.right)])
             elif tp is T.ScalarMul:
-                value = _scale(R, R.of(node.coeff), values[id(node.arg)])
+                value = _scale(m, R.of(node.coeff), values[id(node.arg)])
             else:
                 # left-to-right binary powering; each normal form is a ring
                 # quotient, so reducing every partial product gives the
                 # normal form
                 p = value = values[id(node.base)]
                 for bit in bin(node.n)[3:]:
-                    value = _product(mode, R, value, value)
+                    value = _product(mode, m, value, value)
                     if bit == "1":
-                        value = _product(mode, R, value, p)
+                        value = _product(mode, m, value, p)
             values[id(node)] = value
         elif id(node) in values:
             pass
@@ -477,7 +479,7 @@ def _difference_bracket(R: Ring, r, wa, wb):
     ka = bisect_left(wa, _Y_FIRST)
     if ka == len(wa):
         # wa is a pure x-monomial; swap roles and flip the coefficient
-        r, wa, wb = R.neg(r), wb, wa
+        r, wa, wb = -r % _modulus(R), wb, wa
         ka = bisect_left(wa, _Y_FIRST)
     kb = bisect_left(wb, _Y_FIRST)
     shared = _y_of_prefix(wb, kb)
@@ -561,20 +563,20 @@ def fa_mul(a: FAElement, b: FAElement, A) -> FAElement:
     """Structure constants act on the left factors; symmetric parts merge."""
     _alg_check(a, A)
     _alg_check(b, A)
-    R = A.ring
+    m = _modulus(A.ring)
     pairs = []
     for (i, s), c1 in a.coeffs.items():
         for (j, t), c2 in b.coeffs.items():
-            sym, c = tuple(sorted(s + t)), R.mul(c1, c2)
-            pairs += (((k, sym), R.mul(c, x)) for k, x in enumerate(A.mul[i][j]) if x)
+            sym, c = tuple(sorted(s + t)), c1 * c2 % m
+            pairs += (((k, sym), c * x % m) for k, x in enumerate(A.mul[i][j]) if x)
     return a._sum(pairs)
 
 
 def fa_f(a: FAElement, A) -> FAElement:
     """Move each left factor into the symmetric monomial; left slot becomes 1."""
     _alg_check(a, A)
-    R = A.ring
-    return a._sum(((k, tuple(sorted(s + (i,)))), R.mul(u, c))
+    m = _modulus(A.ring)
+    return a._sum(((k, tuple(sorted(s + (i,)))), u * c % m)
                   for (i, s), c in a.coeffs.items() for k, u in enumerate(A.unit) if u)
 
 
@@ -611,18 +613,18 @@ def fa_induced_hom(theta: Matrix, a: FAElement, A, B) -> FAElement:
 def _induced_hom(theta: Matrix, a: FAElement, A, B) -> FAElement:
     # fa_induced_hom for a theta already checked by check_algebra_hom
     _alg_check(a, A)
-    R = A.ring
+    m = _modulus(A.ring)
     cols = [theta.col(j) for j in range(A.dim)]
     pairs = []
     for (i, s), c in a.coeffs.items():
         # expand theta(e_i) (x) theta(e_{s1}) . theta(e_{s2}) ... multilinearly
-        partial = _combine(R, (((k, ()), R.mul(c, x)) for k, x in enumerate(cols[i])))
+        partial = _combine(m, (((k, ()), c * x % m) for k, x in enumerate(cols[i])))
         for slot in s:
-            partial = _combine(R, (((k, tuple(sorted(sym + (b,)))), R.mul(coeff, w))
+            partial = _combine(m, (((k, tuple(sorted(sym + (b,)))), coeff * w % m)
                                    for (k, sym), coeff in partial.items()
                                    for b, w in enumerate(cols[slot]) if w))
         pairs += partial.items()
-    return FAElement(R, B.dim, _combine(R, pairs))
+    return FAElement(A.ring, B.dim, _combine(m, pairs))
 
 
 def fa_universal_lift(phi: Matrix, g: Matrix, a: FAElement, A, B) -> tuple:

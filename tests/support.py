@@ -9,6 +9,7 @@ import itertools
 import re
 from bisect import bisect_left
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 
 from avgalg._record import Record
@@ -26,6 +27,39 @@ from avgalg.findim import (
 
 def rand_fraction(rng, lo=-4, hi=4, max_den=3):
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
+
+
+# ---------------------------------------------------------------------------
+# reference scalar arithmetic: the rings carry none, and avgalg reduces each
+# sum and product with % m; the references and builders here compute with
+# + - * and put each result in canonical form themselves, through neither the
+# ring nor exactlin._modulus, so a defect in the reducer shows as a
+# disagreement
+
+def ref_canon(ring, c):
+    """c in ring's canonical form: over Z/n a residue in [0, n), over the
+    all-Fraction ring a Fraction, over Q an int when c is integral."""
+    if isinstance(ring, ZMod):
+        return c % ring.n
+    if isinstance(ring, FractionRationals):
+        return Fraction(c)
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def ref_add(ring, a, b):
+    return ref_canon(ring, a + b)
+
+
+def ref_sub(ring, a, b):
+    return ref_canon(ring, a - b)
+
+
+def ref_mul(ring, a, b):
+    return ref_canon(ring, a * b)
+
+
+def ref_neg(ring, a):
+    return ref_canon(ring, -a)
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +243,10 @@ def ref_gamma_subalgebra(A, L):
                     for s in range(A.dim):
                         a, b = A.mul[m][i][s], L.table[s][j][k]
                         if a and b:
-                            acc = R.add(acc, R.mul(a, b))
+                            acc = ref_add(R, acc, ref_mul(R, a, b))
                         a, b = L.table[i][j][s], A.mul[m][s][k]
                         if a and b:
-                            acc = R.sub(acc, R.mul(a, b))
+                            acc = ref_sub(R, acc, ref_mul(R, a, b))
                     row.append(acc)
                 rows.append(tuple(row))
     return nullspace(Matrix(R, len(rows), A.dim, tuple(rows)))
@@ -362,7 +396,7 @@ def ref_check_lie(A, L):
         if any(L.table[i][i]):
             return Check(False, ("alternating", (i,)))
         for j in range(A.dim):
-            if L.table[i][j] != tuple(R.neg(x) for x in L.table[j][i]):
+            if L.table[i][j] != tuple(ref_neg(R, x) for x in L.table[j][i]):
                 return Check(False, ("antisymmetry", (i, j)))
     for i, j, k in itertools.combinations(range(A.dim), 3):
         total = vec_add(R, vec_add(R,
@@ -439,7 +473,7 @@ def functional_operator(A, lam):
     """x maps to lam(x) times the unit; averaging for any linear lam."""
     R = A.ring
     lam = tuple(R.of(x) for x in lam)
-    return Matrix.from_cols(R, [tuple(R.mul(lam[i], u) for u in A.unit)
+    return Matrix.from_cols(R, [tuple(ref_mul(R, lam[i], u) for u in A.unit)
                                 for i in range(A.dim)])
 
 
@@ -540,8 +574,8 @@ def rand_gl(rng, ring, d, steps=None):
             # P (I + c e_ij) adds c col i to col j; (I - c e_ij) P^-1 subtracts c row j from row i
             c = ring.of(rng.choice((-2, -1, 1, 2, 3)))
             for row in P:
-                row[j] = ring.add(row[j], ring.mul(c, row[i]))
-            Q[i] = [ring.sub(a, ring.mul(c, b)) for a, b in zip(Q[i], Q[j])]
+                row[j] = ref_add(ring, row[j], ref_mul(ring, c, row[i]))
+            Q[i] = [ref_sub(ring, a, ref_mul(ring, c, b)) for a, b in zip(Q[i], Q[j])]
         elif roll == 1:
             for row in P:
                 row[i], row[j] = row[j], row[i]
@@ -550,8 +584,8 @@ def rand_gl(rng, ring, d, steps=None):
             u = rng.choice(units) if units else \
                 QQ.of(Fraction(rng.choice((-3, -1, 2, 3)), rng.choice((1, 2))))
             for row in P:
-                row[i] = ring.mul(row[i], u)
-            Q[i] = [ring.mul(ring.inv(u), x) for x in Q[i]]
+                row[i] = ref_mul(ring, row[i], u)
+            Q[i] = [ref_mul(ring, ring.inv(u), x) for x in Q[i]]
     return Matrix.from_rows(ring, P), Matrix.from_rows(ring, Q)
 
 
@@ -591,6 +625,77 @@ def change_operator(F, P, Pinv):
 def change_span(S, Pinv):
     """The Subspace or Submodule S carried to the new coordinates, P^-1 S."""
     return type(S).span(S.ring, S.ambient_dim, [dense_apply(Pinv, v) for v in S.basis])
+
+
+# ---------------------------------------------------------------------------
+# reference free averaging algebra on A: freeavg's fa_mul, fa_f, induced
+# homomorphism and universal lift as dense loops over every structure
+# constant, unit entry and matrix entry, zeros included, with the ref_
+# arithmetic; equal keys are summed and the zero sums dropped at the end
+
+def ref_fa_sum(ring, dim: int, pairs) -> FAElement:
+    d = {}
+    for key, c in pairs:
+        d[key] = ref_add(ring, d.get(key, ring.zero), c)
+    return FAElement(ring, dim, {key: c for key, c in d.items() if c})
+
+
+def ref_fa_mul(a: FAElement, b: FAElement, A) -> FAElement:
+    R = A.ring
+    return ref_fa_sum(R, A.dim, (
+        ((k, tuple(sorted(s + t))), ref_mul(R, ref_mul(R, c1, c2), A.mul[i][j][k]))
+        for (i, s), c1 in a.coeffs.items() for (j, t), c2 in b.coeffs.items()
+        for k in range(A.dim)))
+
+
+def ref_fa_f(a: FAElement, A) -> FAElement:
+    R = A.ring
+    return ref_fa_sum(R, A.dim, (((k, tuple(sorted(s + (i,)))), ref_mul(R, A.unit[k], c))
+                                 for (i, s), c in a.coeffs.items() for k in range(A.dim)))
+
+
+def ref_fa_induced_hom(theta: Matrix, a: FAElement, A, B) -> FAElement:
+    """theta(e_i) (x) theta(e_s1) . theta(e_s2) ... summed over every tuple
+    of target indices."""
+    R = A.ring
+    pairs = []
+    for (i, s), c in a.coeffs.items():
+        for ks in itertools.product(range(B.dim), repeat=len(s) + 1):
+            coeff = c
+            for k, j in zip(ks, (i, *s)):
+                coeff = ref_mul(R, coeff, theta.entries[k][j])
+            pairs.append(((ks[0], tuple(sorted(ks[1:]))), coeff))
+    return ref_fa_sum(R, B.dim, pairs)
+
+
+def ref_dense_apply(M: Matrix, v) -> tuple:
+    R = M.ring
+    out = []
+    for row in M.entries:
+        acc = R.zero
+        for a, x in zip(row, v):
+            acc = ref_add(R, acc, ref_mul(R, a, x))
+        out.append(acc)
+    return tuple(out)
+
+
+def ref_dense_product(B, x, y) -> tuple:
+    R, d = B.ring, B.dim
+    out = [R.zero] * d
+    for i, j, k in itertools.product(range(d), repeat=3):
+        out[k] = ref_add(R, out[k], ref_mul(R, ref_mul(R, x[i], y[j]), B.mul[i][j][k]))
+    return tuple(out)
+
+
+def ref_fa_universal_lift(phi: Matrix, g: Matrix, a: FAElement, A, B) -> tuple:
+    R = A.ring
+    out = (R.zero,) * B.dim
+    for (i, s), c in a.coeffs.items():
+        acc = phi.col(i)
+        for j in s:
+            acc = ref_dense_product(B, acc, ref_dense_apply(g, phi.col(j)))
+        out = tuple(ref_add(R, o, ref_mul(R, c, x)) for o, x in zip(out, acc))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +778,7 @@ def ref_sum(ring, pairs) -> FreePoly:
     equal monomials summed and the zero sums dropped."""
     d = {}
     for m, c in pairs:
-        d[m] = ring.add(d.get(m, ring.zero), c)
+        d[m] = ref_add(ring, d.get(m, ring.zero), c)
     return FreePoly(ring, {m: c for m, c in d.items() if c})
 
 
@@ -730,7 +835,7 @@ def ref_mul_mode(mode: Mode, p: FreePoly, q: FreePoly) -> FreePoly:
     # every monomial product is one mono() of the two monomials' pairs;
     # unitary normal forms are y[1]-free, so their product needs no reduction
     R = p.ring
-    prod = ref_sum(R, ((mono(*m1, *m2), R.mul(c1, c2))
+    prod = ref_sum(R, ((mono(*m1, *m2), ref_mul(R, c1, c2))
                        for m1, c1 in p.coeffs.items() for m2, c2 in q.coeffs.items()))
     return ref_reduce_reynolds(prod) if mode is Mode.REYNOLDS else prod
 
@@ -749,7 +854,7 @@ def ref_eval_term(t: T.Term, mode: Mode, ring=QQ) -> FreePoly:
     if tp is T.ScalarMul:
         c = ring.of(t.coeff)
         arg = ref_eval_term(t.arg, mode, ring)
-        return ref_sum(ring, ((m, ring.mul(c, v)) for m, v in arg.coeffs.items()))
+        return ref_sum(ring, ((m, ref_mul(ring, c, v)) for m, v in arg.coeffs.items()))
     if tp is T.Pow:
         base = ref_eval_term(t.base, mode, ring)
         acc = base
@@ -759,9 +864,9 @@ def ref_eval_term(t: T.Term, mode: Mode, ring=QQ) -> FreePoly:
     left, right = ref_eval_term(t.left, mode, ring), ref_eval_term(t.right, mode, ring)
     if tp is T.Mul:
         return ref_mul_mode(mode, left, right)
-    sign = ring.one if tp is T.Add else ring.neg(ring.one)
+    sign = ring.one if tp is T.Add else ref_neg(ring, ring.one)
     return ref_sum(ring, itertools.chain(
-        left.coeffs.items(), ((m, ring.mul(sign, v)) for m, v in right.coeffs.items())))
+        left.coeffs.items(), ((m, ref_mul(ring, sign, v)) for m, v in right.coeffs.items())))
 
 
 # freeavg's monomial product and plain operator image as they were before the
@@ -817,7 +922,7 @@ def ref_difference_bracket(R, r, wa, wb):
     va = ref_mono_y_part(wa)
     if not va:
         # wa is a pure x-monomial; swap roles and flip the coefficient
-        r, wa, wb, va = R.neg(r), wb, wa, ref_mono_y_part(wb)
+        r, wa, wb, va = ref_neg(R, r), wb, wa, ref_mono_y_part(wb)
     ua = ref_mono_x_part(wa)
     ub = ref_mono_x_part(wb)
     da = dict(va)
@@ -893,7 +998,8 @@ def reynolds_step_at(p, which):
 
 # ---------------------------------------------------------------------------
 # reference ring: exactlin.Rationals as it was before integral scalars became
-# plain ints, every element a Fraction; differential tests run both
+# plain ints, every element a Fraction, and like it with no arithmetic of its
+# own; differential tests run both
 
 class FractionRationals(Record):
     """The field Q; elements are ``fractions.Fraction`` values.
@@ -909,18 +1015,6 @@ class FractionRationals(Record):
 
     def of(self, v) -> Fraction:
         return v if type(v) is Fraction else Fraction(v)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         if a == 0:
@@ -1226,7 +1320,8 @@ def ref_render(t: T.Term) -> str:
 
 # ---------------------------------------------------------------------------
 # reference polynomials over a field: exactlin's routines as they were when
-# every coefficient step called the ring's add, sub, mul and inv, and
+# every coefficient step called the ring's add, sub, mul and inv (now the
+# ref_ arithmetic above and the ring's inv), and
 # findim's degree sieve, which reduced chi through ZMod.of at each prime;
 # differential tests compare them with the plain-int routines
 
@@ -1241,7 +1336,7 @@ def ref_poly_sub(ring, f, g) -> tuple:
     n = max(len(f), len(g))
     f = tuple(f) + (ring.zero,) * (n - len(f))
     g = tuple(g) + (ring.zero,) * (n - len(g))
-    return ref_poly_trim(ring.sub(a, b) for a, b in zip(f, g))
+    return ref_poly_trim(ref_sub(ring, a, b) for a, b in zip(f, g))
 
 
 def ref_poly_mul(ring, f, g) -> tuple:
@@ -1252,7 +1347,7 @@ def ref_poly_mul(ring, f, g) -> tuple:
         if a:
             for j, b in enumerate(g):
                 if b:
-                    out[i + j] = ring.add(out[i + j], ring.mul(a, b))
+                    out[i + j] = ref_add(ring, out[i + j], ref_mul(ring, a, b))
     return ref_poly_trim(out)
 
 
@@ -1265,12 +1360,12 @@ def ref_poly_divmod(ring, f, g) -> tuple:
     q = [ring.zero] * max(len(r) - len(g) + 1, 0)
     inv = ring.inv(g[-1])
     while len(r) >= len(g):
-        c = ring.mul(r[-1], inv)
+        c = ref_mul(ring, r[-1], inv)
         shift = len(r) - len(g)
         q[shift] = c
         for i, b in enumerate(g):
             if b:
-                r[shift + i] = ring.sub(r[shift + i], ring.mul(c, b))
+                r[shift + i] = ref_sub(ring, r[shift + i], ref_mul(ring, c, b))
         while r and not r[-1]:
             r.pop()
     return tuple(q), tuple(r)
@@ -1284,11 +1379,11 @@ def ref_poly_gcd(ring, f, g) -> tuple:
     if not f:
         return ()
     inv = ring.inv(f[-1])
-    return tuple(ring.mul(inv, c) for c in f)
+    return tuple(ref_mul(ring, inv, c) for c in f)
 
 
 def ref_poly_derivative(ring, f) -> tuple:
-    return ref_poly_trim(ring.mul(ring.of(i), c) for i, c in enumerate(f) if i)
+    return ref_poly_trim(ref_mul(ring, ring.of(i), c) for i, c in enumerate(f) if i)
 
 
 def ref_poly_powmod(ring, f, e: int, m) -> tuple:
@@ -1344,8 +1439,8 @@ def ref_poly_root_mod_p(ring, f):
     g = ref_poly_gcd(ring, f, ref_poly_sub(ring, ref_poly_powmod(ring, t, p, f), t))
     while len(g) > 2:
         for s in range(p):
-            if not poly_eval(ring, g, ring.neg(s)):
-                return ring.neg(s)
+            if not poly_eval(ring, g, ref_neg(ring, s)):
+                return ref_neg(ring, s)
             h = ref_poly_powmod(ring, (s, ring.one), (p - 1) // 2, g)
             split = ref_poly_gcd(ring, g, ref_poly_sub(ring, h, (ring.one,)))
             if 1 < len(split) < len(g):
@@ -1353,7 +1448,7 @@ def ref_poly_root_mod_p(ring, f):
                 break
         else:
             raise RuntimeError("no shift splits the linear factors")
-    return ring.neg(g[0]) if len(g) == 2 else None
+    return ref_neg(ring, g[0]) if len(g) == 2 else None
 
 
 def ref_squarefree(R, f) -> bool:
@@ -1392,7 +1487,8 @@ def ref_degree_sieve(chi):
 # ---------------------------------------------------------------------------
 # reference kernels: exactlin's vector helpers, Matrix.apply and echelon loop,
 # and findim's product kernel and bracket builder as they were before each
-# reduced its updates with one inline % m, every step a ring method call;
+# reduced its updates with one inline % m, every step a call of the ref_
+# arithmetic above;
 # verbatim apart from the ref_ names, apply as a function that builds its
 # column form on every call, and the bracket's sparse cells built by the
 # BracketTable constructor from the finished table
@@ -1400,17 +1496,17 @@ def ref_degree_sieve(chi):
 def ref_vec_add(ring, u, v):
     if len(u) != len(v):
         raise ShapeError("vector length mismatch")
-    return tuple(ring.add(a, b) for a, b in zip(u, v))
+    return tuple(ref_add(ring, a, b) for a, b in zip(u, v))
 
 
 def ref_vec_sub(ring, u, v):
     if len(u) != len(v):
         raise ShapeError("vector length mismatch")
-    return tuple(ring.sub(a, b) for a, b in zip(u, v))
+    return tuple(ref_sub(ring, a, b) for a, b in zip(u, v))
 
 
 def ref_vec_scale(ring, c, v):
-    return tuple(ring.mul(c, a) for a in v)
+    return tuple(ref_mul(ring, c, a) for a in v)
 
 
 def ref_vec_dot(ring, u, v):
@@ -1419,7 +1515,7 @@ def ref_vec_dot(ring, u, v):
     acc = ring.zero
     for a, b in zip(u, v):
         if a and b:
-            acc = ring.add(acc, ring.mul(a, b))
+            acc = ref_add(ring, acc, ref_mul(ring, a, b))
     return acc
 
 
@@ -1433,12 +1529,12 @@ def ref_apply(m: Matrix, v) -> tuple:
     for j, x in enumerate(v):
         if x:
             for i, a in col_terms[j]:
-                out[i] = R.add(out[i], R.mul(a, x))
+                out[i] = ref_add(R, out[i], ref_mul(R, a, x))
     return tuple(out)
 
 
 def ref_sub_multiple(R, row, q, p) -> list:
-    return [R.sub(x, R.mul(q, y)) if y else x for x, y in zip(row, p)]
+    return [ref_sub(R, x, ref_mul(R, q, y)) if y else x for x, y in zip(row, p)]
 
 
 def ref_hnf_loop(R, rows, split: int):
@@ -1470,7 +1566,7 @@ def ref_hnf_loop(R, rows, split: int):
                 todo.append(ann)
         else:
             inv = R.inv(pr[c])
-            p = [R.mul(inv, x) if x else x for x in pr]
+            p = [ref_mul(R, inv, x) if x else x for x in pr]
             g = 1
             todo = [ref_sub_multiple(R, r, r[c], p) if r[c] else r for r in todo]
         for i, r in enumerate(done):
@@ -1485,7 +1581,7 @@ def ref_bilinear(R, cells, groups, y) -> list:
     d = len(cells)
     if len(y) != d:
         raise ShapeError("vector length mismatch")
-    add, mul, zero = R.add, R.mul, R.zero
+    add, mul, zero = partial(ref_add, R), partial(ref_mul, R), R.zero
     ys = [(j, yj) for j, yj in enumerate(y) if yj]
     outs = []
     for terms in groups:
@@ -1508,5 +1604,5 @@ def ref_bracket_table(A, products) -> BracketTable:
         for j in range(i + 1, d):
             if products[j][i] != products[i][j]:
                 g = ref_vec_sub(R, products[j][i], products[i][j])
-                table[i][j], table[j][i] = g, tuple(R.neg(x) for x in g)
+                table[i][j], table[j][i] = g, tuple(ref_neg(R, x) for x in g)
     return BracketTable(R, d, tuple(tuple(row) for row in table))

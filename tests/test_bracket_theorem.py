@@ -27,13 +27,15 @@ from support import (
     rand_averaging,
     rand_int_algebra,
     rand_sum_operator,
+    ref_mul,
+    ref_sub,
 )
 
 RINGS = [QQ, ZMod(2), ZMod(3), ZMod(5), ZMod(4), ZMod(6), ZMod(9), ZMod(12)]
 
 
 def _kron(R, u, v):
-    return tuple(R.mul(a, b) for a in u for b in v)
+    return tuple(ref_mul(R, a, b) for a in u for b in v)
 
 
 def _tensor(A, B):
@@ -86,7 +88,8 @@ def _monogenic(ring, f):
     while len(powers) < 2 * d - 1:
         # y * y^m, with y^d = -(f_0 + f_1 y + ... + f_(d-1) y^(d-1))
         prev = powers[-1]
-        powers.append(tuple(ring.sub(prev[k - 1] if k else ring.zero, ring.mul(prev[-1], f[k]))
+        powers.append(tuple(ref_sub(ring, prev[k - 1] if k else ring.zero,
+                                    ref_mul(ring, prev[-1], f[k]))
                             for k in range(d)))
     return StructureAlgebra.make(ring, powers[0],
                                  [[powers[i + j] for j in range(d)] for i in range(d)])

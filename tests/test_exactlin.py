@@ -19,12 +19,14 @@ from avgalg.exactlin import (
     NoSolution,
     NotAFieldError,
     QQ,
+    Rationals,
     RingError,
     ShapeError,
     Solution,
     Submodule,
     Subspace,
     ZMod,
+    _modulus,
     char_poly,
     distinct_degree_factors,
     nullspace,
@@ -62,12 +64,12 @@ class TestRings:
         # the canonical element of Q: an int when integral, else a Fraction
         for value in (QQ.zero, QQ.one, QQ.of(Fraction(4, 2)), QQ.of(3), QQ.of(True),
                       QQ.parse(" -6/3 "), QQ.parse("0/5"), QQ.inv(-1), QQ.inv(Fraction(1, 3)),
-                      QQ.add(Fraction(1, 2), Fraction(1, 2)),
-                      QQ.sub(Fraction(1, 2), Fraction(-1, 2)),
-                      QQ.mul(Fraction(2, 3), Fraction(3, 2)), QQ.mul(Fraction(1, 2), 4)):
+                      (Fraction(1, 2) + Fraction(1, 2)) % QQ,
+                      (Fraction(1, 2) - Fraction(-1, 2)) % QQ,
+                      Fraction(2, 3) * Fraction(3, 2) % QQ, Fraction(1, 2) * 4 % QQ):
             assert type(value) is int, repr(value)
-        for value in (QQ.of(0.5), QQ.parse("4/6"), QQ.inv(2), QQ.add(1, Fraction(1, 2)),
-                      QQ.mul(Fraction(2, 3), 2)):
+        for value in (QQ.of(0.5), QQ.parse("4/6"), QQ.inv(2), (1 + Fraction(1, 2)) % QQ,
+                      Fraction(2, 3) * 2 % QQ):
             assert type(value) is Fraction and value.denominator != 1, repr(value)
         assert QQ.of(7) == Fraction(7) and hash(QQ.of(7)) == hash(Fraction(7))
 
@@ -90,7 +92,7 @@ class TestRings:
     def test_zmod_canonical(self):
         z6 = ZMod(6)
         assert z6.of(-1) == 5
-        assert z6.add(4, 5) == 3
+        assert (4 + 5) % _modulus(z6) == 3
         assert not z6.is_field
         assert ZMod(7).is_field
 
@@ -105,7 +107,7 @@ class TestRings:
 
     def test_zmod_inverse(self):
         z7 = ZMod(7)
-        assert z7.mul(z7.inv(3), 3) == 1
+        assert z7.inv(3) * 3 % z7.n == 1
         with pytest.raises(RingError):
             ZMod(6).inv(2)
 
@@ -114,6 +116,36 @@ class TestRings:
         assert ZMod(7).of(Fraction(1, 2)) == 4
         with pytest.raises(RingError):
             ZMod(6).of(Fraction(1, 2))
+
+    def test_zmod_reads_a_float_exactly(self):
+        # 0.5 is 1/2, so 3 mod 5, as Fraction(1, 2) is; it used to truncate to 0
+        assert ZMod(5).of(0.5) == 3
+        assert ZMod(5).of(2.7) == ZMod(5).of(Fraction(2.7)) != 2
+        with pytest.raises(RingError):
+            ZMod(4).of(0.5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7, 10**18 + 3, 4, 6, 9, 12]),
+           st.one_of(st.integers(-10**20, 10**20),
+                     st.fractions(max_denominator=60),
+                     st.builds(lambda k, e: k / 2**e, st.integers(-2**20, 2**20),
+                               st.integers(0, 12))))
+    def test_zmod_reads_every_number_as_q_does(self, n, v):
+        # ints, Fractions and dyadic floats, the last exact as floats
+        R = ZMod(n)
+        try:
+            want = R.of(QQ.of(v))
+        except RingError:
+            with pytest.raises(RingError):
+                R.of(v)
+            return
+        got = R.of(v)
+        assert got == want and type(got) is int
+
+    def test_rings_carry_no_arithmetic(self):
+        for ring in (Rationals, ZMod):
+            assert not any(hasattr(ring, op) for op in ("add", "sub", "mul", "neg"))
+        assert Rationals.__rmod__ is Rationals.of
 
     def test_scalars_are_constants(self):
         assert QQ.zero is QQ.zero
@@ -410,7 +442,7 @@ class TestPolynomials:
     def test_root_mod_large_prime(self):
         F = ZMod(1_000_003)
         # (t - 123456)(t - 7)(t^2 + 1); -1 is not a square mod 1000003
-        f = poly_mul(F, poly_mul(F, (F.neg(123456), 1), (F.neg(7), 1)), (1, 0, 1))
+        f = poly_mul(F, poly_mul(F, (-123456 % F.n, 1), (-7 % F.n, 1)), (1, 0, 1))
         assert poly_root_mod_p(F, f) in (7, 123456)
         assert poly_root_mod_p(F, (1, 0, 1)) is None
 
@@ -594,7 +626,7 @@ class TestCanonicalQ:
         # F(a) = k for a = k*i, and -k is an eigenvalue: integral or not
         for k in (Fraction(2), Fraction(3, 2), Fraction(-4, 2)):
             pairs = FD.ad_eigen(qi, im, (0, k))
-            assert QQ.neg(QQ.of(k)) in dict(pairs)
+            assert -QQ.of(k) in dict(pairs)
             assert_canonical_q(pairs)
         rng = random.Random(5)
         for _ in range(20):

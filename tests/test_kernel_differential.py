@@ -1,8 +1,8 @@
 """The inline-reduction kernels agree with the ring-method references.
 
 ``findim``'s product kernel and bracket builder and ``exactlin``'s
-``Matrix.apply``, echelon loop and vector helpers compute with Python's own
-``+ - *`` on ring values and reduce each updated entry with one ``% m``.
+``Matrix`` arithmetic, echelon loop and vector helpers compute with Python's
+own ``+ - *`` on ring values and reduce each updated entry with one ``% m``.
 ``tests/support.py`` keeps them as they were when every step called the
 ring's methods.  Random tables, matrices and vectors, mostly zero, are
 compared over Q (denominators up to 4), over Z/p for small primes and one
@@ -123,6 +123,23 @@ def test_apply_and_vector_helpers_match_the_reference(inputs):
     assert_same(ring, vec_dot(ring, u, w), ref_vec_dot(ring, u, w))
     assert_same(ring, _sub_multiple(_modulus(ring), list(u), c, w),
                 ref_sub_multiple(ring, list(u), c, w))
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_inputs(), st.data())
+def test_matrix_arithmetic_matches_the_reference(inputs, data):
+    ring, m, c = inputs[0], inputs[1], inputs[5]
+    other = Matrix(ring, m.rows, m.cols,
+                   tuple(data.draw(vectors(ring, m.cols)) for _ in range(m.rows)))
+    k = data.draw(st.integers(1, 4))
+    right = Matrix(ring, m.cols, k, tuple(data.draw(vectors(ring, k)) for _ in range(m.cols)))
+    pairs = list(zip(m.entries, other.entries))
+    assert_same(ring, m.add(other).entries, tuple(ref_vec_add(ring, r, s) for r, s in pairs))
+    assert_same(ring, m.sub(other).entries, tuple(ref_vec_sub(ring, r, s) for r, s in pairs))
+    assert_same(ring, m.scale(c).entries, tuple(ref_vec_scale(ring, c, r) for r in m.entries))
+    assert_same(ring, m.mul(right).entries,
+                tuple(tuple(ref_vec_dot(ring, r, right.col(j)) for j in range(k))
+                      for r in m.entries))
 
 
 @settings(max_examples=300, deadline=None)

@@ -6,6 +6,7 @@ asserts equal results, and that every number in the QQ result is an int or
 a Fraction with denominator above 1.
 """
 
+import operator
 import random
 from fractions import Fraction
 
@@ -100,6 +101,20 @@ def test_solve_linear_matches_the_fraction_ring(rows, data):
     assert_same(solve_linear(m, b), solve_linear(ref, b))
 
 
+@settings(max_examples=100, deadline=None)
+@given(matrices(), st.data())
+def test_matrix_arithmetic_matches_the_fraction_ring(rows, data):
+    m, ref = both(rows)
+    other = both([[data.draw(scalars) for _ in row] for row in rows])
+    k = data.draw(st.integers(1, 4))
+    right = both([[data.draw(scalars) for _ in range(k)] for _ in range(m.cols)])
+    c = data.draw(scalars)
+    assert_same(m.add(other[0]), ref.add(other[1]))
+    assert_same(m.sub(other[0]), ref.sub(other[1]))
+    assert_same(m.scale(c), ref.scale(c))
+    assert_same(m.mul(right[0]), ref.mul(right[1]))
+
+
 def over_fraction_ring(A, F):
     return (StructureAlgebra.make(FRACTION_QQ, A.unit, A.mul),
             Matrix.from_rows(FRACTION_QQ, F.entries))
@@ -165,9 +180,8 @@ def test_the_rings_differ_only_in_representation():
     for _ in range(2000):
         a = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         b = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        for op in ("add", "sub", "mul"):
-            assert_same(getattr(QQ, op)(QQ.of(a), QQ.of(b)),
-                        getattr(FRACTION_QQ, op)(a, b))
+        for op in (operator.add, operator.sub, operator.mul):
+            assert_same(op(QQ.of(a), QQ.of(b)) % QQ, op(a, b))
         if b:
             assert_same(QQ.inv(QQ.of(b)), FRACTION_QQ.inv(b))
         text = f"{a.numerator}/{a.denominator}"

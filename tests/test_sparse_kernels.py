@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from avgalg.exactlin import QQ, Matrix, ZMod, rref, vec_dot
 from avgalg.findim import BracketTable, StructureAlgebra, _terms
+from support import ref_add, ref_mul, ref_sub
 
 RINGS = [QQ, ZMod(2), ZMod(5), ZMod(6), ZMod(12)]
 FIELDS = [QQ, ZMod(2), ZMod(5), ZMod(7)]
@@ -72,15 +73,15 @@ def dense_bilinear(ring, d, table, x, y):
     for i in range(d):
         for j in range(d):
             for k in range(d):
-                term = ring.mul(ring.mul(x[i], y[j]), table[i][j][k])
-                out[k] = ring.add(out[k], term)
+                term = ref_mul(ring, ref_mul(ring, x[i], y[j]), table[i][j][k])
+                out[k] = ref_add(ring, out[k], term)
     return tuple(out)
 
 
 def dense_dot(ring, u, v):
     acc = ring.zero
     for a, b in zip(u, v):
-        acc = ring.add(acc, ring.mul(a, b))
+        acc = ref_add(ring, acc, ref_mul(ring, a, b))
     return acc
 
 
@@ -99,11 +100,11 @@ def dense_rref(m):
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = R.inv(rows[r][c])
-        rows[r] = [R.mul(inv, x) for x in rows[r]]
+        rows[r] = [ref_mul(R, inv, x) for x in rows[r]]
         for i in range(m.rows):
             if i != r:
                 f = rows[i][c]
-                rows[i] = [R.sub(x, R.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+                rows[i] = [ref_sub(R, x, ref_mul(R, f, y)) for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == m.rows:
