@@ -32,7 +32,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd
+from math import gcd, log10
+from operator import mul
 from typing import Union
 
 from ._record import Record, set_field
@@ -102,6 +103,24 @@ def _decimal_str(n: int) -> str:
     return sign + str(n) + "".join(reversed(chunks))
 
 
+# the size bound, in bits, of a literal's value, here and for a folded power
+# in terms.  Fraction builds 10^e exactly for an exponent e, and before
+# Python 3.11 int() reads a long digit string in quadratic time, so a literal
+# is measured before it is read: k characters before its exponent e give a
+# numerator and a denominator of at most k + |e| decimal digits
+_MAX_LITERAL_BITS = 1 << 20
+_MAX_LITERAL_DIGITS = int(_MAX_LITERAL_BITS * log10(2))
+
+
+def _check_literal_size(text: str) -> None:
+    head, _, exp = text.lower().partition("e")
+    # seven significant digits of the exponent are past the bound already
+    exp = exp.lstrip("+-").replace("_", "").lstrip("0")[:7]
+    if len(head) + (int(exp) if exp.isdecimal() else 0) > _MAX_LITERAL_DIGITS:
+        raise RingError(f"literal {text[:30]!r}{'...' * (len(text) > 30)} is too large: "
+                        f"more than {_MAX_LITERAL_DIGITS} digits with its exponent")
+
+
 class Rationals(Record):
     """The field Q; an element is an ``int`` when it is integral and a
     ``fractions.Fraction`` (lowest terms, positive denominator) otherwise.
@@ -139,6 +158,7 @@ class Rationals(Record):
     def parse(self, text: str) -> int | Fraction:
         if not isinstance(text, str):
             raise RingError(f"rational literal must be a string, got {text!r}")
+        _check_literal_size(text.strip())
         try:
             return self.of(Fraction(text.strip()))
         except (ValueError, ZeroDivisionError) as exc:
@@ -188,6 +208,7 @@ class ZMod(Record):
     def parse(self, text: str) -> int:
         if not isinstance(text, str):
             raise RingError(f"residue literal must be a string, got {text!r}")
+        _check_literal_size(text.strip())
         try:
             return int(text.strip(), 10) % self.n
         except ValueError as exc:
@@ -563,18 +584,25 @@ def solve_linear(a: Matrix, b) -> Union[NoSolution, Solution]:
 
 
 def nullspace(m: Matrix) -> Subspace:
-    """Exact basis of {x : m·x = 0} over a field."""
-    R, mod = m.ring, _modulus(m.ring)
-    red, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
-    vectors = []
-    for fc in free:
-        v = [R.zero] * m.cols
-        v[fc] = R.one
-        for r, pc in enumerate(pivots):
-            v[pc] = -red.entries[r][fc] % mod
-        vectors.append(v)
-    return Subspace(R, m.cols, _hnf(R, m.cols, vectors))
+    """Exact basis of {x : m·x = 0} over a field, in canonical form.
+
+    One elimination of m with its columns reversed: the null vector of its
+    free column f is 1 at column n-1-f of m, 0 at the other free columns and
+    nonzero elsewhere only right of n-1-f, at pivots.  So in descending f
+    these vectors are already the reduced row echelon basis of the kernel."""
+    R, mod, n = m.ring, _modulus(m.ring), m.cols
+    if not R.is_field:
+        raise NotAFieldError(f"rref needs a field, got {R.name}")
+    rows, pivots = _hnf_full(R, [row[::-1] for row in m.entries], n)
+    basis = []
+    for f in sorted(set(range(n)).difference(pivots), reverse=True):
+        v = [R.zero] * n
+        v[n - 1 - f] = R.one
+        for row, pc in zip(rows, pivots):
+            if row[f]:
+                v[n - 1 - pc] = -row[f] % mod
+        basis.append(tuple(v))
+    return Subspace(R, n, tuple(basis))
 
 
 # ---------------------------------------------------------------------------
@@ -593,27 +621,19 @@ def char_poly(m: Matrix) -> tuple:
     n = m.rows
     if n == 0:
         return (R.one,)
-    A = [list(row) for row in m.entries]
+    A = m.entries
     # descending coefficients for leading principal blocks, grown one row/col
-    # at a time through lower-triangular Toeplitz transforms
+    # at a time through lower-triangular Toeplitz transforms; every dot
+    # product and convolution term is one sum reduced once, and map stops at
+    # its shorter argument, so a full row of A dots with the leading k
     poly = [R.one, -A[0][0] % mod]
-    for size in range(2, n + 1):
-        k = size - 1
-        M = [row[:k] for row in A[:k]]
-        neg_row = [-A[k][j] % mod for j in range(k)]
-        col = [A[i][k] for i in range(k)]
+    for k in range(1, n):
         items = [R.one, -A[k][k] % mod]
-        vec = col
-        for _ in range(size - 1):
-            items.append(vec_dot(R, neg_row, vec))
-            vec = [vec_dot(R, row, vec) for row in M]
-        new = []
-        for i in range(size + 1):
-            acc = R.zero
-            for j in range(0, min(i, size - 1) + 1):
-                acc = (acc + items[i - j] * poly[j]) % mod
-            new.append(acc)
-        poly = new
+        vec = [A[i][k] for i in range(k)]
+        for _ in range(k):
+            items.append(-sum(map(mul, A[k], vec)) % mod)
+            vec = [sum(map(mul, row, vec)) % mod for row in A[:k]]
+        poly = [sum(map(mul, items[i::-1], poly)) % mod for i in range(k + 2)]
     return tuple(reversed(poly))
 
 

@@ -42,7 +42,7 @@ from enum import Enum
 from fractions import Fraction
 
 from ._record import Record, set_field
-from .exactlin import QQ
+from .exactlin import QQ, _MAX_LITERAL_BITS
 
 
 class Term(Record):
@@ -223,12 +223,6 @@ def _int(text: str, k: int, digits: str, unsigned: str = "") -> int:
 # the field types a hash-consing key holds by value, not by id
 _SCALARS = frozenset((int, Fraction, type(None)))
 
-# the size bound, in bits, of a folded literal power, estimated as the
-# exponent times the bit length of the base: a power of 2^20 bits folds in
-# milliseconds, while folding "2^777777777777" would run for hours and fill
-# memory before any error
-_MAX_LITERAL_BITS = 1 << 20
-
 
 def _parse(text: str, equation: bool):
     """The term (or equation) of text, read in one pass over its tokens.
@@ -326,6 +320,9 @@ def _parse(text: str, equation: bool):
                     n = _int(text, i + 1, toks[i + 1], "expected digits")
                     i += 2
                     if type(value) is Fraction:
+                        # the power's size, estimated as n times the bit
+                        # length of the base, is bounded: 2^20 bits fold in
+                        # milliseconds, "2^777777777777" would run for hours
                         big = max(abs(value.numerator), value.denominator)
                         if n > 1 and big > 1 and n * big.bit_length() > _MAX_LITERAL_BITS:
                             raise _error(text, i - 1, "literal power too large")

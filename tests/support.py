@@ -15,8 +15,8 @@ from math import gcd, lcm
 from avgalg._record import Record
 from avgalg import findim as FD
 from avgalg.exactlin import (
-    Matrix, QQ, RingError, ShapeError, Submodule, Subspace, ZMod, _pivot_unit, _prime_field,
-    nullspace, poly_eval, vec_add, zero_vec)
+    Matrix, QQ, RingError, ShapeError, Submodule, Subspace, ZMod, _hnf, _modulus, _pivot_unit,
+    _prime_field, nullspace, poly_eval, rref, vec_add, vec_dot, zero_vec)
 from avgalg import terms as T
 from avgalg.freeavg import (
     FAElement, FreePoly, Mode, NotInKernelError, X_ONE, Y_ONE_GEN, mono, x_gen, y_gen)
@@ -1606,3 +1606,62 @@ def ref_bracket_table(A, products) -> BracketTable:
                 g = ref_vec_sub(R, products[j][i], products[i][j])
                 table[i][j], table[j][i] = g, tuple(ref_neg(R, x) for x in g)
     return BracketTable(R, d, tuple(tuple(row) for row in table))
+
+
+# ---------------------------------------------------------------------------
+# reference kernel and characteristic polynomial: exactlin's nullspace as it
+# was when it read the null vectors off rref(m) and put them in canonical
+# form with a second elimination, and char_poly as it was when every dot
+# product was a vec_dot call on copied rows; verbatim apart from the ref_
+# names
+
+def ref_nullspace(m: Matrix) -> Subspace:
+    """Exact basis of {x : m·x = 0} over a field."""
+    R, mod = m.ring, _modulus(m.ring)
+    red, pivots = rref(m)
+    free = [c for c in range(m.cols) if c not in pivots]
+    vectors = []
+    for fc in free:
+        v = [R.zero] * m.cols
+        v[fc] = R.one
+        for r, pc in enumerate(pivots):
+            v[pc] = -red.entries[r][fc] % mod
+        vectors.append(v)
+    return Subspace(R, m.cols, _hnf(R, m.cols, vectors))
+
+
+def ref_char_poly(m: Matrix) -> tuple:
+    """Coefficients of det(tI - m), ascending, ending in the leading 1.
+
+    Berkowitz's division-free algorithm: only ring additions and
+    multiplications occur, so no intermediate denominators appear over Q and
+    the routine is valid over any commutative coefficient ring.
+    """
+    if m.rows != m.cols:
+        raise ShapeError("characteristic polynomial needs a square matrix")
+    R, mod = m.ring, _modulus(m.ring)
+    n = m.rows
+    if n == 0:
+        return (R.one,)
+    A = [list(row) for row in m.entries]
+    # descending coefficients for leading principal blocks, grown one row/col
+    # at a time through lower-triangular Toeplitz transforms
+    poly = [R.one, -A[0][0] % mod]
+    for size in range(2, n + 1):
+        k = size - 1
+        M = [row[:k] for row in A[:k]]
+        neg_row = [-A[k][j] % mod for j in range(k)]
+        col = [A[i][k] for i in range(k)]
+        items = [R.one, -A[k][k] % mod]
+        vec = col
+        for _ in range(size - 1):
+            items.append(vec_dot(R, neg_row, vec))
+            vec = [vec_dot(R, row, vec) for row in M]
+        new = []
+        for i in range(size + 1):
+            acc = R.zero
+            for j in range(0, min(i, size - 1) + 1):
+                acc = (acc + items[i - j] * poly[j]) % mod
+            new.append(acc)
+        poly = new
+    return tuple(reversed(poly))

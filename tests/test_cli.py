@@ -138,6 +138,18 @@ def test_bad_primary_coefficient_exits_two(capsys):
     assert "Traceback" not in err
 
 
+def test_huge_primary_coefficient_exits_two_at_once(capsys):
+    # Fraction would build 10^999999999 exactly, for hours
+    start = time.perf_counter()
+    code = main(["primary", "--", "1e999999999", "1"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: literal '1e999999999' is too large")
+    assert "Traceback" not in err
+    assert elapsed < 1.0
+
+
 def test_scalar_default_env(monkeypatch, capsys):
     monkeypatch.setenv("AVG_SCALAR_DEFAULT", "Zmod:5")
     code = main(["eval", "--mode", "plain", "5*f(v1)"])

@@ -161,6 +161,27 @@ class TestRings:
         with pytest.raises(RingError):
             ring.parse(value)
 
+    @pytest.mark.parametrize("text", ["1e999999999", "1e-999999999", " 1E+0_999_999 ",
+                                      "1e315652", "1" * 400_000])
+    def test_rational_literal_past_the_bound_is_refused_at_once(self, text):
+        start = time.perf_counter()
+        with pytest.raises(RingError, match="too large"):
+            QQ.parse(text)
+        assert time.perf_counter() - start < 1.0
+
+    def test_rational_literals_within_the_bound_parse(self):
+        assert QQ.parse("1e3") == 1000
+        assert QQ.parse("0.5") == Fraction(1, 2)
+        assert QQ.parse("-1/2") == Fraction(-1, 2)
+        assert QQ.parse("1e400") == 10 ** 400
+        assert QQ.parse("1e-400") == Fraction(1, 10 ** 400)
+        # the largest exponent of 10 the bound admits is within 2^20 bits
+        assert QQ.parse("1e315651").bit_length() <= 1 << 20
+
+    def test_residue_literal_past_the_bound_is_refused(self):
+        with pytest.raises(RingError, match="too large"):
+            ZMod(6).parse("1" * 400_000)
+
     def test_ring_names_roundtrip(self):
         assert ring_from_name("Q") is QQ
         assert ring_from_name("Zmod:6") == ZMod(6)

@@ -4,7 +4,8 @@
 ``Matrix`` arithmetic, echelon loop and vector helpers compute with Python's
 own ``+ - *`` on ring values and reduce each updated entry with one ``% m``.
 ``tests/support.py`` keeps them as they were when every step called the
-ring's methods.  Random tables, matrices and vectors, mostly zero, are
+ring's methods, ``nullspace`` as it was when it took two eliminations, and
+``char_poly`` as it was when every dot product was a ``vec_dot`` call.  Random tables, matrices and vectors, mostly zero, are
 compared over Q (denominators up to 4), over Z/p for small primes and one
 prime near 10^18, over Z/4, Z/6, Z/9 and Z/12, and over the all-Fraction
 reference ring.  Equal values are not enough over Q, where 2 == Fraction(2),
@@ -16,6 +17,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avgalg import exactlin
 from avgalg import findim as FD
 from avgalg.exactlin import (
     Matrix,
@@ -24,6 +26,8 @@ from avgalg.exactlin import (
     _hnf_full,
     _modulus,
     _sub_multiple,
+    char_poly,
+    nullspace,
     vec_add,
     vec_dot,
     vec_scale,
@@ -35,7 +39,9 @@ from support import (
     ref_apply,
     ref_bilinear,
     ref_bracket_table,
+    ref_char_poly,
     ref_hnf_loop,
+    ref_nullspace,
     ref_sub_multiple,
     ref_vec_add,
     ref_vec_dot,
@@ -176,3 +182,59 @@ def test_bracket_table_matches_the_reference(inputs):
     assert L == ref and L._cells == ref._cells
     assert_canonical(ring, L.table)
     assert_canonical(ring, [c for row in L._cells for cell in row for _, c in cell])
+
+
+FIELDS = [ring for ring in RINGS if ring.is_field]
+
+
+@st.composite
+def matrices(draw, rings, square=False):
+    """A ring and a matrix over it, 0 rows or 0 columns included."""
+    ring = draw(st.sampled_from(rings))
+    rows = draw(st.integers(0, 6))
+    cols = rows if square else draw(st.integers(0, 6))
+    return ring, Matrix(ring, rows, cols, tuple(draw(vectors(ring, cols)) for _ in range(rows)))
+
+
+def assert_reduced_echelon(ring, basis):
+    """Nonzero rows whose leading entries are 1, in increasing columns, and
+    zero in every other row."""
+    leads = [next(j for j, x in enumerate(b) if x) for b in basis]
+    assert leads == sorted(set(leads))
+    for i, j in enumerate(leads):
+        assert basis[i][j] == ring.one
+        assert all(not other[j] for k, other in enumerate(basis) if k != i)
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrices(FIELDS))
+def test_nullspace_matches_the_reference(inputs):
+    ring, m = inputs
+    ker = nullspace(m)
+    assert ker == ref_nullspace(m)
+    assert_canonical(ring, ker.basis)
+    assert_reduced_echelon(ring, ker.basis)
+    for v in ker.basis:
+        assert not any(ref_apply(m, v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(RINGS, square=True))
+def test_char_poly_matches_the_reference(inputs):
+    ring, m = inputs
+    assert_same(ring, char_poly(m), ref_char_poly(m))
+
+
+def test_nullspace_is_one_elimination(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _hnf_full(*args)
+
+    monkeypatch.setattr(exactlin, "_hnf_full", counted)
+    for ring in (QQ, ZMod(5)):
+        m = Matrix.from_rows(ring, [[1, 2, 0, 3], [2, 4, 1, 1], [3, 6, 1, 4]])
+        calls.clear()
+        assert nullspace(m).dim == 2
+        assert len(calls) == 1

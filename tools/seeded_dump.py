@@ -1,0 +1,136 @@
+"""Print what exactlin and findim return on seeded random inputs.
+
+For seeds 1-3 and each scalar ring Q, Z/2, Z/3, Z/5, Z/7, Z/4, Z/6, Z/9 and
+Z/12, the script draws small matrices and monogenic algebras R[y]/(f), one
+of them a field over Q, with three operators each (multiplication by an
+element, a functional x -> lam(x)·1, and an arbitrary matrix).  It prints
+one line per call of rref, nullspace, submodule_kernel, solve_linear,
+char_poly, lie_analysis, ad_eigen, induced_by_averaging, check_domain and
+kernel_equals_brackets.
+A result is printed as its repr, so an int and an equal Fraction differ; a
+refusal as its exception type and arguments, witnesses included.
+
+Two trees, or two interpreters, compute the same values on these inputs
+exactly when their dumps are byte-identical:
+
+    PYTHONPATH=src python3 tools/seeded_dump.py > new.txt
+    PYTHONPATH=/path/to/other/checkout/src python3 tools/seeded_dump.py > old.txt
+    diff old.txt new.txt
+
+Standard library only; the package is imported from PYTHONPATH.
+"""
+
+import random
+import sys
+from fractions import Fraction
+
+from avgalg import exactlin as EL
+from avgalg import findim as FD
+
+SEEDS = (1, 2, 3)
+MODULI = (2, 3, 5, 7, 4, 6, 9, 12)
+
+
+def call(out, name, fn, *args):
+    """One line: the call's name and its result, or the refusal."""
+    try:
+        result = repr(fn(*args))
+    except (ArithmeticError, ValueError, RuntimeError) as exc:
+        result = refusal(exc)
+    out.write(f"  {name}: {result}\n")
+
+
+def refusal(exc) -> str:
+    """The exception's type, message and witness attributes."""
+    return f"{type(exc).__name__}{exc.args!r} {sorted(vars(exc).items())!r}"
+
+
+def scalar(rng, ring):
+    """Zero about half the time, else a small value: over Q a fraction with
+    denominator up to 3."""
+    if rng.random() < 0.5:
+        return ring.zero
+    if ring is EL.QQ:
+        return ring.of(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    return ring.of(rng.randrange(ring.n))
+
+
+def matrix(rng, ring, rows, cols):
+    return EL.Matrix(ring, rows, cols,
+                     tuple(tuple(scalar(rng, ring) for _ in range(cols)) for _ in range(rows)))
+
+
+def monogenic(ring, f):
+    """R[y]/(f) for monic f (ascending coefficients) in the basis of powers
+    of y."""
+    d, m = len(f) - 1, EL._modulus(ring)
+    powers = [tuple(ring.one if i == k else ring.zero for i in range(d)) for k in range(d)]
+    while len(powers) < 2 * d - 1:
+        prev = powers[-1]
+        shifted = (ring.zero,) + prev[:-1]
+        powers.append(tuple((s - prev[-1] * c) % m for s, c in zip(shifted, f)))
+    mul = tuple(tuple(powers[i + j] for j in range(d)) for i in range(d))
+    return FD.StructureAlgebra.make(ring, powers[0], mul)
+
+
+def dump_linear(out, rng, ring):
+    for _ in range(3):
+        m = matrix(rng, ring, rng.randint(0, 5), rng.randint(0, 5))
+        out.write(f" matrix {m.entries!r}\n")
+        call(out, "rref", EL.rref, m)
+        call(out, "nullspace", EL.nullspace, m)
+        call(out, "solve_linear", EL.solve_linear, m,
+             tuple(scalar(rng, ring) for _ in range(m.rows)))
+        if ring is not EL.QQ:
+            call(out, "submodule_kernel", EL.submodule_kernel, ring, m)
+    for _ in range(2):
+        d = rng.randint(0, 5)
+        m = matrix(rng, ring, d, d)
+        out.write(f" square {m.entries!r}\n")
+        call(out, "char_poly", EL.char_poly, m)
+
+
+def dump_findim(out, rng, ring):
+    for k in range(3):
+        d = rng.randint(1, 4)
+        f = tuple(scalar(rng, ring) for _ in range(d)) + (ring.one,)
+        if k == 0 and ring is EL.QQ:
+            # y^d - c with |c| prime is Eisenstein: a field, where ad_eigen runs
+            f = (rng.choice((-3, -2, 2, 3, 5)),) + (0,) * (d - 1) + (1,)
+        A = monogenic(ring, f)
+        out.write(f" algebra y^{d} + ... with coefficients {f!r}\n")
+        call(out, "check_domain", FD.check_domain, A)
+        a = tuple(scalar(rng, ring) for _ in range(d))
+        lam = [scalar(rng, ring) for _ in range(d)]
+        operators = {
+            "multiplication": EL.Matrix.from_cols(ring, A.row_products(a)),
+            "functional": EL.Matrix.from_rows(
+                ring, [lam] + [[ring.zero] * d for _ in range(d - 1)]),
+            "arbitrary": matrix(rng, ring, d, d),
+        }
+        for name, F in operators.items():
+            out.write(f"  operator {name} {F.entries!r}\n")
+            call(out, "kernel_equals_brackets", FD.kernel_equals_brackets, A, F)
+            call(out, "lie_analysis", FD.lie_analysis, A, F)
+            call(out, "ad_eigen", FD.ad_eigen, A, F,
+                 tuple(scalar(rng, ring) for _ in range(d)))
+            try:
+                L = FD.raw_bracket(A, F)
+            except (ArithmeticError, ValueError) as exc:
+                out.write(f"  raw_bracket: {refusal(exc)}\n")
+                continue
+            call(out, "induced_by_averaging", FD.induced_by_averaging, A, L)
+
+
+def main(out=sys.stdout) -> None:
+    rings = [EL.QQ] + [EL.ZMod(n) for n in MODULI]
+    for seed in SEEDS:
+        for ring in rings:
+            out.write(f"seed {seed} ring {ring.name}\n")
+            rng = random.Random(f"{seed} {ring.name}")
+            dump_linear(out, rng, ring)
+            dump_findim(out, rng, ring)
+
+
+if __name__ == "__main__":
+    main()
