@@ -201,10 +201,11 @@ def cmd_lie_analyze(args) -> int:
 def cmd_chain(args) -> int:
     ring = _scalar_default()
     stages = FA.chain_witness(args.x_count, args.n, ring)
+    # each stage extends the one before, so the last renders every generator
+    names = [g.render() for g in stages[-1]]
     doc = {"x_count": args.x_count, "n": args.n,
-           "stages": [[g.render() for g in stage] for stage in stages]}
-    lines = [f"stage {k + 1}: {', '.join(g.render() for g in stage)}"
-             for k, stage in enumerate(stages)]
+           "stages": [names[:k] for k in range(1, args.n + 1)]}
+    lines = [f"stage {k}: {', '.join(names[:k])}" for k in range(1, args.n + 1)]
     _emit(doc, args.json, "\n".join(lines))
     return 0
 

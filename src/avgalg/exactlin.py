@@ -30,6 +30,7 @@ slot; filling it is idempotent, so a race at most computes it twice.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, log10
@@ -84,8 +85,9 @@ def _is_prime(n: int) -> bool:
 
 
 # Python 3.11+ refuses str() of an int past sys.get_int_max_str_digits()
-# decimal digits, and that limit is at least 640 when it is on; numbers are
-# converted in chunks of _CHUNK_DIGITS digits, below any limit
+# decimal digits, and int() of a longer string; that limit is at least 640
+# when it is on, so numbers are written and read in chunks of _CHUNK_DIGITS
+# digits, below any limit
 _CHUNK_DIGITS = 600
 _CHUNK = 10 ** _CHUNK_DIGITS
 
@@ -101,6 +103,45 @@ def _decimal_str(n: int) -> str:
         n, r = divmod(n, _CHUNK)
         chunks.append(f"{r:0{_CHUNK_DIGITS}d}")
     return sign + str(n) + "".join(reversed(chunks))
+
+
+# the literals int() reads, and those Fraction reads as in Python 3.11: a
+# sign, a numerator, then a denominator or a fractional part and an exponent;
+# only a long literal needs them, so re compiles them on first use
+_INT = r"[-+]?\d+(?:_\d+)*"
+_RATIONAL = (r"\s*([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*)|"
+             r"(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?)\s*")
+
+
+def _decimal_int(s: str) -> int:
+    """``int(s)`` for a literal of any length, whatever the interpreter's
+    limit: one of _CHUNK_DIGITS characters or more is matched against
+    ``_INT`` and read in chunks, as ``_decimal_str`` writes them."""
+    if len(s) < _CHUNK_DIGITS:
+        return int(s)
+    if not re.fullmatch(_INT, s):
+        raise ValueError(f"invalid literal for int() with base 10: {s[:20]!r}...")
+    digits = s.lstrip("+-").replace("_", "")
+    head = len(digits) % _CHUNK_DIGITS or _CHUNK_DIGITS
+    n = int(digits[:head])
+    for k in range(head, len(digits), _CHUNK_DIGITS):
+        n = n * _CHUNK + int(digits[k:k + _CHUNK_DIGITS])
+    return -n if s[0] == "-" else n
+
+
+def _fraction(text: str) -> Fraction:
+    """``Fraction(text)`` for a literal of any length, whatever the
+    interpreter's limit: one of _CHUNK_DIGITS characters or more is matched
+    against ``_RATIONAL`` and has its digits read by ``_decimal_int``."""
+    if len(text) < _CHUNK_DIGITS:
+        return Fraction(text)
+    m = re.fullmatch(_RATIONAL, text)
+    if m is None:
+        raise ValueError(f"Invalid literal for Fraction: {text[:20]!r}...")
+    sign, num, den, frac, exp = m.groups()
+    frac = (frac or "").replace("_", "")
+    value = Fraction(_decimal_int(num + frac or "0"), _decimal_int(den) if den else 10 ** len(frac))
+    return (-value if sign == "-" else value) * Fraction(10) ** _decimal_int(exp or "0")
 
 
 # the size bound, in bits, of a literal's value, here and for a folded power
@@ -160,7 +201,7 @@ class Rationals(Record):
             raise RingError(f"rational literal must be a string, got {text!r}")
         _check_literal_size(text.strip())
         try:
-            return self.of(Fraction(text.strip()))
+            return self.of(_fraction(text.strip()))
         except (ValueError, ZeroDivisionError) as exc:
             raise RingError(f"bad rational literal {text!r}: {exc}") from None
 
@@ -210,7 +251,7 @@ class ZMod(Record):
             raise RingError(f"residue literal must be a string, got {text!r}")
         _check_literal_size(text.strip())
         try:
-            return int(text.strip(), 10) % self.n
+            return _decimal_int(text.strip()) % self.n
         except ValueError as exc:
             raise RingError(f"bad residue literal {text!r}: {exc}") from None
 

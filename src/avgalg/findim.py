@@ -25,15 +25,18 @@ associativity triples holding it.  Every check forms its products with
 one vector v in one pass of the product kernel: the row products e_i * v
 for all i, and the pairwise products x * v of the other vectors x the
 scan pairs with v (F(e_i) * F(e_j) in ``is_averaging``, the Jacobi terms
-[e_m, [e_i, e_j]] in ``check_lie``, the brackets of a derived stage, the
-products of an image power).  The products are formed up front and the
-scan keeps its order over them, so the first failure is unchanged.
+[e_m, [e_i, e_j]] in ``check_lie``, the products of a lower central stage
+or of an image power with the image).  The products are formed up front
+and the scan keeps its order over them, so the first failure is unchanged.
 
 A pass of ``verify_algebra`` is carried in the algebra, and every function
 that relies on the laws refuses an algebra that fails them with
 ``NotAnAlgebraError``.  So the paper's starting theorem, that an averaging
-operator induces a Lie bracket, holds by hypothesis: it is tested, not
-re-run on every bracket.
+operator F induces the Lie bracket [x, y] = x*F(y) - y*F(x), holds by
+hypothesis: it is tested, not re-run on every bracket.  So do its two
+corollaries, which ``lie_analysis`` reads its series off: every bracket
+lies in ker F, as F([x, y]) = F(x)F(y) - F(y)F(x) = 0, and for u, v in
+ker F, [u, v] = 0 and [u, y] = u*F(y).
 """
 
 from __future__ import annotations
@@ -280,9 +283,10 @@ def verify_algebra(A: StructureAlgebra) -> AlgebraReport:
     Every call scans the table; a pass marks A as satisfying the laws.
 
     On a commutative table (e_a e_b) e_c = e_c (e_a e_b) is one row product
-    P(a, b, c) that depends only on {a, b} and c, and e_i (e_j e_k) is
-    P({j, k}, i), so P is built for a <= b, all c in one ``row_products``,
-    and the triples only compare it.  The associator is then odd under
+    P(e_a e_b, c) that depends only on the cell e_a e_b and c, and
+    e_i (e_j e_k) is P(e_j e_k, i), so P is built once per distinct cell,
+    all c in one ``row_products`` (a monomial table repeats its cells), and
+    the triples only compare it.  The associator is then odd under
     i <-> k and sums to 0 over its three middles, so triples led by their
     least index decide, first failure too.  When the unit law holds and the
     unit is a basis vector e_z, every triple holding z associates, so z
@@ -300,11 +304,10 @@ def verify_algebra(A: StructureAlgebra) -> AlgebraReport:
         # whenever one of the three is 1
         z = tuple(A.unit) if unit is None else None
         idx = [i for i in d if e[i] != z]
-        P = {}
-        for a, b in itertools.combinations_with_replacement(idx, 2):
-            P[a, b] = P[b, a] = A.row_products(A.mul[a][b])
+        M = A.mul
+        P = {c: A.row_products(c) for c in {M[a][b] for a in idx for b in idx}}
         assoc = next(((i, j, k) for n, i in enumerate(idx) for j in idx[n:] for k in idx[n:]
-                      if P[i, j][k] != P[j, k][i]), None)
+                      if P[M[i][j]][k] != P[M[j][k]][i]), None)
     else:
         # (e_i e_j) e_k against e_i (e_j e_k), which reads row i only
         assoc = next(((i, j, k) for i, j, k in itertools.product(d, repeat=3)
@@ -351,11 +354,12 @@ def is_averaging(A: StructureAlgebra, F: Matrix) -> Check:
     every cell equals its mirror.  Any other table gets every i in every
     pass, so the check is exact on it too.  The pairs are scanned in order
     over the products formed up front, so the witness is the first failure
-    of the full scan.  A pass carries the products e_i*F(e_j) in the
-    Check's ``_products``."""
+    of the full scan.  F is applied to e_i*F(e_j) in the loop, from the
+    nonzero terms of F's columns that the passes read.  A pass carries the
+    products e_i*F(e_j) in the Check's ``_products``."""
     _require_operator(A, F)
-    d = A.dim
-    cols = [F.col(j) for j in range(d)]
+    d, m, zero = A.dim, _modulus(A.ring), A.ring.zero
+    cols = list(zip(*F.entries))
     symmetric = getattr(A, "_laws", False) or all(
         A.mul[i][j] == A.mul[j][i] for i, j in itertools.combinations(range(d), 2))
     terms = [_terms(c, d) for c in cols]
@@ -364,8 +368,12 @@ def is_averaging(A: StructureAlgebra, F: Matrix) -> Check:
               for j, c in enumerate(cols)]
     for i in range(d):
         for j in range(d):
-            rhs = passes[i][d + j] if symmetric and j < i else passes[j][d + i]
-            if F.apply(passes[j][i]) != rhs:
+            lhs = [zero] * d  # F(e_i*F(e_j)), the sum of x_k F(e_k)
+            for k, x in enumerate(passes[j][i]):
+                if x:
+                    for r, a in terms[k]:
+                        lhs[r] = (lhs[r] + a * x) % m
+            if tuple(lhs) != (passes[i][d + j] if symmetric and j < i else passes[j][d + i]):
                 return Check(False, (i, j))
     chk = Check(True)
     set_field(chk, "_products", [p[:d] for p in passes])
@@ -384,7 +392,7 @@ def is_reynolds_averaging(A: StructureAlgebra, F: Operator) -> Check:
     F(e_i)F(e_j), i <= j, of one column j are one kernel pass."""
     F = averaging_operator(A, F).matrix
     d = A.dim
-    cols = [F.col(j) for j in range(d)]
+    cols = list(zip(*F.entries))
     terms = [_terms(c, d) for c in cols]
     prods = [A.products(terms[:j + 1], c) for j, c in enumerate(cols)]
     for i, j in itertools.combinations_with_replacement(range(d), 2):
@@ -424,8 +432,7 @@ def op_add(A: StructureAlgebra, F: Matrix, G: Matrix):
     avg_f, avg_g = is_averaging(A, F), is_averaging(A, G)
     R, n = A.ring, A.dim
     d = range(n)
-    fc = [F.col(j) for j in d]
-    gc = [G.col(j) for j in d]
+    fc, gc = list(zip(*F.entries)), list(zip(*G.entries))
     # one pass per column: fp[j] = e_i*F(e_j) for every i, then G(e_i)*F(e_j);
     # gp[j] = e_i*G(e_j), then F(e_i)*G(e_j)
     f_rows = (*A._rows, *(_terms(c, n) for c in fc))
@@ -545,7 +552,7 @@ def raw_bracket(A: StructureAlgebra, F: Matrix) -> BracketTable:
     or this raises.
     """
     _require_operator(A, F)
-    L = _bracket_table(A, [A.row_products(F.col(j)) for j in range(A.dim)])
+    L = _bracket_table(A, [A.row_products(c) for c in zip(*F.entries)])
     require_lie(A, L)
     return L
 
@@ -651,8 +658,8 @@ def _gamma(A: StructureAlgebra, E: Matrix) -> Subspace:
     for m, i in itertools.combinations_with_replacement(range(d), 2):
         e_prod[m, i] = e_prod[i, m] = E.apply(A.mul[m][i])
     rows = []
-    for i in range(d):
-        cols = [vec_sub(R, e_prod[m, i], p) for m, p in enumerate(A.row_products(E.col(i)))]
+    for i, ei in enumerate(zip(*E.entries)):
+        cols = [vec_sub(R, e_prod[m, i], p) for m, p in enumerate(A.row_products(ei))]
         rows.extend(row for row in zip(*cols) if any(row))
     return nullspace(Matrix(R, len(rows), d, tuple(rows)))
 
@@ -737,7 +744,7 @@ def induced_by_averaging(A: StructureAlgebra, L: BracketTable) -> InduceResult:
     t = zero_vec(R, n)
     for xi, ei in zip(x, eps):
         t = vec_add(R, t, vec_scale(R, xi, ei))
-    cols = [vec_sub(R, p, E.col(i)) for i, p in enumerate(A.row_products(t))]
+    cols = [vec_sub(R, p, c) for p, c in zip(A.row_products(t), zip(*E.entries))]
     op = Matrix.from_cols(R, cols)
     avg = is_averaging(A, op)
     if not avg:
@@ -762,38 +769,36 @@ class SeriesResult(Record):
         return self.stages[min(k, len(self.stages) - 1)]
 
 
-def _series(A: StructureAlgebra, L: BracketTable, lower: bool, nxt: Subspace) -> SeriesResult:
-    """Stage 0 is A, stage 1 ``nxt`` (the span of all brackets), and stage
-    k+1 spans the brackets of stage k with itself, or with A when ``lower``.
-    Stops at a repeated or a zero stage.  L is alternating, so a derived
-    stage is spanned by the brackets of basis pairs a < b, and a lower
-    central stage by [e_j, x] = -[x, e_j].  Either way one kernel pass per
-    basis vector y of the stage forms its brackets: [e_j, y] for every j,
-    or [x, y] for the basis vectors x before y."""
+def _series(A: StructureAlgebra, nxt, step) -> SeriesResult:
+    """Stage 0 is A, stage 1 ``nxt``, and stage k+1 the span of the vectors
+    ``step(basis)`` for the basis of stage k.  Stops at a repeated or a zero
+    stage."""
     R, d = A.ring, A.dim
     stages = [Subspace.full(R, d)]
     while nxt != stages[-1]:
         stages.append(nxt)
         if nxt.is_zero():
             break
-        basis = nxt.basis
-        if lower:
-            gens = [g for x in basis for g in L.row_products(x)]
-        else:
-            terms = [_terms(x, d) for x in basis]
-            gens = [g for b in range(1, len(basis)) for g in L.products(terms[:b], basis[b])]
-        nxt = Subspace(R, d, _hnf(R, d, gens))
+        nxt = Subspace(R, d, _hnf(R, d, step(nxt.basis)))
     return SeriesResult(tuple(stages), stages[-1].is_zero())
 
 
 def derived_series(A: StructureAlgebra, L: BracketTable) -> SeriesResult:
-    """L^(k+1) = [L^(k), L^(k)] over a field; L must pass ``check_lie``."""
-    return _series(A, L, False, Subspace.span(A.ring, A.dim, _bracket_cells(L)))
+    """L^(k+1) = [L^(k), L^(k)] over a field; L must pass ``check_lie``.  L
+    is alternating, so a stage is spanned by the brackets of its basis
+    pairs x < y: one kernel pass per y forms [x, y] for the x before it."""
+    def brackets(basis):
+        terms = [_terms(x, A.dim) for x in basis]
+        return [g for b in range(1, len(basis)) for g in L.products(terms[:b], basis[b])]
+    return _series(A, Subspace.span(A.ring, A.dim, _bracket_cells(L)), brackets)
 
 
 def lower_central_series(A: StructureAlgebra, L: BracketTable) -> SeriesResult:
-    """L_(k+1) = [L_k, A] over a field; L must pass ``check_lie``."""
-    return _series(A, L, True, Subspace.span(A.ring, A.dim, _bracket_cells(L)))
+    """L_(k+1) = [L_k, A] over a field; L must pass ``check_lie``.  A stage
+    is spanned by [e_j, x] = -[x, e_j] for x in its basis: one kernel pass
+    per x."""
+    return _series(A, Subspace.span(A.ring, A.dim, _bracket_cells(L)),
+                   lambda basis: [g for x in basis for g in L.row_products(x)])
 
 
 class Nilpotent(Record):
@@ -836,19 +841,26 @@ def nilpotency_check(A: StructureAlgebra, F: Operator):
     Works over fields via subspaces and over Z/n via canonical submodules.
     """
     op = averaging_operator(A, F)
-    return _nilpotency(A, op, _bracket_span(op.bracket))
+    brackets = _bracket_span(op.bracket)
+    return _nilpotency(A, brackets, _image(op, brackets))
 
 
-def _nilpotency(A: StructureAlgebra, op, brackets):
-    # nilpotency_check of the AveragingOperator op, given the span of its
-    # brackets; the product is bilinear and each basis generates its span
-    # as a module, so basis pairs decide the containment.  One kernel pass
-    # per basis vector u of the power forms g*u for the bracket generators
-    # g and v*u for the image generators v (u*v, as A is commutative)
+def _image(op: AveragingOperator, brackets):
+    """The span of im F, whose columns are read in one transpose; None when
+    the brackets span 0, as then nothing needs it."""
+    F = op.matrix
+    return None if brackets.is_zero() else _span(F.ring, F.rows, list(zip(*F.entries)))
+
+
+def _nilpotency(A: StructureAlgebra, brackets, image):
+    # nilpotency_check, given the spans of the brackets and (``_image``) of
+    # im F; the product is bilinear and each basis generates its span as a
+    # module, so basis pairs decide the containment.  One kernel pass per
+    # basis vector u of the power forms g*u for the bracket generators g
+    # and v*u for the image generators v (u*v, as A is commutative)
     R, d = A.ring, A.dim
     if brackets.is_zero():
         return Nilpotent(1)  # every power annihilates the zero span
-    image = _span(R, d, [op.matrix.col(j) for j in range(d)])
     groups = [_terms(x, d) for x in (*brackets.basis, *image.basis)]
     nb = len(brackets.basis)
     power = image
@@ -1141,16 +1153,22 @@ class LieAnalysis(Record):
 
 def lie_analysis(A: StructureAlgebra, F: Operator) -> LieAnalysis:
     """Bracket, series, nilpotency, and kernel comparison in one pass; all
-    four share the kernel comparison's span of the brackets, which over a
-    field is stage 1 of both series."""
+    four share the kernel comparison's span B of the brackets, which over a
+    field is stage 1 of both series.  The series form no bracket (see the
+    module docstring): B lies in ker F, so [B, B] = 0, and each lower
+    central stage after B spans the products of the one before with im F,
+    whose span the nilpotency check shares."""
     op = averaging_operator(A, F)
-    L = op.bracket
     kc = kernel_equals_brackets(A, op)
+    image = _image(op, kc.brackets)
+    ds = lc = None
     if A.ring.is_field:
-        ds, lc = _series(A, L, False, kc.brackets), _series(A, L, True, kc.brackets)
-    else:
-        ds = lc = None
-    return LieAnalysis(L, ds, lc, _nilpotency(A, op, kc.brackets), kc)
+        groups = () if image is None else [_terms(v, A.dim) for v in image.basis]
+        lc = _series(A, kc.brackets, lambda us: [p for u in us for p in A.products(groups, u)])
+        # A, B, 0; or A, 0 (A for d = 0) as the lower central series when B = 0
+        zero = Subspace(A.ring, A.dim, ())
+        ds = lc if image is None else SeriesResult((*lc.stages[:2], zero), True)
+    return LieAnalysis(op.bracket, ds, lc, _nilpotency(A, kc.brackets, image), kc)
 
 
 # ---------------------------------------------------------------------------

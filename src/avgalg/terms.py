@@ -42,7 +42,7 @@ from enum import Enum
 from fractions import Fraction
 
 from ._record import Record, set_field
-from .exactlin import QQ, _MAX_LITERAL_BITS
+from .exactlin import QQ, _CHUNK_DIGITS, _MAX_LITERAL_BITS, _MAX_LITERAL_DIGITS, _decimal_int
 
 
 class Term(Record):
@@ -211,13 +211,16 @@ def _error(text: str, k: int, message: str, end: bool = False) -> TermSyntaxErro
 
 def _int(text: str, k: int, digits: str, unsigned: str = "") -> int:
     """The digits of token k; with an ``unsigned`` message, a token that does
-    not start with an ASCII digit is that syntax error."""
+    not start with an ASCII digit is that syntax error.  A run of digits
+    past the literal bound is too many, whatever the interpreter's int
+    conversion limit."""
     if unsigned and not "0" <= digits[:1] <= "9":
         raise _error(text, k, unsigned)
-    try:
+    if len(digits) < _CHUNK_DIGITS:
         return int(digits)
-    except ValueError:  # beyond sys.get_int_max_str_digits() on Python 3.11+
-        raise _error(text, k, "too many digits") from None
+    if len(digits) > _MAX_LITERAL_DIGITS:
+        raise _error(text, k, "too many digits")
+    return _decimal_int(digits)
 
 
 # the field types a hash-consing key holds by value, not by id

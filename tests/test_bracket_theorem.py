@@ -6,6 +6,11 @@ bracket.
 bracket it builds, so these tests run ``check_lie`` on the brackets it
 builds: for random operators over Q, Z/p and composite Z/n, and for every
 averaging operator on every Z/n[y]/(f) of a small slice.
+
+``lie_analysis`` reads both series off two corollaries of the theorem:
+every bracket lies in ker F, and [u, y] = u*F(y) for u in ker F.  The last
+test checks the first corollary and compares the series with the
+reference that forms every bracket of every stage.
 """
 
 import itertools
@@ -20,14 +25,21 @@ from avgalg.findim import (
     StructureAlgebra,
     averaging_operator,
     check_lie,
+    lie_analysis,
 )
 from support import (
+    change_algebra,
+    change_operator,
+    dense_apply,
     functional_operator,
     mult_operator,
+    rand_algebra,
     rand_averaging,
+    rand_gl,
     rand_int_algebra,
     rand_sum_operator,
     ref_mul,
+    ref_series,
     ref_sub,
 )
 
@@ -115,3 +127,49 @@ def test_every_averaging_bracket_on_small_monogenic_algebras_is_lie(n, d):
             nonzero += any(any(cell) for row in L.table for cell in row)
     # the slice reaches brackets that are not zero from d = 2 on
     assert nonzero or d == 1
+
+
+def _rand_nilpotent_tensor_operator(rng, ring):
+    """G (x) H for G the multiplication by a nilpotent a on R[t]/(t^k) and H
+    the functional operator of lam on B.  Its image is aA (x) 1, and its
+    brackets span aA (x) ker lam, so each lower central stage is a times the
+    one before, down to a^k = 0: series of up to four stages, which the
+    other operators here rarely reach."""
+    k = rng.randint(2, 3)
+    A = _monogenic(ring, (ring.zero,) * k + (ring.one,))
+    G = mult_operator(A, [0] + [rng.randint(-2, 2) for _ in range(k - 1)])
+    B = rand_int_algebra(rng, ring, max_dim=2)
+    H = functional_operator(B, [rng.randint(-2, 2) for _ in range(B.dim)])
+    return _tensor(A, B), Matrix.from_cols(ring, [_kron(ring, G.col(i), H.col(m))
+                                                  for i in range(A.dim) for m in range(B.dim)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(RINGS), st.randoms(use_true_random=False))
+def test_the_series_of_lie_analysis_are_the_brackets_series(ring, rng):
+    roll = rng.randint(0, 4)
+    if roll == 0 and ring == QQ:
+        A = rand_algebra(rng)
+        F = rand_averaging(rng, A)
+    elif roll == 1:
+        A, F = rand_sum_operator(rng, ring)
+    elif roll == 2:
+        A, F = _rand_tensor_operator(rng, ring)
+    elif roll == 3:
+        A, F = _rand_nilpotent_tensor_operator(rng, ring)
+    else:
+        A = rand_int_algebra(rng, ring, max_dim=5)
+        F = _rand_operator(rng, A)
+    if rng.randint(0, 1):
+        # a dense copy on a random basis, where no cell is a basis vector
+        P, Pinv = rand_gl(rng, ring, A.dim)
+        A, F = change_algebra(A, P, Pinv), change_operator(F, P, Pinv)
+    L = averaging_operator(A, F).bracket
+    # every bracket lies in ker F, over composite Z/n too
+    assert not any(any(dense_apply(F, cell)) for row in L.table for cell in row)
+    an = lie_analysis(A, F)
+    if ring.is_field:
+        assert an.derived == ref_series(A, L, lower=False)
+        assert an.lower_central == ref_series(A, L, lower=True)
+    else:
+        assert an.derived is None and an.lower_central is None

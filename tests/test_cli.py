@@ -172,6 +172,25 @@ def test_chain_json_matches_library(capsys):
     assert doc["stages"] == [[g.render() for g in st] for st in stages]
 
 
+def test_chain_length_is_bounded(capsys):
+    # n stages hold n (n + 1) / 2 generators: a length past 1,000 is refused
+    # with exit 2 before any is built (the unbounded program ran out of
+    # memory on 100,000; 1,001 is as refused and harmless without the
+    # bound), and 1,000 runs in well under a second
+    assert main(["chain", "1", "1001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: chain length must be between 1 and 1000\n"
+    assert captured.out == ""
+    start = time.perf_counter()
+    assert main(["chain", "1", "1000"]) == 0
+    elapsed = time.perf_counter() - start
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1000 and lines[1] == "stage 2: y[x1], y[x1^2]"
+    assert lines[-1].startswith("stage 1000: y[x1], ") and lines[-1].endswith(", y[x1^1000]")
+    assert lines[-1].count("y[") == 1000
+    assert elapsed < 10, elapsed
+
+
 def test_numeric_json_scalar_exits_two(tmp_path, capsys):
     doc = json.loads((ROOT / "corpus" / "qi.json").read_text())
     doc["unit"] = [1, 0]

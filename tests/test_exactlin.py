@@ -2,6 +2,7 @@ import itertools
 import json
 import pathlib
 import random
+import sys
 import time
 from fractions import Fraction
 from math import gcd
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import avgalg.findim as FD
+from avgalg.terms import TermSyntaxError, parse_term
 from avgalg.exactlin import (
     _hnf_full,
     _is_prime,
@@ -88,6 +90,43 @@ class TestRings:
         assert back == big
         assert QQ.render(Fraction(1, big)) == "1/" + text[1:]
         assert QQ.render(10 ** 600) == "1" + "0" * 600
+
+    def test_literals_read_the_same_whatever_the_digit_limit(self):
+        # int() refuses a string past sys.get_int_max_str_digits() on Python
+        # 3.11+ (at least 640 when on, 0 for off); the three readers take a
+        # literal of 600 digits or more in chunks, so their results do not
+        # depend on the limit, and they are those of int() and Fraction()
+        # without one
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("no int conversion limit before Python 3.11")
+        rng = random.Random(29)
+        texts = []
+        for k in (599, 600, 640, 1201, 4300, 4301, 5000):
+            d = str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(k - 1))
+            texts += [d, "-" + d, "+" + d, d[:300] + "_" + d[300:], d + "__1", d + "/" + d[::-1],
+                      f" -{d[:-3]}.{d[-3:]}e-7 ", f".{d}E+12", d + ".", d + "/0", d + "/-3"]
+
+        def outcome(read, text):
+            try:
+                return read(text)
+            except (RingError, TermSyntaxError, ValueError, ZeroDivisionError) as exc:
+                return type(exc).__name__
+
+        readers = (QQ.parse, ZMod(7).parse, lambda t: parse_term(t.strip() + "*v1"))
+        unlimited = (lambda t: QQ.of(Fraction(t)), lambda t: int(t, 10) % 7)
+        before = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            at_640 = [[outcome(read, t) for read in readers] for t in texts]
+            sys.set_int_max_str_digits(0)
+            at_0 = [[outcome(read, t) for read in readers] for t in texts]
+            direct = [[outcome(read, t) for read in unlimited] for t in texts]
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert at_640 == at_0
+        assert [r[:2] for r in at_0] == [[x if type(x) is not str else "RingError" for x in r]
+                                        for r in direct]
+        assert sum(type(r[2]) is not str for r in at_0) == 3 * 7
 
     def test_zmod_canonical(self):
         z6 = ZMod(6)

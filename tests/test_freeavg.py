@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from avgalg.exactlin import QQ, ZMod
 from avgalg import terms as T
 from avgalg.findim import StructureAlgebra
+import avgalg.freeavg as FA
 from avgalg.freeavg import (
+    MAX_CHAIN,
     ChainError,
     FAElement,
     FreePoly,
@@ -271,6 +273,24 @@ def test_chain_rejects_bad_arguments():
         chain_witness(0, 3)
     with pytest.raises(ChainError):
         chain_witness(1, 0)
+    with pytest.raises(ChainError, match="between 1 and 1000"):
+        chain_witness(1, MAX_CHAIN + 1)
+
+
+def test_chain_checks_one_new_generator_per_stage(monkeypatch):
+    # each stage extends the one before with the same objects, so inclusion
+    # holds by construction; strictness is one membership test per stage,
+    # of the new generator in the stage before: n - 1 = 7 tests against 1,
+    # 2, ..., 7 generators, where testing both inclusions of stages i and
+    # i + 1 took 2 i + 1, n^2 - 1 = 63 in all
+    tested = []
+    contains = FA.monomial_ideal_contains
+    monkeypatch.setattr(FA, "monomial_ideal_contains",
+                        lambda gens, m: tested.append(len(gens)) or contains(gens, m))
+    stages = chain_witness(1, 8)
+    assert tested == list(range(1, 8))
+    for a, b in zip(stages, stages[1:]):
+        assert all(g is h for g, h in zip(a, b)) and len(b) == len(a) + 1
 
 
 def test_eval_term_matches_hand_reduction():

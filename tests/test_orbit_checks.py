@@ -405,13 +405,15 @@ def calls(monkeypatch):
 
 def test_verify_algebra_builds_each_triple_product_once(calls):
     # one row_products gives every e_i * 1 for the unit law; the unit is
-    # e_0, so the associativity index set is the other d - 1 = 5: one
-    # row_products (all d rows of one cell) per pair a <= b of them, 5 * 6 / 2
-    # = 15 calls and 15 * 6 = 90 row products, against d^2 (d + 1) / 2 = 126
-    # with e_0 kept and 2 d^3 = 432 for the scan; 1 + 15 = 16 calls
+    # e_0, so the associativity index set is the other d - 1 = 5, with
+    # 5 * 6 / 2 = 15 pairs a <= b (15 * 6 = 90 row products, against
+    # d^2 (d + 1) / 2 = 126 with e_0 kept and 2 d^3 = 432 for the scan).
+    # The row products of a pair depend only on its cell e_a e_b = e_(a+b
+    # mod 6), and a + b runs over 2..10, so the 15 cells are the 6 distinct
+    # e_0..e_5, one row_products each: 1 + 6 = 7 calls, not 1 + 15 = 16
     A = _cyclic(ZMod(5), 6)
     assert verify_algebra(A).ok
-    assert calls == only(row_products=16)
+    assert calls == only(row_products=7)
 
 
 def test_verify_algebra_scans_on_every_call(calls):
@@ -421,7 +423,7 @@ def test_verify_algebra_scans_on_every_call(calls):
     for _ in range(2):
         calls.update(dict.fromkeys(calls, 0))
         assert verify_algebra(A).ok
-        assert calls == only(row_products=16)
+        assert calls == only(row_products=7)
 
 
 def test_is_averaging_multiplies_each_unordered_pair_once(calls, monkeypatch):
@@ -475,6 +477,30 @@ def test_series_compute_no_bracket_for_stage_zero(calls):
     calls["bracket_products"] = 0
     assert [s.dim for s in lower_central_series(A, L).stages] == [3, 2]
     assert calls == only(bracket_row_products=2)
+
+
+def test_lie_analysis_reads_the_series_off_the_theorem(calls):
+    # F = lam(x) * 1 on Z/5[y]/(y^6 - 1) with lam = (1, 2, 0, 3, 0, 1):
+    # im F is the line of 1, and the brackets span B = ker lam, of dimension
+    # 5.  Every bracket lies in ker F, so the derived series A, B, 0 takes
+    # no product at all, and [u, y] = u * F(y) for u in B, so the lower
+    # central stage 2 is one products pass per basis vector u of B against
+    # the one image generator 1: 5 calls, and it equals B.  The nilpotency
+    # check makes 1 more for the image power 1.  No bracket is formed: the
+    # generic series make 4 bracket_products (derived, the basis vectors
+    # after the first) and 5 bracket_row_products (lower central)
+    A = _cyclic(ZMod(5), 6)
+    op = FD.averaging_operator(A, functional_operator(A, (1, 2, 0, 3, 0, 1)))
+    op.bracket  # built before the count starts, as in every analysis
+    calls.update(dict.fromkeys(calls, 0))
+    an = lie_analysis(A, op)
+    assert calls == only(products=6)
+    assert [s.dim for s in an.derived.stages] == [6, 5, 0]
+    assert [s.dim for s in an.lower_central.stages] == [6, 5]
+    calls.update(dict.fromkeys(calls, 0))
+    assert (an.derived, an.lower_central) == (derived_series(A, op.bracket),
+                                              lower_central_series(A, op.bracket))
+    assert calls == only(bracket_products=4, bracket_row_products=5)
 
 
 @pytest.fixture

@@ -8,7 +8,14 @@ one line per call of rref, nullspace, submodule_kernel, solve_linear,
 char_poly, lie_analysis, ad_eigen, induced_by_averaging, check_domain and
 kernel_equals_brackets.
 A result is printed as its repr, so an int and an equal Fraction differ; a
-refusal as its exception type and arguments, witnesses included.
+refusal as its exception type and arguments, witnesses included.  Last come
+the three literal readers, QQ.parse, ZMod(7).parse and parse_term, on
+seeded digit strings of 599 to 5,000 digits, around the int string
+conversion limits of Python 3.11+ (640 at least, 4,300 by default); a
+number read is printed by its digit count and its residues, so the lines
+print under any limit, and the dump is the same under every limit:
+
+    PYTHONINTMAXSTRDIGITS=640 PYTHONPATH=src python3 tools/seeded_dump.py
 
 Two trees, or two interpreters, compute the same values on these inputs
 exactly when their dumps are byte-identical:
@@ -26,9 +33,11 @@ from fractions import Fraction
 
 from avgalg import exactlin as EL
 from avgalg import findim as FD
+from avgalg.terms import parse_term
 
 SEEDS = (1, 2, 3)
 MODULI = (2, 3, 5, 7, 4, 6, 9, 12)
+LITERAL_DIGITS = (599, 600, 640, 4300, 4301, 5000)
 
 
 def call(out, name, fn, *args):
@@ -122,6 +131,28 @@ def dump_findim(out, rng, ring):
             call(out, "induced_by_averaging", FD.induced_by_averaging, A, L)
 
 
+def number(v) -> str:
+    """An int or a Fraction by the digit counts of its numerator and
+    denominator and their residues mod 10^9 + 7, printed without str() of
+    a long int; two readings that differ in any of these differ in the
+    dump."""
+    v = Fraction(v)
+    parts = (abs(v.numerator), v.denominator)
+    return (f"{'-' * (v < 0)}{'/'.join(str(len(EL._decimal_str(x))) for x in parts)} digits, "
+            f"{'/'.join(str(x % 1000000007) for x in parts)} mod 10^9 + 7")
+
+
+def dump_literals(out):
+    rng = random.Random("literals")
+    for k in LITERAL_DIGITS:
+        digits = str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(k - 1))
+        out.write(f"literal of {k} digits\n")
+        call(out, "QQ.parse", lambda: number(EL.QQ.parse(digits)))
+        call(out, "QQ.parse over 7", lambda: number(EL.QQ.parse(f"-{digits}/7")))
+        call(out, "ZMod(7).parse", EL.ZMod(7).parse, digits)
+        call(out, "parse_term", lambda: number(parse_term(f"{digits}*v1").coeff))
+
+
 def main(out=sys.stdout) -> None:
     rings = [EL.QQ] + [EL.ZMod(n) for n in MODULI]
     for seed in SEEDS:
@@ -130,6 +161,7 @@ def main(out=sys.stdout) -> None:
             rng = random.Random(f"{seed} {ring.name}")
             dump_linear(out, rng, ring)
             dump_findim(out, rng, ring)
+    dump_literals(out)
 
 
 if __name__ == "__main__":
