@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, log10
+from math import gcd, isqrt, lcm, log10
 from operator import mul
 from typing import Union
 
@@ -105,43 +105,35 @@ def _decimal_str(n: int) -> str:
     return sign + str(n) + "".join(reversed(chunks))
 
 
-# the literals int() reads, and those Fraction reads as in Python 3.11: a
-# sign, a numerator, then a denominator or a fractional part and an exponent;
-# only a long literal needs them, so re compiles them on first use
-_INT = r"[-+]?\d+(?:_\d+)*"
-_RATIONAL = (r"\s*([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*)|"
-             r"(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?)\s*")
+# the one grammar of QQ.parse and ZMod.parse, whatever a literal's length:
+# Python 3.11's Fraction grammar, a sign and digits, then a denominator or a
+# fractional part and an exponent, with digits grouped by single underscores
+# and no space around "/"; an integer is its first two groups.  re compiles
+# it on first use
+_LITERAL = (r"([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*)|"
+            r"(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?)")
 
 
-def _decimal_int(s: str) -> int:
-    """``int(s)`` for a literal of any length, whatever the interpreter's
-    limit: one of _CHUNK_DIGITS characters or more is matched against
-    ``_INT`` and read in chunks, as ``_decimal_str`` writes them."""
-    if len(s) < _CHUNK_DIGITS:
-        return int(s)
-    if not re.fullmatch(_INT, s):
-        raise ValueError(f"invalid literal for int() with base 10: {s[:20]!r}...")
-    digits = s.lstrip("+-").replace("_", "")
-    head = len(digits) % _CHUNK_DIGITS or _CHUNK_DIGITS
-    n = int(digits[:head])
-    for k in range(head, len(digits), _CHUNK_DIGITS):
-        n = n * _CHUNK + int(digits[k:k + _CHUNK_DIGITS])
-    return -n if s[0] == "-" else n
+def _decimal_int(text: str) -> int:
+    """The int of an optional sign and decimal digits, of any length, read
+    in chunks as ``_decimal_str`` writes them, whatever the interpreter's
+    limit."""
+    digits, n = text.lstrip("+-"), 0
+    for k in range(0, len(digits), _CHUNK_DIGITS):
+        chunk = digits[k:k + _CHUNK_DIGITS]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return -n if text[:1] == "-" else n
 
 
-def _fraction(text: str) -> Fraction:
-    """``Fraction(text)`` for a literal of any length, whatever the
-    interpreter's limit: one of _CHUNK_DIGITS characters or more is matched
-    against ``_RATIONAL`` and has its digits read by ``_decimal_int``."""
-    if len(text) < _CHUNK_DIGITS:
-        return Fraction(text)
-    m = re.fullmatch(_RATIONAL, text)
-    if m is None:
-        raise ValueError(f"Invalid literal for Fraction: {text[:20]!r}...")
-    sign, num, den, frac, exp = m.groups()
-    frac = (frac or "").replace("_", "")
-    value = Fraction(_decimal_int(num + frac or "0"), _decimal_int(den) if den else 10 ** len(frac))
-    return (-value if sign == "-" else value) * Fraction(10) ** _decimal_int(exp or "0")
+def _literal(text: str, integral: bool) -> Fraction:
+    """The value of ``text`` in the grammar ``_LITERAL``, or only in its
+    sign-and-digits form when ``integral``."""
+    m = re.fullmatch(_LITERAL, text)
+    if m is None or integral and m.end(2) < len(text):
+        raise ValueError(f"not {'an integer' if integral else 'a rational'} literal")
+    sign, num, den, frac, exp = (g.replace("_", "") for g in m.groups(""))
+    den = _decimal_int(den) if den else 10 ** len(frac)
+    return Fraction(_decimal_int(sign + num + frac), den) * Fraction(10) ** _decimal_int(exp)
 
 
 # the size bound, in bits, of a literal's value, here and for a folded power
@@ -201,7 +193,7 @@ class Rationals(Record):
             raise RingError(f"rational literal must be a string, got {text!r}")
         _check_literal_size(text.strip())
         try:
-            return self.of(_fraction(text.strip()))
+            return self.of(_literal(text.strip(), False))
         except (ValueError, ZeroDivisionError) as exc:
             raise RingError(f"bad rational literal {text!r}: {exc}") from None
 
@@ -251,7 +243,7 @@ class ZMod(Record):
             raise RingError(f"residue literal must be a string, got {text!r}")
         _check_literal_size(text.strip())
         try:
-            return _decimal_int(text.strip()) % self.n
+            return _literal(text.strip(), True).numerator % self.n
         except ValueError as exc:
             raise RingError(f"bad residue literal {text!r}: {exc}") from None
 
@@ -381,13 +373,7 @@ class Matrix(Record):
             for r1, r2 in zip(self.entries, other.entries)))
 
     def sub(self, other: "Matrix") -> "Matrix":
-        R = self._same_ring(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("matrix shape mismatch")
-        m = _modulus(R)
-        return Matrix(R, self.rows, self.cols, tuple(
-            tuple([(a - b) % m for a, b in zip(r1, r2)])
-            for r1, r2 in zip(self.entries, other.entries)))
+        return self.add(other.scale(-1))
 
     def scale(self, c) -> "Matrix":
         R, m = self.ring, _modulus(self.ring)
@@ -414,13 +400,19 @@ class Matrix(Record):
             col_terms = tuple(tuple((i, row[j]) for i, row in enumerate(self.entries) if row[j])
                               for j in range(self.cols))
             set_field(self, "_col_terms", col_terms)
-        m = _modulus(self.ring)
-        out = [self.ring.zero] * self.rows
-        for j, x in enumerate(v):
-            if x:
-                for i, a in col_terms[j]:
-                    out[i] = (out[i] + a * x) % m
-        return tuple(out)
+        return _apply_cols(col_terms, v, _modulus(self.ring), self.ring.zero, self.rows)
+
+
+def _apply_cols(col_terms, v, m, zero, rows: int) -> tuple:
+    """The sum of v_j times column j over the nonzero v_j, each column by
+    its nonzero (row, entry) pairs: ``Matrix.apply`` for callers that hold
+    a matrix's column terms already."""
+    out = [zero] * rows
+    for j, x in enumerate(v):
+        if x:
+            for i, a in col_terms[j]:
+                out[i] = (out[i] + a * x) % m
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -688,15 +680,8 @@ def poly_eval(ring: Ring, coeffs, x):
 
 def _divisors(n: int):
     n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted({*low, *(n // d for d in low)})
 
 
 def rational_roots(coeffs) -> tuple:
@@ -717,13 +702,9 @@ def rational_roots(coeffs) -> tuple:
         roots.append(QQ.zero)
         coeffs.pop(0)
     if len(coeffs) > 1:
-        denom_lcm = 1
-        for c in coeffs:
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
+        denom_lcm = lcm(*(c.denominator for c in coeffs))
         ints = [int(c * denom_lcm) for c in coeffs]
-        content = 0
-        for v in ints:
-            content = gcd(content, v)
+        content = gcd(*ints)
         ints = [v // content for v in ints]
         candidates = set()
         for p in _divisors(ints[0]):
@@ -733,12 +714,7 @@ def rational_roots(coeffs) -> tuple:
         for cand in sorted(candidates):
             while len(coeffs) > 1 and poly_eval(QQ, coeffs, cand) == 0:
                 roots.append(cand)
-                # synthetic division by (t - cand)
-                desc = list(reversed(coeffs))
-                out = [desc[0]]
-                for c in desc[1:-1]:
-                    out.append((c + cand * out[-1]) % QQ)
-                coeffs = list(reversed(out))
+                coeffs = list(poly_divmod(QQ, coeffs, (-cand % QQ, 1))[0])
     return tuple(sorted(roots))
 
 
@@ -762,10 +738,7 @@ def poly_trim(f) -> tuple:
 
 def poly_sub(ring: Ring, f, g) -> tuple:
     m = _modulus(ring)
-    out = [(a - b) % m for a, b in zip_longest(f, g, fillvalue=0)]
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+    return poly_trim([(a - b) % m for a, b in zip_longest(f, g, fillvalue=0)])
 
 
 def poly_mul(ring: Ring, f, g) -> tuple:
@@ -778,9 +751,7 @@ def poly_mul(ring: Ring, f, g) -> tuple:
             for k, b in enumerate(g, i):
                 if b:
                     out[k] = (out[k] + a * b) % m
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+    return poly_trim(out)
 
 
 def poly_divmod(ring: Ring, f, g) -> tuple:
@@ -790,9 +761,7 @@ def poly_divmod(ring: Ring, f, g) -> tuple:
         n -= 1
     if n < 0:
         raise ZeroDivisionError("polynomial division by zero")
-    r = list(f)
-    while r and not r[-1]:
-        r.pop()
+    r = list(poly_trim(f))
     if len(r) <= n:
         return (), tuple(r)
     m = _modulus(ring)
@@ -807,9 +776,7 @@ def poly_divmod(ring: Ring, f, g) -> tuple:
             for k, b in enumerate(low, shift):
                 if b:
                     r[k] = (r[k] - c * b) % m
-    while r and not r[-1]:
-        r.pop()
-    return tuple(q), tuple(r)
+    return tuple(q), poly_trim(r)
 
 
 def poly_gcd(ring: Ring, f, g) -> tuple:

@@ -56,6 +56,7 @@ from .exactlin import (
     Submodule,
     Subspace,
     ZMod,
+    _apply_cols,
     _hnf,
     _modulus,
     char_poly,
@@ -354,9 +355,9 @@ def is_averaging(A: StructureAlgebra, F: Matrix) -> Check:
     every cell equals its mirror.  Any other table gets every i in every
     pass, so the check is exact on it too.  The pairs are scanned in order
     over the products formed up front, so the witness is the first failure
-    of the full scan.  F is applied to e_i*F(e_j) in the loop, from the
-    nonzero terms of F's columns that the passes read.  A pass carries the
-    products e_i*F(e_j) in the Check's ``_products``."""
+    of the full scan.  F is applied to e_i*F(e_j) by ``_apply_cols`` from
+    the nonzero terms of F's columns that the passes read.  A pass carries
+    the products e_i*F(e_j) in the Check's ``_products``."""
     _require_operator(A, F)
     d, m, zero = A.dim, _modulus(A.ring), A.ring.zero
     cols = list(zip(*F.entries))
@@ -368,12 +369,8 @@ def is_averaging(A: StructureAlgebra, F: Matrix) -> Check:
               for j, c in enumerate(cols)]
     for i in range(d):
         for j in range(d):
-            lhs = [zero] * d  # F(e_i*F(e_j)), the sum of x_k F(e_k)
-            for k, x in enumerate(passes[j][i]):
-                if x:
-                    for r, a in terms[k]:
-                        lhs[r] = (lhs[r] + a * x) % m
-            if tuple(lhs) != (passes[i][d + j] if symmetric and j < i else passes[j][d + i]):
+            rhs = passes[i][d + j] if symmetric and j < i else passes[j][d + i]
+            if _apply_cols(terms, passes[j][i], m, zero, d) != rhs:
                 return Check(False, (i, j))
     chk = Check(True)
     set_field(chk, "_products", [p[:d] for p in passes])
@@ -740,10 +737,7 @@ def induced_by_averaging(A: StructureAlgebra, L: BracketTable) -> InduceResult:
     res = solve_linear(Matrix(R, len(rows), len(eps), tuple(rows)), tuple(rhs))
     if isinstance(res, NoSolution):
         return InduceNoSolution()
-    x = res.particular
-    t = zero_vec(R, n)
-    for xi, ei in zip(x, eps):
-        t = vec_add(R, t, vec_scale(R, xi, ei))
+    t = _apply_cols(eps_terms, res.particular, _modulus(R), R.zero, n)  # sum x_i eps_i
     cols = [vec_sub(R, p, c) for p, c in zip(A.row_products(t), zip(*E.entries))]
     op = Matrix.from_cols(R, cols)
     avg = is_averaging(A, op)
@@ -1070,9 +1064,7 @@ def nilpotent_radical_domain(A: StructureAlgebra, F: Operator) -> Subspace:
     """Over a domain: the whole space when ker F = 0, else ker F."""
     check_domain(A)
     ker = nullspace(averaging_operator(A, F).matrix)
-    if ker.is_zero():
-        return Subspace.full(A.ring, A.dim)
-    return ker
+    return Subspace.full(A.ring, A.dim) if ker.is_zero() else ker
 
 
 def ad_eigen(A: StructureAlgebra, F: Operator, a) -> tuple:
@@ -1104,7 +1096,7 @@ def ad_eigen(A: StructureAlgebra, F: Operator, a) -> tuple:
     direct = {}
     for r in roots:
         # at r = 0 the matrix is ad itself, whose kernel the structural path holds
-        space = nullspace(ad.sub(Matrix.identity(R, A.dim).scale(r))) if r else structural[R.zero]
+        space = nullspace(ad.add(Matrix.identity(R, A.dim).scale(-r))) if r else structural[R.zero]
         if not space.is_zero():
             direct[r] = space
     if structural != direct:
@@ -1119,9 +1111,7 @@ def _proportionality(R: Ring, v, w):
     if idx is None:
         return None
     k = v[idx] * R.inv(w[idx]) % _modulus(R)
-    if tuple(vec_scale(R, k, w)) == tuple(v):
-        return k
-    return None
+    return k if vec_scale(R, k, w) == tuple(v) else None
 
 
 class KernelBracketResult(Record):
@@ -1283,8 +1273,7 @@ def algebra_from_json(doc: dict) -> StructureAlgebra:
         raise ValueError("dim must be a JSON integer")
     if len(unit) != dim:
         raise ValueError("unit vector length does not match dim")
-    A = StructureAlgebra.make(ring, unit, mul)
-    return A
+    return StructureAlgebra.make(ring, unit, mul)
 
 
 def operator_to_json(F: Matrix) -> dict:

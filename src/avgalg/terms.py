@@ -216,11 +216,9 @@ def _int(text: str, k: int, digits: str, unsigned: str = "") -> int:
     conversion limit."""
     if unsigned and not "0" <= digits[:1] <= "9":
         raise _error(text, k, unsigned)
-    if len(digits) < _CHUNK_DIGITS:
-        return int(digits)
     if len(digits) > _MAX_LITERAL_DIGITS:
         raise _error(text, k, "too many digits")
-    return _decimal_int(digits)
+    return int(digits) if len(digits) < _CHUNK_DIGITS else _decimal_int(digits)
 
 
 # the field types a hash-consing key holds by value, not by id

@@ -11,9 +11,11 @@ A result is printed as its repr, so an int and an equal Fraction differ; a
 refusal as its exception type and arguments, witnesses included.  Last come
 the three literal readers, QQ.parse, ZMod(7).parse and parse_term, on
 seeded digit strings of 599 to 5,000 digits, around the int string
-conversion limits of Python 3.11+ (640 at least, 4,300 by default); a
-number read is printed by its digit count and its residues, so the lines
-print under any limit, and the dump is the same under every limit:
+conversion limits of Python 3.11+ (640 at least, 4,300 by default), and
+on a few short literals that test their grammar (underscores, spaces
+around "/").  A number read is printed by its digit count and its
+residues, so the lines print under any limit, and the dump is the same
+under every limit:
 
     PYTHONINTMAXSTRDIGITS=640 PYTHONPATH=src python3 tools/seeded_dump.py
 
@@ -151,6 +153,11 @@ def dump_literals(out):
         call(out, "QQ.parse over 7", lambda: number(EL.QQ.parse(f"-{digits}/7")))
         call(out, "ZMod(7).parse", EL.ZMod(7).parse, digits)
         call(out, "parse_term", lambda: number(parse_term(f"{digits}*v1").coeff))
+    # the grammar is the same at every length and on every interpreter
+    out.write("literal grammar\n")
+    for text in ("1_000", "1__0", "1 / 3", "1/ 3", "-1_0/3_0", ".5e-1_0", "7."):
+        call(out, f"QQ.parse {text!r}", EL.QQ.parse, text)
+        call(out, f"ZMod(7).parse {text!r}", EL.ZMod(7).parse, text)
 
 
 def main(out=sys.stdout) -> None:
