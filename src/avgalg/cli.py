@@ -183,12 +183,9 @@ def cmd_lie_analyze(args) -> int:
             cell = an.bracket.table[i][j]
             lines.append(f"[e{i},e{j}] = ({', '.join(R.render(x) for x in cell)})")
     if an.derived is not None:
-        lines.append(f"derived series dims: "
-                     f"{' '.join(str(s.dim) for s in an.derived.stages)}"
-                     f" (reaches zero: {'yes' if an.derived.reaches_zero else 'no'})")
-        lines.append(f"lower central dims: "
-                     f"{' '.join(str(s.dim) for s in an.lower_central.stages)}"
-                     f" (reaches zero: {'yes' if an.lower_central.reaches_zero else 'no'})")
+        for name, s in (("derived series", an.derived), ("lower central", an.lower_central)):
+            lines.append(f"{name} dims: {' '.join(str(st.dim) for st in s.stages)}"
+                         f" (reaches zero: {'yes' if s.reaches_zero else 'no'})")
     lines.append(f"image-power nilpotency: "
                  + (f"nilpotent at power {nil.k}" if isinstance(nil, FD.Nilpotent)
                     else "not nilpotent"))
@@ -231,39 +228,33 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[s.value for s in T.IdentitySet])
     p.add_argument("--claim", action="append", metavar="EQUATION")
     p.add_argument("--claims-file", metavar="PATH")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_decide)
 
     p = sub.add_parser("eval", help="normal form of a term in a free object")
     p.add_argument("--mode", required=True, choices=[m.value for m in FA.Mode])
     p.add_argument("term")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("verify", help="check an operator against the identity sets")
     p.add_argument("algebra")
     p.add_argument("operator")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("lie-induce",
                        help="find an averaging operator inducing a bracket")
     p.add_argument("algebra")
     p.add_argument("bracket")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_lie_induce)
 
     p = sub.add_parser("lie-analyze",
                        help="structure report for an averaging operator")
     p.add_argument("algebra")
     p.add_argument("operator")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_lie_analyze)
 
     p = sub.add_parser("chain", help="strictly increasing averaging ideal chain")
     p.add_argument("x_count", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_chain)
 
     p = sub.add_parser("primary",
@@ -271,8 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "with its generator operator")
     p.add_argument("coeff", nargs="+",
                    help="ascending coefficients, rationals allowed")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_primary)
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return ap
 
 

@@ -63,6 +63,7 @@ from .exactlin import (
     distinct_degree_factors,
     nullspace,
     poly_derivative,
+    poly_divmod,
     poly_gcd,
     poly_root_mod_p,
     rational_roots,
@@ -383,18 +384,16 @@ def is_unitary(A: StructureAlgebra, F: Matrix) -> bool:
 
 
 def is_reynolds_averaging(A: StructureAlgebra, F: Operator) -> Check:
-    """F(F(x)F(y)) = F(x)F(y) for an averaging F, on basis pairs.  Both
-    sides are symmetric in the pair, and a failure at (i, j) with j < i is
-    met first at (j, i), so only i <= j is checked.  The products
-    F(e_i)F(e_j), i <= j, of one column j are one kernel pass."""
-    F = averaging_operator(A, F).matrix
-    d = A.dim
-    cols = list(zip(*F.entries))
-    terms = [_terms(c, d) for c in cols]
-    prods = [A.products(terms[:j + 1], c) for j, c in enumerate(cols)]
-    for i, j in itertools.combinations_with_replacement(range(d), 2):
-        prod = prods[j][i]
-        if F.apply(prod) != prod:
+    """F(F(x)F(y)) = F(x)F(y) for an averaging F, on basis pairs.  The
+    averaging identity gives F(e_i)F(e_j) = F(p) for the product
+    p = e_i*F(e_j) that the operator's check formed, so the identity at
+    (i, j) reads F(F(p)) = F(p).  Both sides are symmetric in the pair, and
+    a failure at (i, j) with j < i is met first at (j, i), so only i <= j is
+    checked."""
+    op = averaging_operator(A, F)
+    for i, j in itertools.combinations_with_replacement(range(A.dim), 2):
+        fp = op.matrix.apply(op._products[j][i])
+        if op.matrix.apply(fp) != fp:
             return Check(False, (i, j))
     return Check(True)
 
@@ -425,26 +424,18 @@ def op_compose(A: StructureAlgebra, F: Matrix, G: Matrix):
 
 
 def op_add(A: StructureAlgebra, F: Matrix, G: Matrix):
-    """F+G; averaging under the cross compatibility identity."""
+    """F+G; averaging under the cross compatibility identity
+    F(x*G(y)) + G(x*F(y)) = F(x)G(y) + G(x)F(y).  By bilinearity that
+    identity at a basis pair is the averaging identity of F+G less those of
+    F and G, so for averaging F and G it is decided by ``is_averaging`` of
+    F+G, with the same witness pair."""
     avg_f, avg_g = is_averaging(A, F), is_averaging(A, G)
-    R, n = A.ring, A.dim
-    d = range(n)
-    fc, gc = list(zip(*F.entries)), list(zip(*G.entries))
-    # one pass per column: fp[j] = e_i*F(e_j) for every i, then G(e_i)*F(e_j);
-    # gp[j] = e_i*G(e_j), then F(e_i)*G(e_j)
-    f_rows = (*A._rows, *(_terms(c, n) for c in fc))
-    g_rows = (*A._rows, *(_terms(c, n) for c in gc))
-    fp = [A.products(g_rows, c) for c in fc]
-    gp = [A.products(f_rows, c) for c in gc]
-    compat_witness = next((
-        (i, j) for i in d for j in d
-        if vec_add(R, F.apply(gp[j][i]), G.apply(fp[j][i]))
-        != vec_add(R, gp[j][n + i], fp[j][n + i])), None)
-    holds = avg_f.ok and avg_g.ok and compat_witness is None
+    H = F.add(G)
+    cross = is_averaging(A, H) if avg_f and avg_g else Check(True)
     cert = Certificate(
         "operands are averaging and satisfy the cross compatibility identity",
-        holds, avg_f.witness or avg_g.witness or compat_witness)
-    return F.add(G), cert
+        avg_f.ok and avg_g.ok and cross.ok, avg_f.witness or avg_g.witness or cross.witness)
+    return H, cert
 
 
 def op_poly_apply(A: StructureAlgebra, coeffs, F: Matrix):
@@ -1217,15 +1208,11 @@ def primary_from_poly(coeffs) -> tuple:
     if coeffs[-1] != 1:
         raise ValueError("polynomial must be monic")
     d = len(coeffs) - 1
-    # powers of y modulo p; the multiplication table needs index 2d-2 and
-    # the operator column for the top basis vector needs index d
-    powers = [tuple(QQ.one if i == k else QQ.zero for i in range(d)) for k in range(d)]
-    reduction = tuple(-c for c in coeffs[:-1])  # y^d = -(c_0 + ... + c_{d-1} y^{d-1})
-    while len(powers) <= max(2 * d - 2, d):
-        prev = powers[-1]
-        shifted = [QQ.zero] + list(prev[:-1])
-        lead = prev[-1]
-        powers.append(tuple((s + lead * r) % QQ for s, r in zip(shifted, reduction)))
+    # y^k mod p, padded to length d; the multiplication table needs k up to
+    # 2d-2 and the operator column for the top basis vector needs k = d
+    rems = (poly_divmod(QQ, (QQ.zero,) * k + (QQ.one,), coeffs)[1]
+            for k in range(max(2 * d - 1, d + 1)))
+    powers = [r + (QQ.zero,) * (d - len(r)) for r in rems]
     mul = tuple(tuple(powers[i + j] for j in range(d)) for i in range(d))
     unit = tuple(QQ.one if i == 0 else QQ.zero for i in range(d))
     A = StructureAlgebra.make(QQ, unit, mul)

@@ -413,7 +413,8 @@ def render(t: Term) -> str:
 
     A Pow prints as the left-nested Mul chain of its copies, so for Pow-free
     t, parse(render(t)) is structurally t, and for every t,
-    render(parse(render(t))) == render(t).
+    render(parse(render(t))) == render(t).  A power whose copies would
+    take more than ``_MAX_LITERAL_BITS`` characters is a ``ValueError``.
     """
     # pre-order over an explicit stack of nodes and literal strings, each
     # node's pieces pushed right to left so that they pop in output order; a
@@ -443,6 +444,8 @@ def render(t: Term) -> str:
             _, _, paren_left, paren_right = _BINARY_FORMS[Mul]
             first = f"({base})" if type(node.base) in paren_left else base
             rest = f"*({base})" if type(node.base) in paren_right else f"*{base}"
+            if len(first) + len(rest) * (node.n - 1) > _MAX_LITERAL_BITS:
+                raise ValueError("a power is too long to write out")
             out.append(first + rest * (node.n - 1))
         elif tp is ScalarMul:
             arg, lit = node.arg, _lit(node.coeff)

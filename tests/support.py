@@ -390,6 +390,32 @@ def ref_is_reynolds_averaging(A, F):
     return Check(True)
 
 
+# op_add before it read the cross identity off is_averaging of F+G: the
+# cross compatibility identity scanned at every basis pair, verbatim apart
+# from the name and the module prefixes
+def ref_op_add(A, F, G):
+    """F+G; averaging under the cross compatibility identity."""
+    avg_f, avg_g = FD.is_averaging(A, F), FD.is_averaging(A, G)
+    R, n = A.ring, A.dim
+    d = range(n)
+    fc, gc = list(zip(*F.entries)), list(zip(*G.entries))
+    # one pass per column: fp[j] = e_i*F(e_j) for every i, then G(e_i)*F(e_j);
+    # gp[j] = e_i*G(e_j), then F(e_i)*G(e_j)
+    f_rows = (*A._rows, *(FD._terms(c, n) for c in fc))
+    g_rows = (*A._rows, *(FD._terms(c, n) for c in gc))
+    fp = [A.products(g_rows, c) for c in fc]
+    gp = [A.products(f_rows, c) for c in gc]
+    compat_witness = next((
+        (i, j) for i in d for j in d
+        if vec_add(R, F.apply(gp[j][i]), G.apply(fp[j][i]))
+        != vec_add(R, gp[j][n + i], fp[j][n + i])), None)
+    holds = avg_f.ok and avg_g.ok and compat_witness is None
+    cert = FD.Certificate(
+        "operands are averaging and satisfy the cross compatibility identity",
+        holds, avg_f.witness or avg_g.witness or compat_witness)
+    return F.add(G), cert
+
+
 def ref_check_lie(A, L):
     R = A.ring
     for i in range(A.dim):

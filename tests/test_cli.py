@@ -150,6 +150,25 @@ def test_huge_primary_coefficient_exits_two_at_once(capsys):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["decide", "--hypothesis", "averaging",
+     "--claim", "v1^99999999999999999999 = v1^99999999999999999999"],
+    ["eval", "--json", "--mode", "plain", "v1^99999999999999999999"],
+    ["decide", "--hypothesis", "averaging", "--claim", "v1^3000000 = v1^3000000"],
+])
+def test_power_too_long_to_write_out_exits_two(argv, capsys):
+    # the claim or the --json input is written out as its product; one past
+    # the literal bound is malformed input, refused before it is built
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+
+def test_short_power_is_written_out(capsys):
+    assert main(["eval", "--json", "--mode", "plain", "v1^3"]) == 0
+    assert json.loads(capsys.readouterr().out)["input"] == "v1*v1*v1"
+
+
 def test_scalar_default_env(monkeypatch, capsys):
     monkeypatch.setenv("AVG_SCALAR_DEFAULT", "Zmod:5")
     code = main(["eval", "--mode", "plain", "5*f(v1)"])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avgalg.exactlin import _MAX_LITERAL_DIGITS
+from avgalg.exactlin import _MAX_LITERAL_BITS, _MAX_LITERAL_DIGITS
 from avgalg.terms import (
     Add,
     Equation,
@@ -207,6 +207,15 @@ class TestRender:
     def test_unit_coefficient_survives(self):
         t = ScalarMul(Fraction(1), Var(2))
         assert parse_term(render(t)) == t
+
+    def test_power_is_written_out_up_to_the_literal_bound(self):
+        # v1^n is "v1" and n - 1 times "*v1", 3n - 1 characters; past
+        # _MAX_LITERAL_BITS characters it is refused before it is built
+        n = (_MAX_LITERAL_BITS + 1) // 3
+        assert len(render(Pow(Var(1), n))) == 3 * n - 1 <= _MAX_LITERAL_BITS
+        for t in (Pow(Var(1), n + 1), Mul(Var(2), Pow(F(Var(1)), 10 ** 20))):
+            with pytest.raises(ValueError, match="too long to write out"):
+                render(t)
 
 
 def _terms(powers=False):
