@@ -5,7 +5,9 @@ lie-induce, lie-analyze, chain, primary.  Every subcommand takes --json for
 machine-readable output.  Exit codes: 0 for success or a positive verdict,
 1 for a negative verdict (a failing claim, a non-averaging operator, a
 bracket no averaging operator induces), 2 for malformed input, internal
-errors or running out of memory.
+errors or running out of memory.  A verdict is not re-derived before it is
+printed: lie-induce prints the operator its linear system gives, which
+``findim.induced_by_averaging`` proves averaging and inducing the bracket.
 """
 
 from __future__ import annotations
@@ -141,13 +143,9 @@ def cmd_lie_induce(args) -> int:
               args.json,
               f"NOT INDUCED: fails the endomorphism criterion at basis pair {res.witness}")
         return 1
-    if isinstance(res, FD.InduceNoSolution):
-        _emit({"outcome": "no_solution"}, args.json,
-              "NOT INDUCED: the linear system for t has no solution")
-        return 1
-    _emit({"outcome": "diagnostic", "reason": res.reason}, args.json,
-          f"DIAGNOSTIC: {res.reason}")
-    return 2
+    _emit({"outcome": "no_solution"}, args.json,
+          "NOT INDUCED: the linear system for t has no solution")
+    return 1
 
 
 def cmd_lie_analyze(args) -> int:

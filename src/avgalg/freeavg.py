@@ -31,8 +31,8 @@ from operator import mul, neg
 
 from . import terms as T
 from ._record import Record, set_field
-from .exactlin import Matrix, QQ, Ring, ShapeError, Subspace, _modulus, vec_add, vec_scale
-from .findim import averaging_operator
+from .exactlin import Matrix, QQ, Ring, ShapeError, _modulus, vec_add, vec_scale
+from .findim import Check, _kernel, averaging_operator
 
 # ---------------------------------------------------------------------------
 # x-monomials: ((var_index, exponent), ...) sorted by index, no zero exponents
@@ -651,28 +651,16 @@ def fa_universal_lift(phi: Matrix, g: Matrix, a: FAElement, A, B) -> tuple:
     return out
 
 
-def fa_component_basis(dim: int, d: int):
-    """Basis keys (i, sym) of the degree-at-most-d component."""
-    return [(i, sym) for size in range(d + 1)
-            for sym in itertools.combinations_with_replacement(range(dim), size)
-            for i in range(dim)]
+def fa_injective(theta: Matrix, A, B) -> Check:
+    """Whether the homomorphism F_A -> F_B induced by theta is injective.
 
-
-def fa_truncated_injectivity(theta: Matrix, A, B, d: int = 2) -> bool:
-    """Full rank of the induced map on the degree-at-most-d component.
-
-    A stand-in for injectivity of the induced homomorphism: only the finite
-    degree-truncated piece is checked.
+    The induced map is theta (x) S(theta).  It is injective exactly when
+    theta is: over a field directly, and over Z/n because a monomorphism of
+    free Z/n-modules splits (Z/n is self-injective), so theta (x) S(theta)
+    has a left inverse.  So one kernel of theta decides, and a failing
+    Check's witness is a nonzero v in ker theta: v (x) 1 is in the kernel of
+    the induced map.
     """
     check_algebra_hom(theta, A, B)
-    src = fa_component_basis(A.dim, d)
-    dst = {k: pos for pos, k in enumerate(fa_component_basis(B.dim, d))}
-    R = A.ring
-    rows = []
-    for key in src:
-        img = _induced_hom(theta, FAElement.basis(R, A.dim, key[0], key[1]), A, B)
-        row = [R.zero] * len(dst)
-        for k, c in img.coeffs.items():
-            row[dst[k]] = c
-        rows.append(tuple(row))
-    return Subspace.span(R, len(dst), rows).dim == len(src)
+    ker = _kernel(theta)
+    return Check(True) if ker.is_zero() else Check(False, ker.basis[0])

@@ -7,7 +7,8 @@ Concrete syntax (EBNF):
     product  := factor ("*" factor)*
     factor   := atom ["^" digits]
     atom     := number | variable | "f" "(" term ")" | "(" term ")" | "-" factor
-    variable := "v" digits                  (no space after "v"; index >= 1)
+    variable := "v" digits                  (no space after "v"; index >= 1,
+                                             at most 600 digits)
     number   := ["-"] digits ["/" digits]   (no space after the "-")
     digits   := ("0" | "1" | ... | "9")+    (ASCII only)
 
@@ -286,7 +287,12 @@ def _parse(text: str, equation: bool):
         if tok[:1] == "v":
             if tok == "v":
                 raise _error(text, i - 1, "expected digits", end=True)
-            index = _int(text, i - 1, tok[1:])
+            # str prints an index of at most _CHUNK_DIGITS digits under every
+            # int string limit (640 digits is the least), so a longer one is
+            # refused here rather than when it is printed
+            if len(tok) > _CHUNK_DIGITS + 1:
+                raise _error(text, i - 1, "too many digits")
+            index = int(tok[1:])
             if index < 1:
                 raise _error(text, i - 1, "variable index must be positive", end=True)
             value = node(Var, index)

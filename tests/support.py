@@ -416,6 +416,110 @@ def ref_op_add(A, F, G):
     return F.add(G), cert
 
 
+# ad_eigen and induced_by_averaging before they returned the theorem's answer
+# alone: each re-derived it (the characteristic polynomial's roots with one
+# nullspace per root; is_averaging and the bracket of the candidate) and
+# reported a disagreement, verbatim apart from the names and the module
+# prefixes
+def ref_ad_eigen(A, F, a) -> tuple:
+    """Eigenvalues with eigenspaces of x -> a*F(x) - x*F(a), over a domain.
+
+    Two independent paths must agree: the structural case split on ker F and
+    F(a), and the characteristic-polynomial route with nullspace
+    eigenspaces.  Disagreement raises InternalInvariantError.
+    """
+    if A.ring != QQ:
+        raise FD.NotAFieldError("eigen analysis is implemented over Q")
+    FD.check_domain(A)
+    op = averaging_operator(A, F)
+    F = op.matrix
+    R, m = A.ring, _modulus(A.ring)
+    a = tuple(R.of(x) for x in a)
+    fa = F.apply(a)
+    # the bracket is alternating, so ad_a(e_i) = [a, e_i] = -[e_i, a]
+    ad = Matrix.from_cols(R, [[-x % m for x in g] for g in op.bracket.row_products(a)])
+    # structural path: over a domain the only possible eigenvalues are 0 and,
+    # when ker F is nonzero and F(a) is a nonzero scalar k, the value -k
+    ker = nullspace(F)
+    structural = {R.zero: nullspace(ad)}
+    k = None if not any(a) or ker.is_zero() else FD._proportionality(R, fa, A.unit)
+    if k:
+        structural[-k % m] = ker
+    # direct path
+    roots = set(FD.rational_roots(FD.char_poly(ad)))
+    direct = {}
+    for r in roots:
+        # at r = 0 the matrix is ad itself, whose kernel the structural path holds
+        space = nullspace(ad.add(Matrix.identity(R, A.dim).scale(-r))) if r else structural[R.zero]
+        if not space.is_zero():
+            direct[r] = space
+    if structural != direct:
+        raise FD.InternalInvariantError(
+            f"eigen paths disagree: structural {sorted(structural)} vs direct {sorted(direct)}")
+    return tuple(sorted(direct.items()))
+
+
+class InduceDiagnostic(Record):
+    """The linear system had a solution but the candidate operator failed
+    re-verification; kept distinct so the gap stays visible."""
+
+    __slots__ = ("t", "operator", "reason")  # tuple, Matrix, str
+
+
+def ref_induced_by_averaging(A, L):
+    FD._require_laws(A)
+    if not A.ring.is_field:
+        raise FD.NotAFieldError("the averaging-induced decision needs field scalars")
+    FD.require_lie(A, L)
+    endo = FD.endo_induced_check(A, L)
+    if not endo:
+        return FD.NotEndoInduced(endo.witness)
+    R = A.ring
+    n = A.dim
+    E = Matrix.from_cols(R, L.row_products(A.unit))  # [., 1] = -D
+    eps = FD._gamma(A, E).basis
+    delta, project = FD._complement(R, eps, n)
+    eps_terms = [FD._terms(ei, n) for ei in eps]
+    rows, rhs = [], []
+    for dj in delta:
+        # delta-coordinates of eps_i * delta_j fill the system matrix, those
+        # of -D(delta_j) = [delta_j, 1] the right-hand side
+        coords = [project(p) for p in A.products(eps_terms, dj)]
+        rows.extend(tuple(c[k] for c in coords) for k in range(len(delta)))
+        rhs.extend(project(E.apply(dj)))
+    res = FD.solve_linear(Matrix(R, len(rows), len(eps), tuple(rows)), tuple(rhs))
+    if isinstance(res, FD.NoSolution):
+        return FD.InduceNoSolution()
+    t = FD._apply_cols(eps_terms, res.particular, _modulus(R), R.zero, n)  # sum x_i eps_i
+    cols = [FD.vec_sub(R, p, c) for p, c in zip(A.row_products(t), zip(*E.entries))]
+    op = Matrix.from_cols(R, cols)
+    avg = FD.is_averaging(A, op)
+    if not avg:
+        return InduceDiagnostic(t, op, f"candidate not averaging at pair {avg.witness}")
+    # L passed check_lie on entry, so equal tables make the candidate's
+    # bracket a Lie bracket without a second check
+    if FD._bracket_table(A, avg._products).table != L.table:
+        return InduceDiagnostic(t, op, "candidate does not reproduce the bracket")
+    return FD.Induced(t, op)
+
+
+def eigen_by_char_poly(A, F, a) -> tuple:
+    """The eigenvalues in Q of ad_a: x -> a*F(x) - x*F(a) as the rational
+    roots of its characteristic polynomial, each with the nullspace of
+    ad_a - r as its eigenspace, sorted: the direct path, which uses no
+    theorem.  ad_a is formed by dense products, not by the bracket table."""
+    R, d = A.ring, A.dim
+    a = tuple(R.of(x) for x in a)
+    fa = dense_apply(F, a)
+    cols = [tuple(ref_sub(R, x, y) for x, y in zip(dense_product(R, A.mul, a, dense_apply(F, e)),
+                                                     dense_product(R, A.mul, e, fa)))
+            for e in (A.basis_vec(i) for i in range(d))]
+    ad = Matrix.from_cols(R, cols)
+    pairs = ((r, nullspace(ad.sub(Matrix.identity(R, d).scale(r))))
+             for r in set(FD.rational_roots(FD.char_poly(ad))))
+    return tuple(sorted((r, space) for r, space in pairs if not space.is_zero()))
+
+
 def ref_check_lie(A, L):
     R = A.ring
     for i in range(A.dim):

@@ -77,6 +77,7 @@ from avgalg.findim import (
 )
 from support import (
     dim2_algebra,
+    eigen_by_char_poly,
     functional_operator,
     mult_operator,
     product_algebra,
@@ -650,7 +651,8 @@ class TestAdEigen:
                 lam = rand_element(rng, A)
                 F = functional_operator(A, lam)
                 a = rand_element(rng, A)
-                pairs = ad_eigen(A, F, a)  # raises on cross-check mismatch
+                pairs = ad_eigen(A, F, a)
+                assert pairs == eigen_by_char_poly(A, F, a)
                 k = F.apply(a)[0]
                 if any(x != QQ.zero for x in a) and k != QQ.zero \
                         and not nullspace(F).is_zero():
@@ -658,8 +660,7 @@ class TestAdEigen:
                     assert dict(pairs)[-k] == nullspace(F)
 
     def test_kernel_of_ad_is_computed_once(self, monkeypatch):
-        # at a = i the roots are 0 and -1: the structural path takes ker ad,
-        # the direct path reuses it at the root 0 and solves ad + I at -1
+        # at a = i the eigenvalues are 0, with ker ad, and -1, with ker F
         A, a = qi(), (QQ.of(0), QQ.of(1))
         L = induced_bracket(A, imaginary_part(A))
         ad = Matrix.from_cols(QQ, [L.products([FD._terms(a, A.dim)], A.basis_vec(i))[0]

@@ -8,14 +8,13 @@ from avgalg.freeavg import (
     FAElement,
     NotAHomomorphismError,
     check_algebra_hom,
-    fa_component_basis,
     fa_f,
     fa_induced_hom,
+    fa_injective,
     fa_mul,
-    fa_truncated_injectivity,
     fa_universal_lift,
 )
-from avgalg.findim import NotAveragingError, StructureAlgebra, is_averaging
+from avgalg.findim import Check, NotAveragingError, StructureAlgebra, is_averaging
 from support import dim2_algebra, fa_from_dict, fa_one, mult_operator, rand_fraction
 
 
@@ -162,28 +161,38 @@ def test_universal_lift_refuses_a_g_over_another_ring():
         fa_universal_lift(Matrix.identity(QQ, 2), g, FAElement.basis(QQ, 2, 0, (1,)), A, A)
 
 
-def test_component_basis_sizes():
-    # dim 2, degree <= 2: (1 + 2 + 3) symmetric monomials times 2 left slots
-    assert len(fa_component_basis(2, 2)) == 12
-
-
-def test_truncated_injectivity_for_inclusion():
+def test_injective_for_inclusion():
     Q1 = rationals_algebra()
     B = qi()
     incl = Matrix.from_cols(QQ, [(1, 0)])
-    assert fa_truncated_injectivity(incl, Q1, B, d=2)
+    assert fa_injective(incl, Q1, B) == Check(True)
 
 
-def test_truncated_injectivity_fails_for_collapse():
-    # Q x Q projected onto its first coordinate is a hom with a kernel
-    A = StructureAlgebra.make(QQ, (1, 1), [[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
-    B = rationals_algebra()
-    proj = Matrix.from_rows(QQ, [[1, 0]])
-    check_algebra_hom(proj, A, B)
-    assert not fa_truncated_injectivity(proj, A, B, d=2)
+def collapse(ring):
+    """Projection of ring x ring onto its first factor, a hom with a kernel."""
+    A = StructureAlgebra.make(ring, (1, 1), [[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
+    B = StructureAlgebra.make(ring, (1,), [[[1]]])
+    return Matrix.from_rows(ring, [[1, 0]]), A, B
 
 
-def test_truncated_injectivity_checks_the_homomorphism_once(monkeypatch):
+@pytest.mark.parametrize("ring", [QQ, ZMod(5), ZMod(6)], ids=lambda R: R.name)
+def test_injective_fails_for_collapse(ring):
+    # the witness v spans ker theta, and the induced map sends v (x) 1 to 0
+    proj, A, B = collapse(ring)
+    res = fa_injective(proj, A, B)
+    assert not res.ok and res.witness == (ring.zero, ring.one)
+    v = fa_from_dict(ring, 2, {(1, ()): ring.one})
+    assert fa_induced_hom(proj, v, A, B) == fa_from_dict(ring, 1, {})
+
+
+def test_injective_over_composite_modulus():
+    # the diagonal Z/6 -> Z/6 x Z/6 is injective: its kernel submodule is 0
+    Z6 = ZMod(6)
+    _, A, B = collapse(Z6)
+    assert fa_injective(Matrix.from_cols(Z6, [(1, 1)]), B, A) == Check(True)
+
+
+def test_injective_checks_the_homomorphism_once(monkeypatch):
     calls = []
     original = FA.check_algebra_hom
 
@@ -193,5 +202,5 @@ def test_truncated_injectivity_checks_the_homomorphism_once(monkeypatch):
 
     monkeypatch.setattr(FA, "check_algebra_hom", counted)
     A = qi()
-    assert fa_truncated_injectivity(Matrix.identity(QQ, 2), A, A, d=2)
+    assert fa_injective(Matrix.identity(QQ, 2), A, A).ok
     assert len(calls) == 1

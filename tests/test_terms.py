@@ -151,13 +151,27 @@ class TestErrors:
     @pytest.mark.parametrize("prefix", ["v1 + ", "v1 + v", "v1^", "v1 -"])
     def test_5000_digit_run(self, prefix):
         # past the default int conversion limit of Python 3.11+ (4300
-        # digits), read in chunks, so accepted whatever the limit
+        # digits), read in chunks, so accepted whatever the limit; a variable
+        # index is bounded at 600 digits, which str prints under any limit
         n = (10 ** 5000 - 1) // 9 * 7
+        if prefix == "v1 + v":
+            with pytest.raises(TermSyntaxError, match="too many digits") as info:
+                parse_term(prefix + "7" * 5000)
+            assert info.value.offset == len("v1 + ")
+            return
         assert parse_term(prefix + "7" * 5000) == {
             "v1 + ": Add(Var(1), ScalarMul(Fraction(n), One())),
-            "v1 + v": Add(Var(1), Var(n)),
             "v1^": Pow(Var(1), n),
             "v1 -": Sub(Var(1), ScalarMul(Fraction(n), One()))}[prefix]
+
+    def test_variable_index_bound(self):
+        # 600 digits is the longest index: its str needs no more than the
+        # least int string limit (640)
+        n = (10 ** 600 - 1) // 9 * 7
+        assert parse_term("v" + "7" * 600) == Var(n)
+        with pytest.raises(TermSyntaxError, match="too many digits") as info:
+            parse_term("v1 + v" + "7" * 601)
+        assert info.value.offset == len("v1 + ")
 
     @pytest.mark.parametrize("prefix", ["v1 + ", "v1 + v", "v1^", "v1 -"])
     def test_digit_run_past_the_literal_bound(self, prefix):

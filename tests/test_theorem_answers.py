@@ -1,0 +1,286 @@
+"""Answers that a theorem gives agree with the re-derivations they replaced.
+
+``ad_eigen`` returns the structural eigenvalues: 0 with ker ad_a, and -k
+with ker F when F(a) = k*1.  ``induced_by_averaging`` returns D + t*(.) as
+soon as its linear system is solved, because a solution is averaging and
+induces L (both proofs are in the docstrings).  ``tests/support.py`` keeps
+both functions as they were, re-deriving the answer and reporting a
+disagreement (``ref_ad_eigen``, ``ref_induced_by_averaging``).  Results and
+refusals must be equal: on Q fields from ``primary_from_poly``, the same
+fields on a random basis (``rand_gl``), multiplication, functional and sum
+operators, and algebras that are not domains.  An ``Induced`` operator is
+also checked by dense arithmetic to be averaging and to induce L.
+
+``primary_from_poly`` and ``quotient_by_averaging_ideal`` no longer verify
+what they build: the first is compared with multiplication by y, the second
+with a quotient computed here by dense elimination over Fractions, and both
+results must pass the laws and the averaging check.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from avgalg.exactlin import QQ, Matrix, Subspace, ZMod
+from avgalg.findim import (
+    Induced,
+    InduceNoSolution,
+    InternalInvariantError,
+    NotEndoInduced,
+    ad_eigen,
+    induced_bracket,
+    induced_by_averaging,
+    is_averaging,
+    primary_from_poly,
+    quotient_by_averaging_ideal,
+    verify_algebra,
+)
+from support import (
+    change_algebra,
+    change_bracket,
+    change_operator,
+    dense_apply,
+    dense_product,
+    functional_operator,
+    mult_operator,
+    product_algebra,
+    rand_algebra,
+    rand_element,
+    rand_gl,
+    rand_int_algebra,
+    rand_lie_bracket,
+    rand_monic,
+    rand_sum_operator,
+    ref_ad_eigen,
+    ref_induced_by_averaging,
+    ref_is_averaging,
+)
+
+FIELDS = [QQ, ZMod(2), ZMod(5), ZMod(7)]
+
+
+def _outcome(fn, *args):
+    """The result, or the refusal as its class name and message."""
+    try:
+        return fn(*args)
+    except (ValueError, InternalInvariantError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# ---------------------------------------------------------------------------
+# ad_eigen
+
+def _sum_on_product(left, right, f_left, f_right):
+    """(A, F): the product algebra with F acting on each factor by its own
+    operator, so each factor is an F-invariant ideal."""
+    n, m = left.dim, right.dim
+    cols = [f_left.col(j) + (0,) * m for j in range(n)] + \
+        [(0,) * n + f_right.col(j) for j in range(m)]
+    return product_algebra(left, right), Matrix.from_cols(left.ring, cols)
+
+
+def _rand_operator(rng, A):
+    """A multiplication or a functional operator with random entries."""
+    return rng.choice([mult_operator, functional_operator])(A, rand_element(rng, A))
+
+
+def _eigen_input(rng):
+    """(A, F, a) over Q: a field y^d - c with |c| prime (Eisenstein), a
+    random primary algebra (a field, not reduced, or a product), or a product
+    of two with a sum operator; otherwise F is a multiplication or a
+    functional operator.  a is random, and zero now and then.  A third of the
+    draws are on a random basis, and one in twenty is over Z/5."""
+    roll = rng.randint(0, 19)
+    if roll == 0:
+        A = rand_int_algebra(rng, ZMod(5))
+        return A, functional_operator(A, [1] * A.dim), (1,) * A.dim
+    if roll <= 10:
+        d = rng.randint(1, 4)
+        A, _ = primary_from_poly([rng.choice([-5, -3, -2, 2, 3, 5])] + [0] * (d - 1) + [1])
+        F = _rand_operator(rng, A)
+    elif roll <= 15:
+        A, _ = primary_from_poly(rand_monic(rng, rng.randint(1, 4)))
+        F = _rand_operator(rng, A)
+    else:
+        left, right = rand_algebra(rng, 2), rand_algebra(rng, 2)
+        A, F = _sum_on_product(left, right, _rand_operator(rng, left),
+                               _rand_operator(rng, right))
+    a = (0,) * A.dim if rng.randint(0, 9) == 0 else rand_element(rng, A)
+    if rng.randint(0, 2) == 0:
+        P, Pinv = rand_gl(rng, QQ, A.dim)
+        A, F, a = change_algebra(A, P, Pinv), change_operator(F, P, Pinv), dense_apply(Pinv, a)
+    return A, F, a
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_ad_eigen_matches_the_two_path_reference(rng):
+    A, F, a = _eigen_input(rng)
+    assert _outcome(ad_eigen, A, F, a) == _outcome(ref_ad_eigen, A, F, a)
+
+
+def test_ad_eigen_draws_reach_every_branch():
+    # the -k eigenspace, 0 alone, and the refusals (not a domain, undecided,
+    # not over Q) all occur, so the comparison sees each; t^4 + 1 is a field
+    # and (t^2 - 2)(t^2 - 3) is not, and check_domain decides neither
+    rng = random.Random(31)
+    inputs = [_eigen_input(rng) for _ in range(300)]
+    for coeffs in ([1, 0, 0, 0, 1], [6, 0, -5, 0, 1]):
+        A, F = primary_from_poly(coeffs)
+        inputs.append((A, F, (0, 1, 0, 0)))
+    seen = set()
+    for A, F, a in inputs:
+        out = _outcome(ad_eigen, A, F, a)
+        assert out == _outcome(ref_ad_eigen, A, F, a)
+        seen.add(out[0] if isinstance(out[0], str) else len(out))
+    assert seen == {1, 2, "NotADomainError", "DomainUndecidedError", "NotAFieldError"}
+
+
+# ---------------------------------------------------------------------------
+# induced_by_averaging
+
+def _induce_input(rng, ring):
+    """(A, L): a verified algebra (on a random basis now and then) with the
+    bracket of a functional, a multiplication or a sum operator, of an
+    endomorphism, or a Lie bracket of neither kind."""
+    kind = rng.choice(["functional", "mult", "sum", "endomorphism", "neither"])
+    if kind == "sum":
+        A, F = rand_sum_operator(rng, ring)
+        L = induced_bracket(A, F)
+    else:
+        A = rand_algebra(rng) if ring == QQ and rng.randint(0, 1) else rand_int_algebra(rng, ring)
+        if kind == "mult":
+            L = induced_bracket(A, mult_operator(A, [rng.randint(-2, 2) for _ in range(A.dim)]))
+        else:
+            L = rand_lie_bracket(rng, A, "averaging" if kind == "functional" else kind)
+    if rng.randint(0, 2) == 0:
+        P, Pinv = rand_gl(rng, ring, A.dim)
+        A, L = change_algebra(A, P, Pinv), change_bracket(L, P, Pinv)
+    return A, L
+
+
+def _induces(A, L, op) -> bool:
+    """op is averaging and x*op(y) - y*op(x) is L, by dense arithmetic."""
+    R, d = A.ring, A.dim
+    cols = [op.col(j) for j in range(d)]
+    e = [A.basis_vec(i) for i in range(d)]
+    bracket = [[tuple(R.of(x - y) for x, y in zip(dense_product(R, A.mul, e[i], cols[j]),
+                                                   dense_product(R, A.mul, e[j], cols[i])))
+                for j in range(d)] for i in range(d)]
+    return ref_is_averaging(A, op).ok and bracket == [list(row) for row in L.table]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FIELDS + [ZMod(6)]), st.randoms(use_true_random=False))
+def test_induced_by_averaging_matches_the_rechecking_reference(ring, rng):
+    A, L = _induce_input(rng, ring)
+    res = _outcome(induced_by_averaging, A, L)
+    assert res == _outcome(ref_induced_by_averaging, A, L)
+    if isinstance(res, Induced):
+        assert _induces(A, L, res.operator)
+
+
+def test_induce_draws_reach_every_outcome():
+    rng = random.Random(31)
+    seen = set()
+    for k in range(300):
+        A, L = _induce_input(rng, FIELDS[k % len(FIELDS)])
+        res = induced_by_averaging(A, L)
+        assert res == ref_induced_by_averaging(A, L)
+        seen.add(type(res))
+    assert seen == {Induced, NotEndoInduced, InduceNoSolution}
+
+
+# ---------------------------------------------------------------------------
+# primary_from_poly and quotient_by_averaging_ideal
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.randoms(use_true_random=False))
+def test_primary_operator_is_multiplication_by_y(deg, rng):
+    # the class of y is e_1, or -c_0 in degree 1
+    coeffs = rand_monic(rng, deg)
+    A, F = primary_from_poly(coeffs)
+    y = (-coeffs[0],) if deg == 1 else A.basis_vec(1)
+    assert F == mult_operator(A, y)
+    assert is_averaging(A, F).ok
+
+
+def _inverse(cols):
+    """The inverse of the invertible matrix with these Fraction columns, by
+    Gauss-Jordan elimination, as a list of rows."""
+    d = len(cols)
+    rows = [[Fraction(cols[j][i]) for j in range(d)] + [Fraction(int(i == k)) for k in range(d)]
+            for i in range(d)]
+    for c in range(d):
+        p = next(r for r in range(c, d) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(d):
+            if r != c and rows[r][c]:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return [row[d:] for row in rows]
+
+
+def _quotient_reference(A, F, ideal):
+    """(unit, table, operator columns) of A/I on the classes of the standard
+    basis vectors that complete a basis of I greedily, by Fractions."""
+    d = A.dim
+    basis = [list(v) for v in ideal.basis]
+    comp = []
+    for i in range(d):
+        e = A.basis_vec(i)
+        if Subspace.span(QQ, d, basis + comp + [e]).dim > len(basis) + len(comp):
+            comp.append(e)
+    inv = _inverse(basis + comp)
+
+    def project(v):
+        return tuple(sum(r * x for r, x in zip(row, v)) for row in inv[len(basis):])
+
+    table = tuple(tuple(project(dense_product(QQ, A.mul, x, y)) for y in comp) for x in comp)
+    return project(A.unit), table, tuple(project(dense_apply(F, c)) for c in comp)
+
+
+def _quotient_input(rng):
+    """(A, F, I) over Q with I an F-invariant ideal: a principal ideal under
+    a multiplication operator, or one factor of a product under a sum of
+    multiplication and functional operators; a third of the first kind on a
+    random basis."""
+    if rng.randint(0, 1):
+        left, right = rand_algebra(rng, 2), rand_algebra(rng, 2)
+        A, F = _sum_on_product(left, right, _rand_operator(rng, left),
+                               _rand_operator(rng, right))
+        factor = range(left.dim) if rng.randint(0, 1) else range(left.dim, A.dim)
+        return A, F, Subspace.span(QQ, A.dim, [A.basis_vec(i) for i in factor])
+    A = rand_algebra(rng)
+    F = mult_operator(A, rand_element(rng, A))
+    gens = A.row_products(tuple(QQ.of(x) for x in rand_element(rng, A)))
+    if rng.randint(0, 2) == 0:
+        P, Pinv = rand_gl(rng, QQ, A.dim)
+        A, F = change_algebra(A, P, Pinv), change_operator(F, P, Pinv)
+        gens = [dense_apply(Pinv, v) for v in gens]
+    return A, F, Subspace.span(QQ, A.dim, gens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_quotient_matches_the_dense_reference(rng):
+    A, F, ideal = _quotient_input(rng)
+    if ideal.is_full():
+        return
+    A2, F2 = quotient_by_averaging_ideal(A, F, ideal)
+    assert (A2.unit, A2.mul, tuple(zip(*F2.entries))) == _quotient_reference(A, F, ideal)
+    assert verify_algebra(A2).ok and is_averaging(A2, F2).ok
+
+
+def test_quotient_of_a_product_by_a_factor_is_the_other_factor():
+    # Q[y]/(y^2 - 2) x Q[y]/(y^2 - 3) by the second factor, with a sum of a
+    # functional and a multiplication operator: the first factor and its
+    # functional operator
+    left, _ = primary_from_poly([-2, 0, 1])
+    right, _ = primary_from_poly([-3, 0, 1])
+    lam = functional_operator(left, (1, 2))
+    A, F = _sum_on_product(left, right, lam, mult_operator(right, (0, 1)))
+    A2, F2 = quotient_by_averaging_ideal(A, F, Subspace.span(QQ, 4, [(0, 0, 1, 0), (0, 0, 0, 1)]))
+    assert (A2.unit, A2.mul, F2) == (left.unit, left.mul, lam)
