@@ -31,18 +31,21 @@ and the scan keeps its order over them, so the first failure is unchanged.
 
 A pass of ``verify_algebra`` is carried in the algebra, and every function
 that relies on the laws refuses an algebra that fails them with
-``NotAnAlgebraError``.  So the paper's starting theorem, that an averaging
-operator F induces the Lie bracket [x, y] = x*F(y) - y*F(x), holds by
-hypothesis: it is tested, not re-run on every bracket.  So do its two
-corollaries, which ``lie_analysis`` reads its series off: every bracket
-lies in ker F, as F([x, y]) = F(x)F(y) - F(y)F(x) = 0, and for u, v in
-ker F, [u, v] = 0 and [u, y] = u*F(y).
+``NotAnAlgebraError``; so are a ``check_domain`` certificate, for the
+analyses over a domain, and in a bracket a pass of ``check_lie``.  Only
+passes are carried, in private slots, and the public checks decide on every
+call.  So the paper's starting theorem, that an averaging operator F
+induces the Lie bracket [x, y] = x*F(y) - y*F(x), holds by hypothesis: it
+is tested, not re-run, and the bracket is born with the Lie pass.  So do
+its two corollaries, which ``lie_analysis`` reads its series off: every
+bracket lies in ker F, as F([x, y]) = F(x)F(y) - F(y)F(x) = 0, and for
+u, v in ker F, [u, v] = 0 and [u, y] = u*F(y).
 """
 
 from __future__ import annotations
 
 import itertools
-from math import lcm
+from math import lcm, prod
 from typing import Union
 
 from ._record import Record, set_field
@@ -231,11 +234,12 @@ class StructureAlgebra(_Table):
     the identity checks in this module compute a product once per unordered
     pair of basis vectors, which is exact only when the contract holds
     (``is_averaging`` tests it first).  A passing ``verify_algebra``, and
-    nothing else, sets the private slot ``_laws``; the functions that need
-    the laws read it through ``_require_laws``.
+    nothing else, sets the private slot ``_laws``, read by ``_require_laws``,
+    and a passing ``check_domain`` its certificate ``_domain``, read by
+    ``_require_domain``.
     """
 
-    __slots__ = ("unit", "mul", "_laws")
+    __slots__ = ("unit", "mul", "_laws", "_domain")
 
     def __init__(self, ring: Ring, dim: int, unit: tuple, mul: tuple):
         _Table.__init__(self, ring, dim, mul)
@@ -461,9 +465,10 @@ def op_poly_apply(A: StructureAlgebra, coeffs, F: Matrix):
 class BracketTable(_Table):
     """Bracket structure constants: table[i][j] = coordinates of [e_i, e_j].
     ``products(groups, v)`` gives the brackets [x, v] and ``row_products(v)``
-    every [e_i, v], as the products of ``StructureAlgebra``."""
+    every [e_i, v], as the products of ``StructureAlgebra``.  A passing
+    ``check_lie`` sets the private slot ``_lie``, read by ``require_lie``."""
 
-    __slots__ = ("table",)
+    __slots__ = ("table", "_lie")
 
     def __init__(self, ring: Ring, dim: int, table: tuple, cells=None):
         _Table.__init__(self, ring, dim, table, cells)
@@ -479,7 +484,8 @@ def check_lie(A: StructureAlgebra, L: BracketTable) -> Check:
     """Alternating plus Jacobi on all basis triples.  Once the table is
     antisymmetric, one ``row_products`` per cell [e_i, e_j], i < j, gives
     every [e_m, [e_i, e_j]], and the triples i < j < k are scanned in order
-    over these C(d, 2) passes, so the witness is the full scan's."""
+    over these C(d, 2) passes, so the witness is the full scan's.  Every
+    call scans; a pass marks L, as it reads nothing of A but dim and ring."""
     if L.dim != A.dim or L.ring != A.ring:
         raise ShapeError("bracket does not match the algebra")
     R, m = A.ring, _modulus(A.ring)
@@ -501,10 +507,14 @@ def check_lie(A: StructureAlgebra, L: BracketTable) -> Check:
         total = vec_sub(R, vec_add(R, rb[i, j][k], rb[j, k][i]), rb[i, k][j])
         if any(total):
             return Check(False, ("jacobi", (i, j, k)))
+    set_field(L, "_lie", True)
     return Check(True)
 
 
 def require_lie(A: StructureAlgebra, L: BracketTable):
+    """``check_lie``, unless L carries its pass and matches A's dim and ring."""
+    if getattr(L, "_lie", False) and L.dim == A.dim and L.ring == A.ring:
+        return
     chk = check_lie(A, L)
     if not chk:
         raise NotLieError(f"not a Lie bracket: {chk.witness}")
@@ -554,8 +564,8 @@ class AveragingOperator(Record):
     The induced bracket ``bracket`` is built on first use; callers that
     never read it do not pay for it.  It is a Lie bracket by the paper's
     starting theorem, whose hypotheses the algebra and the operator carry,
-    so it is not checked again (``tests/test_bracket_theorem.py`` tests the
-    theorem).  It is the difference of two products e_i*F(e_j) that
+    so it is born with the Lie mark (``tests/test_bracket_theorem.py`` tests
+    the theorem).  It is the difference of two products e_i*F(e_j) that
     ``is_averaging`` formed and that ride along in the private slot
     ``_products``, so no product is computed twice.  The built bracket is
     kept in the private slot ``_bracket``.  Private slots are outside
@@ -571,6 +581,7 @@ class AveragingOperator(Record):
         except AttributeError:
             pass
         L = _bracket_table(self.algebra, self._products)
+        set_field(L, "_lie", True)
         set_field(self, "_bracket", L)
         return L
 
@@ -823,15 +834,13 @@ def nilpotency_check(A: StructureAlgebra, F: Operator):
     Works over fields via subspaces and over Z/n via canonical submodules.
     """
     op = averaging_operator(A, F)
-    brackets = _bracket_span(op.bracket)
-    return _nilpotency(A, brackets, _image(op, brackets))
+    return _nilpotency(A, _bracket_span(op.bracket), _image(op))
 
 
-def _image(op: AveragingOperator, brackets):
-    """The span of im F, whose columns are read in one transpose; None when
-    the brackets span 0, as then nothing needs it."""
+def _image(op: AveragingOperator):
+    """The span of im F, whose columns are read in one transpose."""
     F = op.matrix
-    return None if brackets.is_zero() else _span(F.ring, F.rows, list(zip(*F.entries)))
+    return _span(F.ring, F.rows, list(zip(*F.entries)))
 
 
 def _nilpotency(A: StructureAlgebra, brackets, image):
@@ -911,7 +920,9 @@ def check_domain(A: StructureAlgebra) -> DomainCertificate:
     happens over Q only, when the characteristic polynomial of the
     primitive element has degree above 3, no rational root, and no sieve
     prime proves it irreducible: Q[t]/(t^4 + 1), a field, and
-    Q[t]/((t^2 - 2)(t^2 - 3)), which is not, both end there.
+    Q[t]/((t^2 - 2)(t^2 - 3)), which is not, both end there.  Every call
+    decides; a certificate marks A for ``ad_eigen`` and
+    ``nilpotent_radical_domain``, and a refusal is raised again each time.
 
     Over Q: A = Q[t]/(chi_a) for an element a whose characteristic
     polynomial chi_a is squarefree, when A is reduced, and A is a field
@@ -931,9 +942,15 @@ def check_domain(A: StructureAlgebra) -> DomainCertificate:
         raise NotAFieldError("domain check needs field scalars")
     if A.dim == 0:
         raise NotADomainError("the zero ring is not a domain")
-    if R == QQ:
-        return _check_domain_q(A)
-    return _check_domain_zp(A)
+    cert = _check_domain_q(A) if R == QQ else _check_domain_zp(A)
+    set_field(A, "_domain", cert)
+    return cert
+
+
+def _require_domain(A: StructureAlgebra):
+    """Free when A carries a ``check_domain`` certificate, that check otherwise."""
+    if getattr(A, "_domain", None) is None:
+        check_domain(A)
 
 
 def _check_domain_q(A: StructureAlgebra) -> DomainCertificate:
@@ -1054,7 +1071,7 @@ def _check_domain_zp(A: StructureAlgebra) -> DomainCertificate:
 
 def nilpotent_radical_domain(A: StructureAlgebra, F: Operator) -> Subspace:
     """Over a domain: the whole space when ker F = 0, else ker F."""
-    check_domain(A)
+    _require_domain(A)
     ker = nullspace(averaging_operator(A, F).matrix)
     return Subspace.full(A.ring, A.dim) if ker.is_zero() else ker
 
@@ -1073,7 +1090,7 @@ def ad_eigen(A: StructureAlgebra, F: Operator, a) -> tuple:
     """
     if A.ring != QQ:
         raise NotAFieldError("eigen analysis is implemented over Q")
-    check_domain(A)
+    _require_domain(A)
     op = averaging_operator(A, F)
     R, m = A.ring, _modulus(A.ring)
     a = tuple(R.of(x) for x in a)
@@ -1103,15 +1120,25 @@ class KernelBracketResult(Record):
 
 
 def kernel_equals_brackets(A: StructureAlgebra, F: Operator) -> KernelBracketResult:
-    """Compare ker F with the span of all basis brackets, exactly.
+    """Compare ker F with the span B of all basis brackets, exactly.
 
     Over a field both sides are subspaces; over Z/n both sides are canonical
-    submodules, so equality is equality of canonical forms.
+    submodules, so equal values are equal spans.  B lies in ker F (module
+    docstring) and |ker F|*|im F| = |A|, so B = ker F exactly when
+    dim B + dim im F = d over a field, |B|*|im F| = n^d over Z/n, a Howell
+    form's order being the product of n/g over its pivots g.  So only an
+    unequal comparison solves for ker F; an equal one is (True, B, B).
     """
     op = averaging_operator(A, F)
-    ker = _kernel(op.matrix)
-    spn = _bracket_span(op.bracket)
-    return KernelBracketResult(ker == spn, ker, spn)
+    return _kernel_comparison(op, _bracket_span(op.bracket), _image(op))
+
+
+def _kernel_comparison(op: AveragingOperator, brackets, image) -> KernelBracketResult:
+    R, d, rows = op.matrix.ring, op.matrix.rows, (*brackets.basis, *image.basis)
+    if (len(rows) == d if R.is_field else
+            prod(R.n // next(filter(None, b)) for b in rows) == R.n ** d):
+        return KernelBracketResult(True, brackets, brackets)
+    return KernelBracketResult(False, _kernel(op.matrix), brackets)
 
 
 class LieAnalysis(Record):
@@ -1125,22 +1152,22 @@ class LieAnalysis(Record):
 
 def lie_analysis(A: StructureAlgebra, F: Operator) -> LieAnalysis:
     """Bracket, series, nilpotency, and kernel comparison in one pass; all
-    four share the kernel comparison's span B of the brackets, which over a
-    field is stage 1 of both series.  The series form no bracket (see the
+    four share the span B of the brackets, which over a field is stage 1 of
+    both series, and the span of im F.  The series form no bracket (see the
     module docstring): B lies in ker F, so [B, B] = 0, and each lower
-    central stage after B spans the products of the one before with im F,
-    whose span the nilpotency check shares."""
+    central stage after B spans the products of the one before with im F.
+    The kernel comparison reads B = ker F off the sizes of B and im F."""
     op = averaging_operator(A, F)
-    kc = kernel_equals_brackets(A, op)
-    image = _image(op, kc.brackets)
+    brackets, image = _bracket_span(op.bracket), _image(op)
     ds = lc = None
     if A.ring.is_field:
-        groups = () if image is None else [_terms(v, A.dim) for v in image.basis]
-        lc = _series(A, kc.brackets, lambda us: [p for u in us for p in A.products(groups, u)])
+        groups = [_terms(v, A.dim) for v in image.basis]
+        lc = _series(A, brackets, lambda us: [p for u in us for p in A.products(groups, u)])
         # A, B, 0; or A, 0 (A for d = 0) as the lower central series when B = 0
         zero = Subspace(A.ring, A.dim, ())
-        ds = lc if image is None else SeriesResult((*lc.stages[:2], zero), True)
-    return LieAnalysis(op.bracket, ds, lc, _nilpotency(A, kc.brackets, image), kc)
+        ds = lc if brackets.is_zero() else SeriesResult((*lc.stages[:2], zero), True)
+    return LieAnalysis(op.bracket, ds, lc, _nilpotency(A, brackets, image),
+                       _kernel_comparison(op, brackets, image))
 
 
 # ---------------------------------------------------------------------------

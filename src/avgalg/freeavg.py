@@ -31,7 +31,7 @@ from operator import mul, neg
 
 from . import terms as T
 from ._record import Record, set_field
-from .exactlin import Matrix, QQ, Ring, ShapeError, _modulus, vec_add, vec_scale
+from .exactlin import Matrix, QQ, Ring, ShapeError, _decimal_str, _modulus, vec_add, vec_scale
 from .findim import Check, _kernel, averaging_operator
 
 # ---------------------------------------------------------------------------
@@ -43,7 +43,7 @@ X_ONE = ()
 def xmono_render(m) -> str:
     if not m:
         return "1"
-    return "*".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in m)
+    return "*".join(f"x{i}" if e == 1 else f"x{i}^{_decimal_str(e)}" for i, e in m)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +121,7 @@ def mono_divides(a, b) -> bool:
 def mono_render(m) -> str:
     if not m:
         return "1"
-    return "*".join(gen_render(g) if e == 1 else f"{gen_render(g)}^{e}" for g, e in m)
+    return "*".join(gen_render(g) + ("" if e == 1 else "^" + _decimal_str(e)) for g, e in m)
 
 
 def _glex_key(term):

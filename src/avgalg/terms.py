@@ -419,14 +419,16 @@ def render(t: Term) -> str:
 
     A Pow prints as the left-nested Mul chain of its copies, so for Pow-free
     t, parse(render(t)) is structurally t, and for every t,
-    render(parse(render(t))) == render(t).  A power whose copies would
-    take more than ``_MAX_LITERAL_BITS`` characters is a ``ValueError``.
+    render(parse(render(t))) == render(t).  Powers that would take more than
+    ``_MAX_LITERAL_BITS`` characters in all, written out, are a ``ValueError``.
     """
     # pre-order over an explicit stack of nodes and literal strings, each
     # node's pieces pushed right to left so that they pop in output order; a
-    # Pow's base is rendered once, then its output is taken back and repeated
+    # Pow's base is rendered once, then its output is taken back and repeated;
+    # spent is the written-out length of the outermost powers so far
     out = []
     todo = [t]
+    spent = 0
     while todo:
         node = todo.pop()
         tp = type(node)
@@ -442,16 +444,17 @@ def render(t: Term) -> str:
         elif tp is F:
             todo += (")", node.arg, "f(")
         elif tp is Pow:
-            todo += ((len(out), node), node.base)
+            todo += ((len(out), spent, node), node.base)
         elif tp is tuple:
-            start, node = node
+            start, spent, node = node
             base = "".join(out[start:])
             del out[start:]
             _, _, paren_left, paren_right = _BINARY_FORMS[Mul]
             first = f"({base})" if type(node.base) in paren_left else base
             rest = f"*({base})" if type(node.base) in paren_right else f"*{base}"
-            if len(first) + len(rest) * (node.n - 1) > _MAX_LITERAL_BITS:
-                raise ValueError("a power is too long to write out")
+            spent += len(first) + len(rest) * (node.n - 1)
+            if spent > _MAX_LITERAL_BITS:
+                raise ValueError("the powers are too long to write out")
             out.append(first + rest * (node.n - 1))
         elif tp is ScalarMul:
             arg, lit = node.arg, _lit(node.coeff)

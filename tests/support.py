@@ -227,6 +227,13 @@ def rand_int_algebra(rng, ring, max_dim=4):
     return product_algebra(primary(k), primary(dim - k))
 
 
+def cyclic_algebra(ring, d):
+    """ring[y]/(y^d - 1) on the basis 1, y, ..., y^(d-1)."""
+    e = [tuple(ring.one if k == i else ring.zero for k in range(d)) for i in range(d)]
+    return StructureAlgebra.make(ring, e[0], [[e[(i + j) % d] for j in range(d)]
+                                              for i in range(d)])
+
+
 def ref_gamma_subalgebra(A, L):
     """Gamma = {a : [a*x, y] = a*[x, y]} for any Lie bracket, as five loops
     over the structure constants: the reference for gamma_subalgebra, which

@@ -289,10 +289,12 @@ def test_large_prime_scalar_default_is_fast(monkeypatch, capsys):
 def test_internal_invariant_error_exits_two(monkeypatch, capsys):
     import avgalg.findim as FD
 
-    def broken(A, F):
+    def broken(*args):
         raise FD.InternalInvariantError("kernel paths disagree")
 
-    monkeypatch.setattr(FD, "kernel_equals_brackets", broken)
+    # lie_analysis calls the nilpotency check on every input; it no longer
+    # calls kernel_equals_brackets, whose comparison it shares
+    monkeypatch.setattr(FD, "_nilpotency", broken)
     code = main(["lie-analyze", "corpus/qi.json", "corpus/im.json"])
     captured = capsys.readouterr()
     assert code == 2
@@ -457,6 +459,38 @@ def test_long_variable_index_exits_two_whatever_the_digit_limit(limit, capsys):
     finally:
         if set_limit:
             set_limit(old)
+
+
+@pytest.mark.parametrize("limit", [4300, 640, 0])
+def test_long_exponent_prints_whatever_the_digit_limit(limit, capsys):
+    # the normal form's exponents are written in chunks below every limit, so
+    # x1^(5,000 sevens) prints the same 5,004 bytes under the default limit,
+    # the least one and none (Python 3.10 has no limit)
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    old = set_limit and sys.get_int_max_str_digits()
+    if set_limit:
+        set_limit(limit)
+    try:
+        code = main(["eval", "--mode", "plain", "v1^" + "7" * 5000])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert captured.out == "x1^" + "7" * 5000 + "\n"
+    finally:
+        if set_limit:
+            set_limit(old)
+
+
+def test_written_out_powers_share_one_bound(capsys):
+    # v1^349525 writes out as 3 * 349525 - 1 characters, just under 2^20, so
+    # it prints; eight of them in one product (79 characters of input) would
+    # write out 8 MB, and the bound is on all the powers of the term together
+    code = main(["eval", "--json", "--mode", "plain", "v1^349525"])
+    captured = capsys.readouterr()
+    assert code == 0 and len(json.loads(captured.out)["input"]) == 3 * 349525 - 1
+    code = main(["eval", "--json", "--mode", "plain", "*".join(["v1^349525"] * 8)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: the powers are too long to write out\n"
 
 
 def test_large_power_is_evaluated_by_squaring(capsys):

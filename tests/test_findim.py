@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import avgalg.findim as FD
+from avgalg._record import set_field
 from avgalg.cli import main
 from avgalg.exactlin import (
     Matrix,
@@ -27,6 +28,7 @@ from avgalg.findim import (
     AveragingOperator,
     BracketTable,
     Certificate,
+    Check,
     DomainCertificate,
     DomainUndecidedError,
     Induced,
@@ -1072,3 +1074,85 @@ class TestLawsAreCarried:
             assert B == A and hash(B) == hash(A) and repr(B) == repr(A)
             check_domain(B)
         assert verifications == copies
+
+
+class TestVerdictsAreCarried:
+    """A passing check_domain marks the algebra and a passing check_lie the
+    bracket, beside the laws; a refusal is not carried, and the public
+    checks decide on every call."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """Calls of findim.check_domain and findim.check_lie since the last
+        reset, and of the decision over Q behind check_domain."""
+        counts = {"check_domain": 0, "check_lie": 0, "_check_domain_q": 0}
+        for name in counts:
+            def counted(*args, _name=name, _original=getattr(FD, name)):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(FD, name, counted)
+        return counts
+
+    def test_the_domain_is_decided_once(self, checks):
+        A = qi()
+        F = imaginary_part(A)
+        assert ad_eigen(A, F, (0, 1)) == ad_eigen(A, F, (0, 1))
+        assert nilpotent_radical_domain(A, F) == Subspace.span(QQ, 2, [(1, 0)])
+        assert checks == {"check_domain": 1, "check_lie": 0, "_check_domain_q": 1}
+
+    @pytest.mark.parametrize("coeffs, error", [([-1, 0, 1], NotADomainError),
+                                               ([1, 0, 0, 0, 1], DomainUndecidedError)])
+    def test_a_refused_domain_is_refused_every_time(self, checks, coeffs, error):
+        # Q[t]/(t^2 - 1) is not a domain, and check_domain cannot decide
+        # Q[t]/(t^4 + 1): neither refusal is carried
+        A, F = primary_from_poly(coeffs)
+        for k in range(1, 4):
+            with pytest.raises(error):
+                ad_eigen(A, F, A.unit) if k % 2 else nilpotent_radical_domain(A, F)
+            assert checks["check_domain"] == checks["_check_domain_q"] == k
+
+    def test_public_checks_decide_on_every_call(self, checks):
+        A = qi()
+        assert check_domain(A) == check_domain(A)
+        assert checks["_check_domain_q"] == 2
+        # neither check reads its own mark: forged on values that fail, the
+        # marks change neither verdict
+        split, _ = primary_from_poly([-1, 0, 1])
+        set_field(split, "_domain", check_domain(A))
+        with pytest.raises(NotADomainError):
+            check_domain(split)
+        L = BracketTable.make(QQ, [[[0, 1], [0, 0]], [[0, 0], [0, 0]]])
+        set_field(L, "_lie", True)
+        assert check_lie(A, L) == Check(False, ("alternating", (0,)))
+
+    def test_an_operator_bracket_is_not_checked_again(self, checks):
+        A = qi()
+        L = induced_bracket(A, imaginary_part(A))
+        assert isinstance(induced_by_averaging(A, L), Induced)
+        assert checks["check_lie"] == 0
+        fresh = BracketTable.make(QQ, L.table)
+        for _ in range(2):
+            assert induced_by_averaging(A, fresh) == induced_by_averaging(A, L)
+        assert checks["check_lie"] == 1
+
+    def test_a_marked_bracket_must_match_the_algebra(self):
+        L = induced_bracket(qi(), imaginary_part(qi()))
+        # dim 3 over Q, and dim 2 over Z/5
+        other_ring = StructureAlgebra.make(ZMod(5), (1, 0),
+                                           [[[1, 0], [0, 1]], [[0, 1], [4, 0]]])
+        for A in (q3(), other_ring):
+            with pytest.raises(ShapeError):
+                FD.require_lie(A, L)
+            with pytest.raises(ShapeError):
+                induced_by_averaging(A, L)
+
+    def test_a_non_lie_bracket_is_refused_every_time(self, checks):
+        # [e_0, e_0] = e_1 is not alternating; a failing check marks nothing
+        A = qi()
+        L = BracketTable.make(QQ, [[[0, 1], [0, 0]], [[0, 0], [0, 0]]])
+        assert not FD.check_lie(A, L).ok
+        for k in range(2, 5):
+            with pytest.raises(NotLieError):
+                induced_by_averaging(A, L) if k % 2 else FD.require_lie(A, L)
+            assert checks["check_lie"] == k

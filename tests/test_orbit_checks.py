@@ -38,6 +38,7 @@ from avgalg.findim import (
     verify_algebra,
 )
 from support import (
+    cyclic_algebra,
     functional_operator,
     mult_operator,
     product_algebra,
@@ -353,14 +354,14 @@ def test_nilpotency_annihilates_the_whole_bracket_span():
 def test_nilpotency_over_composite_moduli():
     # F(x) = lam(x) * 1 on Z/n[y]/(y^2 - 1) has image lam(A) * 1, and its one
     # bracket [1, y] = lam(y) * 1 - lam(1) * y
-    A8 = _cyclic(ZMod(8), 2)
+    A8 = cyclic_algebra(ZMod(8), 2)
     # the image 6 * 1 (generated by 2 * 1) does not kill [1, y] = 6 - 6y,
     # since 2 * 6 = 4 mod 8, but its square 4 * 1 does
     F = functional_operator(A8, (6, 6))
     assert nilpotency_check(A8, F) == ref_nilpotency_check(A8, F) == Nilpotent(2)
     # image 2 * 1 squares to 4 * 1, which is idempotent mod 12 and does not
     # kill [1, y] = 2 - 2y
-    A12 = _cyclic(ZMod(12), 2)
+    A12 = cyclic_algebra(ZMod(12), 2)
     F = functional_operator(A12, (2, 2))
     assert nilpotency_check(A12, F) == ref_nilpotency_check(A12, F) == \
         NotNilpotent(Submodule.span(ZMod(12), 2, [(4, 0)]))
@@ -368,13 +369,6 @@ def test_nilpotency_over_composite_moduli():
 
 # ---------------------------------------------------------------------------
 # work counts
-
-def _cyclic(ring, d):
-    """ring[y]/(y^d - 1) on the basis 1, y, ..., y^(d-1)."""
-    e = [tuple(ring.one if k == i else ring.zero for k in range(d)) for i in range(d)]
-    return StructureAlgebra.make(ring, e[0], [[e[(i + j) % d] for j in range(d)]
-                                              for i in range(d)])
-
 
 # (class, prefix of its count names, product methods): both tables share
 # products and row_products, so a bracket table's counts are bracket_<name>
@@ -411,7 +405,7 @@ def test_verify_algebra_builds_each_triple_product_once(calls):
     # The row products of a pair depend only on its cell e_a e_b = e_(a+b
     # mod 6), and a + b runs over 2..10, so the 15 cells are the 6 distinct
     # e_0..e_5, one row_products each: 1 + 6 = 7 calls, not 1 + 15 = 16
-    A = _cyclic(ZMod(5), 6)
+    A = cyclic_algebra(ZMod(5), 6)
     assert verify_algebra(A).ok
     assert calls == only(row_products=7)
 
@@ -419,7 +413,7 @@ def test_verify_algebra_builds_each_triple_product_once(calls):
 def test_verify_algebra_scans_on_every_call(calls):
     # a pass is carried in the algebra for the functions that need the laws,
     # but verify_algebra itself reports from a full scan each time
-    A = _cyclic(ZMod(5), 6)
+    A = cyclic_algebra(ZMod(5), 6)
     for _ in range(2):
         calls.update(dict.fromkeys(calls, 0))
         assert verify_algebra(A).ok
@@ -431,7 +425,7 @@ def test_is_averaging_multiplies_each_unordered_pair_once(calls, monkeypatch):
     # kernel pass per column j (6 calls) forms e_i * F(e_j) for the 6 rows i
     # and F(e_i) * F(e_j) for i <= j, so each unordered pair once: 6 * 6 + 21
     # = 57 products, where every ordered pair would make 6 * 6 + 36 = 72
-    A = _cyclic(ZMod(5), 6)
+    A = cyclic_algebra(ZMod(5), 6)
     F = mult_operator(A, A.basis_vec(1))
     groups = []
     kernel = FD._bilinear
@@ -451,7 +445,7 @@ def test_bracket_subtracts_the_products_is_averaging_formed(calls):
     # so the 15 cells i < j make no row product (2 * 15 = 30 if each cell
     # formed its own), and the bracket is not checked against the Lie
     # axioms.  A is verified first, so the counts hold only the operator's
-    A = _cyclic(ZMod(5), 6)
+    A = cyclic_algebra(ZMod(5), 6)
     assert verify_algebra(A).ok
     F = functional_operator(A, (1, 2, 0, 3, 0, 1))
     calls.update(dict.fromkeys(calls, 0))
@@ -469,7 +463,7 @@ def test_series_compute_no_bracket_for_stage_zero(calls):
     # x_0 < x_1 in the one pass of x_1 (x_0 has no basis vector before it),
     # and the lower central stage 2 brackets both basis vectors with
     # e_0..e_2, one row_products per basis vector
-    A = _cyclic(QQ, 3)
+    A = cyclic_algebra(QQ, 3)
     L = induced_bracket(A, functional_operator(A, (1, 1, 0)))
     calls.update(dict.fromkeys(calls, 0))
     assert [s.dim for s in derived_series(A, L).stages] == [3, 2, 0]
@@ -489,7 +483,7 @@ def test_lie_analysis_reads_the_series_off_the_theorem(calls):
     # check makes 1 more for the image power 1.  No bracket is formed: the
     # generic series make 4 bracket_products (derived, the basis vectors
     # after the first) and 5 bracket_row_products (lower central)
-    A = _cyclic(ZMod(5), 6)
+    A = cyclic_algebra(ZMod(5), 6)
     op = FD.averaging_operator(A, functional_operator(A, (1, 2, 0, 3, 0, 1)))
     op.bracket  # built before the count starts, as in every analysis
     calls.update(dict.fromkeys(calls, 0))
@@ -521,7 +515,7 @@ def kernels(monkeypatch):
 def test_nilpotency_check_solves_no_kernel(kernels, ring, d, lam):
     # the annihilator of the brackets is tested by products, never solved
     # for; the reference solves for it once, which shows the counters work
-    A = _cyclic(ring, d)
+    A = cyclic_algebra(ring, d)
     F = functional_operator(A, lam)
     want = ref_nilpotency_check(A, F)
     assert kernels == {"nullspace": int(ring.is_field), "submodule_kernel": int(not ring.is_field)}
@@ -530,27 +524,40 @@ def test_nilpotency_check_solves_no_kernel(kernels, ring, d, lam):
     assert kernels == {"nullspace": 0, "submodule_kernel": 0}
 
 
-def test_lie_analysis_solves_one_kernel_over_z6(kernels):
-    # ker F for the kernel comparison; the series are skipped over composite
-    # Z/n and the nilpotency check solves nothing
-    A = _cyclic(ZMod(6), 4)
-    assert isinstance(lie_analysis(A, functional_operator(A, (1, 2, 3, 0))).nilpotency,
-                      NotNilpotent)
+def test_lie_analysis_solves_a_kernel_over_z6_only_when_unequal(kernels):
+    # the kernel comparison reads B = ker F off |B|*|im F| = 6^4, and only an
+    # unequal one solves for ker F; the series are skipped over composite Z/n
+    # and the nilpotency check solves nothing.  For F(x) = lam(x)*1 with
+    # lam = (1, 2, 3, 0) on Z/6[y]/(y^4 - 1), im F = Z/6*1 (lam_0 = 1), of
+    # order 6, and the brackets [1, y^j] = lam_j*1 - y^j span ker F, of order
+    # 6^3, so 0 kernels
+    A = cyclic_algebra(ZMod(6), 4)
+    an = lie_analysis(A, functional_operator(A, (1, 2, 3, 0)))
+    assert isinstance(an.nilpotency, NotNilpotent) and an.kernel_comparison.equal
+    assert kernels == {"nullspace": 0, "submodule_kernel": 0}
+    # F(x) = 2x has the zero bracket and im F = 2A, of order 3^4, so
+    # 1 * 3^4 != 6^4: 1 kernel, ker F = 3A
+    an = lie_analysis(A, mult_operator(A, (2, 0, 0, 0)))
+    assert not an.kernel_comparison.equal
+    assert an.kernel_comparison.kernel == Submodule.span(ZMod(6), 4, [(3, 0, 0, 0), (0, 3, 0, 0),
+                                                                      (0, 0, 3, 0), (0, 0, 0, 3)])
     assert kernels == {"nullspace": 0, "submodule_kernel": 1}
 
 
-def test_lie_analysis_spans_no_image_for_a_zero_bracket(monkeypatch):
+def test_lie_analysis_spans_no_image_power_for_a_zero_bracket(monkeypatch):
     # multiplication by y^2 on Z/6[y]/(y^5 - 1) has the zero bracket, so the
-    # one span is that of the brackets, for the kernel comparison; every
-    # image power kills the zero span, so the image is never spanned (2
-    # spans if the nilpotency check spanned it)
-    A = _cyclic(ZMod(6), 5)
+    # spans are those of the brackets and of im F, both for the kernel
+    # comparison (y is a unit, so im F = A and |0|*|A| = 6^5: equal); every
+    # image power kills the zero span, so the nilpotency check spans no
+    # power (3 spans if it spanned one)
+    A = cyclic_algebra(ZMod(6), 5)
     F = mult_operator(A, A.basis_vec(2))
     spans = []
     span = FD._span
     monkeypatch.setattr(FD, "_span", lambda *args: spans.append(args) or span(*args))
-    assert lie_analysis(A, F).nilpotency == Nilpotent(1)
-    assert len(spans) == 1
+    an = lie_analysis(A, F)
+    assert an.nilpotency == Nilpotent(1) and an.kernel_comparison.equal
+    assert len(spans) == 2
     monkeypatch.undo()
     assert ref_nilpotency_check(A, F) == Nilpotent(1)
 
@@ -561,7 +568,7 @@ def test_nilpotency_multiplies_each_power_generator_by_each_bracket_generator(ca
     # 4 * 4 = 0 mod 8, so Nilpotent(1) after one kernel pass for the one
     # power generator, which forms its 3 products with the bracket
     # generators and its 1 with the image generator
-    A = _cyclic(ZMod(8), 4)
+    A = cyclic_algebra(ZMod(8), 4)
     op = FD.averaging_operator(A, functional_operator(A, (4, 0, 0, 0)))
     assert op.bracket.dim == 4  # built and checked before the count starts
     calls.update(dict.fromkeys(calls, 0))
@@ -574,7 +581,7 @@ def test_check_lie_makes_one_pass_per_bracket_cell(calls):
     # row_products per cell [e_i, e_j], i < j, gives every [e_m, [e_i, e_j]],
     # so C(6, 2) = 15 passes serve the C(6, 3) = 20 Jacobi triples, where
     # three single-row brackets per triple would make 60
-    A = _cyclic(ZMod(5), 6)
+    A = cyclic_algebra(ZMod(5), 6)
     L = induced_bracket(A, functional_operator(A, (1, 2, 0, 3, 0, 1)))
     calls.update(dict.fromkeys(calls, 0))
     assert check_lie(A, L).ok
@@ -585,7 +592,7 @@ def test_check_algebra_hom_makes_one_pass_per_column(calls):
     # theta(e_i) * theta(e_j) for every i comes from the one products pass
     # of column j: d = 6 calls, where one mul_vec per ordered pair made 36.
     # y -> y^5 is an automorphism of Z/5[y]/(y^6 - 1)
-    A = _cyclic(ZMod(5), 6)
+    A = cyclic_algebra(ZMod(5), 6)
     theta = Matrix.from_cols(A.ring, [A.basis_vec(5 * i % 6) for i in range(6)])
     check_algebra_hom(theta, A, A)
     assert calls == only(products=6)
@@ -595,7 +602,7 @@ def test_check_algebra_hom_names_the_first_failing_pair(calls):
     # swapping y and y^2 is linear but not multiplicative; the error names
     # the first pair of the row-major scan with one mul_vec per pair,
     # (1, 1): theta(y * y) = y, theta(y) * theta(y) = y^4
-    A = _cyclic(ZMod(5), 6)
+    A = cyclic_algebra(ZMod(5), 6)
     theta = Matrix.from_cols(A.ring, [A.basis_vec(k) for k in (0, 2, 1, 3, 4, 5)])
     cols = [theta.col(j) for j in range(6)]
     first = next((i, j) for i in range(6) for j in range(6)

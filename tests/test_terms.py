@@ -232,6 +232,23 @@ class TestRender:
                 render(t)
 
 
+    def test_powers_share_one_bound(self):
+        # the outermost powers of a term count together, each nested power
+        # once, inside the copies of the power that holds it
+        n = (_MAX_LITERAL_BITS + 1) // 3
+        half = Pow(Var(1), n // 2)
+        # a Pow right of "*" is parenthesized: 3 characters between the two
+        assert len(render(Mul(half, half))) == 2 * (3 * (n // 2) - 1) + 3
+        with pytest.raises(ValueError, match="too long to write out"):
+            render(Mul(half, Pow(Var(2), n - n // 2 + 2)))
+        # (v1^2)^k is "v1*v1" and k - 1 times "*(v1*v1)", 5 + 8(k - 1)
+        # characters, the inner power's 5 inside them
+        k = (_MAX_LITERAL_BITS + 3) // 8
+        assert len(render(Pow(Pow(Var(1), 2), k))) == 8 * k - 3 <= _MAX_LITERAL_BITS
+        with pytest.raises(ValueError, match="too long to write out"):
+            render(Mul(Pow(Pow(Var(1), 2), k), Pow(Var(1), 2)))
+
+
 def _terms(powers=False):
     leaves = st.one_of(
         st.just(One()),
