@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import zip_longest
-from math import gcd, isqrt, lcm, log10
+from functools import partial, reduce
+from itertools import combinations, count, zip_longest
+from math import comb, gcd, isqrt, lcm, log10
 from operator import mul
 from typing import Union
 
@@ -342,6 +343,8 @@ class Matrix(Record):
     def from_cols(ring: Ring, cols) -> "Matrix":
         cols = [tuple(ring.of(x) for x in c) for c in cols]
         nrows = len(cols[0]) if cols else 0
+        if any(len(c) != nrows for c in cols):
+            raise ShapeError("column length mismatch")
         return Matrix(ring, nrows, len(cols),
                       tuple(tuple(c[i] for c in cols) for i in range(nrows)))
 
@@ -639,7 +642,7 @@ def nullspace(m: Matrix) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial and rational roots
+# characteristic polynomial
 
 def char_poly(m: Matrix) -> tuple:
     """Coefficients of det(tI - m), ascending, ending in the leading 1.
@@ -678,56 +681,17 @@ def poly_eval(ring: Ring, coeffs, x):
     return acc
 
 
-def _divisors(n: int):
-    n = abs(n)
-    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return sorted({*low, *(n // d for d in low)})
-
-
-def rational_roots(coeffs) -> tuple:
-    """All rational roots of the polynomial, repeated by multiplicity.
-
-    ``coeffs`` are ascending rational coefficients.  Candidates come from a
-    divisor search on the primitive integer form; each found root is deflated
-    out so multiplicities are exact.
-    """
-    coeffs = [QQ.of(c) for c in coeffs]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
-        raise ValueError("zero polynomial has every rational as a root")
-    roots = []
-    # factor out t^m first: each low zero coefficient is one root at 0
-    while coeffs[0] == 0:
-        roots.append(QQ.zero)
-        coeffs.pop(0)
-    if len(coeffs) > 1:
-        denom_lcm = lcm(*(c.denominator for c in coeffs))
-        ints = [int(c * denom_lcm) for c in coeffs]
-        content = gcd(*ints)
-        ints = [v // content for v in ints]
-        candidates = set()
-        for p in _divisors(ints[0]):
-            for q in _divisors(ints[-1]):
-                candidates.add(QQ.of(Fraction(p, q)))
-                candidates.add(QQ.of(Fraction(-p, q)))
-        for cand in sorted(candidates):
-            while len(coeffs) > 1 and poly_eval(QQ, coeffs, cand) == 0:
-                roots.append(cand)
-                coeffs = list(poly_divmod(QQ, coeffs, (-cand % QQ, 1))[0])
-    return tuple(sorted(roots))
-
-
 # ---------------------------------------------------------------------------
 # univariate polynomials over a field
 #
 # Ascending coefficient tuples without trailing zeros: the zero polynomial is
-# () and deg f is len(f) - 1.  Over Z/p they give the distinct-degree
-# factorisation and the roots that findim's domain decision needs.  Like the
-# linear algebra above, each routine computes on lists of coefficients with
-# Python's own + - * and one inline % m (``_modulus``), so no coefficient
-# step calls a ring method: % p over Z/p, and % QQ over Q, which keeps exact
-# rational arithmetic in canonical form.
+# () and deg f is len(f) - 1.  Over Z/p they give the roots that findim's
+# domain decision needs, and with ``nullspace`` the factorisation over Q
+# below, which decides it over Q.  Like the linear algebra above, each
+# routine computes on lists of coefficients with Python's own + - * and
+# one inline % m (``_modulus``), so no coefficient step calls a ring method:
+# % p over Z/p, and % QQ over Q, which keeps exact rational arithmetic in
+# canonical form.
 
 def poly_trim(f) -> tuple:
     f = list(f)
@@ -813,33 +777,6 @@ def _prime_field(ring: Ring) -> int:
     return ring.n
 
 
-def distinct_degree_factors(ring: ZMod, f) -> tuple:
-    """Distinct-degree factorisation of a monic squarefree f over Z/p.
-
-    Returns ``((k, g_k), ...)``, ascending in k, where g_k is the product of
-    the irreducible factors of f of degree k and is not 1; the g_k multiply
-    to f.  The degree-k factors are those of gcd(f, t^(p^k) - t) once the
-    lower degrees are divided out.
-    """
-    p = _prime_field(ring)
-    t = (0, 1)
-    out = []
-    rest = poly_trim(f)
-    h = t  # t^(p^k) mod rest
-    k = 0
-    while len(rest) - 1 >= 2 * (k + 1):
-        k += 1
-        h = poly_powmod(ring, h, p, rest)
-        g = poly_gcd(ring, rest, poly_sub(ring, h, t))
-        if len(g) > 1:
-            out.append((k, g))
-            rest = poly_divmod(ring, rest, g)[0]
-            h = poly_divmod(ring, h, rest)[1]
-    if len(rest) > 1:
-        out.append((len(rest) - 1, rest))
-    return tuple(out)
-
-
 def poly_root_mod_p(ring: ZMod, f):
     """A root in Z/p of a nonzero f, or None when it has none.
 
@@ -863,6 +800,131 @@ def poly_root_mod_p(ring: ZMod, f):
         else:
             raise RuntimeError("no shift splits the linear factors")
     return -g[0] % p if len(g) == 2 else None
+
+
+def _squarefree(ring: Ring, f) -> bool:
+    return len(poly_gcd(ring, f, poly_derivative(ring, f))) == 1
+
+
+# ---------------------------------------------------------------------------
+# factorisation over Q (von zur Gathen & Gerhard, Modern Computer Algebra,
+# ch. 14-16): Berlekamp mod p, Hensel lifting, Zassenhaus recombination
+
+def _berlekamp(Fp: ZMod, f) -> list:
+    """The monic irreducible factors of a monic squarefree f over Z/p: the
+    h mod f with h(t^p) = h(t) form an algebra of dimension r, the number of
+    factors, and each of its basis vectors but the constant one splits a
+    factor q into the gcd(q, h - s), s in Z/p, that are not 1, until there
+    are r factors."""
+    p, n = Fp.n, len(f) - 1
+    tp, power, cols = poly_powmod(Fp, (0, 1), p, f), (1,), []
+    for i in range(n):
+        # column i is t^(ip) mod f minus t^i
+        cols.append([(x - (j == i)) % p for j, x in zip_longest(range(n), power, fillvalue=0)])
+        power = poly_divmod(Fp, poly_mul(Fp, power, tp), f)[1]
+    fixed = nullspace(Matrix(Fp, n, n, tuple(zip(*cols))))
+    factors = [tuple(f)]
+    for h in map(poly_trim, fixed.basis[1:]):
+        for q in factors[:]:
+            if len(factors) == fixed.dim:
+                return factors
+            if len(q) > 2:
+                factors.remove(q)
+                factors += [g for g in (poly_gcd(Fp, q, poly_sub(Fp, h, (s,)))
+                                        for s in range(p)) if len(g) > 1]
+    return factors
+
+
+def _hensel(g, a, b, Fp: ZMod, M: int) -> tuple:
+    """The monic lift mod M, a power of p, of a monic factor a of g mod p
+    prime to its cofactor b: linear lifting.  Where a divides g mod m, the
+    remainder r of g by a mod m·p is 0 mod m, and a + m·a1 divides g mod
+    m·p for a1 = t·r/m mod a and p, t·b = 1 mod a, because g/a = b mod p.
+    t comes from the extended Euclidean algorithm on a and b mod p."""
+    p = m = Fp.n
+    r0, r1, t0, t = a, poly_divmod(Fp, b, a)[1], (), (1,)
+    while len(r1) > 1:
+        q, r = poly_divmod(Fp, r0, r1)
+        r0, r1, t0, t = r1, r, t, poly_sub(Fp, t0, poly_mul(Fp, q, t))
+    t = poly_mul(Fp, (Fp.inv(r1[0]),), t)
+    while m < M:
+        r = poly_divmod(m * p, g, a)[1]
+        a1 = poly_divmod(Fp, poly_mul(Fp, t, [c // m for c in r]), a)[1]
+        a = tuple([x + m * y for x, y in zip_longest(a, a1, fillvalue=0)])
+        m *= p
+    return a
+
+
+def _factor_q(f) -> tuple:
+    """(p, factors): the monic irreducible factors over Q of a monic
+    squarefree f of positive degree n, ascending in (degree, coefficients),
+    and the prime p of their factorisation mod p.
+
+    g(t) = c^n f(t/c), for c the lcm of the denominators, is monic over Z.
+    Its factors mod the least prime p at which it stays squarefree are
+    lifted mod a power M of p past twice binom(n-1, (n-1)//2)·|g|_2, which
+    bounds the coefficients of a proper monic factor of g over Z
+    (Mignotte), so such a factor is the product of the lifts of its factors
+    mod p, read in the symmetric residues; the last lift is g over the
+    others.  Subsets of the lifts are tried by size, constant terms first;
+    a factor found is divided out with its lifts, and once no subset of at
+    most half the lifts left gives one, the rest of g is irreducible, as
+    one side of any split of it would.  M may pass the bound below which
+    ZMod decides primality, so the plain int M is the polynomial routines'
+    ring there: ``_modulus`` keeps it, and they divide only by monic
+    polynomials.
+    """
+    n = len(f) - 1
+    c = lcm(*(x.denominator for x in f))
+    g = tuple([(x * c ** (n - i)).numerator for i, x in enumerate(f)])
+    for p in filter(_is_prime, count(2)):
+        Fp, gp = ZMod(p), tuple([x % p for x in g])
+        if _squarefree(Fp, gp):
+            break
+    lifts, factors, size, M = _berlekamp(Fp, gp), [], 1, p
+    while M <= 2 * comb(n - 1, (n - 1) // 2) * (isqrt(sum(x * x for x in g)) + 1):
+        M *= p
+    if len(lifts) > 1:
+        lifts = [_hensel(g, a, poly_divmod(Fp, gp, a)[0], Fp, M) for a in lifts[1:]]
+        lifts.append(poly_divmod(M, g, reduce(partial(poly_mul, M), lifts))[0])
+    while 2 * size <= len(lifts):
+        for subset in combinations(lifts, size):
+            h = tuple([x - M if 2 * x > M else x for x in reduce(partial(poly_mul, M), subset)])
+            if g[0] % h[0] if h[0] else g[0]:
+                continue
+            quotient, rest = poly_divmod(QQ, g, h)
+            if not rest:
+                factors.append(h)
+                g, lifts = quotient, [a for a in lifts if a not in subset]
+                break
+        else:
+            size += 1
+    factors.append(g)
+    if c > 1:
+        # a factor h of g is c^deg(h) times the factor h(ct)/c^deg(h) of f
+        factors = [tuple([QQ.of(Fraction(x, c ** (len(h) - 1 - i))) for i, x in enumerate(h)])
+                   for h in factors]
+    return p, tuple(sorted(factors, key=lambda h: (len(h), h)))
+
+
+def rational_roots(coeffs) -> tuple:
+    """All rational roots of the polynomial, repeated by multiplicity.
+
+    ``coeffs`` are ascending rational coefficients.  The roots are those of
+    the linear factors of the squarefree part f / gcd(f, f') (``_factor_q``);
+    each is deflated out of f while it divides, so multiplicities are exact.
+    """
+    f = poly_trim([QQ.of(x) for x in coeffs])
+    if not f:
+        raise ValueError("zero polynomial has every rational as a root")
+    f = poly_gcd(QQ, f, ())  # f, made monic
+    part = poly_divmod(QQ, f, poly_gcd(QQ, f, poly_derivative(QQ, f)))[0]
+    roots = []
+    for h in _factor_q(part)[1] if len(f) > 1 else ():
+        while len(h) == 2 and not poly_eval(QQ, f, -h[0]):
+            roots.append(-h[0])
+            f = poly_divmod(QQ, f, h)[0]
+    return tuple(sorted(roots))
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ u, v in ker F, [u, v] = 0 and [u, y] = u*F(y).
 from __future__ import annotations
 
 import itertools
-from math import lcm, prod
+from math import prod
 from typing import Union
 
 from ._record import Record, set_field
@@ -58,18 +58,15 @@ from .exactlin import (
     ShapeError,
     Submodule,
     Subspace,
-    ZMod,
     _apply_cols,
+    _factor_q,
     _hnf,
     _modulus,
+    _squarefree,
     char_poly,
-    distinct_degree_factors,
     nullspace,
-    poly_derivative,
     poly_divmod,
-    poly_gcd,
     poly_root_mod_p,
-    rational_roots,
     ring_from_name,
     rref,
     solve_linear,
@@ -112,11 +109,6 @@ class NotADomainError(ValueError):
         super().__init__(message)
         self.witness = witness
         self.partner = partner
-
-
-class DomainUndecidedError(ValueError):
-    """check_domain found neither a zero divisor nor a proof that the algebra
-    is a field, so an analysis that needs a domain refuses it."""
 
 
 class NotAnAveragingIdealError(ValueError):
@@ -871,21 +863,14 @@ class DomainCertificate(Record):
     """Why check_domain accepted.
 
     Over Q, A = Q[a] for the primitive element ``element``, whose
-    characteristic polynomial ``poly`` is irreducible by ``reason``:
-    "degree sieve" (its factor degrees mod ``primes`` admit no proper
-    factor) or "no rational root" (degree at most 3); "dimension 1" needs
-    neither.  Over Z/p the reason is "frobenius".
+    characteristic polynomial ``poly`` is "irreducible": its factorisation
+    over Q, lifted from the one mod the prime in ``primes``, has one
+    factor.  "dimension 1" needs no element; over Z/p the reason is
+    "frobenius".
     """
 
     __slots__ = ("reason", "element", "poly", "primes")
     _defaults = (None, None, ())
-
-
-# primes whose factor-degree patterns the sieve intersects
-_SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-                 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
-# built once: a ZMod decides the primality of its modulus when it is made
-_SIEVE_FIELDS = tuple(ZMod(p) for p in _SIEVE_PRIMES)
 
 
 def _mult_matrix(A: StructureAlgebra, a) -> Matrix:
@@ -914,15 +899,11 @@ def check_domain(A: StructureAlgebra) -> DomainCertificate:
     """Decide exactly whether A is a domain, that is, a field.
 
     A must pass ``verify_algebra`` (else ``NotAnAlgebraError``) and be over
-    Q or Z/p.  Three outcomes: a ``DomainCertificate`` when A is a
-    field; ``NotADomainError`` naming a nonzero zero divisor and its
-    partner; ``DomainUndecidedError`` when neither is found.  The last
-    happens over Q only, when the characteristic polynomial of the
-    primitive element has degree above 3, no rational root, and no sieve
-    prime proves it irreducible: Q[t]/(t^4 + 1), a field, and
-    Q[t]/((t^2 - 2)(t^2 - 3)), which is not, both end there.  Every call
-    decides; a certificate marks A for ``ad_eigen`` and
-    ``nilpotent_radical_domain``, and a refusal is raised again each time.
+    Q or Z/p.  Two outcomes: a ``DomainCertificate`` when A is a field,
+    and otherwise ``NotADomainError`` naming a nonzero zero divisor and
+    its partner.  Every call decides; a certificate marks A for
+    ``ad_eigen`` and ``nilpotent_radical_domain``, and a refusal is raised
+    again each time.
 
     Over Q: A = Q[t]/(chi_a) for an element a whose characteristic
     polynomial chi_a is squarefree, when A is reduced, and A is a field
@@ -932,9 +913,13 @@ def check_domain(A: StructureAlgebra) -> DomainCertificate:
     form (a, b) -> Tr(L_ab), the nilradical, computed: a nonzero radical
     vector refutes as nilpotent, and a zero radical sends the search on
     to the next candidates.  So a non-reduced A may be refuted by a
-    singular basis vector rather than a nilpotent one.  Over Z/p: A is a
-    field exactly when the Frobenius map x -> x^p is injective and fixes
-    only the line of 1.
+    singular basis vector rather than a nilpotent one.  The first
+    squarefree chi_a is factored over Q (``exactlin._factor_q``): one
+    factor certifies A a field; otherwise g(a) refutes, for g the first
+    factor in ascending (degree, coefficients) order, since chi_a is
+    squarefree and so the minimal polynomial of a: g(a) is nonzero and
+    g(a)·(chi_a/g)(a) = chi_a(a) = 0.  Over Z/p: A is a field exactly when
+    the Frobenius map x -> x^p is injective and fixes only the line of 1.
     """
     _require_laws(A)
     R = A.ring
@@ -956,14 +941,10 @@ def _require_domain(A: StructureAlgebra):
 def _check_domain_q(A: StructureAlgebra) -> DomainCertificate:
     R, d = A.ring, A.dim
     # a squarefree chi_a makes a primitive and A = Q[t]/(chi_a) reduced, so
-    # the trace-form radical is needed only when the first candidate's is not.
-    # A prime the sieve keeps proves it is: p divides no denominator of the
-    # monic chi, so a square factor of chi over Q would stay one mod p.  The
-    # gcd over Q runs only when the sieve keeps no prime
+    # the trace-form radical is needed only when the first candidate's is not
     candidates = _candidates(A)
     a, chi = next(candidates, (None, None))
-    primes, sums = ((), 0) if chi is None else _degree_sieve(chi)
-    if not primes and (chi is None or not _squarefree(R, chi)):
+    if chi is None or not _squarefree(R, chi):
         traces = [sum(A.mul[s][k][k] for k in range(d)) % _modulus(R) for s in range(d)]
         gram = Matrix(R, d, d, tuple(tuple(vec_dot(R, A.mul[i][j], traces) for j in range(d))
                                      for i in range(d)))
@@ -975,22 +956,14 @@ def _check_domain_q(A: StructureAlgebra) -> DomainCertificate:
         a, chi = next(((a, chi) for a, chi in candidates if _squarefree(R, chi)), (None, None))
         if chi is None:
             raise InternalInvariantError("a reduced algebra has no primitive element")
-        primes, sums = _degree_sieve(chi)
-    if sums == 1 | 1 << d:
-        return DomainCertificate("degree sieve", a, chi, primes)
-    # a rational root r of chi makes a - r a zero divisor; none exists unless
-    # every prime the sieve used sees a linear factor
-    if sums & 2:
-        roots = rational_roots(chi)
-        if roots:
-            raise _zero_divisor(A, vec_sub(R, a, vec_scale(R, roots[0], A.unit)),
-                                f"the primitive element minus its eigenvalue {roots[0]}")
-    if d <= 3:
-        return DomainCertificate("no rational root", a, chi)
-    raise DomainUndecidedError(
-        "cannot decide whether the algebra is a domain: the characteristic "
-        f"polynomial {[R.render(x) for x in chi]} of its primitive element has no "
-        "rational root and no sieve prime proves it irreducible")
+    p, factors = _factor_q(chi)
+    if len(factors) == 1:
+        return DomainCertificate("irreducible", a, chi, (p,))
+    g, w = factors[0], zero_vec(R, d)
+    for c in reversed(g):
+        w = vec_add(R, A.mul_vec(w, a), vec_scale(R, c, A.unit))
+    raise _zero_divisor(A, w, "g(a) for the factor g of chi_a with ascending coefficients "
+                        f"({', '.join(map(R.render, g))})")
 
 
 def _candidates(A: StructureAlgebra):
@@ -1011,43 +984,6 @@ def _candidates(A: StructureAlgebra):
         if not chi[0]:
             raise _zero_divisor(A, a, "singular")
         yield a, chi
-
-
-def _squarefree(R: Ring, f) -> bool:
-    return len(poly_gcd(R, f, poly_derivative(R, f))) == 1
-
-
-def _degree_sieve(chi):
-    """(primes, sums): intersect, over the primes p at which chi stays
-    squarefree, the subset sums of its factor degrees mod p, as a bit mask.
-
-    The degree of every factor of chi over Q is in the intersection, so
-    {0, deg chi} proves chi irreducible (Musser 1978).  Stops once it does.
-    chi is reduced mod p to a tuple of ints once per prime, from the
-    integer polynomial den * chi.
-    """
-    d = len(chi) - 1
-    den = lcm(*(c.denominator for c in chi))
-    scaled = [c.numerator * (den // c.denominator) for c in chi]  # den * chi
-    sums = (1 << d + 1) - 1
-    used = []
-    for Fp in _SIEVE_FIELDS:
-        p = Fp.n
-        if den % p == 0:
-            continue
-        inv = pow(den, -1, p)
-        f = tuple([c * inv % p for c in scaled])
-        if not _squarefree(Fp, f):
-            continue  # p divides the discriminant
-        mask = 1
-        for k, g in distinct_degree_factors(Fp, f):
-            for _ in range((len(g) - 1) // k):
-                mask |= mask << k
-        sums &= mask
-        used.append(p)
-        if sums == 1 | 1 << d:
-            break
-    return tuple(used), sums
 
 
 def _check_domain_zp(A: StructureAlgebra) -> DomainCertificate:

@@ -10,13 +10,14 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
-from math import gcd, lcm
+from math import comb, gcd, isqrt
 
 from avgalg._record import Record
 from avgalg import findim as FD
 from avgalg.exactlin import (
-    Matrix, QQ, RingError, ShapeError, Submodule, Subspace, ZMod, _hnf, _modulus, _pivot_unit,
-    _prime_field, nullspace, poly_eval, rref, vec_add, vec_dot, zero_vec)
+    Matrix, QQ, RingError, ShapeError, Submodule, Subspace, ZMod, _berlekamp, _hnf, _modulus,
+    _pivot_unit, _prime_field, char_poly, nullspace, poly_eval, poly_mul, rational_roots, rref,
+    vec_add, vec_dot, zero_vec)
 from avgalg import terms as T
 from avgalg.freeavg import (
     FAElement, FreePoly, Mode, NotInKernelError, X_ONE, Y_ONE_GEN, mono, x_gen, y_gen)
@@ -453,7 +454,7 @@ def ref_ad_eigen(A, F, a) -> tuple:
     if k:
         structural[-k % m] = ker
     # direct path
-    roots = set(FD.rational_roots(FD.char_poly(ad)))
+    roots = set(rational_roots(char_poly(ad)))
     direct = {}
     for r in roots:
         # at r = 0 the matrix is ad itself, whose kernel the structural path holds
@@ -523,7 +524,7 @@ def eigen_by_char_poly(A, F, a) -> tuple:
             for e in (A.basis_vec(i) for i in range(d))]
     ad = Matrix.from_cols(R, cols)
     pairs = ((r, nullspace(ad.sub(Matrix.identity(R, d).scale(r))))
-             for r in set(FD.rational_roots(FD.char_poly(ad))))
+             for r in set(rational_roots(char_poly(ad))))
     return tuple(sorted((r, space) for r, space in pairs if not space.is_zero()))
 
 
@@ -1458,9 +1459,8 @@ def ref_render(t: T.Term) -> str:
 # ---------------------------------------------------------------------------
 # reference polynomials over a field: exactlin's routines as they were when
 # every coefficient step called the ring's add, sub, mul and inv (now the
-# ref_ arithmetic above and the ring's inv), and
-# findim's degree sieve, which reduced chi through ZMod.of at each prime;
-# differential tests compare them with the plain-int routines
+# ref_ arithmetic above and the ring's inv); differential tests compare
+# them with the plain-int routines
 
 def ref_poly_trim(f) -> tuple:
     f = list(f)
@@ -1563,6 +1563,17 @@ def ref_distinct_degree_factors(ring, f) -> tuple:
     return tuple(out)
 
 
+def berlekamp_by_degree(F, f) -> tuple:
+    """``exactlin._berlekamp``'s factors of a monic squarefree f over Z/p as a
+    distinct-degree factorisation ((k, g_k), ...), ascending in k: g_k is
+    the product of the factors of degree k."""
+    by_degree = {}
+    for q in _berlekamp(F, f):
+        k = len(q) - 1
+        by_degree[k] = poly_mul(F, by_degree.get(k, (F.one,)), q)
+    return tuple(sorted(by_degree.items()))
+
+
 def ref_poly_root_mod_p(ring, f):
     """A root in Z/p of a nonzero f, or None when it has none.
 
@@ -1592,33 +1603,41 @@ def ref_squarefree(R, f) -> bool:
     return len(ref_poly_gcd(R, f, ref_poly_derivative(R, f))) == 1
 
 
-def ref_degree_sieve(chi):
-    """(primes, sums): intersect, over the primes p at which chi stays
-    squarefree, the subset sums of its factor degrees mod p, as a bit mask.
+def ref_factor_monic(f) -> tuple:
+    """The monic irreducible factors of a monic integer f, repeated by
+    multiplicity and ascending in (degree, coefficients), by trial division.
 
-    The degree of every factor of chi over Q is in the intersection, so
-    {0, deg chi} proves chi irreducible (Musser 1978).  Stops once it does.
-    """
-    d = len(chi) - 1
-    den = lcm(*(c.denominator for c in chi))
-    sums = (1 << d + 1) - 1
-    used = []
-    for p in FD._SIEVE_PRIMES:
-        if den % p == 0:
-            continue
-        Fp = ZMod(p)
-        f = tuple(Fp.of(c) for c in chi)
-        if not ref_squarefree(Fp, f):
-            continue  # p divides the discriminant
-        mask = 1
-        for k, g in ref_distinct_degree_factors(Fp, f):
-            for _ in range((len(g) - 1) // k):
-                mask |= mask << k
-        sums &= mask
-        used.append(p)
-        if sums == 1 | 1 << d:
-            break
-    return tuple(used), sums
+    Meant for degree at most 4 and coefficients of size at most 9.  Every
+    monic candidate of degree m <= deg f / 2 is tried, in ascending m, whose
+    j-th coefficient has size at most binom(m, j)·|f|_2, the Mignotte bound
+    on a factor of f over Z; a candidate divides out as often as it divides.
+    What is left has no factor of at most half its degree, so it is
+    irreducible.  The standard library only."""
+    f, out = tuple(f), []
+    norm = isqrt(sum(c * c for c in f)) + 1
+    for m in range(1, (len(f) - 1) // 2 + 1):
+        ranges = [range(-comb(m, j) * norm, comb(m, j) * norm + 1) for j in range(m)]
+        for low in itertools.product(*ranges):
+            h = low + (1,)
+            q = _exact_quotient(f, h)
+            while q is not None:
+                out.append(h)
+                f, q = q, _exact_quotient(q, h)
+    if len(f) > 1:
+        out.append(f)
+    return tuple(sorted(out, key=lambda h: (len(h), h)))
+
+
+def _exact_quotient(f, h):
+    """f / h for integer f and monic integer h dividing it, else None."""
+    if len(f) < len(h):
+        return None
+    r, q = list(f), [0] * (len(f) - len(h) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = r[k + len(h) - 1]
+        for i, b in enumerate(h):
+            r[k + i] -= q[k] * b
+    return None if any(r) else tuple(q)
 
 
 # ---------------------------------------------------------------------------

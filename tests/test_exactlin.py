@@ -29,9 +29,9 @@ from avgalg.exactlin import (
     Submodule,
     Subspace,
     ZMod,
+    _berlekamp,
     _modulus,
     char_poly,
-    distinct_degree_factors,
     nullspace,
     poly_derivative,
     poly_divmod,
@@ -48,7 +48,8 @@ from avgalg.exactlin import (
     submodule_kernel,
 )
 from support import (
-    assert_canonical_q, rand_algebra, rand_averaging, ref_submodule_kernel, ref_submodule_span)
+    assert_canonical_q, berlekamp_by_degree, rand_algebra, rand_averaging, ref_submodule_kernel,
+    ref_submodule_span)
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -316,6 +317,13 @@ class TestMatrices:
             getattr(right, op)(left)
         assert getattr(right, op)(mat([[1, 0], [0, 1]], ZMod(5))).ring == ZMod(5)
 
+    @pytest.mark.parametrize("cols", [[(1, 2), (3, 4, 5)], [(1, 2, 3), (4, 5)]])
+    def test_ragged_columns_are_refused(self, cols):
+        # a longer later column lost its last entries, and a shorter one
+        # raised IndexError
+        with pytest.raises(ShapeError, match="column length mismatch"):
+            Matrix.from_cols(QQ, cols)
+
 
 class TestSolve:
     def test_identity_system(self):
@@ -475,10 +483,12 @@ class TestPolynomials:
     def test_distinct_degree_factors_known(self):
         F3 = ZMod(3)
         # t^4 + 1 = (t^2 + t + 2)(t^2 + 2t + 2) mod 3
-        assert distinct_degree_factors(F3, (1, 0, 0, 0, 1)) == ((2, (1, 0, 0, 0, 1)),)
+        assert sorted(_berlekamp(F3, (1, 0, 0, 0, 1))) == [(2, 1, 1), (2, 2, 1)]
+        assert berlekamp_by_degree(F3, (1, 0, 0, 0, 1)) == ((2, (1, 0, 0, 0, 1)),)
         # t^3 - t = t (t - 1)(t + 1), times the irreducible t^2 + 1
         f = poly_mul(F3, (0, 2, 0, 1), (1, 0, 1))
-        assert distinct_degree_factors(F3, f) == ((1, (0, 2, 0, 1)), (2, (1, 0, 1)))
+        assert sorted(_berlekamp(F3, f)) == [(0, 1), (1, 0, 1), (1, 1), (2, 1)]
+        assert berlekamp_by_degree(F3, f) == ((1, (0, 2, 0, 1)), (2, (1, 0, 1)))
 
     @settings(max_examples=100, deadline=None)
     @given(poly_mod_p())
@@ -486,7 +496,14 @@ class TestPolynomials:
         F, f = ff
         if len(poly_gcd(F, f, poly_derivative(F, f))) != 1:
             return  # squarefree input only
-        ddf = distinct_degree_factors(F, f)
+        # Berlekamp's factors are monic and have no monic factor of positive
+        # degree at most half their own, found by trial division
+        for q in _berlekamp(F, f):
+            assert q[-1] == 1
+            for m in range(1, (len(q) - 1) // 2 + 1):
+                for low in itertools.product(range(F.n), repeat=m):
+                    assert poly_divmod(F, q, low + (1,))[1]
+        ddf = berlekamp_by_degree(F, f)
         product = (F.one,)
         for k, g in ddf:
             assert (len(g) - 1) % k == 0
@@ -516,7 +533,9 @@ class TestPolynomials:
 
     def test_ddf_needs_prime_field(self):
         with pytest.raises(NotAFieldError):
-            distinct_degree_factors(ZMod(6), (1, 0, 1))
+            berlekamp_by_degree(ZMod(6), (1, 0, 1))
+        with pytest.raises(NotAFieldError):
+            poly_root_mod_p(ZMod(6), (1, 0, 1))
 
 
 class TestSubmodules:

@@ -30,7 +30,6 @@ from avgalg.findim import (
     Certificate,
     Check,
     DomainCertificate,
-    DomainUndecidedError,
     Induced,
     InduceNoSolution,
     InternalInvariantError,
@@ -554,11 +553,10 @@ class TestDomainAndRadical:
 
     def test_product_of_quadratic_fields_never_passes(self):
         # Q[t]/((t^2 - 2)(t^2 - 3)): every prime sees a factor of degree 2,
-        # so no certificate exists, and neither does a rational eigenvalue
+        # and there is no rational eigenvalue; the factor t^2 - 3 refutes
         A, F = primary_from_poly([6, 0, -5, 0, 1])
-        with pytest.raises((NotADomainError, DomainUndecidedError)):
-            check_domain(A)
-        with pytest.raises((NotADomainError, DomainUndecidedError)):
+        assert self.assert_refuted(A) == (-3, 0, 1, 0)
+        with pytest.raises(NotADomainError):
             nilpotent_radical_domain(A, F)
 
     @pytest.mark.parametrize("d", [4, 5, 6])
@@ -566,18 +564,23 @@ class TestDomainAndRadical:
     def test_eisenstein_fields_pass(self, d, c):
         A, _ = primary_from_poly([c] + [0] * (d - 1) + [1])
         cert = check_domain(A)
-        assert cert.reason == "degree sieve" and cert.primes
+        chi = (c,) + (0,) * (d - 1) + (1,)
+        assert cert == DomainCertificate("irreducible", A.basis_vec(1), chi, cert.primes)
+        # the one prime of the factorisation divides neither d nor c
+        assert len(cert.primes) == 1 and (d * c) % cert.primes[0]
 
-    def test_cyclotomic_octic_is_undecided(self):
-        # t^4 + 1 is irreducible but splits into factors of degree at most 2
-        # modulo every prime, so the degree sieve cannot prove it
-        A, _ = primary_from_poly([1, 0, 0, 0, 1])
-        with pytest.raises(DomainUndecidedError):
-            check_domain(A)
+    @pytest.mark.parametrize("coeffs", [[1, 0, 0, 0, 1], [1, 0, -10, 0, 1],
+                                        [576, 0, -960, 0, 352, 0, -40, 0, 1]])
+    def test_fields_that_split_mod_every_prime_pass(self, coeffs):
+        # t^4 + 1, the minimal polynomial of sqrt(2) + sqrt(3) and that of
+        # sqrt(2) + sqrt(3) + sqrt(5) are irreducible but have factors of
+        # degree at most 2 modulo every prime
+        A, _ = primary_from_poly(coeffs)
+        assert check_domain(A).reason == "irreducible"
 
     def test_small_degrees_pass(self):
         for A in (qi(), primary_from_poly([-2, 0, 0, 1])[0]):
-            assert check_domain(A).reason in ("degree sieve", "no rational root")
+            assert check_domain(A).reason == "irreducible"
         line, _ = primary_from_poly([-7, 1])
         assert check_domain(line) == DomainCertificate("dimension 1")
 
@@ -605,8 +608,7 @@ class TestDomainAndRadical:
         rng = random.Random(seed)
         g, h = rand_monic(rng, dg), rand_monic(rng, dh)
         A, _ = primary_from_poly(poly_mul(QQ, g, h))
-        with pytest.raises((NotADomainError, DomainUndecidedError)):
-            check_domain(A)
+        self.assert_refuted(A)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32))
@@ -1102,10 +1104,11 @@ class TestVerdictsAreCarried:
         assert checks == {"check_domain": 1, "check_lie": 0, "_check_domain_q": 1}
 
     @pytest.mark.parametrize("coeffs, error", [([-1, 0, 1], NotADomainError),
-                                               ([1, 0, 0, 0, 1], DomainUndecidedError)])
+                                               ([6, 0, -5, 0, 1], NotADomainError)])
     def test_a_refused_domain_is_refused_every_time(self, checks, coeffs, error):
-        # Q[t]/(t^2 - 1) is not a domain, and check_domain cannot decide
-        # Q[t]/(t^4 + 1): neither refusal is carried
+        # Q[t]/(t^2 - 1) and Q[t]/((t^2 - 2)(t^2 - 3)) are not domains, the
+        # one refuted by a linear factor and the other by a quadratic one:
+        # the refusal is not carried
         A, F = primary_from_poly(coeffs)
         for k in range(1, 4):
             with pytest.raises(error):

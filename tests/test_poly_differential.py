@@ -1,13 +1,13 @@
 """The plain-int polynomial routines agree with the ring-method references.
 
 ``exactlin``'s polynomials over Z/p compute on ints with an inline ``% p``,
-and over Q on ints and Fractions reduced by ``% QQ``; ``findim``'s degree
-sieve reduces chi to such ints once per prime.  ``tests/support.py`` keeps
-the routines as they were when every coefficient step called the ring's
-methods.  Random monic polynomials of degree at most 8, with integer
-coefficients up to 10^6 in size and some rational ones, are compared at
-every sieve prime: the sieve's primes and mask, the squarefree verdict,
-the distinct-degree factorisation and the root found mod p.
+and over Q on ints and Fractions reduced by ``% QQ``.  ``tests/support.py``
+keeps the routines as they were when every coefficient step called the
+ring's methods.  Random monic polynomials of degree at most 8, with
+integer coefficients up to 10^6 in size and some rational ones, are
+compared over Q and at each prime below 100: the squarefree verdict, the
+factors of each degree that Berlekamp's algorithm finds against the
+reference distinct-degree factorisation, and the root found mod p.
 
 Each test compares a division first: the Euclidean loops behind the
 other routines end only because every division lowers the degree, so a
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from avgalg.exactlin import (
     QQ,
     ZMod,
-    distinct_degree_factors,
+    _squarefree,
     poly_divmod,
     poly_gcd,
     poly_mul,
@@ -30,9 +30,8 @@ from avgalg.exactlin import (
     poly_root_mod_p,
     poly_sub,
 )
-from avgalg.findim import _SIEVE_PRIMES, _degree_sieve, _squarefree
 from support import (
-    ref_degree_sieve,
+    berlekamp_by_degree,
     ref_distinct_degree_factors,
     ref_poly_divmod,
     ref_poly_gcd,
@@ -42,6 +41,9 @@ from support import (
     ref_poly_sub,
     ref_squarefree,
 )
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+          53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 COEFFS = st.one_of(
     st.integers(-10**6, 10**6),
@@ -64,25 +66,24 @@ def _check_division(ring, f):
 
 
 def _reduced(Fp, chi):
-    """chi mod p, through ZMod.of as the reference sieve reduced it."""
+    """chi mod p, through ZMod.of."""
     return tuple(Fp.of(c) for c in chi)
 
 
 @settings(max_examples=150, deadline=None)
 @given(monic_q())
-def test_degree_sieve_matches_the_reference(chi):
+def test_division_and_squarefree_match_the_reference(chi):
     _check_division(QQ, chi)
-    for p in _SIEVE_PRIMES:
+    for p in PRIMES:
         if all(Fraction(c).denominator % p for c in chi):
             _check_division(ZMod(p), _reduced(ZMod(p), chi))
-    assert _degree_sieve(chi) == ref_degree_sieve(chi)
     assert _squarefree(QQ, chi) == ref_squarefree(QQ, chi)
 
 
 @settings(max_examples=100, deadline=None)
 @given(monic_q())
 def test_factor_degrees_and_roots_match_the_reference_at_every_sieve_prime(chi):
-    for p in _SIEVE_PRIMES:
+    for p in PRIMES:
         if any(Fraction(c).denominator % p == 0 for c in chi):
             continue
         Fp = ZMod(p)
@@ -91,15 +92,15 @@ def test_factor_degrees_and_roots_match_the_reference_at_every_sieve_prime(chi):
         squarefree = _squarefree(Fp, f)
         assert squarefree == ref_squarefree(Fp, f)
         if squarefree:
-            assert distinct_degree_factors(Fp, f) == ref_distinct_degree_factors(Fp, f)
+            assert berlekamp_by_degree(Fp, f) == ref_distinct_degree_factors(Fp, f)
         assert poly_root_mod_p(Fp, f) == ref_poly_root_mod_p(Fp, f)
 
 
 @st.composite
 def ring_and_pair(draw):
-    """A sieve prime's field or Q, and two polynomials over it whose leading
+    """The field of a prime below 100 or Q, and two polynomials over it whose leading
     coefficients need not be 1."""
-    ring = draw(st.sampled_from([QQ] + [ZMod(p) for p in _SIEVE_PRIMES]))
+    ring = draw(st.sampled_from([QQ] + [ZMod(p) for p in PRIMES]))
     polys = []
     for _ in range(2):
         deg = draw(st.integers(0, 8))

@@ -122,9 +122,9 @@ def test_ad_eigen_matches_the_two_path_reference(rng):
 
 
 def test_ad_eigen_draws_reach_every_branch():
-    # the -k eigenspace, 0 alone, and the refusals (not a domain, undecided,
-    # not over Q) all occur, so the comparison sees each; t^4 + 1 is a field
-    # and (t^2 - 2)(t^2 - 3) is not, and check_domain decides neither
+    # the -k eigenspace, 0 alone, and the refusals (not a domain, not over
+    # Q) all occur, so the comparison sees each; t^4 + 1 is a field and
+    # (t^2 - 2)(t^2 - 3) is not, though both split mod every prime
     rng = random.Random(31)
     inputs = [_eigen_input(rng) for _ in range(300)]
     for coeffs in ([1, 0, 0, 0, 1], [6, 0, -5, 0, 1]):
@@ -135,7 +135,7 @@ def test_ad_eigen_draws_reach_every_branch():
         out = _outcome(ad_eigen, A, F, a)
         assert out == _outcome(ref_ad_eigen, A, F, a)
         seen.add(out[0] if isinstance(out[0], str) else len(out))
-    assert seen == {1, 2, "NotADomainError", "DomainUndecidedError", "NotAFieldError"}
+    assert seen == {1, 2, "NotADomainError", "NotAFieldError"}
 
 
 # ---------------------------------------------------------------------------
