@@ -604,19 +604,24 @@ def solve_linear(a: Matrix, b) -> Union[NoSolution, Solution]:
     Returns ``Solution(particular, nullspace)`` spanning all solutions, or
     ``NoSolution``.
     """
-    R = a.ring
-    b = tuple(R.of(x) for x in b)
+    b = tuple(a.ring.of(x) for x in b)
     if len(b) != a.rows:
         raise ShapeError("right-hand side length mismatch")
-    aug = Matrix(R, a.rows, a.cols + 1,
-                 tuple(row + (bb,) for row, bb in zip(a.entries, b)))
-    red, pivots = rref(aug)
+    particular = _particular(a, b)
+    return NoSolution() if particular is None else Solution(particular, nullspace(a))
+
+
+def _particular(a: Matrix, b: tuple):
+    """The solution of a·x = b (canonical b) that is 0 at the free columns,
+    read off one rref of [a | b], or None when there is none."""
+    red, pivots = rref(Matrix(a.ring, a.rows, a.cols + 1,
+                              tuple(row + (bb,) for row, bb in zip(a.entries, b))))
     if a.cols in pivots:
-        return NoSolution()
-    particular = [R.zero] * a.cols
-    for r, c in enumerate(pivots):
-        particular[c] = red.entries[r][a.cols]
-    return Solution(tuple(particular), nullspace(a))
+        return None
+    x = [a.ring.zero] * a.cols
+    for row, c in zip(red.entries, pivots):
+        x[c] = row[a.cols]
+    return tuple(x)
 
 
 def nullspace(m: Matrix) -> Subspace:

@@ -51,7 +51,6 @@ from typing import Union
 from ._record import Record, set_field
 from .exactlin import (
     Matrix,
-    NoSolution,
     NotAFieldError,
     QQ,
     Ring,
@@ -62,6 +61,7 @@ from .exactlin import (
     _factor_q,
     _hnf,
     _modulus,
+    _particular,
     _squarefree,
     char_poly,
     nullspace,
@@ -69,7 +69,6 @@ from .exactlin import (
     poly_root_mod_p,
     ring_from_name,
     rref,
-    solve_linear,
     submodule_kernel,
     vec_add,
     vec_dot,
@@ -175,6 +174,11 @@ def _terms(x, dim: int) -> list:
     if len(x) != dim:
         raise ShapeError("vector length mismatch")
     return [(i, xi) for i, xi in enumerate(x) if xi]
+
+
+def _by_cols(R: Ring, rows: int, cols) -> Matrix:
+    # Matrix.from_cols for canonical columns: one transpose, no second read
+    return Matrix(R, rows, len(cols), tuple(zip(*cols)))
 
 
 class _Table(Record):
@@ -617,12 +621,14 @@ def endo_induced_check(A: StructureAlgebra, L: BracketTable) -> Check:
     pass ``check_lie``.  Then both sides are antisymmetric in the pair and
     vanish on the diagonal, so only i < j is checked, and [1, e_j] is
     -[e_j, 1]."""
-    R = A.ring
-    # rows[i][j] = e_j*[e_i, 1]
-    rows = [A.row_products(x) for x in L.row_products(A.unit)]
+    return _endo_check(A, L, L.row_products(A.unit))
+
+
+def _endo_check(A: StructureAlgebra, L: BracketTable, cols) -> Check:
+    # endo_induced_check, given the columns cols[i] = [e_i, 1] of E = [., 1]
+    rows = [A.row_products(x) for x in cols]  # rows[i][j] = e_j*[e_i, 1]
     for i, j in itertools.combinations(range(A.dim), 2):
-        rhs = vec_sub(R, rows[i][j], rows[j][i])
-        if L.table[i][j] != rhs:
+        if L.table[i][j] != vec_sub(A.ring, rows[i][j], rows[j][i]):
             return Check(False, (i, j))
     return Check(True)
 
@@ -634,25 +640,32 @@ def gamma_subalgebra(A: StructureAlgebra, L: BracketTable) -> Subspace:
     both ``check_lie`` and ``endo_induced_check``.  Then
     [x, y] = x*D(y) - y*D(x) with D = [1, .], so
     [a*x, y] - a*[x, y] = y*(a*D(x) - D(a*x)), and y = 1 shows
-    Gamma = {a : D(a*e_i) = a*D(e_i) for every i}.
+    Gamma = {a : D(a*e_i) = a*D(e_i) for every i}.  At x = 1 that reads
+    D(a) = a*D(1) = a*[1, 1] = 0: Gamma lies in ker D and holds 1.
     """
     _require_laws(A)
-    return _gamma(A, Matrix.from_cols(A.ring, L.row_products(A.unit)))
+    return _gamma(A, _by_cols(A.ring, A.dim, L.row_products(A.unit)))
 
 
 def _gamma(A: StructureAlgebra, E: Matrix) -> Subspace:
-    # E = [., 1] = -D, so column m of block i is E(e_m e_i) - e_m E(e_i), the
-    # negated condition; e_m e_i = e_i e_m, so E(e_m e_i) is computed once per
-    # unordered pair, and zero rows are dropped before the one nullspace
-    R, d = A.ring, A.dim
-    e_prod = {}
-    for m, i in itertools.combinations_with_replacement(range(d), 2):
-        e_prod[m, i] = e_prod[i, m] = E.apply(A.mul[m][i])
-    rows = []
-    for i, ei in enumerate(zip(*E.entries)):
-        cols = [vec_sub(R, e_prod[m, i], p) for m, p in enumerate(A.row_products(ei))]
-        rows.extend(row for row in zip(*cols) if any(row))
-    return nullspace(Matrix(R, len(rows), d, tuple(rows)))
+    """Gamma for E = [., 1] = -D, solved inside ker E: x = 1 in
+    D(a*x) = a*D(x) gives D(a) = a*D(1) = a*[1, 1] = 0, so Gamma lies in
+    ker E and holds 1.  The conditions are linear, so Gamma is the line of 1
+    plus the solutions among the other vectors w of a basis of ker E that
+    holds 1; block i of the condition column of w is E(w*e_i) - w*E(e_i),
+    column i of E M - M E for M the multiplication by w.  In the reduced
+    basis of ker E one vector is nonzero at the first p with 1_p nonzero, as
+    1 is in ker E; 1 and the vectors zero at p are a basis of ker E."""
+    R, d, m = A.ring, A.dim, _modulus(A.ring)
+    p = next((j for j, x in enumerate(A.unit) if x), 0)
+    others = [v for v in nullspace(E).basis if not v[p]]
+    mults = [_mult_matrix(A, w) for w in others]
+    cols = [sum(E.mul(M).sub(M.mul(E)).entries, ()) for M in mults]
+    rows = tuple(row for row in zip(*cols) if any(row))
+    sols = nullspace(Matrix(R, len(rows), len(others), rows)).basis
+    terms = [_terms(w, d) for w in others]
+    gamma = [A.unit, *(_apply_cols(terms, x, m, R.zero, d) for x in sols)]
+    return Subspace(R, d, _hnf(R, d, gamma))
 
 
 class NotEndoInduced(Record):
@@ -683,7 +696,7 @@ def _complement(ring: Ring, basis, dim: int):
     """
     p = len(basis)
     ident = Matrix.identity(ring, dim).entries
-    red, pivots = rref(Matrix.from_cols(ring, list(basis) + list(ident)))
+    red, pivots = rref(_by_cols(ring, dim, list(basis) + list(ident)))
     tail = [row[p:] for row in red.entries[p:]]
     return ([ident[c - p] for c in pivots[p:]],
             lambda v: tuple(vec_dot(ring, row, v) for row in tail))
@@ -693,13 +706,14 @@ def induced_by_averaging(A: StructureAlgebra, L: BracketTable) -> InduceResult:
     """Decide whether L is the bracket of some averaging operator.
 
     A failing ``verify_algebra`` raises ``NotAnAlgebraError``, and an L
-    failing ``check_lie`` raises ``NotLieError``.  Steps: the endomorphism
-    criterion, [x, y] = x*D(y) - y*D(x) with D = [1, .]; the columns
-    [e_i, 1] = -D(e_i), built once; from them the invariance subalgebra
-    Gamma, as in ``gamma_subalgebra``; one rref that completes its basis by
-    delta_1, delta_2, ... and inverts the completed basis (``_complement``);
-    the stacked linear system for the Gamma-coordinates of t.  A solution
-    gives F = D + t*(.), returned unchecked, as it is averaging and induces L:
+    failing ``check_lie`` raises ``NotLieError``.  Steps, on the columns
+    [e_i, 1] = -D(e_i) of E = [., 1], built once: the endomorphism
+    criterion, [x, y] = x*D(y) - y*D(x) with D = [1, .]; Gamma, solved
+    inside ker E as in ``gamma_subalgebra``; one rref that completes its
+    basis by delta_1, delta_2, ... and inverts the completed basis
+    (``_complement``); one rref of the stacked system for the
+    Gamma-coordinates of t.  A solution gives F = D + t*(.), returned
+    unchecked, as it is averaging and induces L:
 
     - D(1) = [1, 1] = 0.
     - Gamma = {a : D(a*x) = a*D(x) for all x} is a subalgebra, and D
@@ -717,12 +731,12 @@ def induced_by_averaging(A: StructureAlgebra, L: BracketTable) -> InduceResult:
     if not A.ring.is_field:
         raise NotAFieldError("the averaging-induced decision needs field scalars")
     require_lie(A, L)
-    endo = endo_induced_check(A, L)
+    E_cols = L.row_products(A.unit)
+    endo = _endo_check(A, L, E_cols)
     if not endo:
         return NotEndoInduced(endo.witness)
-    R = A.ring
-    n = A.dim
-    E = Matrix.from_cols(R, L.row_products(A.unit))  # [., 1] = -D
+    R, n = A.ring, A.dim
+    E = _by_cols(R, n, E_cols)
     eps = _gamma(A, E).basis
     delta, project = _complement(R, eps, n)
     eps_terms = [_terms(ei, n) for ei in eps]
@@ -733,12 +747,12 @@ def induced_by_averaging(A: StructureAlgebra, L: BracketTable) -> InduceResult:
         coords = [project(p) for p in A.products(eps_terms, dj)]
         rows.extend(tuple(c[k] for c in coords) for k in range(len(delta)))
         rhs.extend(project(E.apply(dj)))
-    res = solve_linear(Matrix(R, len(rows), len(eps), tuple(rows)), tuple(rhs))
-    if isinstance(res, NoSolution):
+    x = _particular(Matrix(R, len(rows), len(eps), tuple(rows)), tuple(rhs))
+    if x is None:
         return InduceNoSolution()
-    t = _apply_cols(eps_terms, res.particular, _modulus(R), R.zero, n)  # sum x_i eps_i
-    cols = [vec_sub(R, p, c) for p, c in zip(A.row_products(t), zip(*E.entries))]
-    return Induced(t, Matrix.from_cols(R, cols))
+    t = _apply_cols(eps_terms, x, _modulus(R), R.zero, n)  # sum x_i eps_i
+    cols = [vec_sub(R, p, c) for p, c in zip(A.row_products(t), E_cols)]
+    return Induced(t, _by_cols(R, n, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -876,7 +890,7 @@ class DomainCertificate(Record):
 def _mult_matrix(A: StructureAlgebra, a) -> Matrix:
     """The matrix of x -> a*x.  Column i is a*e_i = e_i*a, which reads row i
     only: StructureAlgebra is commutative by contract."""
-    return Matrix.from_cols(A.ring, A.row_products(a))
+    return _by_cols(A.ring, A.dim, A.row_products(a))
 
 
 def _zero_divisor(A: StructureAlgebra, w, why: str) -> NotADomainError:
@@ -990,7 +1004,7 @@ def _check_domain_zp(A: StructureAlgebra) -> DomainCertificate:
     # x -> x^p is linear; it is injective exactly when A is reduced, and then
     # its fixed space is F_p^r for A = F_(p^k1) x ... x F_(p^kr)
     R, d = A.ring, A.dim
-    frob = Matrix.from_cols(R, [A.power_vec(A.basis_vec(i), R.n) for i in range(d)])
+    frob = _by_cols(R, d, [A.power_vec(A.basis_vec(i), R.n) for i in range(d)])
     kernel = nullspace(frob)
     if not kernel.is_zero():
         raise _zero_divisor(A, kernel.basis[0], "nilpotent")
@@ -1022,16 +1036,22 @@ def ad_eigen(A: StructureAlgebra, F: Operator, a) -> tuple:
     -x*F(a) = lam*x, that is x*(F(a) + lam*1) = 0, and in a domain
     F(a) = -lam*1.  Conversely, if F(a) = k*1 and x lies in ker F, then
     ad_a(x) = -k*x.  So the nonzero eigenvalue is -k, with eigenspace ker F.
-    0 is always an eigenvalue: ad_a(a) = 0, and ad_0 = 0.
+    0 is always an eigenvalue: ad_a(a) = 0, and ad_0 = 0.  ad_a is read
+    off the products P[j][i] = e_i*F(e_j) of the averaging check, with no
+    bracket table: ad_a(e_i) = sum_k a_k*(P[i][k] - P[k][i]), and a pair
+    with equal products (every pair, for a multiplication operator) adds 0.
     """
     if A.ring != QQ:
         raise NotAFieldError("eigen analysis is implemented over Q")
     _require_domain(A)
     op = averaging_operator(A, F)
-    R, m = A.ring, _modulus(A.ring)
+    R, m, d, P = A.ring, _modulus(A.ring), A.dim, op._products
     a = tuple(R.of(x) for x in a)
-    # the bracket is alternating, so ad_a(e_i) = [a, e_i] = -[e_i, a]
-    ad = Matrix.from_cols(R, [[-x % m for x in g] for g in op.bracket.row_products(a)])
+    cols = [[R.zero] * d for _ in range(d)]
+    for i, (k, ak) in itertools.product(range(d), _terms(a, d)):
+        if P[i][k] != P[k][i]:
+            cols[i] = [(c + ak * (x - y)) % m for c, x, y in zip(cols[i], P[i][k], P[k][i])]
+    ad = _by_cols(R, d, cols)
     pairs = [(R.zero, nullspace(ad))]
     ker = nullspace(op.matrix)
     k = None if ker.is_zero() else _proportionality(R, op.matrix.apply(a), A.unit)
@@ -1142,7 +1162,7 @@ def quotient_by_averaging_ideal(A: StructureAlgebra, F: Matrix, ideal: Subspace)
     prods = [A.products(comp_terms, c) for c in comp]  # prods[j][i] = comp_i comp_j
     mul2 = tuple(tuple(tuple(project(prods[j][i])) for j in range(q)) for i in range(q))
     return (StructureAlgebra.make(R, unit2, mul2),
-            Matrix.from_cols(R, [project(F.apply(comp[j])) for j in range(q)]))
+            _by_cols(R, q, [project(F.apply(comp[j])) for j in range(q)]))
 
 
 def primary_from_poly(coeffs) -> tuple:

@@ -15,9 +15,9 @@ from math import comb, gcd, isqrt
 from avgalg._record import Record
 from avgalg import findim as FD
 from avgalg.exactlin import (
-    Matrix, QQ, RingError, ShapeError, Submodule, Subspace, ZMod, _berlekamp, _hnf, _modulus,
-    _pivot_unit, _prime_field, char_poly, nullspace, poly_eval, poly_mul, rational_roots, rref,
-    vec_add, vec_dot, zero_vec)
+    Matrix, NoSolution, QQ, RingError, ShapeError, Submodule, Subspace, ZMod, _berlekamp, _hnf,
+    _modulus, _pivot_unit, _prime_field, char_poly, nullspace, poly_eval, poly_mul,
+    rational_roots, rref, solve_linear, vec_add, vec_dot, zero_vec)
 from avgalg import terms as T
 from avgalg.freeavg import (
     FAElement, FreePoly, Mode, NotInKernelError, X_ONE, Y_ONE_GEN, mono, x_gen, y_gen)
@@ -485,7 +485,7 @@ def ref_induced_by_averaging(A, L):
     R = A.ring
     n = A.dim
     E = Matrix.from_cols(R, L.row_products(A.unit))  # [., 1] = -D
-    eps = FD._gamma(A, E).basis
+    eps = ref_gamma_subalgebra(A, L).basis  # the five-loop reference, not FD._gamma
     delta, project = FD._complement(R, eps, n)
     eps_terms = [FD._terms(ei, n) for ei in eps]
     rows, rhs = [], []
@@ -495,8 +495,8 @@ def ref_induced_by_averaging(A, L):
         coords = [project(p) for p in A.products(eps_terms, dj)]
         rows.extend(tuple(c[k] for c in coords) for k in range(len(delta)))
         rhs.extend(project(E.apply(dj)))
-    res = FD.solve_linear(Matrix(R, len(rows), len(eps), tuple(rows)), tuple(rhs))
-    if isinstance(res, FD.NoSolution):
+    res = solve_linear(Matrix(R, len(rows), len(eps), tuple(rows)), tuple(rhs))
+    if isinstance(res, NoSolution):
         return FD.InduceNoSolution()
     t = FD._apply_cols(eps_terms, res.particular, _modulus(R), R.zero, n)  # sum x_i eps_i
     cols = [FD.vec_sub(R, p, c) for p, c in zip(A.row_products(t), zip(*E.entries))]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import avgalg.exactlin as EL
 import avgalg.findim as FD
 from avgalg._record import set_field
 from avgalg.cli import main
@@ -358,13 +359,15 @@ class TestEndoAndGamma:
         else:
             assert isinstance(induced_by_averaging(A, L), NotEndoInduced)
 
-    def test_gamma_makes_one_row_product_per_basis_pair(self, monkeypatch):
-        # Q[y]/(y^6 - 3): block i, column m needs e_m * D(e_i), one row
-        # product for each of the 6 * 6 pairs (m, i), all six of block i in
-        # one row_products call, so 6 calls and no mul_vec; D(e_m e_i) is a
-        # matrix product
+    def test_gamma_makes_one_row_product_per_other_kernel_vector(self, monkeypatch):
+        # Gamma lies in ker E, E = [., 1], and holds 1, so only the vectors w
+        # of a basis of ker E other than 1 carry conditions, each read off
+        # the multiplication by w: one row_products call per w, and no
+        # mul_vec.  On Q[y]/(y^6 - 3) a functional operator's E has rank 5,
+        # so ker E is the line of 1 and Gamma takes no row product; the zero
+        # bracket of a multiplication operator has E = 0 and ker E = A, so
+        # Gamma takes one row product for each of the 5 vectors besides 1
         A, _ = primary_from_poly([-3, 0, 0, 0, 0, 0, 1])
-        L = induced_bracket(A, functional_operator(A, [1, 2, 0, -1, 0, 3]))
         calls = []
         for name in ("mul_vec", "row_products"):
             def counted(self, *args, _name=name, _method=getattr(StructureAlgebra, name)):
@@ -372,8 +375,13 @@ class TestEndoAndGamma:
                 return _method(self, *args)
 
             monkeypatch.setattr(StructureAlgebra, name, counted)
-        assert gamma_subalgebra(A, L) == ref_gamma_subalgebra(A, L)
-        assert calls == ["row_products"] * 6
+        for F, count, dim in ((functional_operator(A, [1, 2, 0, -1, 0, 3]), 0, 1),
+                              (mult_operator(A, [0, 1, 0, 2, 0, 0]), 5, 6)):
+            L = induced_bracket(A, F)
+            calls.clear()
+            gamma = gamma_subalgebra(A, L)
+            assert calls == ["row_products"] * count
+            assert gamma == ref_gamma_subalgebra(A, L) and gamma.dim == dim
 
     def test_random_brackets_cover_all_three_kinds(self):
         rng = random.Random(12)
@@ -468,6 +476,26 @@ class TestInducedByAveraging:
             assert isinstance(res, Induced)
             assert raw_bracket(A, res.operator).table == L.table
             assert is_averaging(A, res.operator).ok
+
+    def test_each_pass_is_made_once(self, monkeypatch):
+        # Q[y]/(y^6 - 3) with a functional operator's bracket: the columns
+        # [e_i, 1] are one row_products call, shared by the endomorphism
+        # check, Gamma and the operator; the one rref of the system gives the
+        # solution, so the only nullspaces are Gamma's two: ker E (6 x 6) and
+        # its conditions, none here, as ker E is the line of 1
+        A, _ = primary_from_poly([-3, 0, 0, 0, 0, 0, 1])
+        L = induced_bracket(A, functional_operator(A, [1, 2, 0, -1, 0, 3]))
+        rows, shapes = [], []
+        real_rows = BracketTable.row_products
+        monkeypatch.setattr(BracketTable, "row_products",
+                            lambda self, v: rows.append(v) or real_rows(self, v))
+        for module in (FD, EL):
+            monkeypatch.setattr(module, "nullspace",
+                                lambda m: shapes.append((m.rows, m.cols)) or nullspace(m))
+        res = induced_by_averaging(A, L)
+        assert rows == [A.unit]
+        assert shapes == [(6, 6), (0, 0)]
+        assert isinstance(res, Induced) and raw_bracket(A, res.operator).table == L.table
 
 
 class TestSeries:
@@ -673,6 +701,17 @@ class TestAdEigen:
         monkeypatch.setattr(FD, "nullspace", lambda m: seen.append(m) or nullspace(m))
         ad_eigen(A, imaginary_part(A), a)
         assert sum(m == ad for m in seen) == 1
+
+    @pytest.mark.parametrize("make", [functional_operator, mult_operator])
+    def test_a_bare_matrix_builds_no_bracket_table(self, make, monkeypatch):
+        # ad_a is read off the products of the averaging check
+        A, _ = primary_from_poly([-3, 0, 0, 0, 1])
+        F, a = make(A, [1, 2, 0, -1]), (2, 0, 1, 1)
+        tables = []
+        real = FD._bracket_table
+        monkeypatch.setattr(FD, "_bracket_table", lambda *args: tables.append(1) or real(*args))
+        assert ad_eigen(A, F, a) == eigen_by_char_poly(A, F, a)
+        assert tables == []
 
 
 class TestKernelBrackets:

@@ -5,11 +5,14 @@ with ker F when F(a) = k*1.  ``induced_by_averaging`` returns D + t*(.) as
 soon as its linear system is solved, because a solution is averaging and
 induces L (both proofs are in the docstrings).  ``tests/support.py`` keeps
 both functions as they were, re-deriving the answer and reporting a
-disagreement (``ref_ad_eigen``, ``ref_induced_by_averaging``).  Results and
+disagreement (``ref_ad_eigen``, ``ref_induced_by_averaging``, which takes
+Gamma from ``ref_gamma_subalgebra``).  Results and
 refusals must be equal: on Q fields from ``primary_from_poly``, the same
 fields on a random basis (``rand_gl``), multiplication, functional and sum
 operators, and algebras that are not domains.  An ``Induced`` operator is
 also checked by dense arithmetic to be averaging and to induce L.
+``gamma_subalgebra`` solves its conditions inside ker [., 1] only, and must
+equal the five-loop reference ``ref_gamma_subalgebra``.
 
 ``primary_from_poly`` and ``quotient_by_averaging_ideal`` no longer verify
 what they build: the first is compared with multiplication by y, the second
@@ -23,13 +26,16 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avgalg.exactlin import QQ, Matrix, Subspace, ZMod
+from avgalg.exactlin import QQ, Matrix, Subspace, ZMod, nullspace
 from avgalg.findim import (
+    BracketTable,
     Induced,
     InduceNoSolution,
     InternalInvariantError,
     NotEndoInduced,
     ad_eigen,
+    endo_induced_check,
+    gamma_subalgebra,
     induced_bracket,
     induced_by_averaging,
     is_averaging,
@@ -54,6 +60,7 @@ from support import (
     rand_monic,
     rand_sum_operator,
     ref_ad_eigen,
+    ref_gamma_subalgebra,
     ref_induced_by_averaging,
     ref_is_averaging,
 )
@@ -191,6 +198,64 @@ def test_induce_draws_reach_every_outcome():
         assert res == ref_induced_by_averaging(A, L)
         seen.add(type(res))
     assert seen == {Induced, NotEndoInduced, InduceNoSolution}
+
+
+# ---------------------------------------------------------------------------
+# gamma_subalgebra
+
+GAMMA_FIELDS = [QQ, ZMod(2), ZMod(3), ZMod(5), ZMod(7)]
+
+
+def _gamma_case(A, L, gamma) -> str:
+    """Where Gamma sits in ker E, E = [., 1]: Gamma always lies in ker E and
+    holds 1."""
+    ker = nullspace(Matrix.from_cols(A.ring, L.row_products(A.unit)))
+    assert gamma.contains_vector(A.unit)
+    assert all(ker.contains_vector(v) for v in gamma.basis)
+    if ker.dim == 1:
+        return "line of 1"
+    return "inside ker E" if gamma.dim < ker.dim else "ker E"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(GAMMA_FIELDS), st.randoms(use_true_random=False))
+def test_gamma_matches_the_five_loop_reference(ring, rng):
+    # gamma_subalgebra is specified for brackets that pass the endomorphism
+    # criterion, and the five loops hold for every bracket
+    A, L = _induce_input(rng, ring)
+    if endo_induced_check(A, L).ok:
+        gamma = gamma_subalgebra(A, L)
+        assert gamma == ref_gamma_subalgebra(A, L)
+        _gamma_case(A, L, gamma)
+
+
+def test_gamma_draws_reach_every_case():
+    rng = random.Random(31)
+    seen = set()
+    for k in range(300):
+        A, L = _induce_input(rng, GAMMA_FIELDS[k % len(GAMMA_FIELDS)])
+        if endo_induced_check(A, L).ok:
+            gamma = gamma_subalgebra(A, L)
+            assert gamma == ref_gamma_subalgebra(A, L)
+            seen.add(_gamma_case(A, L, gamma))
+    assert seen == {"line of 1", "inside ker E", "ker E"}
+
+
+def test_gamma_of_the_zero_bracket_is_the_algebra():
+    for ring in GAMMA_FIELDS:
+        A = rand_int_algebra(random.Random(7), ring)
+        L = BracketTable.make(ring, [[[0] * A.dim] * A.dim] * A.dim)
+        gamma = gamma_subalgebra(A, L)
+        assert gamma.is_full() and gamma == ref_gamma_subalgebra(A, L)
+
+
+def test_gamma_of_the_imaginary_part_is_the_line_of_one():
+    # Q(i) with F(a + b*i) = b: [1, i] = 1, so E = [., 1] has rank 1
+    A = primary_from_poly([1, 0, 1])[0]
+    L = induced_bracket(A, Matrix.from_cols(QQ, [(0, 0), (1, 0)]))
+    gamma = gamma_subalgebra(A, L)
+    assert gamma.basis == ((1, 0),) and gamma == ref_gamma_subalgebra(A, L)
+    assert _gamma_case(A, L, gamma) == "line of 1"
 
 
 # ---------------------------------------------------------------------------
