@@ -34,12 +34,10 @@ def _load_json(path: str) -> dict:
 
 
 def _load_algebra(path: str) -> FD.StructureAlgebra:
-    A = FD.algebra_from_json(_load_json(path))
     try:
-        FD.require_verified(A)
+        return FD.algebra_from_json(_load_json(path))
     except FD.NotAnAlgebraError as exc:
         raise FD.NotAnAlgebraError(f"{path}: {exc}", exc.failure) from None
-    return A
 
 
 def _emit(doc: dict, as_json: bool, human: str) -> None:

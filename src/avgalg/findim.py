@@ -16,9 +16,7 @@ arguments, so holding on a basis is holding everywhere.  Each is decided on
 one basis tuple per orbit of its symmetries, scanned in the order of the
 full product so that the first failure found is the one the full scan
 would report.  The symmetries used are the commutativity of
-``StructureAlgebra`` (a contract that ``verify_algebra`` checks, that
-``is_averaging`` tests before it relies on it, and that the other
-functions assume) and the antisymmetry of a bracket that has passed
+``StructureAlgebra`` and the antisymmetry of a bracket that has passed
 ``check_lie``.  Tuples whose outcome a law already settles are skipped:
 once the unit law holds for a unit that is a basis vector, the
 associativity triples holding it.  Every check forms its products with
@@ -29,14 +27,15 @@ scan pairs with v (F(e_i) * F(e_j) in ``is_averaging``, the Jacobi terms
 or of an image power with the image).  The products are formed up front
 and the scan keeps its order over them, so the first failure is unchanged.
 
-A pass of ``verify_algebra`` is carried in the algebra, and every function
-that relies on the laws refuses an algebra that fails them with
-``NotAnAlgebraError``; so are a ``check_domain`` certificate, for the
-analyses over a domain, and in a bracket a pass of ``check_lie``.  Only
-passes are carried, in private slots, and the public checks decide on every
-call.  So the paper's starting theorem, that an averaging operator F
-induces the Lie bracket [x, y] = x*F(y) - y*F(x), holds by hypothesis: it
-is tested, not re-run, and the bracket is born with the Lie pass.  So do
+Every ``StructureAlgebra`` that ``make`` returns satisfies the laws: it
+runs ``verify_algebra`` and refuses a failing table with
+``NotAnAlgebraError``, so no function checks them again.  A
+``check_domain`` certificate, for the analyses over a domain, is carried
+in the algebra, and a pass of ``check_lie`` in a bracket.  Only passes are
+carried, in private slots, and the public checks decide on every call.  So
+the paper's starting theorem, that an averaging operator F induces the Lie
+bracket [x, y] = x*F(y) - y*F(x), holds by hypothesis: it is tested, not
+re-run, and the bracket is born with the Lie pass.  So do
 its two corollaries, which ``lie_analysis`` reads its series off: every
 bracket lies in ker F, as F([x, y]) = F(x)F(y) - F(y)F(x) = 0, and for
 u, v in ker F, [u, v] = 0 and [u, y] = u*F(y).
@@ -225,17 +224,16 @@ class StructureAlgebra(_Table):
     """Commutative unital algebra by structure constants.
 
     ``mul[i][j]`` is the coordinate vector of e_i * e_j; ``unit`` the
-    coordinates of the identity element.  Commutativity is a contract:
-    ``make`` checks only the shape, ``verify_algebra`` checks the laws, and
-    the identity checks in this module compute a product once per unordered
-    pair of basis vectors, which is exact only when the contract holds
-    (``is_averaging`` tests it first).  A passing ``verify_algebra``, and
-    nothing else, sets the private slot ``_laws``, read by ``_require_laws``,
-    and a passing ``check_domain`` its certificate ``_domain``, read by
-    ``_require_domain``.
+    coordinates of the identity element.  ``make`` reads the entries through
+    the ring, checks the shape and runs ``require_verified``, so its value
+    satisfies the laws; the direct constructor takes a table that holds
+    canonical values and satisfies the laws.  The identity checks in this
+    module compute a product once per unordered pair of basis vectors, as
+    the table is commutative.  A passing ``check_domain`` sets the private
+    slot ``_domain``, read by ``_require_domain``.
     """
 
-    __slots__ = ("unit", "mul", "_laws", "_domain")
+    __slots__ = ("unit", "mul", "_domain")
 
     def __init__(self, ring: Ring, dim: int, unit: tuple, mul: tuple):
         _Table.__init__(self, ring, dim, mul)
@@ -246,7 +244,9 @@ class StructureAlgebra(_Table):
     def make(ring: Ring, unit, mul) -> "StructureAlgebra":
         unit = tuple(ring.of(x) for x in unit)
         tab = _Table._read(ring, mul, "structure constant", len(unit))
-        return StructureAlgebra(ring, len(unit), unit, tab)
+        A = StructureAlgebra(ring, len(unit), unit, tab)
+        require_verified(A)
+        return A
 
     def basis_vec(self, i: int) -> tuple:
         return tuple(self.ring.one if j == i else self.ring.zero for j in range(self.dim))
@@ -282,7 +282,7 @@ class AlgebraReport(Record):
 def verify_algebra(A: StructureAlgebra) -> AlgebraReport:
     """Exact commutativity, associativity, and unit checks on all triples;
     ``failure`` names the first failing law in that order of priority.
-    Every call scans the table; a pass marks A as satisfying the laws.
+    Every call scans the table.
 
     On a commutative table (e_a e_b) e_c = e_c (e_a e_b) is one row product
     P(e_a e_b, c) that depends only on the cell e_a e_b and c, and
@@ -316,8 +316,6 @@ def verify_algebra(A: StructureAlgebra) -> AlgebraReport:
                       if A.mul_vec(A.mul[i][j], e[k]) != A.mul_vec(e[i], A.mul[j][k])), None)
     failure = next(((law, w) for law, w in (("commutativity", comm), ("unit", unit),
                                             ("associativity", assoc)) if w), None)
-    if failure is None:
-        set_field(A, "_laws", True)
     return AlgebraReport(comm is None, assoc is None, unit is None, failure)
 
 
@@ -327,13 +325,6 @@ def require_verified(A: StructureAlgebra):
     if not report.ok:
         raise NotAnAlgebraError(f"not a commutative unital algebra: {report.failure}",
                                 report.failure)
-
-
-def _require_laws(A: StructureAlgebra):
-    """The guard of every function that relies on the laws: free when A
-    carries a pass of ``verify_algebra``, that check once otherwise."""
-    if not getattr(A, "_laws", False):
-        require_verified(A)
 
 
 def _require_operator(A: StructureAlgebra, F: Matrix):
@@ -349,28 +340,22 @@ def _require_operator(A: StructureAlgebra, F: Matrix):
 def is_averaging(A: StructureAlgebra, F: Matrix) -> Check:
     """F(x*F(y)) = F(x)*F(y); both sides bilinear, so basis pairs decide.
     One kernel pass per column j forms both sides' products with F(e_j):
-    e_i*F(e_j) for every i, and F(e_i)*F(e_j).  On a commutative table
-    F(e_i)*F(e_j) is symmetric, so the pass of column j forms it for
-    i <= j only, and a pair i > j reads the pass of column i; the table
-    counts as commutative when A carries a pass of ``verify_algebra`` or
-    every cell equals its mirror.  Any other table gets every i in every
-    pass, so the check is exact on it too.  The pairs are scanned in order
-    over the products formed up front, so the witness is the first failure
-    of the full scan.  F is applied to e_i*F(e_j) by ``_apply_cols`` from
-    the nonzero terms of F's columns that the passes read.  A pass carries
-    the products e_i*F(e_j) in the Check's ``_products``."""
+    e_i*F(e_j) for every i, and F(e_i)*F(e_j) for i <= j only: A is
+    commutative, so a pair i > j reads the pass of column i.  The pairs are
+    scanned in order over the products formed up front, so the witness is
+    the first failure of the full scan.  F is applied to e_i*F(e_j) by
+    ``_apply_cols`` from the nonzero terms of F's columns that the passes
+    read.  A pass carries the products e_i*F(e_j) in the Check's
+    ``_products``."""
     _require_operator(A, F)
     d, m, zero = A.dim, _modulus(A.ring), A.ring.zero
     cols = list(zip(*F.entries))
-    symmetric = getattr(A, "_laws", False) or all(
-        A.mul[i][j] == A.mul[j][i] for i, j in itertools.combinations(range(d), 2))
     terms = [_terms(c, d) for c in cols]
-    # passes[j][i] = e_i*F(e_j), passes[j][d + i] = F(e_i)*F(e_j)
-    passes = [A.products((*A._rows, *(terms[:j + 1] if symmetric else terms)), c)
-              for j, c in enumerate(cols)]
+    # passes[j][i] = e_i*F(e_j), passes[j][d + i] = F(e_i)*F(e_j) for i <= j
+    passes = [A.products((*A._rows, *terms[:j + 1]), c) for j, c in enumerate(cols)]
     for i in range(d):
         for j in range(d):
-            rhs = passes[i][d + j] if symmetric and j < i else passes[j][d + i]
+            rhs = passes[i][d + j] if j < i else passes[j][d + i]
             if _apply_cols(terms, passes[j][i], m, zero, d) != rhs:
                 return Check(False, (i, j))
     chk = Check(True)
@@ -552,10 +537,9 @@ def raw_bracket(A: StructureAlgebra, F: Matrix) -> BracketTable:
 
 
 class AveragingOperator(Record):
-    """An operator checked to be averaging on ``algebra``, which satisfies
-    the laws; built only by ``averaging_operator``.  The analyses take an
-    ``Operator``: this value, or a bare matrix they check through
-    ``averaging_operator``.
+    """An operator checked to be averaging on ``algebra``; built only by
+    ``averaging_operator``.  The analyses take an ``Operator``: this value,
+    or a bare matrix they check through ``averaging_operator``.
 
     The induced bracket ``bracket`` is built on first use; callers that
     never read it do not pay for it.  It is a Lie bracket by the paper's
@@ -588,12 +572,10 @@ Operator = Union[Matrix, AveragingOperator]
 def averaging_operator(A: StructureAlgebra, F: Operator) -> AveragingOperator:
     """Check F once and carry the result.
 
-    Raises ``NotAnAlgebraError`` when A fails the laws, and
-    ``NotAveragingError`` (with the failing basis pair as ``witness``) when
-    F is not averaging.  An ``AveragingOperator`` for A is returned as it
-    is; one checked on another algebra is a ``ShapeError``.
+    Raises ``NotAveragingError`` (with the failing basis pair as
+    ``witness``) when F is not averaging.  An ``AveragingOperator`` for A is
+    returned as it is; one checked on another algebra is a ``ShapeError``.
     """
-    _require_laws(A)
     if isinstance(F, AveragingOperator):
         if F.algebra != A:
             raise ShapeError("operator was checked on a different algebra")
@@ -636,15 +618,19 @@ def _endo_check(A: StructureAlgebra, L: BracketTable, cols) -> Check:
 def gamma_subalgebra(A: StructureAlgebra, L: BracketTable) -> Subspace:
     """Gamma = {a : [a*x, y] = a*[x, y]}, the linear conditions solved exactly.
 
-    A failing ``verify_algebra`` raises ``NotAnAlgebraError``.  L must pass
-    both ``check_lie`` and ``endo_induced_check``.  Then
-    [x, y] = x*D(y) - y*D(x) with D = [1, .], so
+    L must pass ``check_lie`` (else ``NotLieError``) and
+    ``endo_induced_check`` (else ``ValueError`` naming the failing pair).
+    Then [x, y] = x*D(y) - y*D(x) with D = [1, .], so
     [a*x, y] - a*[x, y] = y*(a*D(x) - D(a*x)), and y = 1 shows
     Gamma = {a : D(a*e_i) = a*D(e_i) for every i}.  At x = 1 that reads
     D(a) = a*D(1) = a*[1, 1] = 0: Gamma lies in ker D and holds 1.
     """
-    _require_laws(A)
-    return _gamma(A, _by_cols(A.ring, A.dim, L.row_products(A.unit)))
+    require_lie(A, L)
+    E_cols = L.row_products(A.unit)
+    endo = _endo_check(A, L, E_cols)
+    if not endo:
+        raise ValueError(f"bracket is not endomorphism-induced (witness pair {endo.witness})")
+    return _gamma(A, _by_cols(A.ring, A.dim, E_cols))
 
 
 def _gamma(A: StructureAlgebra, E: Matrix) -> Subspace:
@@ -705,8 +691,7 @@ def _complement(ring: Ring, basis, dim: int):
 def induced_by_averaging(A: StructureAlgebra, L: BracketTable) -> InduceResult:
     """Decide whether L is the bracket of some averaging operator.
 
-    A failing ``verify_algebra`` raises ``NotAnAlgebraError``, and an L
-    failing ``check_lie`` raises ``NotLieError``.  Steps, on the columns
+    An L failing ``check_lie`` raises ``NotLieError``.  Steps, on the columns
     [e_i, 1] = -D(e_i) of E = [., 1], built once: the endomorphism
     criterion, [x, y] = x*D(y) - y*D(x) with D = [1, .]; Gamma, solved
     inside ker E as in ``gamma_subalgebra``; one rref that completes its
@@ -727,7 +712,6 @@ def induced_by_averaging(A: StructureAlgebra, L: BracketTable) -> InduceResult:
     - On a commutative table the t-terms of x*F(y) - y*F(x) cancel, so the
       bracket of F is x*D(y) - y*D(x) = L.
     """
-    _require_laws(A)
     if not A.ring.is_field:
         raise NotAFieldError("the averaging-induced decision needs field scalars")
     require_lie(A, L)
@@ -889,7 +873,7 @@ class DomainCertificate(Record):
 
 def _mult_matrix(A: StructureAlgebra, a) -> Matrix:
     """The matrix of x -> a*x.  Column i is a*e_i = e_i*a, which reads row i
-    only: StructureAlgebra is commutative by contract."""
+    only, as A is commutative."""
     return _by_cols(A.ring, A.dim, A.row_products(a))
 
 
@@ -912,10 +896,9 @@ def _zero_divisor(A: StructureAlgebra, w, why: str) -> NotADomainError:
 def check_domain(A: StructureAlgebra) -> DomainCertificate:
     """Decide exactly whether A is a domain, that is, a field.
 
-    A must pass ``verify_algebra`` (else ``NotAnAlgebraError``) and be over
-    Q or Z/p.  Two outcomes: a ``DomainCertificate`` when A is a field,
-    and otherwise ``NotADomainError`` naming a nonzero zero divisor and
-    its partner.  Every call decides; a certificate marks A for
+    A must be over Q or Z/p.  Two outcomes: a ``DomainCertificate`` when A
+    is a field, and otherwise ``NotADomainError`` naming a nonzero zero
+    divisor and its partner.  Every call decides; a certificate marks A for
     ``ad_eigen`` and ``nilpotent_radical_domain``, and a refusal is raised
     again each time.
 
@@ -935,7 +918,6 @@ def check_domain(A: StructureAlgebra) -> DomainCertificate:
     g(a)·(chi_a/g)(a) = chi_a(a) = 0.  Over Z/p: A is a field exactly when
     the Frobenius map x -> x^p is injective and fixes only the line of 1.
     """
-    _require_laws(A)
     R = A.ring
     if not R.is_field:
         raise NotAFieldError("domain check needs field scalars")
@@ -1132,14 +1114,12 @@ def lie_analysis(A: StructureAlgebra, F: Operator) -> LieAnalysis:
 def quotient_by_averaging_ideal(A: StructureAlgebra, F: Matrix, ideal: Subspace):
     """Quotient algebra and induced operator by an F-invariant ideal.
 
-    A failing ``verify_algebra`` raises ``NotAnAlgebraError``.  The ideal
-    test multiplies each generator u by every e_i as e_i*u, which equals
-    u*e_i because A is commutative.  The quotient of an algebra by an ideal
-    is an algebra, and an F-invariant ideal makes F well defined on the
-    classes, where the averaging identity holds on representatives; so
-    neither result is checked again, and the quotient algebra is verified
-    by the first call that needs its laws."""
-    _require_laws(A)
+    The ideal test multiplies each generator u by every e_i as e_i*u,
+    which equals u*e_i because A is commutative.  The quotient of an algebra
+    by an ideal is an algebra, and an F-invariant ideal makes F well defined
+    on the classes, where the averaging identity holds on representatives;
+    so neither result is checked again, and the quotient's canonical table
+    goes to the direct constructor."""
     if not A.ring.is_field:
         raise NotAFieldError("quotients are implemented over field scalars")
     _require_operator(A, F)
@@ -1161,7 +1141,7 @@ def quotient_by_averaging_ideal(A: StructureAlgebra, F: Matrix, ideal: Subspace)
     comp_terms = [_terms(c, A.dim) for c in comp]
     prods = [A.products(comp_terms, c) for c in comp]  # prods[j][i] = comp_i comp_j
     mul2 = tuple(tuple(tuple(project(prods[j][i])) for j in range(q)) for i in range(q))
-    return (StructureAlgebra.make(R, unit2, mul2),
+    return (StructureAlgebra(R, q, unit2, mul2),
             _by_cols(R, q, [project(F.apply(comp[j])) for j in range(q)]))
 
 
@@ -1189,10 +1169,8 @@ def primary_from_poly(coeffs) -> tuple:
     powers = [r + (QQ.zero,) * (d - len(r)) for r in rems]
     mul = tuple(tuple(powers[i + j] for j in range(d)) for i in range(d))
     unit = tuple(QQ.one if i == 0 else QQ.zero for i in range(d))
-    A = StructureAlgebra.make(QQ, unit, mul)
     F = Matrix.from_cols(QQ, [powers[j + 1] for j in range(d)])
-    require_verified(A)
-    return A, F
+    return StructureAlgebra.make(QQ, unit, mul), F
 
 
 # ---------------------------------------------------------------------------

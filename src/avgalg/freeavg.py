@@ -476,11 +476,9 @@ def _difference_bracket(R: Ring, r, wa, wb):
     # r*(wa - wb) as one bracket, where f(wa) = f(wb) and wa != wb: with
     # wa = ua*va and wb = ub*vb split into x-part and y-part, it is
     # [ua, ub*(va / y[ub])]
+    # wa is never a pure x-monomial u: f(u'*v') = y[u']*v' is f(u) = y[u] only
+    # for u' = u and v' = 1, so u is alone in its group of bracket_decompose
     ka = bisect_left(wa, _Y_FIRST)
-    if ka == len(wa):
-        # wa is a pure x-monomial; swap roles and flip the coefficient
-        r, wa, wb = -r % _modulus(R), wb, wa
-        ka = bisect_left(wa, _Y_FIRST)
     kb = bisect_left(wb, _Y_FIRST)
     shared = _y_of_prefix(wb, kb)
     j = bisect_left(wa, (shared,), ka)
@@ -610,11 +608,6 @@ def check_algebra_hom(theta: Matrix, A, B):
 def fa_induced_hom(theta: Matrix, a: FAElement, A, B) -> FAElement:
     """Apply theta to the left factor and to every symmetric slot."""
     check_algebra_hom(theta, A, B)
-    return _induced_hom(theta, a, A, B)
-
-
-def _induced_hom(theta: Matrix, a: FAElement, A, B) -> FAElement:
-    # fa_induced_hom for a theta already checked by check_algebra_hom
     _alg_check(a, A)
     m = _modulus(A.ring)
     cols = [theta.col(j) for j in range(A.dim)]

@@ -117,6 +117,23 @@ def test_unverified_algebra_exits_two(tmp_path, capsys):
     assert err == f"error: {bad}: not a commutative unital algebra: ('unit', (0,))\n"
 
 
+@pytest.mark.parametrize("argv", [["verify", "corpus/im.json"],
+                                  ["lie-analyze", "corpus/im.json"],
+                                  ["lie-analyze", "--json", "corpus/im.json"]])
+def test_noncommutative_algebra_exits_two(argv, tmp_path, capsys):
+    # e_0 e_1 = e_1 but e_1 e_0 = 2 e_1: the loader refuses the table, with
+    # its path, before the operator is read
+    doc = {"scalar": "Q", "dim": 2, "unit": ["1", "0"],
+           "mul": [[["1", "0"], ["0", "1"]], [["0", "2"], ["0", "0"]]]}
+    bad = tmp_path / "noncommutative.json"
+    bad.write_text(json.dumps(doc))
+    code = main([argv[0], *argv[1:-1], str(bad), argv[-1]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == \
+        f"error: {bad}: not a commutative unital algebra: ('commutativity', (0, 1))\n"
+
+
 def test_bad_subcommand_usage_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decide", "--hypothesis", "bogus", "--claim", "f(v1) = f(v1)"])

@@ -102,6 +102,12 @@ def qi():
                                  [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]])
 
 
+def unchecked(unit, mul):
+    """A table over Q by the direct constructor, which checks no law."""
+    return StructureAlgebra(QQ, len(unit), tuple(unit),
+                            tuple(tuple(tuple(cell) for cell in row) for row in mul))
+
+
 def imaginary_part(A):
     # sends 1 to 0 and i to 1
     return Matrix.from_cols(QQ, [(0, 0), (1, 0)])
@@ -119,6 +125,23 @@ def q3():
          for i in range(3)])
 
 
+# e0 = 1, e1^2 = e2, e2^2 = e1, e1 e2 = e1: commutative and unital, but
+# (e1 e1) e2 = e1 while e1 (e1 e2) = e2
+NONASSOCIATIVE = ((1, 0, 0), [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[0, 1, 0], [0, 0, 1], [0, 1, 0]],
+    [[0, 0, 1], [0, 1, 0], [0, 1, 0]],
+])
+
+# one table failing each law of a commutative unital algebra; the second is
+# Q(i) with i as its unit
+FAILING_TABLES = {
+    "commutativity": ((1, 0), [[[1, 0], [0, 1]], [[1, 1], [0, 0]]]),
+    "unit": ((0, 1), [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]]),
+    "associativity": NONASSOCIATIVE,
+}
+
+
 class TestStructureAlgebra:
     def test_verify_accepts_good_algebra(self):
         report = verify_algebra(qi())
@@ -130,22 +153,20 @@ class TestStructureAlgebra:
         assert i_sq == (QQ.of(-1), QQ.of(0))
 
     def test_noncommutative_table_reported(self):
-        A = StructureAlgebra.make(QQ, (1, 0),
-                                  [[[1, 0], [0, 1]], [[1, 1], [0, 0]]])
+        A = unchecked(*FAILING_TABLES["commutativity"])
         report = verify_algebra(A)
         assert not report.commutative
         assert report.failure[0] == "commutativity"
 
     def test_bad_unit_reported(self):
-        A = StructureAlgebra.make(QQ, (0, 1),
-                                  [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]])
+        A = unchecked(*FAILING_TABLES["unit"])
         report = verify_algebra(A)
         assert not report.unital
         with pytest.raises(ValueError):
             require_verified(A)
 
     def test_nonassociative_table_reported(self):
-        A = StructureAlgebra.make(QQ, (1, 0, 0), [
+        A = unchecked((1, 0, 0), [
             [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
             [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
             [[0, 0, 1], [1, 0, 0], [0, 0, 0]],
@@ -358,15 +379,41 @@ class TestEndoAndGamma:
             assert gamma_subalgebra(A, L) == ref_gamma_subalgebra(A, L)
         else:
             assert isinstance(induced_by_averaging(A, L), NotEndoInduced)
+            with pytest.raises(ValueError, match="not endomorphism-induced"):
+                gamma_subalgebra(A, L)
+
+    def test_gamma_refuses_a_bracket_that_is_not_endomorphism_induced(self):
+        # [e_a, e_b] = c e_a ignores the multiplication, and Gamma solved
+        # inside ker E is Gamma only for a bracket that passes the
+        # endomorphism criterion: 126 of these 300 draws fail it
+        refused = 0
+        for ring in (QQ, ZMod(3), ZMod(5)):
+            rng = random.Random(5)
+            for _ in range(100):
+                A = rand_int_algebra(rng, ring)
+                L = rand_lie_bracket(rng, A, "neither")
+                endo = endo_induced_check(A, L)
+                if endo:
+                    assert gamma_subalgebra(A, L) == ref_gamma_subalgebra(A, L)
+                    continue
+                with pytest.raises(ValueError) as exc:
+                    gamma_subalgebra(A, L)
+                assert type(exc.value) is ValueError
+                assert str(exc.value) == ("bracket is not endomorphism-induced "
+                                          f"(witness pair {endo.witness})")
+                refused += 1
+        assert refused == 126
 
     def test_gamma_makes_one_row_product_per_other_kernel_vector(self, monkeypatch):
-        # Gamma lies in ker E, E = [., 1], and holds 1, so only the vectors w
-        # of a basis of ker E other than 1 carry conditions, each read off
-        # the multiplication by w: one row_products call per w, and no
-        # mul_vec.  On Q[y]/(y^6 - 3) a functional operator's E has rank 5,
-        # so ker E is the line of 1 and Gamma takes no row product; the zero
-        # bracket of a multiplication operator has E = 0 and ker E = A, so
-        # Gamma takes one row product for each of the 5 vectors besides 1
+        # The endomorphism check takes one row_products call per column
+        # [e_i, 1] of E = [., 1], 6 on a 6-dimensional algebra.  Gamma lies
+        # in ker E and holds 1, so only the vectors w of a basis of ker E
+        # other than 1 carry conditions, each read off the multiplication by
+        # w: one row_products call per w, and no mul_vec.  On
+        # Q[y]/(y^6 - 3) a functional operator's E has rank 5, so ker E is
+        # the line of 1 and Gamma takes no row product; the zero bracket of a
+        # multiplication operator has E = 0 and ker E = A, so Gamma takes one
+        # row product for each of the 5 vectors besides 1
         A, _ = primary_from_poly([-3, 0, 0, 0, 0, 0, 1])
         calls = []
         for name in ("mul_vec", "row_products"):
@@ -380,7 +427,7 @@ class TestEndoAndGamma:
             L = induced_bracket(A, F)
             calls.clear()
             gamma = gamma_subalgebra(A, L)
-            assert calls == ["row_products"] * count
+            assert calls == ["row_products"] * (6 + count)
             assert gamma == ref_gamma_subalgebra(A, L) and gamma.dim == dim
 
     def test_random_brackets_cover_all_three_kinds(self):
@@ -1008,39 +1055,29 @@ class TestAveragingOperator:
             kernel_equals_brackets(split, op)
 
 
-def nonassociative():
-    """e0 = 1, e1^2 = e2, e2^2 = e1, e1 e2 = e1: commutative and unital, but
-    (e1 e1) e2 = e1 while e1 (e1 e2) = e2."""
-    return StructureAlgebra.make(QQ, (1, 0, 0), [
-        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-        [[0, 1, 0], [0, 0, 1], [0, 1, 0]],
-        [[0, 0, 1], [0, 1, 0], [0, 1, 0]],
-    ])
-
-
-ZERO_BRACKET3 = BracketTable.make(QQ, [[[0] * 3] * 3] * 3)
-
 # every function that relies on the laws of a commutative associative unital
-# algebra, applied to the table above and to F(x) = x_0 * 1, which passes
-# is_averaging there
+# algebra, applied to Q(i) and its imaginary part
 LAW_DEPENDENT = {
     "averaging_operator": lambda A, F: averaging_operator(A, F),
     "lie_analysis": lambda A, F: lie_analysis(A, F),
     "kernel_equals_brackets": lambda A, F: kernel_equals_brackets(A, F),
     "nilpotency_check": lambda A, F: nilpotency_check(A, F),
     "induced_bracket": lambda A, F: induced_bracket(A, F),
-    "ad_eigen": lambda A, F: ad_eigen(A, F, (1, 0, 0)),
+    "ad_eigen": lambda A, F: ad_eigen(A, F, (1, 1)),
     "is_reynolds_averaging": lambda A, F: is_reynolds_averaging(A, F),
     "nilpotent_radical_domain": lambda A, F: nilpotent_radical_domain(A, F),
-    "induced_by_averaging": lambda A, F: induced_by_averaging(A, ZERO_BRACKET3),
-    "gamma_subalgebra": lambda A, F: gamma_subalgebra(A, ZERO_BRACKET3),
+    "induced_by_averaging": lambda A, F: induced_by_averaging(A, induced_bracket(A, F)),
+    "gamma_subalgebra": lambda A, F: gamma_subalgebra(A, induced_bracket(A, F)),
     "check_domain": lambda A, F: check_domain(A),
     "quotient_by_averaging_ideal":
-        lambda A, F: quotient_by_averaging_ideal(A, F, Subspace.span(QQ, 3, [])),
+        lambda A, F: quotient_by_averaging_ideal(A, F, Subspace.span(QQ, 2, [])),
 }
 
 
 class TestLawsAreCarried:
+    """``make`` verifies the laws of the table it reads, so every algebra
+    satisfies them and no function checks them again."""
+
     @pytest.fixture
     def verifications(self, monkeypatch):
         """Calls of findim.verify_algebra since the last reset."""
@@ -1054,18 +1091,29 @@ class TestLawsAreCarried:
         monkeypatch.setattr(FD, "verify_algebra", counted)
         return calls
 
-    @pytest.mark.parametrize("name", sorted(LAW_DEPENDENT))
-    def test_a_nonassociative_algebra_is_refused(self, name):
-        A = nonassociative()
-        F = functional_operator(A, (1, 0, 0))
-        assert is_averaging(A, F).ok
-        with pytest.raises(NotAnAlgebraError) as exc:
-            LAW_DEPENDENT[name](A, F)
-        assert isinstance(exc.value, ValueError)
-        assert exc.value.failure == ("associativity", (1, 1, 2))
+    @pytest.mark.parametrize("law", sorted(FAILING_TABLES))
+    def test_make_refuses_a_table_that_fails_a_law(self, law):
+        unit, mul = FAILING_TABLES[law]
+        report = verify_algebra(unchecked(unit, mul))
+        assert report.failure[0] == law
+        for build in (lambda: StructureAlgebra.make(QQ, unit, mul),
+                      lambda: algebra_from_json(algebra_to_json(unchecked(unit, mul)))):
+            with pytest.raises(NotAnAlgebraError) as exc:
+                build()
+            assert isinstance(exc.value, ValueError)
+            assert exc.value.failure == report.failure
+            assert str(exc.value) == f"not a commutative unital algebra: {report.failure}"
+
+    def test_law_dependent_functions_do_not_verify(self, verifications):
+        A = qi()
+        F = imaginary_part(A)
+        assert verifications == [A]  # the one check, in make
+        for call in LAW_DEPENDENT.values():
+            call(A, F)
+        assert verifications == [A]
 
     def test_law_free_checks_accept_any_table(self):
-        A = nonassociative()
+        A = unchecked(*NONASSOCIATIVE)
         F = functional_operator(A, (1, 0, 0))
         assert is_averaging(A, F).ok and is_unitary(A, F)
         L = raw_bracket(A, F)
@@ -1076,13 +1124,13 @@ class TestLawsAreCarried:
 
     def test_require_verified_carries_the_failure(self):
         with pytest.raises(NotAnAlgebraError) as exc:
-            require_verified(nonassociative())
+            require_verified(unchecked(*NONASSOCIATIVE))
         assert exc.value.failure == ("associativity", (1, 1, 2))
         assert str(exc.value) == \
             "not a commutative unital algebra: ('associativity', (1, 1, 2))"
 
     def test_an_unverified_algebra_is_verified_once(self, verifications):
-        A = qi()
+        A = qi()  # verified by make, and never again
         lie_analysis(A, imaginary_part(A))
         kernel_equals_brackets(A, imaginary_part(A))
         check_domain(A)
@@ -1097,24 +1145,20 @@ class TestLawsAreCarried:
         assert verifications == []
 
     def test_a_failing_algebra_is_refused_every_time(self, verifications):
-        A = nonassociative()
         for _ in range(2):
             with pytest.raises(NotAnAlgebraError):
-                check_domain(A)
-        assert verifications == [A, A]
+                StructureAlgebra.make(QQ, *NONASSOCIATIVE)
+        assert len(verifications) == 2
 
-    def test_builders_do_not_carry_the_laws(self, verifications):
+    def test_make_and_the_loader_verify_every_table(self, verifications):
         A = qi()
-        assert verify_algebra(A).ok
         copies = [StructureAlgebra.make(QQ, A.unit, A.mul),
-                  StructureAlgebra(QQ, A.dim, A.unit, A.mul),
                   algebra_from_json(algebra_to_json(A))]
-        del verifications[:]
+        # the direct constructor takes a table that satisfies the laws as it is
+        copies.append(StructureAlgebra(QQ, A.dim, A.unit, A.mul))
+        assert verifications == [A, *copies[:2]]
         for B in copies:
-            # equal to A, but only verify_algebra marks a table as checked
             assert B == A and hash(B) == hash(A) and repr(B) == repr(A)
-            check_domain(B)
-        assert verifications == copies
 
 
 class TestVerdictsAreCarried:

@@ -4,8 +4,10 @@ Entries are drawn mostly zero, like the structure constants and operator
 matrices of the shipped algebras, so the skipped branches are exercised.
 The sparse forms behind the kernels (the cells of ``StructureAlgebra`` and
 ``BracketTable``, the columns of ``Matrix``) are private state: values are
-built through ``make`` and through the bare constructors, and matrices are
-applied before and after their column form is filled.
+built through ``make`` (for an algebra, through the reader of ``make``, as a
+random table fails the laws that ``make`` checks) and through the bare
+constructors, and matrices are applied before and after their column form
+is filled.
 """
 
 from fractions import Fraction
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avgalg.exactlin import QQ, Matrix, ZMod, rref, vec_dot
-from avgalg.findim import BracketTable, StructureAlgebra, _terms
+from avgalg.findim import BracketTable, StructureAlgebra, _Table, _terms
 from support import ref_add, ref_mul, ref_sub
 
 RINGS = [QQ, ZMod(2), ZMod(5), ZMod(6), ZMod(12)]
@@ -42,8 +44,9 @@ def ring_and_table(draw):
 
 def _algebra(ring, d, table, made):
     unit = (ring.one,) + (ring.zero,) * (d - 1)
-    return StructureAlgebra.make(ring, unit, table) if made else \
-        StructureAlgebra(ring, d, unit, table)
+    if made:
+        table = _Table._read(ring, table, "structure constant", d)
+    return StructureAlgebra(ring, d, unit, table)
 
 
 def _bracket(ring, d, table, made):
