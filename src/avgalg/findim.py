@@ -19,13 +19,16 @@ would report.  The symmetries used are the commutativity of
 ``StructureAlgebra`` and the antisymmetry of a bracket that has passed
 ``check_lie``.  Tuples whose outcome a law already settles are skipped:
 once the unit law holds for a unit that is a basis vector, the
-associativity triples holding it.  Every check forms its products with
-one vector v in one pass of the product kernel: the row products e_i * v
-for all i, and the pairwise products x * v of the other vectors x the
-scan pairs with v (F(e_i) * F(e_j) in ``is_averaging``, the Jacobi terms
-[e_m, [e_i, e_j]] in ``check_lie``, the products of a lower central stage
-or of an image power with the image).  The products are formed up front
-and the scan keeps its order over them, so the first failure is unchanged.
+associativity triples holding it.  ``is_averaging`` pairs the basis with
+generators of im F instead, as its identity is linear in F(y), and takes a
+refusal's witness from the orbit scan.  Every check forms its products
+with one vector v in one pass of the product kernel: the row products
+e_i * v for all i, and the pairwise products x * v of the other vectors x
+the scan pairs with v (F(e_i) * b for a generator b of im F in
+``is_averaging``, the Jacobi terms [e_m, [e_i, e_j]] in ``check_lie``, the
+products of a lower central stage or of an image power with the image).
+The products are formed up front and the scan keeps its order over them,
+so the first failure is unchanged.
 
 Every ``StructureAlgebra`` that ``make`` returns satisfies the laws: it
 runs ``verify_algebra`` and refuses a failing table with
@@ -119,11 +122,13 @@ class InternalInvariantError(RuntimeError):
 
 class Check(Record):
     """Outcome of an exact identity check; witness (a tuple, or None when
-    ``ok``) locates the first failure.  A passing ``is_averaging`` also
-    keeps the products it formed in the private slot ``_products``, for the
-    operator's bracket: ``_products[j][i]`` is e_i*F(e_j)."""
+    ``ok``) locates the first failure.  A pass of ``is_averaging`` also
+    carries what it formed, for the operator's analyses, in private slots:
+    the products ``_products[j][i]`` = e_i*F(e_j) of the columns j its
+    step 1 read (all of them when F is A-linear), and the span ``_image`` of
+    im F when it formed one."""
 
-    __slots__ = ("ok", "witness", "_products")
+    __slots__ = ("ok", "witness", "_products", "_image")
     _defaults = (None,)
 
     def __bool__(self) -> bool:
@@ -338,29 +343,85 @@ def _require_operator(A: StructureAlgebra, F: Matrix):
 # averaging operator checks and calculus
 
 def is_averaging(A: StructureAlgebra, F: Matrix) -> Check:
-    """F(x*F(y)) = F(x)*F(y); both sides bilinear, so basis pairs decide.
-    One kernel pass per column j forms both sides' products with F(e_j):
-    e_i*F(e_j) for every i, and F(e_i)*F(e_j) for i <= j only: A is
-    commutative, so a pair i > j reads the pass of column i.  The pairs are
-    scanned in order over the products formed up front, so the witness is
-    the first failure of the full scan.  F is applied to e_i*F(e_j) by
-    ``_apply_cols`` from the nonzero terms of F's columns that the passes
-    read.  A pass carries the products e_i*F(e_j) in the Check's
-    ``_products``."""
+    """F(x*F(y)) = F(x)*F(y), decided on generators of im F.  The identity
+    is linear in b = F(y), so it holds exactly when F(x*b) = F(x)*b for x in
+    a basis of A and b in any generating set of im F; only bilinearity and
+    the commutativity of A are used.
+
+    1. One ``row_products(F(e_j))`` pass per column j gives e_k*F(e_j) for
+       every k, compared with F(e_j*e_k), F applied once per distinct cell;
+       the first mismatch ends the step.  If all d passes agree, F is
+       A-linear, F(a*x) = a*F(x), so F(x*F(y)) = F(y)*F(x): F is averaging.
+       The passes made are the products e_i*F(e_j) of their columns, and a
+       pass carries them in ``_products``.
+    2. Otherwise im F is spanned once (``_span``).  If im F = A, the
+       identity needs F(x*b) = F(x)*b for every b, step 1's condition, so F
+       is refused.
+    3. Otherwise one ``products`` pass per basis vector b of the span forms
+       e_i*b and F(e_i)*b for every i, and F(e_i*b) = F(e_i)*b is checked:
+       d*rank checks instead of d^2.  A pass carries the span in ``_image``.
+
+    A refusal takes its witness from the scan of every basis pair in order
+    (``_first_failing_pair``), so it is the first failure of the full scan."""
     _require_operator(A, F)
     d, m, zero = A.dim, _modulus(A.ring), A.ring.zero
     cols = list(zip(*F.entries))
     terms = [_terms(c, d) for c in cols]
+    products, a_linear = _a_linear_passes(A, cols, terms)
+    if a_linear:
+        chk = Check(True)
+        set_field(chk, "_products", products)
+        return chk
+    # equal columns span alike, so each is reduced once
+    image = _span(A.ring, d, list(dict.fromkeys(cols)))
+    if not _is_full(image, d):
+        groups = (*A._rows, *terms)
+        passes = (A.products(groups, b) for b in image.basis)
+        if all(_apply_cols(terms, p[i], m, zero, d) == p[d + i] for p in passes for i in range(d)):
+            chk = Check(True)
+            set_field(chk, "_products", products)
+            set_field(chk, "_image", image)
+            return chk
+    return Check(False, _first_failing_pair(A, cols, terms))
+
+
+def _a_linear_passes(A: StructureAlgebra, cols, terms) -> tuple:
+    """Step 1 of ``is_averaging``: (P, whether F is A-linear), with P[j] =
+    ``row_products(F(e_j))`` for the columns up to the first mismatch of
+    e_k*F(e_j) with F(e_j*e_k), that column included."""
+    d, m, zero = A.dim, _modulus(A.ring), A.ring.zero
+    f_cell, products = {}, []
+    for c, cells in zip(cols, A.mul):
+        products.append(A.row_products(c))
+        for cell, p in zip(cells, products[-1]):
+            fc = f_cell.get(cell)
+            if fc is None:
+                fc = f_cell[cell] = _apply_cols(terms, cell, m, zero, d)
+            if fc != p:
+                return products, False
+    return products, True
+
+
+def _first_failing_pair(A: StructureAlgebra, cols, terms) -> tuple:
+    # the scan of every basis pair in order: one kernel pass per column j
+    # forms e_i*F(e_j) for every i and F(e_i)*F(e_j) for i <= j only, as a
+    # pair i > j reads the pass of column i, A being commutative
+    d, m, zero = A.dim, _modulus(A.ring), A.ring.zero
     # passes[j][i] = e_i*F(e_j), passes[j][d + i] = F(e_i)*F(e_j) for i <= j
     passes = [A.products((*A._rows, *terms[:j + 1]), c) for j, c in enumerate(cols)]
     for i in range(d):
         for j in range(d):
             rhs = passes[i][d + j] if j < i else passes[j][d + i]
             if _apply_cols(terms, passes[j][i], m, zero, d) != rhs:
-                return Check(False, (i, j))
-    chk = Check(True)
-    set_field(chk, "_products", [p[:d] for p in passes])
-    return chk
+                return (i, j)
+    raise InternalInvariantError("is_averaging refused an operator the pair scan accepts")
+
+
+def _is_full(span, dim: int) -> bool:
+    """Whether a ``_span`` is all of ring^dim: a canonical basis of dim rows
+    has its pivots on the diagonal, and they are units, so 1, exactly when
+    it spans everything."""
+    return len(span.basis) == dim and all(b[i] == 1 for i, b in enumerate(span.basis))
 
 
 def is_unitary(A: StructureAlgebra, F: Matrix) -> bool:
@@ -376,8 +437,9 @@ def is_reynolds_averaging(A: StructureAlgebra, F: Operator) -> Check:
     a failure at (i, j) with j < i is met first at (j, i), so only i <= j is
     checked."""
     op = averaging_operator(A, F)
+    P = _column_products(op)
     for i, j in itertools.combinations_with_replacement(range(A.dim), 2):
-        fp = op.matrix.apply(op._products[j][i])
+        fp = op.matrix.apply(P[j][i])
         if op.matrix.apply(fp) != fp:
             return Check(False, (i, j))
     return Check(True)
@@ -545,14 +607,17 @@ class AveragingOperator(Record):
     never read it do not pay for it.  It is a Lie bracket by the paper's
     starting theorem, whose hypotheses the algebra and the operator carry,
     so it is born with the Lie mark (``tests/test_bracket_theorem.py`` tests
-    the theorem).  It is the difference of two products e_i*F(e_j) that
-    ``is_averaging`` formed and that ride along in the private slot
-    ``_products``, so no product is computed twice.  The built bracket is
-    kept in the private slot ``_bracket``.  Private slots are outside
-    equality, hash and repr.
+    the theorem).  It is the difference of two products e_i*F(e_j), read by
+    ``_column_products``: those ``is_averaging`` formed ride along in the
+    private slot ``_products`` (all of them when F is A-linear), and the
+    rest are built on first read, one ``row_products`` per column, and kept
+    there, so no product is computed twice.  When ``is_averaging`` spanned
+    im F, the span rides along in ``_image`` for the analyses that read it
+    (``_image``).  The built bracket is kept in the private slot
+    ``_bracket``.  Private slots are outside equality, hash and repr.
     """
 
-    __slots__ = ("algebra", "matrix", "_products", "_bracket")
+    __slots__ = ("algebra", "matrix", "_products", "_image", "_bracket")
 
     @property
     def bracket(self) -> BracketTable:
@@ -560,7 +625,7 @@ class AveragingOperator(Record):
             return self._bracket
         except AttributeError:
             pass
-        L = _bracket_table(self.algebra, self._products)
+        L = _bracket_table(self.algebra, _column_products(self))
         set_field(L, "_lie", True)
         set_field(self, "_bracket", L)
         return L
@@ -587,7 +652,20 @@ def averaging_operator(A: StructureAlgebra, F: Operator) -> AveragingOperator:
             "use raw_bracket for arbitrary endomorphisms", avg.witness)
     op = AveragingOperator(A, F)
     set_field(op, "_products", avg._products)
+    if hasattr(avg, "_image"):
+        set_field(op, "_image", avg._image)
     return op
+
+
+def _column_products(op: AveragingOperator) -> list:
+    """P[j][i] = e_i*F(e_j): the rows ``is_averaging`` carried, the rest
+    built here on first read, one ``row_products`` per column, and kept in
+    ``_products``."""
+    P = op._products
+    if len(P) < op.matrix.cols:
+        P = P + [op.algebra.row_products(c) for c in list(zip(*op.matrix.entries))[len(P):]]
+        set_field(op, "_products", P)
+    return P
 
 
 def induced_bracket(A: StructureAlgebra, F: Operator) -> BracketTable:
@@ -828,9 +906,13 @@ def nilpotency_check(A: StructureAlgebra, F: Operator):
 
 
 def _image(op: AveragingOperator):
-    """The span of im F, whose columns are read in one transpose."""
-    F = op.matrix
-    return _span(F.ring, F.rows, list(zip(*F.entries)))
+    """The span of im F: carried from ``is_averaging`` when it spanned the
+    columns, else spanned here, the columns read in one transpose."""
+    try:
+        return op._image
+    except AttributeError:
+        F = op.matrix
+        return _span(F.ring, F.rows, list(zip(*F.entries)))
 
 
 def _nilpotency(A: StructureAlgebra, brackets, image):
@@ -1027,7 +1109,7 @@ def ad_eigen(A: StructureAlgebra, F: Operator, a) -> tuple:
         raise NotAFieldError("eigen analysis is implemented over Q")
     _require_domain(A)
     op = averaging_operator(A, F)
-    R, m, d, P = A.ring, _modulus(A.ring), A.dim, op._products
+    R, m, d, P = A.ring, _modulus(A.ring), A.dim, _column_products(op)
     a = tuple(R.of(x) for x in a)
     cols = [[R.zero] * d for _ in range(d)]
     for i, (k, ak) in itertools.product(range(d), _terms(a, d)):

@@ -427,8 +427,9 @@ def ref_op_add(A, F, G):
 # ad_eigen and induced_by_averaging before they returned the theorem's answer
 # alone: each re-derived it (the characteristic polynomial's roots with one
 # nullspace per root; is_averaging and the bracket of the candidate) and
-# reported a disagreement, verbatim apart from the names and the module
-# prefixes
+# reported a disagreement, verbatim apart from the names, the module
+# prefixes and the candidate's bracket, now formed from dense
+# products by ``ref_bracket_table``
 def ref_ad_eigen(A, F, a) -> tuple:
     """Eigenvalues with eigenspaces of x -> a*F(x) - x*F(a), over a domain.
 
@@ -505,7 +506,9 @@ def ref_induced_by_averaging(A, L):
         return InduceDiagnostic(t, op, f"candidate not averaging at pair {avg.witness}")
     # L passed check_lie on entry, so equal tables make the candidate's
     # bracket a Lie bracket without a second check
-    if FD._bracket_table(A, avg._products).table != L.table:
+    e = [A.basis_vec(i) for i in range(n)]
+    products = [[dense_product(R, A.mul, ei, op.col(j)) for ei in e] for j in range(n)]
+    if ref_bracket_table(A, products).table != L.table:
         return InduceDiagnostic(t, op, "candidate does not reproduce the bracket")
     return FD.Induced(t, op)
 

@@ -7,6 +7,7 @@ where the identity holds and where it fails, and on non-commutative tables
 for the two checks that take them (``verify_algebra``, ``check_lie``).  The work counts are pinned as equalities at the end.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -36,10 +37,15 @@ from avgalg.findim import (
     verify_algebra,
 )
 from support import (
+    change_algebra,
+    change_operator,
     cyclic_algebra,
+    dense_apply,
+    dense_product,
     functional_operator,
     mult_operator,
     product_algebra,
+    rand_gl,
     rand_int_algebra,
     rand_lie_bracket,
     rand_sum_operator,
@@ -53,6 +59,7 @@ from support import (
     ref_nilpotency_check,
     ref_series,
     ref_sub,
+    ref_submodule_span,
     ref_verify_algebra,
 )
 
@@ -244,6 +251,62 @@ def test_is_averaging_matches_the_full_scan(ring, rng):
     assert is_averaging(A, F) == ref_is_averaging(A, F)
 
 
+def _generator_input(rng, ring):
+    """(A, F) for ``is_averaging``'s generator steps: a verified algebra with
+    an operator of ``_rand_operator`` or a sum operator on a product, either
+    with one entry bumped half the time and a third of them carried by
+    ``rand_gl``; or a commutative table of ``_rand_commutative_algebra``,
+    which keeps the tables that fail the laws."""
+    roll = rng.randrange(4)
+    if roll == 3:
+        A = _rand_commutative_algebra(rng, ring)
+        return A, _rand_operator(rng, A)
+    if roll == 2:
+        A, F = rand_sum_operator(rng, ring)
+    else:
+        A = rand_int_algebra(rng, ring)
+        F = _rand_operator(rng, A)
+    if rng.randint(0, 1):
+        rows = [list(row) for row in F.entries]
+        i, j = rng.randrange(A.dim), rng.randrange(A.dim)
+        rows[i][j] = ref_add(ring, rows[i][j], ring.one)
+        F = Matrix.from_rows(ring, rows)
+    if rng.randrange(3) == 0:
+        P, Pinv = rand_gl(rng, ring, A.dim)
+        A, F = change_algebra(A, P, Pinv), change_operator(F, P, Pinv)
+    return A, F
+
+
+def _generator_outcome(A, F, ok) -> str:
+    """Which of ``is_averaging``'s steps decides (A, F), found by dense
+    reference arithmetic: F is A-linear when F(e_j e_k) = e_k F(e_j) for
+    every j, k, and a refusal is surjective when im F is all of A."""
+    R, d = A.ring, A.dim
+    cols = [F.col(j) for j in range(d)]
+    if all(dense_apply(F, A.mul[j][k]) == dense_product(R, A.mul, A.basis_vec(k), cols[j])
+           for j in range(d) for k in range(d)):
+        return "A-linear pass"
+    ident = [A.basis_vec(i) for i in range(d)]
+    span = (Subspace.span if R == QQ else ref_submodule_span)
+    full = span(R, d, cols) == span(R, d, ident)
+    return ("surjective" if full else "rank-deficient") + (" pass" if ok else " refusal")
+
+
+def test_is_averaging_on_generators_reaches_every_step():
+    # the verdict and the witness are the full scan's on every draw, and the
+    # draws reach each way the check decides
+    rng = random.Random(36)
+    seen = set()
+    for k in range(400):
+        ring = [QQ, ZMod(2), ZMod(5), ZMod(4), ZMod(6)][k % 5]
+        A, F = _generator_input(rng, ring)
+        got = is_averaging(A, F)
+        assert got == ref_is_averaging(A, F)
+        seen.add(_generator_outcome(A, F, got.ok))
+    assert seen == {"A-linear pass", "surjective refusal", "rank-deficient pass",
+                    "rank-deficient refusal"}
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(RINGS), st.randoms(use_true_random=False))
 def test_is_reynolds_averaging_matches_the_full_scan(ring, rng):
@@ -397,9 +460,11 @@ def test_verify_algebra_scans_on_every_call(calls):
 
 
 def test_is_averaging_multiplies_each_unordered_pair_once(calls, monkeypatch):
-    # One kernel pass per column j (6 calls) forms e_i * F(e_j) for the 6 rows i
-    # and F(e_i) * F(e_j) for i <= j, so each unordered pair once: 6 * 6 + 21
-    # = 57 products, where every ordered pair would make 6 * 6 + 36 = 72
+    # Multiplication by e_1 is A-linear, so step 1 decides: one row_products
+    # pass per column j (6 calls) forms e_i * F(e_j) for the 6 rows i, 36
+    # products, and no products pass follows.  The full pair scan would form
+    # 6 * 6 + 21 = 57 (F(e_i) * F(e_j) once per unordered pair), and every
+    # ordered pair 6 * 6 + 36 = 72
     A = cyclic_algebra(ZMod(5), 6)
     F = mult_operator(A, A.basis_vec(1))
     groups = []
@@ -408,26 +473,30 @@ def test_is_averaging_multiplies_each_unordered_pair_once(calls, monkeypatch):
                         or kernel(R, cells, gs, y))
     calls.update(dict.fromkeys(calls, 0))
     assert is_averaging(A, F).ok
-    assert calls == only(products=6)
-    assert groups == [6 + j + 1 for j in range(6)] and sum(groups) == 57
+    assert calls == only(row_products=6)
+    assert groups == [6] * 6 and sum(groups) == 36
 
 
 def test_bracket_subtracts_the_products_is_averaging_formed(calls):
-    # is_averaging forms e_i * F(e_j) once for each of the 6 * 6 pairs, and
-    # F(e_i) * F(e_j) once per unordered pair, all products with F(e_j) in
-    # one kernel pass, so 6 products calls; the operator carries the
-    # e_i * F(e_j), and [e_i, e_j] = e_i F(e_j) - e_j F(e_i) subtracts two,
-    # so the 15 cells i < j make no row product (2 * 15 = 30 if each cell
-    # formed its own), and the bracket is not checked against the Lie
-    # axioms.  The counts start after make has verified A
+    # F = lam(x) * 1 with lam(e_0) = 1: step 1's pass of column 0 gives
+    # e_k * F(e_0) = e_k, which meets F(e_0 * e_k) = lam_k * 1 at k = 0 but
+    # not at k = 1, so it stops after 1 row_products.  im F is the line of 1,
+    # rank 1 < 6, so step 3 makes 1 products pass for its one generator.
+    # The operator carries the pass of column 0, e_i * F(e_0) for every i,
+    # so the bracket builds the other 5 columns' e_i * F(e_j) on first read,
+    # one row_products each, and [e_i, e_j] = e_i F(e_j) - e_j F(e_i)
+    # subtracts two, so the 15 cells i < j make no row product of their own
+    # (2 * 15 = 30 if each cell formed its own), and the bracket is not
+    # checked against the Lie axioms.  The counts start after make has
+    # verified A
     A = cyclic_algebra(ZMod(5), 6)
     F = functional_operator(A, (1, 2, 0, 3, 0, 1))
     calls.update(dict.fromkeys(calls, 0))
     op = FD.averaging_operator(A, F)
-    assert calls == only(products=6)
+    assert calls == only(row_products=1, products=1)
     calls.update(dict.fromkeys(calls, 0))
     L = op.bracket
-    assert calls == only()
+    assert calls == only(row_products=5)
     assert L == FD.raw_bracket(A, F)
 
 
