@@ -16,32 +16,31 @@ arguments, so holding on a basis is holding everywhere.  Each is decided on
 one basis tuple per orbit of its symmetries, scanned in the order of the
 full product so that the first failure found is the one the full scan
 would report.  The symmetries used are the commutativity of
-``StructureAlgebra`` and the antisymmetry of a bracket that has passed
-``check_lie``.  Tuples whose outcome a law already settles are skipped:
-once the unit law holds for a unit that is a basis vector, the
-associativity triples holding it.  ``is_averaging`` pairs the basis with
-generators of im F instead, as its identity is linear in F(y), and takes a
-refusal's witness from the orbit scan.  Every check forms its products
-with one vector v in one pass of the product kernel: the row products
-e_i * v for all i, and the pairwise products x * v of the other vectors x
-the scan pairs with v (F(e_i) * b for a generator b of im F in
-``is_averaging``, the Jacobi terms [e_m, [e_i, e_j]] in ``check_lie``, the
-products of a lower central stage or of an image power with the image).
-The products are formed up front and the scan keeps its order over them,
-so the first failure is unchanged.
+``StructureAlgebra`` and the antisymmetry of a Lie bracket.  Tuples whose
+outcome a law already settles are skipped: once the unit law holds for a
+unit that is a basis vector, the associativity triples holding it.
+``is_averaging`` pairs the basis with generators of im F instead, as its
+identity is linear in F(y), and takes a refusal's witness from the orbit
+scan.  Every check forms its products with one vector v in one pass of the
+product kernel: the row products e_i * v for all i, and the pairwise
+products x * v of the other vectors x the scan pairs with v (F(e_i) * b for
+a generator b of im F in ``is_averaging``, the Jacobi terms
+[e_m, [e_i, e_j]] of the Lie scan, the products of a lower central stage or
+of an image power with the image).  The products are formed up front and
+the scan keeps its order over them, so the first failure is unchanged.
 
-Every ``StructureAlgebra`` that ``make`` returns satisfies the laws: it
-runs ``verify_algebra`` and refuses a failing table with
-``NotAnAlgebraError``, so no function checks them again.  A
-``check_domain`` certificate, for the analyses over a domain, is carried
-in the algebra, and a pass of ``check_lie`` in a bracket.  Only passes are
-carried, in private slots, and the public checks decide on every call.  So
-the paper's starting theorem, that an averaging operator F induces the Lie
-bracket [x, y] = x*F(y) - y*F(x), holds by hypothesis: it is tested, not
-re-run, and the bracket is born with the Lie pass.  So do
-its two corollaries, which ``lie_analysis`` reads its series off: every
-bracket lies in ker F, as F([x, y]) = F(x)F(y) - F(y)F(x) = 0, and for
-u, v in ker F, [u, v] = 0 and [u, y] = u*F(y).
+Each invariant is checked where a table enters and then carried by the
+value's type: ``StructureAlgebra.make`` refuses a table that fails the laws
+(``verify_algebra``) with ``NotAnAlgebraError``, and ``BracketTable.make``
+and ``raw_bracket`` one that fails the Lie scan with ``NotLieError``.  So no
+function checks either again, and no check marks its argument:
+``verify_algebra``, ``check_lie`` and ``check_domain`` decide on every
+call.  The paper's starting theorem, that an averaging operator F induces
+the Lie bracket [x, y] = x*F(y) - y*F(x), holds by hypothesis: it is
+tested, not re-run, so an operator's bracket is built unchecked.  So do its
+two corollaries, which ``lie_analysis`` reads its series off: every bracket
+lies in ker F, as F([x, y]) = F(x)F(y) - F(y)F(x) = 0, and for u, v in
+ker F, [u, v] = 0 and [u, y] = u*F(y).
 """
 
 from __future__ import annotations
@@ -69,6 +68,7 @@ from .exactlin import (
     nullspace,
     poly_divmod,
     poly_root_mod_p,
+    rational_roots,
     ring_from_name,
     rref,
     submodule_kernel,
@@ -234,11 +234,10 @@ class StructureAlgebra(_Table):
     satisfies the laws; the direct constructor takes a table that holds
     canonical values and satisfies the laws.  The identity checks in this
     module compute a product once per unordered pair of basis vectors, as
-    the table is commutative.  A passing ``check_domain`` sets the private
-    slot ``_domain``, read by ``_require_domain``.
+    the table is commutative.
     """
 
-    __slots__ = ("unit", "mul", "_domain")
+    __slots__ = ("unit", "mul")
 
     def __init__(self, ring: Ring, dim: int, unit: tuple, mul: tuple):
         _Table.__init__(self, ring, dim, mul)
@@ -508,10 +507,12 @@ def op_poly_apply(A: StructureAlgebra, coeffs, F: Matrix):
 class BracketTable(_Table):
     """Bracket structure constants: table[i][j] = coordinates of [e_i, e_j].
     ``products(groups, v)`` gives the brackets [x, v] and ``row_products(v)``
-    every [e_i, v], as the products of ``StructureAlgebra``.  A passing
-    ``check_lie`` sets the private slot ``_lie``, read by ``require_lie``."""
+    every [e_i, v], as the products of ``StructureAlgebra``.  ``make`` reads
+    the entries through the ring, checks the shape and runs the Lie scan, so
+    its value is a Lie bracket; the direct constructor takes a table that
+    holds canonical values and is a Lie bracket."""
 
-    __slots__ = ("table", "_lie")
+    __slots__ = ("table",)
 
     def __init__(self, ring: Ring, dim: int, table: tuple, cells=None):
         _Table.__init__(self, ring, dim, table, cells)
@@ -520,47 +521,52 @@ class BracketTable(_Table):
     @staticmethod
     def make(ring: Ring, table) -> "BracketTable":
         tab = _Table._read(ring, table, "bracket")
-        return BracketTable(ring, len(tab), tab)
+        return _require_lie(BracketTable(ring, len(tab), tab))
 
 
-def check_lie(A: StructureAlgebra, L: BracketTable) -> Check:
-    """Alternating plus Jacobi on all basis triples.  Once the table is
-    antisymmetric, one ``row_products`` per cell [e_i, e_j], i < j, gives
-    every [e_m, [e_i, e_j]], and the triples i < j < k are scanned in order
-    over these C(d, 2) passes, so the witness is the full scan's.  Every
-    call scans; a pass marks L, as it reads nothing of A but dim and ring."""
-    if L.dim != A.dim or L.ring != A.ring:
-        raise ShapeError("bracket does not match the algebra")
-    R, m = A.ring, _modulus(A.ring)
-    for i in range(A.dim):
+def _lie_failure(L: BracketTable):
+    """The first failure of alternation, antisymmetry or Jacobi on the basis,
+    as (law, indices), or None.  Once the table is antisymmetric, one
+    ``row_products`` per cell [e_i, e_j], i < j, gives every
+    [e_m, [e_i, e_j]], and the triples i < j < k are scanned in order over
+    these C(d, 2) passes, so the witness is the full scan's."""
+    R, d, m = L.ring, L.dim, _modulus(L.ring)
+    for i in range(d):
         if any(L.table[i][i]):
-            return Check(False, ("alternating", (i,)))
+            return ("alternating", (i,))
         # the relation is symmetric in (i, j) and holds on the zero diagonal,
         # so the pairs j <= i passed with row j
-        for j in range(i + 1, A.dim):
+        for j in range(i + 1, d):
             if L.table[i][j] != tuple([-x % m for x in L.table[j][i]]):
-                return Check(False, ("antisymmetry", (i, j)))
+                return ("antisymmetry", (i, j))
     # the table is antisymmetric here, so [[e_i,e_j],e_k] = -[e_k,[e_i,e_j]]
     # and the Jacobi sum is zero exactly when the row-product sum
     # [e_k,[e_i,e_j]] + [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] is, whose last
     # term is -[e_j,[e_i,e_k]]; rb[i, j][m] = [e_m, [e_i, e_j]]
-    rb = {(i, j): L.row_products(L.table[i][j])
-          for i, j in itertools.combinations(range(A.dim), 2)}
-    for i, j, k in itertools.combinations(range(A.dim), 3):
-        total = vec_sub(R, vec_add(R, rb[i, j][k], rb[j, k][i]), rb[i, k][j])
-        if any(total):
-            return Check(False, ("jacobi", (i, j, k)))
-    set_field(L, "_lie", True)
-    return Check(True)
+    rb = {(i, j): L.row_products(L.table[i][j]) for i, j in itertools.combinations(range(d), 2)}
+    for i, j, k in itertools.combinations(range(d), 3):
+        if any(vec_sub(R, vec_add(R, rb[i, j][k], rb[j, k][i]), rb[i, k][j])):
+            return ("jacobi", (i, j, k))
+    return None
 
 
-def require_lie(A: StructureAlgebra, L: BracketTable):
-    """``check_lie``, unless L carries its pass and matches A's dim and ring."""
-    if getattr(L, "_lie", False) and L.dim == A.dim and L.ring == A.ring:
-        return
-    chk = check_lie(A, L)
-    if not chk:
-        raise NotLieError(f"not a Lie bracket: {chk.witness}")
+def _require_lie(L: BracketTable) -> BracketTable:
+    witness = _lie_failure(L)
+    if witness:
+        raise NotLieError(f"not a Lie bracket: {witness}")
+    return L
+
+
+def _require_bracket(A: StructureAlgebra, L: BracketTable):
+    if L.dim != A.dim or L.ring != A.ring:
+        raise ShapeError("bracket does not match the algebra")
+
+
+def check_lie(A: StructureAlgebra, L: BracketTable) -> Check:
+    """The Lie scan of ``make`` on a bracket of A's dim and ring, every call."""
+    _require_bracket(A, L)
+    witness = _lie_failure(L)
+    return Check(witness is None, witness)
 
 
 def _bracket_table(A: StructureAlgebra, products) -> BracketTable:
@@ -590,12 +596,10 @@ def raw_bracket(A: StructureAlgebra, F: Matrix) -> BracketTable:
     """[x,y] = x*F(y) - y*F(x) for an arbitrary endomorphism F.
 
     No averaging requirement, but the result must still pass the Lie axioms
-    or this raises.
+    or this raises ``NotLieError``.
     """
     _require_operator(A, F)
-    L = _bracket_table(A, [A.row_products(c) for c in zip(*F.entries)])
-    require_lie(A, L)
-    return L
+    return _require_lie(_bracket_table(A, [A.row_products(c) for c in zip(*F.entries)]))
 
 
 class AveragingOperator(Record):
@@ -606,7 +610,7 @@ class AveragingOperator(Record):
     The induced bracket ``bracket`` is built on first use; callers that
     never read it do not pay for it.  It is a Lie bracket by the paper's
     starting theorem, whose hypotheses the algebra and the operator carry,
-    so it is born with the Lie mark (``tests/test_bracket_theorem.py`` tests
+    so it is built with no Lie scan (``tests/test_bracket_theorem.py`` tests
     the theorem).  It is the difference of two products e_i*F(e_j), read by
     ``_column_products``: those ``is_averaging`` formed ride along in the
     private slot ``_products`` (all of them when F is A-linear), and the
@@ -626,7 +630,6 @@ class AveragingOperator(Record):
         except AttributeError:
             pass
         L = _bracket_table(self.algebra, _column_products(self))
-        set_field(L, "_lie", True)
         set_field(self, "_bracket", L)
         return L
 
@@ -677,10 +680,9 @@ def induced_bracket(A: StructureAlgebra, F: Operator) -> BracketTable:
 # endomorphism- and averaging-induced brackets
 
 def endo_induced_check(A: StructureAlgebra, L: BracketTable) -> Check:
-    """[x,y] = x[1,y] + y[x,1] on basis pairs (both sides bilinear); L must
-    pass ``check_lie``.  Then both sides are antisymmetric in the pair and
-    vanish on the diagonal, so only i < j is checked, and [1, e_j] is
-    -[e_j, 1]."""
+    """[x,y] = x[1,y] + y[x,1] on basis pairs (both sides bilinear).  L is a
+    Lie bracket, so both sides are antisymmetric in the pair and vanish on
+    the diagonal; only i < j is checked, and [1, e_j] is -[e_j, 1]."""
     return _endo_check(A, L, L.row_products(A.unit))
 
 
@@ -696,14 +698,14 @@ def _endo_check(A: StructureAlgebra, L: BracketTable, cols) -> Check:
 def gamma_subalgebra(A: StructureAlgebra, L: BracketTable) -> Subspace:
     """Gamma = {a : [a*x, y] = a*[x, y]}, the linear conditions solved exactly.
 
-    L must pass ``check_lie`` (else ``NotLieError``) and
-    ``endo_induced_check`` (else ``ValueError`` naming the failing pair).
-    Then [x, y] = x*D(y) - y*D(x) with D = [1, .], so
+    L must match A (else ``ShapeError``) and pass ``endo_induced_check``
+    (else ``ValueError`` naming the failing pair).  Then
+    [x, y] = x*D(y) - y*D(x) with D = [1, .], so
     [a*x, y] - a*[x, y] = y*(a*D(x) - D(a*x)), and y = 1 shows
     Gamma = {a : D(a*e_i) = a*D(e_i) for every i}.  At x = 1 that reads
     D(a) = a*D(1) = a*[1, 1] = 0: Gamma lies in ker D and holds 1.
     """
-    require_lie(A, L)
+    _require_bracket(A, L)
     E_cols = L.row_products(A.unit)
     endo = _endo_check(A, L, E_cols)
     if not endo:
@@ -769,7 +771,7 @@ def _complement(ring: Ring, basis, dim: int):
 def induced_by_averaging(A: StructureAlgebra, L: BracketTable) -> InduceResult:
     """Decide whether L is the bracket of some averaging operator.
 
-    An L failing ``check_lie`` raises ``NotLieError``.  Steps, on the columns
+    An L of another dim or ring raises ``ShapeError``.  Steps, on the columns
     [e_i, 1] = -D(e_i) of E = [., 1], built once: the endomorphism
     criterion, [x, y] = x*D(y) - y*D(x) with D = [1, .]; Gamma, solved
     inside ker E as in ``gamma_subalgebra``; one rref that completes its
@@ -792,7 +794,7 @@ def induced_by_averaging(A: StructureAlgebra, L: BracketTable) -> InduceResult:
     """
     if not A.ring.is_field:
         raise NotAFieldError("the averaging-induced decision needs field scalars")
-    require_lie(A, L)
+    _require_bracket(A, L)
     E_cols = L.row_products(A.unit)
     endo = _endo_check(A, L, E_cols)
     if not endo:
@@ -845,9 +847,9 @@ def _series(A: StructureAlgebra, nxt, step) -> SeriesResult:
 
 
 def derived_series(A: StructureAlgebra, L: BracketTable) -> SeriesResult:
-    """L^(k+1) = [L^(k), L^(k)] over a field; L must pass ``check_lie``.  L
-    is alternating, so a stage is spanned by the brackets of its basis
-    pairs x < y: one kernel pass per y forms [x, y] for the x before it."""
+    """L^(k+1) = [L^(k), L^(k)] over a field.  L is alternating, so a stage
+    is spanned by the brackets of its basis pairs x < y: one kernel pass per
+    y forms [x, y] for the x before it."""
     def brackets(basis):
         terms = [_terms(x, A.dim) for x in basis]
         return [g for b in range(1, len(basis)) for g in L.products(terms[:b], basis[b])]
@@ -855,9 +857,8 @@ def derived_series(A: StructureAlgebra, L: BracketTable) -> SeriesResult:
 
 
 def lower_central_series(A: StructureAlgebra, L: BracketTable) -> SeriesResult:
-    """L_(k+1) = [L_k, A] over a field; L must pass ``check_lie``.  A stage
-    is spanned by [e_j, x] = -[x, e_j] for x in its basis: one kernel pass
-    per x."""
+    """L_(k+1) = [L_k, A] over a field.  A stage is spanned by
+    [e_j, x] = -[x, e_j] for x in its basis: one kernel pass per x."""
     return _series(A, Subspace.span(A.ring, A.dim, _bracket_cells(L)),
                    lambda basis: [g for x in basis for g in L.row_products(x)])
 
@@ -980,9 +981,7 @@ def check_domain(A: StructureAlgebra) -> DomainCertificate:
 
     A must be over Q or Z/p.  Two outcomes: a ``DomainCertificate`` when A
     is a field, and otherwise ``NotADomainError`` naming a nonzero zero
-    divisor and its partner.  Every call decides; a certificate marks A for
-    ``ad_eigen`` and ``nilpotent_radical_domain``, and a refusal is raised
-    again each time.
+    divisor and its partner.  Every call decides, and A is not marked.
 
     Over Q: A = Q[t]/(chi_a) for an element a whose characteristic
     polynomial chi_a is squarefree, when A is reduced, and A is a field
@@ -1005,15 +1004,7 @@ def check_domain(A: StructureAlgebra) -> DomainCertificate:
         raise NotAFieldError("domain check needs field scalars")
     if A.dim == 0:
         raise NotADomainError("the zero ring is not a domain")
-    cert = _check_domain_q(A) if R == QQ else _check_domain_zp(A)
-    set_field(A, "_domain", cert)
-    return cert
-
-
-def _require_domain(A: StructureAlgebra):
-    """Free when A carries a ``check_domain`` certificate, that check otherwise."""
-    if getattr(A, "_domain", None) is None:
-        check_domain(A)
+    return _check_domain_q(A) if R == QQ else _check_domain_zp(A)
 
 
 def _check_domain_q(A: StructureAlgebra) -> DomainCertificate:
@@ -1084,30 +1075,32 @@ def _check_domain_zp(A: StructureAlgebra) -> DomainCertificate:
 
 
 def nilpotent_radical_domain(A: StructureAlgebra, F: Operator) -> Subspace:
-    """Over a domain: the whole space when ker F = 0, else ker F."""
-    _require_domain(A)
+    """Over a domain (``check_domain``): the whole space when ker F = 0, else ker F."""
+    check_domain(A)
     ker = nullspace(averaging_operator(A, F).matrix)
     return Subspace.full(A.ring, A.dim) if ker.is_zero() else ker
 
 
 def ad_eigen(A: StructureAlgebra, F: Operator, a) -> tuple:
-    """Eigenvalues with eigenspaces of ad_a: x -> a*F(x) - x*F(a), over a
-    domain: 0 with nullspace(ad_a), and -k with ker F when F(a) = k*1 for a
-    k != 0 and ker F != 0.
+    """Eigenvalues in Q with eigenspaces of ad_a: x -> a*F(x) - x*F(a): 0
+    with nullspace(ad_a), and -mu with ker F ∩ ker(M - mu) for each
+    rational eigenvalue mu != 0 of the multiplication M by F(a) on ker F.
 
     Let ad_a(x) = lam*x with lam != 0.  F kills every bracket, so
-    lam*F(x) = F(a)F(x) - F(x)F(a) = 0 and x lies in ker F.  Then
-    -x*F(a) = lam*x, that is x*(F(a) + lam*1) = 0, and in a domain
-    F(a) = -lam*1.  Conversely, if F(a) = k*1 and x lies in ker F, then
-    ad_a(x) = -k*x.  So the nonzero eigenvalue is -k, with eigenspace ker F.
-    0 is always an eigenvalue: ad_a(a) = 0, and ad_0 = 0.  ad_a is read
-    off the products P[j][i] = e_i*F(e_j) of the averaging check, with no
-    bracket table: ad_a(e_i) = sum_k a_k*(P[i][k] - P[k][i]), and a pair
-    with equal products (every pair, for a multiplication operator) adds 0.
+    lam*F(x) = F(a)F(x) - F(x)F(a) = 0: x lies in ker F, and
+    ad_a(x) = -x*F(a) there.  ker F is stable under im F, as
+    F(u*F(y)) = F(u)F(y) = 0 for u in ker F, so M maps ker F to itself and
+    the -mu are the nonzero eigenvalues.  No root is needed when ker F = 0
+    (0 alone) or F(a) = k*1 (-k with ker F if k != 0), the only cases over
+    a domain, where F(a)*x = mu*x with x != 0 gives F(a) = mu*1; otherwise
+    the mu are roots of M's characteristic polynomial.  0 is always an
+    eigenvalue: ad_a(a) = 0, and ad_0 = 0.  ad_a is read off the products
+    P[j][i] = e_i*F(e_j) of the averaging check, with no bracket table:
+    ad_a(e_i) = sum_k a_k*(P[i][k] - P[k][i]), and a pair with equal
+    products (every pair, for a multiplication operator) adds 0.
     """
     if A.ring != QQ:
         raise NotAFieldError("eigen analysis is implemented over Q")
-    _require_domain(A)
     op = averaging_operator(A, F)
     R, m, d, P = A.ring, _modulus(A.ring), A.dim, _column_products(op)
     a = tuple(R.of(x) for x in a)
@@ -1115,12 +1108,19 @@ def ad_eigen(A: StructureAlgebra, F: Operator, a) -> tuple:
     for i, (k, ak) in itertools.product(range(d), _terms(a, d)):
         if P[i][k] != P[k][i]:
             cols[i] = [(c + ak * (x - y)) % m for c, x, y in zip(cols[i], P[i][k], P[k][i])]
-    ad = _by_cols(R, d, cols)
-    pairs = [(R.zero, nullspace(ad))]
+    pairs = [(R.zero, nullspace(_by_cols(R, d, cols)))]
     ker = nullspace(op.matrix)
-    k = None if ker.is_zero() else _proportionality(R, op.matrix.apply(a), A.unit)
+    fa = None if ker.is_zero() else op.matrix.apply(a)
+    k = None if fa is None else _proportionality(R, fa, A.unit)
     if k:
         pairs.append((-k % m, ker))
+    elif fa is not None and k is None:
+        M = _mult_matrix(A, fa)
+        for mu in set(rational_roots(char_poly(M))) - {R.zero}:
+            shifted = M.sub(Matrix.identity(R, d).scale(mu)).entries
+            space = nullspace(Matrix(R, 2 * d, d, op.matrix.entries + shifted))
+            if not space.is_zero():
+                pairs.append((-mu % m, space))
     return tuple(sorted(pairs))
 
 

@@ -30,6 +30,7 @@ from avgalg.findim import (
     Induced,
     NotADomainError,
     NotEndoInduced,
+    NotLieError,
     NotNilpotent,
     algebra_from_json,
     bracket_from_json,
@@ -42,6 +43,7 @@ from avgalg.findim import (
     operator_from_json,
     primary_from_poly,
     StructureAlgebra,
+    _Table,
     verify_algebra,
 )
 from support import (
@@ -241,15 +243,22 @@ def test_operator_verdicts_survive_a_change_of_basis(ring, kind, rng):
 def test_bracket_verdicts_survive_a_change_of_basis(ring, kind, rng):
     # "raw" is x F(y) - y F(x) for a random F, Lie or not; "moved" is an
     # averaging bracket with one entry moved, so it fails antisymmetry or,
-    # on the diagonal, alternation
+    # on the diagonal, alternation.  make refuses a table that is not Lie,
+    # so both are read as make reads them and built by the direct constructor
     A = rand_int_algebra(rng, ring)
     if kind == "raw":
-        L = BracketTable.make(ring, dense_bracket(A, rand_operator(rng, A, "random")))
+        table = dense_bracket(A, rand_operator(rng, A, "random"))
     elif kind == "moved":
         lie = rand_lie_bracket(rng, A, "averaging")
         table = [[list(cell) for cell in row] for row in lie.table]
         table[rng.randrange(A.dim)][rng.randrange(A.dim)][rng.randrange(A.dim)] += 1
-        L = BracketTable.make(ring, table)
+    if kind in ("raw", "moved"):
+        L = BracketTable(ring, A.dim, _Table._read(ring, table, "bracket"))
+        lie = check_lie(A, L)
+        if not lie:
+            with pytest.raises(NotLieError) as exc:
+                BracketTable.make(ring, table)
+            assert str(exc.value) == f"not a Lie bracket: {lie.witness}"
     else:
         L = rand_lie_bracket(rng, A, kind)
     A2, P, Pinv = _changed(rng, A)

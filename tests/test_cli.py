@@ -372,6 +372,39 @@ def test_lie_induce_without_solution_exits_one(tmp_path, capsys):
     assert json.loads(captured.out) == {"outcome": "no_solution"}
 
 
+def test_lie_induce_refuses_a_bracket_that_is_not_lie(tmp_path, capsys):
+    # [e_0, e_0] = e_1 is not alternating.  The loader checks the Lie axioms
+    # before the bracket meets the algebra, so a table that is also of the
+    # wrong dimension for Q(i) is refused as not Lie; a Lie table of the
+    # wrong dimension is refused as a mismatch
+    def table(d, cell00):
+        return [[cell00 if i == j == 0 else ["0"] * d for j in range(d)] for i in range(d)]
+
+    cases = [(table(2, ["0", "1"]), "not a Lie bracket: ('alternating', (0,))"),
+             (table(3, ["0", "1", "0"]), "not a Lie bracket: ('alternating', (0,))"),
+             (table(3, ["0"] * 3), "bracket does not match the algebra")]
+    path = tmp_path / "bracket.json"
+    for doc, message in cases:
+        path.write_text(json.dumps({"table": doc}))
+        for flag in ([], ["--json"]):
+            code = main(["lie-induce", *flag, "corpus/qi.json", str(path)])
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+def test_verify_refuses_a_boolean_dim(tmp_path, capsys):
+    # true == 1 in Python, so a one-entry unit and a 1 x 1 operator would
+    # match it
+    alg, op = tmp_path / "alg.json", tmp_path / "op.json"
+    alg.write_text(json.dumps({"scalar": "Q", "dim": True, "unit": ["1"], "mul": [[["1"]]]}))
+    op.write_text(json.dumps({"matrix": [["1"]]}))
+    for flag in ([], ["--json"]):
+        code = main(["verify", *flag, str(alg), str(op)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == \
+            (2, "", "error: dim must be a JSON integer\n")
+
+
 DEEP = {
     "power_2000": (["eval", "--mode", "plain", "v1^2000"], 0, "x1^2000\n"),
     "claim_power_999": (["decide", "--hypothesis", "averaging", "--claim", "v1^999 = v1^999"],

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import avgalg.exactlin as EL
 import avgalg.findim as FD
-from avgalg._record import set_field
 from avgalg.cli import main
 from avgalg.exactlin import (
     Matrix,
@@ -26,6 +25,7 @@ from avgalg.exactlin import (
 from avgalg.findim import (
     AveragingOperator,
     BracketTable,
+    Certificate,
     Check,
     DomainCertificate,
     Induced,
@@ -101,6 +101,22 @@ def unchecked(unit, mul):
     """A table over Q by the direct constructor, which checks no law."""
     return StructureAlgebra(QQ, len(unit), tuple(unit),
                             tuple(tuple(tuple(cell) for cell in row) for row in mul))
+
+
+def unchecked_bracket(table):
+    """A bracket over Q read as ``make`` reads it, by the direct constructor,
+    which checks no Lie axiom."""
+    return BracketTable(QQ, len(table), FD._Table._read(QQ, table, "bracket"))
+
+
+def assert_make_refuses(table, witness):
+    """``make`` and the JSON loader refuse the table with the Lie scan's
+    first failure."""
+    for build in (lambda: BracketTable.make(QQ, table),
+                  lambda: bracket_from_json(QQ, bracket_to_json(unchecked_bracket(table)))):
+        with pytest.raises(NotLieError) as exc:
+            build()
+        assert str(exc.value) == f"not a Lie bracket: {witness}"
 
 
 def imaginary_part(A):
@@ -280,6 +296,17 @@ class TestOperatorCalculus:
         assert cert.holds
         assert is_averaging(A, H).ok
 
+    def test_compose_names_the_failing_operand(self):
+        # F averaging and G not: the certificate's witness is G's pair, in
+        # either order, though the two do not commute either
+        A = qi()
+        F, G = imaginary_part(A), conjugation()
+        witness = is_averaging(A, G).witness
+        assert witness == (0, 1) and F.mul(G) != G.mul(F)
+        for pair in ((F, G), (G, F)):
+            assert op_compose(A, *pair)[1] == Certificate(
+                "operands are averaging and commute", False, witness)
+
 
 class TestBrackets:
     def test_imaginary_part_bracket(self):
@@ -333,24 +360,28 @@ class TestBrackets:
                 k = rng.randrange(A.dim)
                 table[a][b][k] += 1
                 table[b][a][k] -= 1
-                tables.append(BracketTable.make(QQ, table))
+                tables.append(unchecked_bracket(table))
             for T in tables:
                 got = check_lie(A, T)
                 assert (got.ok, got.witness) == (reference(A, T) is None, reference(A, T))
                 seen.add(got.witness)
+                if not got:
+                    assert_make_refuses(T.table, got.witness)
         assert None in seen and len(seen) >= 3
 
     def test_check_lie_rejects_non_antisymmetric(self):
         A = qi()
-        L = BracketTable.make(QQ, [[[0, 0], [1, 0]], [[1, 0], [0, 0]]])
-        chk = check_lie(A, L)
-        assert not chk.ok and chk.witness[0] == "antisymmetry"
+        table = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+        chk = check_lie(A, unchecked_bracket(table))
+        assert chk == Check(False, ("antisymmetry", (0, 1)))
+        assert_make_refuses(table, chk.witness)
 
     def test_check_lie_rejects_nonzero_diagonal(self):
         A = qi()
-        L = BracketTable.make(QQ, [[[1, 0], [0, 0]], [[0, 0], [0, 0]]])
-        chk = check_lie(A, L)
-        assert not chk.ok and chk.witness[0] == "alternating"
+        table = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+        chk = check_lie(A, unchecked_bracket(table))
+        assert chk == Check(False, ("alternating", (0,)))
+        assert_make_refuses(table, chk.witness)
 
 
 class TestEndoAndGamma:
@@ -865,6 +896,13 @@ class TestQuotient:
         with pytest.raises(ValueError):
             quotient_by_averaging_ideal(A, imaginary_part(A), Subspace.full(QQ, 2))
 
+    @pytest.mark.parametrize("ideal", [Subspace.span(ZMod(5), 2, []), Subspace.span(QQ, 3, [])],
+                             ids=["other_ring", "other_dim"])
+    def test_rejects_an_ideal_of_another_space(self, ideal):
+        A = qi()
+        with pytest.raises(ShapeError, match="^ideal does not live in this algebra$"):
+            quotient_by_averaging_ideal(A, imaginary_part(A), ideal)
+
 
 class TestPrimary:
     def test_cubic_powers(self):
@@ -919,6 +957,13 @@ class TestJson:
         with pytest.raises(ValueError):
             operator_from_json(QQ, {"rows": []})
 
+    def test_boolean_dim_is_refused(self):
+        # true == 1 in Python, so a one-entry unit would match it
+        doc = {"scalar": "Q", "dim": True, "unit": ["1"], "mul": [[["1"]]]}
+        with pytest.raises(ValueError, match="^dim must be a JSON integer$"):
+            algebra_from_json(doc)
+        assert algebra_from_json(dict(doc, dim=1)).dim == 1
+
 
 class TestLieAnalysis:
     def test_field_report(self):
@@ -966,8 +1011,9 @@ class TestLieAnalysis:
 class TestAveragingOperator:
     @pytest.fixture
     def checks(self, monkeypatch):
-        """Calls of findim.is_averaging and findim.check_lie since the last reset."""
-        counts = {"is_averaging": 0, "check_lie": 0}
+        """Calls of findim.is_averaging and of the Lie scan behind
+        BracketTable.make and check_lie since the last reset."""
+        counts = {"is_averaging": 0, "_lie_failure": 0}
         for name in counts:
             def counted(*args, _name=name, _original=getattr(FD, name)):
                 counts[_name] += 1
@@ -995,13 +1041,15 @@ class TestAveragingOperator:
         # which tests/test_bracket_theorem.py tests, so it is not re-checked
         A = qi()
         lie_analysis(A, imaginary_part(A))
-        assert checks == {"is_averaging": 1, "check_lie": 0}
+        assert checks == {"is_averaging": 1, "_lie_failure": 0}
 
     def test_induced_by_averaging_checks_bracket_once(self, checks):
-        # the input bracket comes from outside, so it is checked
+        # the input bracket comes from outside, so make checks it, and
+        # induced_by_averaging does not check it again
         L = BracketTable.make(QQ, [[[0, 0], [0, 1]], [[0, -1], [0, 0]]])
+        assert checks["_lie_failure"] == 1
         assert isinstance(induced_by_averaging(qi(), L), Induced)
-        assert checks["check_lie"] == 1
+        assert checks == {"is_averaging": 0, "_lie_failure": 1}
 
     def test_cli_lie_analyze_checks_once(self, checks, monkeypatch, capsys):
         monkeypatch.chdir(pathlib.Path(__file__).resolve().parent.parent)
@@ -1012,20 +1060,20 @@ class TestAveragingOperator:
     def test_checked_operator_is_not_rechecked(self, checks):
         A = qi()
         op = averaging_operator(A, imaginary_part(A))
-        checks.update(is_averaging=0, check_lie=0)
+        checks.update(is_averaging=0, _lie_failure=0)
         assert isinstance(nilpotency_check(A, op), NotNilpotent)
         assert kernel_equals_brackets(A, op).equal
         # the bracket is built on its first use, once for both, and not checked
-        assert checks == {"is_averaging": 0, "check_lie": 0}
+        assert checks == {"is_averaging": 0, "_lie_failure": 0}
 
     def test_bracket_is_built_on_first_use(self, checks):
         A = qi()
         op = averaging_operator(A, imaginary_part(A))
-        assert checks == {"is_averaging": 1, "check_lie": 0}
+        assert checks == {"is_averaging": 1, "_lie_failure": 0}
         assert op.bracket == raw_bracket(A, imaginary_part(A))
-        checks.update(check_lie=0)
+        checks.update(_lie_failure=0)
         assert op.bracket is op.bracket
-        assert checks["check_lie"] == 0
+        assert checks["_lie_failure"] == 0
 
     def test_operator_only_callers_skip_the_bracket(self, checks, monkeypatch, capsys):
         A = qi()
@@ -1034,12 +1082,12 @@ class TestAveragingOperator:
         monkeypatch.chdir(pathlib.Path(__file__).resolve().parent.parent)
         assert main(["verify", "corpus/qi.json", "corpus/im.json"]) == 0
         assert capsys.readouterr().out.startswith("algebra: ok")
-        assert checks["check_lie"] == 0
+        assert checks["_lie_failure"] == 0
 
     def test_ad_eigen_checks_bracket_once(self, checks):
         A = qi()
         ad_eigen(A, imaginary_part(A), (0, 1))
-        assert checks == {"is_averaging": 1, "check_lie": 0}
+        assert checks == {"is_averaging": 1, "_lie_failure": 0}
 
     def test_operator_of_another_algebra_is_refused(self):
         op = averaging_operator(qi(), imaginary_part(qi()))
@@ -1150,15 +1198,17 @@ class TestLawsAreCarried:
 
 
 class TestVerdictsAreCarried:
-    """A passing check_domain marks the algebra and a passing check_lie the
-    bracket, beside the laws; a refusal is not carried, and the public
-    checks decide on every call."""
+    """``BracketTable.make`` runs the Lie scan on the table it reads, so every
+    bracket is a Lie bracket, as every algebra satisfies the laws.  No check
+    marks its argument: the public checks decide on every call, and only
+    ``nilpotent_radical_domain`` decides the domain, once per call."""
 
     @pytest.fixture
     def checks(self, monkeypatch):
-        """Calls of findim.check_domain and findim.check_lie since the last
-        reset, and of the decision over Q behind check_domain."""
-        counts = {"check_domain": 0, "check_lie": 0, "_check_domain_q": 0}
+        """Calls of findim.check_domain, of the Lie scan behind
+        BracketTable.make and check_lie, and of the decision over Q behind
+        check_domain, since the last reset."""
+        counts = {"check_domain": 0, "_lie_failure": 0, "_check_domain_q": 0}
         for name in counts:
             def counted(*args, _name=name, _original=getattr(FD, name)):
                 counts[_name] += 1
@@ -1167,66 +1217,83 @@ class TestVerdictsAreCarried:
             monkeypatch.setattr(FD, name, counted)
         return counts
 
+    @staticmethod
+    def state(value):
+        """Every slot of a record that is set, private slots included."""
+        names = (n for cls in type(value).__mro__ for n in getattr(cls, "__slots__", ()))
+        return {n: getattr(value, n) for n in names if hasattr(value, n)}
+
     def test_the_domain_is_decided_once(self, checks):
+        # ad_eigen needs no domain, and the radical decides it on its call
         A = qi()
         F = imaginary_part(A)
         assert ad_eigen(A, F, (0, 1)) == ad_eigen(A, F, (0, 1))
+        assert checks["check_domain"] == 0
         assert nilpotent_radical_domain(A, F) == Subspace.span(QQ, 2, [(1, 0)])
-        assert checks == {"check_domain": 1, "check_lie": 0, "_check_domain_q": 1}
+        assert checks == {"check_domain": 1, "_lie_failure": 0, "_check_domain_q": 1}
 
     @pytest.mark.parametrize("coeffs, error", [([-1, 0, 1], NotADomainError),
                                                ([6, 0, -5, 0, 1], NotADomainError)])
     def test_a_refused_domain_is_refused_every_time(self, checks, coeffs, error):
         # Q[t]/(t^2 - 1) and Q[t]/((t^2 - 2)(t^2 - 3)) are not domains, the
         # one refuted by a linear factor and the other by a quadratic one:
-        # the refusal is not carried
+        # the refusal is not carried, and ad_eigen answers on both
         A, F = primary_from_poly(coeffs)
         for k in range(1, 4):
             with pytest.raises(error):
-                ad_eigen(A, F, A.unit) if k % 2 else nilpotent_radical_domain(A, F)
+                nilpotent_radical_domain(A, F)
             assert checks["check_domain"] == checks["_check_domain_q"] == k
+            assert ad_eigen(A, F, A.unit) == eigen_by_char_poly(A, F, A.unit)
+            assert checks["check_domain"] == k
 
     def test_public_checks_decide_on_every_call(self, checks):
+        # and neither writes to its argument: every slot, private ones
+        # included, is as it was
         A = qi()
+        L = induced_bracket(A, imaginary_part(A))
+        before = [self.state(A), self.state(L)]
         assert check_domain(A) == check_domain(A)
-        assert checks["_check_domain_q"] == 2
-        # neither check reads its own mark: forged on values that fail, the
-        # marks change neither verdict
+        assert check_lie(A, L) == check_lie(A, L) == Check(True)
+        assert checks["_check_domain_q"] == checks["_lie_failure"] == 2
+        assert [self.state(A), self.state(L)] == before
         split, _ = primary_from_poly([-1, 0, 1])
-        set_field(split, "_domain", check_domain(A))
-        with pytest.raises(NotADomainError):
-            check_domain(split)
-        L = BracketTable.make(QQ, [[[0, 1], [0, 0]], [[0, 0], [0, 0]]])
-        set_field(L, "_lie", True)
-        assert check_lie(A, L) == Check(False, ("alternating", (0,)))
+        for _ in range(2):
+            with pytest.raises(NotADomainError):
+                check_domain(split)
+        assert checks["_check_domain_q"] == 4
 
     def test_an_operator_bracket_is_not_checked_again(self, checks):
         A = qi()
         L = induced_bracket(A, imaginary_part(A))
         assert isinstance(induced_by_averaging(A, L), Induced)
-        assert checks["check_lie"] == 0
+        assert checks["_lie_failure"] == 0
         fresh = BracketTable.make(QQ, L.table)
+        assert checks["_lie_failure"] == 1
         for _ in range(2):
             assert induced_by_averaging(A, fresh) == induced_by_averaging(A, L)
-        assert checks["check_lie"] == 1
+        assert checks["_lie_failure"] == 1
 
-    def test_a_marked_bracket_must_match_the_algebra(self):
+    def test_a_bracket_must_match_the_algebra(self):
         L = induced_bracket(qi(), imaginary_part(qi()))
         # dim 3 over Q, and dim 2 over Z/5
         other_ring = StructureAlgebra.make(ZMod(5), (1, 0),
                                            [[[1, 0], [0, 1]], [[0, 1], [4, 0]]])
         for A in (q3(), other_ring):
-            with pytest.raises(ShapeError):
-                FD.require_lie(A, L)
-            with pytest.raises(ShapeError):
-                induced_by_averaging(A, L)
+            for check in (check_lie, induced_by_averaging, gamma_subalgebra):
+                with pytest.raises(ShapeError, match="^bracket does not match the algebra$"):
+                    check(A, L)
 
     def test_a_non_lie_bracket_is_refused_every_time(self, checks):
-        # [e_0, e_0] = e_1 is not alternating; a failing check marks nothing
+        # [e_0, e_0] = e_1 is not alternating: make refuses the table on every
+        # call, and check_lie refuses it, built without make, on every call
         A = qi()
-        L = BracketTable.make(QQ, [[[0, 1], [0, 0]], [[0, 0], [0, 0]]])
-        assert not FD.check_lie(A, L).ok
-        for k in range(2, 5):
-            with pytest.raises(NotLieError):
-                induced_by_averaging(A, L) if k % 2 else FD.require_lie(A, L)
-            assert checks["check_lie"] == k
+        table = [[[0, 1], [0, 0]], [[0, 0], [0, 0]]]
+        for k in range(1, 5):
+            if k % 2:
+                with pytest.raises(NotLieError) as exc:
+                    BracketTable.make(QQ, table)
+                assert str(exc.value) == "not a Lie bracket: ('alternating', (0,))"
+            else:
+                assert check_lie(A, unchecked_bracket(table)) == \
+                    Check(False, ("alternating", (0,)))
+            assert checks["_lie_failure"] == k

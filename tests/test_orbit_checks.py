@@ -24,6 +24,7 @@ from avgalg.findim import (
     NotAveragingError,
     NotNilpotent,
     StructureAlgebra,
+    _Table,
     check_lie,
     derived_series,
     endo_induced_check,
@@ -177,7 +178,8 @@ def _rand_operator(rng, A):
 
 def _rand_bracket_table(rng, ring, d):
     """A table that fails the Lie axioms at a random place: any table, one
-    with a zero diagonal, or an antisymmetric one."""
+    with a zero diagonal, or an antisymmetric one, read as ``make`` reads
+    it and built by the direct constructor, as ``make`` refuses it."""
     table = [[list(_scalar(rng, ring) for _ in range(d)) for _ in range(d)] for _ in range(d)]
     roll = rng.randint(0, 2)
     for i in range(d):
@@ -186,7 +188,7 @@ def _rand_bracket_table(rng, ring, d):
         if roll == 2:
             for j in range(i):
                 table[i][j] = [ref_neg(ring, x) for x in table[j][i]]
-    return BracketTable.make(ring, table)
+    return BracketTable(ring, d, _Table._read(ring, table, "bracket"))
 
 
 def _outcome(check, *args):

@@ -4,10 +4,9 @@ Entries are drawn mostly zero, like the structure constants and operator
 matrices of the shipped algebras, so the skipped branches are exercised.
 The sparse forms behind the kernels (the cells of ``StructureAlgebra`` and
 ``BracketTable``, the columns of ``Matrix``) are private state: values are
-built through ``make`` (for an algebra, through the reader of ``make``, as a
-random table fails the laws that ``make`` checks) and through the bare
-constructors, and matrices are applied before and after their column form
-is filled.
+built through the reader of ``make`` (a random table fails the laws and
+the Lie axioms that ``make`` checks) and through the bare constructors,
+and matrices are applied before and after their column form is filled.
 """
 
 from fractions import Fraction
@@ -50,7 +49,9 @@ def _algebra(ring, d, table, made):
 
 
 def _bracket(ring, d, table, made):
-    return BracketTable.make(ring, table) if made else BracketTable(ring, d, table)
+    if made:
+        table = _Table._read(ring, table, "bracket", d)
+    return BracketTable(ring, d, table)
 
 
 # the three ways to build a Matrix from its entries

@@ -1,16 +1,20 @@
 """Answers that a theorem gives agree with the re-derivations they replaced.
 
-``ad_eigen`` returns the structural eigenvalues: 0 with ker ad_a, and -k
-with ker F when F(a) = k*1.  ``induced_by_averaging`` returns D + t*(.) as
-soon as its linear system is solved, because a solution is averaging and
-induces L (both proofs are in the docstrings).  ``tests/support.py`` keeps
-both functions as they were, re-deriving the answer and reporting a
-disagreement (``ref_ad_eigen``, ``ref_induced_by_averaging``, which takes
-Gamma from ``ref_gamma_subalgebra``).  Results and
-refusals must be equal: on Q fields from ``primary_from_poly``, the same
-fields on a random basis (``rand_gl``), multiplication, functional and sum
-operators, and algebras that are not domains.  An ``Induced`` operator is
-also checked by dense arithmetic to be averaging and to induce L.
+``ad_eigen`` returns the structural eigenvalues: 0 with ker ad_a, -k with
+ker F when F(a) = k*1, and otherwise -mu with ker F ∩ ker(F(a) - mu) for
+the rational eigenvalues mu != 0 of multiplication by F(a), which occur
+only on algebras that are not domains.  ``induced_by_averaging`` returns
+D + t*(.) as soon as its linear system is solved, because a solution is
+averaging and induces L (both proofs are in the docstrings).
+``tests/support.py`` keeps both functions as they were, re-deriving the
+answer and reporting a disagreement (``ref_ad_eigen``, on domains only,
+``ref_induced_by_averaging``, which takes Gamma from
+``ref_gamma_subalgebra``); off domains ``ad_eigen`` is compared with
+``eigen_by_char_poly``, which uses no theorem.  Results and refusals must
+be equal: on Q fields from ``primary_from_poly``, the same fields on a
+random basis (``rand_gl``), multiplication, functional and sum operators,
+and algebras that are not domains.  An ``Induced`` operator is also checked
+by dense arithmetic to be averaging and to induce L.
 ``gamma_subalgebra`` solves its conditions inside ker [., 1] only, and must
 equal the five-loop reference ``ref_gamma_subalgebra``.
 
@@ -29,11 +33,13 @@ from hypothesis import strategies as st
 from avgalg.exactlin import QQ, Matrix, Subspace, ZMod, nullspace
 from avgalg.findim import (
     BracketTable,
+    DomainCertificate,
     Induced,
     InduceNoSolution,
     InternalInvariantError,
     NotEndoInduced,
     ad_eigen,
+    check_domain,
     endo_induced_check,
     gamma_subalgebra,
     induced_bracket,
@@ -49,6 +55,7 @@ from support import (
     change_operator,
     dense_apply,
     dense_product,
+    eigen_by_char_poly,
     functional_operator,
     mult_operator,
     product_algebra,
@@ -121,17 +128,40 @@ def _eigen_input(rng):
     return A, F, a
 
 
+def _eigen_reference(A, F, a):
+    """The two-path reference on a domain, which it requires, and the
+    characteristic polynomial route on an algebra that is not one."""
+    out = _outcome(ref_ad_eigen, A, F, a)
+    return _outcome(eigen_by_char_poly, A, F, a) if out[0] == "NotADomainError" else out
+
+
+def _eigen_case(A, F, a, out) -> str:
+    """Which case of ``ad_eigen`` gave ``out``, read by dense arithmetic: a
+    refusal, 0 alone, or a nonzero eigenvalue, on a domain or not, with F(a)
+    a scalar or not."""
+    if isinstance(out[0], str):
+        return out[0]
+    if len(out) == 1:
+        return "0 alone"
+    domain = isinstance(_outcome(check_domain, A), DomainCertificate)
+    scalar = not nullspace(Matrix.from_cols(QQ, [A.unit, dense_apply(F, a)])).is_zero()
+    return (f"{'domain' if domain else 'non-domain'}, "
+            f"F(a) {'a scalar' if scalar else 'not a scalar'}, nonzero eigenvalue")
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_ad_eigen_matches_the_two_path_reference(rng):
     A, F, a = _eigen_input(rng)
-    assert _outcome(ad_eigen, A, F, a) == _outcome(ref_ad_eigen, A, F, a)
+    assert _outcome(ad_eigen, A, F, a) == _eigen_reference(A, F, a)
 
 
 def test_ad_eigen_draws_reach_every_branch():
-    # the -k eigenspace, 0 alone, and the refusals (not a domain, not over
-    # Q) all occur, so the comparison sees each; t^4 + 1 is a field and
-    # (t^2 - 2)(t^2 - 3) is not, though both split mod every prime
+    # 0 alone, the -k eigenspace on domains and off them, the -mu
+    # eigenspaces of an F(a) that is not a scalar, and the refusal (not
+    # over Q) all occur, so the comparison sees each, and an F(a) that is
+    # not a scalar gives a nonzero eigenvalue on no domain; t^4 + 1 is a
+    # field and (t^2 - 2)(t^2 - 3) is not, though both split mod every prime
     rng = random.Random(31)
     inputs = [_eigen_input(rng) for _ in range(300)]
     for coeffs in ([1, 0, 0, 0, 1], [6, 0, -5, 0, 1]):
@@ -140,9 +170,12 @@ def test_ad_eigen_draws_reach_every_branch():
     seen = set()
     for A, F, a in inputs:
         out = _outcome(ad_eigen, A, F, a)
-        assert out == _outcome(ref_ad_eigen, A, F, a)
-        seen.add(out[0] if isinstance(out[0], str) else len(out))
-    assert seen == {1, 2, "NotADomainError", "NotAFieldError"}
+        assert out == _eigen_reference(A, F, a)
+        seen.add(_eigen_case(A, F, a, out))
+    assert seen == {"NotAFieldError", "0 alone",
+                    "domain, F(a) a scalar, nonzero eigenvalue",
+                    "non-domain, F(a) a scalar, nonzero eigenvalue",
+                    "non-domain, F(a) not a scalar, nonzero eigenvalue"}
 
 
 # ---------------------------------------------------------------------------
