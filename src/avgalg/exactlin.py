@@ -350,9 +350,8 @@ class Matrix(Record):
 
     @staticmethod
     def identity(ring: Ring, n: int) -> "Matrix":
-        return Matrix(ring, n, n, tuple(
-            tuple(ring.one if i == j else ring.zero for j in range(n))
-            for i in range(n)))
+        zero = (ring.zero,) * n
+        return Matrix(ring, n, n, tuple(zero[:i] + (ring.one,) + zero[i + 1:] for i in range(n)))
 
     @staticmethod
     def zero(ring: Ring, rows: int, cols: int) -> "Matrix":
@@ -581,7 +580,7 @@ class Subspace(Record):
             raise ShapeError("vector length mismatch")
         m = _modulus(R)
         for b in self.basis:
-            lead = next(j for j, x in enumerate(b) if x)
+            lead = b.index(next(filter(None, b)))
             q, r = (v[lead], 0) if b[lead] == 1 else divmod(v[lead], b[lead])
             if r:
                 return False

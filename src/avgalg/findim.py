@@ -38,9 +38,9 @@ function checks either again, and no check marks its argument:
 call.  The paper's starting theorem, that an averaging operator F induces
 the Lie bracket [x, y] = x*F(y) - y*F(x), holds by hypothesis: it is
 tested, not re-run, so an operator's bracket is built unchecked.  So do its
-two corollaries, which ``lie_analysis`` reads its series off: every bracket
-lies in ker F, as F([x, y]) = F(x)F(y) - F(y)F(x) = 0, and for u, v in
-ker F, [u, v] = 0 and [u, y] = u*F(y).
+corollaries, which ``lie_analysis`` reads its series off: every bracket
+lies in ker F, as F([x, y]) = F(x)F(y) - F(y)F(x) = 0; for u, v in ker F,
+[u, v] = 0 and [u, y] = u*F(y); and if 1 = F(y0), each u in ker F is [u, y0].
 """
 
 from __future__ import annotations
@@ -834,13 +834,13 @@ class SeriesResult(Record):
 
 def _series(A: StructureAlgebra, nxt, step) -> SeriesResult:
     """Stage 0 is A, stage 1 ``nxt``, and stage k+1 the span of the vectors
-    ``step(basis)`` for the basis of stage k.  Stops at a repeated or a zero
-    stage."""
+    ``step(basis)`` for the basis of stage k (stage 1 again when ``step`` is
+    None).  Stops at a repeated or a zero stage."""
     R, d = A.ring, A.dim
     stages = [Subspace.full(R, d)]
     while nxt != stages[-1]:
         stages.append(nxt)
-        if nxt.is_zero():
+        if nxt.is_zero() or step is None:
             break
         nxt = Subspace(R, d, _hnf(R, d, step(nxt.basis)))
     return SeriesResult(tuple(stages), stages[-1].is_zero())
@@ -888,6 +888,18 @@ def _bracket_span(L: BracketTable):
     return _span(L.ring, L.dim, _bracket_cells(L))
 
 
+def _spans(op: AveragingOperator) -> tuple:
+    """(B, im F, whether 1 is in im F).  The test runs once, exact over
+    every ring, and only for a nonzero bracket (B = 0 settles the rest, and
+    the flag is False).  Then B is the span C of the d brackets [e_i, 1] if
+    C fills (``kernel_equals_brackets``); otherwise B spans the cells."""
+    A, L, image = op.algebra, op.bracket, _image(op)
+    if any(map(any, L._cells)) and (_is_full(image, A.dim) or image.contains_vector(A.unit)):
+        C = _span(A.ring, A.dim, L.row_products(A.unit))
+        return (C if _fills(A.ring, A.dim, C, image) else _bracket_span(L)), image, True
+    return _bracket_span(L), image, False
+
+
 def _kernel(M: Matrix):
     """ker M as a Subspace over a field, a canonical Submodule over composite Z/n."""
     return nullspace(M) if M.ring.is_field else submodule_kernel(M.ring, M)
@@ -902,8 +914,7 @@ def nilpotency_check(A: StructureAlgebra, F: Operator):
     A power is contained when its basis times the brackets' basis is 0.
     Works over fields via subspaces and over Z/n via canonical submodules.
     """
-    op = averaging_operator(A, F)
-    return _nilpotency(A, _bracket_span(op.bracket), _image(op))
+    return _nilpotency(A, *_spans(averaging_operator(A, F)))
 
 
 def _image(op: AveragingOperator):
@@ -916,15 +927,18 @@ def _image(op: AveragingOperator):
         return _span(F.ring, F.rows, list(zip(*F.entries)))
 
 
-def _nilpotency(A: StructureAlgebra, brackets, image):
-    # nilpotency_check, given the spans of the brackets and (``_image``) of
-    # im F; the product is bilinear and each basis generates its span as a
-    # module, so basis pairs decide the containment.  One kernel pass per
-    # basis vector u of the power forms g*u for the bracket generators g
-    # and v*u for the image generators v (u*v, as A is commutative)
+def _nilpotency(A: StructureAlgebra, brackets, image, unital: bool):
+    # nilpotency_check, given ``_spans``; the product is bilinear and each
+    # basis generates its span as a module, so basis pairs decide the
+    # containment.  One kernel pass per basis vector u of the power forms
+    # g*u for the bracket generators g and v*u for the image generators v
+    # (u*v, as A is commutative).  If 1 is in im F, every power is im F,
+    # which holds 1, so none kills B != 0
     R, d = A.ring, A.dim
     if brackets.is_zero():
         return Nilpotent(1)  # every power annihilates the zero span
+    if unital:
+        return NotNilpotent(image)
     groups = [_terms(x, d) for x in (*brackets.basis, *image.basis)]
     nb = len(brackets.basis)
     power = image
@@ -1146,17 +1160,25 @@ def kernel_equals_brackets(A: StructureAlgebra, F: Operator) -> KernelBracketRes
     submodules, so equal values are equal spans.  B lies in ker F (module
     docstring) and |ker F|*|im F| = |A|, so B = ker F exactly when
     dim B + dim im F = d over a field, |B|*|im F| = n^d over Z/n, a Howell
-    form's order being the product of n/g over its pivots g.  So only an
-    unequal comparison solves for ker F; an equal one is (True, B, B).
+    form's order being the product of n/g over its pivots g (``_fills``).
+    So only an unequal comparison solves for ker F; an equal one is
+    (True, B, B).  If 1 = F(y0) is in im F, each u in ker F is a bracket,
+    [u, y0] = u*F(y0) - y0*F(u) = u, so B = ker F; and the span C of the d
+    brackets [e_i, 1] lies in B, so C = B when it fills: |C|*|im F| = |A|.
     """
     op = averaging_operator(A, F)
-    return _kernel_comparison(op, _bracket_span(op.bracket), _image(op))
+    return _kernel_comparison(op, *_spans(op)[:2])
+
+
+def _fills(R: Ring, d: int, span, image) -> bool:
+    """|span|*|im F| = |A|: the sizes of two canonical spans."""
+    rows = (*span.basis, *image.basis)
+    return (len(rows) == d if R.is_field else
+            prod(R.n // next(filter(None, b)) for b in rows) == R.n ** d)
 
 
 def _kernel_comparison(op: AveragingOperator, brackets, image) -> KernelBracketResult:
-    R, d, rows = op.matrix.ring, op.matrix.rows, (*brackets.basis, *image.basis)
-    if (len(rows) == d if R.is_field else
-            prod(R.n // next(filter(None, b)) for b in rows) == R.n ** d):
+    if _fills(op.matrix.ring, op.matrix.rows, brackets, image):
         return KernelBracketResult(True, brackets, brackets)
     return KernelBracketResult(False, _kernel(op.matrix), brackets)
 
@@ -1172,21 +1194,24 @@ class LieAnalysis(Record):
 
 def lie_analysis(A: StructureAlgebra, F: Operator) -> LieAnalysis:
     """Bracket, series, nilpotency, and kernel comparison in one pass; all
-    four share the span B of the brackets, which over a field is stage 1 of
-    both series, and the span of im F.  The series form no bracket (see the
-    module docstring): B lies in ker F, so [B, B] = 0, and each lower
-    central stage after B spans the products of the one before with im F.
-    The kernel comparison reads B = ker F off the sizes of B and im F."""
+    four share the span B of the brackets (``_spans``), which over a field
+    is stage 1 of both series, and the span of im F.  The series form no
+    bracket (see the module docstring): B lies in ker F, so [B, B] = 0, and
+    each lower central stage after B spans the products of the one before
+    with im F: B itself if 1 is in im F (B = ker F is stable under im F,
+    and 1*B = B), so then no stage is formed.  The kernel comparison reads
+    B = ker F off the sizes of B and im F."""
     op = averaging_operator(A, F)
-    brackets, image = _bracket_span(op.bracket), _image(op)
+    brackets, image, unital = _spans(op)
     ds = lc = None
     if A.ring.is_field:
         groups = [_terms(v, A.dim) for v in image.basis]
-        lc = _series(A, brackets, lambda us: [p for u in us for p in A.products(groups, u)])
+        lc = _series(A, brackets, None if unital else
+                     lambda us: [p for u in us for p in A.products(groups, u)])
         # A, B, 0; or A, 0 (A for d = 0) as the lower central series when B = 0
         zero = Subspace(A.ring, A.dim, ())
         ds = lc if brackets.is_zero() else SeriesResult((*lc.stages[:2], zero), True)
-    return LieAnalysis(op.bracket, ds, lc, _nilpotency(A, brackets, image),
+    return LieAnalysis(op.bracket, ds, lc, _nilpotency(A, brackets, image, unital),
                        _kernel_comparison(op, brackets, image))
 
 

@@ -983,22 +983,30 @@ class TestLieAnalysis:
         assert not an.kernel_comparison.equal
 
     def test_brackets_spanned_once(self, monkeypatch):
-        # Z/6[y]/(y^6 - 1), where each span is one Submodule.span
+        # Z/6[y]/(y^6 - 1), where each span is one Submodule.span.  With
+        # lam = (1, 2, 0, 3, 0, 1), F(1) = lam(1) * 1 = 1, so B = ker F, and
+        # the brackets [e_i, 1] = e_i - lam_i * 1, i = 1..5, have Howell
+        # order 6^5; im F = Z/6 * 1 has order 6, so they fill 6^6 and no
+        # cell is spanned.  With every lam_i even, im F = 2Z/6 * 1 does not
+        # hold 1, and the cells are spanned once
         Z6, d = ZMod(6), 6
         mul = [[[int(k == (i + j) % d) for k in range(d)] for j in range(d)] for i in range(d)]
         A = StructureAlgebra.make(Z6, [1] + [0] * (d - 1), mul)
-        F = functional_operator(A, [1, 2, 0, 3, 0, 1])
         calls = []
         span = FD._bracket_span
         monkeypatch.setattr(FD, "_bracket_span", lambda L: calls.append(L) or span(L))
-        an = lie_analysis(A, F)
-        assert len(calls) == 1
-        assert an.nilpotency == nilpotency_check(A, F)
-        assert an.kernel_comparison == kernel_equals_brackets(A, F)
+        for lam, spans in [((1, 2, 0, 3, 0, 1), 0), ((2, 4, 0, 2, 0, 4), 1)]:
+            F = functional_operator(A, lam)
+            calls.clear()
+            an = lie_analysis(A, F)
+            assert len(calls) == spans
+            assert an.nilpotency == nilpotency_check(A, F)
+            assert an.kernel_comparison == kernel_equals_brackets(A, F)
 
     def test_series_take_stage_one_from_the_bracket_span(self):
         # over a field the span of the brackets is stage 1 of both series, so
-        # lie_analysis spans the cells once for the kernel comparison
+        # lie_analysis spans the brackets once for the kernel comparison: here
+        # 1 = F(i) is in im F, so the span of [1, 1] = 0 and [i, 1] = -1
         A = qi()
         an = lie_analysis(A, imaginary_part(A))
         assert an.derived.stages[1] is an.kernel_comparison.brackets

@@ -519,27 +519,42 @@ def test_series_compute_no_bracket_for_stage_zero(calls):
 
 
 def test_lie_analysis_reads_the_series_off_the_theorem(calls):
-    # F = lam(x) * 1 on Z/5[y]/(y^6 - 1) with lam = (1, 2, 0, 3, 0, 1):
-    # im F is the line of 1, and the brackets span B = ker lam, of dimension
-    # 5.  Every bracket lies in ker F, so the derived series A, B, 0 takes
-    # no product at all, and [u, y] = u * F(y) for u in B, so the lower
-    # central stage 2 is one products pass per basis vector u of B against
-    # the one image generator 1: 5 calls, and it equals B.  The nilpotency
-    # check makes 1 more for the image power 1.  No bracket is formed: the
-    # generic series make 4 bracket_products (derived, the basis vectors
-    # after the first) and 5 bracket_row_products (lower central)
-    A = cyclic_algebra(ZMod(5), 6)
-    op = FD.averaging_operator(A, functional_operator(A, (1, 2, 0, 3, 0, 1)))
-    op.bracket  # built before the count starts, as in every analysis
-    calls.update(dict.fromkeys(calls, 0))
-    an = lie_analysis(A, op)
-    assert calls == only(products=6)
-    assert [s.dim for s in an.derived.stages] == [6, 5, 0]
-    assert [s.dim for s in an.lower_central.stages] == [6, 5]
-    calls.update(dict.fromkeys(calls, 0))
-    assert (an.derived, an.lower_central) == (derived_series(A, op.bracket),
-                                              lower_central_series(A, op.bracket))
-    assert calls == only(bracket_products=4, bracket_row_products=5)
+    # F = lam(x) * 1 on Z/5[y]/(y^6 - 1) with lam = (1, 2, 0, 3, 0, 1), and
+    # the same lam times the idempotent e = (1, 0) on the product with Z/5:
+    # im F is the line of 1, or of e, and the brackets span B = ker lam in
+    # the first factor, of dimension 5.  Every bracket lies in ker F, so
+    # the derived series A, B, 0 takes no product at all.  F(1) = 1 in the
+    # first case, so B = ker F, which is spanned by the brackets
+    # [e_i, 1] = e_i - lam_i * 1, i = 1..5: 1 bracket_row_products, and
+    # their span has dimension 5 = 6 - dim im F, so it fills.  B * im F = B
+    # there, so the lower central series is A, B and no power of im F is
+    # formed: no products.
+    # 1 is not in the line of e, so on the product nothing is read off:
+    # [u, y] = u * F(y) for u in B, so the lower central stage 2 is one
+    # products pass per basis vector u of B against the one image
+    # generator e, 5 calls, and it equals B; the nilpotency check makes 1
+    # more for the image power e, and B is spanned from the cells.  Either
+    # way the generic series form brackets instead: 4 bracket_products
+    # (derived, the basis vectors after the first) and 5
+    # bracket_row_products (lower central)
+    Z5, lam = ZMod(5), (1, 2, 0, 3, 0, 1)
+    left = cyclic_algebra(Z5, 6)
+    on_left = functional_operator(left, lam)
+    on_e = Matrix.from_cols(Z5, [on_left.col(j) + (0,) for j in range(6)] + [(0,) * 7])
+    for A, F, want, dims in [
+            (left, on_left, only(bracket_row_products=1), [6, 5]),
+            (product_algebra(left, cyclic_algebra(Z5, 1)), on_e, only(products=6), [7, 5])]:
+        op = FD.averaging_operator(A, F)
+        op.bracket  # built before the count starts, as in every analysis
+        calls.update(dict.fromkeys(calls, 0))
+        an = lie_analysis(A, op)
+        assert calls == want
+        assert [s.dim for s in an.derived.stages] == dims + [0]
+        assert [s.dim for s in an.lower_central.stages] == dims
+        calls.update(dict.fromkeys(calls, 0))
+        assert (an.derived, an.lower_central) == (derived_series(A, op.bracket),
+                                                  lower_central_series(A, op.bracket))
+        assert calls == only(bracket_products=4, bracket_row_products=5)
 
 
 @pytest.fixture

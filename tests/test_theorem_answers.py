@@ -18,6 +18,13 @@ by dense arithmetic to be averaging and to induce L.
 ``gamma_subalgebra`` solves its conditions inside ker [., 1] only, and must
 equal the five-loop reference ``ref_gamma_subalgebra``.
 
+When 1 is in im F, ``lie_analysis``, ``nilpotency_check`` and
+``kernel_equals_brackets`` read the bracket span off ker F (from the d
+brackets [e_i, 1] when they fill it), the lower central series as A, B and
+the nilpotency verdict from 1 in im F.  All three must equal ``ref_series``,
+``ref_nilpotency_check`` and ker F solved against the span of every bracket
+cell, with 1 in im F or not, and with [e_i, 1] filling ker F or not.
+
 ``primary_from_poly`` and ``quotient_by_averaging_ideal`` no longer verify
 what they build: the first is compared with multiplication by y, the second
 with a quotient computed here by dense elimination over Fractions, and both
@@ -26,17 +33,20 @@ results must pass the laws and the averaging check.
 
 import random
 from fractions import Fraction
+from functools import partial
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avgalg.exactlin import QQ, Matrix, Subspace, ZMod, nullspace
+from avgalg.exactlin import QQ, Matrix, Submodule, Subspace, ZMod, nullspace, submodule_kernel
 from avgalg.findim import (
     BracketTable,
     DomainCertificate,
     Induced,
     InduceNoSolution,
     InternalInvariantError,
+    KernelBracketResult,
     NotEndoInduced,
     ad_eigen,
     check_domain,
@@ -45,6 +55,9 @@ from avgalg.findim import (
     induced_bracket,
     induced_by_averaging,
     is_averaging,
+    kernel_equals_brackets,
+    lie_analysis,
+    nilpotency_check,
     primary_from_poly,
     quotient_by_averaging_ideal,
     verify_algebra,
@@ -67,9 +80,12 @@ from support import (
     rand_monic,
     rand_sum_operator,
     ref_ad_eigen,
+    ref_bracket_table,
     ref_gamma_subalgebra,
     ref_induced_by_averaging,
     ref_is_averaging,
+    ref_nilpotency_check,
+    ref_series,
 )
 
 FIELDS = [QQ, ZMod(2), ZMod(5), ZMod(7)]
@@ -382,3 +398,96 @@ def test_quotient_of_a_product_by_a_factor_is_the_other_factor():
     A, F = _sum_on_product(left, right, lam, mult_operator(right, (0, 1)))
     A2, F2 = quotient_by_averaging_ideal(A, F, Subspace.span(QQ, 4, [(0, 0, 1, 0), (0, 0, 0, 1)]))
     assert (A2.unit, A2.mul, F2) == (left.unit, left.mul, lam)
+
+
+# ---------------------------------------------------------------------------
+# lie_analysis, nilpotency_check and kernel_equals_brackets
+
+LIE_RINGS = [QQ, ZMod(2), ZMod(5), ZMod(4), ZMod(6)]
+
+
+def _lie_input(rng, ring):
+    """(A, F) on an integer algebra: a multiplication operator, a functional
+    operator with lam(1) a unit, 0 or (off fields) a zero divisor z, every
+    lam_i then a multiple of z, a sum operator, or F = 0; a third on a
+    random basis."""
+    kind = rng.choice(["mult", "functional", "sum", "zero"])
+    if kind == "sum":
+        A, F = rand_sum_operator(rng, ring)
+    else:
+        A = rand_int_algebra(rng, ring)
+        d = A.dim
+        lam = [rng.randint(-3, 3) for _ in range(d)]
+        if kind == "mult":
+            F = mult_operator(A, lam)
+        elif kind == "zero":
+            F = Matrix.zero(ring, d, d)
+        else:
+            units = [-1, 1, 2, Fraction(1, 2)] if ring == QQ else \
+                [u for u in range(1, ring.n) if gcd(u, ring.n) == 1]
+            roll = rng.randint(0, 2)
+            # unit[0] = 1 on these algebras, so lam_0 sets lam(1)
+            assert A.unit[0] == 1
+            lam[0] = (0 if roll == 1 else rng.choice(units)) - \
+                sum(x * u for x, u in zip(lam[1:], A.unit[1:]))
+            if roll == 2 and not ring.is_field:
+                z = rng.choice([z for z in range(2, ring.n) if gcd(z, ring.n) > 1])
+                lam = [z * x for x in lam]
+            F = functional_operator(A, lam)
+    if rng.randint(0, 2) == 0:
+        P, Pinv = rand_gl(rng, ring, A.dim)
+        A, F = change_algebra(A, P, Pinv), change_operator(F, P, Pinv)
+    return A, F
+
+
+def _lie_reference(A, F):
+    """(case, bracket, derived, lower central, nilpotency, kernel
+    comparison) by dense arithmetic and the references: the bracket from
+    dense products, ``ref_series`` over a field (None otherwise),
+    ``ref_nilpotency_check``, and ker F solved against the span B of every
+    bracket cell.  The case says whether 1 is in im F and, if it is,
+    whether the brackets [e_i, 1] span ker F."""
+    R, d = A.ring, A.dim
+    e = [A.basis_vec(i) for i in range(d)]
+    L = ref_bracket_table(A, [[dense_product(R, A.mul, e[i], F.col(j)) for i in range(d)]
+                              for j in range(d)])
+    span, kernel = (Subspace.span, nullspace) if R.is_field else \
+        (Submodule.span, partial(submodule_kernel, R))
+    ker, B = kernel(F), span(R, d, [L.table[i][j] for i in range(d) for j in range(d)])
+    if not span(R, d, [F.col(j) for j in range(d)]).contains_vector(A.unit):
+        case = "1 not in im F"
+    else:
+        ones = [dense_product(R, L.table, x, A.unit) for x in e]
+        case = "1 in im F, " + ("[e_i, 1] span ker F" if span(R, d, ones) == ker else
+                                "[e_i, 1] fall short")
+    series = (ref_series(A, L, False), ref_series(A, L, True)) if R.is_field else (None, None)
+    return (case, L, *series, ref_nilpotency_check(A, F), KernelBracketResult(ker == B, ker, B))
+
+
+def _lie_answers(A, F):
+    """The reference's case, after checking that the three analyses equal it."""
+    case, *want = _lie_reference(A, F)
+    an = lie_analysis(A, F)
+    got = [an.bracket, an.derived, an.lower_central, an.nilpotency, an.kernel_comparison]
+    assert got == want and repr(got) == repr(want)
+    assert nilpotency_check(A, F) == want[3] and kernel_equals_brackets(A, F) == want[4]
+    return case
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(LIE_RINGS), st.randoms(use_true_random=False))
+def test_lie_analysis_matches_the_references(ring, rng):
+    _lie_answers(*_lie_input(rng, ring))
+
+
+def test_lie_analysis_draws_reach_every_case():
+    # when 1 = F(y0), every u in ker F is the bracket [u, y0], so the
+    # analyses read B = ker F, take it from the brackets [e_i, 1] when they
+    # fill it, and read the series and the nilpotency verdict off it; each
+    # of these, and the general path, must meet its reference
+    rng = random.Random(39)
+    seen = set()
+    for k in range(500):
+        seen.add(_lie_answers(*_lie_input(rng, LIE_RINGS[k % len(LIE_RINGS)])))
+    assert seen == {"1 not in im F", "1 in im F, [e_i, 1] span ker F",
+                    "1 in im F, [e_i, 1] fall short"}
