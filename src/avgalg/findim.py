@@ -22,12 +22,12 @@ unit that is a basis vector, the associativity triples holding it.
 ``is_averaging`` pairs the basis with generators of im F instead, as its
 identity is linear in F(y), and takes a refusal's witness from the orbit
 scan.  Every check forms its products with one vector v in one pass of the
-product kernel: the row products e_i * v for all i, and the pairwise
-products x * v of the other vectors x the scan pairs with v (F(e_i) * b for
-a generator b of im F in ``is_averaging``, the Jacobi terms
-[e_m, [e_i, e_j]] of the Lie scan, the products of a lower central stage or
-of an image power with the image).  The products are formed up front and
-the scan keeps its order over them, so the first failure is unchanged.
+product kernel: the row products e_i * v for all i (read off column j of
+the table when v = c*e_j), and the pairwise products x * v of the other
+vectors x the scan pairs with v (F(e_i) * b for a generator b of im F in
+``is_averaging``, the Jacobi terms [e_m, [e_i, e_j]] of the Lie scan, the
+products of a lower central stage or of an image power with the image).
+Formed up front, they leave the scan's order and first failure unchanged.
 
 Each invariant is checked where a table enters and then carried by the
 value's type: ``StructureAlgebra.make`` refuses a table that fails the laws
@@ -191,13 +191,15 @@ class _Table(Record):
     The table's sparse form is built once, by the constructor unless the
     caller formed it with the table, and kept in the private slot
     ``_cells`` with the row groups ``_rows``; the two kernel methods read
-    it.  Private slots are outside equality, hash and repr."""
+    it.  ``_table`` references the table itself, for ``row_products``.
+    Private slots are outside equality, hash and repr."""
 
-    __slots__ = ("ring", "dim", "_cells", "_rows")
+    __slots__ = ("ring", "dim", "_cells", "_rows", "_table")
 
     def __init__(self, ring: Ring, dim: int, table: tuple, cells=None):
         set_field(self, "ring", ring)
         set_field(self, "dim", dim)
+        set_field(self, "_table", table)
         set_field(self, "_cells", _sparse_cells(table) if cells is None else cells)
         # the groups of _bilinear that give every row product e_i * v
         set_field(self, "_rows", tuple(((i, None),) for i in range(dim)))
@@ -221,8 +223,17 @@ class _Table(Record):
         return _bilinear(self.ring, self._cells, groups, v)
 
     def row_products(self, v) -> list:
-        """[e_0 * v, ..., e_(d-1) * v] in one pass."""
-        return _bilinear(self.ring, self._cells, self._rows, v)
+        """[e_0 * v, ..., e_(d-1) * v] in one pass.  For v = c*e_j they are
+        read off column j of the table, not formed: the cells e_i * e_j =
+        table[i][j] themselves when c = 1, else each scaled by c."""
+        nz = [(j, c) for j, c in enumerate(v) if c]
+        if len(nz) != 1 or len(v) != self.dim:
+            return _bilinear(self.ring, self._cells, self._rows, v)
+        (j, c), = nz
+        if c == 1:
+            return [row[j] for row in self._table]
+        m = _modulus(self.ring)
+        return [tuple([c * x % m for x in row[j]]) for row in self._table]
 
 
 class StructureAlgebra(_Table):
@@ -253,7 +264,10 @@ class StructureAlgebra(_Table):
         return A
 
     def basis_vec(self, i: int) -> tuple:
-        return tuple(self.ring.one if j == i else self.ring.zero for j in range(self.dim))
+        if not 0 <= i < self.dim:
+            raise ShapeError(f"basis index {i} outside range({self.dim})")
+        zero = zero_vec(self.ring, self.dim - 1)
+        return zero[:i] + (self.ring.one,) + zero[i:]
 
     # on this class, not on _Table: the benchmark's tracer wraps it here
     def mul_vec(self, a, b) -> tuple:
@@ -286,7 +300,8 @@ class AlgebraReport(Record):
 def verify_algebra(A: StructureAlgebra) -> AlgebraReport:
     """Exact commutativity, associativity, and unit checks on all triples;
     ``failure`` names the first failing law in that order of priority.
-    Every call scans the table.
+    Every call scans the table, commutativity by one comparison with its
+    transpose; the pairs are scanned only to name the first failure.
 
     On a commutative table (e_a e_b) e_c = e_c (e_a e_b) is one row product
     P(e_a e_b, c) that depends only on the cell e_a e_b and c, and
@@ -301,7 +316,8 @@ def verify_algebra(A: StructureAlgebra) -> AlgebraReport:
     every ordered triple, so ``associative`` stays exact there too."""
     d = range(A.dim)
     e = [A.basis_vec(i) for i in d]
-    comm = next(((i, j) for i in d for j in d if A.mul[i][j] != A.mul[j][i]), None)
+    comm = None if A.mul == tuple(zip(*A.mul)) else next(
+        ((i, j) for i in d for j in d if A.mul[i][j] != A.mul[j][i]), None)
     # u e_i = e_i u on a commutative table, so one pass gives them all
     ue = A.row_products(A.unit) if comm is None else [A.mul_vec(A.unit, x) for x in e]
     unit = next(((i,) for i in d if ue[i] != e[i]), None)
@@ -874,8 +890,9 @@ class NotNilpotent(Record):
 def _span(R: Ring, dim: int, vectors):
     """The span of canonical ``vectors``: a Subspace over a field, a
     canonical Submodule over composite Z/n; either way, equal values are
-    equal spans."""
-    return (Subspace if R.is_field else Submodule)(R, dim, _hnf(R, dim, vectors))
+    equal spans.  No vectors span 0 with no elimination."""
+    basis = _hnf(R, dim, vectors) if vectors else ()
+    return (Subspace if R.is_field else Submodule)(R, dim, basis)
 
 
 def _bracket_cells(L: BracketTable) -> list:
@@ -889,12 +906,15 @@ def _bracket_span(L: BracketTable):
 
 
 def _spans(op: AveragingOperator) -> tuple:
-    """(B, im F, whether 1 is in im F).  The test runs once, exact over
-    every ring, and only for a nonzero bracket (B = 0 settles the rest, and
-    the flag is False).  Then B is the span C of the d brackets [e_i, 1] if
-    C fills (``kernel_equals_brackets``); otherwise B spans the cells."""
+    """(B, im F, whether 1 is in im F).  A bracket with no nonzero cell (a
+    multiplication operator's) gives B = 0 with no elimination, and the
+    flag False: B = 0 settles the rest.  Otherwise the test runs once, exact
+    over every ring, and B is the span C of the d brackets [e_i, 1] if C
+    fills (``kernel_equals_brackets``), else the span of the cells."""
     A, L, image = op.algebra, op.bracket, _image(op)
-    if any(map(any, L._cells)) and (_is_full(image, A.dim) or image.contains_vector(A.unit)):
+    if not any(map(any, L._cells)):
+        return _span(A.ring, A.dim, ()), image, False
+    if _is_full(image, A.dim) or image.contains_vector(A.unit):
         C = _span(A.ring, A.dim, L.row_products(A.unit))
         return (C if _fills(A.ring, A.dim, C, image) else _bracket_span(L)), image, True
     return _bracket_span(L), image, False

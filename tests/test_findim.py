@@ -189,6 +189,14 @@ class TestStructureAlgebra:
         with pytest.raises(Exception):
             StructureAlgebra.make(QQ, (1, 0), [[[1, 0]]])
 
+    def test_basis_vec_is_refused_outside_the_basis(self):
+        # 0 is no basis vector, and a slice past the end is no vector of A
+        A = q3()
+        assert [A.basis_vec(i) for i in range(3)] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        for i in (3, 7, -1):
+            with pytest.raises(ShapeError, match=rf"^basis index {i} outside range\(3\)$"):
+                A.basis_vec(i)
+
     def test_random_builders_are_verified(self):
         rng = random.Random(11)
         for _ in range(15):

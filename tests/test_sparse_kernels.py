@@ -11,12 +11,14 @@ and matrices are applied before and after their column form is filled.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import avgalg.findim as FD
 from avgalg.exactlin import QQ, Matrix, ZMod, rref, vec_dot
-from avgalg.findim import BracketTable, StructureAlgebra, _Table, _terms
-from support import ref_add, ref_mul, ref_sub
+from avgalg.findim import BracketTable, StructureAlgebra, _Table, _terms, induced_bracket
+from support import cyclic_algebra, functional_operator, ref_add, ref_mul, ref_sub
 
 RINGS = [QQ, ZMod(2), ZMod(5), ZMod(6), ZMod(12)]
 FIELDS = [QQ, ZMod(2), ZMod(5), ZMod(7)]
@@ -142,6 +144,87 @@ def test_row_product_matches_basis_product(case, made, data):
     e_i = A.basis_vec(i)
     assert A.row_products(y)[i] == A.mul_vec(e_i, y) == dense_bilinear(ring, d, table, e_i, y)
     assert L.row_products(y)[i] == L.products([_terms(e_i, d)], y)[0]
+
+
+# c in an operand c*e_j, which row_products reads off column j of the table:
+# 1, units other than 1, zero divisors of Z/6 and Z/12, residues written as
+# c + n, and Fractions over Q
+SCALARS = {
+    QQ: [1, -1, 2, Fraction(1, 2), Fraction(-2, 3)],
+    ZMod(2): [1, 3],
+    ZMod(5): [1, 2, 4, 6, 8],
+    ZMod(6): [1, 5, 2, 3, 4, 7, 9],
+    ZMod(12): [1, 5, 7, 2, 3, 6, 13, 18],
+}
+
+
+def basis_multiple(ring, d, j, c):
+    return tuple(c if k == j else ring.zero for k in range(d))
+
+
+def dense_rows(ring, d, table, v):
+    """[e_0 * v, ..., e_(d-1) * v] by the dense reference."""
+    return [dense_bilinear(ring, d, table, basis_multiple(ring, d, i, ring.one), v)
+            for i in range(d)]
+
+
+@given(ring_and_table(), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_row_products_of_a_basis_multiple_match_dense(case, made, data):
+    # random tables are neither commutative nor antisymmetric, so column j
+    # and row j differ on most draws
+    ring, d, table, _, _ = case
+    j = data.draw(st.integers(0, d - 1))
+    v = basis_multiple(ring, d, j, data.draw(st.sampled_from(SCALARS[ring])))
+    for T in (_algebra(ring, d, table, made), _bracket(ring, d, table, made)):
+        assert T.row_products(v) == dense_rows(ring, d, table, v)
+
+
+def test_row_products_read_column_j_of_a_non_commutative_table():
+    # by the bare constructors, over Z/12: e_0 e_1 = 5 e_1 while
+    # e_1 e_0 = 2 e_0 + 3 e_1, so column 1 is not row 1, nor column 0 row 0
+    R = ZMod(12)
+    table = (((1, 0), (0, 5)), ((2, 3), (1, 0)))
+    expected = {
+        (0, 1): [(0, 5), (1, 0)],
+        (0, 7): [(0, 11), (7, 0)],
+        (0, 13): [(0, 5), (1, 0)],
+        (0, 6): [(0, 6), (6, 0)],
+        (4, 0): [(4, 0), (8, 0)],
+    }
+    for T in (StructureAlgebra(R, 2, (1, 0), table), BracketTable(R, 2, table)):
+        for v, rows in expected.items():
+            assert T.row_products(v) == rows == dense_rows(R, 2, table, v)
+
+
+@pytest.mark.parametrize("ring", [QQ, ZMod(5), ZMod(6), ZMod(12)])
+def test_row_products_of_a_basis_multiple_on_made_tables(ring):
+    # an algebra and a Lie bracket through make, which check their laws
+    A = cyclic_algebra(ring, 4)
+    L = BracketTable.make(ring, induced_bracket(A, functional_operator(A, (1, 2, 0, 3))).table)
+    for T, table in ((A, A.mul), (L, L.table)):
+        for j in range(4):
+            for c in SCALARS[ring]:
+                v = basis_multiple(ring, 4, j, c)
+                assert T.row_products(v) == dense_rows(ring, 4, table, v)
+
+
+def test_row_products_of_a_basis_vector_call_no_kernel(monkeypatch):
+    # e_j is read off the table; an operand with two nonzeros is formed by
+    # one kernel pass
+    A = cyclic_algebra(ZMod(5), 4)
+    L = induced_bracket(A, functional_operator(A, (1, 2, 0, 3)))
+    calls = []
+    kernel = FD._bilinear
+    monkeypatch.setattr(FD, "_bilinear", lambda *args: calls.append(args) or kernel(*args))
+    for T in (A, L):
+        calls.clear()
+        for j in range(4):
+            T.row_products(A.basis_vec(j))
+            T.row_products(basis_multiple(A.ring, 4, j, 3))
+        assert calls == []
+        T.row_products((1, 0, 2, 0))
+        assert len(calls) == 1
 
 
 @given(ring_and_matrix())

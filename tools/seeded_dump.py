@@ -26,6 +26,12 @@ exactly when their dumps are byte-identical:
     PYTHONPATH=/path/to/other/checkout/src python3 tools/seeded_dump.py > old.txt
     diff old.txt new.txt
 
+The dump's sha256 is committed as tools/seeded_dump.sha256, and CI fails
+when the dump's digest differs from it; a change to an exact result
+updates that file in the same commit:
+
+    PYTHONPATH=src python3 tools/seeded_dump.py | sha256sum
+
 Standard library only; the package is imported from PYTHONPATH.
 """
 
